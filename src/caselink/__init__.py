@@ -25,7 +25,6 @@ from .corpus import (
 from .embeddings import (
     EmbeddingTable,
     ProviderConfig,
-    ProviderMode,
     RemoteEmbeddingProvider,
     check_coverage,
     l2_normalize,
@@ -55,11 +54,9 @@ from .gat import (
     LayerGrads,
     LayerParams,
     backward_gradients,
-    gat_layer_forward,
     init_params,
     load_checkpoint,
     model_forward,
-    replay_forward,
     save_checkpoint,
 )
 from .graph import (
@@ -90,7 +87,6 @@ from .retrieval import (
 )
 from .synthetic import SyntheticDataset, SyntheticSpec, generate, write_dataset
 from .training import (
-    SWEEP_GRID,
     AdamState,
     BatchEntry,
     TrainingBatch,
@@ -115,7 +111,7 @@ __all__ = [
     "Bm25Index", "ScoredPair", "build_index", "bm25_score", "score_all",
     "topk_similar",
     # embeddings
-    "EmbeddingTable", "ProviderConfig", "ProviderMode", "RemoteEmbeddingProvider",
+    "EmbeddingTable", "ProviderConfig", "RemoteEmbeddingProvider",
     "load_embedding_file", "normalize_table", "check_coverage", "l2_normalize",
     "read_binary_embeddings", "write_binary_embeddings",
     # graph
@@ -124,11 +120,11 @@ __all__ = [
     "build_global_case_graph", "save_graph", "load_graph",
     # encoder
     "GatParams", "LayerParams", "LayerGrads", "ForwardTrace",
-    "init_params", "gat_layer_forward", "model_forward", "replay_forward",
+    "init_params", "model_forward",
     "backward_gradients", "save_checkpoint", "load_checkpoint",
     # training
     "TrainingConfig", "TrainingBatch", "BatchEntry", "AdamState", "TrainResult",
-    "SWEEP_GRID", "sample_batch", "hard_negative_pools", "infonce_loss",
+    "sample_batch", "hard_negative_pools", "infonce_loss",
     "degreg_loss", "total_loss_and_grads", "adam_step", "train",
     # retrieval
     "RankResult", "RetrievalRun", "EvalReport", "cosine_score", "year_filter",

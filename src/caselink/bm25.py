@@ -11,7 +11,6 @@ the query, so repeated terms contribute once per occurrence.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -22,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusStore
-from .errors import EmptyCorpusError, IngestError
+from .errors import EmptyCorpusError, IngestError, read_exact
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 1
@@ -159,10 +158,6 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
 # Binary cache
 # ---------------------------------------------------------------------------
 
-def corpus_digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
     """Serialize the index; ``digest`` identifies the corpus bytes it was built from."""
     meta = {
@@ -195,19 +190,19 @@ def load_index(path: str | Path) -> tuple[Bm25Index, str]:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise IngestError(f"{path} is not a BM25 index cache")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4))
         if version != _FORMAT_VERSION:
             raise IngestError(f"unsupported BM25 cache version {version}")
-        (meta_len,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(meta_len).decode("utf-8"))
-        (n_terms,) = struct.unpack("<Q", fh.read(8))
+        (meta_len,) = struct.unpack("<I", read_exact(fh, 4))
+        meta = json.loads(read_exact(fh, meta_len).decode("utf-8"))
+        (n_terms,) = struct.unpack("<Q", read_exact(fh, 8))
         postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for _ in range(n_terms):
-            (tlen,) = struct.unpack("<H", fh.read(2))
-            term = fh.read(tlen).decode("utf-8")
-            (n_post,) = struct.unpack("<Q", fh.read(8))
-            idx = np.frombuffer(fh.read(4 * n_post), dtype="<u4").astype(np.int64)
-            tf = np.frombuffer(fh.read(4 * n_post), dtype="<u4").astype(np.float64)
+            (tlen,) = struct.unpack("<H", read_exact(fh, 2))
+            term = read_exact(fh, tlen).decode("utf-8")
+            (n_post,) = struct.unpack("<Q", read_exact(fh, 8))
+            idx = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.int64)
+            tf = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.float64)
             postings[term] = (idx, tf)
     index = Bm25Index(
         doc_ids=tuple(meta["doc_ids"]),

@@ -1,11 +1,13 @@
-"""Command-line interface: per-stage subcommands plus an end-to-end pipeline.
+"""Command-line interface: one function per pipeline stage, one subcommand per stage.
 
 Stages: ingest | index | embed | graph | train | rank | eval | pipeline | synth.
-One JSON config file can drive all stages; command-line flags override config
-values, which override built-in defaults. Every stage writes a ``manifest.json``
-into its output directory (before outputs are finalized) recording the resolved
-config, sha256 digests of all inputs, output paths, the tool version, and
-per-stage wall-clock timings.
+Each subcommand resolves its inputs, calls its stage function and prints a
+summary; ``pipeline`` resolves its inputs once and calls the same stage
+functions in order, in one process. One JSON config file can drive all stages;
+command-line flags override config values, which override built-in defaults.
+Every stage writes a ``manifest.json`` into its output directory (before its
+outputs are finalized) recording the resolved config, sha256 digests of all
+inputs, output paths, the tool version, and per-stage wall-clock timings.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 The env var ``CASELINK_CACHE_DIR`` names a directory for reusable BM25 index
@@ -20,9 +22,11 @@ import hashlib
 import json
 import logging
 import os
+import struct
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .bm25 import Bm25Index, build_index, load_index, save_index
@@ -36,7 +40,6 @@ from .corpus import (
 from .embeddings import (
     EmbeddingTable,
     ProviderConfig,
-    ProviderMode,
     RemoteEmbeddingProvider,
     check_coverage,
     load_embedding_file,
@@ -45,10 +48,12 @@ from .embeddings import (
     truncate_text,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, LabelError, NumericalError, ParseError
-from .gat import load_checkpoint, model_forward
-from .graph import build_global_case_graph, load_graph, save_graph
+from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError
+from .gat import GatParams, load_checkpoint, model_forward
+from .graph import GlobalCaseGraph, build_global_case_graph, load_graph, save_graph
 from .retrieval import (
+    EvalReport,
+    RetrievalRun,
     evaluate_runs,
     rank_all,
     read_run_tsv,
@@ -58,7 +63,7 @@ from .retrieval import (
     write_run_tsv,
 )
 from .synthetic import SyntheticSpec, generate, write_dataset
-from .training import TrainingConfig, train
+from .training import TrainingConfig, TrainResult, train
 
 logger = logging.getLogger(__name__)
 
@@ -79,22 +84,33 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _digest_path(path: Path) -> str:
+    """sha256 of a file's bytes. A directory digests each file's relative path
+    and contents, each prefixed by its length, so no two trees share a digest."""
     h = hashlib.sha256()
-    if path.is_dir():
-        for p in sorted(path.rglob("*")):
-            if p.is_file():
-                h.update(p.name.encode("utf-8"))
-                h.update(p.read_bytes())
-    else:
+    if not path.is_dir():
         h.update(path.read_bytes())
+        return h.hexdigest()
+    for p in sorted(path.rglob("*")):
+        if p.is_file():
+            for part in (p.relative_to(path).as_posix().encode("utf-8"), p.read_bytes()):
+                h.update(struct.pack("<Q", len(part)))
+                h.update(part)
     return h.hexdigest()
+
+
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def _tmp(path: Path) -> Path:
+    return path.with_name(path.name + ".tmp")
 
 
 class StageManifest:
     """Run record: resolved config, input digests, outputs, timings.
 
-    Written once before stage outputs are finalized and rewritten with
-    timings at the end, so a finalized artifact never exists without one.
+    Each stage rewrites it with its outputs and timing before renaming those
+    outputs into place, so a finalized artifact never exists without one.
     """
 
     def __init__(self, out_dir: Path, command: str, config_path, config: dict):
@@ -111,9 +127,11 @@ class StageManifest:
         }
         self._t0: dict[str, float] = {}
 
-    def add_input(self, path) -> None:
-        p = Path(path)
-        self.data["inputs"][str(p)] = _digest_path(p)
+    def add_input(self, *paths) -> None:
+        """Record the digest of each path; ``None`` (an absent optional input) is skipped."""
+        for path in paths:
+            if path is not None:
+                self.data["inputs"][str(path)] = _digest_path(Path(path))
 
     def add_output(self, path) -> None:
         s = str(path)
@@ -130,18 +148,19 @@ class StageManifest:
 
     def write(self) -> None:
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(
-            json.dumps(self.data, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        _write_json(self.path, self.data)
 
-
-def _finalize(renames: list[tuple[Path, Path]]) -> None:
-    for tmp, final in renames:
-        os.replace(tmp, final)
-
-
-def _tmp(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
+    def commit(self, stage: str, writers: dict[Path, Callable[[Path], object]]) -> None:
+        """Finish ``stage``: write each output through its writer to a ``.tmp``
+        sibling, record the outputs and the stage timing, write the manifest,
+        then rename the outputs into place."""
+        for path, write in writers.items():
+            write(_tmp(path))
+            self.add_output(path)
+        self.stop(stage)
+        self.write()
+        for path in writers:
+            os.replace(_tmp(path), path)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +209,17 @@ def _out_dir(args, cfg) -> Path:
     return out
 
 
+def _bm25_params(args, cfg) -> tuple[float, float]:
+    """BM25 ``(k1, b)``."""
+    return float(_opt(args, cfg, "k1", default=1.2)), float(_opt(args, cfg, "b", default=0.75))
+
+
+def _rank_sizes(args, cfg) -> tuple[int, int]:
+    """``(prefilter_size, final_size)`` of the two-stage ranker."""
+    return (int(_opt(args, cfg, "prefilter_size", default=10)),
+            int(_opt(args, cfg, "final_size", default=5)))
+
+
 def resolve_training_config(args, cfg: dict) -> TrainingConfig:
     """Merge training settings: flags > config file > dataclass defaults."""
     merged: dict = {}
@@ -225,27 +255,36 @@ def _cache_dir() -> Path | None:
 def _get_index(
     store: CorpusStore, corpus_path: Path, k1: float, b: float
 ) -> tuple[Bm25Index, str]:
-    """Build the BM25 index, consulting the digest-keyed cache directory."""
+    """Build the BM25 index, consulting the digest-keyed cache directory.
+
+    A cache file that cannot be read, or that was built from another corpus or
+    other parameters, counts as a miss: the index is rebuilt and the file
+    atomically replaced.
+    """
     digest = _digest_path(corpus_path)
     cache = _cache_dir()
-    cache_file = None
-    if cache is not None:
-        cache_file = cache / f"bm25_{digest[:16]}_{k1:g}_{b:g}.bin"
-        if cache_file.exists():
+    if cache is None:
+        return build_index(store, k1=k1, b=b), digest
+    cache_file = cache / f"bm25_{digest[:16]}_{k1:g}_{b:g}.bin"
+    if cache_file.exists():
+        try:
             index, cached_digest = load_index(cache_file)
+        except (IngestError, ValueError, KeyError) as exc:
+            logger.warning("rebuilding unreadable BM25 cache %s: %s", cache_file, exc)
+        else:
             if cached_digest == digest and index.k1 == k1 and index.b == b:
                 logger.info("reusing BM25 cache %s", cache_file)
                 return index, digest
+            logger.warning("rebuilding BM25 cache %s: built from other inputs", cache_file)
     index = build_index(store, k1=k1, b=b)
-    if cache_file is not None:
-        tmp = _tmp(cache_file)
-        save_index(index, tmp, digest)
-        os.replace(tmp, cache_file)
+    tmp = _tmp(cache_file)
+    save_index(index, tmp, digest)
+    os.replace(tmp, cache_file)
     return index, digest
 
 
 # ---------------------------------------------------------------------------
-# shared stage helpers
+# input resolution shared by the subcommands
 
 
 def _load_store(args, cfg, need_labels: bool) -> tuple[CorpusStore, Path, Path | None]:
@@ -257,215 +296,234 @@ def _load_store(args, cfg, need_labels: bool) -> tuple[CorpusStore, Path, Path |
     return store, corpus_path, labels_path
 
 
-def _load_table_for(args, cfg, store: CorpusStore) -> tuple[EmbeddingTable, Path]:
-    emb_path = _require_path(args, cfg, "embeddings")
-    dim = _opt(args, cfg, "dim")
-    table = load_embedding_file(emb_path, expected_dim=dim)
-    table = normalize_table(table)
-    check_coverage(table, store)
-    return table, emb_path
-
-
 def _attach_lexicon(args, cfg, store: CorpusStore) -> tuple[CorpusStore, Path]:
     lex_path = _require_path(args, cfg, "lexicon")
     charges = load_charge_lexicon(lex_path)
     return attach_charges(store, charges), lex_path
 
 
+def _file_table(args, cfg, manifest: StageManifest) -> EmbeddingTable:
+    """The ``--embeddings`` file (JSONL or EMB1), recorded as an input, L2-normalized."""
+    emb_path = _require_path(args, cfg, "embeddings")
+    manifest.add_input(emb_path)
+    return normalize_table(load_embedding_file(emb_path, expected_dim=_opt(args, cfg, "dim")))
+
+
+def _source_table(args, cfg, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
+    """Vectors for every case and charge: fetched from ``endpoint`` when one is
+    configured, else read from the ``--embeddings`` file."""
+    endpoint = _opt(args, cfg, "endpoint")
+    if not endpoint:
+        return _file_table(args, cfg, manifest)
+    provider_cfg = ProviderConfig(
+        endpoint=endpoint,
+        truncation_tokens=int(_opt(args, cfg, "truncation_tokens", default=4096)),
+        max_in_flight=int(_opt(args, cfg, "threads", default=4, flag="threads") or 4),
+    )
+    items = [
+        (case.id, truncate_text(case.text, provider_cfg.truncation_tokens))
+        for case in store.cases
+    ]
+    items += [(charge.id, charge.name) for charge in store.charges]
+    return normalize_table(RemoteEmbeddingProvider(provider_cfg).fetch_many(items))
+
+
+def _case_graph(
+    args, cfg, store: CorpusStore, index: Bm25Index, training: TrainingConfig,
+    manifest: StageManifest,
+) -> GlobalCaseGraph:
+    """The ``--graph`` file when one is given, else the graph built from ``--embeddings``."""
+    graph_path = _path_opt(args, cfg, "graph", flag="graph_file")
+    if graph_path is not None:
+        manifest.add_input(graph_path)
+        return load_graph(graph_path)
+    table = _file_table(args, cfg, manifest)
+    return build_global_case_graph(
+        store, table, index, k=training.k_edges, delta=training.delta
+    )
+
+
 # ---------------------------------------------------------------------------
-# subcommands
+# stages: in-memory inputs -> artifacts in ``out`` plus what the next stage needs
 
 
-def cmd_ingest(args) -> int:
-    cfg = _load_config(args.config)
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
-    out = _out_dir(args, cfg)
-    manifest = StageManifest(out, "ingest", args.config, {"corpus": str(corpus_path)})
-    manifest.add_input(corpus_path)
-    if labels_path is not None:
-        manifest.add_input(labels_path)
+def ingest_stage(store: CorpusStore, out: Path, manifest: StageManifest) -> dict:
+    """Write the normalized corpus and its counts; returns the counts."""
     manifest.start("ingest")
 
-    norm_path = out / "corpus_normalized.jsonl"
-    stats_path = out / "stats.json"
-    tmp_norm, tmp_stats = _tmp(norm_path), _tmp(stats_path)
-    with tmp_norm.open("w", encoding="utf-8") as fh:
-        for case in store.cases:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": case.id,
-                        "role": case.role.value,
-                        "text": case.text,
-                        "year": case.year,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    def write_cases(path: Path) -> None:
+        with path.open("w", encoding="utf-8") as fh:
+            for case in store.cases:
+                record = {"id": case.id, "role": case.role.value, "text": case.text,
+                          "year": case.year}
+                fh.write(json.dumps(record, sort_keys=True) + "\n")
+
     stats = {
         "n_cases": store.n_cases,
         "n_queries": len(store.queries()),
         "n_candidates": len(store.candidates()),
         "n_labeled_queries": len(store.labels),
     }
-    tmp_stats.write_text(json.dumps(stats, sort_keys=True, indent=2) + "\n", "utf-8")
-    manifest.add_output(norm_path)
-    manifest.add_output(stats_path)
-    manifest.stop("ingest")
-    manifest.write()
-    _finalize([(tmp_norm, norm_path), (tmp_stats, stats_path)])
-    print(json.dumps(stats, sort_keys=True))
-    return 0
+    manifest.commit("ingest", {
+        out / "corpus_normalized.jsonl": write_cases,
+        out / "stats.json": lambda path: _write_json(path, stats),
+    })
+    return stats
 
 
-def cmd_index(args) -> int:
-    cfg = _load_config(args.config)
+def index_stage(
+    store: CorpusStore, corpus_path: Path, k1: float, b: float, out: Path,
+    manifest: StageManifest,
+) -> Bm25Index:
+    """Build (or reuse from the cache) the BM25 index and write ``bm25.bin``."""
+    manifest.start("index")
+    index, digest = _get_index(store, corpus_path, k1, b)
+    manifest.commit("index", {out / "bm25.bin": lambda path: save_index(index, path, digest)})
+    return index
+
+
+def embed_stage(
+    store: CorpusStore, table: EmbeddingTable, out: Path, manifest: StageManifest
+) -> Path:
+    """Check that every case and charge has a vector and write ``embeddings.emb1``,
+    whose path is returned: the graph stage reads the table from it."""
+    manifest.start("embed")
+    check_coverage(table, store)
+    ids = [c.id for c in store.cases] + [ch.id for ch in store.charges]
+    emb_path = out / "embeddings.emb1"
+    manifest.commit("embed", {emb_path: lambda path: write_binary_embeddings(table, path, ids)})
+    return emb_path
+
+
+def graph_stage(
+    store: CorpusStore, table: EmbeddingTable, index: Bm25Index,
+    training: TrainingConfig, out: Path, manifest: StageManifest,
+) -> GlobalCaseGraph:
+    """Assemble the global case graph and write ``graph.gcg1``."""
+    manifest.start("graph")
+    gcg = build_global_case_graph(
+        store, table, index, k=training.k_edges, delta=training.delta
+    )
+    manifest.commit("graph", {out / "graph.gcg1": lambda path: save_graph(gcg, path)})
+    return gcg
+
+
+def train_stage(
+    store: CorpusStore, gcg: GlobalCaseGraph, index: Bm25Index,
+    training: TrainingConfig, out: Path, manifest: StageManifest,
+) -> TrainResult:
+    """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
+    manifest.start("train")
+    ckpt_dir = out / "checkpoints"
+    manifest.add_output(ckpt_dir / "checkpoint.gatc")
+    manifest.add_output(ckpt_dir / "training_log.jsonl")
+    manifest.write()  # train() finalizes each checkpoint as it goes
+    result = train(
+        store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index
+    )
+    manifest.commit("train", {})
+    return result
+
+
+def rank_stage(
+    store: CorpusStore, index: Bm25Index, gcg: GlobalCaseGraph, params: GatParams,
+    prefilter_size: int, final_size: int, out: Path, manifest: StageManifest,
+) -> RetrievalRun:
+    """Encode the graph, rank candidates per query, write ``run.tsv`` and ``run.json``."""
+    manifest.start("rank")
+    h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
+    reps = representations_from_rows(gcg.node_ids, h)
+    run = rank_all(store, index, reps, prefilter_size=prefilter_size, final_size=final_size)
+    manifest.commit("rank", {
+        out / "run.tsv": lambda path: write_run_tsv(run, path),
+        out / "run.json": lambda path: write_run_json(run, path),
+    })
+    return run
+
+
+def eval_stage(
+    retrieved: dict[str, tuple[str, ...]], labels: dict[str, tuple[str, ...]],
+    out: Path, manifest: StageManifest,
+) -> EvalReport:
+    """Score a run against the labels and write ``report.json``."""
+    manifest.start("eval")
+    report = evaluate_runs(retrieved, labels)
+    manifest.commit("eval", {out / "report.json": lambda path: write_report_json(report, path)})
+    return report
+
+
+# ---------------------------------------------------------------------------
+# subcommands: resolve inputs, run one stage, print a summary
+
+
+def _print_json(obj) -> None:
+    print(json.dumps(obj, sort_keys=True))
+
+
+def cmd_ingest(args, cfg: dict) -> None:
     store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
     out = _out_dir(args, cfg)
-    k1 = float(_opt(args, cfg, "k1", default=1.2))
-    b = float(_opt(args, cfg, "b", default=0.75))
+    manifest = StageManifest(out, "ingest", args.config, {"corpus": str(corpus_path)})
+    manifest.add_input(corpus_path, labels_path)
+    _print_json(ingest_stage(store, out, manifest))
+
+
+def cmd_index(args, cfg: dict) -> None:
+    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
+    out = _out_dir(args, cfg)
+    k1, b = _bm25_params(args, cfg)
     manifest = StageManifest(
         out, "index", args.config, {"corpus": str(corpus_path), "k1": k1, "b": b}
     )
-    manifest.add_input(corpus_path)
-    if labels_path is not None:
-        manifest.add_input(labels_path)
-    manifest.start("index")
-
-    index, digest = _get_index(store, corpus_path, k1, b)
-    index_path = out / "bm25.bin"
-    tmp = _tmp(index_path)
-    save_index(index, tmp, digest)
-    manifest.add_output(index_path)
-    manifest.stop("index")
-    manifest.write()
-    _finalize([(tmp, index_path)])
-    print(
-        json.dumps(
-            {"documents": len(index.doc_ids), "terms": len(index.postings),
-             "avgdl": index.avgdl},
-            sort_keys=True,
-        )
-    )
-    return 0
+    manifest.add_input(corpus_path, labels_path)
+    index = index_stage(store, corpus_path, k1, b, out, manifest)
+    _print_json({"documents": len(index.doc_ids), "terms": len(index.postings),
+                 "avgdl": index.avgdl})
 
 
-def _fetch_remote_table(
-    args, cfg, store: CorpusStore, endpoint: str
-) -> EmbeddingTable:
-    provider_cfg = ProviderConfig(
-        mode=ProviderMode.REMOTE,
-        endpoint=endpoint,
-        truncation_tokens=int(_opt(args, cfg, "truncation_tokens", default=4096)),
-        max_in_flight=int(_opt(args, cfg, "threads", default=4, flag="threads") or 4),
-    )
-    provider = RemoteEmbeddingProvider(provider_cfg)
-    items = [
-        (case.id, truncate_text(case.text, provider_cfg.truncation_tokens))
-        for case in store.cases
-    ]
-    items += [(charge.id, charge.name) for charge in store.charges]
-    return provider.fetch_many(items)
-
-
-def cmd_embed(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_embed(args, cfg: dict) -> None:
     store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
-    endpoint = _opt(args, cfg, "endpoint")
     manifest = StageManifest(
-        out,
-        "embed",
-        args.config,
-        {"corpus": str(corpus_path), "lexicon": str(lex_path), "endpoint": endpoint},
+        out, "embed", args.config,
+        {"corpus": str(corpus_path), "lexicon": str(lex_path),
+         "endpoint": _opt(args, cfg, "endpoint")},
     )
-    manifest.add_input(corpus_path)
-    manifest.add_input(lex_path)
-    manifest.start("embed")
-
-    if endpoint:
-        table = _fetch_remote_table(args, cfg, store, endpoint)
-    else:
-        emb_path = _require_path(args, cfg, "embeddings")
-        manifest.add_input(emb_path)
-        dim = _opt(args, cfg, "dim")
-        table = load_embedding_file(emb_path, expected_dim=dim)
-    table = normalize_table(table)
-    check_coverage(table, store)
-
-    out_path = out / "embeddings.emb1"
-    tmp = _tmp(out_path)
-    ids = [c.id for c in store.cases] + [ch.id for ch in store.charges]
-    write_binary_embeddings(table, tmp, ids)
-    manifest.add_output(out_path)
-    manifest.stop("embed")
-    manifest.write()
-    _finalize([(tmp, out_path)])
-    print(json.dumps({"vectors": len(ids), "dim": table.dim}, sort_keys=True))
-    return 0
+    manifest.add_input(corpus_path, lex_path)
+    table = _source_table(args, cfg, store, manifest)
+    embed_stage(store, table, out, manifest)
+    _print_json({"vectors": store.n_cases + store.n_charges, "dim": table.dim})
 
 
-def cmd_graph(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_graph(args, cfg: dict) -> None:
     store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
     store, lex_path = _attach_lexicon(args, cfg, store)
-    table, emb_path = _load_table_for(args, cfg, store)
     out = _out_dir(args, cfg)
     training = resolve_training_config(args, cfg)
     manifest = StageManifest(
-        out,
-        "graph",
-        args.config,
+        out, "graph", args.config,
         {
             "corpus": str(corpus_path),
             "lexicon": str(lex_path),
-            "embeddings": str(emb_path),
+            "embeddings": str(_require_path(args, cfg, "embeddings")),
             "k_edges": training.k_edges,
             "delta": training.delta,
         },
     )
-    for p in (corpus_path, lex_path, emb_path):
-        manifest.add_input(p)
-    manifest.start("graph")
-
-    index, _digest = _get_index(
-        store, corpus_path,
-        float(_opt(args, cfg, "k1", default=1.2)),
-        float(_opt(args, cfg, "b", default=0.75)),
-    )
-    gcg = build_global_case_graph(
-        store, table, index, k=training.k_edges, delta=training.delta
-    )
-    graph_path = out / "graph.gcg1"
-    tmp = _tmp(graph_path)
-    save_graph(gcg, tmp)
-    manifest.add_output(graph_path)
-    manifest.stop("graph")
-    manifest.write()
-    _finalize([(tmp, graph_path)])
-    print(
-        json.dumps(
-            {
-                "n_cases": gcg.n_cases,
-                "n_charges": gcg.n_charges,
-                "edges": int(gcg.adjacency.nnz // 2),
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    manifest.add_input(corpus_path, lex_path)
+    table = _file_table(args, cfg, manifest)
+    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
+    gcg = graph_stage(store, table, index, training, out, manifest)
+    _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
+                 "edges": int(gcg.adjacency.nnz // 2)})
 
 
-def cmd_train(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_train(args, cfg: dict) -> None:
     store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
     training = resolve_training_config(args, cfg)
-
-    graph_path = _path_opt(args, cfg, "graph", flag="graph_file")
     manifest = StageManifest(
         out, "train", args.config,
         {
@@ -475,62 +533,23 @@ def cmd_train(args) -> int:
             "training": dataclasses.asdict(training),
         },
     )
-    manifest.add_input(corpus_path)
-    manifest.add_input(labels_path)
-    manifest.add_input(lex_path)
-    manifest.start("train")
-
-    index, _digest = _get_index(
-        store, corpus_path,
-        float(_opt(args, cfg, "k1", default=1.2)),
-        float(_opt(args, cfg, "b", default=0.75)),
-    )
-    if graph_path is not None:
-        manifest.add_input(graph_path)
-        gcg = load_graph(graph_path)
-    else:
-        table, emb_path = _load_table_for(args, cfg, store)
-        manifest.add_input(emb_path)
-        gcg = build_global_case_graph(
-            store, table, index, k=training.k_edges, delta=training.delta
-        )
-
-    ckpt_dir = out / "checkpoints"
-    manifest.add_output(ckpt_dir / "checkpoint.gatc")
-    manifest.add_output(ckpt_dir / "training_log.jsonl")
-    manifest.write()  # before checkpoints land
-
-    result = train(
-        store, gcg, store.labels, training,
-        checkpoint_dir=ckpt_dir, bm25_index=index,
-    )
-    manifest.stop("train")
-    manifest.write()
+    manifest.add_input(corpus_path, labels_path, lex_path)
+    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
+    gcg = _case_graph(args, cfg, store, index, training, manifest)
+    result = train_stage(store, gcg, index, training, out, manifest)
     best = result.log[result.best_epoch] if result.log else None
-    print(
-        json.dumps(
-            {
-                "best_epoch": result.best_epoch,
-                "best_loss": best.mean_loss if best else None,
-                "epochs_run": len(result.log),
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    _print_json({"best_epoch": result.best_epoch,
+                 "best_loss": best.mean_loss if best else None,
+                 "epochs_run": len(result.log)})
 
 
-def cmd_rank(args) -> int:
-    cfg = _load_config(args.config)
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
+def cmd_rank(args, cfg: dict) -> None:
+    store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
     training = resolve_training_config(args, cfg)
     ckpt_path = _require_path(args, cfg, "checkpoint")
-    graph_path = _path_opt(args, cfg, "graph", flag="graph_file")
-    prefilter_size = int(_opt(args, cfg, "prefilter_size", default=10))
-    final_size = int(_opt(args, cfg, "final_size", default=5))
-
+    prefilter_size, final_size = _rank_sizes(args, cfg)
     manifest = StageManifest(
         out, "rank", args.config,
         {
@@ -541,45 +560,15 @@ def cmd_rank(args) -> int:
             "final_size": final_size,
         },
     )
-    manifest.add_input(corpus_path)
-    manifest.add_input(lex_path)
-    manifest.add_input(ckpt_path)
-    manifest.start("rank")
-
-    index, _digest = _get_index(
-        store, corpus_path,
-        float(_opt(args, cfg, "k1", default=1.2)),
-        float(_opt(args, cfg, "b", default=0.75)),
-    )
-    if graph_path is not None:
-        manifest.add_input(graph_path)
-        gcg = load_graph(graph_path)
-    else:
-        table, emb_path = _load_table_for(args, cfg, store)
-        manifest.add_input(emb_path)
-        gcg = build_global_case_graph(
-            store, table, index, k=training.k_edges, delta=training.delta
-        )
+    manifest.add_input(corpus_path, lex_path, ckpt_path)
+    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
+    gcg = _case_graph(args, cfg, store, index, training, manifest)
     params = load_checkpoint(ckpt_path)
-    h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
-    reps = representations_from_rows(gcg.node_ids, h)
-    run = rank_all(store, index, reps, prefilter_size=prefilter_size, final_size=final_size)
-
-    run_tsv, run_json = out / "run.tsv", out / "run.json"
-    tmp_tsv, tmp_json = _tmp(run_tsv), _tmp(run_json)
-    write_run_tsv(run, tmp_tsv)
-    write_run_json(run, tmp_json)
-    manifest.add_output(run_tsv)
-    manifest.add_output(run_json)
-    manifest.stop("rank")
-    manifest.write()
-    _finalize([(tmp_tsv, run_tsv), (tmp_json, run_json)])
-    print(json.dumps({"queries": len(run.results)}, sort_keys=True))
-    return 0
+    run = rank_stage(store, index, gcg, params, prefilter_size, final_size, out, manifest)
+    _print_json({"queries": len(run.results)})
 
 
-def cmd_eval(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_eval(args, cfg: dict) -> None:
     run_path = _require_path(args, cfg, "run")
     labels_path = _require_path(args, cfg, "labels")
     retrieved = read_run_tsv(run_path)
@@ -587,38 +576,25 @@ def cmd_eval(args) -> int:
     missing = sorted(set(retrieved) - set(labels))
     if missing:
         raise LabelError(f"run queries missing from labels: {missing[:5]}")
-    report = evaluate_runs(retrieved, labels)
-    print(json.dumps(report.to_dict(), sort_keys=True))
-    if args.out is not None:
+    if args.out is None:  # score only; nothing is written
+        report = evaluate_runs(retrieved, labels)
+    else:
         out = _out_dir(args, cfg)
         manifest = StageManifest(
-            out, "eval", args.config,
-            {"run": str(run_path), "labels": str(labels_path)},
+            out, "eval", args.config, {"run": str(run_path), "labels": str(labels_path)}
         )
-        manifest.add_input(run_path)
-        manifest.add_input(labels_path)
-        manifest.start("eval")
-        report_path = out / "report.json"
-        tmp = _tmp(report_path)
-        write_report_json(report, tmp)
-        manifest.add_output(report_path)
-        manifest.stop("eval")
-        manifest.write()
-        _finalize([(tmp, report_path)])
-    return 0
+        manifest.add_input(run_path, labels_path)
+        report = eval_stage(retrieved, labels, out, manifest)
+    _print_json(report.to_dict())
 
 
-def cmd_pipeline(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_pipeline(args, cfg: dict) -> None:
     out = _out_dir(args, cfg)
     store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
     store, lex_path = _attach_lexicon(args, cfg, store)
     training = resolve_training_config(args, cfg)
-    prefilter_size = int(_opt(args, cfg, "prefilter_size", default=10))
-    final_size = int(_opt(args, cfg, "final_size", default=5))
-    k1 = float(_opt(args, cfg, "k1", default=1.2))
-    b = float(_opt(args, cfg, "b", default=0.75))
-
+    k1, b = _bm25_params(args, cfg)
+    prefilter_size, final_size = _rank_sizes(args, cfg)
     manifest = StageManifest(
         out, "pipeline", args.config,
         {
@@ -632,99 +608,23 @@ def cmd_pipeline(args) -> int:
             "training": dataclasses.asdict(training),
         },
     )
-    manifest.add_input(corpus_path)
-    manifest.add_input(labels_path)
-    manifest.add_input(lex_path)
+    manifest.add_input(corpus_path, labels_path, lex_path)
+    table = _source_table(args, cfg, store, manifest)
 
-    # index
-    manifest.start("index")
-    index, digest = _get_index(store, corpus_path, k1, b)
-    index_path = out / "bm25.bin"
-    tmp = _tmp(index_path)
-    save_index(index, tmp, digest)
-    manifest.add_output(index_path)
-    renames = [(tmp, index_path)]
-    manifest.stop("index")
-
-    # embed
-    manifest.start("embed")
-    endpoint = _opt(args, cfg, "endpoint")
-    if endpoint:
-        table = _fetch_remote_table(args, cfg, store, endpoint)
-    else:
-        emb_path = _require_path(args, cfg, "embeddings")
-        manifest.add_input(emb_path)
-        table = load_embedding_file(emb_path, expected_dim=_opt(args, cfg, "dim"))
-    table = normalize_table(table)
-    check_coverage(table, store)
-    emb_out = out / "embeddings.emb1"
-    tmp = _tmp(emb_out)
-    ids = [c.id for c in store.cases] + [ch.id for ch in store.charges]
-    write_binary_embeddings(table, tmp, ids)
-    renames.append((tmp, emb_out))
-    manifest.add_output(emb_out)
-    _finalize(renames)
-    renames = []
-    table = read_binary_embeddings(emb_out)  # stage-equivalent rounding
-    manifest.stop("embed")
-
-    # graph
-    manifest.start("graph")
-    gcg = build_global_case_graph(
-        store, table, index, k=training.k_edges, delta=training.delta
-    )
-    graph_path = out / "graph.gcg1"
-    tmp = _tmp(graph_path)
-    save_graph(gcg, tmp)
-    manifest.add_output(graph_path)
-    _finalize([(tmp, graph_path)])
-    gcg = load_graph(graph_path)
-    manifest.stop("graph")
-
-    # train
-    manifest.start("train")
-    ckpt_dir = out / "checkpoints"
-    manifest.add_output(ckpt_dir / "checkpoint.gatc")
-    manifest.add_output(ckpt_dir / "training_log.jsonl")
-    manifest.write()
-    result = train(
-        store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index
-    )
-    manifest.stop("train")
-
-    # rank
-    manifest.start("rank")
-    h, _trace = model_forward(
-        result.params, gcg.features, gcg.adjacency, train_mode=False
-    )
-    reps = representations_from_rows(gcg.node_ids, h)
-    run = rank_all(store, index, reps, prefilter_size=prefilter_size, final_size=final_size)
-    run_tsv, run_json = out / "run.tsv", out / "run.json"
-    tmp_tsv, tmp_json = _tmp(run_tsv), _tmp(run_json)
-    write_run_tsv(run, tmp_tsv)
-    write_run_json(run, tmp_json)
-    manifest.add_output(run_tsv)
-    manifest.add_output(run_json)
-    manifest.write()
-    _finalize([(tmp_tsv, run_tsv), (tmp_json, run_json)])
-    manifest.stop("rank")
-
-    # eval
-    manifest.start("eval")
-    report = evaluate_runs(run.retrieved(), store.labels)
-    report_path = out / "report.json"
-    tmp = _tmp(report_path)
-    write_report_json(report, tmp)
-    manifest.add_output(report_path)
-    manifest.stop("eval")
-    manifest.write()
-    _finalize([(tmp, report_path)])
-    print(json.dumps(report.to_dict(), sort_keys=True))
-    return 0
+    index = index_stage(store, corpus_path, k1, b, out, manifest)
+    # Read the table and the graph back from their files, as the staged
+    # subcommands do, so fused and staged runs give byte-identical artifacts.
+    table = read_binary_embeddings(embed_stage(store, table, out, manifest))
+    graph_stage(store, table, index, training, out, manifest)
+    gcg = load_graph(out / "graph.gcg1")
+    result = train_stage(store, gcg, index, training, out, manifest)
+    run = rank_stage(store, index, gcg, result.params, prefilter_size, final_size, out,
+                     manifest)
+    report = eval_stage(run.retrieved(), store.labels, out, manifest)
+    _print_json(report.to_dict())
 
 
-def cmd_synth(args) -> int:
-    cfg = _load_config(args.config)
+def cmd_synth(args, cfg: dict) -> None:
     out = _out_dir(args, cfg)
     section = cfg.get("synth", {})
     spec_kwargs = {}
@@ -754,25 +654,13 @@ def cmd_synth(args) -> int:
         "training": {"seed": spec.seed},
     }
     cfg_path = out / "config.json"
-    cfg_path.write_text(
-        json.dumps(pipeline_cfg, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_json(cfg_path, pipeline_cfg)
     for p in [*paths.values(), cfg_path]:
         manifest.add_output(p)
     manifest.stop("synth")
     manifest.write()
-    print(
-        json.dumps(
-            {
-                "cases": ds.store.n_cases,
-                "queries": ds.n_queries,
-                "charges": ds.store.n_charges,
-                "config": str(cfg_path),
-            },
-            sort_keys=True,
-        )
-    )
-    return 0
+    _print_json({"cases": ds.store.n_cases, "queries": ds.n_queries,
+                 "charges": ds.store.n_charges, "config": str(cfg_path)})
 
 
 # ---------------------------------------------------------------------------
@@ -922,7 +810,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        return args.func(args)
+        args.func(args, _load_config(args.config))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -932,6 +820,7 @@ def main(argv: list[str] | None = None) -> int:
     except (CaseLinkError, OSError, ValueError, KeyError, IndexError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

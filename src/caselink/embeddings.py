@@ -17,27 +17,26 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from .corpus import CorpusStore
-from .errors import DimensionError, IngestError, MissingEmbeddingError, ProviderError
+from .errors import (
+    DimensionError,
+    IngestError,
+    MissingEmbeddingError,
+    ProviderError,
+    read_exact,
+)
 
 _MAGIC = b"EMB1"
 
 
-class ProviderMode(Enum):
-    FILE = "file"
-    REMOTE = "remote"
-
-
 @dataclass(frozen=True)
 class ProviderConfig:
-    mode: ProviderMode = ProviderMode.FILE
-    endpoint: str | None = None
+    endpoint: str
     truncation_tokens: int = 4096
     normalize: bool = True
     max_retries: int = 3
@@ -45,8 +44,8 @@ class ProviderConfig:
     max_in_flight: int = 4
 
     def __post_init__(self):
-        if self.mode is ProviderMode.REMOTE and not self.endpoint:
-            raise ValueError("remote mode requires an endpoint URL")
+        if not self.endpoint:
+            raise ValueError("an endpoint URL is required")
         if self.truncation_tokens < 1:
             raise ValueError("truncation_tokens must be >= 1")
 
@@ -148,13 +147,13 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise IngestError(f"{path} is not an EMB1 embedding cache")
-        (dim,) = struct.unpack("<I", fh.read(4))
-        (count,) = struct.unpack("<Q", fh.read(8))
+        (dim,) = struct.unpack("<I", read_exact(fh, 4))
+        (count,) = struct.unpack("<Q", read_exact(fh, 8))
         vectors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", fh.read(2))
-            node_id = fh.read(id_len).decode("utf-8")
-            vec = np.frombuffer(fh.read(4 * dim), dtype="<f4").astype(np.float64)
+            (id_len,) = struct.unpack("<H", read_exact(fh, 2))
+            node_id = read_exact(fh, id_len).decode("utf-8")
+            vec = np.frombuffer(read_exact(fh, 4 * dim), dtype="<f4").astype(np.float64)
             if node_id in vectors:
                 raise IngestError(f"duplicate embedding id {node_id!r}")
             _validate_vector(node_id, vec, dim)
@@ -208,8 +207,6 @@ class RemoteEmbeddingProvider:
         config: ProviderConfig,
         transport: Callable[[str, dict], dict] | None = None,
     ):
-        if config.mode is not ProviderMode.REMOTE:
-            raise ValueError("RemoteEmbeddingProvider requires remote mode")
         self.config = config
         self._transport = transport or _http_post_json
         self._cache: dict[tuple[str, str], np.ndarray] = {}
@@ -272,16 +269,3 @@ class RemoteEmbeddingProvider:
             raise ProviderError("no embeddings fetched")
         return EmbeddingTable(dim=self._dim, vectors=vectors)
 
-
-def load_table(
-    config: ProviderConfig,
-    path: str | Path | None = None,
-    expected_dim: int | None = None,
-) -> EmbeddingTable:
-    """File-mode entry point: load and (per config) normalize an embedding table."""
-    if config.mode is not ProviderMode.FILE:
-        raise ValueError("load_table is for file mode; use RemoteEmbeddingProvider")
-    if path is None:
-        raise ValueError("file mode requires a path")
-    table = load_embedding_file(path, expected_dim=expected_dim)
-    return normalize_table(table) if config.normalize else table

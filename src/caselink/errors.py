@@ -1,6 +1,9 @@
-"""Exception types shared across the caselink package."""
+"""Exception types shared across the caselink package, and the exact-read
+helper the binary loaders use to turn a truncated file into one of them."""
 
 from __future__ import annotations
+
+from typing import BinaryIO
 
 
 class CaseLinkError(Exception):
@@ -59,3 +62,13 @@ class LabelError(CaseLinkError):
 
 class ProviderError(CaseLinkError):
     """The remote embedding endpoint failed after all retries."""
+
+
+def read_exact(fh: BinaryIO, n: int) -> bytes:
+    """Read exactly ``n`` bytes; a short read raises IngestError (truncated file)."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise IngestError(
+            f"{getattr(fh, 'name', 'input')} is truncated: wanted {n} bytes, got {len(data)}"
+        )
+    return data

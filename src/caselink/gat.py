@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, NumericalError, TraceError
+from .errors import DimensionError, NumericalError, TraceError, read_exact
 
 _MAGIC = b"GATC"
 _FORMAT_VERSION = 1
@@ -231,31 +231,6 @@ def _draw_masks(
     return in_mask, att_mask
 
 
-def gat_layer_forward(
-    layer: LayerParams,
-    h_in: np.ndarray,
-    adjacency: sp.spmatrix,
-    slope: float = 0.2,
-    apply_elu: bool = True,
-    train_mode: bool = False,
-    dropout_rate: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> tuple[np.ndarray, LayerTrace]:
-    """Single-layer forward over a raw adjacency (self-loops added here)."""
-    h_in = np.asarray(h_in, dtype=np.float64)
-    if not np.all(np.isfinite(h_in)):
-        raise NumericalError("non-finite value in layer input")
-    structure = prepare_structure(adjacency)
-    in_mask = att_mask = None
-    if train_mode and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("training with dropout requires an rng")
-        in_mask, att_mask = _draw_masks(rng, dropout_rate, h_in.shape, structure)
-    return _layer_forward(
-        layer, h_in, structure, slope, apply_elu, dropout_rate, in_mask, att_mask
-    )
-
-
 def model_forward(
     params: GatParams,
     features: np.ndarray,
@@ -299,28 +274,6 @@ def model_forward(
     return h, ForwardTrace(
         layers=traces, structure=structure, train_mode=train_mode, output=h
     )
-
-
-def replay_forward(params: GatParams, trace: ForwardTrace) -> np.ndarray:
-    """Recompute the forward pass from the trace's cached inputs and masks.
-
-    Each layer is replayed from its stored post-dropout input, so the result
-    is bitwise identical to the traced output.
-    """
-    _check_trace(params, trace)
-    out = trace.layers[0].h_used
-    for layer, lt in zip(params.layers, trace.layers):
-        out, _ = _layer_forward(
-            layer,
-            lt.h_used,
-            trace.structure,
-            params.leaky_slope,
-            lt.apply_elu,
-            params.dropout_rate,
-            None,  # h_used already has input dropout applied
-            lt.att_mask,
-        )
-    return out
 
 
 def _check_trace(params: GatParams, trace: ForwardTrace) -> None:
@@ -417,17 +370,17 @@ def load_checkpoint(path: str | Path) -> GatParams:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise TraceError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", read_exact(fh, 4))
         if version != _FORMAT_VERSION:
             raise TraceError(f"unsupported checkpoint version {version}")
-        (n_dims,) = struct.unpack("<I", fh.read(4))
-        dims = struct.unpack(f"<{n_dims}I", fh.read(4 * n_dims))
-        (slope,) = struct.unpack("<d", fh.read(8))
-        (dropout,) = struct.unpack("<d", fh.read(8))
+        (n_dims,) = struct.unpack("<I", read_exact(fh, 4))
+        dims = struct.unpack(f"<{n_dims}I", read_exact(fh, 4 * n_dims))
+        (slope,) = struct.unpack("<d", read_exact(fh, 8))
+        (dropout,) = struct.unpack("<d", read_exact(fh, 8))
         layers = []
         for d_in, d_out in zip(dims, dims[1:]):
-            W = np.frombuffer(fh.read(8 * d_in * d_out), dtype="<f8").reshape(d_in, d_out)
-            a_src = np.frombuffer(fh.read(8 * d_out), dtype="<f8")
-            a_dst = np.frombuffer(fh.read(8 * d_out), dtype="<f8")
+            W = np.frombuffer(read_exact(fh, 8 * d_in * d_out), dtype="<f8").reshape(d_in, d_out)
+            a_src = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
+            a_dst = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
             layers.append(LayerParams(W=W.copy(), a_src=a_src.copy(), a_dst=a_dst.copy()))
     return GatParams(layers=layers, leaky_slope=slope, dropout_rate=dropout)

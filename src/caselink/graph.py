@@ -19,7 +19,12 @@ import scipy.sparse as sp
 from .bm25 import Bm25Index, topk_similar
 from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import EmbeddingTable, check_coverage
-from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
+from .errors import (
+    DimensionError,
+    GraphConstructionError,
+    MissingEmbeddingError,
+    read_exact,
+)
 
 _MAGIC = b"GCG1"
 
@@ -246,13 +251,13 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
     with open(path, "rb") as fh:
         if fh.read(4) != _MAGIC:
             raise GraphConstructionError(f"{path} is not a serialized case graph")
-        (header_len,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(header_len).decode("utf-8"))
-        (n_edges,) = struct.unpack("<Q", fh.read(8))
-        edges = np.frombuffer(fh.read(8 * n_edges), dtype="<u4").reshape(-1, 2)
+        (header_len,) = struct.unpack("<I", read_exact(fh, 4))
+        header = json.loads(read_exact(fh, header_len).decode("utf-8"))
+        (n_edges,) = struct.unpack("<Q", read_exact(fh, 8))
+        edges = np.frombuffer(read_exact(fh, 8 * n_edges), dtype="<u4").reshape(-1, 2)
         n_nodes = header["n"] + header["m"]
         features = np.frombuffer(
-            fh.read(4 * n_nodes * header["dim"]), dtype="<f4"
+            read_exact(fh, 4 * n_nodes * header["dim"]), dtype="<f4"
         ).astype(np.float64).reshape(n_nodes, header["dim"])
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])

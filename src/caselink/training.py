@@ -78,20 +78,6 @@ class TrainingConfig:
             raise ValueError("delta must be in (0, 1)")
 
 
-# Hyperparameter search ranges shipped as a documented preset grid.
-SWEEP_GRID: dict[str, tuple] = {
-    "batch_size": (256, 512, 1024, 1678),
-    "layers": (1, 2, 3),
-    "dropout": (0.1, 0.2, 0.5),
-    "lr": (1e-2, 1e-3, 1e-4),
-    "weight_decay": (1e-3, 1e-4, 1e-5),
-    "n_hard_neg": (1, 5, 10),
-    "lam": (0.0, 5e-4, 1e-3, 5e-3),
-    "k_edges": (3, 5, 10),
-    "delta": (0.85, 0.9, 0.95),
-}
-
-
 @dataclass(frozen=True)
 class BatchEntry:
     query_id: str
@@ -417,7 +403,6 @@ class TrainResult:
     params: GatParams
     log: list[EpochLog]
     best_epoch: int
-    final_params: GatParams
 
 
 def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict) -> None:
@@ -523,4 +508,4 @@ def train(
         log_path.write_text(
             "".join(entry.to_json() + "\n" for entry in logs), encoding="utf-8"
         )
-    return TrainResult(params=best_params, log=logs, best_epoch=best_epoch, final_params=params)
+    return TrainResult(params=best_params, log=logs, best_epoch=best_epoch)

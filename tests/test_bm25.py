@@ -9,7 +9,6 @@ from caselink.bm25 import (
     Bm25Index,
     bm25_score,
     build_index,
-    corpus_digest,
     load_index,
     save_index,
     score_all,
@@ -220,8 +219,3 @@ class TestBinaryCache:
         path = tmp_path / "index.bin"
         save_index(build_index(store), path)
         assert path.read_bytes()[:4] == b"BM25"
-
-    def test_corpus_digest_is_stable_and_sensitive(self):
-        assert corpus_digest(b"abc") == corpus_digest(b"abc")
-        assert corpus_digest(b"abc") != corpus_digest(b"abd")
-        assert len(corpus_digest(b"abc")) == 64

@@ -400,3 +400,152 @@ class TestIndexCache:
         assert sorted(cache_dir.glob("bm25_*.bin")) == cached
         assert cached[0].stat().st_mtime_ns == first_mtime  # reused, not rebuilt
         assert (out1 / "bm25.bin").read_bytes() == (out2 / "bm25.bin").read_bytes()
+
+
+class TestStagedAndFused:
+    def test_staged_and_fused_runs_produce_the_same_bytes(self, dataset):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        flags = ["--epochs", "3", "--lr", "0.01", "--dropout", "0.1", "--tau", "0.05"]
+        s = tmp_path / "staged"
+        emb, gcg = s / "embed" / "embeddings.emb1", s / "graph" / "graph.gcg1"
+        ckpt = s / "train" / "checkpoints" / "checkpoint.gatc"
+        for argv in (
+            ["ingest", "--out", str(s / "ingest")],
+            ["index", "--out", str(s / "index")],
+            ["embed", "--out", str(s / "embed")],
+            ["graph", "--embeddings", str(emb), "--out", str(s / "graph"), *flags],
+            ["train", "--graph", str(gcg), "--out", str(s / "train"), *flags],
+            ["rank", "--graph", str(gcg), "--checkpoint", str(ckpt),
+             "--out", str(s / "rank"), *flags],
+            ["eval", "--run", str(s / "rank" / "run.tsv"), "--out", str(s / "eval")],
+        ):
+            assert main([argv[0], *cfg, *argv[1:]]) == 0
+        fused = tmp_path / "fused"
+        assert main(["pipeline", *cfg, "--out", str(fused), *flags]) == 0
+
+        staged_files = {
+            "bm25.bin": s / "index" / "bm25.bin",
+            "embeddings.emb1": emb,
+            "graph.gcg1": gcg,
+            "checkpoints/checkpoint.gatc": ckpt,
+            "run.tsv": s / "rank" / "run.tsv",
+            "run.json": s / "rank" / "run.json",
+            "report.json": s / "eval" / "report.json",
+        }
+        for name, staged in staged_files.items():
+            assert (fused / name).read_bytes() == staged.read_bytes(), name
+
+
+class TestManifests:
+    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch):
+        from caselink import cli
+        from caselink.errors import GraphConstructionError
+
+        tmp_path, config_path = dataset
+
+        def fail(*args, **kwargs):
+            raise GraphConstructionError("injected failure")
+
+        monkeypatch.setattr(cli, "build_global_case_graph", fail)
+        out = tmp_path / "failed"
+        assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == 2
+        listed = set(read_manifest(out)["outputs"])
+        left = [p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"]
+        assert left  # the stages before the graph finished
+        for path in left:
+            assert str(path) in listed, path
+
+
+class TestDamagedInputs:
+    @staticmethod
+    def binary_files(tmp_path):
+        """One small valid file in each binary format, with its loader."""
+        import numpy as np
+
+        from caselink.bm25 import build_index, load_index, save_index
+        from caselink.embeddings import (
+            EmbeddingTable,
+            read_binary_embeddings,
+            write_binary_embeddings,
+        )
+        from caselink.gat import init_params, load_checkpoint, save_checkpoint
+        from caselink.graph import load_graph, save_graph
+        from conftest import make_store, random_gcg
+
+        files = {}
+        path = tmp_path / "bm25.bin"
+        save_index(build_index(make_store([("d1", "a b c"), ("d2", "b c d")])), path, "x")
+        files["BM25"] = (path, load_index)
+        path = tmp_path / "embeddings.emb1"
+        table = EmbeddingTable(dim=3, vectors={"a": np.ones(3), "bb": np.arange(1.0, 4.0)})
+        write_binary_embeddings(table, path)
+        files["EMB1"] = (path, read_binary_embeddings)
+        path = tmp_path / "graph.gcg1"
+        save_graph(random_gcg(seed=3, n_cases=5, n_charges=2, dim=3), path)
+        files["GCG1"] = (path, load_graph)
+        path = tmp_path / "checkpoint.gatc"
+        save_checkpoint(init_params(0, [3, 2, 2]), path)
+        files["GATC"] = (path, load_checkpoint)
+        return files
+
+    @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
+    @pytest.mark.parametrize("cut", [4, 6, 9, 0.5, -1])
+    def test_truncated_binary_raises_ingest_error(self, tmp_path, fmt, cut):
+        from caselink.errors import IngestError
+
+        path, load = self.binary_files(tmp_path)[fmt]
+        data = path.read_bytes()
+        keep = int(len(data) * cut) if isinstance(cut, float) else cut % len(data)
+        load(path)  # the whole file loads
+        path.write_bytes(data[:keep])
+        with pytest.raises(IngestError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("damaged,cut", [("graph", 6), ("checkpoint", 9)])
+    def test_rank_on_truncated_input_is_data_error(self, dataset, capsys, damaged, cut):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        gcg = tmp_path / "g" / "graph.gcg1"
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
+        assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t"),
+                     "--epochs", "1"]) == 0
+        target = gcg if damaged == "graph" else ckpt
+        target.write_bytes(target.read_bytes()[:cut])
+        argv = ["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                "--out", str(tmp_path / "r")]
+        assert main(argv) == 2
+        assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["truncated", "not an index"])
+    def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
+        tmp_path, config_path = dataset
+        corpus = json.loads(config_path.read_text())["corpus"]
+        cold = tmp_path / "cold"
+        assert main(["index", "--corpus", corpus, "--out", str(cold)]) == 0
+
+        monkeypatch.setenv("CASELINK_CACHE_DIR", str(tmp_path / "cache"))
+        assert main(["index", "--corpus", corpus, "--out", str(tmp_path / "i1")]) == 0
+        (cached,) = (tmp_path / "cache").glob("bm25_*.bin")
+        cached.write_bytes(cached.read_bytes()[:10] if damage == "truncated" else b"junk")
+        warm = tmp_path / "i2"
+        assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
+        assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()
+        assert cached.read_bytes() == (cold / "bm25.bin").read_bytes()
+
+
+class TestCorpusDigest:
+    def test_directory_entries_cannot_run_together(self, tmp_path):
+        import hashlib
+
+        from caselink.cli import _digest_path
+
+        (tmp_path / "one").mkdir()
+        (tmp_path / "one" / "a").write_text("bc")
+        (tmp_path / "two").mkdir()
+        (tmp_path / "two" / "ab").write_text("c")
+        assert _digest_path(tmp_path / "one") != _digest_path(tmp_path / "two")
+
+        single = tmp_path / "one" / "a"
+        assert _digest_path(single) == hashlib.sha256(b"bc").hexdigest()

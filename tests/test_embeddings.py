@@ -10,12 +10,10 @@ import pytest
 from caselink.embeddings import (
     EmbeddingTable,
     ProviderConfig,
-    ProviderMode,
     RemoteEmbeddingProvider,
     check_coverage,
     l2_normalize,
     load_embedding_file,
-    load_table,
     normalize_table,
     read_binary_embeddings,
     truncate_text,
@@ -176,12 +174,6 @@ class TestTableHelpers:
         with pytest.raises(MissingEmbeddingError, match="d2"):
             check_coverage(table, store)
 
-    def test_load_table_file_mode_normalizes(self, tmp_path):
-        p = tmp_path / "emb.jsonl"
-        write_jsonl_vectors(p, [("a", [3.0, 4.0])])
-        table = load_table(ProviderConfig(mode=ProviderMode.FILE), path=p)
-        np.testing.assert_allclose(table["a"], [0.6, 0.8], atol=1e-12)
-
 
 class TestTruncation:
     def test_truncates_to_token_budget(self):
@@ -197,16 +189,15 @@ class TestTruncation:
 class TestProviderConfig:
     def test_remote_requires_endpoint(self):
         with pytest.raises(ValueError):
-            ProviderConfig(mode=ProviderMode.REMOTE)
+            ProviderConfig(endpoint="")
 
     def test_truncation_tokens_validated(self):
         with pytest.raises(ValueError):
-            ProviderConfig(mode=ProviderMode.FILE, truncation_tokens=0)
+            ProviderConfig(endpoint="http://unit.test/embed", truncation_tokens=0)
 
 
 def remote_config(**overrides):
     base = dict(
-        mode=ProviderMode.REMOTE,
         endpoint="http://unit.test/embed",
         retry_base_delay=1e-4,
     )
@@ -334,10 +325,6 @@ class TestRemoteProvider:
         assert len(table) == 20
         assert table.dim == 4
 
-    def test_file_mode_config_rejected(self):
-        with pytest.raises(ValueError):
-            RemoteEmbeddingProvider(ProviderConfig(mode=ProviderMode.FILE))
-
 
 class _EchoHandler(http.server.BaseHTTPRequestHandler):
     """Deterministic embedding endpoint: vector derived from the text length."""
@@ -365,7 +352,6 @@ class TestRemoteProviderOverHttp:
         try:
             port = server.server_address[1]
             config = ProviderConfig(
-                mode=ProviderMode.REMOTE,
                 endpoint=f"http://127.0.0.1:{port}/embed",
                 normalize=False,
             )

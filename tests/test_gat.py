@@ -15,7 +15,6 @@ from caselink.gat import (
     load_checkpoint,
     model_forward,
     prepare_structure,
-    replay_forward,
     save_checkpoint,
 )
 
@@ -189,18 +188,6 @@ class TestForward:
         params = init_params(0, [3, 3])
         with pytest.raises(DimensionError):
             model_forward(params, np.zeros((2, 4)), no_edge_adj(2))
-
-    def test_replay_reproduces_traced_output_bitwise(self):
-        graph = random_gcg(seed=12)
-        params = init_params(1, [graph.dim, graph.dim, graph.dim], dropout=0.3)
-        out, trace = model_forward(
-            params,
-            graph.features,
-            graph.adjacency,
-            train_mode=True,
-            rng=np.random.default_rng(5),
-        )
-        np.testing.assert_array_equal(replay_forward(params, trace), out)
 
 
 class TestBackward:

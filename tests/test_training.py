@@ -12,7 +12,6 @@ from caselink.gat import GatParams, LayerGrads, LayerParams, load_checkpoint
 from caselink.graph import build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
 from caselink.training import (
-    SWEEP_GRID,
     AdamState,
     BatchEntry,
     TrainingBatch,
@@ -75,18 +74,6 @@ class TestTrainingConfig:
             TrainingConfig(delta=1.5)
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
-
-    def test_sweep_grid_covers_tunable_axes(self):
-        assert SWEEP_GRID["batch_size"] == (256, 512, 1024, 1678)
-        assert SWEEP_GRID["layers"] == (1, 2, 3)
-        assert SWEEP_GRID["dropout"] == (0.1, 0.2, 0.5)
-        assert SWEEP_GRID["lr"] == (1e-2, 1e-3, 1e-4)
-        assert SWEEP_GRID["weight_decay"] == (1e-3, 1e-4, 1e-5)
-        assert SWEEP_GRID["n_hard_neg"] == (1, 5, 10)
-        assert SWEEP_GRID["lam"] == (0.0, 5e-4, 1e-3, 5e-3)
-        assert SWEEP_GRID["k_edges"] == (3, 5, 10)
-        assert SWEEP_GRID["delta"] == (0.85, 0.9, 0.95)
-        assert set(SWEEP_GRID) <= set(TrainingConfig.__dataclass_fields__)
 
 
 class TestHardNegativePools:
@@ -530,7 +517,7 @@ class TestTrainLoop:
         )
         r1 = train(ds.store, graph, ds.labels, cfg)
         r2 = train(ds.store, graph, ds.labels, cfg)
-        for l1, l2 in zip(r1.final_params.layers, r2.final_params.layers):
+        for l1, l2 in zip(r1.params.layers, r2.params.layers):
             np.testing.assert_array_equal(l1.W, l2.W)
         assert [e.mean_loss for e in r1.log] == [e.mean_loss for e in r2.log]
 
