@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import CorpusStore
-from .errors import EmptyCorpusError, IngestError, read_exact
+from .errors import EmptyCorpusError, IngestError, expect_end, read_exact
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 1
@@ -48,6 +48,8 @@ class Bm25Index:
 
     def __post_init__(self):
         self._id_to_idx = {d: i for i, d in enumerate(self.doc_ids)}
+        # doc index -> position in ascending-id order, the tie-break key of top_k
+        self._id_rank = np.argsort(sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
 
     @property
     def n_docs(self) -> int:
@@ -134,24 +136,24 @@ def score_all(index: Bm25Index, query_tokens: list[str] | tuple[str, ...]) -> np
     return scores
 
 
-def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> list[ScoredPair]:
-    """Top-k most BM25-similar cases to ``doc_id`` (self excluded).
+def top_k(
+    index: Bm25Index, rows: np.ndarray, scores: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``k`` highest-scoring ``rows`` (integer doc indices, aligned with
+    ``scores``) and their scores, best first; ties break by ascending doc id."""
+    order = np.lexsort((index._id_rank[rows], -scores))[:k]
+    return rows[order], scores[order]
 
-    Ties break by ascending target id; returns fewer than k when the pool
-    is smaller.
-    """
+
+def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> list[ScoredPair]:
+    """Top-k most BM25-similar cases to ``doc_id`` (self excluded), by :func:`top_k`."""
     if k < 1:
         raise ValueError("k must be >= 1")
     src = index.doc_index(doc_id)
     scores = score_all(index, store.cases[src].tokens)
-    order = sorted(
-        (i for i in range(index.n_docs) if i != src),
-        key=lambda i: (-scores[i], index.doc_ids[i]),
-    )
-    return [
-        ScoredPair(source_id=doc_id, target_id=index.doc_ids[i], score=float(scores[i]))
-        for i in order[:k]
-    ]
+    others = np.delete(np.arange(index.n_docs), src)
+    rows, top = top_k(index, others, scores[others], k)
+    return [ScoredPair(doc_id, index.doc_ids[i], s) for i, s in zip(rows.tolist(), top.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -204,6 +206,7 @@ def load_index(path: str | Path) -> tuple[Bm25Index, str]:
             idx = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.int64)
             tf = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.float64)
             postings[term] = (idx, tf)
+        expect_end(fh)
     index = Bm25Index(
         doc_ids=tuple(meta["doc_ids"]),
         postings=postings,

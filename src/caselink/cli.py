@@ -166,6 +166,12 @@ class StageManifest:
 # ---------------------------------------------------------------------------
 # config resolution: CLI flag > config file > built-in default
 
+# Config keys holding paths. A relative value is taken relative to the config
+# file's directory; the same path given as a flag is relative to the working
+# directory.
+_CONFIG_PATH_KEYS = ("corpus", "labels", "lexicon", "embeddings", "graph", "checkpoint",
+                     "run", "out_dir")
+
 
 def _load_config(path) -> dict:
     if path is None:
@@ -177,6 +183,9 @@ def _load_config(path) -> dict:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config root must be a JSON object")
+    for key in _CONFIG_PATH_KEYS:
+        if isinstance(cfg.get(key), str):
+            cfg[key] = str(Path(path).parent / cfg[key])
     return cfg
 
 
@@ -646,11 +655,11 @@ def cmd_synth(args, cfg: dict) -> None:
     ds = generate(spec)
     paths = write_dataset(ds, out)
     pipeline_cfg = {
-        "corpus": str(paths["corpus"]),
-        "labels": str(paths["labels"]),
-        "lexicon": str(paths["lexicon"]),
-        "embeddings": str(paths["embeddings"]),
-        "out_dir": str(out / "pipeline"),
+        "corpus": str(paths["corpus"].resolve()),
+        "labels": str(paths["labels"].resolve()),
+        "lexicon": str(paths["lexicon"].resolve()),
+        "embeddings": str(paths["embeddings"].resolve()),
+        "out_dir": str((out / "pipeline").resolve()),
         "training": {"seed": spec.seed},
     }
     cfg_path = out / "config.json"

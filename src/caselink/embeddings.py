@@ -28,6 +28,7 @@ from .errors import (
     IngestError,
     MissingEmbeddingError,
     ProviderError,
+    expect_end,
     read_exact,
 )
 
@@ -158,6 +159,7 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
                 raise IngestError(f"duplicate embedding id {node_id!r}")
             _validate_vector(node_id, vec, dim)
             vectors[node_id] = vec
+        expect_end(fh)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 

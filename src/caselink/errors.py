@@ -1,8 +1,9 @@
-"""Exception types shared across the caselink package, and the exact-read
-helper the binary loaders use to turn a truncated file into one of them."""
+"""Exception types shared across the caselink package, and the read helpers
+the binary loaders use to turn a truncated or overlong file into one of them."""
 
 from __future__ import annotations
 
+import os
 from typing import BinaryIO
 
 
@@ -72,3 +73,11 @@ def read_exact(fh: BinaryIO, n: int) -> bytes:
             f"{getattr(fh, 'name', 'input')} is truncated: wanted {n} bytes, got {len(data)}"
         )
     return data
+
+
+def expect_end(fh: BinaryIO) -> None:
+    """Raise IngestError unless ``fh`` is at end of file (no trailing bytes)."""
+    pos = fh.tell()
+    extra = fh.seek(0, os.SEEK_END) - pos
+    if extra:
+        raise IngestError(f"{getattr(fh, 'name', 'input')} has {extra} trailing bytes")

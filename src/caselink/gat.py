@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, NumericalError, TraceError, read_exact
+from .errors import DimensionError, NumericalError, TraceError, expect_end, read_exact
 
 _MAGIC = b"GATC"
 _FORMAT_VERSION = 1
@@ -383,4 +383,5 @@ def load_checkpoint(path: str | Path) -> GatParams:
             a_src = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
             a_dst = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
             layers.append(LayerParams(W=W.copy(), a_src=a_src.copy(), a_dst=a_dst.copy()))
+        expect_end(fh)
     return GatParams(layers=layers, leaky_slope=slope, dropout_rate=dropout)

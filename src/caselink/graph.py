@@ -12,6 +12,7 @@ import json
 import struct
 from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
@@ -23,6 +24,7 @@ from .errors import (
     DimensionError,
     GraphConstructionError,
     MissingEmbeddingError,
+    expect_end,
     read_exact,
 )
 
@@ -47,10 +49,11 @@ class GlobalCaseGraph:
         return self.features.shape[1]
 
     def row_of(self, node_id: str) -> int:
-        return self._index[node_id]
+        return self.node_rows[node_id]
 
     def __post_init__(self):
-        self._index = {nid: i for i, nid in enumerate(self.node_ids)}
+        # read-only node id -> row map, built once with the graph
+        self.node_rows = MappingProxyType({nid: i for i, nid in enumerate(self.node_ids)})
 
     def case_rows(self) -> np.ndarray:
         return np.arange(self.n_cases)
@@ -73,11 +76,10 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     n = store.n_cases
     rows: list[int] = []
     cols: list[int] = []
-    idx = store.case_index()
     for case in store.cases:
-        i = idx[case.id]
+        i = index.doc_index(case.id)
         for pair in topk_similar(index, store, case.id, k):
-            j = idx[pair.target_id]
+            j = index.doc_index(pair.target_id)
             rows.extend((i, j))
             cols.extend((j, i))
     data = np.ones(len(rows), dtype=np.int8)
@@ -259,6 +261,7 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
         features = np.frombuffer(
             read_exact(fh, 4 * n_nodes * header["dim"]), dtype="<f4"
         ).astype(np.float64).reshape(n_nodes, header["dim"])
+        expect_end(fh)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.coo_matrix(

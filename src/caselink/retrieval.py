@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, score_all
+from .bm25 import Bm25Index, score_all, top_k
 from .corpus import CaseDocument, CorpusStore
 from .errors import DimensionError, MissingEmbeddingError, NumericalError
 
@@ -58,9 +58,15 @@ class RetrievalRun:
         return {r.query_id: r.final_ids for r in self.results}
 
 
-def _rank_ids(scores: dict[str, float], limit: int) -> list[tuple[str, float]]:
-    ordered = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ordered[:limit]
+def _lexical_stage(store: CorpusStore, index: Bm25Index, query_id: str, size: int):
+    """Look up the query, apply the year filter and take the BM25 top-``size``
+    eligible rows: returns (query, eligible ids, top rows, their scores)."""
+    query = store.cases[index.doc_index(query_id)]
+    eligible = year_filter(query, list(store.candidates()))
+    rows = np.array([index.doc_index(c.id) for c in eligible], dtype=np.int64)
+    scores = score_all(index, query.tokens)
+    top, top_scores = top_k(index, rows, scores[rows], size)
+    return query, tuple(c.id for c in eligible), top, top_scores
 
 
 def two_stage_rank(
@@ -74,36 +80,28 @@ def two_stage_rank(
     """Rank candidates for one query: year filter, lexical top-``prefilter_size``,
     then cosine top-``final_size`` on the learned representations.
 
-    Ties break toward the lexically smaller id at both stages.
+    Both stages rank with ``bm25.top_k``: ties break toward the smaller id.
     """
-    idx_of = store.case_index()
-    if query_id not in idx_of:
-        raise IndexError(f"unknown query id {query_id!r}")
-    query = store.cases[idx_of[query_id]]
-    eligible = year_filter(query, list(store.candidates()))
-    eligible_ids = tuple(c.id for c in eligible)
-
-    all_scores = score_all(index, query.tokens)
-    lexical = {c.id: float(all_scores[idx_of[c.id]]) for c in eligible}
-    prefilter = _rank_ids(lexical, prefilter_size)
-
+    query, eligible_ids, pre_rows, pre_scores = _lexical_stage(
+        store, index, query_id, prefilter_size
+    )
     if query.id not in representations:
         raise MissingEmbeddingError(f"no representation for query {query.id!r}")
     qv = representations[query.id]
-    dense: dict[str, float] = {}
-    for cid, _ in prefilter:
+    pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
+    dense = np.empty(len(pre_ids))
+    for n, cid in enumerate(pre_ids):
         if cid not in representations:
             raise MissingEmbeddingError(f"no representation for candidate {cid!r}")
-        dense[cid] = cosine_score(qv, representations[cid])
-    final = _rank_ids(dense, final_size)
-
+        dense[n] = cosine_score(qv, representations[cid])
+    final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
     return RankResult(
         query_id=query_id,
         eligible_ids=eligible_ids,
-        prefilter_ids=tuple(cid for cid, _ in prefilter),
-        final_ids=tuple(cid for cid, _ in final),
-        prefilter_scores=tuple(s for _, s in prefilter),
-        final_scores=tuple(s for _, s in final),
+        prefilter_ids=pre_ids,
+        final_ids=tuple(index.doc_ids[i] for i in final_rows),
+        prefilter_scores=tuple(pre_scores.tolist()),
+        final_scores=tuple(final_scores.tolist()),
     )
 
 
@@ -113,24 +111,17 @@ def bm25_baseline_rank(
     query_id: str,
     final_size: int = FINAL_SIZE,
 ) -> RankResult:
-    """Lexical-only baseline: year filter then BM25 top-``final_size``."""
-    idx_of = store.case_index()
-    if query_id not in idx_of:
-        raise IndexError(f"unknown query id {query_id!r}")
-    query = store.cases[idx_of[query_id]]
-    eligible = year_filter(query, list(store.candidates()))
-    eligible_ids = tuple(c.id for c in eligible)
-
-    all_scores = score_all(index, query.tokens)
-    lexical = {c.id: float(all_scores[idx_of[c.id]]) for c in eligible}
-    ranked = _rank_ids(lexical, final_size)
+    """Lexical-only baseline: the lexical stage of :func:`two_stage_rank`, cut
+    to ``final_size``."""
+    _, eligible_ids, rows, scores = _lexical_stage(store, index, query_id, final_size)
+    ids = tuple(index.doc_ids[i] for i in rows)
     return RankResult(
         query_id=query_id,
         eligible_ids=eligible_ids,
-        prefilter_ids=tuple(cid for cid, _ in ranked),
-        final_ids=tuple(cid for cid, _ in ranked),
-        prefilter_scores=tuple(s for _, s in ranked),
-        final_scores=tuple(s for _, s in ranked),
+        prefilter_ids=ids,
+        final_ids=ids,
+        prefilter_scores=tuple(scores.tolist()),
+        final_scores=tuple(scores.tolist()),
     )
 
 

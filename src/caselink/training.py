@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, build_index, score_all
+from .bm25 import Bm25Index, build_index, score_all, top_k
 from .corpus import CorpusStore, Role
 from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
@@ -130,14 +130,11 @@ def hard_negative_pools(
         [i for i, c in enumerate(store.cases) if c.role is Role.CANDIDATE], dtype=np.int64
     )
     pools: dict[str, tuple[str, ...]] = {}
-    idx_of = store.case_index()
     for qid in labels:
-        q = store.cases[idx_of[qid]]
-        scores = score_all(index, q.tokens)
-        ranked = sorted(cand_rows, key=lambda i: (-scores[i], store.cases[i].id))
-        top = [store.cases[i].id for i in ranked[:pool_size]]
+        scores = score_all(index, store.cases[index.doc_index(qid)].tokens)
+        top, _ = top_k(index, cand_rows, scores[cand_rows], pool_size)
         positives = set(labels[qid])
-        pools[qid] = tuple(c for c in top if c not in positives)
+        pools[qid] = tuple(index.doc_ids[i] for i in top if index.doc_ids[i] not in positives)
     return pools
 
 
@@ -326,8 +323,7 @@ def total_loss_and_grads(
     h, trace = model_forward(
         params, graph.features, graph.adjacency, train_mode=train_mode, rng=rng
     )
-    row_of = {nid: i for i, nid in enumerate(graph.node_ids)}
-    nce, dh = infonce_loss(h, batch, config.tau, row_of)
+    nce, dh = infonce_loss(h, batch, config.tau, graph.node_rows)
     if config.lam > 0.0:
         reg, dh_reg = degreg_loss(h, graph.n_cases, graph.candidate_rows())
         dh = dh + config.lam * dh_reg

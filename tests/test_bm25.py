@@ -12,6 +12,7 @@ from caselink.bm25 import (
     load_index,
     save_index,
     score_all,
+    top_k,
     topk_similar,
 )
 from caselink.errors import EmptyCorpusError
@@ -148,11 +149,16 @@ class TestTopkSimilar:
         assert top[0].target_id == "d2"
 
     def test_ties_break_by_ascending_id(self):
-        store = make_store([("q", "cat"), ("b", "cat dog"), ("a", "cat dog")])
-        index = build_index(store)
-        top = topk_similar(index, store, "q", 2)
-        assert [p.target_id for p in top] == ["a", "b"]
-        assert top[0].score == top[1].score
+        for docs, expected in [
+            ([("q", "cat"), ("b", "cat dog"), ("a", "cat dog")], ["a", "b"]),
+            # a three-way tie, source in the middle, cut below the tie
+            ([("c", "cat dog"), ("q", "cat"), ("a", "cat dog"), ("b", "cat dog")], ["a", "b"]),
+        ]:
+            store = make_store(docs)
+            index = build_index(store)
+            top = topk_similar(index, store, "q", 2)
+            assert [p.target_id for p in top] == expected
+            assert top[0].score == top[1].score
 
     def test_never_contains_source(self):
         rng = np.random.default_rng(31)
@@ -195,6 +201,25 @@ class TestTopkSimilar:
                 )[:k]
                 got = topk_similar(index, store, store.cases[s].id, k)
                 assert [p.target_id for p in got] == [cid for _, cid in expected]
+
+
+class TestTopK:
+    @staticmethod
+    def _index():
+        return build_index(make_store([("c", "x"), ("a", "x"), ("b", "x")]))
+
+    def test_k_at_least_rows_returns_every_row_in_order(self):
+        index = self._index()
+        rows = np.array([0, 1, 2])
+        scores = np.array([1.0, 1.0, 2.0])
+        for k in (3, 10):
+            top, top_scores = top_k(index, rows, scores, k)
+            assert [index.doc_ids[i] for i in top] == ["b", "a", "c"]
+            assert top_scores.tolist() == [2.0, 1.0, 1.0]
+
+    def test_empty_rows(self):
+        top, top_scores = top_k(self._index(), np.array([], dtype=np.int64), np.array([]), 5)
+        assert top.shape == (0,) and top_scores.shape == (0,)
 
 
 class TestBinaryCache:

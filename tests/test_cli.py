@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -340,6 +341,33 @@ class TestConfigPrecedence:
         assert main(["index", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+class TestConfigPaths:
+    def test_synth_config_works_from_another_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        run_synth(Path("rel") / "dir")
+        monkeypatch.chdir(tmp_path / "rel")
+        assert main(["pipeline", "--config", "dir/config.json", "--epochs", "1"]) == 0
+        assert (tmp_path / "rel" / "dir" / "pipeline" / "report.json").exists()
+
+    def test_relative_values_resolve_against_the_config_file(self, dataset, monkeypatch):
+        tmp_path, config_path = dataset
+        synth_cfg = json.loads(config_path.read_text())
+        cfg_dir = tmp_path / "configs"
+        cfg_dir.mkdir()
+        cfg = {key: os.path.relpath(synth_cfg[key], cfg_dir)
+               for key in ("corpus", "labels", "lexicon", "embeddings")}
+        cfg["out_dir"] = "out"
+        (cfg_dir / "config.json").write_text(json.dumps(cfg))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert main(["pipeline", "--config", "../configs/config.json", "--epochs", "1"]) == 0
+        assert (cfg_dir / "out" / "report.json").exists()
+        # a flag stays relative to the working directory
+        assert main(["index", "--config", "../configs/config.json", "--out", "idx"]) == 0
+        assert (elsewhere / "idx" / "bm25.bin").exists()
+
+
 class TestErrorPaths:
     def test_missing_corpus_is_data_error(self, tmp_path):
         assert (
@@ -500,6 +528,15 @@ class TestDamagedInputs:
         load(path)  # the whole file loads
         path.write_bytes(data[:keep])
         with pytest.raises(IngestError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
+    def test_trailing_bytes_raise_ingest_error(self, tmp_path, fmt):
+        from caselink.errors import IngestError
+
+        path, load = self.binary_files(tmp_path)[fmt]
+        path.write_bytes(path.read_bytes() + b"garbage")
+        with pytest.raises(IngestError, match="has 7 trailing bytes"):
             load(path)
 
     @pytest.mark.parametrize("damaged,cut", [("graph", 6), ("checkpoint", 9)])

@@ -144,18 +144,37 @@ class TestTwoStageRank:
         assert set(result.final_ids) == {"c1", "c2", "c3"}
 
     def test_dense_ties_break_by_ascending_id(self):
-        store = make_store(
-            [
-                ("q1", "alpha", Role.QUERY),
-                ("cb", "alpha", Role.CANDIDATE),
-                ("ca", "alpha", Role.CANDIDATE),
-            ]
-        )
         v = np.array([1.0, 1.0])
         w = np.array([2.0, 0.5])
-        reps = {"q1": v, "ca": w, "cb": w.copy()}  # identical cosines
-        result = two_stage_rank(store, build_index(store), reps, "q1")
-        assert list(result.final_ids) == ["ca", "cb"]
+        # every candidate ties at both stages; corpus order is not id order
+        for order, prefilter_size, prefilter, final in [
+            (("cb", "ca"), 10, ("ca", "cb"), ("ca", "cb")),
+            (("cc", "ca", "cd", "cb"), 3, ("ca", "cb", "cc"), ("ca", "cb")),
+        ]:
+            store = make_store(
+                [("q1", "alpha", Role.QUERY)] + [(c, "alpha", Role.CANDIDATE) for c in order]
+            )
+            reps = {"q1": v, **{c: w.copy() for c in order}}  # identical cosines
+            result = two_stage_rank(
+                store, build_index(store), reps, "q1", prefilter_size, final_size=2
+            )
+            assert result.prefilter_ids == prefilter
+            assert result.final_ids == final
+
+    def test_no_eligible_candidate_gives_empty_ranking(self):
+        store = make_store(
+            [
+                ("q1", "alpha decided March 1, 1990", Role.QUERY),
+                ("c1", "alpha decided March 1, 2001", Role.CANDIDATE),
+            ]
+        )
+        index = build_index(store)
+        reps = {"q1": np.ones(2), "c1": np.ones(2)}
+        for result in (two_stage_rank(store, index, reps, "q1"),
+                       bm25_baseline_rank(store, index, "q1")):
+            assert result.eligible_ids == ()
+            assert result.prefilter_ids == result.final_ids == ()
+            assert result.prefilter_scores == result.final_scores == ()
 
     def test_scale_invariance_of_dense_stage(self):
         store, index, reps = ranking_fixture()
@@ -198,6 +217,16 @@ class TestBm25Baseline:
         store, index, _ = ranking_fixture()
         with pytest.raises(IndexError):
             bm25_baseline_rank(store, index, "nope")
+
+    def test_lexical_ties_break_by_ascending_id(self):
+        store = make_store(
+            [("q1", "alpha beta", Role.QUERY)]
+            + [(c, "alpha", Role.CANDIDATE) for c in ("cc", "ca", "cd", "cb")]
+            + [("cz", "alpha beta", Role.CANDIDATE)]
+        )
+        result = bm25_baseline_rank(store, build_index(store), "q1", final_size=3)
+        assert result.final_ids == ("cz", "ca", "cb")
+        assert result.final_scores[0] > result.final_scores[1] == result.final_scores[2]
 
 
 class TestRankAll:

@@ -99,16 +99,16 @@ class TestHardNegativePools:
     def test_ties_resolve_by_ascending_id(self):
         from caselink.corpus import Role
 
-        store = make_store(
-            [
-                ("q1", "alpha", Role.QUERY),
-                ("cb", "alpha", Role.CANDIDATE),
-                ("ca", "alpha", Role.CANDIDATE),
-                ("cc", "alpha", Role.CANDIDATE),
-            ]
-        )
-        pools = hard_negative_pools(store, build_index(store), {"q1": ()}, pool_size=2)
-        assert pools["q1"] == ("ca", "cb")
+        for order, labels, expected in [
+            (("q1", "cb", "ca", "cc"), {"q1": ()}, ("ca", "cb")),
+            # query not first; a tied positive is dropped after the cut
+            (("cd", "q1", "cc", "ca", "cb"), {"q1": ("ca",)}, ("cb",)),
+        ]:
+            store = make_store(
+                [(c, "alpha", Role.QUERY if c == "q1" else Role.CANDIDATE) for c in order]
+            )
+            pools = hard_negative_pools(store, build_index(store), labels, pool_size=2)
+            assert pools["q1"] == expected
 
 
 class TestSampleBatch:
