@@ -43,17 +43,18 @@ LABELS = {"query-001": ["cand-101", "cand-102"]}
 
 
 def main() -> None:
-    workdir = Path(tempfile.mkdtemp(prefix="caselink-demo01-"))
-    corpus_path = workdir / "corpus.jsonl"
-    labels_path = workdir / "labels.json"
-    corpus_path.write_text("\n".join(json.dumps(d) for d in DOCS) + "\n")
-    labels_path.write_text(json.dumps(LABELS))
-    print(f"wrote a 4-document corpus to {workdir}\n")
+    with tempfile.TemporaryDirectory(prefix="caselink-demo01-") as tmp:
+        workdir = Path(tmp)
+        corpus_path = workdir / "corpus.jsonl"
+        labels_path = workdir / "labels.json"
+        corpus_path.write_text("\n".join(json.dumps(d) for d in DOCS) + "\n")
+        labels_path.write_text(json.dumps(LABELS))
+        print(f"wrote a 4-document corpus to {workdir}\n")
 
-    # Ingestion normalizes each document: lowercased alphanumeric tokens plus
-    # the latest year mentioned in the text (used later for year filtering).
-    # Ids on the left side of the labels file become queries.
-    store = ingest_corpus(corpus_path, labels_path)
+        # Ingestion normalizes each document: lowercased alphanumeric tokens
+        # plus the latest year mentioned in the text (used later for year
+        # filtering). Ids on the left side of the labels file become queries.
+        store = ingest_corpus(corpus_path, labels_path)
     for case in store.cases:
         print(
             f"  {case.id}: role={case.role.value:9s} year={case.year} "

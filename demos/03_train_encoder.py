@@ -55,8 +55,9 @@ def main() -> None:
         lam=1e-3,
         seed=0,
     )
-    ckpt_dir = Path(tempfile.mkdtemp(prefix="caselink-demo03-"))
-    result = train(store, graph, labels, config, checkpoint_dir=ckpt_dir, bm25_index=index)
+    with tempfile.TemporaryDirectory(prefix="caselink-demo03-") as ckpt_dir:
+        result = train(store, graph, labels, config, checkpoint_dir=ckpt_dir, bm25_index=index)
+        written = sorted(p.name for p in Path(ckpt_dir).iterdir())
 
     print("epoch  total-loss  contrastive  degree-reg")
     for log in result.log:
@@ -71,7 +72,7 @@ def main() -> None:
         f"\nmean loss fell from {first.mean_loss:.4f} to {last.mean_loss:.4f}; "
         f"best epoch was {result.best_epoch}"
     )
-    print(f"checkpoints (one per epoch + best overall) in {ckpt_dir}")
+    print(f"files written to the checkpoint directory: {', '.join(written)}")
     print(
         "Training is fully deterministic for a given config and seed — rerunning "
         "this script reproduces these numbers exactly."

@@ -31,8 +31,7 @@ def run(argv: list[str]) -> None:
     print()
 
 
-def main() -> None:
-    work = Path(tempfile.mkdtemp(prefix="caselink-demo05-"))
+def run_all(work: Path) -> None:
     data = work / "data"
     print(f"working in {work}\n")
 
@@ -81,6 +80,11 @@ def main() -> None:
     ckpt_b = (work / "pipe_twice" / "checkpoints" / "checkpoint.gatc").read_bytes()
     print(f"run files identical:     {run_a == run_b and run_a == run_staged}")
     print(f"checkpoints identical:   {ckpt_a == ckpt_b}")
+
+
+def main() -> None:
+    with tempfile.TemporaryDirectory(prefix="caselink-demo05-") as tmp:
+        run_all(Path(tmp))
 
 
 if __name__ == "__main__":

@@ -11,17 +11,16 @@ the query, so repeated terms contribute once per occurrence.
 
 from __future__ import annotations
 
-import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from .binfile import pack, pack_json, pack_text, read_container
 from .corpus import CorpusStore
-from .errors import EmptyCorpusError, IngestError, expect_end, read_exact
+from .errors import EmptyCorpusError, IngestError
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 1
@@ -170,43 +169,27 @@ def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
         "doc_len": index.doc_len.astype(int).tolist(),
         "digest": digest,
     }
-    meta_bytes = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(meta_bytes)))
-        fh.write(meta_bytes)
-        fh.write(struct.pack("<Q", len(index.postings)))
+        fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_json(meta) + pack("Q", len(index.postings)))
         for term in sorted(index.postings):
             idx, tf = index.postings[term]
-            term_bytes = term.encode("utf-8")
-            fh.write(struct.pack("<H", len(term_bytes)))
-            fh.write(term_bytes)
-            fh.write(struct.pack("<Q", len(idx)))
+            fh.write(pack_text(term) + pack("Q", len(idx)))
             fh.write(idx.astype("<u4").tobytes())
             fh.write(tf.astype("<u4").tobytes())
 
 
 def load_index(path: str | Path) -> tuple[Bm25Index, str]:
     """Load a cached index; returns (index, corpus digest recorded at save time)."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise IngestError(f"{path} is not a BM25 index cache")
-        (version,) = struct.unpack("<I", read_exact(fh, 4))
-        if version != _FORMAT_VERSION:
-            raise IngestError(f"unsupported BM25 cache version {version}")
-        (meta_len,) = struct.unpack("<I", read_exact(fh, 4))
-        meta = json.loads(read_exact(fh, meta_len).decode("utf-8"))
-        (n_terms,) = struct.unpack("<Q", read_exact(fh, 8))
+    with read_container(path, _MAGIC, "BM25 index cache", IngestError, _FORMAT_VERSION) as r:
+        meta = r.json()
+        (n_terms,) = r.unpack("Q")
         postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
         for _ in range(n_terms):
-            (tlen,) = struct.unpack("<H", read_exact(fh, 2))
-            term = read_exact(fh, tlen).decode("utf-8")
-            (n_post,) = struct.unpack("<Q", read_exact(fh, 8))
-            idx = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.int64)
-            tf = np.frombuffer(read_exact(fh, 4 * n_post), dtype="<u4").astype(np.float64)
+            term = r.text()
+            (n_post,) = r.unpack("Q")
+            idx = r.array("<u4", n_post).astype(np.int64)
+            tf = r.array("<u4", n_post).astype(np.float64)
             postings[term] = (idx, tf)
-        expect_end(fh)
     index = Bm25Index(
         doc_ids=tuple(meta["doc_ids"]),
         postings=postings,

@@ -424,8 +424,9 @@ def train_stage(
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
     manifest.start("train")
     ckpt_dir = out / "checkpoints"
-    manifest.add_output(ckpt_dir / "checkpoint.gatc")
-    manifest.add_output(ckpt_dir / "training_log.jsonl")
+    for name in ("checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
+                 "checkpoint_last.gatc.json", "training_log.jsonl"):
+        manifest.add_output(ckpt_dir / name)
     manifest.write()  # train() finalizes each checkpoint as it goes
     result = train(
         store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index

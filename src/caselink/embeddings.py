@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import struct
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,15 +21,9 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from .binfile import pack, pack_text, read_container
 from .corpus import CorpusStore
-from .errors import (
-    DimensionError,
-    IngestError,
-    MissingEmbeddingError,
-    ProviderError,
-    expect_end,
-    read_exact,
-)
+from .errors import DimensionError, IngestError, MissingEmbeddingError, ProviderError
 
 _MAGIC = b"EMB1"
 
@@ -132,34 +125,25 @@ def write_binary_embeddings(
     select a subset), defaulting to the table's insertion order."""
     ordered = list(ids) if ids is not None else list(table.vectors)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", table.dim))
-        fh.write(struct.pack("<Q", len(ordered)))
+        fh.write(_MAGIC + pack("I", table.dim) + pack("Q", len(ordered)))
         for node_id in ordered:
             if node_id not in table.vectors:
                 raise MissingEmbeddingError(f"no embedding for {node_id!r}")
-            id_bytes = node_id.encode("utf-8")
-            fh.write(struct.pack("<H", len(id_bytes)))
-            fh.write(id_bytes)
+            fh.write(pack_text(node_id))
             fh.write(table.vectors[node_id].astype("<f4").tobytes())
 
 
 def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise IngestError(f"{path} is not an EMB1 embedding cache")
-        (dim,) = struct.unpack("<I", read_exact(fh, 4))
-        (count,) = struct.unpack("<Q", read_exact(fh, 8))
+    with read_container(path, _MAGIC, "EMB1 embedding cache", IngestError) as r:
+        dim, count = r.unpack("IQ")
         vectors: dict[str, np.ndarray] = {}
         for _ in range(count):
-            (id_len,) = struct.unpack("<H", read_exact(fh, 2))
-            node_id = read_exact(fh, id_len).decode("utf-8")
-            vec = np.frombuffer(read_exact(fh, 4 * dim), dtype="<f4").astype(np.float64)
+            node_id = r.text()
+            vec = r.array("<f4", dim).astype(np.float64)
             if node_id in vectors:
                 raise IngestError(f"duplicate embedding id {node_id!r}")
             _validate_vector(node_id, vec, dim)
             vectors[node_id] = vec
-        expect_end(fh)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 

@@ -1,10 +1,6 @@
-"""Exception types shared across the caselink package, and the read helpers
-the binary loaders use to turn a truncated or overlong file into one of them."""
+"""Exception types shared across the caselink package."""
 
 from __future__ import annotations
-
-import os
-from typing import BinaryIO
 
 
 class CaseLinkError(Exception):
@@ -63,21 +59,3 @@ class LabelError(CaseLinkError):
 
 class ProviderError(CaseLinkError):
     """The remote embedding endpoint failed after all retries."""
-
-
-def read_exact(fh: BinaryIO, n: int) -> bytes:
-    """Read exactly ``n`` bytes; a short read raises IngestError (truncated file)."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise IngestError(
-            f"{getattr(fh, 'name', 'input')} is truncated: wanted {n} bytes, got {len(data)}"
-        )
-    return data
-
-
-def expect_end(fh: BinaryIO) -> None:
-    """Raise IngestError unless ``fh`` is at end of file (no trailing bytes)."""
-    pos = fh.tell()
-    extra = fh.seek(0, os.SEEK_END) - pos
-    if extra:
-        raise IngestError(f"{getattr(fh, 'name', 'input')} has {extra} trailing bytes")

@@ -17,14 +17,14 @@ validated against central finite differences.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
-from .errors import DimensionError, NumericalError, TraceError, expect_end, read_exact
+from .binfile import pack, read_container
+from .errors import DimensionError, NumericalError, TraceError
 
 _MAGIC = b"GATC"
 _FORMAT_VERSION = 1
@@ -349,12 +349,8 @@ def save_checkpoint(
     """Write the versioned binary checkpoint plus an optional JSON sidecar."""
     dims = params.dims
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", _FORMAT_VERSION))
-        fh.write(struct.pack("<I", len(dims)))
-        fh.write(struct.pack(f"<{len(dims)}I", *dims))
-        fh.write(struct.pack("<d", params.leaky_slope))
-        fh.write(struct.pack("<d", params.dropout_rate))
+        fh.write(_MAGIC + pack("II", _FORMAT_VERSION, len(dims)) + pack(f"{len(dims)}I", *dims))
+        fh.write(pack("dd", params.leaky_slope, params.dropout_rate))
         for layer in params.layers:
             fh.write(layer.W.astype("<f8").tobytes())
             fh.write(layer.a_src.astype("<f8").tobytes())
@@ -367,21 +363,14 @@ def save_checkpoint(
 
 
 def load_checkpoint(path: str | Path) -> GatParams:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise TraceError(f"{path} is not a checkpoint file")
-        (version,) = struct.unpack("<I", read_exact(fh, 4))
-        if version != _FORMAT_VERSION:
-            raise TraceError(f"unsupported checkpoint version {version}")
-        (n_dims,) = struct.unpack("<I", read_exact(fh, 4))
-        dims = struct.unpack(f"<{n_dims}I", read_exact(fh, 4 * n_dims))
-        (slope,) = struct.unpack("<d", read_exact(fh, 8))
-        (dropout,) = struct.unpack("<d", read_exact(fh, 8))
+    with read_container(path, _MAGIC, "checkpoint file", TraceError, _FORMAT_VERSION) as r:
+        (n_dims,) = r.unpack("I")
+        dims = r.array("<u4", n_dims).tolist()
+        slope, dropout = r.unpack("dd")
         layers = []
         for d_in, d_out in zip(dims, dims[1:]):
-            W = np.frombuffer(read_exact(fh, 8 * d_in * d_out), dtype="<f8").reshape(d_in, d_out)
-            a_src = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
-            a_dst = np.frombuffer(read_exact(fh, 8 * d_out), dtype="<f8")
+            W = r.array("<f8", d_in * d_out).reshape(d_in, d_out)
+            a_src = r.array("<f8", d_out)
+            a_dst = r.array("<f8", d_out)
             layers.append(LayerParams(W=W.copy(), a_src=a_src.copy(), a_dst=a_dst.copy()))
-        expect_end(fh)
     return GatParams(layers=layers, leaky_slope=slope, dropout_rate=dropout)

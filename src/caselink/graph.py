@@ -8,8 +8,6 @@ Self-loops are not stored; the encoder adds them transiently.
 
 from __future__ import annotations
 
-import json
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -17,16 +15,11 @@ from types import MappingProxyType
 import numpy as np
 import scipy.sparse as sp
 
+from .binfile import pack, pack_json, read_container
 from .bm25 import Bm25Index, topk_similar
 from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import EmbeddingTable, check_coverage
-from .errors import (
-    DimensionError,
-    GraphConstructionError,
-    MissingEmbeddingError,
-    expect_end,
-    read_exact,
-)
+from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
 
 _MAGIC = b"GCG1"
 
@@ -235,33 +228,22 @@ def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
         "ids": list(graph.node_ids),
         "roles": [r.value for r in graph.roles],
     }
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     upper = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((upper.col, upper.row))
-    rows = upper.row[order].astype("<u4")
-    cols = upper.col[order].astype("<u4")
+    edges = np.column_stack([upper.row[order], upper.col[order]]).astype("<u4")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(struct.pack("<Q", len(rows)))
-        fh.write(np.column_stack([rows, cols]).tobytes())
+        fh.write(_MAGIC + pack_json(header) + pack("Q", len(edges)))
+        fh.write(edges.tobytes())
         fh.write(graph.features.astype("<f4").tobytes())
 
 
 def load_graph(path: str | Path) -> GlobalCaseGraph:
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise GraphConstructionError(f"{path} is not a serialized case graph")
-        (header_len,) = struct.unpack("<I", read_exact(fh, 4))
-        header = json.loads(read_exact(fh, header_len).decode("utf-8"))
-        (n_edges,) = struct.unpack("<Q", read_exact(fh, 8))
-        edges = np.frombuffer(read_exact(fh, 8 * n_edges), dtype="<u4").reshape(-1, 2)
-        n_nodes = header["n"] + header["m"]
-        features = np.frombuffer(
-            read_exact(fh, 4 * n_nodes * header["dim"]), dtype="<f4"
-        ).astype(np.float64).reshape(n_nodes, header["dim"])
-        expect_end(fh)
+    with read_container(path, _MAGIC, "serialized case graph", GraphConstructionError) as r:
+        header = r.json()
+        (n_edges,) = r.unpack("Q")
+        edges = r.array("<u4", 2 * n_edges).reshape(-1, 2)
+        n_nodes, dim = header["n"] + header["m"], header["dim"]
+        features = r.array("<f4", n_nodes * dim).reshape(n_nodes, dim).astype(np.float64)
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.coo_matrix(

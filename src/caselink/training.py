@@ -405,9 +405,7 @@ def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     save_checkpoint(params, tmp, sidecar=sidecar)
     os.replace(tmp, path)
-    tmp_side = Path(str(tmp) + ".json")
-    if tmp_side.exists():
-        os.replace(tmp_side, Path(str(path) + ".json"))
+    os.replace(Path(str(tmp) + ".json"), Path(str(path) + ".json"))
 
 
 def train(
@@ -422,8 +420,9 @@ def train(
 
     Each epoch shuffles the labeled queries, partitions them into batches,
     and runs a full-graph forward per batch with the loss restricted to the
-    batch entries. Checkpoints are written per epoch (atomically) when
-    ``checkpoint_dir`` is given; the returned params are the best-epoch ones.
+    batch entries; the best-epoch params are returned. With ``checkpoint_dir``,
+    ``checkpoint_last.gatc`` is rewritten atomically each epoch, then
+    ``checkpoint.gatc`` (best epoch) and ``training_log.jsonl`` are written.
     """
     queries = sorted(labels)
     if not queries:
@@ -449,7 +448,7 @@ def train(
     logs: list[EpochLog] = []
     best_params = params.copy()
     best_loss = np.inf
-    best_epoch = -1
+    best_epoch = 0
     adam = AdamState.zeros_like(params)
 
     for epoch in range(config.epochs):
@@ -491,14 +490,11 @@ def train(
             best_params = params.copy()
             best_epoch = epoch
         if ckpt_dir is not None:
-            _atomic_checkpoint(
-                params, ckpt_dir / f"checkpoint_ep{epoch:04d}.gatc", sidecar
-            )
+            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc", sidecar)
 
-    if best_epoch < 0:  # epochs == 0
-        best_params = params.copy()
-        best_epoch = 0
     if ckpt_dir is not None:
+        if not logs:  # epochs == 0: the initial params are also the last ones
+            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc", sidecar)
         _atomic_checkpoint(best_params, ckpt_dir / "checkpoint.gatc", sidecar)
         log_path = ckpt_dir / "training_log.jsonl"
         log_path.write_text(

@@ -466,7 +466,10 @@ class TestStagedAndFused:
 
 
 class TestManifests:
-    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch):
+    @pytest.mark.parametrize("outcome,epochs", [("graph fails", 2), ("succeeds", 2),
+                                                ("succeeds", 0)])
+    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch, outcome,
+                                                     epochs):
         from caselink import cli
         from caselink.errors import GraphConstructionError
 
@@ -475,14 +478,16 @@ class TestManifests:
         def fail(*args, **kwargs):
             raise GraphConstructionError("injected failure")
 
-        monkeypatch.setattr(cli, "build_global_case_graph", fail)
-        out = tmp_path / "failed"
-        assert main(["pipeline", "--config", str(config_path), "--out", str(out)]) == 2
+        if outcome == "graph fails":
+            monkeypatch.setattr(cli, "build_global_case_graph", fail)
+        out = tmp_path / "out"
+        argv = ["pipeline", "--config", str(config_path), "--out", str(out),
+                "--epochs", str(epochs)]
+        assert main(argv) == (2 if outcome == "graph fails" else 0)
         listed = set(read_manifest(out)["outputs"])
-        left = [p for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"]
-        assert left  # the stages before the graph finished
-        for path in left:
-            assert str(path) in listed, path
+        left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
+        assert left  # at least the stages before the graph finished
+        assert left == listed
 
 
 class TestDamagedInputs:
@@ -517,6 +522,28 @@ class TestDamagedInputs:
         files["GATC"] = (path, load_checkpoint)
         return files
 
+    @staticmethod
+    def with_huge_length(data, fmt):
+        """``data`` with one length or count field set far past the end of the
+        file: the first term's postings count (BM25), the dim (EMB1), the edge
+        count (GCG1) or the dims count (GATC)."""
+        import struct
+
+        if fmt == "BM25":
+            (meta_len,) = struct.unpack_from("<I", data, 8)
+            (term_len,) = struct.unpack_from("<H", data, 20 + meta_len)
+            offset, code, value = 22 + meta_len + term_len, "<Q", 2**40
+        elif fmt == "EMB1":
+            offset, code, value = 4, "<I", 2**31
+        elif fmt == "GCG1":
+            (header_len,) = struct.unpack_from("<I", data, 4)
+            offset, code, value = 8 + header_len, "<Q", 2**40
+        else:
+            offset, code, value = 8, "<I", 2**31
+        damaged = bytearray(data)
+        struct.pack_into(code, damaged, offset, value)
+        return bytes(damaged)
+
     @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
     @pytest.mark.parametrize("cut", [4, 6, 9, 0.5, -1])
     def test_truncated_binary_raises_ingest_error(self, tmp_path, fmt, cut):
@@ -531,6 +558,26 @@ class TestDamagedInputs:
             load(path)
 
     @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
+    def test_every_prefix_raises_ingest_error(self, tmp_path, fmt):
+        from caselink.errors import IngestError
+
+        path, load = self.binary_files(tmp_path)[fmt]
+        data = path.read_bytes()
+        for keep in range(len(data)):
+            path.write_bytes(data[:keep])
+            with pytest.raises(IngestError, match="truncated"):
+                load(path)
+
+    @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
+    def test_huge_length_field_raises_ingest_error(self, tmp_path, fmt):
+        from caselink.errors import IngestError
+
+        path, load = self.binary_files(tmp_path)[fmt]
+        path.write_bytes(self.with_huge_length(path.read_bytes(), fmt))
+        with pytest.raises(IngestError, match="truncated"):
+            load(path)
+
+    @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
     def test_trailing_bytes_raise_ingest_error(self, tmp_path, fmt):
         from caselink.errors import IngestError
 
@@ -539,7 +586,8 @@ class TestDamagedInputs:
         with pytest.raises(IngestError, match="has 7 trailing bytes"):
             load(path)
 
-    @pytest.mark.parametrize("damaged,cut", [("graph", 6), ("checkpoint", 9)])
+    @pytest.mark.parametrize("damaged,cut", [("graph", 6), ("checkpoint", 9),
+                                             ("graph", "huge edge count")])
     def test_rank_on_truncated_input_is_data_error(self, dataset, capsys, damaged, cut):
         tmp_path, config_path = dataset
         cfg = ["--config", str(config_path)]
@@ -549,13 +597,19 @@ class TestDamagedInputs:
         assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t"),
                      "--epochs", "1"]) == 0
         target = gcg if damaged == "graph" else ckpt
-        target.write_bytes(target.read_bytes()[:cut])
-        argv = ["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
-                "--out", str(tmp_path / "r")]
-        assert main(argv) == 2
-        assert "truncated" in capsys.readouterr().err
+        data = target.read_bytes()
+        target.write_bytes(data[:cut] if isinstance(cut, int)
+                           else self.with_huge_length(data, "GCG1"))
+        commands = [["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]]
+        if damaged == "graph":
+            commands.append(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t2"),
+                             "--epochs", "1"])
+        for argv in commands:
+            assert main(argv) == 2
+            assert "truncated" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not an index"])
+    @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count"])
     def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
         tmp_path, config_path = dataset
         corpus = json.loads(config_path.read_text())["corpus"]
@@ -565,7 +619,9 @@ class TestDamagedInputs:
         monkeypatch.setenv("CASELINK_CACHE_DIR", str(tmp_path / "cache"))
         assert main(["index", "--corpus", corpus, "--out", str(tmp_path / "i1")]) == 0
         (cached,) = (tmp_path / "cache").glob("bm25_*.bin")
-        cached.write_bytes(cached.read_bytes()[:10] if damage == "truncated" else b"junk")
+        data = cached.read_bytes()
+        cached.write_bytes({"truncated": data[:10], "not an index": b"junk",
+                            "huge postings count": self.with_huge_length(data, "BM25")}[damage])
         warm = tmp_path / "i2"
         assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
         assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()

@@ -24,3 +24,4 @@ def test_demo_exits_zero(demo, tmp_path):
         [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
+    assert not list(tmp_path.glob("caselink-demo*"))  # the demo removed its temp dir

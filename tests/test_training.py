@@ -521,15 +521,30 @@ class TestTrainLoop:
             np.testing.assert_array_equal(l1.W, l2.W)
         assert [e.mean_loss for e in r1.log] == [e.mean_loss for e in r2.log]
 
-    def test_checkpoints_and_log_files(self, tmp_path):
+    def test_checkpoints_and_log_files(self, tmp_path, monkeypatch):
+        import caselink.training as training_module
+
+        stepped = []  # the params after every Adam step; the last is the final epoch's
+
+        def recording_adam_step(*args, **kwargs):
+            params, state = adam_step(*args, **kwargs)
+            stepped.append(params)
+            return params, state
+
+        monkeypatch.setattr(training_module, "adam_step", recording_adam_step)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
         result = train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
-        for epoch in range(3):
-            assert (tmp_path / f"checkpoint_ep{epoch:04d}.gatc").exists()
-        best = load_checkpoint(tmp_path / "checkpoint.gatc")
-        for l1, l2 in zip(best.layers, result.params.layers):
-            np.testing.assert_array_equal(l1.W, l2.W)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
+            "checkpoint_last.gatc.json", "training_log.jsonl",
+        ]
+        for name, params in [("checkpoint.gatc", result.params),
+                             ("checkpoint_last.gatc", stepped[-1])]:
+            for l1, l2 in zip(load_checkpoint(tmp_path / name).layers, params.layers):
+                np.testing.assert_array_equal(l1.W, l2.W)
+                np.testing.assert_array_equal(l1.a_src, l2.a_src)
+                np.testing.assert_array_equal(l1.a_dst, l2.a_dst)
         log_lines = (tmp_path / "training_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 3
         entry = json.loads(log_lines[0])
