@@ -74,7 +74,6 @@ from .retrieval import (
     RankResult,
     RetrievalRun,
     bm25_baseline_rank,
-    cosine_score,
     evaluate_runs,
     f_measure,
     rank_all,
@@ -127,7 +126,7 @@ __all__ = [
     "sample_batch", "hard_negative_pools", "infonce_loss",
     "degreg_loss", "total_loss_and_grads", "adam_step", "train",
     # retrieval
-    "RankResult", "RetrievalRun", "EvalReport", "cosine_score", "year_filter",
+    "RankResult", "RetrievalRun", "EvalReport", "year_filter",
     "two_stage_rank", "bm25_baseline_rank", "rank_all", "evaluate_runs",
     "f_measure", "representations_from_rows",
     "write_run_tsv", "write_run_json", "write_report_json",

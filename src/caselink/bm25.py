@@ -101,22 +101,10 @@ def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Ind
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_index: int) -> float:
-    """Score one document against a query token sequence."""
+    """Score one document against a query token sequence, by :func:`score_all`."""
     if not 0 <= doc_index < index.n_docs:
         raise IndexError(f"doc_index {doc_index} out of range [0, {index.n_docs})")
-    dl = index.doc_len[doc_index]
-    norm = index.k1 * (1.0 - index.b + index.b * dl / index.avgdl) if index.avgdl > 0 else index.k1
-    score = 0.0
-    for term, qtf in Counter(query_tokens).items():
-        post = index.postings.get(term)
-        if post is None:
-            continue
-        pos = np.searchsorted(post[0], doc_index)
-        if pos >= len(post[0]) or post[0][pos] != doc_index:
-            continue
-        tf = post[1][pos]
-        score += qtf * index.idf(term) * tf * (index.k1 + 1.0) / (tf + norm)
-    return score
+    return float(score_all(index, query_tokens)[doc_index])
 
 
 def score_all(index: Bm25Index, query_tokens: list[str] | tuple[str, ...]) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .binfile import pack, pack_text, read_container
 from .corpus import CorpusStore
-from .errors import DimensionError, IngestError, MissingEmbeddingError, ProviderError
+from .errors import DimensionError, IngestError, MissingEmbeddingError, NumericalError, ProviderError
 
 _MAGIC = b"EMB1"
 
@@ -75,6 +75,16 @@ def l2_normalize(v: np.ndarray) -> np.ndarray:
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     return v / norm
+
+
+def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Scale each row of the matrix ``x`` to unit L2 norm: returns (unit rows,
+    row norms). Every cosine in the package is a product of unit rows; raises
+    NumericalError on a zero row, whose cosine is undefined."""
+    norms = np.linalg.norm(x, axis=1)
+    if np.any(norms == 0.0):
+        raise NumericalError("zero-norm row in cosine")
+    return x / norms[:, None], norms
 
 
 def _validate_vector(node_id: str, vec: np.ndarray, dim: int | None) -> int:

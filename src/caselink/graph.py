@@ -17,8 +17,8 @@ import scipy.sparse as sp
 
 from .binfile import pack, pack_json, read_container
 from .bm25 import Bm25Index, topk_similar
-from .corpus import CorpusStore, Role, normalize_charge_name
-from .embeddings import EmbeddingTable, check_coverage
+from .corpus import CorpusStore, Role, tokenize
+from .embeddings import EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
 
 _MAGIC = b"GCG1"
@@ -45,21 +45,10 @@ class GlobalCaseGraph:
         return self.node_rows[node_id]
 
     def __post_init__(self):
-        # read-only node id -> row map, built once with the graph
+        # read-only node id -> row map and candidate rows, built once with the graph
         self.node_rows = MappingProxyType({nid: i for i, nid in enumerate(self.node_ids)})
-
-    def case_rows(self) -> np.ndarray:
-        return np.arange(self.n_cases)
-
-    def candidate_rows(self) -> np.ndarray:
-        return np.array(
-            [i for i, r in enumerate(self.roles) if r is Role.CANDIDATE], dtype=np.int64
-        )
-
-    def query_rows(self) -> np.ndarray:
-        return np.array(
-            [i for i, r in enumerate(self.roles) if r is Role.QUERY], dtype=np.int64
-        )
+        self.candidate_rows = np.flatnonzero([r is Role.CANDIDATE for r in self.roles])
+        self.candidate_rows.flags.writeable = False
 
 
 def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.csr_matrix:
@@ -98,11 +87,7 @@ def build_charge_charge_edges(
     m = len(charge_ids)
     if m == 0:
         return sp.csr_matrix((0, 0), dtype=np.int8)
-    mat = table.matrix(charge_ids)
-    norms = np.linalg.norm(mat, axis=1, keepdims=True)
-    if np.any(norms == 0):
-        raise MissingEmbeddingError("zero-norm charge embedding")
-    unit = mat / norms
+    unit, _ = unit_rows(table.matrix(charge_ids))
     cos = unit @ unit.T
     adj = (cos > delta).astype(np.int8)
     np.fill_diagonal(adj, 0)
@@ -112,15 +97,18 @@ def build_charge_charge_edges(
 
 
 def build_case_charge_edges(store: CorpusStore) -> sp.csr_matrix:
-    """m x n matrix: 1 where the normalized charge name occurs in the case text."""
+    """m x n matrix: 1 where the charge name's tokens occur, in order and
+    adjacent, among the case's tokens."""
     m, n = store.n_charges, store.n_cases
-    norm_texts = [" ".join(c.text.lower().split()) for c in store.cases]
+    # padded with spaces, so a name matches whole tokens only ("arson" is not in "carson")
+    texts = [f" {' '.join(c.tokens)} " for c in store.cases]
     rows: list[int] = []
     cols: list[int] = []
     for i, charge in enumerate(store.charges):
-        name = normalize_charge_name(charge.name)
-        for j, text in enumerate(norm_texts):
-            if name in text:
+        tokens = tokenize(charge.name)
+        name = f" {' '.join(tokens)} "
+        for j, text in enumerate(texts):
+            if tokens and name in text:
                 rows.append(i)
                 cols.append(j)
     data = np.ones(len(rows), dtype=np.int8)

@@ -13,20 +13,13 @@ import numpy as np
 
 from .bm25 import Bm25Index, score_all, top_k
 from .corpus import CaseDocument, CorpusStore
-from .errors import DimensionError, MissingEmbeddingError, NumericalError
+from .embeddings import unit_rows
+from .errors import DimensionError, MissingEmbeddingError
 
 logger = logging.getLogger(__name__)
 
 PREFILTER_SIZE = 10
 FINAL_SIZE = 5
-
-
-def cosine_score(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        raise NumericalError("zero-norm vector in cosine similarity")
-    return float(a @ b) / (na * nb)
 
 
 def year_filter(query: CaseDocument, candidates: list[CaseDocument]) -> list[CaseDocument]:
@@ -87,13 +80,12 @@ def two_stage_rank(
     )
     if query.id not in representations:
         raise MissingEmbeddingError(f"no representation for query {query.id!r}")
-    qv = representations[query.id]
     pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
-    dense = np.empty(len(pre_ids))
-    for n, cid in enumerate(pre_ids):
+    for cid in pre_ids:
         if cid not in representations:
             raise MissingEmbeddingError(f"no representation for candidate {cid!r}")
-        dense[n] = cosine_score(qv, representations[cid])
+    unit, _ = unit_rows(np.array([representations[i] for i in (query.id, *pre_ids)]))
+    dense = unit[1:] @ unit[0]
     final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
     return RankResult(
         query_id=query_id,

@@ -26,6 +26,7 @@ import numpy as np
 
 from .bm25 import Bm25Index, build_index, score_all, top_k
 from .corpus import CorpusStore, Role
+from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
     ForwardTrace,
@@ -197,16 +198,11 @@ def sample_batch(
     return TrainingBatch(entries=tuple(entries), epoch=epoch)
 
 
-def _cosine_and_partials(a: np.ndarray, b: np.ndarray):
-    """cos(a, b) and its partial derivatives with respect to a and b."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        raise NumericalError("zero-norm representation row in cosine")
-    c = float(a @ b) / (na * nb)
-    da = b / (na * nb) - c * a / (na * na)
-    db = a / (na * nb) - c * b / (nb * nb)
-    return c, da, db
+def _unit_rows_backward(unit: np.ndarray, norms: np.ndarray, d_unit: np.ndarray) -> np.ndarray:
+    """Gradient with respect to the rows x, given the gradient with respect to
+    their unit rows u = x / ||x||: (g - (u.g) u) / ||x|| per row."""
+    proj = np.einsum("ij,ij->i", unit, d_unit)
+    return (d_unit - proj[:, None] * unit) / norms[:, None]
 
 
 def infonce_loss(
@@ -215,53 +211,57 @@ def infonce_loss(
     tau: float,
     row_of: dict[str, int],
 ) -> tuple[float, np.ndarray]:
-    """Batch-mean InfoNCE loss and its analytic gradient with respect to h."""
+    """Batch-mean InfoNCE loss and its analytic gradient with respect to h.
+
+    The batch becomes one (B x L) matrix of rows of h plus a validity mask:
+    column 0 is each entry's positive, then its own negatives, then the
+    positives of every entry in batch order, valid where they are in-batch
+    negatives (another entry's positive that is not a known positive).
+    """
     if tau <= 0:
         raise ValueError("tau must be > 0")
     if not batch.entries:
         raise ValueError("empty batch")
+    entries = batch.entries
+    n = len(entries)
+    queries = np.array([row_of[e.query_id] for e in entries], dtype=np.int64)
+    own = [[row_of[e.positive_id], *(row_of[i] for i in e.negative_ids)] for e in entries]
+    positives = np.array([rows[0] for rows in own], dtype=np.int64)
+    lengths = np.array([len(rows) for rows in own])
+    own_mask = np.arange(lengths.max()) < lengths[:, None]
+    # pad with the entry's positive, so every cell names a row the batch uses
+    own_rows = np.repeat(positives[:, None], own_mask.shape[1], axis=1)
+    own_rows[own_mask] = np.concatenate(own)
+    # known positives outside row_of cannot be anyone's positive: they map to -1
+    in_batch = np.array(
+        [~np.isin(positives, [row_of.get(k, -1) for k in e.known_positive_ids]) for e in entries]
+    )
+    np.fill_diagonal(in_batch, False)
+    rows = np.hstack([own_rows, np.broadcast_to(positives, (n, n))])
+    mask = np.hstack([own_mask, in_batch])
+
+    # normalise each used row once; every cosine is one product of unit rows
+    used, local = np.unique(np.concatenate([queries, rows.ravel()]), return_inverse=True)
+    unit, norms = unit_rows(h[used])
+    u_q = unit[local[:n]]
+    u_r = unit[local[n:]].reshape(*rows.shape, -1)
+    cos = np.einsum("bd,bld->bl", u_q, u_r)
+
+    logits = np.where(mask, cos / tau, -np.inf)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    denom = exp.sum(axis=1)
+    loss = float(np.mean(np.log(denom) - shifted[:, 0]))  # -log softmax[0]
+
+    dcos = exp / denom[:, None]
+    dcos[:, 0] -= 1.0
+    dcos /= tau * n
+    d_unit = np.zeros_like(unit)
+    np.add.at(d_unit, local[:n], np.einsum("bl,bld->bd", dcos, u_r))
+    np.add.at(d_unit, local[n:], (dcos[:, :, None] * u_q[:, None, :]).reshape(-1, h.shape[1]))
     dh = np.zeros_like(h)
-    total = 0.0
-    batch_positive_rows = [row_of[e.positive_id] for e in batch.entries]
-
-    for ei, entry in enumerate(batch.entries):
-        q = row_of[entry.query_id]
-        rows = [row_of[entry.positive_id]]
-        rows += [row_of[nid] for nid in entry.negative_ids]
-        # in-batch negatives: other entries' positives, minus labeled positives
-        for ej, other in enumerate(batch.entries):
-            if ej == ei:
-                continue
-            if other.positive_id in entry.known_positive_ids:
-                continue
-            rows.append(batch_positive_rows[ej])
-
-        cos = np.empty(len(rows))
-        d_q = np.zeros(h.shape[1])
-        partials = []
-        for k, r in enumerate(rows):
-            c, da, db = _cosine_and_partials(h[q], h[r])
-            cos[k] = c
-            partials.append(db)
-        logits = cos / tau
-        shifted = logits - logits.max()
-        exp = np.exp(shifted)
-        denom = exp.sum()
-        total += float(np.log(denom) - shifted[0])  # -log softmax[0]
-        probs = exp / denom
-
-        dlogit = probs.copy()
-        dlogit[0] -= 1.0
-        dcos = dlogit / tau
-        for k, r in enumerate(rows):
-            c, da, db = _cosine_and_partials(h[q], h[r])
-            d_q += dcos[k] * da
-            dh[r] += dcos[k] * db
-        dh[q] += d_q
-
-    n = len(batch.entries)
-    dh /= n
-    return total / n, dh
+    dh[used] = _unit_rows_backward(unit, norms, d_unit)
+    return loss, dh
 
 
 def degreg_loss(
@@ -276,11 +276,7 @@ def degreg_loss(
     """
     if len(candidate_rows) == 0:
         raise ValueError("degree regularization requires at least one candidate")
-    cases = h[:n_cases]
-    norms = np.linalg.norm(cases, axis=1)
-    if np.any(norms == 0.0):
-        raise NumericalError("zero-norm case representation row")
-    unit = cases / norms[:, None]
+    unit, norms = unit_rows(h[:n_cases])
 
     cand_mask = np.zeros(n_cases, dtype=bool)
     cand_mask[candidate_rows] = True
@@ -290,22 +286,9 @@ def degreg_loss(
 
     d_unit = np.tile(s_cand, (n_cases, 1))
     d_unit[cand_mask] += s_all
-    # through row normalization: (g - (u.g) u) / ||h||
-    proj = np.einsum("ij,ij->i", unit, d_unit)
-    d_cases = (d_unit - proj[:, None] * unit) / norms[:, None]
-
     dh = np.zeros_like(h)
-    dh[:n_cases] = d_cases
+    dh[:n_cases] = _unit_rows_backward(unit, norms, d_unit)
     return loss, dh
-
-
-def _flatten_ids(batch: TrainingBatch) -> set[str]:
-    ids: set[str] = set()
-    for e in batch.entries:
-        ids.add(e.query_id)
-        ids.add(e.positive_id)
-        ids.update(e.negative_ids)
-    return ids
 
 
 def total_loss_and_grads(
@@ -325,7 +308,7 @@ def total_loss_and_grads(
     )
     nce, dh = infonce_loss(h, batch, config.tau, graph.node_rows)
     if config.lam > 0.0:
-        reg, dh_reg = degreg_loss(h, graph.n_cases, graph.candidate_rows())
+        reg, dh_reg = degreg_loss(h, graph.n_cases, graph.candidate_rows)
         dh = dh + config.lam * dh_reg
     else:
         reg = 0.0

@@ -2,6 +2,7 @@
 
 import http.server
 import json
+import math
 import threading
 
 import numpy as np
@@ -17,12 +18,14 @@ from caselink.embeddings import (
     normalize_table,
     read_binary_embeddings,
     truncate_text,
+    unit_rows,
     write_binary_embeddings,
 )
 from caselink.errors import (
     DimensionError,
     IngestError,
     MissingEmbeddingError,
+    NumericalError,
     ProviderError,
 )
 
@@ -58,6 +61,34 @@ class TestL2Normalize:
             once = l2_normalize(v)
             np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
             assert abs(np.linalg.norm(once) - 1.0) < 1e-12
+
+
+class TestUnitRows:
+    def _cosine(self, a, b):
+        unit, _ = unit_rows(np.array([a, b]))
+        return unit[0] @ unit[1]
+
+    def test_identical_vectors(self):
+        v = np.array([0.3, -0.2, 0.9])
+        assert self._cosine(v, v) == pytest.approx(1.0, abs=1e-12)
+
+    def test_opposite_vectors(self):
+        v = np.array([1.0, 2.0])
+        assert self._cosine(v, -v) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_forty_five_degrees(self):
+        a = np.array([1.0, 0.0])
+        b = np.array([1.0, 1.0])
+        assert self._cosine(a, b) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+
+    def test_returns_unit_rows_and_norms(self):
+        unit, norms = unit_rows(np.array([[3.0, 4.0], [0.0, -2.0]]))
+        np.testing.assert_allclose(unit, [[0.6, 0.8], [0.0, -1.0]], atol=1e-15)
+        np.testing.assert_array_equal(norms, [5.0, 2.0])
+
+    def test_zero_row_rejected(self):
+        with pytest.raises(NumericalError):
+            unit_rows(np.array([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestLoadEmbeddingFile:

@@ -11,6 +11,7 @@ from caselink.errors import (
     DimensionError,
     GraphConstructionError,
     MissingEmbeddingError,
+    NumericalError,
 )
 from caselink.graph import (
     assemble_gcg,
@@ -118,6 +119,11 @@ class TestChargeChargeEdges:
         with pytest.raises(MissingEmbeddingError):
             build_charge_charge_edges(["c1"], table_of([("x", [1.0])]), delta=0.9)
 
+    def test_zero_norm_embedding_rejected(self):
+        table = table_of([("c1", [1.0, 0.0]), ("c2", [0.0, 0.0])])
+        with pytest.raises(NumericalError):
+            build_charge_charge_edges(["c1", "c2"], table, delta=0.9)
+
     def test_delta_range_validated(self):
         table = table_of([("c1", [1.0])])
         with pytest.raises(ValueError):
@@ -136,7 +142,10 @@ class TestCaseChargeEdges:
         np.testing.assert_array_equal(adj.toarray(), [[1]])
 
     def test_absent_charge_name(self):
-        store = make_store([("d1", "a contract dispute")], charges=[("c1", "tax evasion")])
+        store = make_store(
+            [("d1", "a contract dispute"), ("d2", "")],
+            charges=[("c1", "tax evasion"), ("c2", "§§")],  # c2 has no tokens to match
+        )
         assert build_case_charge_edges(store).nnz == 0
 
     def test_fixture_matrix(self):
@@ -145,11 +154,12 @@ class TestCaseChargeEdges:
                 ("d1", "charged with tax evasion and fraud"),
                 ("d2", "a fraud trial"),
                 ("d3", "nothing relevant"),
+                ("d4", "Carson v. State, an arsonist"),  # names match whole tokens only
             ],
             charges=[("c1", "tax evasion"), ("c2", "fraud"), ("c3", "arson")],
         )
         adj = build_case_charge_edges(store)
-        expected = np.array([[1, 0, 0], [1, 1, 0], [0, 0, 0]])
+        expected = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
         np.testing.assert_array_equal(adj.toarray(), expected)
 
     def test_shape_is_charges_by_cases(self):
@@ -274,9 +284,8 @@ class TestAssembleGcg:
 
     def test_role_rows(self):
         graph = random_gcg(n_cases=6, n_queries=2)
-        np.testing.assert_array_equal(graph.query_rows(), [0, 1])
-        np.testing.assert_array_equal(graph.candidate_rows(), [2, 3, 4, 5])
-        np.testing.assert_array_equal(graph.case_rows(), np.arange(6))
+        np.testing.assert_array_equal(graph.candidate_rows, [2, 3, 4, 5])
+        assert not graph.candidate_rows.flags.writeable
 
 
 class TestBuildGlobalCaseGraph:

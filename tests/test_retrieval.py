@@ -11,7 +11,6 @@ from caselink.errors import DimensionError, MissingEmbeddingError, NumericalErro
 from caselink.retrieval import (
     EvalReport,
     bm25_baseline_rank,
-    cosine_score,
     evaluate_runs,
     f_measure,
     rank_all,
@@ -26,25 +25,6 @@ from caselink.retrieval import (
 
 from conftest import make_case, make_store, random_text
 from test_bm25 import naive_bm25
-
-
-class TestCosineScore:
-    def test_identical_vectors(self):
-        v = np.array([0.3, -0.2, 0.9])
-        assert cosine_score(v, v) == pytest.approx(1.0, abs=1e-12)
-
-    def test_opposite_vectors(self):
-        v = np.array([1.0, 2.0])
-        assert cosine_score(v, -v) == pytest.approx(-1.0, abs=1e-12)
-
-    def test_forty_five_degrees(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([1.0, 1.0])
-        assert cosine_score(a, b) == pytest.approx(math.sqrt(0.5), abs=1e-12)
-
-    def test_zero_vector_rejected(self):
-        with pytest.raises(NumericalError):
-            cosine_score(np.zeros(2), np.array([1.0, 0.0]))
 
 
 class TestYearFilter:
@@ -175,6 +155,30 @@ class TestTwoStageRank:
             assert result.eligible_ids == ()
             assert result.prefilter_ids == result.final_ids == ()
             assert result.prefilter_scores == result.final_scores == ()
+
+    def test_dense_scores_are_cosines(self):
+        store = make_store(
+            [("q1", "alpha", Role.QUERY)]
+            + [(c, "alpha", Role.CANDIDATE) for c in ("c1", "c2", "c3")]
+        )
+        reps = {
+            "q1": np.array([1.0, 0.0]),
+            "c1": np.array([-3.0, 0.0]),  # opposite
+            "c2": np.array([1.0, 1.0]),  # 45 degrees
+            "c3": np.array([2.0, 0.0]),  # same direction
+        }
+        result = two_stage_rank(store, build_index(store), reps, "q1")
+        assert result.final_ids == ("c3", "c2", "c1")
+        np.testing.assert_allclose(
+            result.final_scores, [1.0, math.sqrt(0.5), -1.0], rtol=0, atol=1e-12
+        )
+
+    def test_zero_norm_candidate_representation_rejected(self):
+        store, index, reps = ranking_fixture()
+        zeroed = dict(reps)
+        zeroed[two_stage_rank(store, index, reps, "q1").prefilter_ids[-1]] = np.zeros(6)
+        with pytest.raises(NumericalError):
+            two_stage_rank(store, index, zeroed, "q1")
 
     def test_scale_invariance_of_dense_stage(self):
         store, index, reps = ranking_fixture()

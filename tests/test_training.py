@@ -309,6 +309,19 @@ class TestInfonceLoss:
             infonce_loss(h, TrainingBatch((entry,)), tau=0.1, row_of={"q": 0, "p": 1})
 
 
+    def test_zero_norm_row_outside_the_batch_is_ignored(self):
+        rng = np.random.default_rng(16)
+        h = rng.standard_normal((4, 3))
+        h[3] = 0.0  # a node no entry refers to
+        row_of = {"q": 0, "p": 1, "n": 2, "unused": 3}
+        entry = BatchEntry("q", "p", ("n",), (), frozenset({"p"}))
+        loss, dh = infonce_loss(h, TrainingBatch((entry,)), tau=0.1, row_of=row_of)
+        ref_loss, ref_dh = infonce_loss(h[:3], TrainingBatch((entry,)), tau=0.1, row_of=row_of)
+        assert loss == ref_loss
+        np.testing.assert_array_equal(dh[:3], ref_dh)
+        assert not np.any(dh[3])
+
+
 class TestDegregLoss:
     def test_identical_rows_hit_upper_bound(self):
         n, o = 5, 3
