@@ -1,22 +1,26 @@
-"""Okapi BM25 inverted index over the case corpus.
+"""Okapi BM25 over the case corpus, as one sparse docs x terms weight matrix.
 
 Scoring uses the +1-smoothed IDF (non-negative for any document frequency):
 
     idf(t)  = ln((N - df + 0.5) / (df + 0.5) + 1)
-    s(q, d) = sum_t qtf(t) * idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
+    W[d, t] = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
+    s(q, d) = sum_t qtf(t) * W[d, t]
 
+The index computes W once; the scores of a set of queries are the sparse
+product of their term-count rows with W.T, summed in vocabulary order.
 Case-to-case similarity treats the full token multiset of the source case as
 the query, so repeated terms contribute once per occurrence.
 """
 
 from __future__ import annotations
 
-import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 
 from .binfile import pack, pack_json, pack_text, read_container
 from .corpus import CorpusStore
@@ -24,6 +28,10 @@ from .errors import EmptyCorpusError, IngestError
 
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 1
+
+# Source rows scored together by _block_top_k: one dense block of scores is
+# _BLOCK_ROWS x n_docs float64, 4.3 MB at 2,100 documents.
+_BLOCK_ROWS = 256
 
 
 @dataclass(frozen=True)
@@ -35,7 +43,8 @@ class ScoredPair:
 
 @dataclass
 class Bm25Index:
-    """Inverted index: per-term postings arrays (doc index, term frequency)."""
+    """Per-term postings arrays (doc index, term frequency), and the term-count
+    and BM25 weight matrices built from them."""
 
     doc_ids: tuple[str, ...]
     postings: dict[str, tuple[np.ndarray, np.ndarray]]  # term -> (doc idx, tf), sorted by doc idx
@@ -49,6 +58,23 @@ class Bm25Index:
         self._id_to_idx = {d: i for i, d in enumerate(self.doc_ids)}
         # doc index -> position in ascending-id order, the tie-break key of top_k
         self._id_rank = np.argsort(sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
+        # Sorted: _term_cols searches it, and a built and a loaded index (whose
+        # postings come in different orders) sum each score in the same order.
+        terms = sorted(self.postings)
+        self._terms = np.array(terms, dtype=str)
+        posts = [self.postings[t] for t in terms]
+        df = np.array([len(idx) for idx, _ in posts], dtype=np.int64)
+        docs = np.concatenate([np.zeros(0, np.int64), *(idx for idx, _ in posts)])
+        tf = np.concatenate([np.zeros(0), *(tf for _, tf in posts)])
+        self._idf = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        norm = self.k1 * (1.0 - self.b + self.b * self.doc_len[docs] / self.avgdl)
+        weight = np.repeat(self._idf, df) * tf * (self.k1 + 1.0) / (tf + norm)
+        # Term t's postings are row t of a terms x docs CSR: that is W.T, and
+        # the transpose of the counts gives the docs x terms term-count rows.
+        indptr = np.concatenate(([0], np.cumsum(df)))
+        shape = (len(posts), self.n_docs)
+        self._wt = sp.csr_matrix((weight, docs, indptr), shape=shape)
+        self._tf = sp.csr_matrix((tf, docs, indptr), shape=shape).T.tocsr()
 
     @property
     def n_docs(self) -> int:
@@ -61,11 +87,15 @@ class Bm25Index:
             raise IndexError(f"unknown document id {doc_id!r}") from None
 
     def idf(self, term: str) -> float:
-        post = self.postings.get(term)
-        if post is None:
-            return 0.0
-        df = len(post[0])
-        return math.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        col = self._term_cols(np.array([term], dtype=str))
+        return float(self._idf[col[0]]) if len(col) else 0.0
+
+    def _term_cols(self, tokens: np.ndarray) -> np.ndarray:
+        """Vocabulary columns of the tokens that are in the vocabulary."""
+        cols = np.searchsorted(self._terms, tokens)
+        found = cols < len(self._terms)
+        found[found] = self._terms[cols[found]] == tokens[found]
+        return cols[found]
 
 
 def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
@@ -107,20 +137,17 @@ def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_
     return float(score_all(index, query_tokens)[doc_index])
 
 
+def _score_rows(index: Bm25Index, counts: sp.csr_matrix) -> np.ndarray:
+    """Dense (queries x docs) BM25 scores of term-count rows (queries x terms)."""
+    return (counts @ index._wt).toarray()
+
+
 def score_all(index: Bm25Index, query_tokens: list[str] | tuple[str, ...]) -> np.ndarray:
     """BM25 scores of every document for the query, as a dense float array."""
-    scores = np.zeros(index.n_docs, dtype=np.float64)
-    if index.avgdl > 0:
-        norms = index.k1 * (1.0 - index.b + index.b * index.doc_len / index.avgdl)
-    else:
-        norms = np.full(index.n_docs, index.k1)
-    for term, qtf in Counter(query_tokens).items():
-        post = index.postings.get(term)
-        if post is None:
-            continue
-        idx, tf = post
-        scores[idx] += qtf * index.idf(term) * tf * (index.k1 + 1.0) / (tf + norms[idx])
-    return scores
+    cols, qtf = np.unique(index._term_cols(np.array(query_tokens, dtype=str)), return_counts=True)
+    shape = (1, len(index._terms))
+    counts = sp.csr_matrix((qtf.astype(np.float64), cols, [0, len(cols)]), shape=shape)
+    return _score_rows(index, counts)[0]
 
 
 def top_k(
@@ -132,14 +159,60 @@ def top_k(
     return rows[order], scores[order]
 
 
+def _select_top_k(
+    index: Bm25Index, cols: np.ndarray, scores: np.ndarray, ok: np.ndarray | bool, k: int
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per row of ``scores`` (its columns aligned with the doc indices ``cols``):
+    what :func:`top_k` returns for the columns where ``ok`` holds.
+
+    ``np.partition`` finds each row's k-th best score; every column at or
+    above it is kept, so ties at the cut reach the sort, and one lexsort
+    orders the block by (row, -score, id)."""
+    n_rows, m = scores.shape
+    k = min(k, m)
+    if k < 1:
+        return [(cols[:0], scores[i, :0]) for i in range(n_rows)]
+    scores = np.where(ok, scores, -np.inf)
+    kth = np.partition(scores, m - k, axis=1)[:, m - k]
+    r, c = np.nonzero(ok & (scores >= kth[:, None]))
+    order = np.lexsort((index._id_rank[cols[c]], -scores[r, c], r))
+    r, c = r[order], c[order]
+    starts = np.searchsorted(r, np.arange(n_rows))
+    ends = np.minimum(np.searchsorted(r, np.arange(n_rows), side="right"), starts + k)
+    return [(cols[c[s:e]], scores[r[s:e], c[s:e]]) for s, e in zip(starts, ends)]
+
+
+def _block_top_k(
+    index: Bm25Index,
+    src: np.ndarray,
+    cols: np.ndarray,
+    k: int,
+    eligible: Callable[[slice], np.ndarray] | None = None,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per source doc in ``src``, with its own tokens as the query: what
+    :func:`top_k` returns for the doc indices ``cols``. For the sources at
+    positions ``at`` of ``src``, ``eligible(at)`` (bool, sources x cols)
+    narrows the columns.
+
+    Sources are scored ``_BLOCK_ROWS`` at a time, so memory stays
+    O(_BLOCK_ROWS x n_docs)."""
+    out: list[tuple[np.ndarray, np.ndarray]] = []
+    for s in range(0, len(src), _BLOCK_ROWS):
+        at = slice(s, s + _BLOCK_ROWS)
+        ok = True if eligible is None else eligible(at)
+        out += _select_top_k(index, cols, _score_rows(index, index._tf[src[at]])[:, cols], ok, k)
+    return out
+
+
 def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> list[ScoredPair]:
-    """Top-k most BM25-similar cases to ``doc_id`` (self excluded), by :func:`top_k`."""
+    """Top-k most BM25-similar cases to ``doc_id`` (self excluded), as
+    :func:`_block_top_k` selects them for one row."""
     if k < 1:
         raise ValueError("k must be >= 1")
     src = index.doc_index(doc_id)
+    cols = np.arange(index.n_docs)
     scores = score_all(index, store.cases[src].tokens)
-    others = np.delete(np.arange(index.n_docs), src)
-    rows, top = top_k(index, others, scores[others], k)
+    [(rows, top)] = _select_top_k(index, cols, scores[None, :], cols[None, :] != src, k)
     return [ScoredPair(doc_id, index.doc_ids[i], s) for i, s in zip(rows.tolist(), top.tolist())]
 
 

@@ -23,7 +23,7 @@ from .errors import (
     ParseError,
 )
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile(r"[^\W_]+")  # runs of Unicode letters and digits
 
 _MONTHS = (
     "january february march april may june july august september october november december"
@@ -99,8 +99,8 @@ class CorpusStore:
 
 
 def tokenize(text: str) -> list[str]:
-    """Lowercase and split on runs of non-alphanumeric characters."""
-    return _TOKEN_RE.findall(text.lower())
+    """Casefold and split on runs of characters that are not Unicode letters or digits."""
+    return _TOKEN_RE.findall(text.casefold())
 
 
 def extract_latest_year(text: str) -> int | None:

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .binfile import pack, pack_json, read_container
-from .bm25 import Bm25Index, topk_similar
+from .bm25 import Bm25Index, _block_top_k
 from .corpus import CorpusStore, Role, tokenize
 from .embeddings import EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
@@ -56,14 +56,13 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     if k < 1:
         raise ValueError("k must be >= 1")
     n = store.n_cases
-    rows: list[int] = []
-    cols: list[int] = []
-    for case in store.cases:
-        i = index.doc_index(case.id)
-        for pair in topk_similar(index, store, case.id, k):
-            j = index.doc_index(pair.target_id)
-            rows.extend((i, j))
-            cols.extend((j, i))
+    src = np.array([index.doc_index(case.id) for case in store.cases], dtype=np.int64)
+    every = np.arange(index.n_docs)
+    tops = _block_top_k(index, src, every, k, lambda at: every != src[at, None])
+    sources = np.repeat(src, [len(top) for top, _ in tops])
+    targets = np.concatenate([np.zeros(0, np.int64), *(top for top, _ in tops)])
+    rows = np.concatenate((sources, targets))
+    cols = np.concatenate((targets, sources))
     data = np.ones(len(rows), dtype=np.int8)
     adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
     adj.data[:] = 1  # OR-union of duplicate entries

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, score_all, top_k
+from .bm25 import Bm25Index, _block_top_k, top_k
 from .corpus import CaseDocument, CorpusStore
 from .embeddings import unit_rows
 from .errors import DimensionError, MissingEmbeddingError
@@ -51,15 +51,52 @@ class RetrievalRun:
         return {r.query_id: r.final_ids for r in self.results}
 
 
-def _lexical_stage(store: CorpusStore, index: Bm25Index, query_id: str, size: int):
-    """Look up the query, apply the year filter and take the BM25 top-``size``
-    eligible rows: returns (query, eligible ids, top rows, their scores)."""
-    query = store.cases[index.doc_index(query_id)]
-    eligible = year_filter(query, list(store.candidates()))
-    rows = np.array([index.doc_index(c.id) for c in eligible], dtype=np.int64)
-    scores = score_all(index, query.tokens)
-    top, top_scores = top_k(index, rows, scores[rows], size)
-    return query, tuple(c.id for c in eligible), top, top_scores
+def _lexical_stage(
+    store: CorpusStore, index: Bm25Index, query_ids: list[str] | tuple[str, ...], size: int
+) -> list[tuple]:
+    """Per query: look it up, apply the year filter and take the BM25
+    top-``size`` eligible candidates. Returns (query, eligible ids, top rows,
+    their scores) per query; the candidate arrays are built once per call."""
+    queries = [store.cases[index.doc_index(qid)] for qid in query_ids]
+    candidates = store.candidates()
+    cand_ids = np.array([c.id for c in candidates], dtype=object)
+    cand_rows = np.array([index.doc_index(c.id) for c in candidates], dtype=np.int64)
+    # As in year_filter: an undated candidate is always older, and an
+    # undated query is newer than every candidate.
+    cand_years = np.array([-np.inf if c.year is None else c.year for c in candidates])
+    query_years = np.array([np.inf if q.year is None else q.year for q in queries])
+    src = np.array([index.doc_index(q.id) for q in queries], dtype=np.int64)
+    tops = _block_top_k(
+        index, src, cand_rows, size, lambda at: cand_years < query_years[at, None]
+    )
+    return [
+        (query, tuple(cand_ids[cand_years < year]), rows, scores)
+        for query, year, (rows, scores) in zip(queries, query_years, tops)
+    ]
+
+
+def _dense_stage(
+    index: Bm25Index, representations: dict[str, np.ndarray], lexical: tuple, final_size: int
+) -> RankResult:
+    """Re-rank one query's lexical top rows by cosine on the representations."""
+    query, eligible_ids, pre_rows, pre_scores = lexical
+    if query.id not in representations:
+        raise MissingEmbeddingError(f"no representation for query {query.id!r}")
+    pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
+    for cid in pre_ids:
+        if cid not in representations:
+            raise MissingEmbeddingError(f"no representation for candidate {cid!r}")
+    unit, _ = unit_rows(np.array([representations[i] for i in (query.id, *pre_ids)]))
+    dense = unit[1:] @ unit[0]
+    final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
+    return RankResult(
+        query_id=query.id,
+        eligible_ids=eligible_ids,
+        prefilter_ids=pre_ids,
+        final_ids=tuple(index.doc_ids[i] for i in final_rows),
+        prefilter_scores=tuple(pre_scores.tolist()),
+        final_scores=tuple(final_scores.tolist()),
+    )
 
 
 def two_stage_rank(
@@ -73,28 +110,10 @@ def two_stage_rank(
     """Rank candidates for one query: year filter, lexical top-``prefilter_size``,
     then cosine top-``final_size`` on the learned representations.
 
-    Both stages rank with ``bm25.top_k``: ties break toward the smaller id.
+    Both stages rank as ``bm25.top_k`` does: ties break toward the smaller id.
     """
-    query, eligible_ids, pre_rows, pre_scores = _lexical_stage(
-        store, index, query_id, prefilter_size
-    )
-    if query.id not in representations:
-        raise MissingEmbeddingError(f"no representation for query {query.id!r}")
-    pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
-    for cid in pre_ids:
-        if cid not in representations:
-            raise MissingEmbeddingError(f"no representation for candidate {cid!r}")
-    unit, _ = unit_rows(np.array([representations[i] for i in (query.id, *pre_ids)]))
-    dense = unit[1:] @ unit[0]
-    final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
-    return RankResult(
-        query_id=query_id,
-        eligible_ids=eligible_ids,
-        prefilter_ids=pre_ids,
-        final_ids=tuple(index.doc_ids[i] for i in final_rows),
-        prefilter_scores=tuple(pre_scores.tolist()),
-        final_scores=tuple(final_scores.tolist()),
-    )
+    run = rank_all(store, index, representations, [query_id], prefilter_size, final_size)
+    return run.results[0]
 
 
 def bm25_baseline_rank(
@@ -105,7 +124,7 @@ def bm25_baseline_rank(
 ) -> RankResult:
     """Lexical-only baseline: the lexical stage of :func:`two_stage_rank`, cut
     to ``final_size``."""
-    _, eligible_ids, rows, scores = _lexical_stage(store, index, query_id, final_size)
+    _, eligible_ids, rows, scores = _lexical_stage(store, index, [query_id], final_size)[0]
     ids = tuple(index.doc_ids[i] for i in rows)
     return RankResult(
         query_id=query_id,
@@ -125,13 +144,14 @@ def rank_all(
     prefilter_size: int = PREFILTER_SIZE,
     final_size: int = FINAL_SIZE,
 ) -> RetrievalRun:
+    """:func:`two_stage_rank` for every query in ``query_ids`` (default: all),
+    with the lexical stage scored for all of them at once."""
     if query_ids is None:
         query_ids = [q.id for q in store.queries()]
-    results = tuple(
-        two_stage_rank(store, index, representations, qid, prefilter_size, final_size)
-        for qid in query_ids
+    lexical = _lexical_stage(store, index, query_ids, prefilter_size)
+    return RetrievalRun(
+        results=tuple(_dense_stage(index, representations, lex, final_size) for lex in lexical)
     )
-    return RetrievalRun(results=results)
 
 
 @dataclass(frozen=True)

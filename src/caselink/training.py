@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, build_index, score_all, top_k
+from .bm25 import Bm25Index, _block_top_k, build_index
 from .corpus import CorpusStore, Role
 from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
@@ -130,10 +130,9 @@ def hard_negative_pools(
     cand_rows = np.array(
         [i for i, c in enumerate(store.cases) if c.role is Role.CANDIDATE], dtype=np.int64
     )
+    src = np.array([index.doc_index(qid) for qid in labels], dtype=np.int64)
     pools: dict[str, tuple[str, ...]] = {}
-    for qid in labels:
-        scores = score_all(index, store.cases[index.doc_index(qid)].tokens)
-        top, _ = top_k(index, cand_rows, scores[cand_rows], pool_size)
+    for qid, (top, _) in zip(labels, _block_top_k(index, src, cand_rows, pool_size)):
         positives = set(labels[qid])
         pools[qid] = tuple(index.doc_ids[i] for i in top if index.doc_ids[i] not in positives)
     return pools

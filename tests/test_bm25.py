@@ -1,12 +1,15 @@
 """Lexical index: scoring formula, top-k neighbours, and the binary cache."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from caselink import bm25
 from caselink.bm25 import (
     Bm25Index,
+    _block_top_k,
     bm25_score,
     build_index,
     load_index,
@@ -15,9 +18,10 @@ from caselink.bm25 import (
     top_k,
     topk_similar,
 )
+from caselink.corpus import CorpusStore
 from caselink.errors import EmptyCorpusError
 
-from conftest import make_store, random_store
+from conftest import make_case, make_store, random_store
 
 
 def naive_bm25(docs, query, j, k1=1.2, b=0.75):
@@ -220,6 +224,71 @@ class TestTopK:
     def test_empty_rows(self):
         top, top_scores = top_k(self._index(), np.array([], dtype=np.int64), np.array([]), 5)
         assert top.shape == (0,) and top_scores.shape == (0,)
+
+
+class TestBlockTopK:
+    """``_block_top_k`` scores sources in blocks of ``_BLOCK_ROWS`` rows; the
+    block sizes below do not divide the corpus sizes."""
+
+    @staticmethod
+    def _store(rng, n_docs, vocab_size, max_len):
+        """A random corpus plus one empty document, with ids not in corpus order."""
+        cases = random_store(rng, n_docs, vocab_size, max_len).cases + (make_case("x", ""),)
+        ids = rng.permutation(len(cases))
+        return CorpusStore(cases=tuple(replace(c, id=f"d{i:02d}") for c, i in zip(cases, ids)))
+
+    @staticmethod
+    def _others(index, k):
+        """Every doc as a source, ranking every other doc."""
+        every = np.arange(index.n_docs)
+        return _block_top_k(index, every, every, k, lambda at: every != every[at, None])
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    def test_scores_match_naive_reference(self, monkeypatch, block):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(59)
+        for _ in range(10):
+            store = self._store(rng, int(rng.integers(2, 21)), vocab_size=6, max_len=12)
+            index = build_index(store)
+            docs = [list(c.tokens) for c in store.cases]
+            for s, (rows, scores) in enumerate(self._others(index, index.n_docs)):
+                assert sorted(rows.tolist()) == [j for j in range(index.n_docs) if j != s]
+                for j, got in zip(rows, scores):
+                    assert got == pytest.approx(naive_bm25(docs, docs[s], j), abs=1e-9)
+
+    def test_score_all_matches_naive_reference(self):
+        rng = np.random.default_rng(61)
+        for _ in range(10):
+            store = self._store(rng, int(rng.integers(2, 21)), vocab_size=6, max_len=12)
+            index = build_index(store)
+            docs = [list(c.tokens) for c in store.cases]
+            for s in range(len(docs)):
+                # repeated terms, and terms no document contains
+                query = docs[s] + docs[s][:2] + ["unseen", "w99"]
+                got = score_all(index, query)
+                for j in range(len(docs)):
+                    assert got[j] == pytest.approx(naive_bm25(docs, query, j), abs=1e-9)
+
+    @pytest.mark.parametrize("block", [1, 3, 7])
+    def test_equals_top_k_over_the_full_row(self, monkeypatch, block):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(67)
+        straddling = 0
+        for _ in range(10):
+            # a tiny vocabulary makes exact ties common
+            store = self._store(rng, int(rng.integers(8, 20)), vocab_size=3, max_len=3)
+            index = build_index(store)
+            every = np.arange(index.n_docs)
+            for k in (1, 2, 4, index.n_docs):
+                for s, (rows, scores) in enumerate(self._others(index, k)):
+                    others = np.delete(every, s)
+                    row = score_all(index, store.cases[s].tokens)[others]
+                    want_rows, want_scores = top_k(index, others, row, k)
+                    np.testing.assert_array_equal(rows, want_rows)
+                    np.testing.assert_array_equal(scores, want_scores)
+                    ranked = np.sort(row)[::-1]
+                    straddling += k < len(ranked) and ranked[k - 1] == ranked[k]
+        assert straddling > 0  # ties crossed the cut, so the tie-break was exercised
 
 
 class TestBinaryCache:

@@ -36,6 +36,11 @@ class TestTokenize:
     def test_citation_style_text(self):
         assert tokenize("R. v. Smith 2010 FC 123") == ["r", "v", "smith", "2010", "fc", "123"]
 
+    def test_unicode_letters_stay_in_one_token(self):
+        assert tokenize("Körperverletzung") == ["körperverletzung"]
+        assert tokenize("盗窃罪") == ["盗窃罪"]
+        assert tokenize("STRAẞE, Straße") == ["strasse", "strasse"]  # casefolded
+
     def test_mixed_separators(self):
         assert tokenize("a-b_c  d\te\nf") == ["a", "b", "c", "d", "e", "f"]
 

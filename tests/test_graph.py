@@ -162,6 +162,13 @@ class TestCaseChargeEdges:
         expected = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
         np.testing.assert_array_equal(adj.toarray(), expected)
 
+    def test_charge_named_only_in_cjk_links(self):
+        store = make_store(
+            [("d1", "被告人 犯 盗窃罪 判处 有期徒刑"), ("d2", "a theft trial")],
+            charges=[("c1", "盗窃罪")],
+        )
+        np.testing.assert_array_equal(build_case_charge_edges(store).toarray(), [[1, 0]])
+
     def test_shape_is_charges_by_cases(self):
         store = make_store(
             [("d1", "x"), ("d2", "y")], charges=[("c1", "a"), ("c2", "b"), ("c3", "c")]

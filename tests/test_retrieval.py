@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from caselink.bm25 import build_index
+from caselink import bm25
+from caselink.bm25 import build_index, score_all, top_k
 from caselink.corpus import Role
 from caselink.errors import DimensionError, MissingEmbeddingError, NumericalError
 from caselink.retrieval import (
@@ -249,6 +250,42 @@ class TestRankAll:
         assert set(run.retrieved()) == {"q1", "q2"}
         for ids in run.retrieved().values():
             assert len(ids) == len(set(ids)) <= 2
+
+
+class TestLexicalYearFilter:
+    @pytest.mark.parametrize("block", [1, 256])
+    def test_eligible_ids_equal_year_filter(self, monkeypatch, block):
+        # queries in one rank_all call, scored in one block or one per block
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        store = make_store(
+            [
+                ("q_2010", "alpha beta decided March 1, 2010", Role.QUERY),
+                ("c_2001", "alpha beta decided March 1, 2001"),
+                ("c_2015", "alpha decided March 1, 2015"),
+                ("q_undated", "alpha gamma", Role.QUERY),
+                ("c_2010", "beta decided March 1, 2010"),
+                ("c_undated", "alpha beta gamma"),
+                ("q_2005", "gamma decided March 1, 2005", Role.QUERY),
+            ]
+        )
+        index = build_index(store)
+        rng = np.random.default_rng(5)
+        reps = {c.id: rng.standard_normal(4) for c in store.cases}
+        by_id = {c.id: c for c in store.cases}
+        run = rank_all(store, index, reps, prefilter_size=3, final_size=2)
+        baseline = [bm25_baseline_rank(store, index, q.id, 3) for q in store.queries()]
+        for result in (*run.results, *baseline):
+            kept = year_filter(by_id[result.query_id], store.candidates())
+            assert result.eligible_ids == tuple(c.id for c in kept)
+            rows = np.array([index.doc_index(c.id) for c in kept], dtype=np.int64)
+            scores = score_all(index, by_id[result.query_id].tokens)[rows]
+            top, _ = top_k(index, rows, scores, 3)
+            assert result.prefilter_ids == tuple(index.doc_ids[i] for i in top)
+        assert [r.eligible_ids for r in run.results] == [
+            ("c_2001", "c_undated"),
+            ("c_2001", "c_2015", "c_2010", "c_undated"),
+            ("c_2001", "c_undated"),
+        ]
 
 
 class TestEvaluateRuns:
