@@ -27,7 +27,6 @@ from .embeddings import (
     ProviderConfig,
     RemoteEmbeddingProvider,
     check_coverage,
-    l2_normalize,
     load_embedding_file,
     normalize_table,
     read_binary_embeddings,
@@ -111,7 +110,7 @@ __all__ = [
     "topk_similar",
     # embeddings
     "EmbeddingTable", "ProviderConfig", "RemoteEmbeddingProvider",
-    "load_embedding_file", "normalize_table", "check_coverage", "l2_normalize",
+    "load_embedding_file", "normalize_table", "check_coverage",
     "read_binary_embeddings", "write_binary_embeddings",
     # graph
     "GlobalCaseGraph", "assemble_gcg", "build_case_case_edges",

@@ -66,9 +66,9 @@ class Bm25Index:
         df = np.array([len(idx) for idx, _ in posts], dtype=np.int64)
         docs = np.concatenate([np.zeros(0, np.int64), *(idx for idx, _ in posts)])
         tf = np.concatenate([np.zeros(0), *(tf for _, tf in posts)])
-        self._idf = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
+        idf = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
         norm = self.k1 * (1.0 - self.b + self.b * self.doc_len[docs] / self.avgdl)
-        weight = np.repeat(self._idf, df) * tf * (self.k1 + 1.0) / (tf + norm)
+        weight = np.repeat(idf, df) * tf * (self.k1 + 1.0) / (tf + norm)
         # Term t's postings are row t of a terms x docs CSR: that is W.T, and
         # the transpose of the counts gives the docs x terms term-count rows.
         indptr = np.concatenate(([0], np.cumsum(df)))
@@ -85,10 +85,6 @@ class Bm25Index:
             return self._id_to_idx[doc_id]
         except KeyError:
             raise IndexError(f"unknown document id {doc_id!r}") from None
-
-    def idf(self, term: str) -> float:
-        col = self._term_cols(np.array([term], dtype=str))
-        return float(self._idf[col[0]]) if len(col) else 0.0
 
     def _term_cols(self, tokens: np.ndarray) -> np.ndarray:
         """Vocabulary columns of the tokens that are in the vocabulary."""

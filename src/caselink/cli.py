@@ -45,13 +45,14 @@ from .embeddings import (
     load_embedding_file,
     normalize_table,
     read_binary_embeddings,
-    truncate_text,
     write_binary_embeddings,
 )
 from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import GlobalCaseGraph, build_global_case_graph, load_graph, save_graph
 from .retrieval import (
+    FINAL_SIZE,
+    PREFILTER_SIZE,
     EvalReport,
     RetrievalRun,
     evaluate_runs,
@@ -225,31 +226,54 @@ def _bm25_params(args, cfg) -> tuple[float, float]:
 
 def _rank_sizes(args, cfg) -> tuple[int, int]:
     """``(prefilter_size, final_size)`` of the two-stage ranker."""
-    return (int(_opt(args, cfg, "prefilter_size", default=10)),
-            int(_opt(args, cfg, "final_size", default=5)))
+    return (int(_opt(args, cfg, "prefilter_size", default=PREFILTER_SIZE)),
+            int(_opt(args, cfg, "final_size", default=FINAL_SIZE)))
 
 
-def resolve_training_config(args, cfg: dict) -> TrainingConfig:
-    """Merge training settings: flags > config file > dataclass defaults."""
+# Config-section keys accepted for a field name, and the flag spelling of a
+# field where it is not the field name.
+_SECTION_ALIASES = {"lambda": "lam", "K_edges": "k_edges"}
+_FIELD_FLAGS = {"lam": "lambda"}
+_FIELD_HELP = {
+    "lam": "degree-regularization coefficient",
+    "tau": "InfoNCE temperature",
+    "k_edges": "BM25 neighbors per case for graph edges",
+    "delta": "charge-charge cosine threshold",
+}
+
+
+def _field_kind(f: dataclasses.Field) -> type:
+    """The type of a flag or config value for field ``f``: float for a ``float``
+    field, int for every other."""
+    return float if f.type == "float" else int
+
+
+def resolve_section(args, cfg: dict, section: str, cls):
+    """Build the dataclass ``cls`` from config ``section``: flag > config >
+    dataclass default. An unknown key or an invalid value is a ParseError."""
+    values = cfg.get(section, {})
+    if not isinstance(values, dict):
+        raise ParseError(f"config key {section!r} must be an object")
+    fields = {f.name: f for f in dataclasses.fields(cls)}
     merged: dict = {}
-    section = cfg.get("training", {})
-    if not isinstance(section, dict):
-        raise ParseError("config key 'training' must be an object")
-    aliases = {"lambda": "lam", "K_edges": "k_edges"}
-    valid = {f.name for f in dataclasses.fields(TrainingConfig)}
-    for key, value in section.items():
-        name = aliases.get(key, key)
-        if name not in valid:
-            raise ParseError(f"unknown training config key {key!r}")
+    for key, value in values.items():
+        name = _SECTION_ALIASES.get(key, key)
+        if name not in fields:
+            raise ParseError(f"unknown {section} config key {key!r}")
+        kind = _field_kind(fields[name])
+        typed = isinstance(value, (int, float) if kind is float else int)
+        nullable = value is None and "None" in fields[name].type
+        if isinstance(value, bool) or not (typed or nullable):
+            raise ParseError(f"{section} config key {key!r} must be {kind.__name__}, not {value!r}")
         merged[name] = value
-    for name in valid:
+    for name in fields:
         v = getattr(args, name, None)
         if v is not None:
             merged[name] = v
     try:
-        return TrainingConfig(**merged)
+        return cls(**merged)
     except ValueError as exc:
-        raise ParseError(f"invalid training config: {exc}") from exc
+        raise ParseError(f"invalid {section} config: {exc}") from exc
 
 
 def _cache_dir() -> Path | None:
@@ -329,10 +353,7 @@ def _source_table(args, cfg, store: CorpusStore, manifest: StageManifest) -> Emb
         truncation_tokens=int(_opt(args, cfg, "truncation_tokens", default=4096)),
         max_in_flight=int(_opt(args, cfg, "threads", default=4, flag="threads") or 4),
     )
-    items = [
-        (case.id, truncate_text(case.text, provider_cfg.truncation_tokens))
-        for case in store.cases
-    ]
+    items = [(case.id, case.text) for case in store.cases]
     items += [(charge.id, charge.name) for charge in store.charges]
     return normalize_table(RemoteEmbeddingProvider(provider_cfg).fetch_many(items))
 
@@ -510,7 +531,7 @@ def cmd_graph(args, cfg: dict) -> None:
     store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
-    training = resolve_training_config(args, cfg)
+    training = resolve_section(args, cfg, "training", TrainingConfig)
     manifest = StageManifest(
         out, "graph", args.config,
         {
@@ -533,7 +554,7 @@ def cmd_train(args, cfg: dict) -> None:
     store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
-    training = resolve_training_config(args, cfg)
+    training = resolve_section(args, cfg, "training", TrainingConfig)
     manifest = StageManifest(
         out, "train", args.config,
         {
@@ -557,7 +578,7 @@ def cmd_rank(args, cfg: dict) -> None:
     store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
     store, lex_path = _attach_lexicon(args, cfg, store)
     out = _out_dir(args, cfg)
-    training = resolve_training_config(args, cfg)
+    training = resolve_section(args, cfg, "training", TrainingConfig)
     ckpt_path = _require_path(args, cfg, "checkpoint")
     prefilter_size, final_size = _rank_sizes(args, cfg)
     manifest = StageManifest(
@@ -602,7 +623,7 @@ def cmd_pipeline(args, cfg: dict) -> None:
     out = _out_dir(args, cfg)
     store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
     store, lex_path = _attach_lexicon(args, cfg, store)
-    training = resolve_training_config(args, cfg)
+    training = resolve_section(args, cfg, "training", TrainingConfig)
     k1, b = _bm25_params(args, cfg)
     prefilter_size, final_size = _rank_sizes(args, cfg)
     manifest = StageManifest(
@@ -635,20 +656,8 @@ def cmd_pipeline(args, cfg: dict) -> None:
 
 
 def cmd_synth(args, cfg: dict) -> None:
+    spec = resolve_section(args, cfg, "synth", SyntheticSpec)
     out = _out_dir(args, cfg)
-    section = cfg.get("synth", {})
-    spec_kwargs = {}
-    for f in dataclasses.fields(SyntheticSpec):
-        v = getattr(args, f.name, None)
-        if v is None:
-            v = section.get(f.name)
-        if v is not None:
-            spec_kwargs[f.name] = v
-    try:
-        spec = SyntheticSpec(**spec_kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
     manifest = StageManifest(
         out, "synth", args.config, {"synth": dataclasses.asdict(spec)}
     )
@@ -679,7 +688,7 @@ def cmd_synth(args, cfg: dict) -> None:
 
 def _add_io_flags(p: argparse.ArgumentParser, *names: str) -> None:
     flags = {
-        "corpus": "path to corpus JSONL file or directory of .txt files",
+        "corpus": "path to corpus JSONL file or directory of text files",
         "labels": "path to labels JSON (query id -> relevant candidate ids)",
         "lexicon": "path to charge lexicon (one name per line, or JSONL)",
         "embeddings": "path to embeddings (JSONL or EMB1 binary)",
@@ -690,26 +699,13 @@ def _add_io_flags(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(f"--{name}", default=None, help=flags[name])
 
 
-def _add_training_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--layers", type=int, default=None)
-    p.add_argument("--hidden-dim", dest="hidden_dim", type=int, default=None)
-    p.add_argument("--dropout", type=float, default=None)
-    p.add_argument("--lr", type=float, default=None)
-    p.add_argument("--weight-decay", dest="weight_decay", type=float, default=None)
-    p.add_argument("--n-easy-neg", dest="n_easy_neg", type=int, default=None)
-    p.add_argument("--n-hard-neg", dest="n_hard_neg", type=int, default=None)
-    p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="degree-regularization coefficient")
-    p.add_argument("--tau", type=float, default=None, help="InfoNCE temperature")
-    p.add_argument("--k-edges", dest="k_edges", type=int, default=None,
-                   help="BM25 neighbors per case for graph edges")
-    p.add_argument("--delta", type=float, default=None,
-                   help="charge-charge cosine threshold")
-    p.add_argument("--hard-neg-pool-size", dest="hard_neg_pool_size", type=int,
-                   default=None)
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
+    """One flag per field of the dataclass ``cls``: ``--batch-size`` sets
+    ``batch_size``, parsed as the field's ``_field_kind``."""
+    for f in dataclasses.fields(cls):
+        flag = "--" + _FIELD_FLAGS.get(f.name, f.name).replace("_", "-")
+        p.add_argument(flag, dest=f.name, type=_field_kind(f), default=None,
+                       help=_FIELD_HELP.get(f.name))
 
 
 def _add_bm25_flags(p: argparse.ArgumentParser) -> None:
@@ -756,7 +752,7 @@ def build_parser() -> _Parser:
     _add_io_flags(p, "corpus", "labels", "lexicon", "embeddings")
     p.add_argument("--dim", type=int, default=None)
     _add_bm25_flags(p)
-    _add_training_flags(p)
+    _add_field_flags(p, TrainingConfig)
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("train", parents=[common], help="train the graph encoder")
@@ -765,7 +761,7 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", dest="graph_file", default=None,
                    help="pre-built graph file (skips graph assembly)")
     _add_bm25_flags(p)
-    _add_training_flags(p)
+    _add_field_flags(p, TrainingConfig)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("rank", parents=[common], help="rank candidates per query")
@@ -773,7 +769,7 @@ def build_parser() -> _Parser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--graph", dest="graph_file", default=None)
     _add_bm25_flags(p)
-    _add_training_flags(p)
+    _add_field_flags(p, TrainingConfig)
     _add_rank_flags(p)
     p.set_defaults(func=cmd_rank)
 
@@ -789,16 +785,13 @@ def build_parser() -> _Parser:
     p.add_argument("--truncation-tokens", dest="truncation_tokens", type=int,
                    default=None)
     _add_bm25_flags(p)
-    _add_training_flags(p)
+    _add_field_flags(p, TrainingConfig)
     _add_rank_flags(p)
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("synth", parents=[common],
                        help="generate a planted-cluster synthetic dataset")
-    for f in dataclasses.fields(SyntheticSpec):
-        flag = "--" + f.name.replace("_", "-")
-        kind = float if f.type == "float" else int
-        p.add_argument(flag, dest=f.name, type=kind, default=None)
+    _add_field_flags(p, SyntheticSpec)
     p.set_defaults(func=cmd_synth)
 
     return parser

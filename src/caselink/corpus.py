@@ -217,8 +217,9 @@ def ingest_corpus(
 
 
 def normalize_charge_name(name: str) -> str:
-    """Lowercase and collapse internal whitespace; used for matching and dedup."""
-    return " ".join(name.lower().split())
+    """The name's tokens joined by single spaces: the one key on which charge
+    names are deduplicated and matched against case text."""
+    return " ".join(tokenize(name))
 
 
 def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
@@ -245,9 +246,9 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
                 cid = f"charge_{len(entries)}"
                 name = line
             name = " ".join(name.split())
-            if not name:
-                raise ParseError("empty charge name", line_number=i)
             key = normalize_charge_name(name)
+            if not key:
+                raise ParseError(f"charge name {name!r} has no letters or digits", line_number=i)
             if key in seen:
                 raise IngestError(f"duplicate charge name {name!r}")
             seen.add(key)

@@ -10,7 +10,6 @@ Remote protocol: POST {"id": str, "text": str} -> {"vector": [float, ...]}.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import threading
 import time
@@ -32,7 +31,6 @@ _MAGIC = b"EMB1"
 class ProviderConfig:
     endpoint: str
     truncation_tokens: int = 4096
-    normalize: bool = True
     max_retries: int = 3
     retry_base_delay: float = 0.1
     max_in_flight: int = 4
@@ -66,15 +64,6 @@ class EmbeddingTable:
         if missing:
             raise MissingEmbeddingError(f"missing embeddings for ids: {missing[:10]}")
         return np.stack([self.vectors[i] for i in ids]).astype(np.float64)
-
-
-def l2_normalize(v: np.ndarray) -> np.ndarray:
-    """Return v / ||v||_2; raises ValueError on a zero vector."""
-    v = np.asarray(v, dtype=np.float64)
-    norm = float(np.linalg.norm(v))
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
-    return v / norm
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,10 +147,16 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
 
 
 def normalize_table(table: EmbeddingTable) -> EmbeddingTable:
-    return EmbeddingTable(
-        dim=table.dim,
-        vectors={k: l2_normalize(v) for k, v in table.vectors.items()},
-    )
+    """Scale every vector to unit L2 norm. A zero vector has no direction, so it
+    is a data error (IngestError) that names its id."""
+    ids = list(table.vectors)
+    rows = np.array([table.vectors[i] for i in ids], dtype=np.float64).reshape(-1, table.dim)
+    try:
+        unit, _ = unit_rows(rows)
+    except NumericalError:
+        zero = ids[int(np.flatnonzero(np.linalg.norm(rows, axis=1) == 0.0)[0])]
+        raise IngestError(f"cannot normalize the zero vector of id {zero!r}") from None
+    return EmbeddingTable(dim=table.dim, vectors=dict(zip(ids, unit)))
 
 
 def check_coverage(table: EmbeddingTable, store: CorpusStore) -> None:
@@ -191,11 +186,12 @@ def _http_post_json(endpoint: str, payload: dict, timeout: float = 30.0) -> dict
 
 
 class RemoteEmbeddingProvider:
-    """Fetches embeddings over HTTP with retries, caching, and a dim check.
+    """Fetches embeddings over HTTP with retries and a dim check.
 
-    Responses are cached in memory by (id, sha256 of the truncated text), so a
-    repeated fetch makes no network call. The first response fixes the
-    provider dimension; any later mismatch raises DimensionError.
+    Each text is truncated to ``truncation_tokens`` before it is sent. Every
+    response passes the same finite and dim checks as a file vector; the first
+    response fixes the provider dimension, so a later mismatch raises
+    DimensionError. Vectors come back as the endpoint sent them.
     """
 
     def __init__(
@@ -205,7 +201,6 @@ class RemoteEmbeddingProvider:
     ):
         self.config = config
         self._transport = transport or _http_post_json
-        self._cache: dict[tuple[str, str], np.ndarray] = {}
         self._dim: int | None = None
         self._lock = threading.Lock()
 
@@ -216,14 +211,7 @@ class RemoteEmbeddingProvider:
     def fetch(self, node_id: str, text: str) -> np.ndarray:
         if not text:
             raise ValueError("text must be non-empty")
-        sent = truncate_text(text, self.config.truncation_tokens)
-        key = (node_id, hashlib.sha256(sent.encode("utf-8")).hexdigest())
-        with self._lock:
-            cached = self._cache.get(key)
-        if cached is not None:
-            return cached.copy()
-
-        payload = {"id": node_id, "text": sent}
+        payload = {"id": node_id, "text": truncate_text(text, self.config.truncation_tokens)}
         last_exc: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             try:
@@ -241,19 +229,9 @@ class RemoteEmbeddingProvider:
             raise ProviderError(str(last_exc))
 
         vec = np.asarray(body["vector"], dtype=np.float64)
-        if not np.all(np.isfinite(vec)):
-            raise ValueError(f"non-finite component in response for {node_id!r}")
         with self._lock:
-            if self._dim is None:
-                self._dim = len(vec)
-            elif len(vec) != self._dim:
-                raise DimensionError(
-                    f"provider returned dim {len(vec)}, previous responses had {self._dim}"
-                )
-            if self.config.normalize:
-                vec = l2_normalize(vec)
-            self._cache[key] = vec
-        return vec.copy()
+            self._dim = _validate_vector(node_id, vec, self._dim)
+        return vec
 
     def fetch_many(self, items: Iterable[tuple[str, str]]) -> EmbeddingTable:
         """Fetch embeddings for (id, text) pairs, at most max_in_flight concurrently."""

@@ -105,7 +105,6 @@ class LayerTrace:
 class ForwardTrace:
     layers: list[LayerTrace]
     structure: "_SelfLoopStructure"
-    train_mode: bool
     output: np.ndarray
 
 
@@ -271,9 +270,7 @@ def model_forward(
             att_mask,
         )
         traces.append(trace)
-    return h, ForwardTrace(
-        layers=traces, structure=structure, train_mode=train_mode, output=h
-    )
+    return h, ForwardTrace(layers=traces, structure=structure, output=h)
 
 
 def _check_trace(params: GatParams, trace: ForwardTrace) -> None:

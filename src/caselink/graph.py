@@ -17,7 +17,7 @@ import scipy.sparse as sp
 
 from .binfile import pack, pack_json, read_container
 from .bm25 import Bm25Index, _block_top_k
-from .corpus import CorpusStore, Role, tokenize
+from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
 
@@ -40,9 +40,6 @@ class GlobalCaseGraph:
     @property
     def dim(self) -> int:
         return self.features.shape[1]
-
-    def row_of(self, node_id: str) -> int:
-        return self.node_rows[node_id]
 
     def __post_init__(self):
         # read-only node id -> row map and candidate rows, built once with the graph
@@ -104,10 +101,10 @@ def build_case_charge_edges(store: CorpusStore) -> sp.csr_matrix:
     rows: list[int] = []
     cols: list[int] = []
     for i, charge in enumerate(store.charges):
-        tokens = tokenize(charge.name)
-        name = f" {' '.join(tokens)} "
+        key = normalize_charge_name(charge.name)
+        name = f" {key} "
         for j, text in enumerate(texts):
-            if tokens and name in text:
+            if key and name in text:
                 rows.append(i)
                 cols.append(j)
     data = np.ones(len(rows), dtype=np.int8)

@@ -159,7 +159,6 @@ class EvalReport:
     precision: float
     recall: float
     f1: float
-    n_queries: int
     n_retrieved: int
     n_relevant: int
     n_hits: int
@@ -209,7 +208,6 @@ def evaluate_runs(
         precision=precision,
         recall=recall,
         f1=f_measure(precision, recall),
-        n_queries=len(retrieved),
         n_retrieved=n_retrieved,
         n_relevant=n_relevant,
         n_hits=hits,

@@ -231,9 +231,8 @@ def infonce_loss(
     # pad with the entry's positive, so every cell names a row the batch uses
     own_rows = np.repeat(positives[:, None], own_mask.shape[1], axis=1)
     own_rows[own_mask] = np.concatenate(own)
-    # known positives outside row_of cannot be anyone's positive: they map to -1
     in_batch = np.array(
-        [~np.isin(positives, [row_of.get(k, -1) for k in e.known_positive_ids]) for e in entries]
+        [[p.positive_id not in e.known_positive_ids for p in entries] for e in entries]
     )
     np.fill_diagonal(in_batch, False)
     rows = np.hstack([own_rows, np.broadcast_to(positives, (n, n))])
@@ -364,16 +363,7 @@ class EpochLog:
     wall_ms: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "epoch": self.epoch,
-                "mean_loss": self.mean_loss,
-                "infonce": self.infonce,
-                "degreg": self.degreg,
-                "wall_ms": self.wall_ms,
-            },
-            sort_keys=True,
-        )
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass

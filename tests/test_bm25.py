@@ -104,10 +104,11 @@ class TestBm25Score:
         assert double == pytest.approx(2.0 * single, abs=1e-12)
 
     def test_idf_formula(self):
+        # d1 has average length and tf 1, so its score for "cat" is idf("cat")
         store = make_store([("d1", "cat sat"), ("d2", "dog ran")])
         index = build_index(store)
-        assert index.idf("cat") == pytest.approx(math.log(2.0), abs=1e-12)
-        assert index.idf("unseen") == 0.0
+        assert bm25_score(index, ["cat"], 0) == pytest.approx(math.log(2.0), abs=1e-12)
+        assert bm25_score(index, ["unseen"], 0) == 0.0
 
     def test_matches_naive_reference_on_random_corpora(self):
         rng = np.random.default_rng(17)

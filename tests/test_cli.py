@@ -73,6 +73,17 @@ class TestSynth:
         labels = json.loads((tmp_path / "data" / "labels.json").read_text())
         assert len(labels) == 4
 
+    def test_invalid_value_is_data_error(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-clusters", "11"]) == 2
+        assert "n_clusters" in capsys.readouterr().err
+
+    def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"synth": {"n_clustrs": 3}}))
+        assert main(["synth", "--config", str(cfg_path), "--out", str(tmp_path / "s")]) == 2
+        assert "'n_clustrs'" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_deterministic_given_seed(self, tmp_path):
         run_synth(tmp_path / "a", seed=7)
         run_synth(tmp_path / "b", seed=7)
@@ -283,7 +294,7 @@ class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, dataset):
         tmp_path, config_path = dataset
         cfg = json.loads(config_path.read_text())
-        cfg["training"] = {"epochs": 2, "lambda": 0.005, "K_edges": 3}
+        cfg["training"] = {"epochs": 2, "lambda": 0.005, "K_edges": 3, "hidden_dim": None}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
 
@@ -307,6 +318,7 @@ class TestConfigPrecedence:
         assert resolved["lam"] == 0.005  # via "lambda" alias
         assert resolved["k_edges"] == 3  # via "K_edges" alias
         assert resolved["dropout"] == 0.2  # untouched default
+        assert resolved["hidden_dim"] is None  # null accepted for an optional field
 
         out2 = tmp_path / "p2"
         assert (
@@ -334,6 +346,16 @@ class TestConfigPrecedence:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize("key, value", [("lr", "fast"), ("epochs", 2.5), ("seed", True)])
+    def test_mistyped_training_value_is_data_error(self, dataset, capsys, key, value):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        cfg["training"] = {key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert repr(key) in capsys.readouterr().err
 
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -382,6 +404,20 @@ class TestErrorPaths:
             )
             == 2
         )
+
+    def test_zero_embedding_is_data_error_naming_its_id(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        lines = Path(cfg["embeddings"]).read_text().splitlines()
+        record = json.loads(lines[3])
+        record["vector"] = [0.0] * len(record["vector"])
+        lines[3] = json.dumps(record)
+        zero = tmp_path / "zero.jsonl"
+        zero.write_text("\n".join(lines) + "\n")
+        code = main(["graph", "--config", str(config_path), "--embeddings", str(zero),
+                     "--out", str(tmp_path / "g")])
+        assert code == 2
+        assert repr(record["id"]) in capsys.readouterr().err
 
     def test_eval_with_unlabeled_run_query(self, tmp_path):
         run = tmp_path / "run.tsv"

@@ -241,6 +241,18 @@ class TestChargeLexicon:
         with pytest.raises(IngestError):
             load_charge_lexicon(p)
 
+    def test_names_with_the_same_tokens_are_duplicates(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text("Straße\nSTRASSE\n", encoding="utf-8")  # both tokenize to ["strasse"]
+        with pytest.raises(IngestError):
+            load_charge_lexicon(p)
+
+    def test_name_without_letters_or_digits_rejected(self, tmp_path):
+        p = tmp_path / "lex.jsonl"
+        p.write_text('{"id": "c1", "name": "fraud"}\n{"id": "c2", "name": " -- "}\n')
+        with pytest.raises(ParseError, match="line 2"):
+            load_charge_lexicon(p)
+
     def test_empty_lexicon_rejected(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("\n\n")
@@ -249,6 +261,7 @@ class TestChargeLexicon:
 
     def test_normalize_charge_name(self):
         assert normalize_charge_name("  Judicial   Review ") == "judicial review"
+        assert normalize_charge_name("Straße, STRASSE") == "strasse strasse"
 
     def test_attach_charges(self):
         store = make_store([("a", "text")])

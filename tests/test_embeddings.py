@@ -13,7 +13,6 @@ from caselink.embeddings import (
     ProviderConfig,
     RemoteEmbeddingProvider,
     check_coverage,
-    l2_normalize,
     load_embedding_file,
     normalize_table,
     read_binary_embeddings,
@@ -38,29 +37,38 @@ def write_jsonl_vectors(path, entries):
             fh.write(json.dumps({"id": node_id, "vector": vec}) + "\n")
 
 
+def normalized(vectors: dict) -> dict:
+    table = EmbeddingTable(dim=len(next(iter(vectors.values()))), vectors=vectors)
+    return normalize_table(table).vectors
+
+
 class TestL2Normalize:
+    """L2 normalization of a table's vectors, through ``normalize_table``."""
+
     def test_three_four_five_triangle(self):
         np.testing.assert_allclose(
-            l2_normalize(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15
+            normalized({"a": np.array([3.0, 4.0])})["a"], [0.6, 0.8], atol=1e-15
         )
 
     def test_unit_vector_unchanged(self):
         v = np.array([1.0, 0.0, 0.0])
-        np.testing.assert_array_equal(l2_normalize(v), v)
+        np.testing.assert_array_equal(normalized({"a": v})["a"], v)
 
     def test_zero_vector_rejected(self):
-        with pytest.raises(ValueError):
-            l2_normalize(np.zeros(3))
+        vectors = {"a": np.array([1.0, 2.0, 2.0]), "case 7": np.zeros(3)}
+        with pytest.raises(IngestError, match="'case 7'"):
+            normalized(vectors)
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
-            v = rng.standard_normal(int(rng.integers(1, 12)))
-            if np.linalg.norm(v) == 0.0:
-                continue
-            once = l2_normalize(v)
-            np.testing.assert_allclose(l2_normalize(once), once, atol=1e-12)
-            assert abs(np.linalg.norm(once) - 1.0) < 1e-12
+            dim = int(rng.integers(1, 12))
+            vectors = {f"v{i}": rng.standard_normal(dim) for i in range(4)}
+            once = normalized(vectors)
+            twice = normalized(once)
+            for node_id, vec in once.items():
+                np.testing.assert_allclose(twice[node_id], vec, atol=1e-12)
+                assert abs(np.linalg.norm(vec) - 1.0) < 1e-12
 
 
 class TestUnitRows:
@@ -237,45 +245,12 @@ def remote_config(**overrides):
 
 
 class TestRemoteProvider:
-    def test_fetch_returns_normalized_vector(self):
+    def test_fetch_returns_the_raw_response(self):
         def transport(endpoint, payload):
             return {"vector": [3.0, 4.0]}
 
         provider = RemoteEmbeddingProvider(remote_config(), transport=transport)
-        np.testing.assert_allclose(provider.fetch("a", "text"), [0.6, 0.8], atol=1e-12)
-
-    def test_normalization_can_be_disabled(self):
-        def transport(endpoint, payload):
-            return {"vector": [3.0, 4.0]}
-
-        provider = RemoteEmbeddingProvider(
-            remote_config(normalize=False), transport=transport
-        )
         np.testing.assert_array_equal(provider.fetch("a", "text"), [3.0, 4.0])
-
-    def test_second_fetch_served_from_cache(self):
-        calls = []
-
-        def transport(endpoint, payload):
-            calls.append(payload)
-            return {"vector": [1.0, 0.0]}
-
-        provider = RemoteEmbeddingProvider(remote_config(), transport=transport)
-        provider.fetch("a", "same text")
-        provider.fetch("a", "same text")
-        assert len(calls) == 1
-
-    def test_different_text_misses_cache(self):
-        calls = []
-
-        def transport(endpoint, payload):
-            calls.append(payload)
-            return {"vector": [1.0, 0.0]}
-
-        provider = RemoteEmbeddingProvider(remote_config(), transport=transport)
-        provider.fetch("a", "text one")
-        provider.fetch("a", "text two")
-        assert len(calls) == 2
 
     def test_request_body_contains_truncated_text(self):
         seen = []
@@ -382,10 +357,7 @@ class TestRemoteProviderOverHttp:
         thread.start()
         try:
             port = server.server_address[1]
-            config = ProviderConfig(
-                endpoint=f"http://127.0.0.1:{port}/embed",
-                normalize=False,
-            )
+            config = ProviderConfig(endpoint=f"http://127.0.0.1:{port}/embed")
             provider = RemoteEmbeddingProvider(config)
             vec = provider.fetch("case1", "hello")
             np.testing.assert_array_equal(vec, [5.0, 1.0, 2.0])

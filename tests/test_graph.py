@@ -341,7 +341,7 @@ class TestBuildGlobalCaseGraph:
         graph = build_global_case_graph(store, table, build_index(store), k=1, delta=0.9)
         for node_id in graph.node_ids:
             np.testing.assert_array_equal(
-                graph.features[graph.row_of(node_id)], table[node_id]
+                graph.features[graph.node_rows[node_id]], table[node_id]
             )
 
 
