@@ -55,6 +55,7 @@ from .retrieval import (
     PREFILTER_SIZE,
     EvalReport,
     RetrievalRun,
+    check_sizes,
     evaluate_runs,
     rank_all,
     read_run_tsv,
@@ -115,7 +116,8 @@ class StageManifest:
     """
 
     def __init__(self, out_dir: Path, command: str, config_path, config: dict):
-        self.path = Path(out_dir) / "manifest.json"
+        self.out = Path(out_dir)
+        self.path = self.out / "manifest.json"
         self.data = {
             "tool": "caselink",
             "version": __version__,
@@ -148,13 +150,14 @@ class StageManifest:
         )
 
     def write(self) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
+        self.out.mkdir(parents=True, exist_ok=True)
         _write_json(self.path, self.data)
 
     def commit(self, stage: str, writers: dict[Path, Callable[[Path], object]]) -> None:
         """Finish ``stage``: write each output through its writer to a ``.tmp``
         sibling, record the outputs and the stage timing, write the manifest,
         then rename the outputs into place."""
+        self.out.mkdir(parents=True, exist_ok=True)
         for path, write in writers.items():
             write(_tmp(path))
             self.add_output(path)
@@ -167,14 +170,91 @@ class StageManifest:
 # ---------------------------------------------------------------------------
 # config resolution: CLI flag > config file > built-in default
 
-# Config keys holding paths. A relative value is taken relative to the config
-# file's directory; the same path given as a flag is relative to the working
-# directory.
-_CONFIG_PATH_KEYS = ("corpus", "labels", "lexicon", "embeddings", "graph", "checkpoint",
-                     "run", "out_dir")
+
+@dataclasses.dataclass(frozen=True)
+class RunOptions:
+    """Every top-level option, each one config key and, on the subcommands that
+    read it, one flag (``out_dir`` is ``--out``). A ``Path`` field holds a path:
+    relative in a config file, it is taken relative to that file's directory;
+    as a flag, relative to the working directory. Ranking sizes outside
+    ``1 <= final_size <= prefilter_size`` are a ValueError."""
+
+    corpus: Path | None = None
+    labels: Path | None = None
+    lexicon: Path | None = None
+    embeddings: Path | None = None
+    graph: Path | None = None
+    checkpoint: Path | None = None
+    run: Path | None = None
+    out_dir: Path = Path("out")
+    k1: float = Bm25Index.k1
+    b: float = Bm25Index.b
+    prefilter_size: int = PREFILTER_SIZE
+    final_size: int = FINAL_SIZE
+    dim: int | None = None
+    endpoint: str | None = None
+    truncation_tokens: int = ProviderConfig.truncation_tokens
+    threads: int = ProviderConfig.max_in_flight
+
+    def __post_init__(self):
+        check_sizes(self.prefilter_size, self.final_size)
+
+
+_OPTION_FIELDS = {f.name: f for f in dataclasses.fields(RunOptions)}
+_PATH_OPTIONS = {name for name, f in _OPTION_FIELDS.items() if f.type.startswith("Path")}
+_SECTIONS = {"training": TrainingConfig, "synth": SyntheticSpec}
+
+# Config-section keys accepted for a field name, and the flag spelling of a
+# field where it is not the field name.
+_SECTION_ALIASES = {"lambda": "lam", "K_edges": "k_edges"}
+_FIELD_FLAGS = {"lam": "lambda", "out_dir": "out"}
+_FIELD_HELP = {
+    "corpus": "path to corpus JSONL file or directory of text files",
+    "labels": "path to labels JSON (query id -> relevant candidate ids)",
+    "lexicon": "path to charge lexicon (one name per line, or JSONL)",
+    "embeddings": "path to embeddings (JSONL or EMB1 binary)",
+    "graph": "pre-built graph file (skips graph assembly)",
+    "checkpoint": "path to a trained checkpoint (GATC)",
+    "run": "path to a run TSV file",
+    "out_dir": "output directory",
+    "k1": "BM25 term-frequency saturation",
+    "b": "BM25 length normalization",
+    "prefilter_size": "BM25 candidates kept for the dense re-rank",
+    "final_size": "candidates returned per query",
+    "dim": "expected embedding dim",
+    "endpoint": "remote embedding HTTP endpoint",
+    "truncation_tokens": "tokens of each text sent to the endpoint",
+    "threads": "cap on worker threads (remote embedding fetches)",
+    "lam": "degree-regularization coefficient",
+    "tau": "InfoNCE temperature",
+    "k_edges": "BM25 neighbors per case for graph edges",
+    "delta": "charge-charge cosine threshold",
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + _FIELD_FLAGS.get(name, name).replace("_", "-")
+
+
+def _field_kind(f: dataclasses.Field) -> type:
+    """The type of a flag or config value for field ``f``, from its annotation:
+    float, str (also for a ``Path``), or int for every other."""
+    kind = f.type.split(" | ")[0]
+    return float if kind == "float" else str if kind in ("str", "Path") else int
+
+
+def _check_value(where: str, key: str, f: dataclasses.Field, value) -> None:
+    """A ParseError unless ``value`` of config key ``key`` fits field ``f``."""
+    kind = _field_kind(f)
+    typed = isinstance(value, (int, float) if kind is float else kind)
+    nullable = value is None and "None" in f.type
+    if isinstance(value, bool) or not (typed or nullable):
+        raise ParseError(f"{where} key {key!r} must be {kind.__name__}, not {value!r}")
 
 
 def _load_config(path) -> dict:
+    """The config file as a dict. Each top-level key is a ``RunOptions`` field
+    or a section; an unknown key or a mistyped value is a ParseError."""
     if path is None:
         return {}
     text = Path(path).read_text(encoding="utf-8")
@@ -184,68 +264,29 @@ def _load_config(path) -> dict:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config root must be a JSON object")
-    for key in _CONFIG_PATH_KEYS:
-        if isinstance(cfg.get(key), str):
-            cfg[key] = str(Path(path).parent / cfg[key])
+    for key, value in cfg.items():
+        if key in _SECTIONS:
+            continue
+        if key not in _OPTION_FIELDS:
+            raise ParseError(f"unknown config key {key!r}")
+        _check_value("config", key, _OPTION_FIELDS[key], value)
+        if value is not None and key in _PATH_OPTIONS:
+            cfg[key] = str(Path(path).parent / value)
     return cfg
 
 
-def _opt(args, cfg: dict, name: str, default=None, flag: str | None = None):
-    v = getattr(args, flag or name, None)
-    if v is not None:
-        return v
-    if name in cfg:
-        return cfg[name]
-    return default
-
-
-def _path_opt(args, cfg, name, flag=None) -> Path | None:
-    v = _opt(args, cfg, name, flag=flag)
-    return Path(v) if v is not None else None
-
-
-def _require_path(args, cfg, name, flag=None) -> Path:
-    v = _path_opt(args, cfg, name, flag=flag)
-    if v is None:
-        raise UsageError(f"--{(flag or name).replace('_', '-')} is required "
-                         f"(flag or config key {name!r})")
-    return v
-
-
-def _out_dir(args, cfg) -> Path:
-    v = _opt(args, cfg, "out_dir", default="out", flag="out")
-    out = Path(v)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _bm25_params(args, cfg) -> tuple[float, float]:
-    """BM25 ``(k1, b)``."""
-    return float(_opt(args, cfg, "k1", default=1.2)), float(_opt(args, cfg, "b", default=0.75))
-
-
-def _rank_sizes(args, cfg) -> tuple[int, int]:
-    """``(prefilter_size, final_size)`` of the two-stage ranker."""
-    return (int(_opt(args, cfg, "prefilter_size", default=PREFILTER_SIZE)),
-            int(_opt(args, cfg, "final_size", default=FINAL_SIZE)))
-
-
-# Config-section keys accepted for a field name, and the flag spelling of a
-# field where it is not the field name.
-_SECTION_ALIASES = {"lambda": "lam", "K_edges": "k_edges"}
-_FIELD_FLAGS = {"lam": "lambda"}
-_FIELD_HELP = {
-    "lam": "degree-regularization coefficient",
-    "tau": "InfoNCE temperature",
-    "k_edges": "BM25 neighbors per case for graph edges",
-    "delta": "charge-charge cosine threshold",
-}
-
-
-def _field_kind(f: dataclasses.Field) -> type:
-    """The type of a flag or config value for field ``f``: float for a ``float``
-    field, int for every other."""
-    return float if f.type == "float" else int
+def _resolve_options(args, cfg: dict, names: tuple[str, ...]) -> RunOptions:
+    """The options ``names`` of one subcommand, flag > config > default; the
+    others keep their defaults. A value takes its field's type, so ``"k1": 3``
+    and ``--k1 3`` both give 3.0; a path becomes a ``Path``."""
+    values = {}
+    for name in names:
+        v = getattr(args, name, None)
+        v = cfg.get(name) if v is None else v
+        if v is not None:
+            kind = Path if name in _PATH_OPTIONS else _field_kind(_OPTION_FIELDS[name])
+            values[name] = kind(v)
+    return RunOptions(**values)
 
 
 def resolve_section(args, cfg: dict, section: str, cls):
@@ -260,11 +301,7 @@ def resolve_section(args, cfg: dict, section: str, cls):
         name = _SECTION_ALIASES.get(key, key)
         if name not in fields:
             raise ParseError(f"unknown {section} config key {key!r}")
-        kind = _field_kind(fields[name])
-        typed = isinstance(value, (int, float) if kind is float else int)
-        nullable = value is None and "None" in fields[name].type
-        if isinstance(value, bool) or not (typed or nullable):
-            raise ParseError(f"{section} config key {key!r} must be {kind.__name__}, not {value!r}")
+        _check_value(f"{section} config", key, fields[name], value)
         merged[name] = value
     for name in fields:
         v = getattr(args, name, None)
@@ -285,16 +322,16 @@ def _cache_dir() -> Path | None:
     return p
 
 
-def _get_index(
-    store: CorpusStore, corpus_path: Path, k1: float, b: float
-) -> tuple[Bm25Index, str]:
-    """Build the BM25 index, consulting the digest-keyed cache directory.
+def _get_index(store: CorpusStore, opts: RunOptions) -> tuple[Bm25Index, str]:
+    """Build the BM25 index of ``opts.corpus`` with ``opts.k1``/``opts.b``,
+    consulting the digest-keyed cache directory.
 
     A cache file that cannot be read, or that was built from another corpus or
     other parameters, counts as a miss: the index is rebuilt and the file
     atomically replaced.
     """
-    digest = _digest_path(corpus_path)
+    k1, b = opts.k1, opts.b
+    digest = _digest_path(opts.corpus)
     cache = _cache_dir()
     if cache is None:
         return build_index(store, k1=k1, b=b), digest
@@ -317,41 +354,49 @@ def _get_index(
 
 
 # ---------------------------------------------------------------------------
-# input resolution shared by the subcommands
+# input resolution shared by the subcommands; each file read is recorded as an
+# input of the manifest
 
 
-def _load_store(args, cfg, need_labels: bool) -> tuple[CorpusStore, Path, Path | None]:
-    corpus_path = _require_path(args, cfg, "corpus")
-    labels_path = _path_opt(args, cfg, "labels")
-    if need_labels and labels_path is None:
-        raise UsageError("--labels is required (flag or config key 'labels')")
-    store = ingest_corpus(corpus_path, labels_path)
-    return store, corpus_path, labels_path
+def _require(opts: RunOptions, name: str) -> Path:
+    value = getattr(opts, name)
+    if value is None:
+        raise UsageError(f"{_flag(name)} is required (flag or config key {name!r})")
+    return value
 
 
-def _attach_lexicon(args, cfg, store: CorpusStore) -> tuple[CorpusStore, Path]:
-    lex_path = _require_path(args, cfg, "lexicon")
-    charges = load_charge_lexicon(lex_path)
-    return attach_charges(store, charges), lex_path
+def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
+                lexicon: bool = True) -> CorpusStore:
+    """The corpus, with roles from the labels when given and, with ``lexicon``,
+    the charges of the lexicon attached."""
+    corpus = _require(opts, "corpus")
+    if need_labels:
+        _require(opts, "labels")
+    store = ingest_corpus(corpus, opts.labels)
+    manifest.add_input(corpus, opts.labels)
+    if not lexicon:
+        return store
+    store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
+    manifest.add_input(opts.lexicon)
+    return store
 
 
-def _file_table(args, cfg, manifest: StageManifest) -> EmbeddingTable:
-    """The ``--embeddings`` file (JSONL or EMB1), recorded as an input, L2-normalized."""
-    emb_path = _require_path(args, cfg, "embeddings")
-    manifest.add_input(emb_path)
-    return normalize_table(load_embedding_file(emb_path, expected_dim=_opt(args, cfg, "dim")))
+def _file_table(opts: RunOptions, manifest: StageManifest) -> EmbeddingTable:
+    """The ``--embeddings`` file (JSONL or EMB1), L2-normalized."""
+    table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
+    manifest.add_input(opts.embeddings)
+    return normalize_table(table)
 
 
-def _source_table(args, cfg, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
+def _source_table(opts: RunOptions, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
     """Vectors for every case and charge: fetched from ``endpoint`` when one is
     configured, else read from the ``--embeddings`` file."""
-    endpoint = _opt(args, cfg, "endpoint")
-    if not endpoint:
-        return _file_table(args, cfg, manifest)
+    if not opts.endpoint:
+        return _file_table(opts, manifest)
     provider_cfg = ProviderConfig(
-        endpoint=endpoint,
-        truncation_tokens=int(_opt(args, cfg, "truncation_tokens", default=4096)),
-        max_in_flight=int(_opt(args, cfg, "threads", default=4, flag="threads") or 4),
+        endpoint=opts.endpoint,
+        truncation_tokens=opts.truncation_tokens,
+        max_in_flight=opts.threads,
     )
     items = [(case.id, case.text) for case in store.cases]
     items += [(charge.id, charge.name) for charge in store.charges]
@@ -359,25 +404,26 @@ def _source_table(args, cfg, store: CorpusStore, manifest: StageManifest) -> Emb
 
 
 def _case_graph(
-    args, cfg, store: CorpusStore, index: Bm25Index, training: TrainingConfig,
+    opts: RunOptions, store: CorpusStore, index: Bm25Index, training: TrainingConfig,
     manifest: StageManifest,
 ) -> GlobalCaseGraph:
     """The ``--graph`` file when one is given, else the graph built from ``--embeddings``."""
-    graph_path = _path_opt(args, cfg, "graph", flag="graph_file")
-    if graph_path is not None:
-        manifest.add_input(graph_path)
-        return load_graph(graph_path)
-    table = _file_table(args, cfg, manifest)
+    if opts.graph is not None:
+        gcg = load_graph(opts.graph)
+        manifest.add_input(opts.graph)
+        return gcg
+    table = _file_table(opts, manifest)
     return build_global_case_graph(
         store, table, index, k=training.k_edges, delta=training.delta
     )
 
 
 # ---------------------------------------------------------------------------
-# stages: in-memory inputs -> artifacts in ``out`` plus what the next stage needs
+# stages: in-memory inputs -> artifacts in ``manifest.out`` plus what the next
+# stage needs
 
 
-def ingest_stage(store: CorpusStore, out: Path, manifest: StageManifest) -> dict:
+def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
     """Write the normalized corpus and its counts; returns the counts."""
     manifest.start("ingest")
 
@@ -395,56 +441,53 @@ def ingest_stage(store: CorpusStore, out: Path, manifest: StageManifest) -> dict
         "n_labeled_queries": len(store.labels),
     }
     manifest.commit("ingest", {
-        out / "corpus_normalized.jsonl": write_cases,
-        out / "stats.json": lambda path: _write_json(path, stats),
+        manifest.out / "corpus_normalized.jsonl": write_cases,
+        manifest.out / "stats.json": lambda path: _write_json(path, stats),
     })
     return stats
 
 
-def index_stage(
-    store: CorpusStore, corpus_path: Path, k1: float, b: float, out: Path,
-    manifest: StageManifest,
-) -> Bm25Index:
+def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> Bm25Index:
     """Build (or reuse from the cache) the BM25 index and write ``bm25.bin``."""
     manifest.start("index")
-    index, digest = _get_index(store, corpus_path, k1, b)
-    manifest.commit("index", {out / "bm25.bin": lambda path: save_index(index, path, digest)})
+    index, digest = _get_index(store, opts)
+    manifest.commit("index", {
+        manifest.out / "bm25.bin": lambda path: save_index(index, path, digest),
+    })
     return index
 
 
-def embed_stage(
-    store: CorpusStore, table: EmbeddingTable, out: Path, manifest: StageManifest
-) -> Path:
+def embed_stage(store: CorpusStore, table: EmbeddingTable, manifest: StageManifest) -> Path:
     """Check that every case and charge has a vector and write ``embeddings.emb1``,
     whose path is returned: the graph stage reads the table from it."""
     manifest.start("embed")
     check_coverage(table, store)
     ids = [c.id for c in store.cases] + [ch.id for ch in store.charges]
-    emb_path = out / "embeddings.emb1"
+    emb_path = manifest.out / "embeddings.emb1"
     manifest.commit("embed", {emb_path: lambda path: write_binary_embeddings(table, path, ids)})
     return emb_path
 
 
 def graph_stage(
     store: CorpusStore, table: EmbeddingTable, index: Bm25Index,
-    training: TrainingConfig, out: Path, manifest: StageManifest,
+    training: TrainingConfig, manifest: StageManifest,
 ) -> GlobalCaseGraph:
     """Assemble the global case graph and write ``graph.gcg1``."""
     manifest.start("graph")
     gcg = build_global_case_graph(
         store, table, index, k=training.k_edges, delta=training.delta
     )
-    manifest.commit("graph", {out / "graph.gcg1": lambda path: save_graph(gcg, path)})
+    manifest.commit("graph", {manifest.out / "graph.gcg1": lambda path: save_graph(gcg, path)})
     return gcg
 
 
 def train_stage(
     store: CorpusStore, gcg: GlobalCaseGraph, index: Bm25Index,
-    training: TrainingConfig, out: Path, manifest: StageManifest,
+    training: TrainingConfig, manifest: StageManifest,
 ) -> TrainResult:
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
     manifest.start("train")
-    ckpt_dir = out / "checkpoints"
+    ckpt_dir = manifest.out / "checkpoints"
     for name in ("checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
                  "checkpoint_last.gatc.json", "training_log.jsonl"):
         manifest.add_output(ckpt_dir / name)
@@ -458,28 +501,31 @@ def train_stage(
 
 def rank_stage(
     store: CorpusStore, index: Bm25Index, gcg: GlobalCaseGraph, params: GatParams,
-    prefilter_size: int, final_size: int, out: Path, manifest: StageManifest,
+    opts: RunOptions, manifest: StageManifest,
 ) -> RetrievalRun:
     """Encode the graph, rank candidates per query, write ``run.tsv`` and ``run.json``."""
     manifest.start("rank")
     h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
     reps = representations_from_rows(gcg.node_ids, h)
-    run = rank_all(store, index, reps, prefilter_size=prefilter_size, final_size=final_size)
+    run = rank_all(store, index, reps, prefilter_size=opts.prefilter_size,
+                   final_size=opts.final_size)
     manifest.commit("rank", {
-        out / "run.tsv": lambda path: write_run_tsv(run, path),
-        out / "run.json": lambda path: write_run_json(run, path),
+        manifest.out / "run.tsv": lambda path: write_run_tsv(run, path),
+        manifest.out / "run.json": lambda path: write_run_json(run, path),
     })
     return run
 
 
 def eval_stage(
     retrieved: dict[str, tuple[str, ...]], labels: dict[str, tuple[str, ...]],
-    out: Path, manifest: StageManifest,
+    manifest: StageManifest,
 ) -> EvalReport:
     """Score a run against the labels and write ``report.json``."""
     manifest.start("eval")
     report = evaluate_runs(retrieved, labels)
-    manifest.commit("eval", {out / "report.json": lambda path: write_report_json(report, path)})
+    manifest.commit("eval", {
+        manifest.out / "report.json": lambda path: write_report_json(report, path),
+    })
     return report
 
 
@@ -491,176 +537,90 @@ def _print_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def cmd_ingest(args, cfg: dict) -> None:
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
-    out = _out_dir(args, cfg)
-    manifest = StageManifest(out, "ingest", args.config, {"corpus": str(corpus_path)})
-    manifest.add_input(corpus_path, labels_path)
-    _print_json(ingest_stage(store, out, manifest))
+def cmd_ingest(opts: RunOptions, manifest: StageManifest) -> None:
+    _print_json(ingest_stage(_load_store(opts, manifest, lexicon=False), manifest))
 
 
-def cmd_index(args, cfg: dict) -> None:
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=False)
-    out = _out_dir(args, cfg)
-    k1, b = _bm25_params(args, cfg)
-    manifest = StageManifest(
-        out, "index", args.config, {"corpus": str(corpus_path), "k1": k1, "b": b}
-    )
-    manifest.add_input(corpus_path, labels_path)
-    index = index_stage(store, corpus_path, k1, b, out, manifest)
+def cmd_index(opts: RunOptions, manifest: StageManifest) -> None:
+    index = index_stage(_load_store(opts, manifest, lexicon=False), opts, manifest)
     _print_json({"documents": len(index.doc_ids), "terms": len(index.postings),
                  "avgdl": index.avgdl})
 
 
-def cmd_embed(args, cfg: dict) -> None:
-    store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
-    store, lex_path = _attach_lexicon(args, cfg, store)
-    out = _out_dir(args, cfg)
-    manifest = StageManifest(
-        out, "embed", args.config,
-        {"corpus": str(corpus_path), "lexicon": str(lex_path),
-         "endpoint": _opt(args, cfg, "endpoint")},
-    )
-    manifest.add_input(corpus_path, lex_path)
-    table = _source_table(args, cfg, store, manifest)
-    embed_stage(store, table, out, manifest)
+def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
+    store = _load_store(opts, manifest)
+    table = _source_table(opts, store, manifest)
+    embed_stage(store, table, manifest)
     _print_json({"vectors": store.n_cases + store.n_charges, "dim": table.dim})
 
 
-def cmd_graph(args, cfg: dict) -> None:
-    store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
-    store, lex_path = _attach_lexicon(args, cfg, store)
-    out = _out_dir(args, cfg)
-    training = resolve_section(args, cfg, "training", TrainingConfig)
-    manifest = StageManifest(
-        out, "graph", args.config,
-        {
-            "corpus": str(corpus_path),
-            "lexicon": str(lex_path),
-            "embeddings": str(_require_path(args, cfg, "embeddings")),
-            "k_edges": training.k_edges,
-            "delta": training.delta,
-        },
-    )
-    manifest.add_input(corpus_path, lex_path)
-    table = _file_table(args, cfg, manifest)
-    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
-    gcg = graph_stage(store, table, index, training, out, manifest)
+def cmd_graph(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
+    store = _load_store(opts, manifest)
+    table = _file_table(opts, manifest)
+    index, _digest = _get_index(store, opts)
+    gcg = graph_stage(store, table, index, training, manifest)
     _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
                  "edges": int(gcg.adjacency.nnz // 2)})
 
 
-def cmd_train(args, cfg: dict) -> None:
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
-    store, lex_path = _attach_lexicon(args, cfg, store)
-    out = _out_dir(args, cfg)
-    training = resolve_section(args, cfg, "training", TrainingConfig)
-    manifest = StageManifest(
-        out, "train", args.config,
-        {
-            "corpus": str(corpus_path),
-            "labels": str(labels_path),
-            "lexicon": str(lex_path),
-            "training": dataclasses.asdict(training),
-        },
-    )
-    manifest.add_input(corpus_path, labels_path, lex_path)
-    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
-    gcg = _case_graph(args, cfg, store, index, training, manifest)
-    result = train_stage(store, gcg, index, training, out, manifest)
+def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
+    store = _load_store(opts, manifest, need_labels=True)
+    index, _digest = _get_index(store, opts)
+    gcg = _case_graph(opts, store, index, training, manifest)
+    result = train_stage(store, gcg, index, training, manifest)
     best = result.log[result.best_epoch] if result.log else None
     _print_json({"best_epoch": result.best_epoch,
                  "best_loss": best.mean_loss if best else None,
                  "epochs_run": len(result.log)})
 
 
-def cmd_rank(args, cfg: dict) -> None:
-    store, corpus_path, _ = _load_store(args, cfg, need_labels=False)
-    store, lex_path = _attach_lexicon(args, cfg, store)
-    out = _out_dir(args, cfg)
-    training = resolve_section(args, cfg, "training", TrainingConfig)
-    ckpt_path = _require_path(args, cfg, "checkpoint")
-    prefilter_size, final_size = _rank_sizes(args, cfg)
-    manifest = StageManifest(
-        out, "rank", args.config,
-        {
-            "corpus": str(corpus_path),
-            "lexicon": str(lex_path),
-            "checkpoint": str(ckpt_path),
-            "prefilter_size": prefilter_size,
-            "final_size": final_size,
-        },
-    )
-    manifest.add_input(corpus_path, lex_path, ckpt_path)
-    index, _digest = _get_index(store, corpus_path, *_bm25_params(args, cfg))
-    gcg = _case_graph(args, cfg, store, index, training, manifest)
+def cmd_rank(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
+    store = _load_store(opts, manifest)
+    ckpt_path = _require(opts, "checkpoint")
+    index, _digest = _get_index(store, opts)
+    gcg = _case_graph(opts, store, index, training, manifest)
     params = load_checkpoint(ckpt_path)
-    run = rank_stage(store, index, gcg, params, prefilter_size, final_size, out, manifest)
+    manifest.add_input(ckpt_path)
+    run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})
 
 
-def cmd_eval(args, cfg: dict) -> None:
-    run_path = _require_path(args, cfg, "run")
-    labels_path = _require_path(args, cfg, "labels")
+def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
+    """Score ``--run`` against ``--labels``; ``report.json`` is written only
+    when ``--out`` is given (``manifest`` is None otherwise)."""
+    run_path = _require(opts, "run")
+    labels_path = _require(opts, "labels")
     retrieved = read_run_tsv(run_path)
     labels = load_labels(labels_path)
     missing = sorted(set(retrieved) - set(labels))
     if missing:
         raise LabelError(f"run queries missing from labels: {missing[:5]}")
-    if args.out is None:  # score only; nothing is written
+    if manifest is None:
         report = evaluate_runs(retrieved, labels)
     else:
-        out = _out_dir(args, cfg)
-        manifest = StageManifest(
-            out, "eval", args.config, {"run": str(run_path), "labels": str(labels_path)}
-        )
         manifest.add_input(run_path, labels_path)
-        report = eval_stage(retrieved, labels, out, manifest)
+        report = eval_stage(retrieved, labels, manifest)
     _print_json(report.to_dict())
 
 
-def cmd_pipeline(args, cfg: dict) -> None:
-    out = _out_dir(args, cfg)
-    store, corpus_path, labels_path = _load_store(args, cfg, need_labels=True)
-    store, lex_path = _attach_lexicon(args, cfg, store)
-    training = resolve_section(args, cfg, "training", TrainingConfig)
-    k1, b = _bm25_params(args, cfg)
-    prefilter_size, final_size = _rank_sizes(args, cfg)
-    manifest = StageManifest(
-        out, "pipeline", args.config,
-        {
-            "corpus": str(corpus_path),
-            "labels": str(labels_path),
-            "lexicon": str(lex_path),
-            "k1": k1,
-            "b": b,
-            "prefilter_size": prefilter_size,
-            "final_size": final_size,
-            "training": dataclasses.asdict(training),
-        },
-    )
-    manifest.add_input(corpus_path, labels_path, lex_path)
-    table = _source_table(args, cfg, store, manifest)
+def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
+    store = _load_store(opts, manifest, need_labels=True)
+    table = _source_table(opts, store, manifest)
 
-    index = index_stage(store, corpus_path, k1, b, out, manifest)
+    index = index_stage(store, opts, manifest)
     # Read the table and the graph back from their files, as the staged
     # subcommands do, so fused and staged runs give byte-identical artifacts.
-    table = read_binary_embeddings(embed_stage(store, table, out, manifest))
-    graph_stage(store, table, index, training, out, manifest)
-    gcg = load_graph(out / "graph.gcg1")
-    result = train_stage(store, gcg, index, training, out, manifest)
-    run = rank_stage(store, index, gcg, result.params, prefilter_size, final_size, out,
-                     manifest)
-    report = eval_stage(run.retrieved(), store.labels, out, manifest)
+    table = read_binary_embeddings(embed_stage(store, table, manifest))
+    graph_stage(store, table, index, training, manifest)
+    gcg = load_graph(manifest.out / "graph.gcg1")
+    result = train_stage(store, gcg, index, training, manifest)
+    run = rank_stage(store, index, gcg, result.params, opts, manifest)
+    report = eval_stage(run.retrieved(), store.labels, manifest)
     _print_json(report.to_dict())
 
 
-def cmd_synth(args, cfg: dict) -> None:
-    spec = resolve_section(args, cfg, "synth", SyntheticSpec)
-    out = _out_dir(args, cfg)
-    manifest = StageManifest(
-        out, "synth", args.config, {"synth": dataclasses.asdict(spec)}
-    )
+def cmd_synth(opts: RunOptions, manifest: StageManifest, spec: SyntheticSpec) -> None:
+    out = opts.out_dir
     manifest.start("synth")
     ds = generate(spec)
     paths = write_dataset(ds, out)
@@ -683,118 +643,89 @@ def cmd_synth(args, cfg: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table: everything a subcommand reads, declared once
 
 
-def _add_io_flags(p: argparse.ArgumentParser, *names: str) -> None:
-    flags = {
-        "corpus": "path to corpus JSONL file or directory of text files",
-        "labels": "path to labels JSON (query id -> relevant candidate ids)",
-        "lexicon": "path to charge lexicon (one name per line, or JSONL)",
-        "embeddings": "path to embeddings (JSONL or EMB1 binary)",
-        "checkpoint": "path to a trained checkpoint (GATC)",
-        "run": "path to a run TSV file",
-    }
-    for name in names:
-        p.add_argument(f"--{name}", default=None, help=flags[name])
+@dataclasses.dataclass(frozen=True)
+class Command:
+    """A subcommand: the function it runs, its help line, the ``RunOptions``
+    it reads and the config sections it reads. Each option and each section
+    field is one flag, and the manifest ``config`` records all of them.
+    ``out_optional`` commands write nothing unless ``--out`` is given."""
+
+    func: Callable
+    help: str
+    options: tuple[str, ...]
+    sections: tuple[str, ...] = ()
+    out_optional: bool = False
 
 
-def _add_field_flags(p: argparse.ArgumentParser, cls) -> None:
-    """One flag per field of the dataclass ``cls``: ``--batch-size`` sets
-    ``batch_size``, parsed as the field's ``_field_kind``."""
-    for f in dataclasses.fields(cls):
-        flag = "--" + _FIELD_FLAGS.get(f.name, f.name).replace("_", "-")
-        p.add_argument(flag, dest=f.name, type=_field_kind(f), default=None,
-                       help=_FIELD_HELP.get(f.name))
+# The corpus and its vectors, read by every stage from graph to pipeline.
+_CASE_INPUTS = ("corpus", "labels", "lexicon", "embeddings", "dim")
+COMMANDS = {
+    "ingest": Command(cmd_ingest, "validate and normalize a corpus",
+                      ("corpus", "labels", "out_dir")),
+    "index": Command(cmd_index, "build the BM25 index cache",
+                     ("corpus", "labels", "k1", "b", "out_dir")),
+    "embed": Command(cmd_embed, "load or fetch embeddings into a binary table",
+                     ("corpus", "lexicon", "embeddings", "dim", "endpoint", "truncation_tokens",
+                      "threads", "out_dir")),
+    "graph": Command(cmd_graph, "assemble the global case graph",
+                     (*_CASE_INPUTS, "k1", "b", "out_dir"), ("training",)),
+    "train": Command(cmd_train, "train the graph encoder",
+                     (*_CASE_INPUTS, "graph", "k1", "b", "out_dir"), ("training",)),
+    "rank": Command(cmd_rank, "rank candidates per query",
+                    (*_CASE_INPUTS, "graph", "checkpoint", "k1", "b", "prefilter_size",
+                     "final_size", "out_dir"), ("training",)),
+    "eval": Command(cmd_eval, "score a run file against labels",
+                    ("run", "labels", "out_dir"), out_optional=True),
+    "pipeline": Command(cmd_pipeline, "run ingest through eval end-to-end",
+                        (*_CASE_INPUTS, "endpoint", "truncation_tokens", "threads", "k1", "b",
+                         "prefilter_size", "final_size", "out_dir"), ("training",)),
+    "synth": Command(cmd_synth, "generate a planted-cluster synthetic dataset",
+                     ("out_dir",), ("synth",)),
+}
 
 
-def _add_bm25_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--k1", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
-
-
-def _add_rank_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--prefilter-size", dest="prefilter_size", type=int, default=None)
-    p.add_argument("--final-size", dest="final_size", type=int, default=None)
+def _add_field_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
+    """One flag per field of the dataclass ``cls`` (only ``names``, in that
+    order, when given): ``--batch-size`` sets ``batch_size``, parsed as the
+    field's ``_field_kind``."""
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    for name in names or fields:
+        p.add_argument(_flag(name), dest=name, type=_field_kind(fields[name]), default=None,
+                       help=_FIELD_HELP.get(name))
 
 
 def build_parser() -> _Parser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
-    common.add_argument("--out", default=None, help="output directory")
-    common.add_argument("--threads", type=int, default=None,
-                        help="cap on worker threads (remote embedding fetches)")
     common.add_argument("-v", "--verbose", action="store_true")
 
     parser = _Parser(prog="caselink", description=__doc__)
     parser.add_argument("--version", action="version", version=f"caselink {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-
-    p = sub.add_parser("ingest", parents=[common], help="validate and normalize a corpus")
-    _add_io_flags(p, "corpus", "labels")
-    p.set_defaults(func=cmd_ingest)
-
-    p = sub.add_parser("index", parents=[common], help="build the BM25 index cache")
-    _add_io_flags(p, "corpus", "labels")
-    _add_bm25_flags(p)
-    p.set_defaults(func=cmd_index)
-
-    p = sub.add_parser("embed", parents=[common],
-                       help="load or fetch embeddings into a binary table")
-    _add_io_flags(p, "corpus", "lexicon", "embeddings")
-    p.add_argument("--endpoint", default=None, help="remote embedding HTTP endpoint")
-    p.add_argument("--dim", type=int, default=None, help="expected embedding dim")
-    p.add_argument("--truncation-tokens", dest="truncation_tokens", type=int,
-                   default=None)
-    p.set_defaults(func=cmd_embed)
-
-    p = sub.add_parser("graph", parents=[common], help="assemble the global case graph")
-    _add_io_flags(p, "corpus", "labels", "lexicon", "embeddings")
-    p.add_argument("--dim", type=int, default=None)
-    _add_bm25_flags(p)
-    _add_field_flags(p, TrainingConfig)
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("train", parents=[common], help="train the graph encoder")
-    _add_io_flags(p, "corpus", "labels", "lexicon", "embeddings")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--graph", dest="graph_file", default=None,
-                   help="pre-built graph file (skips graph assembly)")
-    _add_bm25_flags(p)
-    _add_field_flags(p, TrainingConfig)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("rank", parents=[common], help="rank candidates per query")
-    _add_io_flags(p, "corpus", "labels", "lexicon", "embeddings", "checkpoint")
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--graph", dest="graph_file", default=None)
-    _add_bm25_flags(p)
-    _add_field_flags(p, TrainingConfig)
-    _add_rank_flags(p)
-    p.set_defaults(func=cmd_rank)
-
-    p = sub.add_parser("eval", parents=[common], help="score a run file against labels")
-    _add_io_flags(p, "run", "labels")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("pipeline", parents=[common],
-                       help="run ingest through eval end-to-end")
-    _add_io_flags(p, "corpus", "labels", "lexicon", "embeddings")
-    p.add_argument("--endpoint", default=None)
-    p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--truncation-tokens", dest="truncation_tokens", type=int,
-                   default=None)
-    _add_bm25_flags(p)
-    _add_field_flags(p, TrainingConfig)
-    _add_rank_flags(p)
-    p.set_defaults(func=cmd_pipeline)
-
-    p = sub.add_parser("synth", parents=[common],
-                       help="generate a planted-cluster synthetic dataset")
-    _add_field_flags(p, SyntheticSpec)
-    p.set_defaults(func=cmd_synth)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, parents=[common], help=command.help)
+        _add_field_flags(p, RunOptions, command.options)
+        for section in command.sections:
+            _add_field_flags(p, _SECTIONS[section])
     return parser
+
+
+def _run(args) -> None:
+    """Resolve the subcommand's options and sections, then run it."""
+    command = COMMANDS[args.command]
+    cfg = _load_config(args.config)
+    opts = _resolve_options(args, cfg, command.options)
+    sections = [resolve_section(args, cfg, s, _SECTIONS[s]) for s in command.sections]
+    values = {name: getattr(opts, name) for name in command.options}
+    config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
+    config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}
+    manifest = None
+    if not (command.out_optional and args.out_dir is None):
+        manifest = StageManifest(opts.out_dir, args.command, args.config, config)
+    command.func(opts, manifest, *sections)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -813,7 +744,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        args.func(args, _load_config(args.config))
+        _run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

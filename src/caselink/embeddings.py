@@ -40,6 +40,8 @@ class ProviderConfig:
             raise ValueError("an endpoint URL is required")
         if self.truncation_tokens < 1:
             raise ValueError("truncation_tokens must be >= 1")
+        if self.max_in_flight < 1:
+            raise ValueError("max_in_flight (threads) must be >= 1")
 
 
 @dataclass

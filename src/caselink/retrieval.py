@@ -136,6 +136,13 @@ def bm25_baseline_rank(
     )
 
 
+def check_sizes(prefilter_size: int, final_size: int) -> None:
+    """Raise ValueError unless ``1 <= final_size <= prefilter_size``."""
+    if final_size < 1 or prefilter_size < final_size:
+        raise ValueError(f"ranking sizes must satisfy 1 <= final_size <= prefilter_size, "
+                         f"got final_size={final_size}, prefilter_size={prefilter_size}")
+
+
 def rank_all(
     store: CorpusStore,
     index: Bm25Index,
@@ -146,6 +153,7 @@ def rank_all(
 ) -> RetrievalRun:
     """:func:`two_stage_rank` for every query in ``query_ids`` (default: all),
     with the lexical stage scored for all of them at once."""
+    check_sizes(prefilter_size, final_size)
     if query_ids is None:
         query_ids = [q.id for q in store.queries()]
     lexical = _lexical_stage(store, index, query_ids, prefilter_size)

@@ -357,6 +357,19 @@ class TestConfigPrecedence:
         assert main(["train", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert repr(key) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [("prefiltr_size", 20), ("prefilter_size", True),
+                                            ("final_size", 2.7), ("k1", "2")])
+    def test_unknown_or_mistyped_top_level_key_is_data_error(self, dataset, capsys, key,
+                                                              value):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        cfg[key] = value
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -524,6 +537,178 @@ class TestManifests:
         left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert left  # at least the stages before the graph finished
         assert left == listed
+
+
+    def test_config_records_every_option_and_section_read(self, dataset):
+        from caselink.cli import COMMANDS
+
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["graph", *cfg, "--out", str(tmp_path / "default")]) == 0
+        assert main(["graph", *cfg, "--k1", "3", "--out", str(tmp_path / "k1")]) == 0
+        default = read_manifest(tmp_path / "default")["config"]
+        changed = read_manifest(tmp_path / "k1")["config"]
+        assert set(default) == {*COMMANDS["graph"].options, "training"}
+        assert (default["k1"], changed["k1"]) == (1.2, 3.0)
+        assert default["training"] == changed["training"]
+        assert default["b"] == changed["b"] == 0.75
+        # an int in the config is the float the flag gives
+        cfg_k1 = tmp_path / "k1.json"
+        cfg_k1.write_text(json.dumps({**json.loads(config_path.read_text()), "k1": 3}))
+        assert main(["graph", "--config", str(cfg_k1), "--out", str(tmp_path / "cfg_k1")]) == 0
+        from_config = read_manifest(tmp_path / "cfg_k1")["config"]
+        assert json.dumps(from_config["k1"]) == json.dumps(changed["k1"]) == "3.0"
+        del from_config["out_dir"], changed["out_dir"]
+        assert from_config == changed
+
+    def test_inputs_digest_the_labels_that_set_roles(self, dataset):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        # without a "role" field, the labels decide which cases are queries
+        records = [json.loads(line) for line in Path(cfg["corpus"]).read_text().splitlines()]
+        roleless = tmp_path / "roleless.jsonl"
+        roleless.write_text("".join(
+            json.dumps({k: v for k, v in r.items() if k != "role"}) + "\n" for r in records))
+        cfg["corpus"] = str(roleless)
+        labeled, unlabeled = tmp_path / "labeled.json", tmp_path / "unlabeled.json"
+        labeled.write_text(json.dumps(cfg))
+        unlabeled.write_text(json.dumps({k: v for k, v in cfg.items() if k != "labels"}))
+
+        gcg = tmp_path / "graph" / "graph.gcg1"
+        ckpt = tmp_path / "train" / "checkpoints" / "checkpoint.gatc"
+        for argv in (
+            ["graph", "--out", str(gcg.parent)],
+            ["train", "--graph", str(gcg), "--epochs", "1", "--out", str(tmp_path / "train")],
+            ["rank", "--graph", str(gcg), "--checkpoint", str(ckpt),
+             "--out", str(tmp_path / "rank")],
+        ):
+            assert main([argv[0], "--config", str(labeled), *argv[1:]]) == 0
+            assert cfg["labels"] in read_manifest(tmp_path / argv[0])["inputs"], argv[0]
+
+        other = tmp_path / "graph_unlabeled"
+        assert main(["graph", "--config", str(unlabeled), "--out", str(other)]) == 0
+        assert (other / "graph.gcg1").read_bytes() != gcg.read_bytes()
+        assert read_manifest(other)["inputs"] != read_manifest(gcg.parent)["inputs"]
+
+
+class TestRankingSizes:
+    @pytest.mark.parametrize("sizes", [["--final-size", "0"], ["--prefilter-size", "-1"],
+                                       ["--prefilter-size", "3", "--final-size", "5"]])
+    def test_sizes_outside_one_to_prefilter_are_data_errors(self, dataset, capsys, sizes):
+        tmp_path, config_path = dataset
+        argv = ["pipeline", "--config", str(config_path), "--out", str(tmp_path / "p"),
+                "--epochs", "0", *sizes]
+        assert main(argv) == 2
+        assert "final_size" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()  # checked before the first stage
+
+
+class TestEndpoint:
+    """Remote embeddings through an in-process transport: nothing leaves the process."""
+
+    @staticmethod
+    def endpoint_config(tmp_path, config_path, **options):
+        cfg = json.loads(config_path.read_text())
+        served = {}
+        for line in Path(cfg.pop("embeddings")).read_text().splitlines():
+            record = json.loads(line)
+            served[record["id"]] = record["vector"]
+        cfg.update(endpoint="http://embeddings.invalid/embed", **options)
+        cfg_path = tmp_path / "endpoint.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return cfg_path, served
+
+    @staticmethod
+    def serve(monkeypatch, served):
+        import caselink.embeddings
+
+        payloads = []
+
+        def transport(endpoint, payload):
+            payloads.append(payload)
+            return {"vector": served[payload["id"]]}
+
+        monkeypatch.setattr(caselink.embeddings, "_http_post_json", transport)
+        return payloads
+
+    def test_embed_and_pipeline_fetch_truncated_texts(self, dataset, monkeypatch):
+        import numpy as np
+
+        from caselink.embeddings import read_binary_embeddings
+
+        tmp_path, config_path = dataset
+        options = {"truncation_tokens": 3, "threads": 2}
+        cfg_path, served = self.endpoint_config(tmp_path, config_path, **options)
+        payloads = self.serve(monkeypatch, served)
+        assert main(["embed", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 0
+
+        synth_cfg = json.loads(config_path.read_text())
+        corpus = synth_cfg["corpus"]
+        texts = {r["id"]: r["text"] for r in map(json.loads, Path(corpus).read_text().splitlines())}
+        assert sorted(p["id"] for p in payloads) == sorted(served)
+        for payload in payloads:
+            assert len(payload["text"].split()) <= 3
+            if payload["id"] in texts:
+                assert payload["text"] == " ".join(texts[payload["id"]].split()[:3])
+        table = read_binary_embeddings(tmp_path / "e" / "embeddings.emb1")
+        assert set(table.vectors) == set(served)
+        for node_id, vector in served.items():
+            expected = np.asarray(vector) / np.linalg.norm(vector)
+            np.testing.assert_allclose(table[node_id], expected, rtol=1e-6, atol=1e-7)
+
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "p"),
+                     "--epochs", "1"]) == 0
+        assert ((tmp_path / "p" / "embeddings.emb1").read_bytes()
+                == (tmp_path / "e" / "embeddings.emb1").read_bytes())
+        # not the JSONL; embed's vectors do not depend on the labels
+        read = {"e": ("corpus", "lexicon"), "p": ("corpus", "labels", "lexicon")}
+        for out, keys in read.items():
+            manifest = read_manifest(tmp_path / out)
+            assert manifest["config"]["endpoint"] == "http://embeddings.invalid/embed"
+            assert manifest["config"]["truncation_tokens"] == 3
+            assert manifest["config"]["threads"] == 2
+            assert set(manifest["inputs"]) == {synth_cfg[k] for k in keys}
+
+    def test_zero_threads_is_data_error(self, dataset, monkeypatch, capsys):
+        tmp_path, config_path = dataset
+        cfg_path, served = self.endpoint_config(tmp_path, config_path, threads=0)
+        payloads = self.serve(monkeypatch, served)
+        assert main(["embed", "--config", str(cfg_path), "--out", str(tmp_path / "e")]) == 2
+        assert "max_in_flight" in capsys.readouterr().err
+        assert payloads == []
+
+
+class TestReadme:
+    def test_command_line_reference_lists_each_subcommands_flags(self):
+        """README's per-subcommand flag table names exactly the flags each
+        subcommand's parser accepts."""
+        import argparse
+        import re
+
+        from caselink.cli import build_parser
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        reference = readme.split("## Command-line reference")[1].split("\n## ")[0]
+
+        def flags(text):
+            return set(re.findall(r"`(--[a-z0-9-]+)", text))
+
+        groups = {name: flags(re.search(rf"^{name.capitalize()} flags: (.*?)\n\n", reference,
+                                        re.M | re.S).group(1))
+                  for name in ("common", "training", "synth")}
+        documented = {}
+        for row in re.finditer(r"^\| `(\w+)` \| (.*) \|$", reference, re.M):
+            named = flags(row.group(2)) | groups["common"]
+            for name in ("training", "synth"):
+                if f"{name} flags" in row.group(2):
+                    named |= groups[name]
+            documented[row.group(1)] = named
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        actual = {name: {s for a in p._actions for s in a.option_strings if s.startswith("--")}
+                  - {"--help"} for name, p in sub.choices.items()}
+        assert documented == actual
 
 
 class TestDamagedInputs:

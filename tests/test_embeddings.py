@@ -234,6 +234,10 @@ class TestProviderConfig:
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://unit.test/embed", truncation_tokens=0)
 
+    def test_max_in_flight_validated(self):
+        with pytest.raises(ValueError, match="max_in_flight"):
+            ProviderConfig(endpoint="http://unit.test/embed", max_in_flight=0)
+
 
 def remote_config(**overrides):
     base = dict(

@@ -251,6 +251,14 @@ class TestRankAll:
         for ids in run.retrieved().values():
             assert len(ids) == len(set(ids)) <= 2
 
+    @pytest.mark.parametrize("prefilter_size, final_size", [(10, 0), (-1, 5), (3, 5)])
+    def test_sizes_outside_one_to_prefilter_are_rejected(self, prefilter_size, final_size):
+        store = make_store([("q1", "alpha", Role.QUERY), ("c1", "alpha", Role.CANDIDATE)])
+        reps = {"q1": np.ones(2), "c1": np.ones(2)}
+        with pytest.raises(ValueError, match="final_size"):
+            rank_all(store, build_index(store), reps, prefilter_size=prefilter_size,
+                     final_size=final_size)
+
 
 class TestLexicalYearFilter:
     @pytest.mark.parametrize("block", [1, 256])
