@@ -50,7 +50,6 @@ from .errors import (
 from .gat import (
     ForwardTrace,
     GatParams,
-    LayerGrads,
     LayerParams,
     backward_gradients,
     init_params,
@@ -117,7 +116,7 @@ __all__ = [
     "build_case_charge_edges", "build_charge_charge_edges",
     "build_global_case_graph", "save_graph", "load_graph",
     # encoder
-    "GatParams", "LayerParams", "LayerGrads", "ForwardTrace",
+    "GatParams", "LayerParams", "ForwardTrace",
     "init_params", "model_forward",
     "backward_gradients", "save_checkpoint", "load_checkpoint",
     # training

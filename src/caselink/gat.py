@@ -32,6 +32,8 @@ _FORMAT_VERSION = 1
 
 @dataclass
 class LayerParams:
+    """One layer's parameters, as views into the encoder's flat vector."""
+
     W: np.ndarray  # (d_in, d_out)
     a_src: np.ndarray  # (d_out,)
     a_dst: np.ndarray  # (d_out,)
@@ -44,46 +46,52 @@ class LayerParams:
     def d_out(self) -> int:
         return self.W.shape[1]
 
-    def copy(self) -> "LayerParams":
-        return LayerParams(self.W.copy(), self.a_src.copy(), self.a_dst.copy())
+
+def _param_count(dims: list[int] | tuple[int, ...]) -> int:
+    if len(dims) < 2 or min(dims) < 1:
+        raise DimensionError(f"dims must chain at least one layer of sizes >= 1, not {dims}")
+    return sum((d_in + 2) * d_out for d_in, d_out in zip(dims, dims[1:]))
+
+
+def layer_views(flat: np.ndarray, dims: list[int] | tuple[int, ...]) -> list[LayerParams]:
+    """Each layer's ``W`` (row-major), ``a_src`` and ``a_dst`` as views into
+    the 1-D vector ``flat``, in this order, layer after layer: the layout of
+    the parameters, their gradient, the Adam moments and the GATC payload."""
+    if flat.shape != (_param_count(dims),):
+        raise DimensionError(
+            f"parameter vector of shape {flat.shape} does not fit dims {list(dims)}"
+        )
+    layers, start = [], 0
+    for d_in, d_out in zip(dims, dims[1:]):
+        mid = start + d_in * d_out
+        layers.append(LayerParams(W=flat[start:mid].reshape(d_in, d_out),
+                                  a_src=flat[mid : mid + d_out],
+                                  a_dst=flat[mid + d_out : mid + 2 * d_out]))
+        start = mid + 2 * d_out
+    return layers
 
 
 @dataclass
 class GatParams:
-    layers: list[LayerParams]
+    """All encoder parameters in one float64 vector laid out by ``layer_views``."""
+
+    dims: list[int]
+    flat: np.ndarray
     leaky_slope: float = 0.2
     dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if not self.layers:
-            raise DimensionError("at least one layer is required")
         if not 0.0 < self.leaky_slope < 1.0:
             raise ValueError("leaky_slope must be in (0, 1)")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ValueError("dropout_rate must be in [0, 1)")
-        for prev, nxt in zip(self.layers, self.layers[1:]):
-            if prev.d_out != nxt.d_in:
-                raise DimensionError(
-                    f"layer dims do not chain: {prev.d_out} -> {nxt.d_in}"
-                )
+        self.dims = list(self.dims)
+        self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
+        layer_views(self.flat, self.dims)  # the length must fit the dims
 
     @property
-    def dims(self) -> list[int]:
-        return [self.layers[0].d_in] + [layer.d_out for layer in self.layers]
-
-    def copy(self) -> "GatParams":
-        return GatParams(
-            layers=[layer.copy() for layer in self.layers],
-            leaky_slope=self.leaky_slope,
-            dropout_rate=self.dropout_rate,
-        )
-
-
-@dataclass
-class LayerGrads:
-    W: np.ndarray
-    a_src: np.ndarray
-    a_dst: np.ndarray
+    def layers(self) -> list[LayerParams]:
+        return layer_views(self.flat, self.dims)
 
 
 @dataclass
@@ -144,17 +152,15 @@ def init_params(
     W entries are drawn from +-sqrt(6 / (d_in + d_out)); the attention vector
     pair (a_src, a_dst) is drawn jointly with fan 2*d_out + 1.
     """
-    if len(dims) < 2:
-        raise DimensionError("dims must chain at least one layer (length >= 2)")
     rng = np.random.default_rng(seed)
-    layers = []
-    for d_in, d_out in zip(dims, dims[1:]):
-        limit_w = np.sqrt(6.0 / (d_in + d_out))
-        limit_a = np.sqrt(6.0 / (2 * d_out + 1))
-        W = rng.uniform(-limit_w, limit_w, size=(d_in, d_out))
-        a = rng.uniform(-limit_a, limit_a, size=2 * d_out)
-        layers.append(LayerParams(W=W, a_src=a[:d_out], a_dst=a[d_out:]))
-    return GatParams(layers=layers, dropout_rate=dropout, leaky_slope=slope)
+    flat = np.empty(_param_count(dims))
+    for layer in layer_views(flat, dims):
+        limit_w = np.sqrt(6.0 / (layer.d_in + layer.d_out))
+        limit_a = np.sqrt(6.0 / (2 * layer.d_out + 1))
+        layer.W[:] = rng.uniform(-limit_w, limit_w, size=layer.W.shape)
+        a = rng.uniform(-limit_a, limit_a, size=2 * layer.d_out)
+        layer.a_src[:], layer.a_dst[:] = a[: layer.d_out], a[layer.d_out :]
+    return GatParams(dims=dims, flat=flat, dropout_rate=dropout, leaky_slope=slope)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -241,10 +247,8 @@ def model_forward(
     h = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise NumericalError("non-finite value in input features")
-    if h.shape[1] != params.layers[0].d_in:
-        raise DimensionError(
-            f"feature dim {h.shape[1]} != first layer d_in {params.layers[0].d_in}"
-        )
+    if h.shape[1] != params.dims[0]:
+        raise DimensionError(f"feature dim {h.shape[1]} != first layer d_in {params.dims[0]}")
     structure = prepare_structure(adjacency)
     if structure.n_nodes != h.shape[0]:
         raise DimensionError("adjacency size does not match feature rows")
@@ -285,11 +289,11 @@ def backward_gradients(
     params: GatParams,
     trace: ForwardTrace,
     d_out: np.ndarray,
-) -> tuple[list[LayerGrads], np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Exact reverse-mode gradients of the traced forward pass.
 
-    Returns per-layer parameter gradients and the gradient with respect to
-    the model input features.
+    Returns the parameter gradient, one vector laid out like ``params.flat``,
+    and the gradient with respect to the model input features.
     """
     _check_trace(params, trace)
     d_out = np.asarray(d_out, dtype=np.float64)
@@ -301,9 +305,10 @@ def backward_gradients(
     row, col, indptr = structure.row, structure.col, structure.indptr
     keep = 1.0 - params.dropout_rate
 
-    grads: list[LayerGrads] = []
+    grads = np.zeros_like(params.flat)
     gh = d_out
-    for layer, lt in zip(reversed(params.layers), reversed(trace.layers)):
+    for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers),
+                            reversed(layer_views(grads, params.dims))):
         d_pre = gh * _elu_grad(lt.pre_act) if lt.apply_elu else gh
 
         # aggregation: pre_act[i] = sum_e alpha_used[e] * z[col[e]]
@@ -324,15 +329,12 @@ def backward_gradients(
         np.add.at(dv, col, draw)
         dz += np.outer(du, layer.a_src) + np.outer(dv, layer.a_dst)
 
-        da_src = lt.z.T @ du
-        da_dst = lt.z.T @ dv
-        dW = lt.h_used.T @ dz
+        g.a_src[:] = lt.z.T @ du
+        g.a_dst[:] = lt.z.T @ dv
+        g.W[:] = lt.h_used.T @ dz
         gh = dz @ layer.W.T
         if lt.in_mask is not None:
             gh = gh * lt.in_mask / keep
-        grads.append(LayerGrads(W=dW, a_src=da_src, a_dst=da_dst))
-
-    grads.reverse()
     return grads, gh
 
 
@@ -348,10 +350,7 @@ def save_checkpoint(
     with open(path, "wb") as fh:
         fh.write(_MAGIC + pack("II", _FORMAT_VERSION, len(dims)) + pack(f"{len(dims)}I", *dims))
         fh.write(pack("dd", params.leaky_slope, params.dropout_rate))
-        for layer in params.layers:
-            fh.write(layer.W.astype("<f8").tobytes())
-            fh.write(layer.a_src.astype("<f8").tobytes())
-            fh.write(layer.a_dst.astype("<f8").tobytes())
+        fh.write(params.flat.astype("<f8").tobytes())
     if sidecar is not None:
         sidecar_path = Path(str(path) + ".json")
         sidecar_path.write_text(
@@ -364,10 +363,7 @@ def load_checkpoint(path: str | Path) -> GatParams:
         (n_dims,) = r.unpack("I")
         dims = r.array("<u4", n_dims).tolist()
         slope, dropout = r.unpack("dd")
-        layers = []
-        for d_in, d_out in zip(dims, dims[1:]):
-            W = r.array("<f8", d_in * d_out).reshape(d_in, d_out)
-            a_src = r.array("<f8", d_out)
-            a_dst = r.array("<f8", d_out)
-            layers.append(LayerParams(W=W.copy(), a_src=a_src.copy(), a_dst=a_dst.copy()))
-    return GatParams(layers=layers, leaky_slope=slope, dropout_rate=dropout)
+        flat = r.array("<f8", _param_count(dims)).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
+        raise TraceError(f"{path} holds a non-finite parameter")
+    return GatParams(dims=dims, flat=flat, leaky_slope=slope, dropout_rate=dropout)

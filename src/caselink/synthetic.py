@@ -73,8 +73,8 @@ class SyntheticSpec:
     contamination: float = 0.6
 
     def __post_init__(self):
-        if self.n_clusters < 1 or self.n_clusters > len(_CHARGE_SUFFIXES):
-            raise ValueError(f"n_clusters must be in [1, {len(_CHARGE_SUFFIXES)}]")
+        if self.n_clusters < 1:
+            raise ValueError("n_clusters must be >= 1")
         if self.relevant_per_query * self.queries_per_cluster > self.candidates_per_cluster:
             raise ValueError("not enough candidates per cluster to assign relevance")
         if self.dim < 2:
@@ -111,7 +111,10 @@ def _soup(rng: np.random.Generator, counts: dict[str, int]) -> str:
 
 
 def _charge_name(k: int) -> str:
-    return f"statutory offense {_CHARGE_SUFFIXES[k]}"
+    """``statutory offense alpha`` … ``juliet``, then ``alpha1``, ``bravo1``, …:
+    a numbered name is one token, so it never matches an unnumbered one."""
+    number, i = divmod(k, len(_CHARGE_SUFFIXES))
+    return f"statutory offense {_CHARGE_SUFFIXES[i]}{number or ''}"
 
 
 def generate(spec: SyntheticSpec) -> SyntheticDataset:

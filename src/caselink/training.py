@@ -19,7 +19,7 @@ import json
 import logging
 import os
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
     ForwardTrace,
     GatParams,
-    LayerGrads,
     backward_gradients,
     init_params,
     model_forward,
@@ -73,7 +72,11 @@ class TrainingConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.lr <= 0 or self.weight_decay < 0 or self.lam < 0:
             raise ValueError("lr must be > 0; weight_decay and lam must be >= 0")
-        if min(self.n_easy_neg, self.n_hard_neg, self.k_edges, self.hard_neg_pool_size) < 0:
+        if self.hidden_dim is not None and self.hidden_dim < 1:
+            raise ValueError("hidden_dim must be >= 1")
+        if self.k_edges < 1:
+            raise ValueError("k_edges must be >= 1")
+        if min(self.n_easy_neg, self.n_hard_neg, self.hard_neg_pool_size) < 0:
             raise ValueError("sampling sizes must be >= 0")
         if not 0.0 < self.delta < 1.0:
             raise ValueError("delta must be in (0, 1)")
@@ -100,24 +103,15 @@ class TrainingBatch:
 
 @dataclass
 class AdamState:
-    m: list[LayerGrads]
-    v: list[LayerGrads]
+    """First and second moments, laid out like ``GatParams.flat``, and the step."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @staticmethod
     def zeros_like(params: GatParams) -> "AdamState":
-        def z(layer):
-            return LayerGrads(
-                W=np.zeros_like(layer.W),
-                a_src=np.zeros_like(layer.a_src),
-                a_dst=np.zeros_like(layer.a_dst),
-            )
-
-        return AdamState(
-            m=[z(layer) for layer in params.layers],
-            v=[z(layer) for layer in params.layers],
-            t=0,
-        )
+        return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
 def hard_negative_pools(
@@ -296,7 +290,7 @@ def total_loss_and_grads(
     config: TrainingConfig,
     rng: np.random.Generator | None = None,
     train_mode: bool = True,
-) -> tuple[float, float, float, list[LayerGrads], ForwardTrace]:
+) -> tuple[float, float, float, np.ndarray, ForwardTrace]:
     """Combined objective: InfoNCE + lam * DegReg, backpropagated once.
 
     Returns (total, infonce, degreg, parameter gradients, forward trace).
@@ -316,42 +310,28 @@ def total_loss_and_grads(
 
 def adam_step(
     params: GatParams,
-    grads: list[LayerGrads],
+    grads: np.ndarray,
     state: AdamState,
     lr: float,
     weight_decay: float = 0.0,
 ) -> tuple[GatParams, AdamState]:
     """One classic Adam update (L2 weight decay folded into the gradient).
 
-    Pure function: inputs are not mutated.
+    Pure function: inputs are not mutated; the result holds fresh arrays.
     """
-    if len(grads) != len(params.layers):
-        raise DimensionError("gradient list does not match layer count")
-    new_params = params.copy()
-    new_state = AdamState(
-        m=[LayerGrads(g.W.copy(), g.a_src.copy(), g.a_dst.copy()) for g in state.m],
-        v=[LayerGrads(g.W.copy(), g.a_src.copy(), g.a_dst.copy()) for g in state.v],
-        t=state.t + 1,
-    )
-    t = new_state.t
-    bc1 = 1.0 - ADAM_BETA1**t
-    bc2 = 1.0 - ADAM_BETA2**t
-    for layer, g, m, v in zip(new_params.layers, grads, new_state.m, new_state.v):
-        for name in ("W", "a_src", "a_dst"):
-            p = getattr(layer, name)
-            grad = getattr(g, name)
-            if grad.shape != p.shape:
-                raise DimensionError(f"gradient shape mismatch on {name}")
-            if weight_decay:
-                grad = grad + weight_decay * p
-            mt = getattr(m, name)
-            vt = getattr(v, name)
-            mt[:] = ADAM_BETA1 * mt + (1.0 - ADAM_BETA1) * grad
-            vt[:] = ADAM_BETA2 * vt + (1.0 - ADAM_BETA2) * grad * grad
-            m_hat = mt / bc1
-            v_hat = vt / bc2
-            p -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return new_params, new_state
+    if grads.shape != params.flat.shape:
+        raise DimensionError(
+            f"gradient shape {grads.shape} != parameter shape {params.flat.shape}"
+        )
+    if weight_decay:
+        grads = grads + weight_decay * params.flat
+    t = state.t + 1
+    m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - ADAM_BETA1**t)
+    v_hat = v / (1.0 - ADAM_BETA2**t)
+    flat = params.flat - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return replace(params, flat=flat), AdamState(m=m, v=v, t=t)
 
 
 @dataclass
@@ -418,7 +398,7 @@ def train(
     sidecar = {"config": asdict(config), "dims": dims}
 
     logs: list[EpochLog] = []
-    best_params = params.copy()
+    best_params = params
     best_loss = np.inf
     best_epoch = 0
     adam = AdamState.zeros_like(params)
@@ -459,7 +439,7 @@ def train(
         )
         if mean_loss < best_loss:
             best_loss = mean_loss
-            best_params = params.copy()
+            best_params = params
             best_epoch = epoch
         if ckpt_dir is not None:
             _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc", sidecar)

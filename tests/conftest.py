@@ -130,28 +130,21 @@ def finite_difference_worst_rel_err(
 ) -> float:
     """Max relative error between analytic grads and central differences.
 
-    Relative error is |fd - g| / max(|fd|, |g|, 1e-8), elementwise over every
-    tensor of every layer.
+    Relative error is |fd - g| / max(|fd|, |g|, 1e-8), elementwise over the
+    flat parameter vector; ``grads`` has the same layout.
     """
     worst = 0.0
-    for li, layer in enumerate(params.layers):
-        for name in ("W", "a_src", "a_dst"):
-            arr = getattr(layer, name)
-            analytic = getattr(grads[li], name)
-            it = np.nditer(arr, flags=["multi_index"])
-            while not it.finished:
-                idx = it.multi_index
-                orig = arr[idx]
-                arr[idx] = orig + eps
-                plus = loss_fn(params)
-                arr[idx] = orig - eps
-                minus = loss_fn(params)
-                arr[idx] = orig
-                fd = (plus - minus) / (2.0 * eps)
-                g = float(analytic[idx])
-                rel = abs(fd - g) / max(abs(fd), abs(g), 1e-8)
-                worst = max(worst, rel)
-                it.iternext()
+    flat = params.flat
+    for i in range(len(flat)):
+        orig = flat[i]
+        flat[i] = orig + eps
+        plus = loss_fn(params)
+        flat[i] = orig - eps
+        minus = loss_fn(params)
+        flat[i] = orig
+        fd = (plus - minus) / (2.0 * eps)
+        g = float(grads[i])
+        worst = max(worst, abs(fd - g) / max(abs(fd), abs(g), 1e-8))
     return worst
 
 

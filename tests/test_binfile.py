@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from caselink.bm25 import build_index, save_index
 from caselink.corpus import Role
 from caselink.embeddings import EmbeddingTable, write_binary_embeddings
-from caselink.gat import GatParams, LayerParams, save_checkpoint
+from caselink.gat import GatParams, save_checkpoint
 from caselink.graph import GlobalCaseGraph, save_graph
 
 from conftest import make_store
@@ -52,9 +52,9 @@ def gcg1_file(path):
 
 
 def gatc_file(path):
-    layer = LayerParams(W=np.array([[1.0, 2.0]]), a_src=np.array([3.0, 4.0]),
-                        a_dst=np.array([5.0, 6.0]))
-    save_checkpoint(GatParams(layers=[layer], leaky_slope=0.2, dropout_rate=0.1), path)
+    # dims [1, 2]: W = [[1, 2]], a_src = [3, 4], a_dst = [5, 6]
+    params = GatParams(dims=[1, 2], flat=np.arange(1.0, 7.0), leaky_slope=0.2, dropout_rate=0.1)
+    save_checkpoint(params, path)
     return (b"GATC" + struct.pack("<II", 1, 2) + struct.pack("<2I", 1, 2)
             + struct.pack("<dd", 0.2, 0.1) + struct.pack("<6d", 1, 2, 3, 4, 5, 6))
 

@@ -74,7 +74,7 @@ class TestSynth:
         assert len(labels) == 4
 
     def test_invalid_value_is_data_error(self, tmp_path, capsys):
-        assert main(["synth", "--out", str(tmp_path / "s"), "--n-clusters", "11"]) == 2
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-clusters", "0"]) == 2
         assert "n_clusters" in capsys.readouterr().err
 
     def test_unknown_config_key_is_data_error(self, tmp_path, capsys):
@@ -368,6 +368,24 @@ class TestConfigPrecedence:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["pipeline", "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
         assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key, value", [("hidden_dim", 0), ("hidden_dim", -3),
+                                            ("k_edges", 0)])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_encoder_size_below_one_is_data_error_before_any_stage(self, dataset, capsys,
+                                                                   key, value, form):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        argv = ["pipeline", "--out", str(tmp_path / "x"), "--epochs", "1"]
+        if form == "flag":
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        else:
+            cfg["training"] = {key: value}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_malformed_config_json(self, tmp_path):
@@ -829,6 +847,23 @@ class TestDamagedInputs:
         for argv in commands:
             assert main(argv) == 2
             assert "truncated" in capsys.readouterr().err
+
+    def test_rank_on_non_finite_checkpoint_is_data_error(self, dataset, capsys):
+        import numpy as np
+
+        from caselink.gat import load_checkpoint, save_checkpoint
+
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["train", *cfg, "--out", str(tmp_path / "t"), "--epochs", "1"]) == 0
+        params = load_checkpoint(ckpt)
+        params.layers[0].W[0, 0] = np.nan
+        save_checkpoint(params, ckpt)
+        capsys.readouterr()
+        assert main(["rank", *cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "r")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+        assert not (tmp_path / "r" / "run.tsv").exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count"])
     def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):

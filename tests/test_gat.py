@@ -1,6 +1,7 @@
 """Graph-attention encoder: forward semantics, backward gradients, checkpoints."""
 
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import scipy.sparse as sp
 from caselink.errors import DimensionError, NumericalError, TraceError
 from caselink.gat import (
     GatParams,
-    LayerParams,
     backward_gradients,
     init_params,
+    layer_views,
     load_checkpoint,
     model_forward,
     prepare_structure,
@@ -51,9 +52,7 @@ class TestInitParams:
     def test_deterministic_per_seed(self):
         p1 = init_params(3, [8, 8, 4])
         p2 = init_params(3, [8, 8, 4])
-        for l1, l2 in zip(p1.layers, p2.layers):
-            np.testing.assert_array_equal(l1.W, l2.W)
-            np.testing.assert_array_equal(l1.a_src, l2.a_src)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
         p3 = init_params(4, [8, 8, 4])
         assert not np.array_equal(p1.layers[0].W, p3.layers[0].W)
 
@@ -72,6 +71,40 @@ class TestInitParams:
     def test_too_short_dims_rejected(self):
         with pytest.raises(DimensionError):
             init_params(0, [8])
+
+    def test_draws_follow_the_documented_order(self):
+        # per layer: W row-major from +-sqrt(6 / (d_in + d_out)), then a_src || a_dst
+        # jointly from +-sqrt(6 / (2 d_out + 1)); checkpoints written earlier rely on it
+        dims = [4, 3, 2]
+        rng = np.random.default_rng(11)
+        expected = []
+        for d_in, d_out in zip(dims, dims[1:]):
+            limit_w = np.sqrt(6.0 / (d_in + d_out))
+            limit_a = np.sqrt(6.0 / (2 * d_out + 1))
+            expected.append(rng.uniform(-limit_w, limit_w, size=(d_in, d_out)).ravel())
+            expected.append(rng.uniform(-limit_a, limit_a, size=2 * d_out))
+        np.testing.assert_array_equal(init_params(11, dims).flat, np.concatenate(expected))
+
+
+class TestLayerViews:
+    def test_views_follow_the_payload_order_and_write_through(self):
+        flat = np.arange(22.0)  # dims [2, 3, 2]: 6 + 3 + 3 values, then 6 + 2 + 2
+        first, second = layer_views(flat, [2, 3, 2])
+        np.testing.assert_array_equal(first.W, [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(first.a_src, [6, 7, 8])
+        np.testing.assert_array_equal(first.a_dst, [9, 10, 11])
+        np.testing.assert_array_equal(second.W, [[12, 13], [14, 15], [16, 17]])
+        np.testing.assert_array_equal(second.a_src, [18, 19])
+        np.testing.assert_array_equal(second.a_dst, [20, 21])
+        second.a_src[:] = -1.0
+        np.testing.assert_array_equal(flat[18:20], [-1.0, -1.0])
+
+    @pytest.mark.parametrize("length", [21, 23])
+    def test_length_that_does_not_fit_the_dims_rejected(self, length):
+        with pytest.raises(DimensionError):
+            layer_views(np.zeros(length), [2, 3, 2])
+        with pytest.raises(DimensionError):
+            GatParams(dims=[2, 3, 2], flat=np.zeros(length))
 
 
 class TestForward:
@@ -236,10 +269,8 @@ class TestBackward:
         params = init_params(0, [graph.dim, graph.dim])
         _, trace = model_forward(params, graph.features, graph.adjacency)
         grads, d_h = backward_gradients(params, trace, np.zeros_like(trace.output))
-        for g in grads:
-            assert not np.any(g.W)
-            assert not np.any(g.a_src)
-            assert not np.any(g.a_dst)
+        assert grads.shape == params.flat.shape
+        assert not np.any(grads)
         assert not np.any(d_h)
 
     def test_mismatched_trace_rejected(self):
@@ -260,10 +291,24 @@ class TestCheckpoint:
         assert loaded.dims == params.dims
         assert loaded.dropout_rate == params.dropout_rate
         assert loaded.leaky_slope == params.leaky_slope
-        for l1, l2 in zip(params.layers, loaded.layers):
-            np.testing.assert_array_equal(l1.W, l2.W)
-            np.testing.assert_array_equal(l1.a_src, l2.a_src)
-            np.testing.assert_array_equal(l1.a_dst, l2.a_dst)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    def test_bytes_are_the_header_plus_the_flat_vector(self, tmp_path):
+        params = init_params(21, [6, 5, 4], dropout=0.25)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        header = (b"GATC" + struct.pack("<II", 1, 3) + struct.pack("<3I", 6, 5, 4)
+                  + struct.pack("<dd", 0.2, 0.25))
+        assert path.read_bytes() == header + params.flat.astype("<f8").tobytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        params = init_params(0, [3, 2, 2])
+        params.layers[1].a_dst[0] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(params, path)
+        with pytest.raises(TraceError, match="non-finite"):
+            load_checkpoint(path)
 
     def test_magic_and_sidecar(self, tmp_path):
         params = init_params(0, [3, 3])

@@ -11,6 +11,7 @@ from caselink.corpus import (
     normalize_charge_name,
 )
 from caselink.embeddings import load_embedding_file
+from caselink.graph import build_case_charge_edges
 from caselink.synthetic import SyntheticSpec, generate, write_dataset
 
 
@@ -111,6 +112,19 @@ class TestGenerate:
         a = generate(SMALL)
         c = generate(SyntheticSpec(**{**SMALL.__dict__, "seed": 5}))
         assert [x.text for x in a.store.cases] != [x.text for x in c.store.cases]
+
+    def test_more_clusters_than_charge_suffixes(self):
+        spec = SyntheticSpec(n_clusters=23, candidates_per_cluster=2, queries_per_cluster=1,
+                             relevant_per_query=1, dim=4, seed=3)
+        ds = generate(spec)
+        names = [c.name for c in ds.store.charges]
+        assert names[:2] == ["statutory offense alpha", "statutory offense bravo"]
+        assert names[10:12] == ["statutory offense alpha1", "statutory offense bravo1"]
+        assert names[22] == "statutory offense charlie2"
+        assert len(set(names)) == 23
+        links = build_case_charge_edges(ds.store).toarray()
+        for k in range(23):  # cluster k is cases 3k .. 3k + 2: one query, two candidates
+            assert list(np.flatnonzero(links[k])) == [3 * k, 3 * k + 1, 3 * k + 2]
 
 
 class TestWriteDataset:

@@ -8,7 +8,7 @@ import pytest
 
 from caselink.bm25 import build_index, score_all
 from caselink.errors import DimensionError, LabelError, NumericalError
-from caselink.gat import GatParams, LayerGrads, LayerParams, load_checkpoint
+from caselink.gat import GatParams, load_checkpoint
 from caselink.graph import build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
 from caselink.training import (
@@ -74,6 +74,13 @@ class TestTrainingConfig:
             TrainingConfig(delta=1.5)
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
+
+    @pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("hidden_dim", -3),
+                                              ("k_edges", 0)])
+    def test_encoder_sizes_below_one_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(**{field: value})
+        TrainingConfig(**{field: 1})
 
 
 class TestHardNegativePools:
@@ -432,67 +439,46 @@ class TestTotalLoss:
 
 class TestAdamStep:
     def _scalar_setup(self, w0=0.0, grad=1.0):
-        params = GatParams(
-            layers=[
-                LayerParams(
-                    W=np.array([[w0]]), a_src=np.array([0.0]), a_dst=np.array([0.0])
-                )
-            ],
-            dropout_rate=0.0,
-        )
-        grads = [
-            LayerGrads(W=np.array([[grad]]), a_src=np.array([0.0]), a_dst=np.array([0.0]))
-        ]
+        # dims [1, 1]: the flat vector is W[0, 0], a_src[0], a_dst[0]
+        params = GatParams(dims=[1, 1], flat=np.array([w0, 0.0, 0.0]), dropout_rate=0.0)
+        grads = np.array([grad, 0.0, 0.0])
         return params, grads, AdamState.zeros_like(params)
 
     def test_hand_worked_first_step(self):
         params, grads, state = self._scalar_setup()
         new_params, new_state = adam_step(params, grads, state, lr=1e-3)
         # bias-corrected m_hat = 1, v_hat = 1: step = lr / (1 + eps)
-        assert new_params.layers[0].W[0, 0] == pytest.approx(-0.000999999990, abs=1e-12)
+        assert new_params.flat[0] == pytest.approx(-0.000999999990, abs=1e-12)
         assert new_state.t == 1
 
     def test_zero_gradient_leaves_parameters_unchanged(self):
         params, _, state = self._scalar_setup()
-        zero = [
-            LayerGrads(W=np.zeros((1, 1)), a_src=np.zeros(1), a_dst=np.zeros(1))
-        ]
-        new_params, _ = adam_step(params, zero, state, lr=1e-3)
-        np.testing.assert_array_equal(new_params.layers[0].W, params.layers[0].W)
+        new_params, _ = adam_step(params, np.zeros(3), state, lr=1e-3)
+        np.testing.assert_array_equal(new_params.flat, params.flat)
 
     def test_purity(self):
         params, grads, state = self._scalar_setup(w0=0.5)
-        w_before = params.layers[0].W.copy()
+        w_before = params.flat.copy()
         out1, s1 = adam_step(params, grads, state, lr=1e-2)
         out2, s2 = adam_step(params, grads, state, lr=1e-2)
-        np.testing.assert_array_equal(params.layers[0].W, w_before)
+        np.testing.assert_array_equal(params.flat, w_before)
         assert state.t == 0
-        np.testing.assert_array_equal(out1.layers[0].W, out2.layers[0].W)
-        np.testing.assert_array_equal(s1.m[0].W, s2.m[0].W)
+        assert not np.any(state.m) and not np.any(state.v)
+        np.testing.assert_array_equal(out1.flat, out2.flat)
+        np.testing.assert_array_equal(s1.m, s2.m)
+        assert not np.shares_memory(out1.flat, params.flat)
 
     def test_weight_decay_equals_l2_gradient_shift(self):
         params, grads, state = self._scalar_setup(w0=0.7, grad=0.3)
         with_wd, _ = adam_step(params, grads, state, lr=1e-3, weight_decay=0.01)
-        shifted = [
-            LayerGrads(
-                W=grads[0].W + 0.01 * params.layers[0].W,
-                a_src=grads[0].a_src + 0.01 * params.layers[0].a_src,
-                a_dst=grads[0].a_dst + 0.01 * params.layers[0].a_dst,
-            )
-        ]
+        shifted = grads + 0.01 * params.flat
         manual, _ = adam_step(params, shifted, state, lr=1e-3, weight_decay=0.0)
-        np.testing.assert_array_equal(with_wd.layers[0].W, manual.layers[0].W)
+        np.testing.assert_array_equal(with_wd.flat, manual.flat)
 
     def test_shape_mismatch_rejected(self):
         params, grads, state = self._scalar_setup()
-        bad = [LayerGrads(W=np.zeros((2, 2)), a_src=np.zeros(1), a_dst=np.zeros(1))]
         with pytest.raises(DimensionError):
-            adam_step(params, bad, state, lr=1e-3)
-
-    def test_gradient_list_length_mismatch_rejected(self):
-        params, grads, state = self._scalar_setup()
-        with pytest.raises(DimensionError):
-            adam_step(params, grads * 2, state, lr=1e-3)
+            adam_step(params, np.zeros(4), state, lr=1e-3)
 
     def test_bias_correction_across_steps(self):
         params, grads, state = self._scalar_setup()
@@ -501,7 +487,7 @@ class TestAdamStep:
             p, s = adam_step(p, grads, s, lr=1e-3)
         assert s.t == 3
         # constant gradient: every bias-corrected step is ~lr regardless of t
-        assert p.layers[0].W[0, 0] == pytest.approx(-3e-3, rel=1e-6)
+        assert p.flat[0] == pytest.approx(-3e-3, rel=1e-6)
 
 
 class TestTrainLoop:
@@ -530,8 +516,7 @@ class TestTrainLoop:
         )
         r1 = train(ds.store, graph, ds.labels, cfg)
         r2 = train(ds.store, graph, ds.labels, cfg)
-        for l1, l2 in zip(r1.params.layers, r2.params.layers):
-            np.testing.assert_array_equal(l1.W, l2.W)
+        np.testing.assert_array_equal(r1.params.flat, r2.params.flat)
         assert [e.mean_loss for e in r1.log] == [e.mean_loss for e in r2.log]
 
     def test_checkpoints_and_log_files(self, tmp_path, monkeypatch):
@@ -554,10 +539,7 @@ class TestTrainLoop:
         ]
         for name, params in [("checkpoint.gatc", result.params),
                              ("checkpoint_last.gatc", stepped[-1])]:
-            for l1, l2 in zip(load_checkpoint(tmp_path / name).layers, params.layers):
-                np.testing.assert_array_equal(l1.W, l2.W)
-                np.testing.assert_array_equal(l1.a_src, l2.a_src)
-                np.testing.assert_array_equal(l1.a_dst, l2.a_dst)
+            np.testing.assert_array_equal(load_checkpoint(tmp_path / name).flat, params.flat)
         log_lines = (tmp_path / "training_log.jsonl").read_text().splitlines()
         assert len(log_lines) == 3
         entry = json.loads(log_lines[0])
@@ -571,8 +553,7 @@ class TestTrainLoop:
         result = train(ds.store, graph, ds.labels, cfg)
         dims = [graph.dim] + [graph.dim] * cfg.layers
         init = init_params(cfg.seed, dims, dropout=cfg.dropout)
-        for l1, l2 in zip(result.params.layers, init.layers):
-            np.testing.assert_array_equal(l1.W, l2.W)
+        np.testing.assert_array_equal(result.params.flat, init.flat)
 
     def test_no_labels_rejected(self):
         ds, graph = small_dataset()
