@@ -14,6 +14,7 @@ the query, so repeated terms contribute once per occurrence.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -94,14 +95,20 @@ class Bm25Index:
         return cols[found]
 
 
+def check_parameters(k1: float, b: float) -> None:
+    """Raise ValueError unless ``k1`` is a finite number > 0 and ``0 <= b <= 1``
+    (NaN fails both)."""
+    if not 0.0 < k1 < math.inf:
+        raise ValueError(f"k1 must be a finite number > 0, got {k1}")
+    if not 0.0 <= b <= 1.0:
+        raise ValueError(f"b must be in [0, 1], got {b}")
+
+
 def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
     """Index every case document (queries and candidates alike)."""
     if store.n_cases == 0:
         raise EmptyCorpusError("cannot build an index over an empty corpus")
-    if k1 <= 0:
-        raise ValueError("k1 must be > 0")
-    if not 0.0 <= b <= 1.0:
-        raise ValueError("b must be in [0, 1]")
+    check_parameters(k1, b)
 
     doc_len = np.array([len(c.tokens) for c in store.cases], dtype=np.float64)
     raw: dict[str, list[tuple[int, int]]] = {}

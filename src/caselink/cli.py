@@ -29,7 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .bm25 import Bm25Index, build_index, load_index, save_index
+from .bm25 import Bm25Index, build_index, check_parameters, load_index, save_index
 from .corpus import (
     CorpusStore,
     attach_charges,
@@ -177,7 +177,8 @@ class RunOptions:
     read it, one flag (``out_dir`` is ``--out``). A ``Path`` field holds a path:
     relative in a config file, it is taken relative to that file's directory;
     as a flag, relative to the working directory. Ranking sizes outside
-    ``1 <= final_size <= prefilter_size`` are a ValueError."""
+    ``1 <= final_size <= prefilter_size`` and BM25 parameters that
+    ``build_index`` would reject are a ValueError."""
 
     corpus: Path | None = None
     labels: Path | None = None
@@ -198,6 +199,7 @@ class RunOptions:
 
     def __post_init__(self):
         check_sizes(self.prefilter_size, self.final_size)
+        check_parameters(self.k1, self.b)
 
 
 _OPTION_FIELDS = {f.name: f for f in dataclasses.fields(RunOptions)}

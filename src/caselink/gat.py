@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -112,21 +113,38 @@ class LayerTrace:
 @dataclass
 class ForwardTrace:
     layers: list[LayerTrace]
-    structure: "_SelfLoopStructure"
+    structure: SelfLoopStructure
     output: np.ndarray
 
 
 @dataclass(frozen=True)
-class _SelfLoopStructure:
-    """CSR edge structure of A + I: per-edge aggregating row and neighbor col."""
+class SelfLoopStructure:
+    """CSR edge structure of A + I: per-edge aggregating row and neighbor col.
+
+    It depends on the graph alone, so one instance serves every forward and
+    backward pass over that graph.
+    """
 
     indptr: np.ndarray
     row: np.ndarray  # aggregating node per edge
     col: np.ndarray  # neighbor per edge
     n_nodes: int
 
+    @cached_property
+    def col_sum(self) -> sp.csr_matrix:
+        """(n_nodes x E) 0/1 matrix whose row c lists the edges with
+        ``col == c`` in ascending edge order. Its product with per-edge values
+        adds each row's entries one after another in that order, starting from
+        zero: bit for bit the sequential scatter-add over ``col``, where a
+        reduceat would sum long segments pairwise. Built on first use: only
+        the backward pass needs it."""
+        order = np.argsort(self.col, kind="stable")
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.col, minlength=self.n_nodes))))
+        return sp.csr_matrix((np.ones(len(order)), order, indptr),
+                             shape=(self.n_nodes, len(order)))
 
-def prepare_structure(adjacency: sp.spmatrix) -> _SelfLoopStructure:
+
+def prepare_structure(adjacency: sp.spmatrix) -> SelfLoopStructure:
     n = adjacency.shape[0]
     if adjacency.shape != (n, n):
         raise DimensionError("adjacency must be square")
@@ -138,7 +156,7 @@ def prepare_structure(adjacency: sp.spmatrix) -> _SelfLoopStructure:
     indptr = with_loops.indptr.astype(np.int64)
     col = with_loops.indices.astype(np.int64)
     row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return _SelfLoopStructure(indptr=indptr, row=row, col=col, n_nodes=n)
+    return SelfLoopStructure(indptr=indptr, row=row, col=col, n_nodes=n)
 
 
 def init_params(
@@ -175,7 +193,7 @@ def _elu_grad(pre: np.ndarray) -> np.ndarray:
 def _layer_forward(
     layer: LayerParams,
     h_in: np.ndarray,
-    structure: _SelfLoopStructure,
+    structure: SelfLoopStructure,
     slope: float,
     apply_elu: bool,
     dropout_rate: float,
@@ -219,7 +237,7 @@ def _draw_masks(
     rng: np.random.Generator,
     rate: float,
     h_shape: tuple[int, int],
-    structure: _SelfLoopStructure,
+    structure: SelfLoopStructure,
 ) -> tuple[np.ndarray, np.ndarray]:
     in_mask = (rng.random(h_shape) >= rate).astype(np.float64)
     att_mask = (rng.random(len(structure.row)) >= rate).astype(np.float64)
@@ -239,17 +257,22 @@ def _draw_masks(
 def model_forward(
     params: GatParams,
     features: np.ndarray,
-    adjacency: sp.spmatrix,
+    adjacency: sp.spmatrix | SelfLoopStructure,
     train_mode: bool = False,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
-    """Apply all layers; rows 0..n-1 of the result are the case representations."""
+    """Apply all layers; rows 0..n-1 of the result are the case representations.
+
+    ``adjacency`` is the graph's adjacency, or its ``prepare_structure`` when
+    several passes share one graph; both give the same result.
+    """
     h = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise NumericalError("non-finite value in input features")
     if h.shape[1] != params.dims[0]:
         raise DimensionError(f"feature dim {h.shape[1]} != first layer d_in {params.dims[0]}")
-    structure = prepare_structure(adjacency)
+    structure = (adjacency if isinstance(adjacency, SelfLoopStructure)
+                 else prepare_structure(adjacency))
     if structure.n_nodes != h.shape[0]:
         raise DimensionError("adjacency size does not match feature rows")
 
@@ -312,9 +335,10 @@ def backward_gradients(
         d_pre = gh * _elu_grad(lt.pre_act) if lt.apply_elu else gh
 
         # aggregation: pre_act[i] = sum_e alpha_used[e] * z[col[e]]
-        d_alpha_used = np.einsum("ed,ed->e", d_pre[row], lt.z[col])
-        dz = np.zeros_like(lt.z)
-        np.add.at(dz, col, lt.alpha_used[:, None] * d_pre[row])
+        d_pre_row = d_pre[row]
+        d_alpha_used = np.einsum("ed,ed->e", d_pre_row, lt.z[col])
+        d_pre_row *= lt.alpha_used[:, None]  # in place: each edge's share of dz[col]
+        dz = structure.col_sum @ d_pre_row
 
         d_alpha = (
             d_alpha_used if lt.att_mask is None else d_alpha_used * lt.att_mask / keep
@@ -325,8 +349,7 @@ def backward_gradients(
         draw = de * np.where(lt.raw > 0, 1.0, params.leaky_slope)
 
         du = np.add.reduceat(draw, indptr[:-1])
-        dv = np.zeros(structure.n_nodes)
-        np.add.at(dv, col, draw)
+        dv = np.bincount(col, weights=draw, minlength=structure.n_nodes)
         dz += np.outer(du, layer.a_src) + np.outer(dv, layer.a_dst)
 
         g.a_src[:] = lt.z.T @ du

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, asdict, replace
@@ -31,9 +32,11 @@ from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
     ForwardTrace,
     GatParams,
+    SelfLoopStructure,
     backward_gradients,
     init_params,
     model_forward,
+    prepare_structure,
     save_checkpoint,
 )
 from .graph import GlobalCaseGraph
@@ -64,14 +67,17 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
+        # written so that NaN fails every check
+        for name in ("lr", "tau"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0")
+        for name in ("weight_decay", "lam"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be a finite number >= 0")
         if self.batch_size < 1 or self.layers < 1 or self.epochs < 0:
             raise ValueError("batch_size/layers must be >= 1 and epochs >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.lr <= 0 or self.weight_decay < 0 or self.lam < 0:
-            raise ValueError("lr must be > 0; weight_decay and lam must be >= 0")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
         if self.k_edges < 1:
@@ -132,10 +138,23 @@ def hard_negative_pools(
     return pools
 
 
+def easy_negative_pools(
+    labels: dict[str, tuple[str, ...]],
+    candidate_ids: list[str] | tuple[str, ...],
+) -> dict[str, tuple[str, ...]]:
+    """Per query: every candidate that is not one of its positives, in
+    ``candidate_ids`` order."""
+    pools: dict[str, tuple[str, ...]] = {}
+    for qid, positives in labels.items():
+        pos_set = set(positives)
+        pools[qid] = tuple(c for c in candidate_ids if c not in pos_set)
+    return pools
+
+
 def sample_batch(
     labels: dict[str, tuple[str, ...]],
     hard_pools: dict[str, tuple[str, ...]],
-    candidate_ids: list[str] | tuple[str, ...],
+    easy_pools: dict[str, tuple[str, ...]],
     config: TrainingConfig,
     rng: np.random.Generator,
     query_subset: list[str] | tuple[str, ...],
@@ -143,25 +162,24 @@ def sample_batch(
 ) -> TrainingBatch:
     """Sample one positive plus easy and hard negatives for each query.
 
-    Hard negatives come from the query's BM25 pool; if exclusion empties the
-    pool, sampling falls back to easy negatives with a logged warning.
+    Easy negatives come from the query's ``easy_negative_pools`` entry, hard
+    negatives from its BM25 pool; if exclusion empties the hard pool, sampling
+    falls back to easy negatives with a logged warning.
     """
     entries: list[BatchEntry] = []
-    candidate_ids = list(candidate_ids)
     for qid in query_subset:
         positives = labels.get(qid, ())
         if not positives:
             raise LabelError(f"query {qid!r} has no labeled positive")
         positive = positives[int(rng.integers(len(positives)))]
-        pos_set = set(positives)
 
-        easy_pool = [c for c in candidate_ids if c not in pos_set]
+        easy_pool = easy_pools[qid]
         if len(easy_pool) < config.n_easy_neg:
             raise LabelError(f"not enough easy negatives for query {qid!r}")
         easy_idx = rng.choice(len(easy_pool), size=config.n_easy_neg, replace=False)
         easy = tuple(easy_pool[int(i)] for i in easy_idx)
 
-        hard_pool = list(hard_pools.get(qid, ()))
+        hard_pool = hard_pools.get(qid, ())
         if config.n_hard_neg == 0:
             hard = ()
         elif not hard_pool:
@@ -211,7 +229,7 @@ def infonce_loss(
     positives of every entry in batch order, valid where they are in-batch
     negatives (another entry's positive that is not a known positive).
     """
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("tau must be > 0")
     if not batch.entries:
         raise ValueError("empty batch")
@@ -248,9 +266,15 @@ def infonce_loss(
     dcos = exp / denom[:, None]
     dcos[:, 0] -= 1.0
     dcos /= tau * n
-    d_unit = np.zeros_like(unit)
-    np.add.at(d_unit, local[:n], np.einsum("bl,bld->bd", dcos, u_r))
-    np.add.at(d_unit, local[n:], (dcos[:, :, None] * u_q[:, None, :]).reshape(-1, h.shape[1]))
+    # each used row sums its query contributions, then its cell ones, in
+    # order: np.bincount adds its input one entry after another, as a
+    # sequential scatter-add does, where a reduceat would sum pairwise
+    contributions = np.vstack([np.einsum("bl,bld->bd", dcos, u_r),
+                               (dcos[:, :, None] * u_q[:, None, :]).reshape(-1, h.shape[1])])
+    d = h.shape[1]
+    cells = (local[:, None] * d + np.arange(d)).ravel()
+    d_unit = np.bincount(cells, weights=contributions.ravel(),
+                         minlength=len(used) * d).reshape(len(used), d)
     dh = np.zeros_like(h)
     dh[used] = _unit_rows_backward(unit, norms, d_unit)
     return loss, dh
@@ -290,13 +314,17 @@ def total_loss_and_grads(
     config: TrainingConfig,
     rng: np.random.Generator | None = None,
     train_mode: bool = True,
+    structure: SelfLoopStructure | None = None,
 ) -> tuple[float, float, float, np.ndarray, ForwardTrace]:
     """Combined objective: InfoNCE + lam * DegReg, backpropagated once.
 
-    Returns (total, infonce, degreg, parameter gradients, forward trace).
+    ``structure`` is ``prepare_structure(graph.adjacency)`` when the caller
+    keeps one across steps. Returns (total, infonce, degreg, parameter
+    gradients, forward trace).
     """
     h, trace = model_forward(
-        params, graph.features, graph.adjacency, train_mode=train_mode, rng=rng
+        params, graph.features, graph.adjacency if structure is None else structure,
+        train_mode=train_mode, rng=rng,
     )
     nce, dh = infonce_loss(h, batch, config.tau, graph.node_rows)
     if config.lam > 0.0:
@@ -353,11 +381,13 @@ class TrainResult:
     best_epoch: int
 
 
-def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict) -> None:
+def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict | None) -> None:
+    """Write ``path`` (and its sidecar, unless None) through ``.tmp`` siblings."""
     tmp = path.with_suffix(path.suffix + ".tmp")
     save_checkpoint(params, tmp, sidecar=sidecar)
     os.replace(tmp, path)
-    os.replace(Path(str(tmp) + ".json"), Path(str(path) + ".json"))
+    if sidecar is not None:
+        os.replace(Path(str(tmp) + ".json"), Path(str(path) + ".json"))
 
 
 def train(
@@ -372,9 +402,12 @@ def train(
 
     Each epoch shuffles the labeled queries, partitions them into batches,
     and runs a full-graph forward per batch with the loss restricted to the
-    batch entries; the best-epoch params are returned. With ``checkpoint_dir``,
-    ``checkpoint_last.gatc`` is rewritten atomically each epoch, then
-    ``checkpoint.gatc`` (best epoch) and ``training_log.jsonl`` are written.
+    batch entries; the best-epoch params are returned. The edge structure and
+    the negative pools are built once, before the first step. A non-finite
+    loss or parameter is a NumericalError. With ``checkpoint_dir``,
+    ``checkpoint_last.gatc`` is rewritten atomically each epoch (its sidecar,
+    which never changes, is written with the first), then ``checkpoint.gatc``
+    (best epoch) and ``training_log.jsonl`` are written.
     """
     queries = sorted(labels)
     if not queries:
@@ -386,7 +419,8 @@ def train(
     if bm25_index is None:
         bm25_index = build_index(store)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
-    candidate_ids = [c.id for c in store.candidates()]
+    easy_pools = easy_negative_pools(labels, [c.id for c in store.candidates()])
+    structure = prepare_structure(graph.adjacency)
 
     rng = np.random.default_rng(config.seed)
     dims = [graph.dim] + [config.hidden_dim or graph.dim] * config.layers
@@ -413,16 +447,20 @@ def train(
         for start in range(0, len(order), config.batch_size):
             subset = order[start : start + config.batch_size]
             batch = sample_batch(
-                labels, hard_pools, candidate_ids, config, rng, subset, epoch=epoch
+                labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
             )
             total, nce, reg, grads, _ = total_loss_and_grads(
-                params, graph, batch, config, rng=rng, train_mode=True
+                params, graph, batch, config, rng=rng, train_mode=True, structure=structure
             )
             if not np.isfinite(total):
                 raise NumericalError(
                     f"non-finite loss at epoch {epoch}; last good checkpoint retained"
                 )
             params, adam = adam_step(params, grads, adam, config.lr, config.weight_decay)
+            if not np.all(np.isfinite(params.flat)):
+                raise NumericalError(
+                    f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
+                )
             losses.append(total)
             nces.append(nce)
             regs.append(reg)
@@ -442,7 +480,8 @@ def train(
             best_params = params
             best_epoch = epoch
         if ckpt_dir is not None:
-            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc", sidecar)
+            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc",
+                               sidecar if epoch == 0 else None)
 
     if ckpt_dir is not None:
         if not logs:  # epochs == 0: the initial params are also the last ones

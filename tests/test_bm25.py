@@ -70,6 +70,11 @@ class TestBuildIndex:
         with pytest.raises(ValueError):
             build_index(store, b=1.5)
 
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_non_finite_k1_rejected(self, k1):
+        with pytest.raises(ValueError, match="k1"):
+            build_index(make_store([("d1", "a")]), k1=k1)
+
 
 class TestBm25Score:
     def test_hand_worked_two_doc_corpus(self):

@@ -388,6 +388,41 @@ class TestConfigPrecedence:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("key, flag", [("lr", "--lr"), ("tau", "--tau"),
+                                           ("weight_decay", "--weight-decay"),
+                                           ("lam", "--lambda")])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_nan_training_rate_is_data_error_before_any_stage(self, dataset, capsys, key,
+                                                              flag, form):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        argv = ["pipeline", "--out", str(tmp_path / "x"), "--epochs", "1"]
+        if form == "flag":
+            argv += [flag, "nan"]
+        else:
+            cfg["training"] = {key: float("nan")}  # written as the JSON literal NaN
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_non_finite_k1_is_data_error_before_any_stage(self, dataset, capsys, value, form):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        argv = ["pipeline", "--out", str(tmp_path / "x"), "--epochs", "0"]
+        if form == "flag":
+            argv += ["--k1", value]
+        else:
+            cfg["k1"] = float(value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert "k1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

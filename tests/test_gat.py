@@ -48,6 +48,47 @@ def no_edge_adj(n: int) -> sp.csr_matrix:
     return sp.csr_matrix((n, n), dtype=np.int8)
 
 
+def hub_adj(n: int, seed: int) -> sp.csr_matrix:
+    """Random symmetric graph in which node 0 neighbours every other node, so
+    its column of A + I holds n >= 9 edges: long enough that a pairwise
+    (reduceat) sum would round differently from a sequential one."""
+    rng = np.random.default_rng(seed)
+    upper = np.triu(rng.random((n, n)) < 0.3, 1)
+    upper[0, 1:] = True
+    return sp.csr_matrix((upper | upper.T).astype(np.int8))
+
+
+def scatter_reference_backward(params: GatParams, trace, d_out: np.ndarray):
+    """The backward pass with both sums over ``col`` written as unbuffered
+    ``np.add.at`` scatters, which add in ascending edge order."""
+    structure = trace.structure
+    row, col, indptr = structure.row, structure.col, structure.indptr
+    keep = 1.0 - params.dropout_rate
+    grads = np.zeros_like(params.flat)
+    gh = d_out
+    for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers),
+                            reversed(layer_views(grads, params.dims))):
+        pre = lt.pre_act
+        d_pre = gh * np.where(pre > 0, 1.0, np.exp(np.minimum(pre, 0.0))) if lt.apply_elu else gh
+        d_alpha_used = np.einsum("ed,ed->e", d_pre[row], lt.z[col])
+        dz = np.zeros_like(lt.z)
+        np.add.at(dz, col, lt.alpha_used[:, None] * d_pre[row])
+        d_alpha = d_alpha_used if lt.att_mask is None else d_alpha_used * lt.att_mask / keep
+        s_row = np.add.reduceat(lt.alpha * d_alpha, indptr[:-1])
+        draw = lt.alpha * (d_alpha - s_row[row]) * np.where(lt.raw > 0, 1.0, params.leaky_slope)
+        du = np.add.reduceat(draw, indptr[:-1])
+        dv = np.zeros(structure.n_nodes)
+        np.add.at(dv, col, draw)
+        dz += np.outer(du, layer.a_src) + np.outer(dv, layer.a_dst)
+        g.a_src[:] = lt.z.T @ du
+        g.a_dst[:] = lt.z.T @ dv
+        g.W[:] = lt.h_used.T @ dz
+        gh = dz @ layer.W.T
+        if lt.in_mask is not None:
+            gh = gh * lt.in_mask / keep
+    return grads, gh
+
+
 class TestInitParams:
     def test_deterministic_per_seed(self):
         p1 = init_params(3, [8, 8, 4])
@@ -137,6 +178,30 @@ class TestForward:
             h = rng.standard_normal((n, d_in))
             out, _ = model_forward(params, h, sp.csr_matrix(dense))
             np.testing.assert_allclose(out, naive_gat_forward(params, h, dense), atol=1e-12)
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_prepared_structure_gives_the_adjacency_forward_bit_for_bit(self, dropout):
+        adj = hub_adj(14, seed=1)
+        params = init_params(3, [5, 4, 4], dropout=dropout)
+        h = np.random.default_rng(4).standard_normal((14, 5))
+        structure = prepare_structure(adj)
+        for _ in range(2):  # the same structure serves again
+            a, trace_a = model_forward(params, h, adj, train_mode=True,
+                                       rng=np.random.default_rng(5))
+            b, trace_b = model_forward(params, h, structure, train_mode=True,
+                                       rng=np.random.default_rng(5))
+            assert trace_b.structure is structure
+            assert np.array_equal(a, b)
+            for la, lb in zip(trace_a.layers, trace_b.layers):
+                assert np.array_equal(la.alpha_used, lb.alpha_used)
+
+    def test_forward_leaves_the_backward_only_matrix_unbuilt(self):
+        structure = prepare_structure(hub_adj(12, seed=2))
+        params = init_params(0, [3, 3])
+        _, trace = model_forward(params, np.ones((12, 3)), structure)
+        assert "col_sum" not in vars(structure)
+        backward_gradients(params, trace, np.ones((12, 3)))
+        assert "col_sum" in vars(structure)
 
     def test_attention_rows_sum_to_one(self):
         graph = random_gcg(seed=23)
@@ -263,6 +328,21 @@ class TestBackward:
                 rel = abs(fd - d_h[i, j]) / max(abs(fd), abs(d_h[i, j]), 1e-8)
                 worst = max(worst, rel)
         assert worst < 1e-6
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_sums_over_col_equal_the_add_at_scatter_bit_for_bit(self, dropout):
+        n = 16
+        adj = hub_adj(n, seed=7)
+        params = init_params(8, [6, 5, 5], dropout=dropout)
+        rng = np.random.default_rng(9)
+        h = rng.standard_normal((n, 6))
+        _, trace = model_forward(params, h, adj, train_mode=True, rng=rng)
+        assert np.bincount(trace.structure.col).max() >= 9
+        d_out = rng.standard_normal((n, 5))
+        grads, d_h = backward_gradients(params, trace, d_out)
+        ref_grads, ref_d_h = scatter_reference_backward(params, trace, d_out)
+        assert np.array_equal(grads, ref_grads)
+        assert np.array_equal(d_h, ref_d_h)
 
     def test_zero_upstream_gradient_gives_zero_grads(self):
         graph = random_gcg(seed=16)

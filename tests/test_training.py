@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from caselink.errors import DimensionError, LabelError, NumericalError
 from caselink.gat import GatParams, load_checkpoint
 from caselink.graph import build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
+from caselink.embeddings import unit_rows
 from caselink.training import (
     AdamState,
     BatchEntry,
@@ -18,6 +20,7 @@ from caselink.training import (
     TrainingConfig,
     adam_step,
     degreg_loss,
+    easy_negative_pools,
     hard_negative_pools,
     infonce_loss,
     sample_batch,
@@ -26,6 +29,42 @@ from caselink.training import (
 )
 
 from conftest import make_store, random_gcg, toy_batch
+
+
+def scatter_reference_infonce_grad(h, batch, tau, row_of):
+    """The InfoNCE gradient with the per-row sums written as two unbuffered
+    ``np.add.at`` scatters: the query contributions, then the cell ones."""
+    entries = batch.entries
+    n = len(entries)
+    queries = np.array([row_of[e.query_id] for e in entries])
+    own = [[row_of[e.positive_id], *(row_of[i] for i in e.negative_ids)] for e in entries]
+    positives = np.array([rows[0] for rows in own])
+    lengths = np.array([len(rows) for rows in own])
+    own_mask = np.arange(lengths.max()) < lengths[:, None]
+    own_rows = np.repeat(positives[:, None], own_mask.shape[1], axis=1)
+    own_rows[own_mask] = np.concatenate(own)
+    in_batch = np.array(
+        [[p.positive_id not in e.known_positive_ids for p in entries] for e in entries]
+    )
+    np.fill_diagonal(in_batch, False)
+    rows = np.hstack([own_rows, np.broadcast_to(positives, (n, n))])
+    mask = np.hstack([own_mask, in_batch])
+    used, local = np.unique(np.concatenate([queries, rows.ravel()]), return_inverse=True)
+    unit, norms = unit_rows(h[used])
+    u_q = unit[local[:n]]
+    u_r = unit[local[n:]].reshape(*rows.shape, -1)
+    logits = np.where(mask, np.einsum("bd,bld->bl", u_q, u_r) / tau, -np.inf)
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    dcos = exp / exp.sum(axis=1)[:, None]
+    dcos[:, 0] -= 1.0
+    dcos /= tau * n
+    d_unit = np.zeros_like(unit)
+    np.add.at(d_unit, local[:n], np.einsum("bl,bld->bd", dcos, u_r))
+    np.add.at(d_unit, local[n:], (dcos[:, :, None] * u_q[:, None, :]).reshape(-1, h.shape[1]))
+    proj = np.einsum("ij,ij->i", unit, d_unit)
+    dh = np.zeros_like(h)
+    dh[used] = (d_unit - proj[:, None] * unit) / norms[:, None]
+    return dh
 
 
 def small_dataset():
@@ -75,6 +114,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["lr", "tau", "weight_decay", "lam"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_rates_must_be_finite_and_in_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            TrainingConfig(**{field: value})
+
     @pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("hidden_dim", -3),
                                               ("k_edges", 0)])
     def test_encoder_sizes_below_one_rejected(self, field, value):
@@ -123,7 +168,30 @@ class TestSampleBatch:
         labels = {"q1": ("c1",), "q2": ("c2", "c3")}
         pools = {"q1": ("c2", "c4"), "q2": ("c1", "c4")}
         candidates = ["c1", "c2", "c3", "c4", "c5", "c6"]
-        return labels, pools, candidates
+        return labels, pools, easy_negative_pools(labels, candidates)
+
+    def test_easy_pools_drop_positives_and_keep_candidate_order(self):
+        labels, _, easy = self._fixture()
+        assert easy == {"q1": ("c2", "c3", "c4", "c5", "c6"), "q2": ("c1", "c4", "c5", "c6")}
+
+    def test_seeded_draws_are_pinned(self):
+        # literals from the sampler that rebuilt each easy pool per query and
+        # epoch: prebuilt pools of the same length must draw the same entries
+        labels, pools, easy = self._fixture()
+        cfg = TrainingConfig(n_easy_neg=2, n_hard_neg=1)
+        rng = np.random.default_rng(3)
+        drawn = [(e.query_id, e.positive_id, e.easy_negative_ids, e.hard_negative_ids)
+                 for epoch in range(2)
+                 for e in sample_batch(labels, pools, easy, cfg, rng, ["q1", "q2", "q1"],
+                                       epoch=epoch).entries]
+        assert drawn == [
+            ("q1", "c1", ("c2", "c5"), ("c2",)),
+            ("q2", "c2", ("c5", "c6"), ("c1",)),
+            ("q1", "c1", ("c3", "c2"), ("c4",)),
+            ("q1", "c1", ("c6", "c3"), ("c4",)),
+            ("q2", "c3", ("c6", "c1"), ("c1",)),
+            ("q1", "c1", ("c4", "c5"), ("c2",)),
+        ]
 
     def test_deterministic_for_seeded_rng(self):
         labels, pools, candidates = self._fixture()
@@ -159,23 +227,27 @@ class TestSampleBatch:
         cfg = TrainingConfig(n_easy_neg=1, n_hard_neg=2)
         with caplog.at_level("WARNING", logger="caselink.training"):
             batch = sample_batch(
-                labels, pools, ["c1", "c2", "c3", "c4"], cfg, np.random.default_rng(0), ["q1"]
+                labels, pools, easy_negative_pools(labels, ["c1", "c2", "c3", "c4"]), cfg,
+                np.random.default_rng(0), ["q1"]
             )
         assert "falling back" in caplog.text
         entry = batch.entries[0]
         assert len(entry.hard_negative_ids) == 2
         assert "c1" not in entry.hard_negative_ids
+        assert (entry.easy_negative_ids, entry.hard_negative_ids) == (("c4",), ("c4", "c3"))
 
     def test_no_positive_is_an_error(self):
         cfg = TrainingConfig()
         with pytest.raises(LabelError):
-            sample_batch({"q1": ()}, {}, ["c1", "c2"], cfg, np.random.default_rng(0), ["q1"])
+            sample_batch({"q1": ()}, {}, easy_negative_pools({"q1": ()}, ["c1", "c2"]), cfg,
+                         np.random.default_rng(0), ["q1"])
 
     def test_insufficient_easy_negatives_is_an_error(self):
         cfg = TrainingConfig(n_easy_neg=2)
         with pytest.raises(LabelError):
             sample_batch(
-                {"q1": ("c1",)}, {}, ["c1", "c2"], cfg, np.random.default_rng(0), ["q1"]
+                {"q1": ("c1",)}, {}, easy_negative_pools({"q1": ("c1",)}, ["c1", "c2"]), cfg,
+                np.random.default_rng(0), ["q1"]
             )
 
 
@@ -299,6 +371,23 @@ class TestInfonceLoss:
                 h[i, j] = orig
                 fd = (plus - minus) / (2 * eps)
                 assert fd == pytest.approx(dh[i, j], abs=1e-7)
+
+    def test_row_sums_equal_the_add_at_scatter_bit_for_bit(self):
+        # 12 entries: every positive is an in-batch column of the 11 other
+        # entries, and three shared negatives recur in every entry, so each
+        # used row sums 10 or more terms, where a pairwise sum would round
+        # differently from a sequential one
+        rng = np.random.default_rng(21)
+        ids = [f"q{i}" for i in range(12)] + [f"p{i}" for i in range(12)] + ["n0", "n1", "n2"]
+        row_of = self._row_of(ids)
+        h = rng.standard_normal((len(ids), 6))
+        batch = TrainingBatch(tuple(
+            BatchEntry(f"q{i}", f"p{i}", ("n0", "n1"), ("n2",) if i % 2 else (),
+                       frozenset({f"p{i}", f"p{(i + 1) % 12}"}))
+            for i in range(12)
+        ))
+        _, dh = infonce_loss(h, batch, tau=0.2, row_of=row_of)
+        assert np.array_equal(dh, scatter_reference_infonce_grad(h, batch, 0.2, row_of))
 
     def test_validation_errors(self):
         h = np.ones((2, 2))
@@ -544,6 +633,79 @@ class TestTrainLoop:
         assert len(log_lines) == 3
         entry = json.loads(log_lines[0])
         assert set(entry) == {"epoch", "mean_loss", "infonce", "degreg", "wall_ms"}
+
+    def test_edge_structure_and_pools_are_built_once_per_run(self, monkeypatch):
+        import caselink.training as training_module
+
+        calls = {"prepare_structure": [], "easy_negative_pools": [], "adam_step": [],
+                 "backward_gradients": []}
+
+        def recording(module, name, record=lambda args, result: None):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                result = original(*args, **kwargs)
+                calls[name].append(record(args, result))
+                return result
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        recording(training_module, "prepare_structure", lambda args, result: result)
+        recording(training_module, "easy_negative_pools")
+        recording(training_module, "adam_step")
+        recording(training_module, "backward_gradients", lambda args, result: args[1].structure)
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=5, seed=0)
+        train(ds.store, graph, ds.labels, cfg)
+        assert {name: len(made) for name, made in calls.items()} == {
+            "prepare_structure": 1, "easy_negative_pools": 1, "adam_step": 6,
+            "backward_gradients": 6}
+        # every step's forward and backward ran on the one structure, which
+        # built its backward-only matrix once, as a cached property
+        (structure,) = calls["prepare_structure"]
+        assert all(s is structure for s in calls["backward_gradients"])
+        assert "col_sum" in vars(structure)
+
+    def test_non_finite_parameters_stop_before_the_last_checkpoint(self, tmp_path,
+                                                                    monkeypatch):
+        import caselink.training as training_module
+
+        stepped = []
+
+        def poisoned_adam_step(*args, **kwargs):
+            params, state = adam_step(*args, **kwargs)
+            stepped.append(params)
+            if len(stepped) == 2:
+                params = replace(params, flat=np.where(params.flat > 0, np.inf, params.flat))
+            return params, state
+
+        monkeypatch.setattr(training_module, "adam_step", poisoned_adam_step)
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
+        with pytest.raises(NumericalError, match="non-finite parameter at epoch 1"):
+            train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
+        last = load_checkpoint(tmp_path / "checkpoint_last.gatc")
+        np.testing.assert_array_equal(last.flat, stepped[0].flat)
+
+    def test_last_checkpoint_sidecar_is_written_once(self, tmp_path, monkeypatch):
+        import caselink.gat as gat_module
+
+        sidecars = []
+
+        def recording_save(params, path, sidecar=None):
+            sidecars.append((path.name, sidecar is not None))
+            gat_module.save_checkpoint(params, path, sidecar)
+
+        monkeypatch.setattr("caselink.training.save_checkpoint", recording_save)
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
+        train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
+        assert sidecars == [("checkpoint_last.gatc.tmp", True),
+                            ("checkpoint_last.gatc.tmp", False),
+                            ("checkpoint_last.gatc.tmp", False),
+                            ("checkpoint.gatc.tmp", True)]
+        assert json.loads((tmp_path / "checkpoint_last.gatc.json").read_text()) == json.loads(
+            (tmp_path / "checkpoint.gatc.json").read_text())
 
     def test_epochs_zero_returns_initialization(self):
         ds, graph = small_dataset()
