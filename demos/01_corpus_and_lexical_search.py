@@ -61,11 +61,11 @@ def main() -> None:
             f"tokens={len(case.tokens)} first-tokens={list(case.tokens[:4])}"
         )
 
-    # The BM25 index is an inverted index over those tokens.
+    # The BM25 index is a sorted vocabulary and a docs x terms count matrix.
     index = build_index(store)
     print(
         f"\nindexed {len(index.doc_ids)} documents, "
-        f"{len(index.postings)} distinct terms, average length {index.avgdl:.1f}"
+        f"{len(index.terms)} distinct terms, average length {index.avgdl:.1f}"
     )
 
     query = store.cases[0]

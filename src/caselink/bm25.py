@@ -15,7 +15,6 @@ the query, so repeated terms contribute once per occurrence.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -23,12 +22,12 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from .binfile import pack, pack_json, pack_text, read_container
+from .binfile import pack, pack_json, read_container
 from .corpus import CorpusStore
 from .errors import EmptyCorpusError, IngestError
 
 _MAGIC = b"BM25"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 
 # Source rows scored together by _block_top_k: one dense block of scores is
 # _BLOCK_ROWS x n_docs float64, 4.3 MB at 2,100 documents.
@@ -44,13 +43,12 @@ class ScoredPair:
 
 @dataclass
 class Bm25Index:
-    """Per-term postings arrays (doc index, term frequency), and the term-count
-    and BM25 weight matrices built from them."""
+    """The sorted vocabulary and the docs x terms term-count CSR. Document
+    lengths, avgdl, idf and the BM25 weight matrix are derived from them."""
 
     doc_ids: tuple[str, ...]
-    postings: dict[str, tuple[np.ndarray, np.ndarray]]  # term -> (doc idx, tf), sorted by doc idx
-    doc_len: np.ndarray
-    avgdl: float
+    terms: np.ndarray  # str, strictly increasing: term t is column t of tf
+    tf: sp.csr_matrix  # docs x terms counts, float64, canonical (sorted, no duplicates)
     k1: float = 1.2
     b: float = 0.75
     _id_to_idx: dict[str, int] = field(init=False, repr=False)
@@ -59,27 +57,30 @@ class Bm25Index:
         self._id_to_idx = {d: i for i, d in enumerate(self.doc_ids)}
         # doc index -> position in ascending-id order, the tie-break key of top_k
         self._id_rank = np.argsort(sorted(range(self.n_docs), key=self.doc_ids.__getitem__))
-        # Sorted: _term_cols searches it, and a built and a loaded index (whose
-        # postings come in different orders) sum each score in the same order.
-        terms = sorted(self.postings)
-        self._terms = np.array(terms, dtype=str)
-        posts = [self.postings[t] for t in terms]
-        df = np.array([len(idx) for idx, _ in posts], dtype=np.int64)
-        docs = np.concatenate([np.zeros(0, np.int64), *(idx for idx, _ in posts)])
-        tf = np.concatenate([np.zeros(0), *(tf for _, tf in posts)])
+        self.doc_len = self.tf.sum(axis=1).A1
+        self.avgdl = float(self.doc_len.mean())
+        df = np.bincount(self.tf.indices, minlength=len(self.terms))
         idf = np.log((self.n_docs - df + 0.5) / (df + 0.5) + 1.0)
-        norm = self.k1 * (1.0 - self.b + self.b * self.doc_len[docs] / self.avgdl)
-        weight = np.repeat(idf, df) * tf * (self.k1 + 1.0) / (tf + norm)
-        # Term t's postings are row t of a terms x docs CSR: that is W.T, and
-        # the transpose of the counts gives the docs x terms term-count rows.
-        indptr = np.concatenate(([0], np.cumsum(df)))
-        shape = (len(posts), self.n_docs)
-        self._wt = sp.csr_matrix((weight, docs, indptr), shape=shape)
-        self._tf = sp.csr_matrix((tf, docs, indptr), shape=shape).T.tocsr()
+        counts = self.tf.data
+        dl = np.repeat(self.doc_len, np.diff(self.tf.indptr))  # each entry's doc length
+        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
+        weight = idf[self.tf.indices] * counts * (self.k1 + 1.0) / (counts + norm)
+        # W.T (terms x docs): row t lists term t's documents in ascending order
+        w = sp.csr_matrix((weight, self.tf.indices, self.tf.indptr), shape=self.tf.shape)
+        self._wt = w.T.tocsr()
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def postings(self) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """term -> (doc indices, tf), sorted by doc index: a view of ``tf``,
+        rebuilt on each access, that changes nothing in the index."""
+        by_term = self.tf.T.tocsr()
+        cuts = by_term.indptr[1:-1]
+        return dict(zip(self.terms.tolist(), zip(np.split(by_term.indices.astype(np.int64), cuts),
+                                                 np.split(by_term.data, cuts))))
 
     def doc_index(self, doc_id: str) -> int:
         try:
@@ -89,9 +90,9 @@ class Bm25Index:
 
     def _term_cols(self, tokens: np.ndarray) -> np.ndarray:
         """Vocabulary columns of the tokens that are in the vocabulary."""
-        cols = np.searchsorted(self._terms, tokens)
-        found = cols < len(self._terms)
-        found[found] = self._terms[cols[found]] == tokens[found]
+        cols = np.searchsorted(self.terms, tokens)
+        found = cols < len(self.terms)
+        found[found] = self.terms[cols[found]] == tokens[found]
         return cols[found]
 
 
@@ -110,27 +111,17 @@ def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Ind
         raise EmptyCorpusError("cannot build an index over an empty corpus")
     check_parameters(k1, b)
 
-    doc_len = np.array([len(c.tokens) for c in store.cases], dtype=np.float64)
-    raw: dict[str, list[tuple[int, int]]] = {}
-    for i, case in enumerate(store.cases):
-        for term, tf in Counter(case.tokens).items():
-            raw.setdefault(term, []).append((i, tf))
-
-    postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for term, pairs in raw.items():
-        # insertion order is already ascending doc index
-        idx = np.array([p[0] for p in pairs], dtype=np.int64)
-        tf = np.array([p[1] for p in pairs], dtype=np.float64)
-        postings[term] = (idx, tf)
-
-    return Bm25Index(
-        doc_ids=tuple(c.id for c in store.cases),
-        postings=postings,
-        doc_len=doc_len,
-        avgdl=float(doc_len.mean()),
-        k1=k1,
-        b=b,
-    )
+    vocab: dict[str, int] = {}  # term -> column in first-seen order
+    seen = np.fromiter((vocab.setdefault(t, len(vocab)) for c in store.cases for t in c.tokens),
+                       dtype=np.int64)
+    terms = np.array(list(vocab), dtype=str)
+    order = np.argsort(terms)
+    col = np.empty_like(order)
+    col[order] = np.arange(len(order))
+    rows = np.repeat(np.arange(store.n_cases), [len(c.tokens) for c in store.cases])
+    # the COO -> CSR conversion sums each (doc, term) pair's ones into its count
+    tf = sp.csr_matrix((np.ones(len(seen)), (rows, col[seen])), shape=(store.n_cases, len(terms)))
+    return Bm25Index(doc_ids=tuple(c.id for c in store.cases), terms=terms[order], tf=tf, k1=k1, b=b)
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_index: int) -> float:
@@ -148,7 +139,7 @@ def _score_rows(index: Bm25Index, counts: sp.csr_matrix) -> np.ndarray:
 def score_all(index: Bm25Index, query_tokens: list[str] | tuple[str, ...]) -> np.ndarray:
     """BM25 scores of every document for the query, as a dense float array."""
     cols, qtf = np.unique(index._term_cols(np.array(query_tokens, dtype=str)), return_counts=True)
-    shape = (1, len(index._terms))
+    shape = (1, len(index.terms))
     counts = sp.csr_matrix((qtf.astype(np.float64), cols, [0, len(cols)]), shape=shape)
     return _score_rows(index, counts)[0]
 
@@ -203,7 +194,7 @@ def _block_top_k(
     for s in range(0, len(src), _BLOCK_ROWS):
         at = slice(s, s + _BLOCK_ROWS)
         ok = True if eligible is None else eligible(at)
-        out += _select_top_k(index, cols, _score_rows(index, index._tf[src[at]])[:, cols], ok, k)
+        out += _select_top_k(index, cols, _score_rows(index, index.tf[src[at]])[:, cols], ok, k)
     return out
 
 
@@ -225,41 +216,42 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
 
 def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
     """Serialize the index; ``digest`` identifies the corpus bytes it was built from."""
-    meta = {
-        "k1": index.k1,
-        "b": index.b,
-        "avgdl": index.avgdl,
-        "doc_ids": list(index.doc_ids),
-        "doc_len": index.doc_len.astype(int).tolist(),
-        "digest": digest,
-    }
+    meta = {"k1": index.k1, "b": index.b, "digest": digest,
+            "doc_ids": list(index.doc_ids), "terms": index.terms.tolist()}
+    tf = index.tf
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_json(meta) + pack("Q", len(index.postings)))
-        for term in sorted(index.postings):
-            idx, tf = index.postings[term]
-            fh.write(pack_text(term) + pack("Q", len(idx)))
-            fh.write(idx.astype("<u4").tobytes())
-            fh.write(tf.astype("<u4").tobytes())
+        fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_json(meta) + pack("Q", tf.nnz))
+        for a in (tf.indptr, tf.indices, tf.data):
+            fh.write(a.astype("<u4").tobytes())
 
 
 def load_index(path: str | Path) -> tuple[Bm25Index, str]:
-    """Load a cached index; returns (index, corpus digest recorded at save time)."""
+    """Load a cached index; returns (index, corpus digest recorded at save time).
+
+    A vocabulary that is not strictly increasing, or a term-count CSR that is
+    malformed, not canonical or holds a zero count, raises IngestError."""
     with read_container(path, _MAGIC, "BM25 index cache", IngestError, _FORMAT_VERSION) as r:
         meta = r.json()
-        (n_terms,) = r.unpack("Q")
-        postings: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-        for _ in range(n_terms):
-            term = r.text()
-            (n_post,) = r.unpack("Q")
-            idx = r.array("<u4", n_post).astype(np.int64)
-            tf = r.array("<u4", n_post).astype(np.float64)
-            postings[term] = (idx, tf)
-    index = Bm25Index(
-        doc_ids=tuple(meta["doc_ids"]),
-        postings=postings,
-        doc_len=np.array(meta["doc_len"], dtype=np.float64),
-        avgdl=float(meta["avgdl"]),
-        k1=float(meta["k1"]),
-        b=float(meta["b"]),
-    )
+        (nnz,) = r.unpack("Q")
+        indptr = r.array("<u4", len(meta["doc_ids"]) + 1)
+        indices = r.array("<u4", nnz)
+        counts = r.array("<u4", nnz)
+    terms = np.array(meta["terms"], dtype=str)
+    try:
+        if not np.all(terms[:-1] < terms[1:]):
+            raise ValueError("vocabulary is not strictly increasing")
+        if indptr[-1] != nnz:
+            raise ValueError(f"index pointer ends at {indptr[-1]}, not at {nnz} entries")
+        tf = sp.csr_matrix((counts.astype(np.float64), indices, indptr),
+                           shape=(len(indptr) - 1, len(terms)))
+        tf.check_format(full_check=True)
+        # score bits depend on the order in which each row's entries are summed
+        if not tf.has_canonical_format:
+            raise ValueError("term columns unsorted or repeated within a document")
+        if not np.all(counts > 0):
+            raise ValueError("a term count is zero")
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+    index = Bm25Index(doc_ids=tuple(meta["doc_ids"]), terms=terms, tf=tf,
+                      k1=float(meta["k1"]), b=float(meta["b"]))
     return index, meta["digest"]

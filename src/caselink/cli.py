@@ -65,7 +65,7 @@ from .retrieval import (
     write_run_tsv,
 )
 from .synthetic import SyntheticSpec, generate, write_dataset
-from .training import TrainingConfig, TrainResult, train
+from .training import CHECKPOINT_FILES, TrainingConfig, TrainResult, train
 
 logger = logging.getLogger(__name__)
 
@@ -490,8 +490,7 @@ def train_stage(
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
     manifest.start("train")
     ckpt_dir = manifest.out / "checkpoints"
-    for name in ("checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
-                 "checkpoint_last.gatc.json", "training_log.jsonl"):
+    for name in CHECKPOINT_FILES:
         manifest.add_output(ckpt_dir / name)
     manifest.write()  # train() finalizes each checkpoint as it goes
     result = train(
@@ -545,7 +544,7 @@ def cmd_ingest(opts: RunOptions, manifest: StageManifest) -> None:
 
 def cmd_index(opts: RunOptions, manifest: StageManifest) -> None:
     index = index_stage(_load_store(opts, manifest, lexicon=False), opts, manifest)
-    _print_json({"documents": len(index.doc_ids), "terms": len(index.postings),
+    _print_json({"documents": len(index.doc_ids), "terms": len(index.terms),
                  "avgdl": index.avgdl})
 
 

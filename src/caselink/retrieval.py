@@ -22,15 +22,22 @@ PREFILTER_SIZE = 10
 FINAL_SIZE = 5
 
 
+def _older(queries: list[CaseDocument], candidates: list[CaseDocument]) -> np.ndarray:
+    """(queries x candidates) bool: the candidate is strictly older than the
+    query. An undated candidate is older than every query, and an undated
+    query newer than every candidate."""
+    query_years = np.array([np.inf if q.year is None else q.year for q in queries])
+    cand_years = np.array([-np.inf if c.year is None else c.year for c in candidates])
+    return cand_years < query_years[:, None]
+
+
 def year_filter(query: CaseDocument, candidates: list[CaseDocument]) -> list[CaseDocument]:
     """Keep candidates strictly older than the query.
 
     Candidates with no extractable year are kept; a query with no year
     disables filtering entirely.
     """
-    if query.year is None:
-        return list(candidates)
-    return [c for c in candidates if c.year is None or c.year < query.year]
+    return [c for c, older in zip(candidates, _older([query], candidates)[0]) if older]
 
 
 @dataclass(frozen=True)
@@ -61,17 +68,12 @@ def _lexical_stage(
     candidates = store.candidates()
     cand_ids = np.array([c.id for c in candidates], dtype=object)
     cand_rows = np.array([index.doc_index(c.id) for c in candidates], dtype=np.int64)
-    # As in year_filter: an undated candidate is always older, and an
-    # undated query is newer than every candidate.
-    cand_years = np.array([-np.inf if c.year is None else c.year for c in candidates])
-    query_years = np.array([np.inf if q.year is None else q.year for q in queries])
+    eligible = _older(queries, candidates)
     src = np.array([index.doc_index(q.id) for q in queries], dtype=np.int64)
-    tops = _block_top_k(
-        index, src, cand_rows, size, lambda at: cand_years < query_years[at, None]
-    )
+    tops = _block_top_k(index, src, cand_rows, size, lambda at: eligible[at])
     return [
-        (query, tuple(cand_ids[cand_years < year]), rows, scores)
-        for query, year, (rows, scores) in zip(queries, query_years, tops)
+        (query, tuple(cand_ids[ok]), rows, scores)
+        for query, ok, (rows, scores) in zip(queries, eligible, tops)
     ]
 
 

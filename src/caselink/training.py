@@ -47,6 +47,14 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
+# What train() writes to its checkpoint_dir: the best and the last epoch's
+# checkpoints, each with the JSON sidecar save_checkpoint adds, and the epoch log.
+BEST_CHECKPOINT = "checkpoint.gatc"
+LAST_CHECKPOINT = "checkpoint_last.gatc"
+TRAINING_LOG = "training_log.jsonl"
+CHECKPOINT_FILES = (BEST_CHECKPOINT, f"{BEST_CHECKPOINT}.json",
+                    LAST_CHECKPOINT, f"{LAST_CHECKPOINT}.json", TRAINING_LOG)
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -243,9 +251,14 @@ def infonce_loss(
     # pad with the entry's positive, so every cell names a row the batch uses
     own_rows = np.repeat(positives[:, None], own_mask.shape[1], axis=1)
     own_rows[own_mask] = np.concatenate(own)
-    in_batch = np.array(
-        [[p.positive_id not in e.known_positive_ids for p in entries] for e in entries]
-    )
+    # known[i, c]: the batch's c-th distinct positive is a known positive of
+    # entry i; each entry's positive is then one column lookup
+    col_of: dict[str, int] = {}
+    pos_cols = [col_of.setdefault(e.positive_id, len(col_of)) for e in entries]
+    known = np.zeros((n, len(col_of)), dtype=bool)
+    for i, e in enumerate(entries):
+        known[i, [col_of[k] for k in e.known_positive_ids if k in col_of]] = True
+    in_batch = ~known[:, pos_cols]
     np.fill_diagonal(in_batch, False)
     rows = np.hstack([own_rows, np.broadcast_to(positives, (n, n))])
     mask = np.hstack([own_mask, in_batch])
@@ -480,14 +493,14 @@ def train(
             best_params = params
             best_epoch = epoch
         if ckpt_dir is not None:
-            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc",
+            _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
                                sidecar if epoch == 0 else None)
 
     if ckpt_dir is not None:
         if not logs:  # epochs == 0: the initial params are also the last ones
-            _atomic_checkpoint(params, ckpt_dir / "checkpoint_last.gatc", sidecar)
-        _atomic_checkpoint(best_params, ckpt_dir / "checkpoint.gatc", sidecar)
-        log_path = ckpt_dir / "training_log.jsonl"
+            _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT, sidecar)
+        _atomic_checkpoint(best_params, ckpt_dir / BEST_CHECKPOINT, sidecar)
+        log_path = ckpt_dir / TRAINING_LOG
         log_path.write_text(
             "".join(entry.to_json() + "\n" for entry in logs), encoding="utf-8"
         )

@@ -22,12 +22,13 @@ def compact_json(obj):
 
 
 def bm25_file(path):
-    save_index(build_index(make_store([("d1", "a b"), ("d2", "b")])), path, "xyz")
-    meta = {"avgdl": 1.5, "b": 0.75, "digest": "xyz", "doc_ids": ["d1", "d2"],
-            "doc_len": [2, 1], "k1": 1.2}
-    return (b"BM25" + struct.pack("<I", 1) + compact_json(meta) + struct.pack("<Q", 2)
-            + struct.pack("<H", 1) + b"a" + struct.pack("<Q", 1) + struct.pack("<2I", 0, 1)
-            + struct.pack("<H", 1) + b"b" + struct.pack("<Q", 2) + struct.pack("<4I", 0, 1, 1, 1))
+    # terms a, b, é; rows {a: 1, b: 2} and {é: 1}
+    save_index(build_index(make_store([("d1", "b a b"), ("d2", "é")])), path, "xyz")
+    meta = {"b": 0.75, "digest": "xyz", "doc_ids": ["d1", "d2"], "k1": 1.2,
+            "terms": ["a", "b", "é"]}
+    return (b"BM25" + struct.pack("<I", 2) + compact_json(meta) + struct.pack("<Q", 3)
+            + struct.pack("<3I", 0, 2, 3) + struct.pack("<3I", 0, 1, 2)
+            + struct.pack("<3I", 1, 2, 1))
 
 
 def emb1_file(path):

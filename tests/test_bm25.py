@@ -1,6 +1,9 @@
 """Lexical index: scoring formula, top-k neighbours, and the binary cache."""
 
+import json
 import math
+import struct
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -19,7 +22,7 @@ from caselink.bm25 import (
     topk_similar,
 )
 from caselink.corpus import CorpusStore
-from caselink.errors import EmptyCorpusError
+from caselink.errors import EmptyCorpusError, IngestError
 
 from conftest import make_case, make_store, random_store
 
@@ -58,6 +61,18 @@ class TestBuildIndex:
         for term, (idx, tf) in index.postings.items():
             assert np.all(np.diff(idx) > 0), term
             assert len(idx) == len(tf)
+
+    def test_count_matrix_matches_the_tokens(self):
+        store = make_store([("d1", "Straße straße 盗窃罪 b"), ("d2", ""), ("d3", "b a b")])
+        index = build_index(store)
+        tokens = [t for c in store.cases for t in c.tokens]
+        assert index.terms.tolist() == sorted(set(tokens))
+        assert index.doc_len.tolist() == [len(c.tokens) for c in store.cases]
+        assert index.avgdl == len(tokens) / 3
+        for row, case in zip(index.tf.toarray(), store.cases):
+            assert dict(zip(index.terms.tolist(), row.tolist())) == (
+                {t: 0.0 for t in index.terms.tolist()} | Counter(case.tokens))
+        assert index.tf.has_canonical_format
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(EmptyCorpusError):
@@ -314,8 +329,64 @@ class TestBinaryCache:
                 score_all(loaded, case.tokens), score_all(index, case.tokens)
             )
 
+    def test_roundtrip_keeps_every_derived_array(self, tmp_path):
+        # non-ASCII terms, and a document with no tokens
+        store = make_store([("d1", "Körperverletzung 盗窃罪 b"), ("d2", ""),
+                            ("d3", "b b ärger a 盗窃罪")])
+        index = build_index(store)
+        save_index(index, tmp_path / "index.bin")
+        loaded, _ = load_index(tmp_path / "index.bin")
+        assert np.array_equal(loaded.terms, index.terms)
+        for name in ("tf", "_wt"):
+            for part in ("data", "indices", "indptr"):
+                got, want = getattr(getattr(loaded, name), part), getattr(getattr(index, name), part)
+                assert np.array_equal(got, want), (name, part)
+        assert np.array_equal(loaded.doc_len, index.doc_len)
+        assert loaded.avgdl == index.avgdl
+
     def test_magic_header(self, tmp_path):
         store = make_store([("d1", "a b")])
         path = tmp_path / "index.bin"
         save_index(build_index(store), path)
         assert path.read_bytes()[:4] == b"BM25"
+
+
+def write_v2(path, terms, indptr, indices, counts, nnz=None):
+    """A version-2 ``bm25.bin`` packed by hand, for a two-document corpus."""
+    meta = json.dumps({"b": 0.75, "digest": "", "doc_ids": ["d1", "d2"], "k1": 1.2,
+                       "terms": terms}, sort_keys=True, separators=(",", ":")).encode()
+    nnz = len(indices) if nnz is None else nnz
+    path.write_bytes(b"BM25" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<Q", nnz)
+                     + struct.pack(f"<{len(indptr)}I", *indptr)
+                     + struct.pack(f"<{len(indices)}I", *indices)
+                     + struct.pack(f"<{len(counts)}I", *counts))
+
+
+# The cache of "a b b" and "b c": terms a, b, c; rows {a: 1, b: 2} and {b: 1, c: 1}.
+INTACT = dict(terms=["a", "b", "c"], indptr=[0, 2, 4], indices=[0, 1, 1, 2], counts=[1, 2, 1, 1])
+
+
+class TestMalformedCache:
+    def test_hand_packed_file_equals_the_saved_one(self, tmp_path):
+        save_index(build_index(make_store([("d1", "a b b"), ("d2", "b c")])), tmp_path / "saved")
+        write_v2(tmp_path / "packed", **INTACT)
+        assert (tmp_path / "packed").read_bytes() == (tmp_path / "saved").read_bytes()
+        load_index(tmp_path / "packed")
+
+    @pytest.mark.parametrize("damage,reason", [
+        ({"terms": ["b", "a", "c"]}, "vocabulary is not strictly increasing"),
+        ({"terms": ["a", "a", "c"]}, "vocabulary is not strictly increasing"),
+        ({"indptr": [1, 2, 4]}, "index pointer should start with 0"),
+        ({"indptr": [0, 5, 4]}, "indptr must be a non-decreasing sequence"),
+        ({"indptr": [0, 2, 3]}, "index pointer ends at 3, not at 4 entries"),
+        ({"indices": [0, 1, 1, 3]}, "indices must be < 3"),
+        ({"indices": [1, 0, 1, 2]}, "unsorted or repeated within a document"),
+        ({"indices": [0, 0, 1, 2]}, "unsorted or repeated within a document"),
+        ({"counts": [1, 0, 1, 1]}, "a term count is zero"),
+    ], ids=["terms unsorted", "terms repeated", "indptr start", "indptr decreasing",
+            "indptr short", "column out of range", "columns unsorted", "duplicate entry",
+            "zero count"])
+    def test_rejected(self, tmp_path, damage, reason):
+        write_v2(tmp_path / "index.bin", **(INTACT | damage))
+        with pytest.raises(IngestError, match=reason):
+            load_index(tmp_path / "index.bin")

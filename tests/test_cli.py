@@ -2,6 +2,7 @@
 
 import json
 import os
+import struct
 from pathlib import Path
 
 import pytest
@@ -799,14 +800,11 @@ class TestDamagedInputs:
     @staticmethod
     def with_huge_length(data, fmt):
         """``data`` with one length or count field set far past the end of the
-        file: the first term's postings count (BM25), the dim (EMB1), the edge
-        count (GCG1) or the dims count (GATC)."""
-        import struct
-
+        file: the entry count of the term-count matrix (BM25), the dim (EMB1),
+        the edge count (GCG1) or the dims count (GATC)."""
         if fmt == "BM25":
             (meta_len,) = struct.unpack_from("<I", data, 8)
-            (term_len,) = struct.unpack_from("<H", data, 20 + meta_len)
-            offset, code, value = 22 + meta_len + term_len, "<Q", 2**40
+            offset, code, value = 12 + meta_len, "<Q", 2**40
         elif fmt == "EMB1":
             offset, code, value = 4, "<I", 2**31
         elif fmt == "GCG1":
@@ -900,7 +898,8 @@ class TestDamagedInputs:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "r" / "run.tsv").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count"])
+    @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
+                                        "version 1"])
     def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
         tmp_path, config_path = dataset
         corpus = json.loads(config_path.read_text())["corpus"]
@@ -912,7 +911,8 @@ class TestDamagedInputs:
         (cached,) = (tmp_path / "cache").glob("bm25_*.bin")
         data = cached.read_bytes()
         cached.write_bytes({"truncated": data[:10], "not an index": b"junk",
-                            "huge postings count": self.with_huge_length(data, "BM25")}[damage])
+                            "huge postings count": self.with_huge_length(data, "BM25"),
+                            "version 1": data[:4] + struct.pack("<I", 1) + data[8:]}[damage])
         warm = tmp_path / "i2"
         assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
         assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()

@@ -14,6 +14,7 @@ from caselink.graph import build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
 from caselink.embeddings import unit_rows
 from caselink.training import (
+    CHECKPOINT_FILES,
     AdamState,
     BatchEntry,
     TrainingBatch,
@@ -389,6 +390,28 @@ class TestInfonceLoss:
         _, dh = infonce_loss(h, batch, tau=0.2, row_of=row_of)
         assert np.array_equal(dh, scatter_reference_infonce_grad(h, batch, 0.2, row_of))
 
+    def test_in_batch_mask_equals_the_pairwise_reference_bit_for_bit(self):
+        # q0 and q1 share the positive p0; q2 knows q3's positive p3, so p3 is
+        # no in-batch negative of q2; q1 knows p2, q2's positive
+        rng = np.random.default_rng(22)
+        ids = ["q0", "q1", "q2", "q3", "p0", "p2", "p3", "n0"]
+        row_of = self._row_of(ids)
+        h = rng.standard_normal((len(ids), 4))
+
+        def batch(q2_known):
+            return TrainingBatch((
+                BatchEntry("q0", "p0", ("n0",), (), frozenset({"p0"})),
+                BatchEntry("q1", "p0", ("n0",), (), frozenset({"p0", "p2"})),
+                BatchEntry("q2", "p2", (), ("n0",), frozenset(q2_known)),
+                BatchEntry("q3", "p3", ("n0",), (), frozenset({"p3", "unseen"})),
+            ))
+
+        _, dh = infonce_loss(h, batch({"p2", "p3"}), tau=0.2, row_of=row_of)
+        assert np.array_equal(dh, scatter_reference_infonce_grad(h, batch({"p2", "p3"}), 0.2,
+                                                                 row_of))
+        _, unmasked = infonce_loss(h, batch({"p2"}), tau=0.2, row_of=row_of)
+        assert not np.array_equal(dh, unmasked)  # the known positive p3 was masked out
+
     def test_validation_errors(self):
         h = np.ones((2, 2))
         row_of = {"q": 0, "p": 1}
@@ -626,6 +649,7 @@ class TestTrainLoop:
             "checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
             "checkpoint_last.gatc.json", "training_log.jsonl",
         ]
+        assert sorted(CHECKPOINT_FILES) == sorted(p.name for p in tmp_path.iterdir())
         for name, params in [("checkpoint.gatc", result.params),
                              ("checkpoint_last.gatc", stepped[-1])]:
             np.testing.assert_array_equal(load_checkpoint(tmp_path / name).flat, params.flat)
