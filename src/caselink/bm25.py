@@ -6,8 +6,11 @@ Scoring uses the +1-smoothed IDF (non-negative for any document frequency):
     W[d, t] = idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * dl / avgdl))
     s(q, d) = sum_t qtf(t) * W[d, t]
 
-The index computes W once; the scores of a set of queries are the sparse
-product of their term-count rows with W.T, summed in vocabulary order.
+The index computes W once. The scores of a set of queries are the rows of W
+times a dense terms x queries block of their term counts, one sparse-times-dense
+product whose sums run over each document's terms in vocabulary order. Source
+documents are scored in blocks of _BLOCK_ROWS, so only a terms x _BLOCK_ROWS
+block of counts is ever dense; W itself stays sparse.
 Case-to-case similarity treats the full token multiset of the source case as
 the query, so repeated terms contribute once per occurrence.
 """
@@ -29,8 +32,10 @@ from .errors import EmptyCorpusError, IngestError
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 2
 
-# Source rows scored together by _block_top_k: one dense block of scores is
-# _BLOCK_ROWS x n_docs float64, 4.3 MB at 2,100 documents.
+# Source rows scored together by _block_top_k. Each block holds a dense
+# terms x _BLOCK_ROWS float64 block of the sources' term counts (1.2 MB at 569
+# terms, 4 MB at 1,979) and a _BLOCK_ROWS x n_docs float64 block of scores
+# (4.3 MB at 2,100 documents). The weight matrix stays sparse.
 _BLOCK_ROWS = 256
 
 
@@ -65,9 +70,8 @@ class Bm25Index:
         dl = np.repeat(self.doc_len, np.diff(self.tf.indptr))  # each entry's doc length
         norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
         weight = idf[self.tf.indices] * counts * (self.k1 + 1.0) / (counts + norm)
-        # W.T (terms x docs): row t lists term t's documents in ascending order
-        w = sp.csr_matrix((weight, self.tf.indices, self.tf.indptr), shape=self.tf.shape)
-        self._wt = w.T.tocsr()
+        # W (docs x terms), canonical like tf: row d lists d's terms in ascending order
+        self._w = sp.csr_matrix((weight, self.tf.indices, self.tf.indptr), shape=self.tf.shape)
 
     @property
     def n_docs(self) -> int:
@@ -131,17 +135,21 @@ def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_
     return float(score_all(index, query_tokens)[doc_index])
 
 
-def _score_rows(index: Bm25Index, counts: sp.csr_matrix) -> np.ndarray:
-    """Dense (queries x docs) BM25 scores of term-count rows (queries x terms)."""
-    return (counts @ index._wt).toarray()
-
-
+# score_all and _block_top_k score with one sparse-times-dense product: the
+# weight rows W[d] times a dense column of query term counts. Its scores are
+# bit-identical to those of the sparse product of the queries' count rows with
+# W.T. That product sums qtf * w over the terms t of q and d, in ascending t,
+# starting from 0. This one sums w * x over every term t of d (W is
+# canonical), in ascending t, also from 0. Each term it adds is either the same
+# product (IEEE multiplication commutes) or w * 0 = +0.0. Every weight is > 0,
+# since idf uses the + 1 form, so each sum is non-negative and adding +0.0
+# leaves it unchanged.
 def score_all(index: Bm25Index, query_tokens: list[str] | tuple[str, ...]) -> np.ndarray:
     """BM25 scores of every document for the query, as a dense float array."""
     cols, qtf = np.unique(index._term_cols(np.array(query_tokens, dtype=str)), return_counts=True)
-    shape = (1, len(index.terms))
-    counts = sp.csr_matrix((qtf.astype(np.float64), cols, [0, len(cols)]), shape=shape)
-    return _score_rows(index, counts)[0]
+    counts = np.zeros(len(index.terms))
+    counts[cols] = qtf
+    return index._w @ counts
 
 
 def top_k(
@@ -188,13 +196,15 @@ def _block_top_k(
     positions ``at`` of ``src``, ``eligible(at)`` (bool, sources x cols)
     narrows the columns.
 
-    Sources are scored ``_BLOCK_ROWS`` at a time, so memory stays
-    O(_BLOCK_ROWS x n_docs)."""
+    Sources are scored ``_BLOCK_ROWS`` at a time against the weight rows of
+    ``cols``, so memory stays O(_BLOCK_ROWS x (n_docs + n_terms))."""
+    w = index._w[cols]
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for s in range(0, len(src), _BLOCK_ROWS):
         at = slice(s, s + _BLOCK_ROWS)
         ok = True if eligible is None else eligible(at)
-        out += _select_top_k(index, cols, _score_rows(index, index.tf[src[at]])[:, cols], ok, k)
+        scores = np.ascontiguousarray((w @ index.tf[src[at]].T.toarray()).T)
+        out += _select_top_k(index, cols, scores, ok, k)
     return out
 
 
@@ -225,13 +235,37 @@ def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
             fh.write(a.astype("<u4").tobytes())
 
 
+def _check_meta(path: str | Path, meta) -> None:
+    """Raise IngestError unless ``meta`` is a JSON object whose ``doc_ids`` and
+    ``terms`` are lists of strings, whose ``digest`` is a string and whose
+    ``k1`` and ``b`` are numbers that pass :func:`check_parameters`."""
+    try:
+        if not isinstance(meta, dict):
+            raise ValueError("meta is not a JSON object")
+        for key in ("doc_ids", "terms"):
+            value = meta.get(key)
+            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
+                raise ValueError(f"meta {key!r} is not a list of strings")
+        if not isinstance(meta.get("digest"), str):
+            raise ValueError("meta 'digest' is not a string")
+        for key in ("k1", "b"):
+            value = meta.get(key)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"meta {key!r} is not a number")
+        check_parameters(meta["k1"], meta["b"])
+    except ValueError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+
+
 def load_index(path: str | Path) -> tuple[Bm25Index, str]:
     """Load a cached index; returns (index, corpus digest recorded at save time).
 
-    A vocabulary that is not strictly increasing, or a term-count CSR that is
-    malformed, not canonical or holds a zero count, raises IngestError."""
+    A meta record that :func:`_check_meta` rejects, a vocabulary that is not
+    strictly increasing, or a term-count CSR that is malformed, not canonical
+    or holds a zero count, raises IngestError."""
     with read_container(path, _MAGIC, "BM25 index cache", IngestError, _FORMAT_VERSION) as r:
         meta = r.json()
+        _check_meta(path, meta)
         (nnz,) = r.unpack("Q")
         indptr = r.array("<u4", len(meta["doc_ids"]) + 1)
         indices = r.array("<u4", nnz)

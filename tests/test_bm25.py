@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from caselink import bm25
 from caselink.bm25 import (
@@ -41,6 +42,21 @@ def naive_bm25(docs, query, j, k1=1.2, b=0.75):
         idf = math.log((n - df + 0.5) / (df + 0.5) + 1.0)
         score += idf * tf * (k1 + 1.0) / (tf + k1 * (1.0 - b + b * dl / avgdl))
     return score
+
+
+def sparse_product_scores(index, counts):
+    """Dense (queries x docs) scores of the term-count rows ``counts`` (a
+    queries x terms CSR) by the sparse x sparse product with W.T: the kernel
+    the sparse x dense one replaced, kept as its bit-identity reference."""
+    return (counts @ index._w.T.tocsr()).toarray()
+
+
+def sparse_product_score_all(index, tokens):
+    """:func:`score_all` through :func:`sparse_product_scores`."""
+    cols, qtf = np.unique(index._term_cols(np.array(tokens, dtype=str)), return_counts=True)
+    counts = sp.csr_matrix((qtf.astype(np.float64), cols, [0, len(cols)]),
+                           shape=(1, len(index.terms)))
+    return sparse_product_scores(index, counts)[0]
 
 
 class TestBuildIndex:
@@ -312,6 +328,64 @@ class TestBlockTopK:
         assert straddling > 0  # ties crossed the cut, so the tie-break was exercised
 
 
+class TestSparseProductReference:
+    """``score_all`` and ``_block_top_k`` score bit for bit as the sparse
+    product of the sources' count rows with W.T."""
+
+    @staticmethod
+    def _stores(rng):
+        """Random corpora with repeated documents (so scores tie) and an empty
+        document, then a corpus whose vocabulary is empty."""
+        for _ in range(8):
+            cases = random_store(rng, int(rng.integers(3, 25)), vocab_size=int(rng.integers(2, 30)),
+                                 max_len=20).cases
+            cases += tuple(cases[i] for i in rng.integers(0, len(cases), size=len(cases) // 2))
+            cases += (make_case("x", ""),)
+            ids = rng.permutation(len(cases))
+            yield CorpusStore(cases=tuple(replace(c, id=f"d{i:03d}") for c, i in zip(cases, ids)))
+        yield make_store([("e1", ""), ("e2", "")])
+
+    def test_score_all(self):
+        rng = np.random.default_rng(71)
+        for store in self._stores(rng):
+            index = build_index(store)
+            for case in store.cases:
+                # repeated terms, and a term no document contains
+                query = case.tokens + case.tokens[:3] + ("unseen",)
+                assert np.array_equal(score_all(index, query),
+                                      sparse_product_score_all(index, query))
+
+    @pytest.mark.parametrize("block", [1, 3, 256])
+    def test_block_top_k(self, monkeypatch, block):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(73)
+        straddling = 0
+        for store in self._stores(rng):
+            index = build_index(store)
+            n = index.n_docs
+            want = sparse_product_scores(index, index.tf)  # every doc as the source
+            src = rng.permutation(n)[: max(1, n - 2)]
+            every = np.arange(n)
+            # the case-case call (self excluded), then a candidate subset with and
+            # without an eligible mask, as for the prefilter and the hard pools
+            subset = np.sort(rng.choice(n, size=max(1, 2 * n // 3), replace=False))
+            masked = rng.random((len(src), len(subset))) < 0.7
+            for cols, ok in [(every, every != src[:, None]), (subset, masked), (subset, None)]:
+                eligible = None if ok is None else (lambda at, ok=ok: ok[at])
+                ok = np.ones((len(src), len(cols)), bool) if ok is None else ok
+                for k in (1, 3, len(cols)):
+                    got = _block_top_k(index, src, cols, k, eligible)
+                    assert len(got) == len(src)
+                    for i, (rows, scores) in enumerate(got):
+                        row = want[src[i], cols[ok[i]]]
+                        want_rows, want_scores = top_k(index, cols[ok[i]], row, k)
+                        assert np.array_equal(rows, want_rows)
+                        assert np.array_equal(scores, want_scores)
+                        ranked = np.sort(row)[::-1]
+                        straddling += k < len(ranked) and ranked[k - 1] == ranked[k]
+        assert straddling > 0  # ties crossed the cut, so the tie-break was exercised
+
+
 class TestBinaryCache:
     def test_roundtrip_preserves_scores(self, tmp_path):
         rng = np.random.default_rng(43)
@@ -337,7 +411,7 @@ class TestBinaryCache:
         save_index(index, tmp_path / "index.bin")
         loaded, _ = load_index(tmp_path / "index.bin")
         assert np.array_equal(loaded.terms, index.terms)
-        for name in ("tf", "_wt"):
+        for name in ("tf", "_w"):
             for part in ("data", "indices", "indptr"):
                 got, want = getattr(getattr(loaded, name), part), getattr(getattr(index, name), part)
                 assert np.array_equal(got, want), (name, part)
@@ -351,10 +425,11 @@ class TestBinaryCache:
         assert path.read_bytes()[:4] == b"BM25"
 
 
-def write_v2(path, terms, indptr, indices, counts, nnz=None):
-    """A version-2 ``bm25.bin`` packed by hand, for a two-document corpus."""
-    meta = json.dumps({"b": 0.75, "digest": "", "doc_ids": ["d1", "d2"], "k1": 1.2,
-                       "terms": terms}, sort_keys=True, separators=(",", ":")).encode()
+def write_v2(path, terms, indptr, indices, counts, nnz=None, meta=None):
+    """A version-2 ``bm25.bin`` packed by hand, for a two-document corpus;
+    ``meta``, when given, replaces the whole meta record."""
+    meta = json.dumps(META | {"terms": terms} if meta is None else meta,
+                      sort_keys=True, separators=(",", ":")).encode()
     nnz = len(indices) if nnz is None else nnz
     path.write_bytes(b"BM25" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<Q", nnz)
                      + struct.pack(f"<{len(indptr)}I", *indptr)
@@ -364,6 +439,7 @@ def write_v2(path, terms, indptr, indices, counts, nnz=None):
 
 # The cache of "a b b" and "b c": terms a, b, c; rows {a: 1, b: 2} and {b: 1, c: 1}.
 INTACT = dict(terms=["a", "b", "c"], indptr=[0, 2, 4], indices=[0, 1, 1, 2], counts=[1, 2, 1, 1])
+META = {"b": 0.75, "digest": "", "doc_ids": ["d1", "d2"], "k1": 1.2, "terms": ["a", "b", "c"]}
 
 
 class TestMalformedCache:
@@ -383,10 +459,29 @@ class TestMalformedCache:
         ({"indices": [1, 0, 1, 2]}, "unsorted or repeated within a document"),
         ({"indices": [0, 0, 1, 2]}, "unsorted or repeated within a document"),
         ({"counts": [1, 0, 1, 1]}, "a term count is zero"),
+        ({"meta": [META]}, "meta is not a JSON object"),
+        ({"meta": META | {"terms": "abc"}}, "meta 'terms' is not a list of strings"),
+        ({"meta": META | {"terms": ["a", 2, "c"]}}, "meta 'terms' is not a list of strings"),
+        ({"meta": META | {"doc_ids": "d1d2"}}, "meta 'doc_ids' is not a list of strings"),
+        ({"meta": META | {"doc_ids": ["d1", None]}}, "meta 'doc_ids' is not a list of strings"),
+        ({"meta": META | {"digest": 7}}, "meta 'digest' is not a string"),
+        ({"meta": META | {"k1": "1.2"}}, "meta 'k1' is not a number"),
+        ({"meta": META | {"b": True}}, "meta 'b' is not a number"),
+        ({"meta": META | {"k1": -1}}, "k1 must be a finite number > 0"),
+        ({"meta": META | {"b": 5}}, r"b must be in \[0, 1\]"),
+        ({"meta": {k: v for k, v in META.items() if k != "terms"}},
+         "meta 'terms' is not a list of strings"),
+        ({"meta": {k: v for k, v in META.items() if k != "digest"}}, "meta 'digest' is not a string"),
+        ({"meta": {k: v for k, v in META.items() if k != "k1"}}, "meta 'k1' is not a number"),
     ], ids=["terms unsorted", "terms repeated", "indptr start", "indptr decreasing",
             "indptr short", "column out of range", "columns unsorted", "duplicate entry",
-            "zero count"])
+            "zero count", "meta a list", "terms a string", "terms not strings",
+            "doc ids a string", "doc ids not strings", "digest a number", "k1 a string",
+            "b a bool", "k1 negative", "b above 1", "terms missing", "digest missing",
+            "k1 missing"])
     def test_rejected(self, tmp_path, damage, reason):
-        write_v2(tmp_path / "index.bin", **(INTACT | damage))
-        with pytest.raises(IngestError, match=reason):
-            load_index(tmp_path / "index.bin")
+        path = tmp_path / "index.bin"
+        write_v2(path, **(INTACT | damage))
+        with pytest.raises(IngestError, match=reason) as info:
+            load_index(path)
+        assert str(path) in str(info.value)

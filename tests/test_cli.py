@@ -816,6 +816,13 @@ class TestDamagedInputs:
         struct.pack_into(code, damaged, offset, value)
         return bytes(damaged)
 
+    @staticmethod
+    def with_bm25_meta(data, **fields):
+        """``data``, a ``bm25.bin``, with ``fields`` replaced in its JSON meta record."""
+        (meta_len,) = struct.unpack_from("<I", data, 8)
+        meta = json.dumps(json.loads(data[12:12 + meta_len]) | fields).encode()
+        return data[:8] + struct.pack("<I", len(meta)) + meta + data[12 + meta_len:]
+
     @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
     @pytest.mark.parametrize("cut", [4, 6, 9, 0.5, -1])
     def test_truncated_binary_raises_ingest_error(self, tmp_path, fmt, cut):
@@ -899,7 +906,7 @@ class TestDamagedInputs:
         assert not (tmp_path / "r" / "run.tsv").exists()
 
     @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
-                                        "version 1"])
+                                        "version 1", "string terms"])
     def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
         tmp_path, config_path = dataset
         corpus = json.loads(config_path.read_text())["corpus"]
@@ -912,7 +919,8 @@ class TestDamagedInputs:
         data = cached.read_bytes()
         cached.write_bytes({"truncated": data[:10], "not an index": b"junk",
                             "huge postings count": self.with_huge_length(data, "BM25"),
-                            "version 1": data[:4] + struct.pack("<I", 1) + data[8:]}[damage])
+                            "version 1": data[:4] + struct.pack("<I", 1) + data[8:],
+                            "string terms": self.with_bm25_meta(data, terms="abc")}[damage])
         warm = tmp_path / "i2"
         assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
         assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()
