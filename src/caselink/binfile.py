@@ -2,13 +2,18 @@
 a 4-byte magic, an optional u32 version, then little-endian fields. Loaders
 read through :func:`read_container`, which bounds every read by the bytes left
 in the file, so a corrupt length field is reported as truncation before
-anything is allocated."""
+anything is allocated. :func:`record` checks a JSON record against its dataclass."""
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
+import functools
 import json
+import reprlib
 import struct
+import types
+import typing
 from pathlib import Path
 from typing import Iterator
 
@@ -82,3 +87,59 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[Except
     yield r
     if r.pos < len(r.data):
         raise IngestError(f"{path} has {len(r.data) - r.pos} trailing bytes")
+
+
+# The annotations record() can check, each with its name in errors and its test.
+_KINDS = {
+    int: ("an integer", lambda v: isinstance(v, int)),
+    float: ("a number", lambda v: isinstance(v, (int, float))),
+    str: ("a string", lambda v: isinstance(v, str)),
+    Path: ("a path string", lambda v: isinstance(v, str)),
+    list[str]: ("a list of strings",
+                lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+
+@functools.cache  # build_parser asks once per subcommand
+def field_kinds(cls) -> dict[str, tuple[type, bool, bool]]:
+    """Per field of the dataclass ``cls``: (kind, nullable, required). The kind, the
+    annotation less ``| None``, must be a ``_KINDS`` key: ``bool`` is a TypeError."""
+    hints, out = typing.get_type_hints(cls), {}
+    for f in dataclasses.fields(cls):
+        hint = hints[f.name]
+        args = typing.get_args(hint) if isinstance(hint, types.UnionType) else (hint,)
+        kinds = [a for a in args if a is not type(None)]
+        if len(kinds) != 1 or kinds[0] not in _KINDS:
+            raise TypeError(f"{cls.__name__}.{f.name}: record() cannot check {hint}")
+        out[f.name] = (kinds[0], len(kinds) < len(args),
+                       f.default is f.default_factory is dataclasses.MISSING)
+    return out
+
+
+def record(cls, values, error: type[Exception], where: str, aliases: dict | None = None) -> dict:
+    """The JSON object ``values`` checked against the dataclass ``cls``, keyed by
+    field name (``aliases`` maps a key as written to one), each value converted to
+    its field's kind. An int passes for a float, null only for ``X | None``, a bool
+    for nothing; any other misfit, an unknown key or a missing field without a
+    default raises ``error`` naming the key as written after ``where``."""
+    if not isinstance(values, dict):
+        raise error(f"{where} is not a JSON object")
+    kinds, out = field_kinds(cls), {}
+    for key, value in values.items():
+        name = (aliases or {}).get(key, key)
+        if name not in kinds:
+            raise error(f"{where} has an unknown key {key!r}")
+        kind, nullable, _ = kinds[name]
+        try:
+            if value is not None or not nullable:
+                if isinstance(value, bool) or not _KINDS[kind][1](value):
+                    raise TypeError
+                value = kind(value)  # OverflowError for an int past the float range
+        except (TypeError, OverflowError):
+            raise error(f"{where} {key!r} is not {_KINDS[kind][0]}{' or null' * nullable} "
+                        f"(got {reprlib.repr(value)})") from None
+        out[name] = value
+    for name, (kind, _, required) in kinds.items():
+        if required and name not in out:
+            raise error(f"{where} {name!r} is not {_KINDS[kind][0]} (missing)")
+    return out

@@ -18,14 +18,14 @@ the query, so repeated terms contribute once per occurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .binfile import pack, pack_json, read_container
+from .binfile import pack, pack_json, read_container, record
 from .corpus import CorpusStore
 from .errors import EmptyCorpusError, IngestError
 
@@ -224,10 +224,20 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
 # Binary cache
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Meta:
+    """The JSON meta record of ``bm25.bin``."""
+
+    k1: float
+    b: float
+    digest: str  # of the corpus bytes the index was built from
+    doc_ids: list[str]
+    terms: list[str]
+
+
 def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
     """Serialize the index; ``digest`` identifies the corpus bytes it was built from."""
-    meta = {"k1": index.k1, "b": index.b, "digest": digest,
-            "doc_ids": list(index.doc_ids), "terms": index.terms.tolist()}
+    meta = asdict(_Meta(index.k1, index.b, digest, list(index.doc_ids), index.terms.tolist()))
     tf = index.tf
     with open(path, "wb") as fh:
         fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_json(meta) + pack("Q", tf.nnz))
@@ -235,43 +245,22 @@ def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
             fh.write(a.astype("<u4").tobytes())
 
 
-def _check_meta(path: str | Path, meta) -> None:
-    """Raise IngestError unless ``meta`` is a JSON object whose ``doc_ids`` and
-    ``terms`` are lists of strings, whose ``digest`` is a string and whose
-    ``k1`` and ``b`` are numbers that pass :func:`check_parameters`."""
-    try:
-        if not isinstance(meta, dict):
-            raise ValueError("meta is not a JSON object")
-        for key in ("doc_ids", "terms"):
-            value = meta.get(key)
-            if not isinstance(value, list) or not all(isinstance(x, str) for x in value):
-                raise ValueError(f"meta {key!r} is not a list of strings")
-        if not isinstance(meta.get("digest"), str):
-            raise ValueError("meta 'digest' is not a string")
-        for key in ("k1", "b"):
-            value = meta.get(key)
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"meta {key!r} is not a number")
-        check_parameters(meta["k1"], meta["b"])
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
-
-
 def load_index(path: str | Path) -> tuple[Bm25Index, str]:
     """Load a cached index; returns (index, corpus digest recorded at save time).
 
-    A meta record that :func:`_check_meta` rejects, a vocabulary that is not
-    strictly increasing, or a term-count CSR that is malformed, not canonical
-    or holds a zero count, raises IngestError."""
+    A meta record that does not fit :class:`_Meta` or whose ``k1`` and ``b``
+    fail :func:`check_parameters`, a vocabulary that is not strictly
+    increasing, or a term-count CSR that is malformed, not canonical or holds a
+    zero count, raises IngestError."""
     with read_container(path, _MAGIC, "BM25 index cache", IngestError, _FORMAT_VERSION) as r:
-        meta = r.json()
-        _check_meta(path, meta)
+        meta = _Meta(**record(_Meta, r.json(), IngestError, f"{path}: meta"))
         (nnz,) = r.unpack("Q")
-        indptr = r.array("<u4", len(meta["doc_ids"]) + 1)
+        indptr = r.array("<u4", len(meta.doc_ids) + 1)
         indices = r.array("<u4", nnz)
         counts = r.array("<u4", nnz)
-    terms = np.array(meta["terms"], dtype=str)
+    terms = np.array(meta.terms, dtype=str)
     try:
+        check_parameters(meta.k1, meta.b)
         if not np.all(terms[:-1] < terms[1:]):
             raise ValueError("vocabulary is not strictly increasing")
         if indptr[-1] != nnz:
@@ -286,6 +275,5 @@ def load_index(path: str | Path) -> tuple[Bm25Index, str]:
             raise ValueError("a term count is zero")
     except ValueError as exc:
         raise IngestError(f"{path}: {exc}") from None
-    index = Bm25Index(doc_ids=tuple(meta["doc_ids"]), terms=terms, tf=tf,
-                      k1=float(meta["k1"]), b=float(meta["b"]))
-    return index, meta["digest"]
+    index = Bm25Index(doc_ids=tuple(meta.doc_ids), terms=terms, tf=tf, k1=meta.k1, b=meta.b)
+    return index, meta.digest

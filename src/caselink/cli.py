@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__
+from .binfile import field_kinds, record
 from .bm25 import Bm25Index, build_index, check_parameters, load_index, save_index
 from .corpus import (
     CorpusStore,
@@ -202,13 +203,11 @@ class RunOptions:
         check_parameters(self.k1, self.b)
 
 
-_OPTION_FIELDS = {f.name: f for f in dataclasses.fields(RunOptions)}
-_PATH_OPTIONS = {name for name, f in _OPTION_FIELDS.items() if f.type.startswith("Path")}
 _SECTIONS = {"training": TrainingConfig, "synth": SyntheticSpec}
 
-# Config-section keys accepted for a field name, and the flag spelling of a
-# field where it is not the field name.
-_SECTION_ALIASES = {"lambda": "lam", "K_edges": "k_edges"}
+# Config keys accepted for a field name, and the flag spelling of a field
+# where it is not the field name.
+_ALIASES = {"lambda": "lam", "K_edges": "k_edges"}
 _FIELD_FLAGS = {"lam": "lambda", "out_dir": "out"}
 _FIELD_HELP = {
     "corpus": "path to corpus JSONL file or directory of text files",
@@ -238,81 +237,31 @@ def _flag(name: str) -> str:
     return "--" + _FIELD_FLAGS.get(name, name).replace("_", "-")
 
 
-def _field_kind(f: dataclasses.Field) -> type:
-    """The type of a flag or config value for field ``f``, from its annotation:
-    float, str (also for a ``Path``), or int for every other."""
-    kind = f.type.split(" | ")[0]
-    return float if kind == "float" else str if kind in ("str", "Path") else int
-
-
-def _check_value(where: str, key: str, f: dataclasses.Field, value) -> None:
-    """A ParseError unless ``value`` of config key ``key`` fits field ``f``."""
-    kind = _field_kind(f)
-    typed = isinstance(value, (int, float) if kind is float else kind)
-    nullable = value is None and "None" in f.type
-    if isinstance(value, bool) or not (typed or nullable):
-        raise ParseError(f"{where} key {key!r} must be {kind.__name__}, not {value!r}")
-
-
 def _load_config(path) -> dict:
-    """The config file as a dict. Each top-level key is a ``RunOptions`` field
-    or a section; an unknown key or a mistyped value is a ParseError."""
-    if path is None:
-        return {}
-    text = Path(path).read_text(encoding="utf-8")
+    """The config file's JSON object."""
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
-        raise ParseError("config root must be a JSON object")
-    for key, value in cfg.items():
-        if key in _SECTIONS:
-            continue
-        if key not in _OPTION_FIELDS:
-            raise ParseError(f"unknown config key {key!r}")
-        _check_value("config", key, _OPTION_FIELDS[key], value)
-        if value is not None and key in _PATH_OPTIONS:
-            cfg[key] = str(Path(path).parent / value)
+        raise ParseError("config is not a JSON object")
     return cfg
 
 
-def _resolve_options(args, cfg: dict, names: tuple[str, ...]) -> RunOptions:
-    """The options ``names`` of one subcommand, flag > config > default; the
-    others keep their defaults. A value takes its field's type, so ``"k1": 3``
-    and ``--k1 3`` both give 3.0; a path becomes a ``Path``."""
-    values = {}
-    for name in names:
-        v = getattr(args, name, None)
-        v = cfg.get(name) if v is None else v
-        if v is not None:
-            kind = Path if name in _PATH_OPTIONS else _field_kind(_OPTION_FIELDS[name])
-            values[name] = kind(v)
-    return RunOptions(**values)
-
-
-def resolve_section(args, cfg: dict, section: str, cls):
-    """Build the dataclass ``cls`` from config ``section``: flag > config >
-    dataclass default. An unknown key or an invalid value is a ParseError."""
-    values = cfg.get(section, {})
-    if not isinstance(values, dict):
-        raise ParseError(f"config key {section!r} must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    merged: dict = {}
-    for key, value in values.items():
-        name = _SECTION_ALIASES.get(key, key)
-        if name not in fields:
-            raise ParseError(f"unknown {section} config key {key!r}")
-        _check_value(f"{section} config", key, fields[name], value)
-        merged[name] = value
-    for name in fields:
-        v = getattr(args, name, None)
-        if v is not None:
-            merged[name] = v
+def _resolve(args, cls, values, where: str, names=None, base: Path | None = None):
+    """The dataclass ``cls``, its fields ``names`` (all when None) set by flag >
+    config object ``values`` > default. ``values`` passes :func:`binfile.record`,
+    so each value takes its field's type as a flag does (``"lr": 1`` and ``--lr 1``
+    both give 1.0); a config path is relative to ``base``, the config file's
+    directory. An unknown key or an invalid value is a ParseError."""
+    names = names or field_kinds(cls)
+    checked = record(cls, values, ParseError, where, _ALIASES)
+    merged = {n: base / v if isinstance(v, Path) else v for n, v in checked.items() if n in names}
+    merged |= {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     try:
         return cls(**merged)
     except ValueError as exc:
-        raise ParseError(f"invalid {section} config: {exc}") from exc
+        raise ParseError(f"invalid {where}: {exc}") from exc
 
 
 def _cache_dir() -> Path | None:
@@ -341,7 +290,7 @@ def _get_index(store: CorpusStore, opts: RunOptions) -> tuple[Bm25Index, str]:
     if cache_file.exists():
         try:
             index, cached_digest = load_index(cache_file)
-        except (IngestError, ValueError, KeyError) as exc:
+        except (IngestError, ValueError) as exc:
             logger.warning("rebuilding unreadable BM25 cache %s: %s", cache_file, exc)
         else:
             if cached_digest == digest and index.k1 == k1 and index.b == b:
@@ -691,10 +640,10 @@ COMMANDS = {
 def _add_field_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
     """One flag per field of the dataclass ``cls`` (only ``names``, in that
     order, when given): ``--batch-size`` sets ``batch_size``, parsed as the
-    field's ``_field_kind``."""
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    for name in names or fields:
-        p.add_argument(_flag(name), dest=name, type=_field_kind(fields[name]), default=None,
+    field's kind (int, float, str or Path)."""
+    kinds = field_kinds(cls)
+    for name in names or kinds:
+        p.add_argument(_flag(name), dest=name, type=kinds[name][0], default=None,
                        help=_FIELD_HELP.get(name))
 
 
@@ -717,9 +666,12 @@ def build_parser() -> _Parser:
 def _run(args) -> None:
     """Resolve the subcommand's options and sections, then run it."""
     command = COMMANDS[args.command]
-    cfg = _load_config(args.config)
-    opts = _resolve_options(args, cfg, command.options)
-    sections = [resolve_section(args, cfg, s, _SECTIONS[s]) for s in command.sections]
+    cfg = _load_config(args.config) if args.config is not None else {}
+    section_values = {s: cfg.pop(s, {}) for s in _SECTIONS}
+    base = Path(args.config).parent if args.config is not None else None
+    opts = _resolve(args, RunOptions, cfg, "config", command.options, base)
+    sections = [_resolve(args, _SECTIONS[s], section_values[s], f"{s} config")
+                for s in command.sections]
     values = {name: getattr(opts, name) for name in command.options}
     config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
     config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}

@@ -14,7 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyLexiconError,
@@ -65,11 +65,11 @@ class CaseDocument:
 
 @dataclass(frozen=True)
 class ChargeEntry:
-    """A charge name from the lexicon; embedding is attached later if at all."""
+    """A charge name from the lexicon and its node id; its vector is looked up
+    by that id in the embedding table."""
 
     id: str
     name: str
-    embedding: tuple[float, ...] | None = None
 
 
 @dataclass(frozen=True)
@@ -137,14 +137,16 @@ def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     return labels
 
 
-def _iter_corpus_records(corpus_path: Path) -> Iterable[tuple[int, dict]]:
-    """Yield (line_number, record) pairs from a JSONL file or a text directory."""
-    if corpus_path.is_dir():
-        for i, p in enumerate(sorted(corpus_path.iterdir()), start=1):
+def iter_records(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
+    """Yield (line_number, record) per non-blank line of a JSONL file, or per file
+    of a text directory (``{"id": file name, "text": its body}``). A line that is
+    not a JSON object, or lacks a ``required`` key, is a ParseError."""
+    if path.is_dir():
+        for i, p in enumerate(sorted(path.iterdir()), start=1):
             if p.is_file():
                 yield i, {"id": p.name, "text": p.read_text(encoding="utf-8")}
         return
-    with open(corpus_path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
@@ -153,7 +155,10 @@ def _iter_corpus_records(corpus_path: Path) -> Iterable[tuple[int, dict]]:
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON: {exc.msg}", line_number=i) from exc
             if not isinstance(rec, dict):
-                raise ParseError("corpus line must be a JSON object", line_number=i)
+                raise ParseError("line is not a JSON object", line_number=i)
+            if not all(key in rec for key in required):
+                raise ParseError(f"missing required field {' or '.join(map(repr, required))}",
+                                 line_number=i)
             yield i, rec
 
 
@@ -171,9 +176,7 @@ def ingest_corpus(
 
     cases: list[CaseDocument] = []
     seen: set[str] = set()
-    for line_no, rec in _iter_corpus_records(corpus_path):
-        if "id" not in rec or "text" not in rec:
-            raise ParseError("missing required field 'id' or 'text'", line_number=line_no)
+    for line_no, rec in iter_records(corpus_path, ("id", "text")):
         cid = str(rec["id"])
         if not cid:
             raise ParseError("empty id", line_number=line_no)

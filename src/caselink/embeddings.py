@@ -10,7 +10,6 @@ Remote protocol: POST {"id": str, "text": str} -> {"vector": [float, ...]}.
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .binfile import pack, pack_text, read_container
-from .corpus import CorpusStore
+from .corpus import CorpusStore, iter_records
 from .errors import DimensionError, IngestError, MissingEmbeddingError, NumericalError, ProviderError
 
 _MAGIC = b"EMB1"
@@ -78,16 +77,21 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _validate_vector(node_id: str, vec: np.ndarray, dim: int | None) -> int:
+def _validate_vector(node_id: str, value, dim: int | None) -> tuple[np.ndarray, int]:
+    """``value`` as a 1-D float64 vector, and its dim, which must be ``dim`` when
+    one is given. A value that is not a list of finite numbers is a data error
+    naming ``node_id``."""
+    try:
+        vec = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        vec = None
+    if vec is None or vec.ndim != 1:
+        raise DimensionError(f"vector for id {node_id!r} is not a list of numbers")
     if not np.all(np.isfinite(vec)):
         raise ValueError(f"non-finite component in vector for id {node_id!r}")
-    if dim is None:
-        return len(vec)
-    if len(vec) != dim:
-        raise DimensionError(
-            f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}"
-        )
-    return dim
+    if dim is not None and len(vec) != dim:
+        raise DimensionError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}")
+    return vec, len(vec)
 
 
 def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> EmbeddingTable:
@@ -103,17 +107,11 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
 
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            node_id = str(rec["id"])
-            if node_id in vectors:
-                raise IngestError(f"duplicate embedding id {node_id!r}")
-            vec = np.asarray(rec["vector"], dtype=np.float64)
-            dim = _validate_vector(node_id, vec, dim)
-            vectors[node_id] = vec
+    for _, rec in iter_records(path, ("id", "vector")):
+        node_id = str(rec["id"])
+        if node_id in vectors:
+            raise IngestError(f"duplicate embedding id {node_id!r}")
+        vectors[node_id], dim = _validate_vector(node_id, rec["vector"], dim)
     if not vectors:
         raise IngestError(f"embedding file {path} is empty")
     return EmbeddingTable(dim=int(dim), vectors=vectors)
@@ -140,11 +138,9 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
         vectors: dict[str, np.ndarray] = {}
         for _ in range(count):
             node_id = r.text()
-            vec = r.array("<f4", dim).astype(np.float64)
             if node_id in vectors:
                 raise IngestError(f"duplicate embedding id {node_id!r}")
-            _validate_vector(node_id, vec, dim)
-            vectors[node_id] = vec
+            vectors[node_id], _ = _validate_vector(node_id, r.array("<f4", dim), dim)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 
@@ -230,9 +226,8 @@ class RemoteEmbeddingProvider:
         else:  # pragma: no cover
             raise ProviderError(str(last_exc))
 
-        vec = np.asarray(body["vector"], dtype=np.float64)
         with self._lock:
-            self._dim = _validate_vector(node_id, vec, self._dim)
+            vec, self._dim = _validate_vector(node_id, body["vector"], self._dim)
         return vec
 
     def fetch_many(self, items: Iterable[tuple[str, str]]) -> EmbeddingTable:

@@ -8,14 +8,14 @@ Self-loops are not stored; the encoder adds them transiently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
 
-from .binfile import pack, pack_json, read_container
+from .binfile import pack, pack_json, read_container, record
 from .bm25 import Bm25Index, _block_top_k
 from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import EmbeddingTable, check_coverage, unit_rows
@@ -204,14 +204,20 @@ def build_global_case_graph(
 # Serialization: JSON header + upper-triangle edge list + float32 features
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Header:
+    """The JSON header of ``graph.gcg1``."""
+
+    n: int  # case nodes
+    m: int  # charge nodes
+    dim: int
+    ids: list[str]  # per node, cases first
+    roles: list[str]  # per case node, a Role value
+
+
 def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
-    header = {
-        "n": graph.n_cases,
-        "m": graph.n_charges,
-        "dim": graph.dim,
-        "ids": list(graph.node_ids),
-        "roles": [r.value for r in graph.roles],
-    }
+    header = asdict(_Header(graph.n_cases, graph.n_charges, graph.dim, list(graph.node_ids),
+                            [r.value for r in graph.roles]))
     upper = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((upper.col, upper.row))
     edges = np.column_stack([upper.row[order], upper.col[order]]).astype("<u4")
@@ -222,12 +228,33 @@ def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
 
 
 def load_graph(path: str | Path) -> GlobalCaseGraph:
+    """Read a ``graph.gcg1``. A header that does not fit :class:`_Header`, ids or
+    roles that do not fit its counts, a repeated id, or edge pairs other than
+    strictly increasing ``(i, j)`` with ``i < j < n + m`` raise
+    GraphConstructionError naming the file; a short file raises IngestError."""
     with read_container(path, _MAGIC, "serialized case graph", GraphConstructionError) as r:
-        header = r.json()
+        h = _Header(**record(_Header, r.json(), GraphConstructionError, f"{path}: header"))
+        if min(h.n, h.m, h.dim) < 0:
+            raise GraphConstructionError(f"{path}: header n, m and dim must be >= 0")
         (n_edges,) = r.unpack("Q")
         edges = r.array("<u4", 2 * n_edges).reshape(-1, 2)
-        n_nodes, dim = header["n"] + header["m"], header["dim"]
-        features = r.array("<f4", n_nodes * dim).reshape(n_nodes, dim).astype(np.float64)
+        n_nodes = h.n + h.m
+        features = r.array("<f4", n_nodes * h.dim).reshape(n_nodes, h.dim).astype(np.float64)
+    i, j = edges.T.astype(np.int64)
+    try:
+        if len(h.ids) != n_nodes:
+            raise ValueError(f"{len(h.ids)} node ids for n + m = {n_nodes} nodes")
+        if len(set(h.ids)) != n_nodes:
+            raise ValueError("a node id is repeated")
+        if len(h.roles) != h.n:
+            raise ValueError(f"{len(h.roles)} roles for n = {h.n} cases")
+        roles = tuple(Role(r) for r in h.roles)
+        if not np.all((i < j) & (j < n_nodes)):
+            raise ValueError(f"an edge pair is not (i, j) with i < j < {n_nodes}")
+        if not np.all(np.diff(i * n_nodes + j) > 0):
+            raise ValueError("edge pairs are not strictly increasing")
+    except ValueError as exc:
+        raise GraphConstructionError(f"{path}: {exc}") from None
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.coo_matrix(
@@ -235,10 +262,10 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
     ).tocsr()
     adjacency.sort_indices()
     return GlobalCaseGraph(
-        n_cases=header["n"],
-        n_charges=header["m"],
+        n_cases=h.n,
+        n_charges=h.m,
         adjacency=adjacency,
         features=features,
-        node_ids=tuple(header["ids"]),
-        roles=tuple(Role(r) for r in header["roles"]),
+        node_ids=tuple(h.ids),
+        roles=roles,
     )

@@ -1,17 +1,25 @@
-"""Byte layouts of the four binary formats, packed by hand from the README table."""
+"""Byte layouts of the four binary formats, packed by hand from the README table,
+and the check of JSON records against their dataclasses."""
 
+import dataclasses
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from caselink import bm25, graph
+from caselink.binfile import field_kinds, record
 from caselink.bm25 import build_index, save_index
+from caselink.cli import RunOptions
 from caselink.corpus import Role
 from caselink.embeddings import EmbeddingTable, write_binary_embeddings
 from caselink.gat import GatParams, save_checkpoint
 from caselink.graph import GlobalCaseGraph, save_graph
+from caselink.synthetic import SyntheticSpec
+from caselink.training import TrainingConfig
 
 from conftest import make_store
 
@@ -66,3 +74,70 @@ def test_writer_bytes_match_the_documented_layout(tmp_path, write):
     path = tmp_path / "file.bin"
     expected = write(path)
     assert path.read_bytes() == expected
+
+
+@dataclasses.dataclass
+class Fields:
+    count: int
+    rate: float
+    names: list[str]
+    path: Path | None = None
+    size: int = 3
+
+
+FIELDS = {"count": 2, "rate": 0.5, "names": ["a"]}
+
+
+class TestRecord:
+    def test_fields_are_keyed_by_name_and_converted_to_their_kind(self):
+        out = record(Fields, FIELDS | {"rate": 1, "path": "a/b", "names": []}, KeyError, "x")
+        assert out == {"count": 2, "rate": 1.0, "names": [], "path": Path("a/b")}
+        assert type(out["rate"]) is float
+
+    def test_null_for_an_optional_field(self):
+        assert record(Fields, FIELDS | {"path": None}, KeyError, "x")["path"] is None
+
+    def test_alias_names_a_field(self):
+        out = record(Fields, {"n": 2, "rate": 0.5, "names": ["a"]}, KeyError, "x", {"n": "count"})
+        assert out["count"] == 2
+
+    @pytest.mark.parametrize("values, message", [
+        (FIELDS | {"count": True}, "x 'count' is not an integer (got True)"),
+        (FIELDS | {"rate": False}, "x 'rate' is not a number (got False)"),
+        (FIELDS | {"count": 2.0}, "x 'count' is not an integer (got 2.0)"),
+        (FIELDS | {"rate": "0.5"}, "x 'rate' is not a number (got '0.5')"),
+        (FIELDS | {"rate": 10**400}, "x 'rate' is not a number"),
+        (FIELDS | {"size": None}, "x 'size' is not an integer (got None)"),
+        (FIELDS | {"path": 3}, "x 'path' is not a path string or null (got 3)"),
+        (FIELDS | {"names": "ab"}, "x 'names' is not a list of strings (got 'ab')"),
+        (FIELDS | {"names": ["a", 2]}, "x 'names' is not a list of strings"),
+        ({"count": 2, "rate": 0.5}, "x 'names' is not a list of strings (missing)"),
+        (FIELDS | {"Count": 2}, "x has an unknown key 'Count'"),
+        ([FIELDS], "x is not a JSON object"),
+    ], ids=["bool for an int", "bool for a float", "float for an int", "string for a float",
+            "int past the float range", "null for a plain field", "int for a path",
+            "string for a list", "list with an int", "required field missing", "unknown key",
+            "not an object"])
+    def test_rejected(self, values, message):
+        with pytest.raises(KeyError) as info:
+            record(Fields, values, KeyError, "x")
+        assert str(info.value.args[0]).startswith(message)
+
+    def test_error_names_the_alias_as_written(self):
+        with pytest.raises(KeyError, match="x 'n' is not an integer"):
+            record(Fields, FIELDS | {"n": "2"}, KeyError, "x", {"n": "count"})
+
+
+@pytest.mark.parametrize("cls", [RunOptions, TrainingConfig, SyntheticSpec, bm25._Meta,
+                                 graph._Header], ids=lambda cls: cls.__name__)
+def test_every_record_field_has_a_kind_record_checks(cls):
+    """A field that record() cannot check (a bool, a list of ints) fails here,
+    instead of being checked as some other kind."""
+    assert list(field_kinds(cls)) == [f.name for f in dataclasses.fields(cls)]
+
+
+@pytest.mark.parametrize("annotation", [bool, list[int], int | str, dict, "float | None | str"])
+def test_kinds_record_cannot_check_are_type_errors(annotation):
+    cls = dataclasses.make_dataclass("Odd", [("field", annotation)])
+    with pytest.raises(TypeError, match="Odd.field"):
+        field_kinds(cls)

@@ -424,6 +424,26 @@ class TestConfigPrecedence:
         assert "k1" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_int_in_the_training_section_gives_the_float_a_flag_gives(self, dataset):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        cfg["training"] = {"lr": 1, "tau": 1, "dropout": 0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        common = ["train", "--config", str(cfg_path), "--epochs", "1"]
+        assert main([*common, "--out", str(tmp_path / "c")]) == 0
+        cfg["training"] = {}
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*common, "--out", str(tmp_path / "f"), "--lr", "1", "--tau", "1",
+                     "--dropout", "0"]) == 0
+        from_config = read_manifest(tmp_path / "c")["config"]
+        from_flags = read_manifest(tmp_path / "f")["config"]
+        assert json.dumps(from_config["training"]["lr"]) == "1.0"
+        del from_config["out_dir"], from_flags["out_dir"]
+        assert from_config == from_flags
+        sidecar = Path("checkpoints") / "checkpoint.gatc.json"
+        assert (tmp_path / "c" / sidecar).read_bytes() == (tmp_path / "f" / sidecar).read_bytes()
+
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -904,6 +924,74 @@ class TestDamagedInputs:
         assert main(["rank", *cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "r")]) == 2
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "r" / "run.tsv").exists()
+
+    @staticmethod
+    def with_gcg1(data, header=None, edges=None):
+        """``data``, a ``graph.gcg1``, with its JSON header passed through
+        ``header`` and its (edges x 2) pair array through ``edges``."""
+        (header_len,) = struct.unpack_from("<I", data, 4)
+        head = json.loads(data[8:8 + header_len])
+        at = 8 + header_len
+        (n_edges,) = struct.unpack_from("<Q", data, at)
+        pairs = [list(p) for p in struct.iter_unpack("<2I", data[at + 8:at + 8 + 8 * n_edges])]
+        head, pairs = (header or (lambda h: h))(head), (edges or (lambda e: e))(pairs)
+        packed = json.dumps(head).encode()
+        return (data[:4] + struct.pack("<I", len(packed)) + packed
+                + struct.pack("<Q", len(pairs)) + b"".join(struct.pack("<2I", *p) for p in pairs)
+                + data[at + 8 + 8 * n_edges:])
+
+    GRAPH_DAMAGE = {
+        "n a string": ({"header": lambda h: h | {"n": str(h["n"])}}, "'n' is not an integer"),
+        "ids short": ({"header": lambda h: h | {"ids": h["ids"][:-1]}}, r"node ids for n \+ m"),
+        "ids repeated": ({"header": lambda h: h | {"ids": [h["ids"][1], *h["ids"][1:]]}},
+                         "a node id is repeated"),
+        "roles short": ({"header": lambda h: h | {"roles": h["roles"][:-1]}}, "roles for n ="),
+        "role unknown": ({"header": lambda h: h | {"roles": ["judge", *h["roles"][1:]]}},
+                         "'judge' is not a valid Role"),
+        "self-loop": ({"edges": lambda e: [[e[0][0], e[0][0]], *e[1:]]}, "i < j <"),
+        "repeated pair": ({"edges": lambda e: [e[0], *e]}, "not strictly increasing"),
+        "column out of range": ({"edges": lambda e: [*e, [0, 10**6]]}, "i < j <"),
+    }
+
+    @pytest.mark.parametrize("damage", list(GRAPH_DAMAGE))
+    def test_rank_on_a_malformed_graph_is_data_error_naming_it(self, dataset, capsys, damage):
+        from caselink.errors import GraphConstructionError
+        from caselink.graph import load_graph
+
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        gcg = tmp_path / "g" / "graph.gcg1"
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
+        assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t"),
+                     "--epochs", "1"]) == 0
+        rewrite, reason = self.GRAPH_DAMAGE[damage]
+        gcg.write_bytes(self.with_gcg1(gcg.read_bytes(), **rewrite))
+        with pytest.raises(GraphConstructionError, match=reason) as info:
+            load_graph(gcg)
+        assert str(gcg) in str(info.value)
+        capsys.readouterr()
+        assert main(["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert str(gcg) in capsys.readouterr().err
+        assert not (tmp_path / "r" / "run.tsv").exists()
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[1, 2]", "line 2: line is not a JSON object"),
+        ('"abc"', "line 2: line is not a JSON object"),
+        ('{"id": "x", "vector": 5}', "vector for id 'x' is not a list of numbers"),
+        ('{"vector": [1.0]}', "line 2: missing required field 'id' or 'vector'"),
+    ], ids=["a list", "a string", "a number for the vector", "no id"])
+    def test_embed_on_a_malformed_embeddings_line_is_data_error(self, dataset, capsys, line,
+                                                                reason):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        first, *rest = Path(cfg["embeddings"]).read_text().splitlines()
+        damaged = tmp_path / "damaged.jsonl"
+        damaged.write_text("\n".join([first, line, *rest]) + "\n")
+        assert main(["embed", "--config", str(config_path), "--embeddings", str(damaged),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
                                         "version 1", "string terms"])

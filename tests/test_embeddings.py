@@ -25,6 +25,7 @@ from caselink.errors import (
     IngestError,
     MissingEmbeddingError,
     NumericalError,
+    ParseError,
     ProviderError,
 )
 
@@ -130,6 +131,29 @@ class TestLoadEmbeddingFile:
         p.write_text('{"id": "a", "vector": [1.0, NaN]}\n')
         with pytest.raises(ValueError):
             load_embedding_file(p)
+
+    @pytest.mark.parametrize("line", ["[1, 2]", '"abc"', "7", '{"vector": [1.0]}',
+                                      '{"id": "b"}'],
+                             ids=["a list", "a string", "a number", "no id", "no vector"])
+    def test_line_that_is_not_an_id_vector_object_is_parse_error(self, tmp_path, line):
+        p = tmp_path / "emb.jsonl"
+        p.write_text('{"id": "a", "vector": [1.0]}\n\n' + line + "\n")
+        with pytest.raises(ParseError, match="^line 3: "):
+            load_embedding_file(p)
+
+    @pytest.mark.parametrize("vector", [5, None, "ab", [[1.0, 2.0]], [1.0, [2.0]], [1.0, "x"]],
+                             ids=["a number", "null", "a string", "nested", "ragged",
+                                  "a string component"])
+    def test_vector_that_is_not_a_list_of_numbers_names_its_id(self, tmp_path, vector):
+        p = tmp_path / "emb.jsonl"
+        p.write_text(json.dumps({"id": "a", "vector": vector}) + "\n")
+        with pytest.raises(DimensionError, match="vector for id 'a' is not a list of numbers"):
+            load_embedding_file(p)
+
+    def test_numeric_id_is_read_as_a_string(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        p.write_text('{"id": 7, "vector": [1.0, 2.0]}\n')
+        assert list(load_embedding_file(p).vectors) == ["7"]
 
     def test_binary_file_is_sniffed(self, tmp_path):
         table = EmbeddingTable(dim=3, vectors={"a": np.array([1.0, 2.0, 3.0])})
