@@ -27,9 +27,12 @@ def pack(fmt: str, *values) -> bytes:
     return struct.pack("<" + fmt, *values)
 
 
-def pack_json(obj) -> bytes:
-    """Compact, key-sorted UTF-8 JSON prefixed by its u32 byte length."""
-    data = json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
+def pack_record(obj) -> bytes:
+    """The fields of the dataclass ``obj`` as compact, key-sorted UTF-8 JSON
+    prefixed by its u32 byte length: what :meth:`Reader.json` and :func:`record`
+    read back. The field values are not copied."""
+    fields = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+    data = json.dumps(fields, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return pack("I", len(data)) + data
 
 
@@ -60,13 +63,29 @@ class Reader:
         dtype = np.dtype(dtype)
         return np.frombuffer(self._take(dtype.itemsize * count), dtype=dtype)
 
+    def _utf8(self, n: int, what: str) -> str:
+        at = self.pos
+        try:
+            return str(self._take(n), "utf-8")
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{self.path}: the {what} at byte {at} is not valid UTF-8 "
+                              f"({exc.reason} at byte {at + exc.start})") from None
+
     def json(self):
+        """A u32-length-prefixed UTF-8 JSON block. Like every field, one that does
+        not decode is an IngestError naming the file."""
         (n,) = self.unpack("I")
-        return json.loads(bytes(self._take(n)))
+        at = self.pos
+        try:
+            return json.loads(self._utf8(n, "JSON block"))
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"{self.path}: the JSON block at byte {at} is not valid JSON "
+                              f"({exc.msg} at char {exc.pos})") from None
 
     def text(self) -> str:
+        """A u16-length-prefixed UTF-8 string."""
         (n,) = self.unpack("H")
-        return str(self._take(n), "utf-8")
+        return self._utf8(n, "text")
 
 
 @contextlib.contextmanager

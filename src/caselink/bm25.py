@@ -18,14 +18,14 @@ the query, so repeated terms contribute once per occurrence.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
-from .binfile import pack, pack_json, read_container, record
+from .binfile import pack, pack_record, read_container, record
 from .corpus import CorpusStore
 from .errors import EmptyCorpusError, IngestError
 
@@ -237,10 +237,10 @@ class _Meta:
 
 def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
     """Serialize the index; ``digest`` identifies the corpus bytes it was built from."""
-    meta = asdict(_Meta(index.k1, index.b, digest, list(index.doc_ids), index.terms.tolist()))
+    meta = _Meta(index.k1, index.b, digest, list(index.doc_ids), index.terms.tolist())
     tf = index.tf
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_json(meta) + pack("Q", tf.nnz))
+        fh.write(_MAGIC + pack("I", _FORMAT_VERSION) + pack_record(meta) + pack("Q", tf.nnz))
         for a in (tf.indptr, tf.indices, tf.data):
             fh.write(a.astype("<u4").tobytes())
 

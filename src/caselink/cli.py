@@ -37,6 +37,7 @@ from .corpus import (
     ingest_corpus,
     load_charge_lexicon,
     load_labels,
+    read_text,
 )
 from .embeddings import (
     EmbeddingTable,
@@ -45,7 +46,7 @@ from .embeddings import (
     check_coverage,
     load_embedding_file,
     normalize_table,
-    read_binary_embeddings,
+    round_to_stored,
     write_binary_embeddings,
 )
 from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError
@@ -240,9 +241,9 @@ def _flag(name: str) -> str:
 def _load_config(path) -> dict:
     """The config file's JSON object."""
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"config is not valid JSON: {exc}") from exc
+        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ParseError("config is not a JSON object")
     return cfg
@@ -332,41 +333,32 @@ def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = F
     return store
 
 
-def _file_table(opts: RunOptions, manifest: StageManifest) -> EmbeddingTable:
-    """The ``--embeddings`` file (JSONL or EMB1), L2-normalized."""
-    table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
-    manifest.add_input(opts.embeddings)
-    return normalize_table(table)
-
-
-def _source_table(opts: RunOptions, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
-    """Vectors for every case and charge: fetched from ``endpoint`` when one is
-    configured, else read from the ``--embeddings`` file."""
-    if not opts.endpoint:
-        return _file_table(opts, manifest)
-    provider_cfg = ProviderConfig(
-        endpoint=opts.endpoint,
-        truncation_tokens=opts.truncation_tokens,
-        max_in_flight=opts.threads,
-    )
-    items = [(case.id, case.text) for case in store.cases]
-    items += [(charge.id, charge.name) for charge in store.charges]
-    return normalize_table(RemoteEmbeddingProvider(provider_cfg).fetch_many(items))
+def _node_table(opts: RunOptions, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
+    """Every subcommand's node features: fetched from ``endpoint`` when one is
+    configured, else read from ``--embeddings``; L2-normalized, then rounded to
+    the precision ``embeddings.emb1`` and ``graph.gcg1`` store."""
+    if opts.endpoint:
+        provider = RemoteEmbeddingProvider(ProviderConfig(
+            opts.endpoint, opts.truncation_tokens, max_in_flight=opts.threads))
+        texts = {c.id: c.text for c in store.cases} | {ch.id: ch.name for ch in store.charges}
+        table = provider.fetch_many((node_id, texts[node_id]) for node_id in store.node_ids)
+    else:
+        table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
+        manifest.add_input(opts.embeddings)
+    return round_to_stored(normalize_table(table))
 
 
 def _case_graph(
     opts: RunOptions, store: CorpusStore, index: Bm25Index, training: TrainingConfig,
     manifest: StageManifest,
 ) -> GlobalCaseGraph:
-    """The ``--graph`` file when one is given, else the graph built from ``--embeddings``."""
+    """The ``--graph`` file when one is given, else the graph ``pipeline`` builds."""
     if opts.graph is not None:
         gcg = load_graph(opts.graph)
         manifest.add_input(opts.graph)
         return gcg
-    table = _file_table(opts, manifest)
-    return build_global_case_graph(
-        store, table, index, k=training.k_edges, delta=training.delta
-    )
+    return build_global_case_graph(store, _node_table(opts, store, manifest), index,
+                                   k=training.k_edges, delta=training.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +400,13 @@ def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
     return index
 
 
-def embed_stage(store: CorpusStore, table: EmbeddingTable, manifest: StageManifest) -> Path:
-    """Check that every case and charge has a vector and write ``embeddings.emb1``,
-    whose path is returned: the graph stage reads the table from it."""
+def embed_stage(store: CorpusStore, table: EmbeddingTable, manifest: StageManifest) -> None:
+    """Check that every node has a vector and write them in node order to
+    ``embeddings.emb1``."""
     manifest.start("embed")
     check_coverage(table, store)
-    ids = [c.id for c in store.cases] + [ch.id for ch in store.charges]
-    emb_path = manifest.out / "embeddings.emb1"
-    manifest.commit("embed", {emb_path: lambda path: write_binary_embeddings(table, path, ids)})
-    return emb_path
+    manifest.commit("embed", {manifest.out / "embeddings.emb1":
+                              lambda path: write_binary_embeddings(table, path, store.node_ids)})
 
 
 def graph_stage(
@@ -499,14 +489,14 @@ def cmd_index(opts: RunOptions, manifest: StageManifest) -> None:
 
 def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
     store = _load_store(opts, manifest)
-    table = _source_table(opts, store, manifest)
+    table = _node_table(opts, store, manifest)
     embed_stage(store, table, manifest)
     _print_json({"vectors": store.n_cases + store.n_charges, "dim": table.dim})
 
 
 def cmd_graph(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
     store = _load_store(opts, manifest)
-    table = _file_table(opts, manifest)
+    table = _node_table(opts, store, manifest)
     index, _digest = _get_index(store, opts)
     gcg = graph_stage(store, table, index, training, manifest)
     _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
@@ -555,14 +545,10 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
     store = _load_store(opts, manifest, need_labels=True)
-    table = _source_table(opts, store, manifest)
-
+    table = _node_table(opts, store, manifest)
     index = index_stage(store, opts, manifest)
-    # Read the table and the graph back from their files, as the staged
-    # subcommands do, so fused and staged runs give byte-identical artifacts.
-    table = read_binary_embeddings(embed_stage(store, table, manifest))
-    graph_stage(store, table, index, training, manifest)
-    gcg = load_graph(manifest.out / "graph.gcg1")
+    embed_stage(store, table, manifest)
+    gcg = graph_stage(store, table, index, training, manifest)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)
     report = eval_stage(run.retrieved(), store.labels, manifest)

@@ -5,6 +5,9 @@ Input formats:
              (or a directory of text files; file name -> id, body -> text)
   labels  -- JSON object: query id -> list of relevant candidate ids
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
+
+Every input is read through :func:`read_text`, so bytes that are not UTF-8 are
+a ParseError naming the file and the line.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
@@ -74,11 +78,21 @@ class ChargeEntry:
 
 @dataclass(frozen=True)
 class CorpusStore:
-    """Immutable corpus: case order then charge order define the canonical node order."""
+    """Immutable corpus. ``node_ids``, the cases and then the charges, is the
+    canonical node order; an id in it twice is an IngestError naming it."""
 
     cases: tuple[CaseDocument, ...]
     charges: tuple[ChargeEntry, ...] = ()
     labels: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
+    node_ids: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ids = tuple(c.id for c in self.cases) + tuple(ch.id for ch in self.charges)
+        repeated = [node_id for node_id, count in Counter(ids).items() if count > 1]
+        if repeated:
+            raise IngestError(f"duplicate node id {repeated[0]!r}: no two cases or charges "
+                              "may share an id")
+        object.__setattr__(self, "node_ids", ids)
 
     @property
     def n_cases(self) -> int:
@@ -123,10 +137,32 @@ def extract_latest_year(text: str) -> int | None:
     return max(years) if years else None
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file, newlines translated to ``"\\n"`` as
+    ``Path.read_text`` does. Bytes that are not UTF-8 are a ParseError naming
+    the file and the line they are on."""
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = _newlines(data[:exc.start].decode("utf-8")).count("\n") + 1
+        raise ParseError(f"{path} is not valid UTF-8 ({exc.reason} at byte {exc.start})",
+                         line_number=line) from None
+    return _newlines(text)
+
+
+def _newlines(text: str) -> str:
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Load a labels file: JSON object mapping query id -> relevant candidate ids."""
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
+    """Load a labels file: JSON object mapping query id -> relevant candidate ids.
+    A file that is not UTF-8 JSON is a ParseError naming it."""
+    try:
+        raw = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"labels file {path} is not valid JSON: {exc.msg}",
+                         line_number=exc.lineno) from None
     if not isinstance(raw, dict):
         raise IngestError(f"labels file {path} must contain a JSON object")
     labels: dict[str, tuple[str, ...]] = {}
@@ -140,26 +176,26 @@ def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
 def iter_records(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) per non-blank line of a JSONL file, or per file
     of a text directory (``{"id": file name, "text": its body}``). A line that is
-    not a JSON object, or lacks a ``required`` key, is a ParseError."""
+    not JSON (the error names the file), not a JSON object, or lacks a
+    ``required`` key is a ParseError."""
     if path.is_dir():
         for i, p in enumerate(sorted(path.iterdir()), start=1):
             if p.is_file():
-                yield i, {"id": p.name, "text": p.read_text(encoding="utf-8")}
+                yield i, {"id": p.name, "text": read_text(p)}
         return
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc.msg}", line_number=i) from exc
-            if not isinstance(rec, dict):
-                raise ParseError("line is not a JSON object", line_number=i)
-            if not all(key in rec for key in required):
-                raise ParseError(f"missing required field {' or '.join(map(repr, required))}",
-                                 line_number=i)
-            yield i, rec
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON in {path}: {exc.msg}", line_number=i) from exc
+        if not isinstance(rec, dict):
+            raise ParseError("line is not a JSON object", line_number=i)
+        if not all(key in rec for key in required):
+            raise ParseError(f"missing required field {' or '.join(map(repr, required))}",
+                             line_number=i)
+        yield i, rec
 
 
 def ingest_corpus(
@@ -175,15 +211,11 @@ def ingest_corpus(
     labels = load_labels(labels_path) if labels_path is not None else {}
 
     cases: list[CaseDocument] = []
-    seen: set[str] = set()
     for line_no, rec in iter_records(corpus_path, ("id", "text")):
         cid = str(rec["id"])
         if not cid:
             raise ParseError("empty id", line_number=line_no)
         text = str(rec["text"])
-        if cid in seen:
-            raise IngestError(f"duplicate case id {cid!r}")
-        seen.add(cid)
 
         explicit = rec.get("role")
         if explicit is not None:
@@ -230,32 +262,31 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
     path = Path(path)
     entries: list[ChargeEntry] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("{"):
-                try:
-                    rec = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"invalid JSON: {exc.msg}", line_number=i) from exc
-                cid = str(rec.get("id", f"charge_{len(entries)}"))
-                name = rec.get("name")
-                if name is None:
-                    raise ParseError("charge record missing 'name'", line_number=i)
-                name = str(name)
-            else:
-                cid = f"charge_{len(entries)}"
-                name = line
-            name = " ".join(name.split())
-            key = normalize_charge_name(name)
-            if not key:
-                raise ParseError(f"charge name {name!r} has no letters or digits", line_number=i)
-            if key in seen:
-                raise IngestError(f"duplicate charge name {name!r}")
-            seen.add(key)
-            entries.append(ChargeEntry(id=cid, name=name))
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        if line.startswith("{"):
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON in {path}: {exc.msg}", line_number=i) from exc
+            cid = str(rec.get("id", f"charge_{len(entries)}"))
+            name = rec.get("name")
+            if name is None:
+                raise ParseError("charge record missing 'name'", line_number=i)
+            name = str(name)
+        else:
+            cid = f"charge_{len(entries)}"
+            name = line
+        name = " ".join(name.split())
+        key = normalize_charge_name(name)
+        if not key:
+            raise ParseError(f"charge name {name!r} has no letters or digits", line_number=i)
+        if key in seen:
+            raise IngestError(f"duplicate charge name {name!r}")
+        seen.add(key)
+        entries.append(ChargeEntry(id=cid, name=name))
     if not entries:
         raise EmptyLexiconError(f"charge lexicon {path} is empty")
     return tuple(entries)

@@ -25,6 +25,9 @@ from .errors import DimensionError, IngestError, MissingEmbeddingError, Numerica
 
 _MAGIC = b"EMB1"
 
+# The one precision of a stored vector: EMB1 records and GCG1 node features.
+STORED_DTYPE = np.dtype("<f4")
+
 
 @dataclass(frozen=True)
 class ProviderConfig:
@@ -129,7 +132,7 @@ def write_binary_embeddings(
             if node_id not in table.vectors:
                 raise MissingEmbeddingError(f"no embedding for {node_id!r}")
             fh.write(pack_text(node_id))
-            fh.write(table.vectors[node_id].astype("<f4").tobytes())
+            fh.write(table.vectors[node_id].astype(STORED_DTYPE).tobytes())
 
 
 def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
@@ -140,7 +143,7 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
             node_id = r.text()
             if node_id in vectors:
                 raise IngestError(f"duplicate embedding id {node_id!r}")
-            vectors[node_id], _ = _validate_vector(node_id, r.array("<f4", dim), dim)
+            vectors[node_id], _ = _validate_vector(node_id, r.array(STORED_DTYPE, dim), dim)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 
@@ -157,10 +160,16 @@ def normalize_table(table: EmbeddingTable) -> EmbeddingTable:
     return EmbeddingTable(dim=table.dim, vectors=dict(zip(ids, unit)))
 
 
+def round_to_stored(table: EmbeddingTable) -> EmbeddingTable:
+    """Every vector rounded to ``STORED_DTYPE`` and held as float64: the values
+    an ``EMB1`` or ``GCG1`` file written from ``table`` reads back as."""
+    return EmbeddingTable(table.dim, {node_id: v.astype(STORED_DTYPE).astype(np.float64)
+                                      for node_id, v in table.vectors.items()})
+
+
 def check_coverage(table: EmbeddingTable, store: CorpusStore) -> None:
-    """Every case and charge id must resolve to a vector before graph assembly."""
-    missing = [c.id for c in store.cases if c.id not in table]
-    missing += [c.id for c in store.charges if c.id not in table]
+    """Every node id of ``store`` must resolve to a vector before graph assembly."""
+    missing = [node_id for node_id in store.node_ids if node_id not in table]
     if missing:
         shown = ", ".join(repr(m) for m in missing[:20])
         more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""

@@ -2,23 +2,23 @@
 charge-charge edges from embedding similarity, case-charge edges from charge
 name occurrence, assembled into one undirected, unweighted adjacency.
 
-Node order is canonical: cases 0..n-1 (corpus order), charges n..n+m-1.
+Node order is ``CorpusStore.node_ids``: cases 0..n-1, charges n..n+m-1.
 Self-loops are not stored; the encoder adds them transiently.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
 import numpy as np
 import scipy.sparse as sp
 
-from .binfile import pack, pack_json, read_container, record
+from .binfile import pack, pack_record, read_container, record
 from .bm25 import Bm25Index, _block_top_k
 from .corpus import CorpusStore, Role, normalize_charge_name
-from .embeddings import EmbeddingTable, check_coverage, unit_rows
+from .embeddings import STORED_DTYPE, EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
 
 _MAGIC = b"GCG1"
@@ -181,23 +181,15 @@ def build_global_case_graph(
 ) -> GlobalCaseGraph:
     """Construct all three edge blocks from one corpus and assemble the graph."""
     check_coverage(table, store)
-    case_ids = [c.id for c in store.cases]
-    charge_ids = [c.id for c in store.charges]
-    a_case = build_case_case_edges(index, store, k) if store.n_cases > 1 else sp.csr_matrix(
-        (store.n_cases, store.n_cases), dtype=np.int8
+    n, ids = store.n_cases, store.node_ids
+    a_case = build_case_case_edges(index, store, k) if n > 1 else sp.csr_matrix(
+        (n, n), dtype=np.int8
     )
-    a_charge = build_charge_charge_edges(charge_ids, table, delta)
+    a_charge = build_charge_charge_edges(ids[n:], table, delta)
     a_bridge = build_case_charge_edges(store)
-    return assemble_gcg(
-        a_case,
-        a_bridge,
-        a_charge,
-        table.matrix(case_ids),
-        table.matrix(charge_ids) if charge_ids else np.zeros((0, table.dim)),
-        case_ids,
-        charge_ids,
-        tuple(c.role for c in store.cases),
-    )
+    features = table.matrix(ids)
+    return assemble_gcg(a_case, a_bridge, a_charge, features[:n], features[n:], ids[:n], ids[n:],
+                        tuple(c.role for c in store.cases))
 
 
 # ---------------------------------------------------------------------------
@@ -216,15 +208,15 @@ class _Header:
 
 
 def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
-    header = asdict(_Header(graph.n_cases, graph.n_charges, graph.dim, list(graph.node_ids),
-                            [r.value for r in graph.roles]))
+    header = _Header(graph.n_cases, graph.n_charges, graph.dim, list(graph.node_ids),
+                     [r.value for r in graph.roles])
     upper = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((upper.col, upper.row))
     edges = np.column_stack([upper.row[order], upper.col[order]]).astype("<u4")
     with open(path, "wb") as fh:
-        fh.write(_MAGIC + pack_json(header) + pack("Q", len(edges)))
+        fh.write(_MAGIC + pack_record(header) + pack("Q", len(edges)))
         fh.write(edges.tobytes())
-        fh.write(graph.features.astype("<f4").tobytes())
+        fh.write(graph.features.astype(STORED_DTYPE).tobytes())
 
 
 def load_graph(path: str | Path) -> GlobalCaseGraph:
@@ -239,7 +231,7 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
         (n_edges,) = r.unpack("Q")
         edges = r.array("<u4", 2 * n_edges).reshape(-1, 2)
         n_nodes = h.n + h.m
-        features = r.array("<f4", n_nodes * h.dim).reshape(n_nodes, h.dim).astype(np.float64)
+        features = r.array(STORED_DTYPE, n_nodes * h.dim).reshape(n_nodes, h.dim).astype(np.float64)
     i, j = edges.T.astype(np.int64)
     try:
         if len(h.ids) != n_nodes:

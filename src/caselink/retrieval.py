@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .bm25 import Bm25Index, _block_top_k, top_k
-from .corpus import CaseDocument, CorpusStore
+from .corpus import CaseDocument, CorpusStore, read_text
 from .embeddings import unit_rows
 from .errors import DimensionError, MissingEmbeddingError
 
@@ -259,7 +259,7 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 def read_run_tsv(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Parse a TSV run file back into query -> retrieved ids (rank order)."""
     per_query: dict[str, list[tuple[int, str]]] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(read_text(path).splitlines(), 1):
         if not line.strip():
             continue
         parts = line.split("\t")

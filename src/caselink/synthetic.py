@@ -281,10 +281,7 @@ def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:
         for charge in ds.store.charges:
             fh.write(json.dumps({"id": charge.id, "name": charge.name}, sort_keys=True) + "\n")
     with paths["embeddings"].open("w", encoding="utf-8") as fh:
-        for case in ds.store.cases:
-            vec = ds.table.vectors[case.id]
-            fh.write(json.dumps({"id": case.id, "vector": [float(x) for x in vec]}) + "\n")
-        for charge in ds.store.charges:
-            vec = ds.table.vectors[charge.id]
-            fh.write(json.dumps({"id": charge.id, "vector": [float(x) for x in vec]}) + "\n")
+        for node_id in ds.store.node_ids:
+            vec = ds.table.vectors[node_id]
+            fh.write(json.dumps({"id": node_id, "vector": [float(x) for x in vec]}) + "\n")
     return paths

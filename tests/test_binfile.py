@@ -11,11 +11,12 @@ import pytest
 import scipy.sparse as sp
 
 from caselink import bm25, graph
-from caselink.binfile import field_kinds, record
+from caselink.binfile import Reader, field_kinds, pack_record, record
 from caselink.bm25 import build_index, save_index
 from caselink.cli import RunOptions
 from caselink.corpus import Role
 from caselink.embeddings import EmbeddingTable, write_binary_embeddings
+from caselink.errors import IngestError
 from caselink.gat import GatParams, save_checkpoint
 from caselink.graph import GlobalCaseGraph, save_graph
 from caselink.synthetic import SyntheticSpec
@@ -126,6 +127,26 @@ class TestRecord:
     def test_error_names_the_alias_as_written(self):
         with pytest.raises(KeyError, match="x 'n' is not an integer"):
             record(Fields, FIELDS | {"n": "2"}, KeyError, "x", {"n": "count"})
+
+
+class TestPackRecord:
+    def test_bytes_are_the_compact_json_of_every_field(self):
+        value = Fields(count=2, rate=0.5, names=["é", "a"], size=7)
+        assert pack_record(value) == compact_json(dataclasses.asdict(value))
+
+    def test_reader_gives_back_the_record(self):
+        value = Fields(count=2, rate=0.5, names=["é"])
+        data = pack_record(value)
+        reader = Reader("f.bin", data)
+        assert Fields(**record(Fields, reader.json(), KeyError, "x")) == value
+        assert reader.pos == len(data)
+
+    @pytest.mark.parametrize("byte, reason", [(b"x", "not valid JSON"),
+                                              (b"\xff", "not valid UTF-8")], ids=["x", "0xff"])
+    def test_block_that_does_not_decode_is_ingest_error_naming_the_file(self, byte, reason):
+        data = pack_record(Fields(count=2, rate=0.5, names=[]))
+        with pytest.raises(IngestError, match=f"^f.bin: the JSON block at byte 4 is {reason}"):
+            Reader("f.bin", data[:4] + byte + data[5:]).json()
 
 
 @pytest.mark.parametrize("cls", [RunOptions, TrainingConfig, SyntheticSpec, bm25._Meta,

@@ -587,6 +587,120 @@ class TestStagedAndFused:
         for name, staged in staged_files.items():
             assert (fused / name).read_bytes() == staged.read_bytes(), name
 
+    def test_train_and_rank_without_a_graph_match_the_pipeline(self, dataset):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        flags = ["--epochs", "4", "--lr", "0.01", "--dropout", "0.1", "--tau", "0.05"]
+        fused = tmp_path / "fused"
+        assert main(["pipeline", *cfg, "--out", str(fused), *flags]) == 0
+        assert main(["train", *cfg, "--out", str(tmp_path / "train"), *flags]) == 0
+        ckpt = tmp_path / "train" / "checkpoints" / "checkpoint.gatc"
+        assert main(["rank", *cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "rank"),
+                     *flags]) == 0
+        for name in ("checkpoint.gatc", "checkpoint_last.gatc"):
+            assert ((tmp_path / "train" / "checkpoints" / name).read_bytes()
+                    == (fused / "checkpoints" / name).read_bytes()), name
+        for name in ("run.tsv", "run.json"):
+            assert (tmp_path / "rank" / name).read_bytes() == (fused / name).read_bytes(), name
+
+    def test_pipeline_hands_on_what_its_files_hold(self, dataset, monkeypatch):
+        import numpy as np
+
+        from caselink import cli
+        from caselink.embeddings import read_binary_embeddings
+        from caselink.graph import load_graph
+
+        tmp_path, config_path = dataset
+        seen = {}
+
+        def spy(name, stage):
+            def wrapped(*args):
+                seen[name] = (args, stage(*args))
+                return seen[name][1]
+            monkeypatch.setattr(cli, name, wrapped)
+
+        spy("embed_stage", cli.embed_stage)
+        spy("graph_stage", cli.graph_stage)
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config_path), "--out", str(out),
+                     "--epochs", "1"]) == 0
+
+        (store, table, _), _ = seen["embed_stage"]
+        stored = read_binary_embeddings(out / "embeddings.emb1")
+        assert list(stored.vectors) == list(store.node_ids)
+        assert set(table.vectors) >= set(store.node_ids)
+        for node_id in store.node_ids:
+            assert np.array_equal(table[node_id], stored[node_id]), node_id
+
+        (_, graph_table, *_), built = seen["graph_stage"]
+        assert graph_table is table
+        loaded = load_graph(out / "graph.gcg1")
+        assert built.node_ids == loaded.node_ids == store.node_ids
+        assert built.roles == loaded.roles
+        assert (built.n_cases, built.n_charges) == (loaded.n_cases, loaded.n_charges)
+        assert built.features.dtype == loaded.features.dtype == np.float64
+        assert np.array_equal(built.features, loaded.features)
+        for part in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(built.adjacency, part),
+                                  getattr(loaded.adjacency, part)), part
+
+    def test_pipeline_reads_back_none_of_its_files(self, dataset, monkeypatch):
+        import sys
+
+        from caselink.embeddings import read_binary_embeddings
+        from caselink.graph import load_graph
+
+        tmp_path, config_path = dataset
+        argv = ["pipeline", "--config", str(config_path), "--epochs", "2"]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pipeline read back a file it wrote")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("caselink")]:
+            for attr, value in list(vars(module).items()):
+                if value is read_binary_embeddings or value is load_graph:
+                    monkeypatch.setattr(module, attr, refuse)
+        assert main([*argv, "--out", str(tmp_path / "patched")]) == 0
+        for name in ("embeddings.emb1", "graph.gcg1", "checkpoints/checkpoint.gatc", "run.tsv",
+                     "report.json"):
+            assert ((tmp_path / "patched" / name).read_bytes()
+                    == (tmp_path / "plain" / name).read_bytes()), name
+
+
+class TestNodeIds:
+    @staticmethod
+    def with_lexicon_lines(config_path, tmp_path, edit):
+        """A copy of the dataset's lexicon with its lines passed through ``edit``."""
+        cfg = json.loads(config_path.read_text())
+        lines = Path(cfg["lexicon"]).read_text().splitlines()
+        lexicon = tmp_path / "lexicon.jsonl"
+        lexicon.write_text("\n".join(edit(lines, cfg)) + "\n")
+        return lexicon
+
+    @staticmethod
+    def repeat_a_charge_id(lines, cfg):
+        second = json.loads(lines[1])
+        return [lines[0], json.dumps(second | {"id": json.loads(lines[0])["id"]}), *lines[2:]]
+
+    @staticmethod
+    def reuse_a_case_id(lines, cfg):
+        case_id = json.loads(Path(cfg["corpus"]).read_text().splitlines()[3])["id"]
+        return [json.dumps(json.loads(lines[0]) | {"id": case_id}), *lines[1:]]
+
+    @pytest.mark.parametrize("edit", ["repeat_a_charge_id", "reuse_a_case_id"])
+    @pytest.mark.parametrize("command", ["graph", "pipeline"])
+    def test_a_shared_node_id_is_data_error_naming_it(self, dataset, capsys, edit, command):
+        tmp_path, config_path = dataset
+        lexicon = self.with_lexicon_lines(config_path, tmp_path, getattr(self, edit))
+        shared = json.loads(lexicon.read_text().splitlines()[0])["id"]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path), "--lexicon", str(lexicon),
+                     "--out", str(out)]) == 2
+        assert f"duplicate node id {shared!r}" in capsys.readouterr().err
+        assert not (out / "graph.gcg1").exists()
+
 
 class TestManifests:
     @pytest.mark.parametrize("outcome,epochs", [("graph fails", 2), ("succeeds", 2),
@@ -976,6 +1090,51 @@ class TestDamagedInputs:
         assert str(gcg) in capsys.readouterr().err
         assert not (tmp_path / "r" / "run.tsv").exists()
 
+    @pytest.mark.parametrize("byte", [b"x", b"\xff"], ids=["x", "0xff"])
+    def test_rank_on_a_graph_header_that_does_not_decode_is_data_error_naming_it(
+            self, dataset, capsys, byte):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        gcg = tmp_path / "g" / "graph.gcg1"
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
+        assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t"),
+                     "--epochs", "1"]) == 0
+        data = gcg.read_bytes()
+        gcg.write_bytes(data[:8] + byte + data[9:])  # the header's first byte
+        capsys.readouterr()
+        assert main(["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert f"{gcg}: the JSON block at byte 8 is not valid" in err
+        assert not (tmp_path / "r" / "run.tsv").exists()
+
+    @pytest.mark.parametrize("name, damage, reason", [
+        ("corpus", "utf-8", "line 3: {} is not valid UTF-8"),
+        ("lexicon", "utf-8", "line 2: {} is not valid UTF-8"),
+        ("embeddings", "utf-8", "line 3: {} is not valid UTF-8"),
+        ("labels", "utf-8", "line 3: {} is not valid UTF-8"),
+        ("labels", "truncated", "labels file {} is not valid JSON"),
+    ], ids=["corpus", "lexicon", "embeddings", "labels", "labels truncated"])
+    def test_an_input_that_does_not_decode_is_data_error_naming_it(self, dataset, capsys,
+                                                                   name, damage, reason):
+        tmp_path, config_path = dataset
+        source = Path(json.loads(config_path.read_text())[name])
+        data = source.read_bytes()
+        if damage == "truncated":
+            data = data[:len(data) // 2]
+        else:  # a Latin-1 "é" at the end of the line the reason names
+            lines = data.split(b"\n")
+            lines[int(reason.split()[1].rstrip(":")) - 1] += b" \xe9"
+            data = b"\n".join(lines)
+        damaged = tmp_path / source.name
+        damaged.write_bytes(data)
+        capsys.readouterr()
+        assert main(["graph", "--config", str(config_path), f"--{name}", str(damaged),
+                     "--out", str(tmp_path / "g")]) == 2
+        assert reason.format(damaged) in capsys.readouterr().err
+        assert not (tmp_path / "g" / "graph.gcg1").exists()
+
     @pytest.mark.parametrize("line, reason", [
         ("[1, 2]", "line 2: line is not a JSON object"),
         ('"abc"', "line 2: line is not a JSON object"),
@@ -994,7 +1153,8 @@ class TestDamagedInputs:
         assert reason in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
-                                        "version 1", "string terms"])
+                                        "version 1", "string terms", "meta not JSON",
+                                        "meta not UTF-8"])
     def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
         tmp_path, config_path = dataset
         corpus = json.loads(config_path.read_text())["corpus"]
@@ -1008,7 +1168,9 @@ class TestDamagedInputs:
         cached.write_bytes({"truncated": data[:10], "not an index": b"junk",
                             "huge postings count": self.with_huge_length(data, "BM25"),
                             "version 1": data[:4] + struct.pack("<I", 1) + data[8:],
-                            "string terms": self.with_bm25_meta(data, terms="abc")}[damage])
+                            "string terms": self.with_bm25_meta(data, terms="abc"),
+                            "meta not JSON": data[:12] + b"x" + data[13:],
+                            "meta not UTF-8": data[:12] + b"\xff" + data[13:]}[damage])
         warm = tmp_path / "i2"
         assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
         assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()

@@ -14,6 +14,7 @@ from caselink.corpus import (
     load_charge_lexicon,
     load_labels,
     normalize_charge_name,
+    read_text,
     tokenize,
 )
 from caselink.errors import (
@@ -188,6 +189,19 @@ class TestIngestCorpus:
         assert [c.id for c in store.cases] == ["001.txt", "002.txt"]
         assert store.cases[1].tokens == ("second", "case")
 
+    def test_invalid_utf8_is_parse_error_naming_the_file_and_line(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        p.write_bytes(b'{"id": "a", "text": "x"}\r\n\r\n{"id": "b", "text": "caf\xe9"}\n')
+        with pytest.raises(ParseError, match=f"^line 3: {p} is not valid UTF-8") as info:
+            ingest_corpus(p)
+        assert info.value.line_number == 3
+
+    def test_invalid_utf8_in_a_directory_file_names_it(self, tmp_path):
+        (tmp_path / "a.txt").write_text("fine")
+        (tmp_path / "b.txt").write_bytes(b"one\ntwo caf\xe9")
+        with pytest.raises(ParseError, match=f"^line 2: {tmp_path / 'b.txt'} is not valid"):
+            ingest_corpus(tmp_path)
+
     def test_ingestion_is_deterministic(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         self._write_jsonl(
@@ -212,6 +226,12 @@ class TestLabels:
         lp = tmp_path / "labels.json"
         lp.write_text(json.dumps({"q1": "d1"}))
         with pytest.raises(IngestError):
+            load_labels(lp)
+
+    def test_truncated_file_is_parse_error_naming_it(self, tmp_path):
+        lp = tmp_path / "labels.json"
+        lp.write_text('{\n  "q1": ["d1",\n')
+        with pytest.raises(ParseError, match=f"^line 3: labels file {lp} is not valid JSON"):
             load_labels(lp)
 
 
@@ -253,6 +273,12 @@ class TestChargeLexicon:
         with pytest.raises(ParseError, match="line 2"):
             load_charge_lexicon(p)
 
+    def test_invalid_utf8_is_parse_error_naming_the_file_and_line(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_bytes(b"fraud\ntheft\nabus de confiance \xe0 autrui\n")
+        with pytest.raises(ParseError, match=f"^line 3: {p} is not valid UTF-8"):
+            load_charge_lexicon(p)
+
     def test_empty_lexicon_rejected(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text("\n\n")
@@ -286,3 +312,42 @@ class TestCorpusStore:
     def test_case_index_matches_order(self):
         store = make_store([("b", "x"), ("a", "y"), ("c", "z")])
         assert store.case_index() == {"b": 0, "a": 1, "c": 2}
+
+    def test_node_ids_are_the_cases_then_the_charges(self):
+        store = make_store([("b", "x"), ("a", "y")], charges=[("z", "fraud"), ("c", "theft")])
+        assert store.node_ids == ("b", "a", "z", "c")
+        assert attach_charges(store, ()).node_ids == ("b", "a")
+
+    @pytest.mark.parametrize("cases, charges, shared", [
+        (["a", "b", "a"], [], "a"),
+        (["a", "b"], ["x", "y", "x"], "x"),
+        (["a", "b"], ["x", "b"], "b"),
+    ], ids=["case twice", "charge twice", "charge as a case"])
+    def test_a_shared_node_id_is_rejected(self, cases, charges, shared):
+        with pytest.raises(IngestError, match=f"^duplicate node id {shared!r}: "):
+            make_store([(c, "text") for c in cases],
+                       charges=[(c, f"name {i}") for i, c in enumerate(charges)])
+
+    def test_a_plain_lexicon_id_can_clash_with_a_jsonl_one(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text('{"id": "charge_1", "name": "fraud"}\ntheft\n')
+        charges = load_charge_lexicon(p)
+        assert [c.id for c in charges] == ["charge_1", "charge_1"]
+        with pytest.raises(IngestError, match="duplicate node id 'charge_1'"):
+            attach_charges(make_store([("a", "text")]), charges)
+
+
+class TestReadText:
+    def test_newlines_are_translated_as_path_read_text_does(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_bytes("a\r\nb\rc\u2028d\n".encode("utf-8"))
+        assert read_text(p) == p.read_text(encoding="utf-8") == "a\nb\nc\u2028d\n"
+
+    @pytest.mark.parametrize("data, line", [
+        (b"\xff", 1), (b"ab\ncd\xe9", 2), (b"a\r\nb\r\n\xe9", 3), (b"a\rb\r\xe9", 3),
+    ])
+    def test_invalid_utf8_names_the_file_and_line(self, tmp_path, data, line):
+        p = tmp_path / "f.txt"
+        p.write_bytes(data)
+        with pytest.raises(ParseError, match=f"^line {line}: {p} is not valid UTF-8"):
+            read_text(p)

@@ -16,6 +16,7 @@ from caselink.embeddings import (
     load_embedding_file,
     normalize_table,
     read_binary_embeddings,
+    round_to_stored,
     truncate_text,
     unit_rows,
     write_binary_embeddings,
@@ -150,6 +151,12 @@ class TestLoadEmbeddingFile:
         with pytest.raises(DimensionError, match="vector for id 'a' is not a list of numbers"):
             load_embedding_file(p)
 
+    def test_invalid_utf8_is_parse_error_naming_the_file_and_line(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        p.write_bytes(b'{"id": "a", "vector": [1.0]}\n{"id": "\xe9", "vector": [2.0]}\n')
+        with pytest.raises(ParseError, match=f"^line 2: {p} is not valid UTF-8"):
+            load_embedding_file(p)
+
     def test_numeric_id_is_read_as_a_string(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         p.write_text('{"id": 7, "vector": [1.0, 2.0]}\n')
@@ -206,6 +213,29 @@ class TestBinaryFormat:
         table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
         with pytest.raises(MissingEmbeddingError):
             write_binary_embeddings(table, tmp_path / "emb.bin", ids=["a", "zz"])
+
+    def test_rounded_table_equals_what_its_file_reads_back(self, tmp_path):
+        rng = np.random.default_rng(5)
+        table = normalize_table(EmbeddingTable(
+            dim=6, vectors={f"n{i}": rng.standard_normal(6) for i in range(50)}))
+        rounded = round_to_stored(table)
+        assert list(rounded.vectors) == list(table.vectors)
+        p = tmp_path / "emb.bin"
+        write_binary_embeddings(table, p)
+        loaded = read_binary_embeddings(p)
+        for node_id, vec in rounded.vectors.items():
+            assert vec.dtype == np.float64
+            assert np.array_equal(vec, loaded[node_id]), node_id
+            assert np.array_equal(round_to_stored(rounded)[node_id], vec)  # idempotent
+        assert any(not np.array_equal(table[i], rounded[i]) for i in table.vectors)
+
+    def test_id_that_is_not_utf8_is_ingest_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "emb.bin"
+        write_binary_embeddings(EmbeddingTable(dim=1, vectors={"ab": np.ones(1)}), p)
+        data = p.read_bytes()
+        p.write_bytes(data[:18] + b"\xff" + data[19:])  # the id's first byte
+        with pytest.raises(IngestError, match=f"^{p}: the text at byte 18 is not valid UTF-8"):
+            read_binary_embeddings(p)
 
 
 class TestTableHelpers:
