@@ -93,8 +93,9 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[Except
                    version: int | None = None) -> Iterator[Reader]:
     """Yield a :class:`Reader` past the magic and the optional u32 version.
 
-    A wrong magic or version raises ``error``; a read past the end of the file,
-    or bytes left over when the block exits, raises IngestError.
+    A wrong magic or version raises ``error``, and so does a ValueError raised
+    in the block, as ``error("<path>: <message>")``; a read past the end of the
+    file, or bytes left over when the block exits, raises IngestError.
     """
     r = Reader(path, Path(path).read_bytes())
     if r.unpack("4s") != (magic,):
@@ -103,7 +104,10 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[Except
         (found,) = r.unpack("I")
         if found != version:
             raise error(f"{path}: unsupported {what} version {found}")
-    yield r
+    try:
+        yield r
+    except ValueError as exc:
+        raise error(f"{path}: {exc}") from None
     if r.pos < len(r.data):
         raise IngestError(f"{path} has {len(r.data) - r.pos} trailing bytes")
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable
 
@@ -107,6 +108,18 @@ def check_parameters(k1: float, b: float) -> None:
         raise ValueError(f"k1 must be a finite number > 0, got {k1}")
     if not 0.0 <= b <= 1.0:
         raise ValueError(f"b must be in [0, 1], got {b}")
+
+
+def check_case_order(index: Bm25Index, store: CorpusStore) -> None:
+    """Raise ValueError, naming the first row that differs, unless the index
+    rows are the cases of ``store`` in order: a case's position in
+    ``store.cases`` is its index row."""
+    ids = store.node_ids[:store.n_cases]
+    if index.doc_ids != ids:
+        pairs = enumerate(zip_longest(index.doc_ids, ids))
+        row, (got, want) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        raise ValueError(f"BM25 index row {row} holds {got!r}, not case {row} of the corpus, "
+                         f"{want!r}: the index was built from other cases or in another order")
 
 
 def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Index:
@@ -213,6 +226,7 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
     :func:`_block_top_k` selects them for one row."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_case_order(index, store)
     src = index.doc_index(doc_id)
     cols = np.arange(index.n_docs)
     scores = score_all(index, store.cases[src].tokens)
@@ -258,8 +272,7 @@ def load_index(path: str | Path) -> tuple[Bm25Index, str]:
         indptr = r.array("<u4", len(meta.doc_ids) + 1)
         indices = r.array("<u4", nnz)
         counts = r.array("<u4", nnz)
-    terms = np.array(meta.terms, dtype=str)
-    try:
+        terms = np.array(meta.terms, dtype=str)
         check_parameters(meta.k1, meta.b)
         if not np.all(terms[:-1] < terms[1:]):
             raise ValueError("vocabulary is not strictly increasing")
@@ -273,7 +286,5 @@ def load_index(path: str | Path) -> tuple[Bm25Index, str]:
             raise ValueError("term columns unsorted or repeated within a document")
         if not np.all(counts > 0):
             raise ValueError("a term count is zero")
-    except ValueError as exc:
-        raise IngestError(f"{path}: {exc}") from None
     index = Bm25Index(doc_ids=tuple(meta.doc_ids), terms=terms, tf=tf, k1=meta.k1, b=meta.b)
     return index, meta.digest

@@ -34,6 +34,7 @@ from .bm25 import Bm25Index, build_index, check_parameters, load_index, save_ind
 from .corpus import (
     CorpusStore,
     attach_charges,
+    decode_object,
     ingest_corpus,
     load_charge_lexicon,
     load_labels,
@@ -49,7 +50,7 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError
+from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError, located
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import GlobalCaseGraph, build_global_case_graph, load_graph, save_graph
 from .retrieval import (
@@ -238,26 +239,16 @@ def _flag(name: str) -> str:
     return "--" + _FIELD_FLAGS.get(name, name).replace("_", "-")
 
 
-def _load_config(path) -> dict:
-    """The config file's JSON object."""
-    try:
-        cfg = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ParseError("config is not a JSON object")
-    return cfg
-
-
-def _resolve(args, cls, values, where: str, names=None, base: Path | None = None):
+def _resolve(args, cls, values, where: str, names=None, config: str | None = None):
     """The dataclass ``cls``, its fields ``names`` (all when None) set by flag >
-    config object ``values`` > default. ``values`` passes :func:`binfile.record`,
-    so each value takes its field's type as a flag does (``"lr": 1`` and ``--lr 1``
-    both give 1.0); a config path is relative to ``base``, the config file's
-    directory. An unknown key or an invalid value is a ParseError."""
+    object ``values`` of the file ``config`` > default. ``values`` passes
+    :func:`binfile.record`, so each value takes its field's type as a flag does
+    (``"lr": 1`` and ``--lr 1`` both give 1.0); a config path is relative to the
+    config's directory. An unknown key or an invalid value is a ParseError."""
     names = names or field_kinds(cls)
-    checked = record(cls, values, ParseError, where, _ALIASES)
-    merged = {n: base / v if isinstance(v, Path) else v for n, v in checked.items() if n in names}
+    checked = record(cls, values, ParseError, located(where, path=config), _ALIASES)
+    merged = {n: Path(config).parent / v if isinstance(v, Path) else v
+              for n, v in checked.items() if n in names}
     merged |= {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     try:
         return cls(**merged)
@@ -652,12 +643,11 @@ def build_parser() -> _Parser:
 def _run(args) -> None:
     """Resolve the subcommand's options and sections, then run it."""
     command = COMMANDS[args.command]
-    cfg = _load_config(args.config) if args.config is not None else {}
+    cfg = decode_object(read_text(args.config), args.config) if args.config is not None else {}
     section_values = {s: cfg.pop(s, {}) for s in _SECTIONS}
-    base = Path(args.config).parent if args.config is not None else None
-    opts = _resolve(args, RunOptions, cfg, "config", command.options, base)
-    sections = [_resolve(args, _SECTIONS[s], section_values[s], f"{s} config")
-                for s in command.sections]
+    opts = _resolve(args, RunOptions, cfg, "config", command.options, args.config)
+    sections = [_resolve(args, _SECTIONS[s], section_values[s], f"{s} config",
+                         config=args.config) for s in command.sections]
     values = {name: getattr(opts, name) for name in command.options}
     config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
     config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}

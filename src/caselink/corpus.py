@@ -6,8 +6,8 @@ Input formats:
   labels  -- JSON object: query id -> list of relevant candidate ids
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
 
-Every input is read through :func:`read_text`, so bytes that are not UTF-8 are
-a ParseError naming the file and the line.
+Text inputs are read through :func:`read_text`, :func:`iter_lines` and
+:func:`decode_object`, so every fault in one is an error naming the file and the line.
 """
 
 from __future__ import annotations
@@ -155,20 +155,40 @@ def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) per non-blank line of a text file: its
+    :func:`read_text` split on ``"\\n"`` only, numbered from 1."""
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        if line.strip():
+            yield i, line
+
+
+def decode_object(text: str, path, line_number: int | None = None,
+                  required: tuple[str, ...] = (), error: type[Exception] = ParseError) -> dict:
+    """``text``, a whole file or its line ``line_number``, as a JSON object holding
+    every ``required`` key. Text that is not JSON, or lacks a key, is a ParseError
+    and JSON that is not an object raises ``error``, each naming the file and line."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc.msg} at column {exc.colno}",
+                         line_number or exc.lineno, path) from None
+    if not isinstance(value, dict):
+        raise error(f"{'file' if line_number is None else 'line'} is not a JSON object",
+                    line_number, path)
+    if not all(key in value for key in required):
+        raise ParseError(f"missing required field {' or '.join(map(repr, required))}",
+                         line_number, path)
+    return value
+
+
 def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Load a labels file: JSON object mapping query id -> relevant candidate ids.
-    A file that is not UTF-8 JSON is a ParseError naming it."""
-    try:
-        raw = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"labels file {path} is not valid JSON: {exc.msg}",
-                         line_number=exc.lineno) from None
-    if not isinstance(raw, dict):
-        raise IngestError(f"labels file {path} must contain a JSON object")
+    A file that is not UTF-8 JSON is a ParseError, one not such an object an IngestError."""
     labels: dict[str, tuple[str, ...]] = {}
-    for qid, rel in raw.items():
+    for qid, rel in decode_object(read_text(path), path, error=IngestError).items():
         if not isinstance(rel, list):
-            raise IngestError(f"labels for {qid!r} must be a list of ids")
+            raise IngestError(f"labels for {qid!r} must be a list of ids", path=path)
         labels[str(qid)] = tuple(str(r) for r in rel)
     return labels
 
@@ -176,26 +196,14 @@ def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
 def iter_records(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) per non-blank line of a JSONL file, or per file
     of a text directory (``{"id": file name, "text": its body}``). A line that is
-    not JSON (the error names the file), not a JSON object, or lacks a
-    ``required`` key is a ParseError."""
+    not a JSON object holding every ``required`` key is a ParseError."""
     if path.is_dir():
         for i, p in enumerate(sorted(path.iterdir()), start=1):
             if p.is_file():
                 yield i, {"id": p.name, "text": read_text(p)}
         return
-    for i, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON in {path}: {exc.msg}", line_number=i) from exc
-        if not isinstance(rec, dict):
-            raise ParseError("line is not a JSON object", line_number=i)
-        if not all(key in rec for key in required):
-            raise ParseError(f"missing required field {' or '.join(map(repr, required))}",
-                             line_number=i)
-        yield i, rec
+    for i, line in iter_lines(path):
+        yield i, decode_object(line, path, i, required)
 
 
 def ingest_corpus(
@@ -214,7 +222,7 @@ def ingest_corpus(
     for line_no, rec in iter_records(corpus_path, ("id", "text")):
         cid = str(rec["id"])
         if not cid:
-            raise ParseError("empty id", line_number=line_no)
+            raise ParseError("empty id", line_no, corpus_path)
         text = str(rec["text"])
 
         explicit = rec.get("role")
@@ -222,7 +230,7 @@ def ingest_corpus(
             try:
                 role = Role(str(explicit).lower())
             except ValueError:
-                raise ParseError(f"unknown role {explicit!r}", line_number=line_no)
+                raise ParseError(f"unknown role {explicit!r}", line_no, corpus_path) from None
         elif cid in labels:
             role = Role.QUERY
         else:
@@ -241,11 +249,11 @@ def ingest_corpus(
     known = {c.id for c in cases}
     for qid, rel in labels.items():
         if qid not in known:
-            raise LabelResolutionError(f"label query id {qid!r} not in corpus")
+            raise LabelResolutionError(f"label query id {qid!r} not in corpus", path=labels_path)
         for rid in rel:
             if rid not in known:
                 raise LabelResolutionError(
-                    f"label for query {qid!r} references unknown id {rid!r}"
+                    f"label for query {qid!r} references unknown id {rid!r}", path=labels_path
                 )
 
     return CorpusStore(cases=tuple(cases), labels=labels)
@@ -262,33 +270,23 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
     path = Path(path)
     entries: list[ChargeEntry] = []
     seen: set[str] = set()
-    for i, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("{"):
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON in {path}: {exc.msg}", line_number=i) from exc
-            cid = str(rec.get("id", f"charge_{len(entries)}"))
-            name = rec.get("name")
+    for i, line in iter_lines(path):
+        cid, name = f"charge_{len(entries)}", line.strip()
+        if name.startswith("{"):
+            rec = decode_object(name, path, i, ("name",))
+            cid, name = str(rec.get("id", cid)), rec["name"]
             if name is None:
-                raise ParseError("charge record missing 'name'", line_number=i)
-            name = str(name)
-        else:
-            cid = f"charge_{len(entries)}"
-            name = line
-        name = " ".join(name.split())
+                raise ParseError("charge name is null", i, path)
+        name = " ".join(str(name).split())
         key = normalize_charge_name(name)
         if not key:
-            raise ParseError(f"charge name {name!r} has no letters or digits", line_number=i)
+            raise ParseError(f"charge name {name!r} has no letters or digits", i, path)
         if key in seen:
-            raise IngestError(f"duplicate charge name {name!r}")
+            raise IngestError(f"duplicate charge name {name!r}", i, path)
         seen.add(key)
         entries.append(ChargeEntry(id=cid, name=name))
     if not entries:
-        raise EmptyLexiconError(f"charge lexicon {path} is empty")
+        raise EmptyLexiconError("charge lexicon is empty", path=path)
     return tuple(entries)
 
 

@@ -21,7 +21,8 @@ import numpy as np
 
 from .binfile import pack, pack_text, read_container
 from .corpus import CorpusStore, iter_records
-from .errors import DimensionError, IngestError, MissingEmbeddingError, NumericalError, ProviderError
+from .errors import (DimensionError, IngestError, MissingEmbeddingError, NumericalError,
+                     ProviderError, located)
 
 _MAGIC = b"EMB1"
 
@@ -80,20 +81,24 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _validate_vector(node_id: str, value, dim: int | None) -> tuple[np.ndarray, int]:
+def _validate_vector(node_id: str, value, dim: int | None, line_number: int | None = None,
+                     path=None) -> tuple[np.ndarray, int]:
     """``value`` as a 1-D float64 vector, and its dim, which must be ``dim`` when
     one is given. A value that is not a list of finite numbers is a data error
-    naming ``node_id``."""
+    naming ``node_id`` and, when given, the file and line it was read from."""
     try:
         vec = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
         vec = None
     if vec is None or vec.ndim != 1:
-        raise DimensionError(f"vector for id {node_id!r} is not a list of numbers")
+        raise DimensionError(f"vector for id {node_id!r} is not a list of numbers",
+                             line_number, path)
     if not np.all(np.isfinite(vec)):
-        raise ValueError(f"non-finite component in vector for id {node_id!r}")
+        raise ValueError(located(f"non-finite component in vector for id {node_id!r}",
+                                 line_number, path))
     if dim is not None and len(vec) != dim:
-        raise DimensionError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}")
+        raise DimensionError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}",
+                             line_number, path)
     return vec, len(vec)
 
 
@@ -105,18 +110,18 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
     if head == _MAGIC:
         table = read_binary_embeddings(path)
         if expected_dim is not None and table.dim != expected_dim:
-            raise DimensionError(f"file dim {table.dim} != expected {expected_dim}")
+            raise DimensionError(f"file dim {table.dim} != expected {expected_dim}", path=path)
         return table
 
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
-    for _, rec in iter_records(path, ("id", "vector")):
+    for i, rec in iter_records(path, ("id", "vector")):
         node_id = str(rec["id"])
         if node_id in vectors:
-            raise IngestError(f"duplicate embedding id {node_id!r}")
-        vectors[node_id], dim = _validate_vector(node_id, rec["vector"], dim)
+            raise IngestError(f"duplicate embedding id {node_id!r}", i, path)
+        vectors[node_id], dim = _validate_vector(node_id, rec["vector"], dim, i, path)
     if not vectors:
-        raise IngestError(f"embedding file {path} is empty")
+        raise IngestError("embedding file is empty", path=path)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 
@@ -142,7 +147,7 @@ def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
         for _ in range(count):
             node_id = r.text()
             if node_id in vectors:
-                raise IngestError(f"duplicate embedding id {node_id!r}")
+                raise IngestError(f"duplicate embedding id {node_id!r}", path=path)
             vectors[node_id], _ = _validate_vector(node_id, r.array(STORED_DTYPE, dim), dim)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 

@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 
+def located(message: str, line_number: int | None = None, path=None) -> str:
+    """``message`` as ``line N: <path>: <message>``, leaving out a part that is None."""
+    where = "" if path is None else f"{path}: "
+    return where + message if line_number is None else f"line {line_number}: {where}{message}"
+
+
 class CaseLinkError(Exception):
-    """Base class for all caselink-specific errors."""
+    """Base class for all caselink errors; one about an input file names its path and line."""
+
+    def __init__(self, message: str, line_number: int | None = None, path=None):
+        super().__init__(located(message, line_number, path))
+        self.line_number, self.path = line_number, path
 
 
 class IngestError(CaseLinkError):
@@ -12,13 +22,7 @@ class IngestError(CaseLinkError):
 
 
 class ParseError(CaseLinkError):
-    """A corpus line could not be parsed; carries the 1-based line number."""
-
-    def __init__(self, message: str, line_number: int | None = None):
-        if line_number is not None:
-            message = f"line {line_number}: {message}"
-        super().__init__(message)
-        self.line_number = line_number
+    """An input file could not be parsed."""
 
 
 class LabelResolutionError(CaseLinkError):

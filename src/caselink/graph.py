@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .binfile import pack, pack_record, read_container, record
-from .bm25 import Bm25Index, _block_top_k
+from .bm25 import Bm25Index, _block_top_k, check_case_order
 from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import STORED_DTYPE, EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
@@ -52,10 +52,10 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     """OR-symmetrized top-k BM25 neighborhood adjacency over case nodes."""
     if k < 1:
         raise ValueError("k must be >= 1")
+    check_case_order(index, store)
     n = store.n_cases
-    src = np.array([index.doc_index(case.id) for case in store.cases], dtype=np.int64)
-    every = np.arange(index.n_docs)
-    tops = _block_top_k(index, src, every, k, lambda at: every != src[at, None])
+    src = np.arange(n)
+    tops = _block_top_k(index, src, src, k, lambda at: src != src[at, None])
     sources = np.repeat(src, [len(top) for top, _ in tops])
     targets = np.concatenate([np.zeros(0, np.int64), *(top for top, _ in tops)])
     rows = np.concatenate((sources, targets))
@@ -227,13 +227,12 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
     with read_container(path, _MAGIC, "serialized case graph", GraphConstructionError) as r:
         h = _Header(**record(_Header, r.json(), GraphConstructionError, f"{path}: header"))
         if min(h.n, h.m, h.dim) < 0:
-            raise GraphConstructionError(f"{path}: header n, m and dim must be >= 0")
+            raise ValueError("header n, m and dim must be >= 0")
         (n_edges,) = r.unpack("Q")
         edges = r.array("<u4", 2 * n_edges).reshape(-1, 2)
         n_nodes = h.n + h.m
         features = r.array(STORED_DTYPE, n_nodes * h.dim).reshape(n_nodes, h.dim).astype(np.float64)
-    i, j = edges.T.astype(np.int64)
-    try:
+        i, j = edges.T.astype(np.int64)
         if len(h.ids) != n_nodes:
             raise ValueError(f"{len(h.ids)} node ids for n + m = {n_nodes} nodes")
         if len(set(h.ids)) != n_nodes:
@@ -245,8 +244,6 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
             raise ValueError(f"an edge pair is not (i, j) with i < j < {n_nodes}")
         if not np.all(np.diff(i * n_nodes + j) > 0):
             raise ValueError("edge pairs are not strictly increasing")
-    except ValueError as exc:
-        raise GraphConstructionError(f"{path}: {exc}") from None
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.coo_matrix(

@@ -11,10 +11,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, _block_top_k, top_k
-from .corpus import CaseDocument, CorpusStore, read_text
+from .bm25 import Bm25Index, _block_top_k, check_case_order, top_k
+from .corpus import CaseDocument, CorpusStore, iter_lines
 from .embeddings import unit_rows
-from .errors import DimensionError, MissingEmbeddingError
+from .errors import DimensionError, MissingEmbeddingError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -64,6 +64,7 @@ def _lexical_stage(
     """Per query: look it up, apply the year filter and take the BM25
     top-``size`` eligible candidates. Returns (query, eligible ids, top rows,
     their scores) per query; the candidate arrays are built once per call."""
+    check_case_order(index, store)
     queries = [store.cases[index.doc_index(qid)] for qid in query_ids]
     candidates = store.candidates()
     cand_ids = np.array([c.id for c in candidates], dtype=object)
@@ -198,12 +199,15 @@ def evaluate_runs(
 
     Counts (hits, retrieved, relevant) are summed across queries before any
     division. A run with zero retrieved items scores zero precision and logs
-    a warning rather than raising.
+    a warning rather than raising; one that retrieves an id twice for a query
+    is a ValueError naming the query, since it would count that hit twice.
     """
     hits = 0
     n_retrieved = 0
     n_relevant = 0
     for qid, ret in retrieved.items():
+        if len(set(ret)) != len(ret):
+            raise ValueError(f"the run retrieves a candidate twice for query {qid!r}")
         gold = set(labels.get(qid, ()))
         n_retrieved += len(ret)
         n_relevant += len(gold)
@@ -257,16 +261,25 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 
 def read_run_tsv(path: str | Path) -> dict[str, tuple[str, ...]]:
-    """Parse a TSV run file back into query -> retrieved ids (rank order)."""
-    per_query: dict[str, list[tuple[int, str]]] = {}
-    for line_no, line in enumerate(read_text(path).splitlines(), 1):
-        if not line.strip():
-            continue
+    """Parse a TSV run file back into query -> retrieved ids (rank order). A line
+    that is not 4 tab-separated fields with an integer rank, or that repeats a
+    query's candidate or rank, is a ParseError naming the file and the line."""
+    per_query: dict[str, dict[int, str]] = {}
+    pairs: set[tuple[str, str]] = set()
+    for line_no, line in iter_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
-            raise ValueError(f"line {line_no}: expected 4 tab-separated fields")
+            raise ParseError("expected 4 tab-separated fields", line_no, path)
         qid, cid, rank, _score = parts
-        per_query.setdefault(qid, []).append((int(rank), cid))
-    return {
-        qid: tuple(cid for _, cid in sorted(items)) for qid, items in per_query.items()
-    }
+        try:
+            rank = int(rank)
+        except ValueError:
+            raise ParseError(f"rank {rank!r} is not an integer", line_no, path) from None
+        ranked = per_query.setdefault(qid, {})
+        if rank in ranked:
+            raise ParseError(f"query {qid!r} repeats rank {rank}", line_no, path)
+        if (qid, cid) in pairs:
+            raise ParseError(f"query {qid!r} repeats candidate {cid!r}", line_no, path)
+        ranked[rank] = cid
+        pairs.add((qid, cid))
+    return {qid: tuple(ranked[r] for r in sorted(ranked)) for qid, ranked in per_query.items()}

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, _block_top_k, build_index
+from .bm25 import Bm25Index, _block_top_k, build_index, check_case_order
 from .corpus import CorpusStore, Role
 from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
@@ -135,6 +135,7 @@ def hard_negative_pools(
     pool_size: int,
 ) -> dict[str, tuple[str, ...]]:
     """Per query: candidates in the BM25 top ``pool_size``, positives excluded."""
+    check_case_order(index, store)
     cand_rows = np.array(
         [i for i, c in enumerate(store.cases) if c.role is Role.CANDIDATE], dtype=np.int64
     )

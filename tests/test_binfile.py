@@ -11,7 +11,7 @@ import pytest
 import scipy.sparse as sp
 
 from caselink import bm25, graph
-from caselink.binfile import Reader, field_kinds, pack_record, record
+from caselink.binfile import Reader, field_kinds, pack_record, read_container, record
 from caselink.bm25 import build_index, save_index
 from caselink.cli import RunOptions
 from caselink.corpus import Role
@@ -147,6 +147,14 @@ class TestPackRecord:
         data = pack_record(Fields(count=2, rate=0.5, names=[]))
         with pytest.raises(IngestError, match=f"^f.bin: the JSON block at byte 4 is {reason}"):
             Reader("f.bin", data[:4] + byte + data[5:]).json()
+
+
+def test_a_value_error_in_the_block_is_the_container_error_naming_the_file(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"MAGC")
+    with pytest.raises(KeyError, match=f"{path}: the file disagrees with itself"):
+        with read_container(path, b"MAGC", "test file", KeyError):
+            raise ValueError("the file disagrees with itself")
 
 
 @pytest.mark.parametrize("cls", [RunOptions, TrainingConfig, SyntheticSpec, bm25._Meta,

@@ -24,6 +24,10 @@ from caselink.bm25 import (
 )
 from caselink.corpus import CorpusStore
 from caselink.errors import EmptyCorpusError, IngestError
+from caselink.graph import build_case_case_edges
+from caselink.retrieval import bm25_baseline_rank, rank_all
+from caselink.synthetic import SyntheticSpec, generate
+from caselink.training import hard_negative_pools
 
 from conftest import make_case, make_store, random_store
 
@@ -242,6 +246,43 @@ class TestTopkSimilar:
                 )[:k]
                 got = topk_similar(index, store, store.cases[s].id, k)
                 assert [p.target_id for p in got] == [cid for _, cid in expected]
+
+
+class TestCaseOrder:
+    """Every function that takes a case's position in the store as its index
+    row refuses an index whose rows are other cases or in another order."""
+
+    @pytest.fixture
+    def reversed_pair(self):
+        ds = generate(SyntheticSpec(n_clusters=2, candidates_per_cluster=8, queries_per_cluster=2,
+                                    relevant_per_query=2, seed=1))
+        index = build_index(ds.store)
+        return index, CorpusStore(cases=ds.store.cases[::-1], labels=ds.store.labels)
+
+    def test_the_store_the_index_was_built_from_passes(self):
+        store = random_store(np.random.default_rng(0), 6)
+        bm25.check_case_order(build_index(store), store)
+
+    @pytest.mark.parametrize("call", [
+        lambda index, store: rank_all(store, index, {}),
+        lambda index, store: bm25_baseline_rank(store, index, store.queries()[0].id),
+        lambda index, store: hard_negative_pools(store, index, store.labels, 5),
+        lambda index, store: build_case_case_edges(index, store, 3),
+        lambda index, store: topk_similar(index, store, store.cases[0].id, 3),
+    ], ids=["rank_all", "bm25_baseline_rank", "hard_negative_pools", "build_case_case_edges",
+            "topk_similar"])
+    def test_reversed_cases_are_rejected(self, reversed_pair, call):
+        index, store = reversed_pair
+        want, got = store.cases[0].id, index.doc_ids[0]
+        with pytest.raises(ValueError, match=f"^BM25 index row 0 holds {got!r}, not case 0 of "
+                                             f"the corpus, {want!r}"):
+            call(index, store)
+
+    def test_a_shorter_store_names_the_first_missing_case(self):
+        store = make_store([("a", "x y"), ("b", "y z"), ("c", "z")])
+        with pytest.raises(ValueError, match="^BM25 index row 2 holds 'c', not case 2 of the "
+                                             "corpus, None"):
+            bm25.check_case_order(build_index(store), make_store([("a", "x y"), ("b", "y z")]))
 
 
 class TestTopK:

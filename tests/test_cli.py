@@ -1114,7 +1114,7 @@ class TestDamagedInputs:
         ("lexicon", "utf-8", "line 2: {} is not valid UTF-8"),
         ("embeddings", "utf-8", "line 3: {} is not valid UTF-8"),
         ("labels", "utf-8", "line 3: {} is not valid UTF-8"),
-        ("labels", "truncated", "labels file {} is not valid JSON"),
+        ("labels", "truncated", "{}: invalid JSON"),
     ], ids=["corpus", "lexicon", "embeddings", "labels", "labels truncated"])
     def test_an_input_that_does_not_decode_is_data_error_naming_it(self, dataset, capsys,
                                                                    name, damage, reason):
@@ -1136,10 +1136,10 @@ class TestDamagedInputs:
         assert not (tmp_path / "g" / "graph.gcg1").exists()
 
     @pytest.mark.parametrize("line, reason", [
-        ("[1, 2]", "line 2: line is not a JSON object"),
-        ('"abc"', "line 2: line is not a JSON object"),
-        ('{"id": "x", "vector": 5}', "vector for id 'x' is not a list of numbers"),
-        ('{"vector": [1.0]}', "line 2: missing required field 'id' or 'vector'"),
+        ("[1, 2]", "line 2: {}: line is not a JSON object"),
+        ('"abc"', "line 2: {}: line is not a JSON object"),
+        ('{"id": "x", "vector": 5}', "line 2: {}: vector for id 'x' is not a list of numbers"),
+        ('{"vector": [1.0]}', "line 2: {}: missing required field 'id' or 'vector'"),
     ], ids=["a list", "a string", "a number for the vector", "no id"])
     def test_embed_on_a_malformed_embeddings_line_is_data_error(self, dataset, capsys, line,
                                                                 reason):
@@ -1150,7 +1150,7 @@ class TestDamagedInputs:
         damaged.write_text("\n".join([first, line, *rest]) + "\n")
         assert main(["embed", "--config", str(config_path), "--embeddings", str(damaged),
                      "--out", str(tmp_path / "e")]) == 2
-        assert reason in capsys.readouterr().err
+        assert reason.format(damaged) in capsys.readouterr().err
 
     @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
                                         "version 1", "string terms", "meta not JSON",
@@ -1175,6 +1175,77 @@ class TestDamagedInputs:
         assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
         assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()
         assert cached.read_bytes() == (cold / "bm25.bin").read_bytes()
+
+
+# A valid input of every text kind; each case of TestTextInputErrors damages one.
+TEXT_INPUTS = {
+    "corpus.jsonl": '{"id": "q1", "text": "a car theft", "role": "query"}\n'
+                    '{"id": "c1", "text": "an older theft"}\n',
+    "labels.json": '{"q1": ["c1"]}\n',
+    "lexicon.txt": "theft\n",
+    "embeddings.jsonl": '{"id": "q1", "vector": [1.0, 0.0]}\n'
+                        '{"id": "c1", "vector": [0.0, 1.0]}\n'
+                        '{"id": "charge_0", "vector": [1.0, 1.0]}\n',
+    "run.tsv": "q1\tc1\t1\t0.500000\n",
+    "config.json": '{"corpus": "corpus.jsonl", "labels": "labels.json"}\n',
+}
+# The subcommand that reads each input; "{corpus}" stands for the corpus path, and so on.
+TEXT_INPUT_COMMANDS = {
+    "corpus.jsonl": ["embed", "--corpus", "{corpus}", "--lexicon", "{lexicon}",
+                     "--embeddings", "{embeddings}", "--out", "{out}"],
+    "labels.json": ["ingest", "--corpus", "{corpus}", "--labels", "{labels}",
+                    "--out", "{out}"],
+    "run.tsv": ["eval", "--run", "{run}", "--labels", "{labels}"],
+    "config.json": ["ingest", "--config", "{config}", "--out", "{out}"],
+}
+TEXT_INPUT_COMMANDS["lexicon.txt"] = TEXT_INPUT_COMMANDS["embeddings.jsonl"] = \
+    TEXT_INPUT_COMMANDS["corpus.jsonl"]
+
+
+class TestTextInputErrors:
+    """A damaged text input exits 2 with an error that names the file and, when
+    there is one, the line: ``line N: <path>: <message>``."""
+
+    @staticmethod
+    def run(tmp_path, name, damaged=None):
+        for file, text in TEXT_INPUTS.items():
+            (tmp_path / file).write_text(damaged if file == name and damaged else text)
+        paths = {Path(file).stem: str(tmp_path / file) for file in TEXT_INPUTS}
+        paths["out"] = str(tmp_path / "o")
+        return main([arg.format(**paths) for arg in TEXT_INPUT_COMMANDS[name]])
+
+    @pytest.mark.parametrize("name", TEXT_INPUTS)
+    def test_the_undamaged_inputs_pass(self, tmp_path, capsys, name):
+        assert self.run(tmp_path, name) == 0, capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, damaged, line, reason", [
+        ("corpus.jsonl", TEXT_INPUTS["corpus.jsonl"] + "[1, 2]\n", 3,
+         "line is not a JSON object"),
+        ("corpus.jsonl", '{"id": "", "text": "x"}\n', 1, "empty id"),
+        ("corpus.jsonl", '{"id": "q1", "text": "x", "role": "judge"}\n', 1,
+         "unknown role 'judge'"),
+        ("labels.json", '{"q1": "c1"}\n', None, "labels for 'q1' must be a list of ids"),
+        ("labels.json", "[]\n", None, "file is not a JSON object"),
+        ("lexicon.txt", 'theft\n\n{"id": "c9"}\n', 3, "missing required field 'name'"),
+        ("lexicon.txt", "theft\nTHEFT\n", 2, "duplicate charge name 'THEFT'"),
+        ("run.tsv", "q1\tc1\tx\t0.5\n", 1, "rank 'x' is not an integer"),
+        ("run.tsv", "q1\tc1\t1\t0.5\nq1\tc1\t2\t0.5\nq1\tc1\t3\t0.5\n", 2,
+         "query 'q1' repeats candidate 'c1'"),
+        ("config.json", "[1]\n", None, "file is not a JSON object"),
+        ("config.json", '{"corpus": "corpus.jsonl",\n', 2, "invalid JSON: "),
+        ("embeddings.jsonl", TEXT_INPUTS["embeddings.jsonl"] + '{"id": "c1", "vector": [1, 1]}\n',
+         4, "duplicate embedding id 'c1'"),
+    ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
+            "labels value not a list", "labels not an object", "lexicon line without name",
+            "lexicon name twice", "run rank not an integer", "run candidate three times",
+            "config not an object", "config truncated", "embedding id twice"])
+    def test_damaged_input_is_data_error_naming_the_file_and_line(self, tmp_path, capsys, name,
+                                                                   damaged, line, reason):
+        assert self.run(tmp_path, name, damaged) == 2
+        where = f"{tmp_path / name}: " if line is None else f"line {line}: {tmp_path / name}: "
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {where}{reason}"), err
+        assert not (tmp_path / "o" / "manifest.json").exists()
 
 
 class TestCorpusDigest:

@@ -9,8 +9,10 @@ from caselink.corpus import (
     ChargeEntry,
     Role,
     attach_charges,
+    decode_object,
     extract_latest_year,
     ingest_corpus,
+    iter_lines,
     load_charge_lexicon,
     load_labels,
     normalize_charge_name,
@@ -136,7 +138,8 @@ class TestIngestCorpus:
         )
         lp = tmp_path / "labels.json"
         lp.write_text(json.dumps({"q1": ["d3", "d99"]}))
-        with pytest.raises(LabelResolutionError):
+        with pytest.raises(LabelResolutionError,
+                           match=f"^{lp}: label for query 'q1' references unknown id 'd99'$"):
             ingest_corpus(p, lp)
 
     def test_malformed_line_reports_line_number(self, tmp_path):
@@ -145,6 +148,7 @@ class TestIngestCorpus:
         with pytest.raises(ParseError) as exc_info:
             ingest_corpus(p)
         assert exc_info.value.line_number == 2
+        assert exc_info.value.path == p
 
     def test_missing_field_is_parse_error(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
@@ -219,19 +223,19 @@ class TestLabels:
     def test_non_object_rejected(self, tmp_path):
         lp = tmp_path / "labels.json"
         lp.write_text("[1, 2]")
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match=f"^{lp}: file is not a JSON object$"):
             load_labels(lp)
 
     def test_non_list_values_rejected(self, tmp_path):
         lp = tmp_path / "labels.json"
         lp.write_text(json.dumps({"q1": "d1"}))
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match=f"^{lp}: labels for 'q1' must be a list of ids$"):
             load_labels(lp)
 
     def test_truncated_file_is_parse_error_naming_it(self, tmp_path):
         lp = tmp_path / "labels.json"
         lp.write_text('{\n  "q1": ["d1",\n')
-        with pytest.raises(ParseError, match=f"^line 3: labels file {lp} is not valid JSON"):
+        with pytest.raises(ParseError, match=f"^line 3: {lp}: invalid JSON"):
             load_labels(lp)
 
 
@@ -251,8 +255,8 @@ class TestChargeLexicon:
 
     def test_duplicate_name_rejected(self, tmp_path):
         p = tmp_path / "lex.txt"
-        p.write_text("x\nx\n")
-        with pytest.raises(IngestError):
+        p.write_text("x\n\nX\n")
+        with pytest.raises(IngestError, match=f"^line 3: {p}: duplicate charge name 'X'$"):
             load_charge_lexicon(p)
 
     def test_duplicate_after_normalization_rejected(self, tmp_path):
@@ -270,7 +274,7 @@ class TestChargeLexicon:
     def test_name_without_letters_or_digits_rejected(self, tmp_path):
         p = tmp_path / "lex.jsonl"
         p.write_text('{"id": "c1", "name": "fraud"}\n{"id": "c2", "name": " -- "}\n')
-        with pytest.raises(ParseError, match="line 2"):
+        with pytest.raises(ParseError, match=f"^line 2: {p}: "):
             load_charge_lexicon(p)
 
     def test_invalid_utf8_is_parse_error_naming_the_file_and_line(self, tmp_path):
@@ -351,3 +355,35 @@ class TestReadText:
         p.write_bytes(data)
         with pytest.raises(ParseError, match=f"^line {line}: {p} is not valid UTF-8"):
             read_text(p)
+
+
+class TestLinesAndObjects:
+    def test_lines_are_split_on_newlines_only_and_blank_ones_skipped(self, tmp_path):
+        p = tmp_path / "f.txt"
+        p.write_bytes("a\r\n  \r\nb\u2028c\x0cd\n\n e \n".encode("utf-8"))
+        assert list(iter_lines(p)) == [(1, "a"), (3, "b\u2028c\x0cd"), (5, " e ")]
+
+    def test_a_file_that_is_not_json_names_the_line_of_the_fault(self, tmp_path):
+        p = tmp_path / "f.json"
+        with pytest.raises(ParseError, match=f"^line 2: {p}: invalid JSON: ") as info:
+            decode_object('{"a": 1,\n}', p)
+        assert (info.value.line_number, info.value.path) == (2, p)
+
+    @pytest.mark.parametrize("error", [ParseError, IngestError])
+    def test_a_value_that_is_not_an_object_raises_the_given_error(self, tmp_path, error):
+        with pytest.raises(error, match=f"^{tmp_path}: file is not a JSON object$"):
+            decode_object("[1]", tmp_path, error=error)
+        with pytest.raises(error, match=f"^line 7: {tmp_path}: line is not a JSON object$"):
+            decode_object("7", tmp_path, 7, error=error)
+
+    def test_a_line_without_a_required_key(self, tmp_path):
+        assert decode_object('{"id": "a"}', tmp_path, 4, ("id",)) == {"id": "a"}
+        with pytest.raises(ParseError, match=f"^line 4: {tmp_path}: missing required field "
+                                             "'id' or 'text'$"):
+            decode_object('{"id": "a"}', tmp_path, 4, ("id", "text"))
+
+    def test_a_null_charge_name_names_the_file_and_line(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text('fraud\n{"id": "c1", "name": null}\n')
+        with pytest.raises(ParseError, match=f"^line 2: {p}: charge name is null$"):
+            load_charge_lexicon(p)

@@ -112,7 +112,7 @@ class TestLoadEmbeddingFile:
     def test_ragged_dims_rejected(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         write_jsonl_vectors(p, [("a", [1, 2, 3, 4]), ("b", [5, 6, 7, 8, 9])])
-        with pytest.raises(DimensionError):
+        with pytest.raises(DimensionError, match=f"^line 2: {p}: vector for id 'b' has dim 5"):
             load_embedding_file(p)
 
     def test_expected_dim_mismatch_rejected(self, tmp_path):
@@ -124,13 +124,13 @@ class TestLoadEmbeddingFile:
     def test_duplicate_id_rejected(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         write_jsonl_vectors(p, [("a", [1, 2]), ("a", [3, 4])])
-        with pytest.raises(IngestError):
+        with pytest.raises(IngestError, match=f"^line 2: {p}: duplicate embedding id 'a'$"):
             load_embedding_file(p)
 
     def test_non_finite_component_rejected(self, tmp_path):
         p = tmp_path / "emb.jsonl"
         p.write_text('{"id": "a", "vector": [1.0, NaN]}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"^line 1: {p}: non-finite component"):
             load_embedding_file(p)
 
     @pytest.mark.parametrize("line", ["[1, 2]", '"abc"', "7", '{"vector": [1.0]}',
@@ -139,7 +139,7 @@ class TestLoadEmbeddingFile:
     def test_line_that_is_not_an_id_vector_object_is_parse_error(self, tmp_path, line):
         p = tmp_path / "emb.jsonl"
         p.write_text('{"id": "a", "vector": [1.0]}\n\n' + line + "\n")
-        with pytest.raises(ParseError, match="^line 3: "):
+        with pytest.raises(ParseError, match=f"^line 3: {p}: "):
             load_embedding_file(p)
 
     @pytest.mark.parametrize("vector", [5, None, "ab", [[1.0, 2.0]], [1.0, [2.0]], [1.0, "x"]],
@@ -148,7 +148,8 @@ class TestLoadEmbeddingFile:
     def test_vector_that_is_not_a_list_of_numbers_names_its_id(self, tmp_path, vector):
         p = tmp_path / "emb.jsonl"
         p.write_text(json.dumps({"id": "a", "vector": vector}) + "\n")
-        with pytest.raises(DimensionError, match="vector for id 'a' is not a list of numbers"):
+        with pytest.raises(DimensionError,
+                           match=f"^line 1: {p}: vector for id 'a' is not a list of numbers"):
             load_embedding_file(p)
 
     def test_invalid_utf8_is_parse_error_naming_the_file_and_line(self, tmp_path):
@@ -228,6 +229,12 @@ class TestBinaryFormat:
             assert np.array_equal(vec, loaded[node_id]), node_id
             assert np.array_equal(round_to_stored(rounded)[node_id], vec)  # idempotent
         assert any(not np.array_equal(table[i], rounded[i]) for i in table.vectors)
+
+    def test_non_finite_component_is_ingest_error_naming_the_file(self, tmp_path):
+        p = tmp_path / "emb.bin"
+        write_binary_embeddings(EmbeddingTable(dim=2, vectors={"a": np.array([1.0, np.nan])}), p)
+        with pytest.raises(IngestError, match=f"^{p}: non-finite component in vector for id 'a'$"):
+            read_binary_embeddings(p)
 
     def test_id_that_is_not_utf8_is_ingest_error_naming_the_file(self, tmp_path):
         p = tmp_path / "emb.bin"

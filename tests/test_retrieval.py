@@ -8,7 +8,7 @@ import pytest
 from caselink import bm25
 from caselink.bm25 import build_index, score_all, top_k
 from caselink.corpus import Role
-from caselink.errors import DimensionError, MissingEmbeddingError, NumericalError
+from caselink.errors import DimensionError, MissingEmbeddingError, NumericalError, ParseError
 from caselink.retrieval import (
     EvalReport,
     bm25_baseline_rank,
@@ -339,6 +339,11 @@ class TestEvaluateRuns:
         assert report.f1 == 0.0
         assert "retrieved nothing" in caplog.text
 
+    def test_a_candidate_retrieved_twice_is_rejected(self):
+        # counted as three hits, this run scored recall 1.5 and F1 1.2
+        with pytest.raises(ValueError, match="twice for query 'q1'"):
+            evaluate_runs({"q1": ("c1", "c1", "c1")}, {"q1": ("c1", "c2")})
+
     def test_only_run_queries_are_counted(self):
         retrieved = {"q1": ("a",)}
         labels = {"q1": ("a",), "q9": ("b", "c")}
@@ -387,8 +392,28 @@ class TestRunFiles:
     def test_malformed_tsv_rejected(self, tmp_path):
         path = tmp_path / "run.tsv"
         path.write_text("q1\tc1\t1\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError, match=f"^line 1: {path}: expected 4 tab-separated fields"):
             read_run_tsv(path)
+
+    @pytest.mark.parametrize("lines, line, reason", [
+        (["q1\tc1\tx\t0.5"], 1, "rank 'x' is not an integer"),
+        (["q1\tc1\t1\t0.5", "q1\tc1\t2\t0.5", "q1\tc1\t3\t0.5"], 2,
+         "query 'q1' repeats candidate 'c1'"),
+        (["q1\tc1\t1\t0.5", "", "q2\tc1\t1\t0.5", "q1\tc2\t1\t0.4"], 4,
+         "query 'q1' repeats rank 1"),
+    ], ids=["rank not an integer", "candidate repeated", "rank repeated"])
+    def test_damaged_run_line_is_parse_error_naming_the_file_and_line(self, tmp_path, lines,
+                                                                       line, reason):
+        path = tmp_path / "run.tsv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError, match=f"^line {line}: {path}: {reason}$") as info:
+            read_run_tsv(path)
+        assert (info.value.line_number, info.value.path) == (line, path)
+
+    def test_lines_split_on_newlines_only(self, tmp_path):
+        path = tmp_path / "run.tsv"
+        path.write_text("q1\tc\u2028x\t2\t0.5\r\nq1\tc\x0cy\t1\t0.6\n", encoding="utf-8")
+        assert read_run_tsv(path) == {"q1": ("c\x0cy", "c\u2028x")}
 
     def test_json_run_format(self, tmp_path):
         import json
