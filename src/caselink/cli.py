@@ -244,16 +244,22 @@ def _resolve(args, cls, values, where: str, names=None, config: str | None = Non
     object ``values`` of the file ``config`` > default. ``values`` passes
     :func:`binfile.record`, so each value takes its field's type as a flag does
     (``"lr": 1`` and ``--lr 1`` both give 1.0); a config path is relative to the
-    config's directory. An unknown key or an invalid value is a ParseError."""
+    config's directory. An unknown key or an invalid value is a ParseError,
+    which names the file when the flags and defaults alone would pass."""
     names = names or field_kinds(cls)
     checked = record(cls, values, ParseError, located(where, path=config), _ALIASES)
+    flags = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     merged = {n: Path(config).parent / v if isinstance(v, Path) else v
-              for n, v in checked.items() if n in names}
-    merged |= {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
+              for n, v in checked.items() if n in names} | flags
     try:
         return cls(**merged)
     except ValueError as exc:
-        raise ParseError(f"invalid {where}: {exc}") from exc
+        error = exc
+    try:
+        cls(**flags)
+    except ValueError:
+        config = None  # the flags and defaults fail alone: the file is not to blame
+    raise ParseError(f"invalid {where}: {error}", path=config) from error
 
 
 def _cache_dir() -> Path | None:
@@ -525,7 +531,8 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
     labels = load_labels(labels_path)
     missing = sorted(set(retrieved) - set(labels))
     if missing:
-        raise LabelError(f"run queries missing from labels: {missing[:5]}")
+        raise LabelError(f"run queries missing from the labels in {labels_path}: "
+                         f"{missing[:5]}", path=run_path)
     if manifest is None:
         report = evaluate_runs(retrieved, labels)
     else:

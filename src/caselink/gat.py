@@ -29,6 +29,7 @@ from .errors import DimensionError, NumericalError, TraceError
 
 _MAGIC = b"GATC"
 _FORMAT_VERSION = 1
+_EDGE_BLOCK = 1024  # edges per block of SelfLoopStructure.edge_dots
 
 
 @dataclass
@@ -121,8 +122,16 @@ class ForwardTrace:
 class SelfLoopStructure:
     """CSR edge structure of A + I: per-edge aggregating row and neighbor col.
 
-    It depends on the graph alone, so one instance serves every forward and
-    backward pass over that graph.
+    Message passing is a product with the weighted adjacency A_w, whose entry
+    (row[e], col[e]) is w[e]: ``weighted_sum`` gives A_w @ x,
+    ``weighted_sum_transposed`` gives A_wᵀ @ x, and ``edge_dots`` the
+    per-edge products that make their gradient in w. scipy's CSR product adds
+    each output row's terms in ascending edge order, starting from zero: bit
+    for bit a sequential scatter-add, where a reduceat would sum long
+    segments pairwise. ``row`` and ``col`` stay int64 for numpy's gathers;
+    scipy's own index arrays are built once, because its constructor would
+    convert int64 ones on every call. The structure depends on the graph
+    alone, so one instance serves every forward and backward pass over it.
     """
 
     indptr: np.ndarray
@@ -131,17 +140,46 @@ class SelfLoopStructure:
     n_nodes: int
 
     @cached_property
-    def col_sum(self) -> sp.csr_matrix:
-        """(n_nodes x E) 0/1 matrix whose row c lists the edges with
-        ``col == c`` in ascending edge order. Its product with per-edge values
-        adds each row's entries one after another in that order, starting from
-        zero: bit for bit the sequential scatter-add over ``col``, where a
-        reduceat would sum long segments pairwise. Built on first use: only
-        the backward pass needs it."""
+    def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """scipy's (indices, indptr) of A + I."""
+        a = sp.csr_matrix((np.ones(len(self.col)), self.col, self.indptr),
+                          shape=(self.n_nodes, self.n_nodes))
+        return a.indices, a.indptr
+
+    @cached_property
+    def transpose_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The edge order that groups edges by ``col`` in ascending edge
+        order, with scipy's (indices, indptr) of (A + I)ᵀ in that order. Built
+        on first use: only the backward pass needs it."""
         order = np.argsort(self.col, kind="stable")
         indptr = np.concatenate(([0], np.cumsum(np.bincount(self.col, minlength=self.n_nodes))))
-        return sp.csr_matrix((np.ones(len(order)), order, indptr),
-                             shape=(self.n_nodes, len(order)))
+        a = sp.csr_matrix((np.ones(len(order)), self.row[order], indptr),
+                          shape=(self.n_nodes, self.n_nodes))
+        return order, a.indices, a.indptr
+
+    def edge_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """Per-edge dot products ``x[row[e]] . y[col[e]]``: the gradient of
+        ``(weighted_sum(w, y) * x).sum()`` with respect to ``w``. Gathered a
+        block of edges at a time, so the gathered rows stay small enough to
+        be reused from cache, where a gather over all edges would allocate
+        (and page in) two edges x dims arrays per call."""
+        out = np.empty(len(self.row))
+        for s in range(0, len(out), _EDGE_BLOCK):
+            e = slice(s, s + _EDGE_BLOCK)
+            out[e] = np.einsum("ed,ed->e", x[self.row[e]], y[self.col[e]])
+        return out
+
+    def weighted_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A_w @ x: row i sums ``weights[e] * x[col[e]]`` over its edges."""
+        indices, indptr = self.csr_index
+        return sp.csr_matrix((weights, indices, indptr), shape=(self.n_nodes, self.n_nodes)) @ x
+
+    def weighted_sum_transposed(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """A_wᵀ @ x: row c sums ``weights[e] * x[row[e]]`` over the edges with
+        ``col[e] == c``."""
+        order, indices, indptr = self.transpose_index
+        return sp.csr_matrix((weights[order], indices, indptr),
+                             shape=(self.n_nodes, self.n_nodes)) @ x
 
 
 def prepare_structure(adjacency: sp.spmatrix) -> SelfLoopStructure:
@@ -217,7 +255,7 @@ def _layer_forward(
     alpha = ex / denom[row]
     alpha_used = alpha if att_mask is None else alpha * att_mask / keep
 
-    pre_act = np.add.reduceat(alpha_used[:, None] * z[col], indptr[:-1], axis=0)
+    pre_act = structure.weighted_sum(alpha_used, z)
     out = _elu(pre_act) if apply_elu else pre_act
     trace = LayerTrace(
         h_used=h_used,
@@ -280,9 +318,10 @@ def model_forward(
     if use_dropout and rng is None:
         raise ValueError("training with dropout requires an rng")
 
+    layers = params.layers
     traces: list[LayerTrace] = []
-    for li, layer in enumerate(params.layers):
-        apply_elu = li < len(params.layers) - 1
+    for li, layer in enumerate(layers):
+        apply_elu = li < len(layers) - 1
         in_mask = att_mask = None
         if use_dropout:
             in_mask, att_mask = _draw_masks(rng, params.dropout_rate, h.shape, structure)
@@ -300,10 +339,10 @@ def model_forward(
     return h, ForwardTrace(layers=traces, structure=structure, output=h)
 
 
-def _check_trace(params: GatParams, trace: ForwardTrace) -> None:
-    if len(trace.layers) != len(params.layers):
+def _check_trace(layers: list[LayerParams], trace: ForwardTrace) -> None:
+    if len(trace.layers) != len(layers):
         raise TraceError("trace layer count does not match parameters")
-    for layer, lt in zip(params.layers, trace.layers):
+    for layer, lt in zip(layers, trace.layers):
         if lt.h_used.shape[1] != layer.d_in or lt.z.shape[1] != layer.d_out:
             raise TraceError("trace shapes do not match parameters")
 
@@ -318,7 +357,8 @@ def backward_gradients(
     Returns the parameter gradient, one vector laid out like ``params.flat``,
     and the gradient with respect to the model input features.
     """
-    _check_trace(params, trace)
+    layers = params.layers
+    _check_trace(layers, trace)
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != trace.output.shape:
         raise TraceError(
@@ -330,15 +370,13 @@ def backward_gradients(
 
     grads = np.zeros_like(params.flat)
     gh = d_out
-    for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers),
+    for layer, lt, g in zip(reversed(layers), reversed(trace.layers),
                             reversed(layer_views(grads, params.dims))):
         d_pre = gh * _elu_grad(lt.pre_act) if lt.apply_elu else gh
 
-        # aggregation: pre_act[i] = sum_e alpha_used[e] * z[col[e]]
-        d_pre_row = d_pre[row]
-        d_alpha_used = np.einsum("ed,ed->e", d_pre_row, lt.z[col])
-        d_pre_row *= lt.alpha_used[:, None]  # in place: each edge's share of dz[col]
-        dz = structure.col_sum @ d_pre_row
+        # aggregation: pre_act = A_alpha @ z, A_alpha[row[e], col[e]] = alpha_used[e]
+        d_alpha_used = structure.edge_dots(d_pre, lt.z)
+        dz = structure.weighted_sum_transposed(lt.alpha_used, d_pre)
 
         d_alpha = (
             d_alpha_used if lt.att_mask is None else d_alpha_used * lt.att_mask / keep

@@ -389,6 +389,29 @@ class TestConfigPrecedence:
         assert key in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("section, key, shown", [
+        (None, "final_size", "final_size=0"), ("training", "hidden_dim", "hidden_dim")])
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_out_of_range_value_names_the_config_file_only_when_it_came_from_there(
+            self, dataset, capsys, section, key, shown, form):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        argv = ["pipeline", "--out", str(tmp_path / "x"), "--epochs", "1"]
+        if form == "flag":
+            argv += [f"--{key.replace('_', '-')}", "0"]
+        elif section is None:
+            cfg[key] = 0
+        else:
+            cfg[section] = {key: 0}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert shown in err
+        assert err.startswith(f"data error: {cfg_path}: invalid ") == (form == "config")
+        assert (str(cfg_path) in err) == (form == "config")
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize("key, flag", [("lr", "--lr"), ("tau", "--tau"),
                                            ("weight_decay", "--weight-decay"),
                                            ("lam", "--lambda")])
@@ -506,12 +529,15 @@ class TestErrorPaths:
         assert code == 2
         assert repr(record["id"]) in capsys.readouterr().err
 
-    def test_eval_with_unlabeled_run_query(self, tmp_path):
+    def test_eval_with_unlabeled_run_query(self, tmp_path, capsys):
         run = tmp_path / "run.tsv"
         run.write_text("qX\tc1\t1\t0.500000\n")
         labels = tmp_path / "labels.json"
         labels.write_text(json.dumps({"q1": ["c1"]}))
         assert main(["eval", "--run", str(run), "--labels", str(labels)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {run}: ")
+        assert str(labels) in err and "'qX'" in err
 
     def test_eval_hand_count(self, tmp_path, capsys):
         run = tmp_path / "run.tsv"

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 
 from caselink.errors import DimensionError, NumericalError, TraceError
 from caselink.gat import (
+    _EDGE_BLOCK,
     GatParams,
     backward_gradients,
     init_params,
@@ -195,13 +196,28 @@ class TestForward:
             for la, lb in zip(trace_a.layers, trace_b.layers):
                 assert np.array_equal(la.alpha_used, lb.alpha_used)
 
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_pre_act_equals_a_per_edge_loop_bit_for_bit(self, dropout):
+        # node 0's row of A + I holds 40 edges, enough for a pairwise sum to
+        # round differently from the sequential one
+        params = init_params(1, [6, 5, 4], dropout=dropout)
+        h = np.random.default_rng(7).standard_normal((40, 6))
+        _, trace = model_forward(params, h, hub_adj(40, seed=3), train_mode=True,
+                                 rng=np.random.default_rng(8))
+        row, col = trace.structure.row, trace.structure.col
+        for lt in trace.layers:
+            expected = np.zeros_like(lt.pre_act)
+            for e in range(len(row)):
+                expected[row[e]] += lt.alpha_used[e] * lt.z[col[e]]
+            assert np.array_equal(lt.pre_act, expected)
+
     def test_forward_leaves_the_backward_only_matrix_unbuilt(self):
         structure = prepare_structure(hub_adj(12, seed=2))
         params = init_params(0, [3, 3])
         _, trace = model_forward(params, np.ones((12, 3)), structure)
-        assert "col_sum" not in vars(structure)
+        assert "transpose_index" not in vars(structure)
         backward_gradients(params, trace, np.ones((12, 3)))
-        assert "col_sum" in vars(structure)
+        assert "transpose_index" in vars(structure)
 
     def test_attention_rows_sum_to_one(self):
         graph = random_gcg(seed=23)
@@ -343,6 +359,15 @@ class TestBackward:
         ref_grads, ref_d_h = scatter_reference_backward(params, trace, d_out)
         assert np.array_equal(grads, ref_grads)
         assert np.array_equal(d_h, ref_d_h)
+
+    def test_blocked_edge_dots_equal_one_einsum_over_all_edges_bit_for_bit(self):
+        structure = prepare_structure(hub_adj(120, seed=5))
+        n_edges = len(structure.row)
+        assert n_edges > 2 * _EDGE_BLOCK and n_edges % _EDGE_BLOCK  # full blocks and a part
+        rng = np.random.default_rng(6)
+        x, y = rng.standard_normal((120, 7)), rng.standard_normal((120, 7))
+        expected = np.einsum("ed,ed->e", x[structure.row], y[structure.col])
+        assert np.array_equal(structure.edge_dots(x, y), expected)
 
     def test_zero_upstream_gradient_gives_zero_grads(self):
         graph = random_gcg(seed=16)

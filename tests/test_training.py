@@ -685,10 +685,10 @@ class TestTrainLoop:
             "prepare_structure": 1, "easy_negative_pools": 1, "adam_step": 6,
             "backward_gradients": 6}
         # every step's forward and backward ran on the one structure, which
-        # built its backward-only matrix once, as a cached property
+        # built its backward-only index once, as a cached property
         (structure,) = calls["prepare_structure"]
         assert all(s is structure for s in calls["backward_gradients"])
-        assert "col_sum" in vars(structure)
+        assert "transpose_index" in vars(structure)
 
     def test_non_finite_parameters_stop_before_the_last_checkpoint(self, tmp_path,
                                                                     monkeypatch):
