@@ -128,17 +128,15 @@ def build_index(store: CorpusStore, k1: float = 1.2, b: float = 0.75) -> Bm25Ind
         raise EmptyCorpusError("cannot build an index over an empty corpus")
     check_parameters(k1, b)
 
-    vocab: dict[str, int] = {}  # term -> column in first-seen order
-    seen = np.fromiter((vocab.setdefault(t, len(vocab)) for c in store.cases for t in c.tokens),
-                       dtype=np.int64)
-    terms = np.array(list(vocab), dtype=str)
-    order = np.argsort(terms)
-    col = np.empty_like(order)
-    col[order] = np.arange(len(order))
+    tokens = [t for c in store.cases for t in c.tokens]
+    vocab = sorted(set(tokens))  # code-point order, as numpy compares str arrays
+    col = {t: i for i, t in enumerate(vocab)}
+    cols = np.fromiter(map(col.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     rows = np.repeat(np.arange(store.n_cases), [len(c.tokens) for c in store.cases])
     # the COO -> CSR conversion sums each (doc, term) pair's ones into its count
-    tf = sp.csr_matrix((np.ones(len(seen)), (rows, col[seen])), shape=(store.n_cases, len(terms)))
-    return Bm25Index(doc_ids=tuple(c.id for c in store.cases), terms=terms[order], tf=tf, k1=k1, b=b)
+    tf = sp.csr_matrix((np.ones(len(tokens)), (rows, cols)), shape=(store.n_cases, len(vocab)))
+    return Bm25Index(doc_ids=tuple(c.id for c in store.cases), terms=np.array(vocab, dtype=str),
+                     tf=tf, k1=k1, b=b)
 
 
 def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_index: int) -> float:

@@ -317,16 +317,17 @@ def _require(opts: RunOptions, name: str) -> Path:
 def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
                 lexicon: bool = True) -> CorpusStore:
     """The corpus, with roles from the labels when given and, with ``lexicon``,
-    the charges of the lexicon attached."""
+    the charges of the lexicon attached. Reading them is timed as ``ingest``."""
     corpus = _require(opts, "corpus")
     if need_labels:
         _require(opts, "labels")
+    manifest.start("ingest")
     store = ingest_corpus(corpus, opts.labels)
     manifest.add_input(corpus, opts.labels)
-    if not lexicon:
-        return store
-    store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
-    manifest.add_input(opts.lexicon)
+    if lexicon:
+        store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
+        manifest.add_input(opts.lexicon)
+    manifest.stop("ingest")
     return store
 
 
@@ -364,8 +365,9 @@ def _case_graph(
 
 
 def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
-    """Write the normalized corpus and its counts; returns the counts."""
-    manifest.start("ingest")
+    """Write the normalized corpus and its counts; returns the counts. Its
+    ``ingest`` timing runs on from the one :func:`_load_store` started, so it
+    covers the read as well as the write."""
 
     def write_cases(path: Path) -> None:
         with path.open("w", encoding="utf-8") as fh:
@@ -397,13 +399,15 @@ def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
     return index
 
 
-def embed_stage(store: CorpusStore, table: EmbeddingTable, manifest: StageManifest) -> None:
-    """Check that every node has a vector and write them in node order to
-    ``embeddings.emb1``."""
+def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> EmbeddingTable:
+    """Read or fetch the node vectors, check that every node has one and write
+    them in node order to ``embeddings.emb1``; returns them."""
     manifest.start("embed")
+    table = _node_table(opts, store, manifest)
     check_coverage(table, store)
     manifest.commit("embed", {manifest.out / "embeddings.emb1":
                               lambda path: write_binary_embeddings(table, path, store.node_ids)})
+    return table
 
 
 def graph_stage(
@@ -486,8 +490,7 @@ def cmd_index(opts: RunOptions, manifest: StageManifest) -> None:
 
 def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
     store = _load_store(opts, manifest)
-    table = _node_table(opts, store, manifest)
-    embed_stage(store, table, manifest)
+    table = embed_stage(store, opts, manifest)
     _print_json({"vectors": store.n_cases + store.n_charges, "dim": table.dim})
 
 
@@ -543,9 +546,8 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
     store = _load_store(opts, manifest, need_labels=True)
-    table = _node_table(opts, store, manifest)
+    table = embed_stage(store, opts, manifest)
     index = index_stage(store, opts, manifest)
-    embed_stage(store, table, manifest)
     gcg = graph_stage(store, table, index, training, manifest)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)

@@ -2,7 +2,8 @@
 
 Input formats:
   corpus  -- JSONL, one object per line: {"id": str, "text": str, "role": "query"|"candidate"?}
-             (or a directory of text files; file name -> id, body -> text)
+             (or a directory of text files; file name -> id, body -> text);
+             a numeric id is read as its string
   labels  -- JSON object: query id -> list of relevant candidate ids
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
 
@@ -35,7 +36,7 @@ _MONTHS = (
 _MONTH_ALT = "|".join(_MONTHS)
 
 # Date patterns scanned by extract_latest_year. Year plausibility windows:
-# explicit dates accept [1000, 9999]; month-adjacent bare years are
+# explicit dates accept [1000, 9999]; a bare year following a month name is
 # restricted to [1850, 2100] to avoid picking up citation numbers.
 _DATE_PATTERNS = (
     # "January 5, 2010" / "january 5 2010"
@@ -121,20 +122,41 @@ def extract_latest_year(text: str) -> int | None:
     """Return the largest plausible year mentioned in ``text``, or None.
 
     Recognizes long-form English dates, ISO dates, bracketed citation years,
-    and bare years adjacent to month names.
+    and bare years following month names.
     """
+    # The long-form and month-year patterns start at a month name, so they are
+    # tried only where str.find puts one, and every day-first match ends in the
+    # month-year match of its month. match(s, pos) checks \b against the real
+    # preceding character and no pattern's matches overlap, so this finds what
+    # a finditer scan of the whole text per pattern would.
     lowered = text.lower()
-    years: list[int] = []
-    for pat in _DATE_PATTERNS:
-        for m in pat.finditer(lowered):
-            y = int(m.group(1))
-            if 1000 <= y <= 9999:
-                years.append(y)
-    for m in _MONTH_YEAR_RE.finditer(lowered):
-        y = int(m.group(1))
-        if 1850 <= y <= 2100:
-            years.append(y)
-    return max(years) if years else None
+    explicit: list[int] = []  # plausible in [1000, 9999]
+    month_year: list[int] = []  # plausible in [1850, 2100]
+    for sign, pat in (("-", _DATE_PATTERNS[2]), ("[", _DATE_PATTERNS[3])):
+        if sign in lowered:
+            explicit += (int(m.group(1)) for m in pat.finditer(lowered))
+    for month in _MONTHS:
+        pos = lowered.find(month)
+        while pos >= 0:
+            if m := _DATE_PATTERNS[0].match(lowered, pos):
+                explicit.append(int(m.group(1)))
+            if m := _MONTH_YEAR_RE.match(lowered, pos):
+                (explicit if _follows_day(lowered, pos) else month_year).append(int(m.group(1)))
+            pos = lowered.find(month, pos + 1)
+    years = [y for y in explicit if 1000 <= y <= 9999]
+    years += (y for y in month_year if 1850 <= y <= 2100)
+    return max(years, default=None)
+
+
+def _follows_day(lowered: str, pos: int) -> bool:
+    """Whether the day-first pattern matches with its month at ``pos``: its
+    day and suffix, at most 4 characters, end where the whitespace before
+    ``pos`` begins."""
+    start = pos
+    while start and lowered[start - 1].isspace():
+        start -= 1
+    return start < pos and any(_DATE_PATTERNS[1].match(lowered, s)
+                               for s in range(max(start - 4, 0), start))
 
 
 def read_text(path: str | Path) -> str:
@@ -182,6 +204,21 @@ def decode_object(text: str, path, line_number: int | None = None,
     return value
 
 
+_JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a number",
+               list: "an array", dict: "an object"}
+
+
+def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = True) -> str:
+    """``rec[key]`` as a str: a JSON string as it is and, with ``numbers``, a
+    JSON number as its decimal text. Any other value (null, true or false, an
+    array or an object) is a ParseError naming the file and line."""
+    value = rec[key]
+    if isinstance(value, str) or (numbers and _JSON_KINDS[type(value)] == "a number"):
+        return str(value)
+    raise ParseError(f"{key!r} must be a string{' or a number' if numbers else ''}, "
+                     f"not {_JSON_KINDS[type(value)]}", line_number, path)
+
+
 def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Load a labels file: JSON object mapping query id -> relevant candidate ids.
     A file that is not UTF-8 JSON is a ParseError, one not such an object an IngestError."""
@@ -220,10 +257,10 @@ def ingest_corpus(
 
     cases: list[CaseDocument] = []
     for line_no, rec in iter_records(corpus_path, ("id", "text")):
-        cid = str(rec["id"])
+        cid = string_field(rec, "id", line_no, corpus_path)
         if not cid:
             raise ParseError("empty id", line_no, corpus_path)
-        text = str(rec["text"])
+        text = string_field(rec, "text", line_no, corpus_path, numbers=False)
 
         explicit = rec.get("role")
         if explicit is not None:
@@ -274,7 +311,8 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
         cid, name = f"charge_{len(entries)}", line.strip()
         if name.startswith("{"):
             rec = decode_object(name, path, i, ("name",))
-            cid, name = str(rec.get("id", cid)), rec["name"]
+            cid = string_field(rec, "id", i, path) if "id" in rec else cid
+            name = rec["name"]
             if name is None:
                 raise ParseError("charge name is null", i, path)
         name = " ".join(str(name).split())

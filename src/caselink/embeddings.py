@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .binfile import pack, pack_text, read_container
-from .corpus import CorpusStore, iter_records
+from .corpus import CorpusStore, iter_records, string_field
 from .errors import (DimensionError, IngestError, MissingEmbeddingError, NumericalError,
                      ProviderError, located)
 
@@ -116,7 +116,7 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
     vectors: dict[str, np.ndarray] = {}
     dim = expected_dim
     for i, rec in iter_records(path, ("id", "vector")):
-        node_id = str(rec["id"])
+        node_id = string_field(rec, "id", i, path)
         if node_id in vectors:
             raise IngestError(f"duplicate embedding id {node_id!r}", i, path)
         vectors[node_id], dim = _validate_vector(node_id, rec["vector"], dim, i, path)

@@ -83,9 +83,13 @@ class TestBuildIndex:
             assert len(idx) == len(tf)
 
     def test_count_matrix_matches_the_tokens(self):
-        store = make_store([("d1", "Straße straße 盗窃罪 b"), ("d2", ""), ("d3", "b a b")])
+        store = make_store([("d1", "Straße straße 盗窃罪 b 2010"), ("d2", ""),
+                            ("d3", "b a Körperverletzung b 2010 körperverletzung 9")])
         index = build_index(store)
         tokens = [t for c in store.cases for t in c.tokens]
+        assert "strasse" in tokens  # Straße casefolds
+        assert np.all(index.terms[1:] > index.terms[:-1])
+        assert np.array_equal(index.terms, np.unique(np.array(tokens, dtype=str)))
         assert index.terms.tolist() == sorted(set(tokens))
         assert index.doc_len.tolist() == [len(c.tokens) for c in store.cases]
         assert index.avgdl == len(tokens) / 3

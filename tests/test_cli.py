@@ -651,7 +651,7 @@ class TestStagedAndFused:
         assert main(["pipeline", "--config", str(config_path), "--out", str(out),
                      "--epochs", "1"]) == 0
 
-        (store, table, _), _ = seen["embed_stage"]
+        (store, *_), table = seen["embed_stage"]
         stored = read_binary_embeddings(out / "embeddings.emb1")
         assert list(stored.vectors) == list(store.node_ids)
         assert set(table.vectors) >= set(store.node_ids)
@@ -752,6 +752,31 @@ class TestManifests:
         assert left  # at least the stages before the graph finished
         assert left == listed
 
+    def test_ingest_and_embed_timings_cover_reading_their_inputs(self, dataset, monkeypatch):
+        import time
+
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+
+        def slowed(read):
+            def wrapped(*args, **kwargs):
+                time.sleep(0.05)
+                return read(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(cli, "ingest_corpus", slowed(cli.ingest_corpus))
+        monkeypatch.setattr(cli, "load_embedding_file", slowed(cli.load_embedding_file))
+        ckpt = tmp_path / "pipeline" / "checkpoints" / "checkpoint.gatc"
+        for argv in (["pipeline", "--epochs", "1"], ["ingest"], ["index"], ["embed"], ["graph"],
+                     ["train", "--epochs", "1"], ["rank", "--checkpoint", str(ckpt)]):
+            out = tmp_path / argv[0]
+            assert main([argv[0], "--config", str(config_path), "--out", str(out),
+                         *argv[1:]]) == 0
+            timings = read_manifest(out)["timings_ms"]
+            assert timings["ingest"] >= 50, argv[0]
+            if argv[0] in ("pipeline", "embed"):
+                assert timings["embed"] >= 50, argv[0]
 
     def test_config_records_every_option_and_section_read(self, dataset):
         from caselink.cli import COMMANDS
@@ -1261,10 +1286,26 @@ class TestTextInputErrors:
         ("config.json", '{"corpus": "corpus.jsonl",\n', 2, "invalid JSON: "),
         ("embeddings.jsonl", TEXT_INPUTS["embeddings.jsonl"] + '{"id": "c1", "vector": [1, 1]}\n',
          4, "duplicate embedding id 'c1'"),
+        ("corpus.jsonl", '{"id": null, "text": null}\n', 1,
+         "'id' must be a string or a number, not null"),
+        ("corpus.jsonl", '{"id": true, "text": "x"}\n', 1,
+         "'id' must be a string or a number, not a boolean"),
+        ("corpus.jsonl", '{"id": 7, "text": ["a", "b"]}\n', 1,
+         "'text' must be a string, not an array"),
+        ("corpus.jsonl", '{"id": "q1", "text": 7}\n', 1, "'text' must be a string, not a number"),
+        ("lexicon.txt", 'theft\n{"id": null, "name": "fraud"}\n', 2,
+         "'id' must be a string or a number, not null"),
+        ("embeddings.jsonl", '{"id": ["q1"], "vector": [1.0, 0.0]}\n', 1,
+         "'id' must be a string or a number, not an array"),
+        ("embeddings.jsonl", TEXT_INPUTS["embeddings.jsonl"] + '{"id": {}, "vector": [1, 1]}\n',
+         4, "'id' must be a string or a number, not an object"),
     ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
             "labels value not a list", "labels not an object", "lexicon line without name",
             "lexicon name twice", "run rank not an integer", "run candidate three times",
-            "config not an object", "config truncated", "embedding id twice"])
+            "config not an object", "config truncated", "embedding id twice",
+            "corpus null id and text", "corpus boolean id", "corpus array text",
+            "corpus number text", "lexicon null id", "embedding array id",
+            "embedding object id"])
     def test_damaged_input_is_data_error_naming_the_file_and_line(self, tmp_path, capsys, name,
                                                                    damaged, line, reason):
         assert self.run(tmp_path, name, damaged) == 2

@@ -1,11 +1,15 @@
 """Corpus ingestion, tokenization, year extraction, and the charge lexicon."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 from caselink.corpus import (
+    _DATE_PATTERNS,
+    _MONTH_YEAR_RE,
+    _MONTHS,
     ChargeEntry,
     Role,
     attach_charges,
@@ -103,6 +107,65 @@ class TestExtractLatestYear:
                     parts.append(f"[{y}]")
             text = " filler ".join(parts)
             assert extract_latest_year(text) == int(years.max())
+
+
+def five_scan_latest_year(text: str) -> int | None:
+    """Reference: a finditer scan of the whole lowered text per pattern."""
+    lowered = text.lower()
+    years: list[int] = []
+    for pat in _DATE_PATTERNS:
+        for m in pat.finditer(lowered):
+            y = int(m.group(1))
+            if 1000 <= y <= 9999:
+                years.append(y)
+    for m in _MONTH_YEAR_RE.finditer(lowered):
+        y = int(m.group(1))
+        if 1850 <= y <= 2100:
+            years.append(y)
+    return max(years) if years else None
+
+
+_MONTH_FORMS = [form(m) for m in _MONTHS for form in (str.lower, str.title, str.upper)]
+_DAYS = ["1", "5", "09", "12", "31", "1st", "2nd", "3rd", "4th", "22nd", "11TH", "٣"]
+_YEARS = ["099", "0999", "1000", "1756", "1849", "1850", "1999", "2010", "2100", "2101", "9999",
+          "12345", "٢٠١٠", "2O10"]
+_OTHER = ["-", "-01-02", "2010-01-02", "1700-01-01", "٢٠١٠-٠١-٠٢", "[", "]", "[2008]", "[1849]",
+          ",", "İ", "_", "mayor", "xmay", "decided", "v", *_MONTH_FORMS[:6], *_DAYS[:4], *_YEARS]
+_SEPARATORS = ["", " ", " ", "  ", ", ", ",", "\t", "\n", "\xa0", "\u2003", " , "]
+
+
+def random_dated_text(rng: random.Random) -> str:
+    """Up to five parts, each three times in four a month, day and year in one
+    of the three shapes extract_latest_year looks for, from pieces that often
+    break a shape; otherwise one to four other pieces."""
+    parts = []
+    for _ in range(rng.randint(1, 5)):
+        month, day, year = rng.choice(_MONTH_FORMS), rng.choice(_DAYS), rng.choice(_YEARS)
+        shape = rng.choice([[month, day, year], [day, month, year], [month, year], []])
+        parts += shape or [rng.choice(_OTHER) for _ in range(rng.randint(1, 4))]
+    return "".join(part + rng.choice(_SEPARATORS) for part in parts)
+
+
+class TestExtractLatestYearAgainstFiveScans:
+    @pytest.mark.parametrize("text, year", [
+        ("decided 5 March 1756", 1756),  # a day-first date takes the wide window
+        ("march 1700-01-01", 1700),
+        ("xmay 5, 2010", None),
+        ("mayor 2010", None),
+        ("12th  december,  1999", 1999),
+        ("june 1 ٢٠١٠", 2010),
+    ])
+    def test_pinned_cases(self, text, year):
+        assert five_scan_latest_year(text) == year
+        assert extract_latest_year(text) == year
+
+    def test_equals_the_five_scans_on_random_texts(self):
+        rng = random.Random(17)
+        texts = [random_dated_text(rng) for _ in range(20_000)]
+        expected = [five_scan_latest_year(t) for t in texts]
+        assert sum(y is not None for y in expected) >= 0.3 * len(texts)
+        for text, year in zip(texts, expected):
+            assert extract_latest_year(text) == year, repr(text)
 
 
 class TestIngestCorpus:
