@@ -1,13 +1,16 @@
-"""Command-line interface: one function per pipeline stage, one subcommand per stage.
+"""Command-line interface: one function per pipeline stage, and the subcommands that run them.
 
-Stages: ingest | index | embed | graph | train | rank | eval | pipeline | synth.
-Each subcommand resolves its inputs, calls its stage function and prints a
-summary; ``pipeline`` resolves its inputs once and calls the same stage
-functions in order, in one process. One JSON config file can drive all stages;
-command-line flags override config values, which override built-in defaults.
-Every stage writes a ``manifest.json`` into its output directory (before its
-outputs are finalized) recording the resolved config, sha256 digests of all
-inputs, output paths, the tool version, and per-stage wall-clock timings.
+Subcommands: ingest | index | embed | graph | train | rank | eval | pipeline | synth.
+Each subcommand resolves its inputs, runs its stage functions and prints a
+summary. ``graph``, ``train``, ``rank`` and ``pipeline`` run one chain of
+stages, ingest -> embed -> index -> graph, and then their own, so each writes
+the files of every stage it runs, byte for byte what ``pipeline`` writes. One
+JSON config file can drive all subcommands; command-line flags override config
+values, which override built-in defaults. Every stage is timed by
+:meth:`StageManifest.stage`, which writes a ``manifest.json`` into the output
+directory (before the outputs are finalized) recording the resolved config,
+sha256 digests of all inputs, output paths, the tool version, and per-stage
+wall-clock timings.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
 The env var ``CASELINK_CACHE_DIR`` names a directory for reusable BM25 index
@@ -17,6 +20,7 @@ caches keyed by corpus digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import json
@@ -26,7 +30,7 @@ import struct
 import sys
 import time
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 from . import __version__
 from .binfile import field_kinds, record
@@ -39,6 +43,7 @@ from .corpus import (
     load_charge_lexicon,
     load_labels,
     read_text,
+    write_json,
 )
 from .embeddings import (
     EmbeddingTable,
@@ -103,10 +108,6 @@ def _digest_path(path: Path) -> str:
     return h.hexdigest()
 
 
-def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-
-
 def _tmp(path: Path) -> Path:
     return path.with_name(path.name + ".tmp")
 
@@ -131,7 +132,6 @@ class StageManifest:
             "outputs": [],
             "timings_ms": {},
         }
-        self._t0: dict[str, float] = {}
 
     def add_input(self, *paths) -> None:
         """Record the digest of each path; ``None`` (an absent optional input) is skipped."""
@@ -144,29 +144,32 @@ class StageManifest:
         if s not in self.data["outputs"]:
             self.data["outputs"].append(s)
 
-    def start(self, stage: str) -> None:
-        self._t0[stage] = time.perf_counter()
-
-    def stop(self, stage: str) -> None:
-        self.data["timings_ms"][stage] = round(
-            (time.perf_counter() - self._t0[stage]) * 1e3, 3
-        )
-
     def write(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
-        _write_json(self.path, self.data)
+        write_json(self.path, self.data)
 
-    def commit(self, stage: str, writers: dict[Path, Callable[[Path], object]]) -> None:
-        """Finish ``stage``: write each output through its writer to a ``.tmp``
-        sibling, record the outputs and the stage timing, write the manifest,
-        then rename the outputs into place."""
-        self.out.mkdir(parents=True, exist_ok=True)
-        for path, write in writers.items():
+    @contextlib.contextmanager
+    def stage(self, name: str) -> Iterator[dict[Path, Callable[[Path], object]]]:
+        """Time the block as stage ``name``; the block fills the yielded dict
+        with its outputs, ``path -> writer``. When the block ends without an
+        error, each output is written through its writer to a ``.tmp`` sibling
+        and recorded, the block's time is added to ``timings_ms[name]`` (so two
+        blocks of one name time both), the manifest is written once it records
+        some output, and the outputs are renamed into place. A block that
+        raises records nothing."""
+        t0 = time.perf_counter()
+        outputs: dict[Path, Callable[[Path], object]] = {}
+        yield outputs
+        if outputs:
+            self.out.mkdir(parents=True, exist_ok=True)
+        for path, write in outputs.items():
             write(_tmp(path))
             self.add_output(path)
-        self.stop(stage)
-        self.write()
-        for path in writers:
+        timings = self.data["timings_ms"]
+        timings[name] = round(timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3, 3)
+        if self.data["outputs"]:
+            self.write()
+        for path in outputs:
             os.replace(_tmp(path), path)
 
 
@@ -321,42 +324,13 @@ def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = F
     corpus = _require(opts, "corpus")
     if need_labels:
         _require(opts, "labels")
-    manifest.start("ingest")
-    store = ingest_corpus(corpus, opts.labels)
-    manifest.add_input(corpus, opts.labels)
-    if lexicon:
-        store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
-        manifest.add_input(opts.lexicon)
-    manifest.stop("ingest")
+    with manifest.stage("ingest"):
+        store = ingest_corpus(corpus, opts.labels)
+        manifest.add_input(corpus, opts.labels)
+        if lexicon:
+            store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
+            manifest.add_input(opts.lexicon)
     return store
-
-
-def _node_table(opts: RunOptions, store: CorpusStore, manifest: StageManifest) -> EmbeddingTable:
-    """Every subcommand's node features: fetched from ``endpoint`` when one is
-    configured, else read from ``--embeddings``; L2-normalized, then rounded to
-    the precision ``embeddings.emb1`` and ``graph.gcg1`` store."""
-    if opts.endpoint:
-        provider = RemoteEmbeddingProvider(ProviderConfig(
-            opts.endpoint, opts.truncation_tokens, max_in_flight=opts.threads))
-        texts = {c.id: c.text for c in store.cases} | {ch.id: ch.name for ch in store.charges}
-        table = provider.fetch_many((node_id, texts[node_id]) for node_id in store.node_ids)
-    else:
-        table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
-        manifest.add_input(opts.embeddings)
-    return round_to_stored(normalize_table(table))
-
-
-def _case_graph(
-    opts: RunOptions, store: CorpusStore, index: Bm25Index, training: TrainingConfig,
-    manifest: StageManifest,
-) -> GlobalCaseGraph:
-    """The ``--graph`` file when one is given, else the graph ``pipeline`` builds."""
-    if opts.graph is not None:
-        gcg = load_graph(opts.graph)
-        manifest.add_input(opts.graph)
-        return gcg
-    return build_global_case_graph(store, _node_table(opts, store, manifest), index,
-                                   k=training.k_edges, delta=training.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +340,7 @@ def _case_graph(
 
 def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
     """Write the normalized corpus and its counts; returns the counts. Its
-    ``ingest`` timing runs on from the one :func:`_load_store` started, so it
+    time adds to the ``ingest`` entry of :func:`_load_store`, so that entry
     covers the read as well as the write."""
 
     def write_cases(path: Path) -> None:
@@ -376,37 +350,45 @@ def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
                           "year": case.year}
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
 
-    stats = {
-        "n_cases": store.n_cases,
-        "n_queries": len(store.queries()),
-        "n_candidates": len(store.candidates()),
-        "n_labeled_queries": len(store.labels),
-    }
-    manifest.commit("ingest", {
-        manifest.out / "corpus_normalized.jsonl": write_cases,
-        manifest.out / "stats.json": lambda path: _write_json(path, stats),
-    })
+    with manifest.stage("ingest") as out:
+        stats = {
+            "n_cases": store.n_cases,
+            "n_queries": len(store.queries()),
+            "n_candidates": len(store.candidates()),
+            "n_labeled_queries": len(store.labels),
+        }
+        out[manifest.out / "corpus_normalized.jsonl"] = write_cases
+        out[manifest.out / "stats.json"] = lambda path: write_json(path, stats)
     return stats
 
 
 def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> Bm25Index:
     """Build (or reuse from the cache) the BM25 index and write ``bm25.bin``."""
-    manifest.start("index")
-    index, digest = _get_index(store, opts)
-    manifest.commit("index", {
-        manifest.out / "bm25.bin": lambda path: save_index(index, path, digest),
-    })
+    with manifest.stage("index") as out:
+        index, digest = _get_index(store, opts)
+        out[manifest.out / "bm25.bin"] = lambda path: save_index(index, path, digest)
     return index
 
 
 def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> EmbeddingTable:
     """Read or fetch the node vectors, check that every node has one and write
-    them in node order to ``embeddings.emb1``; returns them."""
-    manifest.start("embed")
-    table = _node_table(opts, store, manifest)
-    check_coverage(table, store)
-    manifest.commit("embed", {manifest.out / "embeddings.emb1":
-                              lambda path: write_binary_embeddings(table, path, store.node_ids)})
+    them in node order to ``embeddings.emb1``; returns them. They are fetched
+    from ``endpoint`` when one is configured, else read from ``--embeddings``,
+    then L2-normalized and rounded to the precision ``embeddings.emb1`` and
+    ``graph.gcg1`` store."""
+    with manifest.stage("embed") as out:
+        if opts.endpoint:
+            provider = RemoteEmbeddingProvider(ProviderConfig(
+                opts.endpoint, opts.truncation_tokens, max_in_flight=opts.threads))
+            texts = {c.id: c.text for c in store.cases} | {ch.id: ch.name for ch in store.charges}
+            table = provider.fetch_many((node_id, texts[node_id]) for node_id in store.node_ids)
+        else:
+            table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
+            manifest.add_input(opts.embeddings)
+        table = round_to_stored(normalize_table(table))
+        check_coverage(table, store)
+        out[manifest.out / "embeddings.emb1"] = \
+            lambda path: write_binary_embeddings(table, path, store.node_ids)
     return table
 
 
@@ -415,11 +397,11 @@ def graph_stage(
     training: TrainingConfig, manifest: StageManifest,
 ) -> GlobalCaseGraph:
     """Assemble the global case graph and write ``graph.gcg1``."""
-    manifest.start("graph")
-    gcg = build_global_case_graph(
-        store, table, index, k=training.k_edges, delta=training.delta
-    )
-    manifest.commit("graph", {manifest.out / "graph.gcg1": lambda path: save_graph(gcg, path)})
+    with manifest.stage("graph") as out:
+        gcg = build_global_case_graph(
+            store, table, index, k=training.k_edges, delta=training.delta
+        )
+        out[manifest.out / "graph.gcg1"] = lambda path: save_graph(gcg, path)
     return gcg
 
 
@@ -428,15 +410,14 @@ def train_stage(
     training: TrainingConfig, manifest: StageManifest,
 ) -> TrainResult:
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
-    manifest.start("train")
-    ckpt_dir = manifest.out / "checkpoints"
-    for name in CHECKPOINT_FILES:
-        manifest.add_output(ckpt_dir / name)
-    manifest.write()  # train() finalizes each checkpoint as it goes
-    result = train(
-        store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index
-    )
-    manifest.commit("train", {})
+    with manifest.stage("train"):
+        ckpt_dir = manifest.out / "checkpoints"
+        for name in CHECKPOINT_FILES:
+            manifest.add_output(ckpt_dir / name)
+        manifest.write()  # train() finalizes each checkpoint as it goes
+        result = train(
+            store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index
+        )
     return result
 
 
@@ -445,15 +426,13 @@ def rank_stage(
     opts: RunOptions, manifest: StageManifest,
 ) -> RetrievalRun:
     """Encode the graph, rank candidates per query, write ``run.tsv`` and ``run.json``."""
-    manifest.start("rank")
-    h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
-    reps = representations_from_rows(gcg.node_ids, h)
-    run = rank_all(store, index, reps, prefilter_size=opts.prefilter_size,
-                   final_size=opts.final_size)
-    manifest.commit("rank", {
-        manifest.out / "run.tsv": lambda path: write_run_tsv(run, path),
-        manifest.out / "run.json": lambda path: write_run_json(run, path),
-    })
+    with manifest.stage("rank") as out:
+        h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
+        reps = representations_from_rows(gcg.node_ids, h)
+        run = rank_all(store, index, reps, prefilter_size=opts.prefilter_size,
+                       final_size=opts.final_size)
+        out[manifest.out / "run.tsv"] = lambda path: write_run_tsv(run, path)
+        out[manifest.out / "run.json"] = lambda path: write_run_json(run, path)
     return run
 
 
@@ -462,16 +441,33 @@ def eval_stage(
     manifest: StageManifest,
 ) -> EvalReport:
     """Score a run against the labels and write ``report.json``."""
-    manifest.start("eval")
-    report = evaluate_runs(retrieved, labels)
-    manifest.commit("eval", {
-        manifest.out / "report.json": lambda path: write_report_json(report, path),
-    })
+    with manifest.stage("eval") as out:
+        report = evaluate_runs(retrieved, labels)
+        out[manifest.out / "report.json"] = lambda path: write_report_json(report, path)
     return report
 
 
 # ---------------------------------------------------------------------------
-# subcommands: resolve inputs, run one stage, print a summary
+# subcommands: resolve inputs, run the stages, print a summary
+
+
+def _case_chain(
+    opts: RunOptions, manifest: StageManifest, training: TrainingConfig,
+    need_labels: bool = False,
+) -> tuple[CorpusStore, Bm25Index, GlobalCaseGraph]:
+    """``pipeline``'s stages up to the graph, the ones every subcommand from
+    ``graph`` to ``pipeline`` runs first: ingest, embed, index and graph; with
+    ``--graph``, ingest, index and a ``graph`` stage that reads that file."""
+    store = _load_store(opts, manifest, need_labels)
+    if opts.graph is None:
+        table = embed_stage(store, opts, manifest)
+        index = index_stage(store, opts, manifest)
+        return store, index, graph_stage(store, table, index, training, manifest)
+    index = index_stage(store, opts, manifest)
+    with manifest.stage("graph"):
+        gcg = load_graph(opts.graph)
+        manifest.add_input(opts.graph)
+    return store, index, gcg
 
 
 def _print_json(obj) -> None:
@@ -495,18 +491,13 @@ def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_graph(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest)
-    table = _node_table(opts, store, manifest)
-    index, _digest = _get_index(store, opts)
-    gcg = graph_stage(store, table, index, training, manifest)
+    _store, _index, gcg = _case_chain(opts, manifest, training)
     _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
                  "edges": int(gcg.adjacency.nnz // 2)})
 
 
 def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest, need_labels=True)
-    index, _digest = _get_index(store, opts)
-    gcg = _case_graph(opts, store, index, training, manifest)
+    store, index, gcg = _case_chain(opts, manifest, training, need_labels=True)
     result = train_stage(store, gcg, index, training, manifest)
     best = result.log[result.best_epoch] if result.log else None
     _print_json({"best_epoch": result.best_epoch,
@@ -515,12 +506,11 @@ def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfi
 
 
 def cmd_rank(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest)
     ckpt_path = _require(opts, "checkpoint")
-    index, _digest = _get_index(store, opts)
-    gcg = _case_graph(opts, store, index, training, manifest)
-    params = load_checkpoint(ckpt_path)
-    manifest.add_input(ckpt_path)
+    store, index, gcg = _case_chain(opts, manifest, training)
+    with manifest.stage("rank"):  # rank_stage adds its own time to this entry
+        params = load_checkpoint(ckpt_path)
+        manifest.add_input(ckpt_path)
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})
 
@@ -545,10 +535,7 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest, need_labels=True)
-    table = embed_stage(store, opts, manifest)
-    index = index_stage(store, opts, manifest)
-    gcg = graph_stage(store, table, index, training, manifest)
+    store, index, gcg = _case_chain(opts, manifest, training, need_labels=True)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)
     report = eval_stage(run.retrieved(), store.labels, manifest)
@@ -556,24 +543,21 @@ def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingCo
 
 
 def cmd_synth(opts: RunOptions, manifest: StageManifest, spec: SyntheticSpec) -> None:
-    out = opts.out_dir
-    manifest.start("synth")
-    ds = generate(spec)
-    paths = write_dataset(ds, out)
-    pipeline_cfg = {
-        "corpus": str(paths["corpus"].resolve()),
-        "labels": str(paths["labels"].resolve()),
-        "lexicon": str(paths["lexicon"].resolve()),
-        "embeddings": str(paths["embeddings"].resolve()),
-        "out_dir": str((out / "pipeline").resolve()),
-        "training": {"seed": spec.seed},
-    }
-    cfg_path = out / "config.json"
-    _write_json(cfg_path, pipeline_cfg)
-    for p in [*paths.values(), cfg_path]:
-        manifest.add_output(p)
-    manifest.stop("synth")
-    manifest.write()
+    cfg_path = opts.out_dir / "config.json"
+    with manifest.stage("synth") as out:
+        ds = generate(spec)
+        paths = write_dataset(ds, opts.out_dir)
+        for p in paths.values():
+            manifest.add_output(p)
+        pipeline_cfg = {
+            "corpus": str(paths["corpus"].resolve()),
+            "labels": str(paths["labels"].resolve()),
+            "lexicon": str(paths["lexicon"].resolve()),
+            "embeddings": str(paths["embeddings"].resolve()),
+            "out_dir": str((opts.out_dir / "pipeline").resolve()),
+            "training": {"seed": spec.seed},
+        }
+        out[cfg_path] = lambda path: write_json(path, pipeline_cfg)
     _print_json({"cases": ds.store.n_cases, "queries": ds.n_queries,
                  "charges": ds.store.n_charges, "config": str(cfg_path)})
 

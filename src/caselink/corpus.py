@@ -8,7 +8,8 @@ Input formats:
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
 
 Text inputs are read through :func:`read_text`, :func:`iter_lines` and
-:func:`decode_object`, so every fault in one is an error naming the file and the line.
+:func:`decode_object`, so every fault in one is an error naming the file and the line;
+JSON files are written through :func:`write_json`.
 """
 
 from __future__ import annotations
@@ -173,6 +174,12 @@ def read_text(path: str | Path) -> str:
     return _newlines(text)
 
 
+def write_json(path: str | Path, obj) -> None:
+    """Write ``obj`` to ``path`` as UTF-8 JSON: keys sorted, indented by 2, one
+    final newline. Every JSON file the package writes is written here."""
+    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
 def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -312,10 +319,8 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
         if name.startswith("{"):
             rec = decode_object(name, path, i, ("name",))
             cid = string_field(rec, "id", i, path) if "id" in rec else cid
-            name = rec["name"]
-            if name is None:
-                raise ParseError("charge name is null", i, path)
-        name = " ".join(str(name).split())
+            name = string_field(rec, "name", i, path)
+        name = " ".join(name.split())
         key = normalize_charge_name(name)
         if not key:
             raise ParseError(f"charge name {name!r} has no letters or digits", i, path)

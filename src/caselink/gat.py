@@ -16,7 +16,6 @@ validated against central finite differences.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -25,6 +24,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .binfile import pack, read_container
+from .corpus import write_json
 from .errors import DimensionError, NumericalError, TraceError
 
 _MAGIC = b"GATC"
@@ -413,10 +413,7 @@ def save_checkpoint(
         fh.write(pack("dd", params.leaky_slope, params.dropout_rate))
         fh.write(params.flat.astype("<f8").tobytes())
     if sidecar is not None:
-        sidecar_path = Path(str(path) + ".json")
-        sidecar_path.write_text(
-            json.dumps(sidecar, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-        )
+        write_json(Path(str(path) + ".json"), sidecar)
 
 
 def load_checkpoint(path: str | Path) -> GatParams:

@@ -4,7 +4,6 @@ dense re-ranking), a lexical-only baseline, and micro-averaged evaluation.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -12,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from .bm25 import Bm25Index, _block_top_k, check_case_order, top_k
-from .corpus import CaseDocument, CorpusStore, iter_lines
+from .corpus import CaseDocument, CorpusStore, iter_lines, write_json
 from .embeddings import unit_rows
 from .errors import DimensionError, MissingEmbeddingError, ParseError
 
@@ -248,16 +247,11 @@ def write_run_tsv(run: RetrievalRun, path: str | Path) -> None:
 
 def write_run_json(run: RetrievalRun, path: str | Path) -> None:
     """JSON run file: query id mapped to its ordered candidate id array."""
-    payload = {r.query_id: list(r.final_ids) for r in run.results}
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, {r.query_id: list(r.final_ids) for r in run.results})
 
 
 def write_report_json(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(path, report.to_dict())
 
 
 def read_run_tsv(path: str | Path) -> dict[str, tuple[str, ...]]:

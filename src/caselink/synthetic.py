@@ -24,6 +24,7 @@ from .corpus import (
     Role,
     extract_latest_year,
     tokenize,
+    write_json,
 )
 from .embeddings import EmbeddingTable
 
@@ -272,11 +273,7 @@ def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:
                 )
                 + "\n"
             )
-    paths["labels"].write_text(
-        json.dumps({q: list(cids) for q, cids in ds.labels.items()}, sort_keys=True, indent=2)
-        + "\n",
-        encoding="utf-8",
-    )
+    write_json(paths["labels"], {q: list(cids) for q, cids in ds.labels.items()})
     with paths["lexicon"].open("w", encoding="utf-8") as fh:
         for charge in ds.store.charges:
             fh.write(json.dumps({"id": charge.id, "name": charge.name}, sort_keys=True) + "\n")

@@ -3,6 +3,7 @@
 import json
 import os
 import struct
+import time
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,14 @@ def dataset(tmp_path):
 
 def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
+
+
+def slowed(step):
+    """``step``, taking 50 ms longer."""
+    def wrapped(*args, **kwargs):
+        time.sleep(0.05)
+        return step(*args, **kwargs)
+    return wrapped
 
 
 class TestTopLevel:
@@ -619,6 +628,7 @@ class TestStagedAndFused:
         flags = ["--epochs", "4", "--lr", "0.01", "--dropout", "0.1", "--tau", "0.05"]
         fused = tmp_path / "fused"
         assert main(["pipeline", *cfg, "--out", str(fused), *flags]) == 0
+        assert main(["graph", *cfg, "--out", str(tmp_path / "graph"), *flags]) == 0
         assert main(["train", *cfg, "--out", str(tmp_path / "train"), *flags]) == 0
         ckpt = tmp_path / "train" / "checkpoints" / "checkpoint.gatc"
         assert main(["rank", *cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "rank"),
@@ -628,6 +638,11 @@ class TestStagedAndFused:
                     == (fused / "checkpoints" / name).read_bytes()), name
         for name in ("run.tsv", "run.json"):
             assert (tmp_path / "rank" / name).read_bytes() == (fused / name).read_bytes(), name
+        # every subcommand writes the files of the stages it shares with the pipeline
+        for command in ("graph", "train", "rank"):
+            for name in ("bm25.bin", "embeddings.emb1", "graph.gcg1"):
+                assert ((tmp_path / command / name).read_bytes()
+                        == (fused / name).read_bytes()), (command, name)
 
     def test_pipeline_hands_on_what_its_files_hold(self, dataset, monkeypatch):
         import numpy as np
@@ -731,12 +746,17 @@ class TestNodeIds:
 class TestManifests:
     @pytest.mark.parametrize("outcome,epochs", [("graph fails", 2), ("succeeds", 2),
                                                 ("succeeds", 0)])
-    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch, outcome,
-                                                     epochs):
+    @pytest.mark.parametrize("command", ["graph", "train", "rank", "pipeline"])
+    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch, command,
+                                                     outcome, epochs):
         from caselink import cli
         from caselink.errors import GraphConstructionError
 
         tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        ckpt = tmp_path / "ckpt" / "checkpoints" / "checkpoint.gatc"
+        if command == "rank":
+            assert main(["train", *cfg, "--out", str(ckpt.parent.parent), "--epochs", "1"]) == 0
 
         def fail(*args, **kwargs):
             raise GraphConstructionError("injected failure")
@@ -744,8 +764,9 @@ class TestManifests:
         if outcome == "graph fails":
             monkeypatch.setattr(cli, "build_global_case_graph", fail)
         out = tmp_path / "out"
-        argv = ["pipeline", "--config", str(config_path), "--out", str(out),
-                "--epochs", str(epochs)]
+        argv = [command, *cfg, "--out", str(out), "--epochs", str(epochs)]
+        if command == "rank":
+            argv += ["--checkpoint", str(ckpt)]
         assert main(argv) == (2 if outcome == "graph fails" else 0)
         listed = set(read_manifest(out)["outputs"])
         left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
@@ -753,17 +774,9 @@ class TestManifests:
         assert left == listed
 
     def test_ingest_and_embed_timings_cover_reading_their_inputs(self, dataset, monkeypatch):
-        import time
-
         from caselink import cli
 
         tmp_path, config_path = dataset
-
-        def slowed(read):
-            def wrapped(*args, **kwargs):
-                time.sleep(0.05)
-                return read(*args, **kwargs)
-            return wrapped
 
         monkeypatch.setattr(cli, "ingest_corpus", slowed(cli.ingest_corpus))
         monkeypatch.setattr(cli, "load_embedding_file", slowed(cli.load_embedding_file))
@@ -775,8 +788,37 @@ class TestManifests:
                          *argv[1:]]) == 0
             timings = read_manifest(out)["timings_ms"]
             assert timings["ingest"] >= 50, argv[0]
-            if argv[0] in ("pipeline", "embed"):
+            if argv[0] not in ("ingest", "index"):
                 assert timings["embed"] >= 50, argv[0]
+
+    @pytest.mark.parametrize("given_graph", [False, True], ids=["built graph", "--graph"])
+    def test_timings_cover_every_step(self, dataset, monkeypatch, given_graph):
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        gcg = tmp_path / "g" / "graph.gcg1"
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["train", *cfg, "--out", str(tmp_path / "t"), "--epochs", "1"]) == 0
+        assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
+
+        slow = ["load_graph"] if given_graph else ["build_global_case_graph", "_get_index"]
+        for name in slow:
+            monkeypatch.setattr(cli, name, slowed(getattr(cli, name)))
+        given = ["--graph", str(gcg)] if given_graph else []
+        commands = [["train", *given, "--epochs", "1"], ["rank", *given, "--checkpoint", str(ckpt)]]
+        if not given_graph:
+            commands.insert(0, ["graph"])
+        for argv in commands:
+            out = tmp_path / argv[0]
+            t0 = time.perf_counter()
+            assert main([argv[0], *cfg, "--out", str(out), *argv[1:]]) == 0
+            wall_ms = (time.perf_counter() - t0) * 1e3
+            timings = read_manifest(out)["timings_ms"]
+            assert timings["graph"] >= 50, argv[0]
+            if not given_graph:
+                assert timings["index"] >= 50, argv[0]
+                assert sum(timings.values()) >= 0.9 * wall_ms, (argv[0], timings, wall_ms)
 
     def test_config_records_every_option_and_section_read(self, dataset):
         from caselink.cli import COMMANDS
@@ -1299,13 +1341,17 @@ class TestTextInputErrors:
          "'id' must be a string or a number, not an array"),
         ("embeddings.jsonl", TEXT_INPUTS["embeddings.jsonl"] + '{"id": {}, "vector": [1, 1]}\n',
          4, "'id' must be a string or a number, not an object"),
+        ("lexicon.txt", 'theft\n{"id": "c1", "name": ["car", "theft"]}\n', 2,
+         "'name' must be a string or a number, not an array"),
+        ("lexicon.txt", '{"id": "c3", "name": true}\n', 1,
+         "'name' must be a string or a number, not a boolean"),
     ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
             "labels value not a list", "labels not an object", "lexicon line without name",
             "lexicon name twice", "run rank not an integer", "run candidate three times",
             "config not an object", "config truncated", "embedding id twice",
             "corpus null id and text", "corpus boolean id", "corpus array text",
             "corpus number text", "lexicon null id", "embedding array id",
-            "embedding object id"])
+            "embedding object id", "lexicon array name", "lexicon boolean name"])
     def test_damaged_input_is_data_error_naming_the_file_and_line(self, tmp_path, capsys, name,
                                                                    damaged, line, reason):
         assert self.run(tmp_path, name, damaged) == 2

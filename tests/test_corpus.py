@@ -448,5 +448,11 @@ class TestLinesAndObjects:
     def test_a_null_charge_name_names_the_file_and_line(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text('fraud\n{"id": "c1", "name": null}\n')
-        with pytest.raises(ParseError, match=f"^line 2: {p}: charge name is null$"):
+        with pytest.raises(ParseError, match=f"^line 2: {p}: 'name' must be a string or a "
+                                             "number, not null$"):
             load_charge_lexicon(p)
+
+    def test_a_number_charge_name_is_its_decimal_text(self, tmp_path):
+        p = tmp_path / "lex.txt"
+        p.write_text('fraud\n{"id": "c1", "name": 5}\n')
+        assert [ch.name for ch in load_charge_lexicon(p)] == ["fraud", "5"]
