@@ -233,7 +233,7 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
 
 
 # ---------------------------------------------------------------------------
-# Binary cache
+# Binary index file
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -258,13 +258,16 @@ def save_index(index: Bm25Index, path: str | Path, digest: str = "") -> None:
 
 
 def load_index(path: str | Path) -> tuple[Bm25Index, str]:
-    """Load a cached index; returns (index, corpus digest recorded at save time).
+    """Load a ``bm25.bin`` that :func:`save_index` wrote; returns (index, corpus
+    digest recorded at save time). No stage reads one back, since every run
+    builds its index; this serves readers of a run's outputs, such as the
+    benchmark's output checks (``perfbench/checks.py``).
 
-    A meta record that does not fit :class:`_Meta` or whose ``k1`` and ``b``
-    fail :func:`check_parameters`, a vocabulary that is not strictly
-    increasing, or a term-count CSR that is malformed, not canonical or holds a
-    zero count, raises IngestError."""
-    with read_container(path, _MAGIC, "BM25 index cache", IngestError, _FORMAT_VERSION) as r:
+    Another magic or format version, a meta record that does not fit
+    :class:`_Meta` or whose ``k1`` and ``b`` fail :func:`check_parameters`, a
+    vocabulary that is not strictly increasing, or a term-count CSR that is
+    malformed, not canonical or holds a zero count, raises IngestError."""
+    with read_container(path, _MAGIC, "BM25 index", IngestError, _FORMAT_VERSION) as r:
         meta = _Meta(**record(_Meta, r.json(), IngestError, f"{path}: meta"))
         (nnz,) = r.unpack("Q")
         indptr = r.array("<u4", len(meta.doc_ids) + 1)

@@ -12,9 +12,10 @@ directory (before the outputs are finalized) recording the resolved config,
 sha256 digests of all inputs, output paths, the tool version, and per-stage
 wall-clock timings.
 
-Exit codes: 0 success, 1 usage error, 2 data error, 3 numerical error.
-The env var ``CASELINK_CACHE_DIR`` names a directory for reusable BM25 index
-caches keyed by corpus digest.
+Every subcommand that needs the BM25 index builds it in its ``index`` stage,
+the one source of an index, and writes it to ``bm25.bin`` with the digest of
+the corpus it was built from. Exit codes: 0 success, 1 usage error, 2 data
+error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, Iterator
 
 from . import __version__
 from .binfile import field_kinds, record
-from .bm25 import Bm25Index, build_index, check_parameters, load_index, save_index
+from .bm25 import Bm25Index, build_index, check_parameters, save_index
 from .corpus import (
     CorpusStore,
     attach_charges,
@@ -44,6 +45,7 @@ from .corpus import (
     load_labels,
     read_text,
     write_json,
+    write_jsonl,
 )
 from .embeddings import (
     EmbeddingTable,
@@ -55,7 +57,7 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, IngestError, LabelError, NumericalError, ParseError, located
+from .errors import CaseLinkError, LabelError, NumericalError, ParseError, located
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import GlobalCaseGraph, build_global_case_graph, load_graph, save_graph
 from .retrieval import (
@@ -73,10 +75,11 @@ from .retrieval import (
     write_run_tsv,
 )
 from .synthetic import SyntheticSpec, generate, write_dataset
-from .training import CHECKPOINT_FILES, TrainingConfig, TrainResult, train
+from .training import CHECKPOINT_FILES, TrainingConfig, TrainResult, check_labels, train
 
-logger = logging.getLogger(__name__)
-
+# Read by nothing here: every run builds its BM25 index. The name stays
+# because the benchmark (perfbench/run.py) still clears this variable before
+# it measures.
 CACHE_ENV_VAR = "CASELINK_CACHE_DIR"
 
 
@@ -117,11 +120,11 @@ class StageManifest:
 
     Each stage rewrites it with its outputs and timing before renaming those
     outputs into place, so a finalized artifact never exists without one.
+    With ``out_dir`` None the stages run and nothing is written.
     """
 
-    def __init__(self, out_dir: Path, command: str, config_path, config: dict):
-        self.out = Path(out_dir)
-        self.path = self.out / "manifest.json"
+    def __init__(self, out_dir: Path | None, command: str, config_path, config: dict):
+        self.out = None if out_dir is None else Path(out_dir)
         self.data = {
             "tool": "caselink",
             "version": __version__,
@@ -146,20 +149,23 @@ class StageManifest:
 
     def write(self) -> None:
         self.out.mkdir(parents=True, exist_ok=True)
-        write_json(self.path, self.data)
+        write_json(self.out / "manifest.json", self.data)
 
     @contextlib.contextmanager
-    def stage(self, name: str) -> Iterator[dict[Path, Callable[[Path], object]]]:
+    def stage(self, name: str) -> Iterator[dict[str, Callable[[Path], object]]]:
         """Time the block as stage ``name``; the block fills the yielded dict
-        with its outputs, ``path -> writer``. When the block ends without an
-        error, each output is written through its writer to a ``.tmp`` sibling
-        and recorded, the block's time is added to ``timings_ms[name]`` (so two
-        blocks of one name time both), the manifest is written once it records
-        some output, and the outputs are renamed into place. A block that
-        raises records nothing."""
+        with its outputs, ``file name -> writer``, each name taken in the output
+        directory. When the block ends without an error, each output is written
+        through its writer to a ``.tmp`` sibling and recorded, the block's time
+        is added to ``timings_ms[name]`` (so two blocks of one name time both),
+        the manifest is written once it records some output, and the outputs
+        are renamed into place. A block that raises records nothing."""
         t0 = time.perf_counter()
-        outputs: dict[Path, Callable[[Path], object]] = {}
-        yield outputs
+        names: dict[str, Callable[[Path], object]] = {}
+        yield names
+        if self.out is None:
+            return
+        outputs = {self.out / name: write for name, write in names.items()}
         if outputs:
             self.out.mkdir(parents=True, exist_ok=True)
         for path, write in outputs.items():
@@ -265,46 +271,6 @@ def _resolve(args, cls, values, where: str, names=None, config: str | None = Non
     raise ParseError(f"invalid {where}: {error}", path=config) from error
 
 
-def _cache_dir() -> Path | None:
-    v = os.environ.get(CACHE_ENV_VAR)
-    if not v:
-        return None
-    p = Path(v)
-    p.mkdir(parents=True, exist_ok=True)
-    return p
-
-
-def _get_index(store: CorpusStore, opts: RunOptions) -> tuple[Bm25Index, str]:
-    """Build the BM25 index of ``opts.corpus`` with ``opts.k1``/``opts.b``,
-    consulting the digest-keyed cache directory.
-
-    A cache file that cannot be read, or that was built from another corpus or
-    other parameters, counts as a miss: the index is rebuilt and the file
-    atomically replaced.
-    """
-    k1, b = opts.k1, opts.b
-    digest = _digest_path(opts.corpus)
-    cache = _cache_dir()
-    if cache is None:
-        return build_index(store, k1=k1, b=b), digest
-    cache_file = cache / f"bm25_{digest[:16]}_{k1:g}_{b:g}.bin"
-    if cache_file.exists():
-        try:
-            index, cached_digest = load_index(cache_file)
-        except (IngestError, ValueError) as exc:
-            logger.warning("rebuilding unreadable BM25 cache %s: %s", cache_file, exc)
-        else:
-            if cached_digest == digest and index.k1 == k1 and index.b == b:
-                logger.info("reusing BM25 cache %s", cache_file)
-                return index, digest
-            logger.warning("rebuilding BM25 cache %s: built from other inputs", cache_file)
-    index = build_index(store, k1=k1, b=b)
-    tmp = _tmp(cache_file)
-    save_index(index, tmp, digest)
-    os.replace(tmp, cache_file)
-    return index, digest
-
-
 # ---------------------------------------------------------------------------
 # input resolution shared by the subcommands; each file read is recorded as an
 # input of the manifest
@@ -343,13 +309,6 @@ def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
     time adds to the ``ingest`` entry of :func:`_load_store`, so that entry
     covers the read as well as the write."""
 
-    def write_cases(path: Path) -> None:
-        with path.open("w", encoding="utf-8") as fh:
-            for case in store.cases:
-                record = {"id": case.id, "role": case.role.value, "text": case.text,
-                          "year": case.year}
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-
     with manifest.stage("ingest") as out:
         stats = {
             "n_cases": store.n_cases,
@@ -357,16 +316,20 @@ def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
             "n_candidates": len(store.candidates()),
             "n_labeled_queries": len(store.labels),
         }
-        out[manifest.out / "corpus_normalized.jsonl"] = write_cases
-        out[manifest.out / "stats.json"] = lambda path: write_json(path, stats)
+        out["corpus_normalized.jsonl"] = lambda path: write_jsonl(path, (
+            {"id": c.id, "role": c.role.value, "text": c.text, "year": c.year}
+            for c in store.cases))
+        out["stats.json"] = lambda path: write_json(path, stats)
     return stats
 
 
 def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> Bm25Index:
-    """Build (or reuse from the cache) the BM25 index and write ``bm25.bin``."""
+    """Build the BM25 index of ``opts.corpus`` with ``opts.k1``/``opts.b`` and
+    write it to ``bm25.bin`` with the corpus digest."""
     with manifest.stage("index") as out:
-        index, digest = _get_index(store, opts)
-        out[manifest.out / "bm25.bin"] = lambda path: save_index(index, path, digest)
+        index = build_index(store, k1=opts.k1, b=opts.b)
+        digest = _digest_path(opts.corpus)
+        out["bm25.bin"] = lambda path: save_index(index, path, digest)
     return index
 
 
@@ -387,8 +350,7 @@ def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
             manifest.add_input(opts.embeddings)
         table = round_to_stored(normalize_table(table))
         check_coverage(table, store)
-        out[manifest.out / "embeddings.emb1"] = \
-            lambda path: write_binary_embeddings(table, path, store.node_ids)
+        out["embeddings.emb1"] = lambda path: write_binary_embeddings(table, path, store.node_ids)
     return table
 
 
@@ -401,7 +363,7 @@ def graph_stage(
         gcg = build_global_case_graph(
             store, table, index, k=training.k_edges, delta=training.delta
         )
-        out[manifest.out / "graph.gcg1"] = lambda path: save_graph(gcg, path)
+        out["graph.gcg1"] = lambda path: save_graph(gcg, path)
     return gcg
 
 
@@ -409,15 +371,16 @@ def train_stage(
     store: CorpusStore, gcg: GlobalCaseGraph, index: Bm25Index,
     training: TrainingConfig, manifest: StageManifest,
 ) -> TrainResult:
-    """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``."""
+    """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``.
+    Once the labels pass, ``train()`` leaves every file the manifest lists,
+    even when the run diverges."""
     with manifest.stage("train"):
+        check_labels(store.labels)
         ckpt_dir = manifest.out / "checkpoints"
         for name in CHECKPOINT_FILES:
             manifest.add_output(ckpt_dir / name)
         manifest.write()  # train() finalizes each checkpoint as it goes
-        result = train(
-            store, gcg, store.labels, training, checkpoint_dir=ckpt_dir, bm25_index=index
-        )
+        result = train(store, gcg, store.labels, training, index, checkpoint_dir=ckpt_dir)
     return result
 
 
@@ -431,8 +394,8 @@ def rank_stage(
         reps = representations_from_rows(gcg.node_ids, h)
         run = rank_all(store, index, reps, prefilter_size=opts.prefilter_size,
                        final_size=opts.final_size)
-        out[manifest.out / "run.tsv"] = lambda path: write_run_tsv(run, path)
-        out[manifest.out / "run.json"] = lambda path: write_run_json(run, path)
+        out["run.tsv"] = lambda path: write_run_tsv(run, path)
+        out["run.json"] = lambda path: write_run_json(run, path)
     return run
 
 
@@ -443,7 +406,7 @@ def eval_stage(
     """Score a run against the labels and write ``report.json``."""
     with manifest.stage("eval") as out:
         report = evaluate_runs(retrieved, labels)
-        out[manifest.out / "report.json"] = lambda path: write_report_json(report, path)
+        out["report.json"] = lambda path: write_report_json(report, path)
     return report
 
 
@@ -515,23 +478,20 @@ def cmd_rank(opts: RunOptions, manifest: StageManifest, training: TrainingConfig
     _print_json({"queries": len(run.results)})
 
 
-def cmd_eval(opts: RunOptions, manifest: StageManifest | None) -> None:
+def cmd_eval(opts: RunOptions, manifest: StageManifest) -> None:
     """Score ``--run`` against ``--labels``; ``report.json`` is written only
-    when ``--out`` is given (``manifest`` is None otherwise)."""
+    when ``--out`` is given (``manifest`` writes nothing otherwise)."""
     run_path = _require(opts, "run")
     labels_path = _require(opts, "labels")
-    retrieved = read_run_tsv(run_path)
-    labels = load_labels(labels_path)
-    missing = sorted(set(retrieved) - set(labels))
-    if missing:
-        raise LabelError(f"run queries missing from the labels in {labels_path}: "
-                         f"{missing[:5]}", path=run_path)
-    if manifest is None:
-        report = evaluate_runs(retrieved, labels)
-    else:
+    with manifest.stage("eval"):  # eval_stage adds its own time to this entry
+        retrieved = read_run_tsv(run_path)
+        labels = load_labels(labels_path)
+        missing = sorted(set(retrieved) - set(labels))
+        if missing:
+            raise LabelError(f"run queries missing from the labels in {labels_path}: "
+                             f"{missing[:5]}", path=run_path)
         manifest.add_input(run_path, labels_path)
-        report = eval_stage(retrieved, labels, manifest)
-    _print_json(report.to_dict())
+    _print_json(eval_stage(retrieved, labels, manifest).to_dict())
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
@@ -557,7 +517,7 @@ def cmd_synth(opts: RunOptions, manifest: StageManifest, spec: SyntheticSpec) ->
             "out_dir": str((opts.out_dir / "pipeline").resolve()),
             "training": {"seed": spec.seed},
         }
-        out[cfg_path] = lambda path: write_json(path, pipeline_cfg)
+        out[cfg_path.name] = lambda path: write_json(path, pipeline_cfg)
     _print_json({"cases": ds.store.n_cases, "queries": ds.n_queries,
                  "charges": ds.store.n_charges, "config": str(cfg_path)})
 
@@ -585,7 +545,7 @@ _CASE_INPUTS = ("corpus", "labels", "lexicon", "embeddings", "dim")
 COMMANDS = {
     "ingest": Command(cmd_ingest, "validate and normalize a corpus",
                       ("corpus", "labels", "out_dir")),
-    "index": Command(cmd_index, "build the BM25 index cache",
+    "index": Command(cmd_index, "build the BM25 index",
                      ("corpus", "labels", "k1", "b", "out_dir")),
     "embed": Command(cmd_embed, "load or fetch embeddings into a binary table",
                      ("corpus", "lexicon", "embeddings", "dim", "endpoint", "truncation_tokens",
@@ -644,10 +604,8 @@ def _run(args) -> None:
     values = {name: getattr(opts, name) for name in command.options}
     config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
     config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}
-    manifest = None
-    if not (command.out_optional and args.out_dir is None):
-        manifest = StageManifest(opts.out_dir, args.command, args.config, config)
-    command.func(opts, manifest, *sections)
+    out_dir = None if command.out_optional and args.out_dir is None else opts.out_dir
+    command.func(opts, StageManifest(out_dir, args.command, args.config, config), *sections)
 
 
 def main(argv: list[str] | None = None) -> int:

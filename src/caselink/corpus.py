@@ -9,7 +9,7 @@ Input formats:
 
 Text inputs are read through :func:`read_text`, :func:`iter_lines` and
 :func:`decode_object`, so every fault in one is an error naming the file and the line;
-JSON files are written through :func:`write_json`.
+JSON files are written through :func:`write_json`, JSONL files through :func:`write_jsonl`.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyLexiconError,
@@ -180,6 +180,13 @@ def write_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """Write each record to ``path`` as one line of UTF-8 JSON, keys sorted.
+    Every JSONL file the package writes is written here."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
 def _newlines(text: str) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
@@ -215,25 +222,32 @@ _JSON_KINDS = {type(None): "null", bool: "a boolean", int: "a number", float: "a
                list: "an array", dict: "an object"}
 
 
-def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = True) -> str:
-    """``rec[key]`` as a str: a JSON string as it is and, with ``numbers``, a
-    JSON number as its decimal text. Any other value (null, true or false, an
-    array or an object) is a ParseError naming the file and line."""
-    value = rec[key]
+def json_string(value, what: str, line_number: int | None, path, numbers: bool = True) -> str:
+    """A decoded JSON value as a str: a string as it is and, with ``numbers``,
+    a number as its decimal text. Any other value (null, true or false, an
+    array or an object) is a ParseError naming the file, the line and ``what``."""
     if isinstance(value, str) or (numbers and _JSON_KINDS[type(value)] == "a number"):
         return str(value)
-    raise ParseError(f"{key!r} must be a string{' or a number' if numbers else ''}, "
+    raise ParseError(f"{what} must be a string{' or a number' if numbers else ''}, "
                      f"not {_JSON_KINDS[type(value)]}", line_number, path)
+
+
+def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = True) -> str:
+    """``rec[key]`` as :func:`json_string` reads it, named by its key."""
+    return json_string(rec[key], repr(key), line_number, path, numbers)
 
 
 def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Load a labels file: JSON object mapping query id -> relevant candidate ids.
-    A file that is not UTF-8 JSON is a ParseError, one not such an object an IngestError."""
+    A file that is not UTF-8 JSON is a ParseError, one not such an object an IngestError.
+    Each id is read by :func:`json_string`, as a JSONL id is: a number is its
+    decimal text, and any other value that is not a string is a ParseError
+    naming the query."""
     labels: dict[str, tuple[str, ...]] = {}
     for qid, rel in decode_object(read_text(path), path, error=IngestError).items():
         if not isinstance(rel, list):
             raise IngestError(f"labels for {qid!r} must be a list of ids", path=path)
-        labels[str(qid)] = tuple(str(r) for r in rel)
+        labels[qid] = tuple(json_string(r, f"each label id for {qid!r}", None, path) for r in rel)
     return labels
 
 

@@ -11,7 +11,6 @@ keeping every candidate temporally eligible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +24,7 @@ from .corpus import (
     extract_latest_year,
     tokenize,
     write_json,
+    write_jsonl,
 )
 from .embeddings import EmbeddingTable
 
@@ -264,21 +264,10 @@ def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:
         "embeddings": out / "embeddings.jsonl",
     }
 
-    with paths["corpus"].open("w", encoding="utf-8") as fh:
-        for case in ds.store.cases:
-            fh.write(
-                json.dumps(
-                    {"id": case.id, "text": case.text, "role": case.role.value},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl(paths["corpus"], ({"id": case.id, "text": case.text, "role": case.role.value}
+                                  for case in ds.store.cases))
     write_json(paths["labels"], {q: list(cids) for q, cids in ds.labels.items()})
-    with paths["lexicon"].open("w", encoding="utf-8") as fh:
-        for charge in ds.store.charges:
-            fh.write(json.dumps({"id": charge.id, "name": charge.name}, sort_keys=True) + "\n")
-    with paths["embeddings"].open("w", encoding="utf-8") as fh:
-        for node_id in ds.store.node_ids:
-            vec = ds.table.vectors[node_id]
-            fh.write(json.dumps({"id": node_id, "vector": [float(x) for x in vec]}) + "\n")
+    write_jsonl(paths["lexicon"], ({"id": ch.id, "name": ch.name} for ch in ds.store.charges))
+    write_jsonl(paths["embeddings"], ({"id": node_id, "vector": ds.table.vectors[node_id].tolist()}
+                                      for node_id in ds.store.node_ids))
     return paths

@@ -15,7 +15,6 @@ candidate rows i and all case columns j, diagonal included.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import os
@@ -25,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, _block_top_k, build_index, check_case_order
-from .corpus import CorpusStore, Role
+from .bm25 import Bm25Index, _block_top_k, check_case_order
+from .corpus import CorpusStore, Role, write_jsonl
 from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
@@ -384,15 +383,24 @@ class EpochLog:
     degreg: float
     wall_ms: float
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
 
 @dataclass
 class TrainResult:
     params: GatParams
     log: list[EpochLog]
     best_epoch: int
+
+
+def check_labels(labels: dict[str, tuple[str, ...]]) -> list[str]:
+    """The labeled queries, sorted. No query, or a query without a positive, is
+    a LabelError."""
+    queries = sorted(labels)
+    if not queries:
+        raise LabelError("no labeled queries to train on")
+    for qid in queries:
+        if not labels[qid]:
+            raise LabelError(f"query {qid!r} has no labeled positive")
+    return queries
 
 
 def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict | None) -> None:
@@ -409,29 +417,25 @@ def train(
     graph: GlobalCaseGraph,
     labels: dict[str, tuple[str, ...]],
     config: TrainingConfig,
+    bm25_index: Bm25Index,
     checkpoint_dir: str | Path | None = None,
-    bm25_index: Bm25Index | None = None,
 ) -> TrainResult:
     """Optimize encoder parameters on one training graph.
 
     Each epoch shuffles the labeled queries, partitions them into batches,
     and runs a full-graph forward per batch with the loss restricted to the
     batch entries; the best-epoch params are returned. The edge structure and
-    the negative pools are built once, before the first step. A non-finite
-    loss or parameter is a NumericalError. With ``checkpoint_dir``,
-    ``checkpoint_last.gatc`` is rewritten atomically each epoch (its sidecar,
-    which never changes, is written with the first), then ``checkpoint.gatc``
-    (best epoch) and ``training_log.jsonl`` are written.
+    the hard-negative pools, ranked by ``bm25_index`` (the index the graph was
+    built from), are built once, before the first step. A non-finite loss or
+    parameter is a NumericalError. With ``checkpoint_dir``,
+    ``checkpoint_last.gatc`` is rewritten atomically after each epoch (its
+    sidecar, which never changes, is written with the first). However the
+    epochs end, a NumericalError included, the checkpoint directory is then
+    completed: ``checkpoint_last.gatc`` holds the initial params if no epoch
+    finished, ``checkpoint.gatc`` with its sidecar the best finished epoch
+    (else the initial params), and ``training_log.jsonl`` every finished epoch.
     """
-    queries = sorted(labels)
-    if not queries:
-        raise LabelError("no labeled queries to train on")
-    for qid in queries:
-        if not labels[qid]:
-            raise LabelError(f"query {qid!r} has no labeled positive")
-
-    if bm25_index is None:
-        bm25_index = build_index(store)
+    queries = check_labels(labels)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
     easy_pools = easy_negative_pools(labels, [c.id for c in store.candidates()])
     structure = prepare_structure(graph.adjacency)
@@ -451,58 +455,56 @@ def train(
     best_epoch = 0
     adam = AdamState.zeros_like(params)
 
-    for epoch in range(config.epochs):
-        t0 = time.perf_counter()
-        order = list(queries)
-        rng.shuffle(order)
-        losses: list[float] = []
-        nces: list[float] = []
-        regs: list[float] = []
-        for start in range(0, len(order), config.batch_size):
-            subset = order[start : start + config.batch_size]
-            batch = sample_batch(
-                labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
-            )
-            total, nce, reg, grads, _ = total_loss_and_grads(
-                params, graph, batch, config, rng=rng, train_mode=True, structure=structure
-            )
-            if not np.isfinite(total):
-                raise NumericalError(
-                    f"non-finite loss at epoch {epoch}; last good checkpoint retained"
+    try:
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            order = list(queries)
+            rng.shuffle(order)
+            losses: list[float] = []
+            nces: list[float] = []
+            regs: list[float] = []
+            for start in range(0, len(order), config.batch_size):
+                subset = order[start : start + config.batch_size]
+                batch = sample_batch(
+                    labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
                 )
-            params, adam = adam_step(params, grads, adam, config.lr, config.weight_decay)
-            if not np.all(np.isfinite(params.flat)):
-                raise NumericalError(
-                    f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
+                total, nce, reg, grads, _ = total_loss_and_grads(
+                    params, graph, batch, config, rng=rng, train_mode=True, structure=structure
                 )
-            losses.append(total)
-            nces.append(nce)
-            regs.append(reg)
+                if not np.isfinite(total):
+                    raise NumericalError(
+                        f"non-finite loss at epoch {epoch}; last good checkpoint retained"
+                    )
+                params, adam = adam_step(params, grads, adam, config.lr, config.weight_decay)
+                if not np.all(np.isfinite(params.flat)):
+                    raise NumericalError(
+                        f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
+                    )
+                losses.append(total)
+                nces.append(nce)
+                regs.append(reg)
 
-        mean_loss = float(np.mean(losses))
-        logs.append(
-            EpochLog(
-                epoch=epoch,
-                mean_loss=mean_loss,
-                infonce=float(np.mean(nces)),
-                degreg=float(np.mean(regs)),
-                wall_ms=(time.perf_counter() - t0) * 1e3,
+            mean_loss = float(np.mean(losses))
+            logs.append(
+                EpochLog(
+                    epoch=epoch,
+                    mean_loss=mean_loss,
+                    infonce=float(np.mean(nces)),
+                    degreg=float(np.mean(regs)),
+                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                )
             )
-        )
-        if mean_loss < best_loss:
-            best_loss = mean_loss
-            best_params = params
-            best_epoch = epoch
+            if mean_loss < best_loss:
+                best_loss = mean_loss
+                best_params = params
+                best_epoch = epoch
+            if ckpt_dir is not None:
+                _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
+                                   sidecar if epoch == 0 else None)
+    finally:
         if ckpt_dir is not None:
-            _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
-                               sidecar if epoch == 0 else None)
-
-    if ckpt_dir is not None:
-        if not logs:  # epochs == 0: the initial params are also the last ones
-            _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT, sidecar)
-        _atomic_checkpoint(best_params, ckpt_dir / BEST_CHECKPOINT, sidecar)
-        log_path = ckpt_dir / TRAINING_LOG
-        log_path.write_text(
-            "".join(entry.to_json() + "\n" for entry in logs), encoding="utf-8"
-        )
+            if not logs:  # no epoch finished: best_params are the initial params
+                _atomic_checkpoint(best_params, ckpt_dir / LAST_CHECKPOINT, sidecar)
+            _atomic_checkpoint(best_params, ckpt_dir / BEST_CHECKPOINT, sidecar)
+            write_jsonl(ckpt_dir / TRAINING_LOG, map(asdict, logs))
     return TrainResult(params=best_params, log=logs, best_epoch=best_epoch)

@@ -1,4 +1,4 @@
-"""Lexical index: scoring formula, top-k neighbours, and the binary cache."""
+"""Lexical index: scoring formula, top-k neighbours, and the binary index file."""
 
 import json
 import math
@@ -470,19 +470,21 @@ class TestBinaryCache:
         assert path.read_bytes()[:4] == b"BM25"
 
 
-def write_v2(path, terms, indptr, indices, counts, nnz=None, meta=None):
+def write_v2(path, terms, indptr, indices, counts, nnz=None, meta=None, magic=b"BM25",
+             version=2):
     """A version-2 ``bm25.bin`` packed by hand, for a two-document corpus;
-    ``meta``, when given, replaces the whole meta record."""
+    ``meta``, when given, replaces the whole meta record, and ``magic`` and
+    ``version`` replace the header's."""
     meta = json.dumps(META | {"terms": terms} if meta is None else meta,
                       sort_keys=True, separators=(",", ":")).encode()
     nnz = len(indices) if nnz is None else nnz
-    path.write_bytes(b"BM25" + struct.pack("<II", 2, len(meta)) + meta + struct.pack("<Q", nnz)
+    path.write_bytes(magic + struct.pack("<II", version, len(meta)) + meta + struct.pack("<Q", nnz)
                      + struct.pack(f"<{len(indptr)}I", *indptr)
                      + struct.pack(f"<{len(indices)}I", *indices)
                      + struct.pack(f"<{len(counts)}I", *counts))
 
 
-# The cache of "a b b" and "b c": terms a, b, c; rows {a: 1, b: 2} and {b: 1, c: 1}.
+# The index file of "a b b" and "b c": terms a, b, c; rows {a: 1, b: 2} and {b: 1, c: 1}.
 INTACT = dict(terms=["a", "b", "c"], indptr=[0, 2, 4], indices=[0, 1, 1, 2], counts=[1, 2, 1, 1])
 META = {"b": 0.75, "digest": "", "doc_ids": ["d1", "d2"], "k1": 1.2, "terms": ["a", "b", "c"]}
 
@@ -518,12 +520,14 @@ class TestMalformedCache:
          "meta 'terms' is not a list of strings"),
         ({"meta": {k: v for k, v in META.items() if k != "digest"}}, "meta 'digest' is not a string"),
         ({"meta": {k: v for k, v in META.items() if k != "k1"}}, "meta 'k1' is not a number"),
+        ({"version": 1}, "unsupported BM25 index version 1"),
+        ({"magic": b"junk"}, "is not a valid BM25 index"),
     ], ids=["terms unsorted", "terms repeated", "indptr start", "indptr decreasing",
             "indptr short", "column out of range", "columns unsorted", "duplicate entry",
             "zero count", "meta a list", "terms a string", "terms not strings",
             "doc ids a string", "doc ids not strings", "digest a number", "k1 a string",
             "b a bool", "k1 negative", "b above 1", "terms missing", "digest missing",
-            "k1 missing"])
+            "k1 missing", "version 1", "another magic"])
     def test_rejected(self, tmp_path, damage, reason):
         path = tmp_path / "index.bin"
         write_v2(path, **(INTACT | damage))

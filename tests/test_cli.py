@@ -568,26 +568,6 @@ class TestErrorPaths:
         assert report["f1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
-class TestIndexCache:
-    def test_cache_dir_reused_across_runs(self, dataset, monkeypatch):
-        tmp_path, config_path = dataset
-        cfg = json.loads(config_path.read_text())
-        cache_dir = tmp_path / "cache"
-        monkeypatch.setenv("CASELINK_CACHE_DIR", str(cache_dir))
-
-        out1 = tmp_path / "i1"
-        assert main(["index", "--corpus", cfg["corpus"], "--out", str(out1)]) == 0
-        cached = sorted(cache_dir.glob("bm25_*.bin"))
-        assert len(cached) == 1
-        first_mtime = cached[0].stat().st_mtime_ns
-
-        out2 = tmp_path / "i2"
-        assert main(["index", "--corpus", cfg["corpus"], "--out", str(out2)]) == 0
-        assert sorted(cache_dir.glob("bm25_*.bin")) == cached
-        assert cached[0].stat().st_mtime_ns == first_mtime  # reused, not rebuilt
-        assert (out1 / "bm25.bin").read_bytes() == (out2 / "bm25.bin").read_bytes()
-
-
 class TestStagedAndFused:
     def test_staged_and_fused_runs_produce_the_same_bytes(self, dataset):
         tmp_path, config_path = dataset
@@ -744,11 +724,20 @@ class TestNodeIds:
 
 
 class TestManifests:
-    @pytest.mark.parametrize("outcome,epochs", [("graph fails", 2), ("succeeds", 2),
-                                                ("succeeds", 0)])
-    @pytest.mark.parametrize("command", ["graph", "train", "rank", "pipeline"])
-    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch, command,
-                                                     outcome, epochs):
+    @pytest.mark.parametrize("command,outcome,flags", [
+        *(pytest.param(command, outcome, ["--epochs", epochs], id=f"{command}-{outcome}-{epochs}")
+          for command in ("graph", "train", "rank", "pipeline")
+          for outcome, epochs in [("graph fails", "2"), ("succeeds", "2"), ("succeeds", "0")]),
+        # one step per epoch diverges at epoch 1, two steps per epoch at epoch 0
+        *(pytest.param(command, "training diverges", ["--epochs", "3", "--lr", "1e300", *batch],
+                       id=f"{command}-training diverges{'-batch 2' if batch else ''}")
+          for command in ("train", "pipeline") for batch in ([], ["--batch-size", "2"])),
+        *(pytest.param(command, "a query has no positive", ["--epochs", "2"],
+                       id=f"{command}-a query has no positive")
+          for command in ("train", "pipeline")),
+    ])
+    def test_every_finalized_artifact_has_a_manifest(self, dataset, monkeypatch, capsys,
+                                                     command, outcome, flags):
         from caselink import cli
         from caselink.errors import GraphConstructionError
 
@@ -763,11 +752,19 @@ class TestManifests:
 
         if outcome == "graph fails":
             monkeypatch.setattr(cli, "build_global_case_graph", fail)
+        if outcome == "a query has no positive":
+            labels = json.loads(Path(json.loads(config_path.read_text())["labels"]).read_text())
+            (tmp_path / "labels.json").write_text(json.dumps(labels | {min(labels): []}))
+            flags = [*flags, "--labels", str(tmp_path / "labels.json")]
         out = tmp_path / "out"
-        argv = [command, *cfg, "--out", str(out), "--epochs", str(epochs)]
+        argv = [command, *cfg, "--out", str(out), *flags]
         if command == "rank":
             argv += ["--checkpoint", str(ckpt)]
-        assert main(argv) == (2 if outcome == "graph fails" else 0)
+        assert main(argv) == {"graph fails": 2, "training diverges": 3,
+                              "a query has no positive": 2}.get(outcome, 0)
+        if outcome == "training diverges":
+            epoch = 0 if "--batch-size" in flags else 1
+            assert f"non-finite loss at epoch {epoch}" in capsys.readouterr().err
         listed = set(read_manifest(out)["outputs"])
         left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert left  # at least the stages before the graph finished
@@ -802,7 +799,7 @@ class TestManifests:
         assert main(["train", *cfg, "--out", str(tmp_path / "t"), "--epochs", "1"]) == 0
         assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
 
-        slow = ["load_graph"] if given_graph else ["build_global_case_graph", "_get_index"]
+        slow = ["load_graph"] if given_graph else ["build_global_case_graph", "build_index"]
         for name in slow:
             monkeypatch.setattr(cli, name, slowed(getattr(cli, name)))
         given = ["--graph", str(gcg)] if given_graph else []
@@ -819,6 +816,28 @@ class TestManifests:
             if not given_graph:
                 assert timings["index"] >= 50, argv[0]
                 assert sum(timings.values()) >= 0.9 * wall_ms, (argv[0], timings, wall_ms)
+
+    @pytest.mark.parametrize("given_out", [True, False], ids=["--out", "no --out"])
+    def test_eval_times_reading_its_inputs(self, dataset, monkeypatch, capsys, given_out):
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+        assert main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "p"),
+                     "--epochs", "1"]) == 0
+        monkeypatch.setattr(cli, "read_run_tsv", slowed(cli.read_run_tsv))
+        monkeypatch.chdir(tmp_path)
+        labels = json.loads(config_path.read_text())["labels"]
+        out = ["--out", "ev"] if given_out else []
+        capsys.readouterr()
+        assert main(["eval", "--run", "p/run.tsv", "--labels", labels, *out]) == 0
+        assert json.loads(capsys.readouterr().out) == \
+            json.loads((tmp_path / "p" / "report.json").read_text())
+        if given_out:
+            assert read_manifest(tmp_path / "ev")["timings_ms"]["eval"] >= 50
+            assert sorted(p.name for p in (tmp_path / "ev").iterdir()) == \
+                ["manifest.json", "report.json"]
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == ["data", "p"]
 
     def test_config_records_every_option_and_section_read(self, dataset):
         from caselink.cli import COMMANDS
@@ -1043,13 +1062,6 @@ class TestDamagedInputs:
         struct.pack_into(code, damaged, offset, value)
         return bytes(damaged)
 
-    @staticmethod
-    def with_bm25_meta(data, **fields):
-        """``data``, a ``bm25.bin``, with ``fields`` replaced in its JSON meta record."""
-        (meta_len,) = struct.unpack_from("<I", data, 8)
-        meta = json.dumps(json.loads(data[12:12 + meta_len]) | fields).encode()
-        return data[:8] + struct.pack("<I", len(meta)) + meta + data[12 + meta_len:]
-
     @pytest.mark.parametrize("fmt", ["BM25", "EMB1", "GCG1", "GATC"])
     @pytest.mark.parametrize("cut", [4, 6, 9, 0.5, -1])
     def test_truncated_binary_raises_ingest_error(self, tmp_path, fmt, cut):
@@ -1245,30 +1257,6 @@ class TestDamagedInputs:
                      "--out", str(tmp_path / "e")]) == 2
         assert reason.format(damaged) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("damage", ["truncated", "not an index", "huge postings count",
-                                        "version 1", "string terms", "meta not JSON",
-                                        "meta not UTF-8"])
-    def test_corrupt_cache_file_is_rebuilt(self, dataset, monkeypatch, damage):
-        tmp_path, config_path = dataset
-        corpus = json.loads(config_path.read_text())["corpus"]
-        cold = tmp_path / "cold"
-        assert main(["index", "--corpus", corpus, "--out", str(cold)]) == 0
-
-        monkeypatch.setenv("CASELINK_CACHE_DIR", str(tmp_path / "cache"))
-        assert main(["index", "--corpus", corpus, "--out", str(tmp_path / "i1")]) == 0
-        (cached,) = (tmp_path / "cache").glob("bm25_*.bin")
-        data = cached.read_bytes()
-        cached.write_bytes({"truncated": data[:10], "not an index": b"junk",
-                            "huge postings count": self.with_huge_length(data, "BM25"),
-                            "version 1": data[:4] + struct.pack("<I", 1) + data[8:],
-                            "string terms": self.with_bm25_meta(data, terms="abc"),
-                            "meta not JSON": data[:12] + b"x" + data[13:],
-                            "meta not UTF-8": data[:12] + b"\xff" + data[13:]}[damage])
-        warm = tmp_path / "i2"
-        assert main(["index", "--corpus", corpus, "--out", str(warm)]) == 0
-        assert (warm / "bm25.bin").read_bytes() == (cold / "bm25.bin").read_bytes()
-        assert cached.read_bytes() == (cold / "bm25.bin").read_bytes()
-
 
 # A valid input of every text kind; each case of TestTextInputErrors damages one.
 TEXT_INPUTS = {
@@ -1345,13 +1333,22 @@ class TestTextInputErrors:
          "'name' must be a string or a number, not an array"),
         ("lexicon.txt", '{"id": "c3", "name": true}\n', 1,
          "'name' must be a string or a number, not a boolean"),
+        ("labels.json", '{"q1": [true, "c1"]}\n', None,
+         "each label id for 'q1' must be a string or a number, not a boolean"),
+        ("labels.json", '{"q1": [null]}\n', None,
+         "each label id for 'q1' must be a string or a number, not null"),
+        ("labels.json", '{"q1": [["c1"]]}\n', None,
+         "each label id for 'q1' must be a string or a number, not an array"),
+        ("labels.json", '{"q1": [{"id": "c1"}]}\n', None,
+         "each label id for 'q1' must be a string or a number, not an object"),
     ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
             "labels value not a list", "labels not an object", "lexicon line without name",
             "lexicon name twice", "run rank not an integer", "run candidate three times",
             "config not an object", "config truncated", "embedding id twice",
             "corpus null id and text", "corpus boolean id", "corpus array text",
             "corpus number text", "lexicon null id", "embedding array id",
-            "embedding object id", "lexicon array name", "lexicon boolean name"])
+            "embedding object id", "lexicon array name", "lexicon boolean name",
+            "labels boolean id", "labels null id", "labels array id", "labels object id"])
     def test_damaged_input_is_data_error_naming_the_file_and_line(self, tmp_path, capsys, name,
                                                                    damaged, line, reason):
         assert self.run(tmp_path, name, damaged) == 2

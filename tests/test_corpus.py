@@ -283,6 +283,21 @@ class TestLabels:
         lp.write_text(json.dumps({"q1": ["d1", "d2"], "q2": []}))
         assert load_labels(lp) == {"q1": ("d1", "d2"), "q2": ()}
 
+    def test_a_number_id_is_its_decimal_text(self, tmp_path):
+        lp = tmp_path / "labels.json"
+        lp.write_text('{"q1": [7, 2.5, "d1"]}')
+        assert load_labels(lp) == {"q1": ("7", "2.5", "d1")}
+
+    def test_a_boolean_id_is_rejected_even_where_its_repr_is_a_case_id(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "q1", "text": "a", "role": "query"}\n'
+                          '{"id": "True", "text": "b"}\n')
+        lp = tmp_path / "labels.json"
+        lp.write_text('{"q1": [true]}')
+        with pytest.raises(ParseError, match=f"^{lp}: each label id for 'q1' must be a string "
+                                             "or a number, not a boolean$"):
+            ingest_corpus(corpus, lp)
+
     def test_non_object_rejected(self, tmp_path):
         lp = tmp_path / "labels.json"
         lp.write_text("[1, 2]")

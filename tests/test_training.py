@@ -615,7 +615,7 @@ class TestTrainLoop:
             hard_neg_pool_size=5,
             seed=0,
         )
-        result = train(ds.store, graph, ds.labels, cfg)
+        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         losses = [e.mean_loss for e in result.log]
         assert len(losses) == 8
         assert min(losses) < losses[0]
@@ -626,8 +626,8 @@ class TestTrainLoop:
         cfg = TrainingConfig(
             epochs=3, batch_size=4, dropout=0.2, lr=0.01, hard_neg_pool_size=5, seed=1
         )
-        r1 = train(ds.store, graph, ds.labels, cfg)
-        r2 = train(ds.store, graph, ds.labels, cfg)
+        r1 = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        r2 = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         np.testing.assert_array_equal(r1.params.flat, r2.params.flat)
         assert [e.mean_loss for e in r1.log] == [e.mean_loss for e in r2.log]
 
@@ -644,7 +644,8 @@ class TestTrainLoop:
         monkeypatch.setattr(training_module, "adam_step", recording_adam_step)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
-        result = train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
+        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store),
+                       checkpoint_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
             "checkpoint_last.gatc.json", "training_log.jsonl",
@@ -680,7 +681,7 @@ class TestTrainLoop:
         recording(training_module, "backward_gradients", lambda args, result: args[1].structure)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg)
+        train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         assert {name: len(made) for name, made in calls.items()} == {
             "prepare_structure": 1, "easy_negative_pools": 1, "adam_step": 6,
             "backward_gradients": 6}
@@ -707,9 +708,28 @@ class TestTrainLoop:
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
         with pytest.raises(NumericalError, match="non-finite parameter at epoch 1"):
-            train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
+            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         last = load_checkpoint(tmp_path / "checkpoint_last.gatc")
         np.testing.assert_array_equal(last.flat, stepped[0].flat)
+        # the one finished epoch is the best, and the log holds it alone
+        assert sorted(CHECKPOINT_FILES) == sorted(p.name for p in tmp_path.iterdir())
+        best = load_checkpoint(tmp_path / "checkpoint.gatc")
+        np.testing.assert_array_equal(best.flat, stepped[0].flat)
+        log = (tmp_path / "training_log.jsonl").read_text().splitlines()
+        assert [json.loads(line)["epoch"] for line in log] == [0]
+
+    def test_a_run_that_diverges_in_its_first_epoch_keeps_the_initial_params(self, tmp_path):
+        from caselink.gat import init_params
+
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=2, lr=1e300, hard_neg_pool_size=5, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(NumericalError, match="at epoch 0"):
+            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        init = init_params(cfg.seed, [graph.dim] * (cfg.layers + 1), dropout=cfg.dropout)
+        for name in ("checkpoint.gatc", "checkpoint_last.gatc"):
+            np.testing.assert_array_equal(load_checkpoint(tmp_path / name).flat, init.flat)
+        assert sorted(CHECKPOINT_FILES) == sorted(p.name for p in tmp_path.iterdir())
+        assert (tmp_path / "training_log.jsonl").read_text() == ""
 
     def test_last_checkpoint_sidecar_is_written_once(self, tmp_path, monkeypatch):
         import caselink.gat as gat_module
@@ -723,7 +743,7 @@ class TestTrainLoop:
         monkeypatch.setattr("caselink.training.save_checkpoint", recording_save)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg, checkpoint_dir=tmp_path)
+        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         assert sidecars == [("checkpoint_last.gatc.tmp", True),
                             ("checkpoint_last.gatc.tmp", False),
                             ("checkpoint_last.gatc.tmp", False),
@@ -736,7 +756,7 @@ class TestTrainLoop:
         from caselink.gat import init_params
 
         cfg = TrainingConfig(epochs=0, seed=5)
-        result = train(ds.store, graph, ds.labels, cfg)
+        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         dims = [graph.dim] + [graph.dim] * cfg.layers
         init = init_params(cfg.seed, dims, dropout=cfg.dropout)
         np.testing.assert_array_equal(result.params.flat, init.flat)
@@ -744,11 +764,11 @@ class TestTrainLoop:
     def test_no_labels_rejected(self):
         ds, graph = small_dataset()
         with pytest.raises(LabelError):
-            train(ds.store, graph, {}, TrainingConfig(epochs=1))
+            train(ds.store, graph, {}, TrainingConfig(epochs=1), build_index(ds.store))
 
     def test_query_without_positives_rejected(self):
         ds, graph = small_dataset()
         labels = dict(ds.labels)
         labels[next(iter(labels))] = ()
         with pytest.raises(LabelError):
-            train(ds.store, graph, labels, TrainingConfig(epochs=1))
+            train(ds.store, graph, labels, TrainingConfig(epochs=1), build_index(ds.store))
