@@ -16,23 +16,19 @@ Run with:  python3 demos/02_build_case_graph.py
 import numpy as np
 
 from caselink.bm25 import build_index
-from caselink.corpus import CaseDocument, ChargeEntry, CorpusStore, Role, tokenize
+from caselink.corpus import CaseDocument, ChargeEntry, CorpusStore, Role
 from caselink.embeddings import EmbeddingTable
 from caselink.graph import build_global_case_graph
 
 
-def case(cid: str, text: str, role: Role = Role.CANDIDATE) -> CaseDocument:
-    return CaseDocument(id=cid, text=text, tokens=tuple(tokenize(text)), year=None, role=role)
-
-
 def main() -> None:
     store = CorpusStore(
-        cases=(
-            case("q0", "armed robbery of a bank vault with a getaway car", Role.QUERY),
-            case("c0", "armed robbery of a jewellery vault; getaway driver convicted"),
-            case("c1", "money laundering through a chain of shell companies"),
-            case("c2", "tax evasion and money laundering by a shell company"),
-        ),
+        cases=tuple(CaseDocument.from_text(cid, text, role) for cid, text, role in (
+            ("q0", "armed robbery of a bank vault with a getaway car", Role.QUERY),
+            ("c0", "armed robbery of a jewellery vault; getaway driver convicted", Role.CANDIDATE),
+            ("c1", "money laundering through a chain of shell companies", Role.CANDIDATE),
+            ("c2", "tax evasion and money laundering by a shell company", Role.CANDIDATE),
+        )),
         charges=(
             ChargeEntry(id="ch-rob", name="Armed Robbery"),
             ChargeEntry(id="ch-ml", name="Money Laundering"),

@@ -2,9 +2,12 @@
 
 Subcommands: ingest | index | embed | graph | train | rank | eval | pipeline | synth.
 Each subcommand resolves its inputs, runs its stage functions and prints a
-summary. ``graph``, ``train``, ``rank`` and ``pipeline`` run one chain of
+summary. ``graph``, ``train``, ``rank`` and ``pipeline`` read the same
+options for the corpus and its vectors (file or endpoint) and run one chain of
 stages, ingest -> embed -> index -> graph, and then their own, so each writes
-the files of every stage it runs, byte for byte what ``pipeline`` writes. One
+the files of every stage it runs, byte for byte what ``pipeline`` writes. With
+``--graph``, ``train`` and ``rank`` read the graph from that file in place of
+embed and graph, once it is checked to hold the corpus's nodes in order. One
 JSON config file can drive all subcommands; command-line flags override config
 values, which override built-in defaults. Every stage is timed by
 :meth:`StageManifest.stage`, which writes a ``manifest.json`` into the output
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import logging
@@ -59,7 +63,13 @@ from .embeddings import (
 )
 from .errors import CaseLinkError, LabelError, NumericalError, ParseError, located
 from .gat import GatParams, load_checkpoint, model_forward
-from .graph import GlobalCaseGraph, build_global_case_graph, load_graph, save_graph
+from .graph import (
+    GlobalCaseGraph,
+    build_global_case_graph,
+    check_node_order,
+    load_graph,
+    save_graph,
+)
 from .retrieval import (
     FINAL_SIZE,
     PREFILTER_SIZE,
@@ -342,7 +352,8 @@ def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
     with manifest.stage("embed") as out:
         if opts.endpoint:
             provider = RemoteEmbeddingProvider(ProviderConfig(
-                opts.endpoint, opts.truncation_tokens, max_in_flight=opts.threads))
+                opts.endpoint, opts.truncation_tokens, max_in_flight=opts.threads),
+                expected_dim=opts.dim)
             texts = {c.id: c.text for c in store.cases} | {ch.id: ch.name for ch in store.charges}
             table = provider.fetch_many((node_id, texts[node_id]) for node_id in store.node_ids)
         else:
@@ -420,7 +431,8 @@ def _case_chain(
 ) -> tuple[CorpusStore, Bm25Index, GlobalCaseGraph]:
     """``pipeline``'s stages up to the graph, the ones every subcommand from
     ``graph`` to ``pipeline`` runs first: ingest, embed, index and graph; with
-    ``--graph``, ingest, index and a ``graph`` stage that reads that file."""
+    ``--graph``, ingest, index and a ``graph`` stage that reads that file and
+    checks that it holds the corpus's nodes."""
     store = _load_store(opts, manifest, need_labels)
     if opts.graph is None:
         table = embed_stage(store, opts, manifest)
@@ -429,6 +441,7 @@ def _case_chain(
     index = index_stage(store, opts, manifest)
     with manifest.stage("graph"):
         gcg = load_graph(opts.graph)
+        check_node_order(gcg, store, opts.graph)
         manifest.add_input(opts.graph)
     return store, index, gcg
 
@@ -540,8 +553,9 @@ class Command:
     out_optional: bool = False
 
 
-# The corpus and its vectors, read by every stage from graph to pipeline.
-_CASE_INPUTS = ("corpus", "labels", "lexicon", "embeddings", "dim")
+# The corpus and its vectors, read or fetched, by every stage from graph to pipeline.
+_CASE_INPUTS = ("corpus", "labels", "lexicon", "embeddings", "dim", "endpoint",
+                "truncation_tokens", "threads")
 COMMANDS = {
     "ingest": Command(cmd_ingest, "validate and normalize a corpus",
                       ("corpus", "labels", "out_dir")),
@@ -560,8 +574,8 @@ COMMANDS = {
     "eval": Command(cmd_eval, "score a run file against labels",
                     ("run", "labels", "out_dir"), out_optional=True),
     "pipeline": Command(cmd_pipeline, "run ingest through eval end-to-end",
-                        (*_CASE_INPUTS, "endpoint", "truncation_tokens", "threads", "k1", "b",
-                         "prefilter_size", "final_size", "out_dir"), ("training",)),
+                        (*_CASE_INPUTS, "k1", "b", "prefilter_size", "final_size", "out_dir"),
+                        ("training",)),
     "synth": Command(cmd_synth, "generate a planted-cluster synthetic dataset",
                      ("out_dir",), ("synth",)),
 }
@@ -577,7 +591,10 @@ def _add_field_flags(p: argparse.ArgumentParser, cls, names=None) -> None:
                        help=_FIELD_HELP.get(name))
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The one parser of every subcommand, built on first use: argparse makes a
+    help formatter per flag, which costs milliseconds a call."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", default=None, help="JSON config file")
     common.add_argument("-v", "--verbose", action="store_true")

@@ -68,6 +68,12 @@ class CaseDocument:
     year: int | None
     role: Role
 
+    @classmethod
+    def from_text(cls, case_id: str, text: str, role: Role) -> CaseDocument:
+        """The case of ``text``: its tokens by :func:`tokenize` and its year by
+        :func:`extract_latest_year`, the one place either is derived from a text."""
+        return cls(case_id, text, tuple(tokenize(text)), extract_latest_year(text), role)
+
 
 @dataclass(frozen=True)
 class ChargeEntry:
@@ -294,15 +300,7 @@ def ingest_corpus(
         else:
             role = Role.CANDIDATE
 
-        cases.append(
-            CaseDocument(
-                id=cid,
-                text=text,
-                tokens=tuple(tokenize(text)),
-                year=extract_latest_year(text),
-                role=role,
-            )
-        )
+        cases.append(CaseDocument.from_text(cid, text, role))
 
     known = {c.id for c in cases}
     for qid, rel in labels.items():

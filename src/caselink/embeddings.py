@@ -201,19 +201,21 @@ class RemoteEmbeddingProvider:
     """Fetches embeddings over HTTP with retries and a dim check.
 
     Each text is truncated to ``truncation_tokens`` before it is sent. Every
-    response passes the same finite and dim checks as a file vector; the first
-    response fixes the provider dimension, so a later mismatch raises
-    DimensionError. Vectors come back as the endpoint sent them.
+    response passes the same finite and dim checks as a file vector; the
+    ``expected_dim``, or else the first response, fixes the provider
+    dimension, so a mismatch raises DimensionError. Vectors come back as the
+    endpoint sent them.
     """
 
     def __init__(
         self,
         config: ProviderConfig,
         transport: Callable[[str, dict], dict] | None = None,
+        expected_dim: int | None = None,
     ):
         self.config = config
         self._transport = transport or _http_post_json
-        self._dim: int | None = None
+        self._dim = expected_dim
         self._lock = threading.Lock()
 
     @property

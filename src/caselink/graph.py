@@ -9,6 +9,7 @@ Self-loops are not stored; the encoder adds them transiently.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
 
@@ -258,3 +259,21 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
         node_ids=tuple(h.ids),
         roles=roles,
     )
+
+
+def check_node_order(gcg: GlobalCaseGraph, store: CorpusStore, path) -> None:
+    """Raise GraphConstructionError, naming ``path`` and the first row that
+    differs, unless the graph's nodes are those of ``store``: its node ids in
+    order, each case with its role."""
+    def rows(ids, roles):
+        return [f"{node_id!r} ({role.value if role else 'charge'})"
+                for node_id, role in zip_longest(ids, roles)]
+
+    got = rows(gcg.node_ids, gcg.roles)
+    want = rows(store.node_ids, [c.role for c in store.cases])
+    if got != want:
+        pairs = enumerate(zip_longest(got, want, fillvalue="nothing"))
+        row, (have, need) = next((i, pair) for i, pair in pairs if pair[0] != pair[1])
+        raise GraphConstructionError(
+            f"graph row {row} holds {have}, not node {row} of the corpus, {need}: the graph "
+            "was built from another corpus or in another order", path=path)

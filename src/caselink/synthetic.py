@@ -11,37 +11,23 @@ keeping every candidate temporally eligible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .corpus import (
+    _MONTHS,
     CaseDocument,
     ChargeEntry,
     CorpusStore,
     Role,
-    extract_latest_year,
-    tokenize,
     write_json,
     write_jsonl,
 )
 from .embeddings import EmbeddingTable
-
-MONTHS = (
-    "January",
-    "February",
-    "March",
-    "April",
-    "May",
-    "June",
-    "July",
-    "August",
-    "September",
-    "October",
-    "November",
-    "December",
-)
 
 _CHARGE_SUFFIXES = (
     "alpha",
@@ -89,9 +75,12 @@ class SyntheticSpec:
 @dataclass(frozen=True)
 class SyntheticDataset:
     store: CorpusStore
-    labels: dict[str, tuple[str, ...]]
     table: EmbeddingTable
     spec: SyntheticSpec
+
+    @property
+    def labels(self) -> Mapping[str, tuple[str, ...]]:
+        return self.store.labels
 
     @property
     def n_queries(self) -> int:
@@ -103,12 +92,9 @@ def _unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _soup(rng: np.random.Generator, counts: dict[str, int]) -> str:
-    words: list[str] = []
-    for w, c in counts.items():
-        words.extend([w] * c)
-    order = rng.permutation(len(words))
-    return " ".join(words[i] for i in order)
+def _soup(rng: np.random.Generator, counts: Counter) -> str:
+    words = list(counts.elements())
+    return " ".join(words[i] for i in rng.permutation(len(words)))
 
 
 def _charge_name(k: int) -> str:
@@ -122,135 +108,83 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     """Build the full in-memory dataset: corpus, labels, and embeddings."""
     rng = np.random.default_rng(spec.seed)
     centers = [_unit(rng, spec.dim) for _ in range(spec.n_clusters)]
-
-    charges = []
-    charge_vecs: dict[str, np.ndarray] = {}
-    for k in range(spec.n_clusters):
-        cid = f"charge_{k}"
-        charges.append(ChargeEntry(id=cid, name=_charge_name(k)))
-        charge_vecs[cid] = _unit(rng, spec.dim)
+    charges = tuple(ChargeEntry(f"charge_{k}", _charge_name(k)) for k in range(spec.n_clusters))
+    vectors = {ch.id: _unit(rng, spec.dim) for ch in charges}
     if spec.n_clusters >= 2:
         # make one pair of charges nearly collinear so the charge block of the
         # graph gets at least one edge at the default threshold
-        near = charge_vecs["charge_0"] + 0.05 * _unit(rng, spec.dim)
-        charge_vecs["charge_1"] = near / np.linalg.norm(near)
+        near = vectors["charge_0"] + 0.05 * _unit(rng, spec.dim)
+        vectors["charge_1"] = near / np.linalg.norm(near)
 
     filler_words = [f"f{j}" for j in range(spec.filler_vocab)]
-
     cases: list[CaseDocument] = []
     labels: dict[str, tuple[str, ...]] = {}
-    vectors: dict[str, np.ndarray] = dict(charge_vecs)
+    n_rel = spec.relevant_per_query
 
-    gq = 0
-    gc = 0
-    for k in range(spec.n_clusters):
-        center = centers[k]
+    for k, center in enumerate(centers):
         cluster_words = [f"c{k}w{j}" for j in range(spec.cluster_vocab)]
-        charge = _charge_name(k)
-
-        query_ids = [f"q{gq + i:03d}" for i in range(spec.queries_per_cluster)]
-        topic_words = {
-            qid: [f"{qid}t{j}" for j in range(spec.topic_vocab)] for qid in query_ids
-        }
+        query_ids = [f"q{k * spec.queries_per_cluster + i:03d}"
+                     for i in range(spec.queries_per_cluster)]
+        cand_ids = [f"cand{k * spec.candidates_per_cluster + i:03d}"
+                    for i in range(spec.candidates_per_cluster)]
+        topic_words = {qid: [f"{qid}t{j}" for j in range(spec.topic_vocab)] for qid in query_ids}
         topic_vecs = {qid: _unit(rng, spec.dim) for qid in query_ids}
 
-        cand_ids = [f"cand{gc + i:03d}" for i in range(spec.candidates_per_cluster)]
-        assigned: dict[str, str] = {}  # candidate id -> query id
-        strength: dict[str, str] = {}  # candidate id -> "strong" | "weak"
-        pos = 0
-        for qid in query_ids:
-            block = cand_ids[pos : pos + spec.relevant_per_query]
-            labels[qid] = tuple(block)
-            half = (len(block) + 1) // 2
-            for i, cid in enumerate(block):
-                assigned[cid] = qid
-                strength[cid] = "strong" if i < half else "weak"
-            pos += spec.relevant_per_query
+        # candidate id -> (the query it is relevant to, whether strongly)
+        owner: dict[str, tuple[str, bool]] = {}
+        for j, qid in enumerate(query_ids):
+            labels[qid] = tuple(cand_ids[j * n_rel:(j + 1) * n_rel])
+            owner |= {cid: (qid, i < (n_rel + 1) // 2) for i, cid in enumerate(labels[qid])}
 
-        def base_counts() -> dict[str, int]:
-            counts: dict[str, int] = {}
-            for w in cluster_words:
-                counts[w] = int(rng.integers(1, 4))
-            picks = rng.choice(len(filler_words), size=spec.filler_len, replace=True)
-            for i in picks:
-                w = filler_words[int(i)]
-                counts[w] = counts.get(w, 0) + 1
+        def base_counts() -> Counter:
+            counts = Counter({w: int(rng.integers(1, 4)) for w in cluster_words})
+            counts.update(filler_words[int(i)]
+                          for i in rng.choice(len(filler_words), size=spec.filler_len))
             return counts
 
-        def date_sentence(decade_start: int) -> tuple[str, int]:
-            year = decade_start + int(rng.integers(0, 10))
-            month = MONTHS[int(rng.integers(0, 12))]
+        def add_case(case_id: str, role: Role, counts: Counter, decade: int,
+                     topic: np.ndarray | None) -> None:
+            """Date and write the case, then draw its vector: a fresh topic
+            when ``topic`` is None, then the noise."""
+            year = decade + int(rng.integers(0, 10))
+            month = _MONTHS[int(rng.integers(0, 12))].title()
             day = int(rng.integers(1, 29))
-            return f"Decided {month} {day}, {year}.", year
+            text = (f"Decided {month} {day}, {year}. The court entered a conviction for "
+                    f"{_charge_name(k)}. {_soup(rng, counts)}")
+            case = CaseDocument.from_text(case_id, text, role)
+            assert case.year == year
+            cases.append(case)
+            if topic is None:
+                topic = _unit(rng, spec.dim)
+            v = center + spec.topic_strength * topic + spec.noise_strength * _unit(rng, spec.dim)
+            vectors[case_id] = v / np.linalg.norm(v)
 
         for qid in query_ids:
             counts = base_counts()
-            for w in topic_words[qid]:
-                counts[w] = counts.get(w, 0) + 3
-            date, year = date_sentence(2010)
-            text = (
-                f"{date} The court entered a conviction for {charge}. "
-                f"{_soup(rng, counts)}"
-            )
-            assert extract_latest_year(text) == year
-            cases.append(
-                CaseDocument(
-                    id=qid, text=text, tokens=tuple(tokenize(text)), year=year,
-                    role=Role.QUERY,
-                )
-            )
-            noise = spec.noise_strength * _unit(rng, spec.dim)
-            v = center + spec.topic_strength * topic_vecs[qid] + noise
-            vectors[qid] = v / np.linalg.norm(v)
+            counts.update(dict.fromkeys(topic_words[qid], 3))
+            add_case(qid, Role.QUERY, counts, 2010, topic_vecs[qid])
 
         for cid in cand_ids:
             counts = base_counts()
-            owner = assigned.get(cid)
-            if owner is not None:
-                words = topic_words[owner]
-                if strength[cid] == "strong":
-                    chosen = rng.choice(len(words), size=max(1, len(words) - 1), replace=False)
-                    for i in chosen:
-                        counts[words[int(i)]] = counts.get(words[int(i)], 0) + 2
+            mine, strong = owner.get(cid, (None, False))
+            if mine is not None:
+                words = topic_words[mine]
+                if strong:
+                    for i in rng.choice(len(words), size=max(1, len(words) - 1), replace=False):
+                        counts[words[int(i)]] += 2
                 else:
-                    w = words[int(rng.integers(len(words)))]
-                    counts[w] = counts.get(w, 0) + 1
+                    counts[words[int(rng.integers(len(words)))]] += 1
             if rng.random() < spec.contamination:
                 other = query_ids[int(rng.integers(len(query_ids)))]
-                if other != owner:
+                if other != mine:
                     words = topic_words[other]
                     take = int(rng.integers(1, 3))
-                    chosen = rng.choice(len(words), size=min(take, len(words)), replace=False)
-                    for i in chosen:
-                        counts[words[int(i)]] = counts.get(words[int(i)], 0) + int(
-                            rng.integers(2, 5)
-                        )
-            date, year = date_sentence(1990)
-            text = (
-                f"{date} The court entered a conviction for {charge}. "
-                f"{_soup(rng, counts)}"
-            )
-            assert extract_latest_year(text) == year
-            cases.append(
-                CaseDocument(
-                    id=cid, text=text, tokens=tuple(tokenize(text)), year=year,
-                    role=Role.CANDIDATE,
-                )
-            )
-            if owner is not None:
-                topic = topic_vecs[owner]
-            else:
-                topic = _unit(rng, spec.dim)
-            noise = spec.noise_strength * _unit(rng, spec.dim)
-            v = center + spec.topic_strength * topic + noise
-            vectors[cid] = v / np.linalg.norm(v)
+                    for i in rng.choice(len(words), size=min(take, len(words)), replace=False):
+                        counts[words[int(i)]] += int(rng.integers(2, 5))
+            add_case(cid, Role.CANDIDATE, counts, 1990, topic_vecs.get(mine))
 
-        gq += spec.queries_per_cluster
-        gc += spec.candidates_per_cluster
-
-    store = CorpusStore(cases=tuple(cases), charges=tuple(charges), labels=dict(labels))
-    table = EmbeddingTable(dim=spec.dim, vectors=vectors)
-    return SyntheticDataset(store=store, labels=labels, table=table, spec=spec)
+    store = CorpusStore(cases=tuple(cases), charges=charges, labels=labels)
+    return SyntheticDataset(store, EmbeddingTable(dim=spec.dim, vectors=vectors), spec)
 
 
 def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:

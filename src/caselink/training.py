@@ -456,51 +456,53 @@ def train(
     adam = AdamState.zeros_like(params)
 
     try:
-        for epoch in range(config.epochs):
-            t0 = time.perf_counter()
-            order = list(queries)
-            rng.shuffle(order)
-            losses: list[float] = []
-            nces: list[float] = []
-            regs: list[float] = []
-            for start in range(0, len(order), config.batch_size):
-                subset = order[start : start + config.batch_size]
-                batch = sample_batch(
-                    labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
-                )
-                total, nce, reg, grads, _ = total_loss_and_grads(
-                    params, graph, batch, config, rng=rng, train_mode=True, structure=structure
-                )
-                if not np.isfinite(total):
-                    raise NumericalError(
-                        f"non-finite loss at epoch {epoch}; last good checkpoint retained"
+        # a diverging run overflows; the finiteness checks below are its one report
+        with np.errstate(over="ignore", invalid="ignore"):
+            for epoch in range(config.epochs):
+                t0 = time.perf_counter()
+                order = list(queries)
+                rng.shuffle(order)
+                losses: list[float] = []
+                nces: list[float] = []
+                regs: list[float] = []
+                for start in range(0, len(order), config.batch_size):
+                    subset = order[start : start + config.batch_size]
+                    batch = sample_batch(
+                        labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
                     )
-                params, adam = adam_step(params, grads, adam, config.lr, config.weight_decay)
-                if not np.all(np.isfinite(params.flat)):
-                    raise NumericalError(
-                        f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
+                    total, nce, reg, grads, _ = total_loss_and_grads(
+                        params, graph, batch, config, rng=rng, train_mode=True, structure=structure
                     )
-                losses.append(total)
-                nces.append(nce)
-                regs.append(reg)
+                    if not np.isfinite(total):
+                        raise NumericalError(
+                            f"non-finite loss at epoch {epoch}; last good checkpoint retained"
+                        )
+                    params, adam = adam_step(params, grads, adam, config.lr, config.weight_decay)
+                    if not np.all(np.isfinite(params.flat)):
+                        raise NumericalError(
+                            f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
+                        )
+                    losses.append(total)
+                    nces.append(nce)
+                    regs.append(reg)
 
-            mean_loss = float(np.mean(losses))
-            logs.append(
-                EpochLog(
-                    epoch=epoch,
-                    mean_loss=mean_loss,
-                    infonce=float(np.mean(nces)),
-                    degreg=float(np.mean(regs)),
-                    wall_ms=(time.perf_counter() - t0) * 1e3,
+                mean_loss = float(np.mean(losses))
+                logs.append(
+                    EpochLog(
+                        epoch=epoch,
+                        mean_loss=mean_loss,
+                        infonce=float(np.mean(nces)),
+                        degreg=float(np.mean(regs)),
+                        wall_ms=(time.perf_counter() - t0) * 1e3,
+                    )
                 )
-            )
-            if mean_loss < best_loss:
-                best_loss = mean_loss
-                best_params = params
-                best_epoch = epoch
-            if ckpt_dir is not None:
-                _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
-                                   sidecar if epoch == 0 else None)
+                if mean_loss < best_loss:
+                    best_loss = mean_loss
+                    best_params = params
+                    best_epoch = epoch
+                if ckpt_dir is not None:
+                    _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
+                                       sidecar if epoch == 0 else None)
     finally:
         if ckpt_dir is not None:
             if not logs:  # no epoch finished: best_params are the initial params

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -11,8 +13,6 @@ from caselink.corpus import (
     ChargeEntry,
     CorpusStore,
     Role,
-    extract_latest_year,
-    tokenize,
 )
 from caselink.gat import GatParams
 from caselink.graph import GlobalCaseGraph, assemble_gcg
@@ -26,11 +26,8 @@ def make_case(
     year: int | None | str = "auto",
 ) -> CaseDocument:
     """Build a CaseDocument with tokens (and, by default, year) derived from text."""
-    if year == "auto":
-        year = extract_latest_year(text)
-    return CaseDocument(
-        id=case_id, text=text, tokens=tuple(tokenize(text)), year=year, role=role
-    )
+    case = CaseDocument.from_text(case_id, text, role)
+    return case if year == "auto" else dataclasses.replace(case, year=year)
 
 
 def make_store(

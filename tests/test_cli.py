@@ -689,6 +689,26 @@ class TestStagedAndFused:
                     == (tmp_path / "plain" / name).read_bytes()), name
 
 
+    def test_a_graph_of_another_corpus_is_data_error_naming_it(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        other = tmp_path / "other"
+        assert main(["synth", "--out", str(other), "--n-clusters", "3", "--dim", "8"]) == 0
+        assert main(["graph", "--config", str(other / "config.json"), "--out", str(other)]) == 0
+        assert main(["pipeline", "--config", str(config_path), "--epochs", "1",
+                     "--out", str(tmp_path / "p")]) == 0
+        stale = other / "graph.gcg1"
+        ckpt = tmp_path / "p" / "checkpoints" / "checkpoint.gatc"
+        for command, flags in (("train", ["--epochs", "1"]), ("rank", ["--checkpoint", str(ckpt)])):
+            capsys.readouterr()
+            assert main([command, "--config", str(config_path), "--graph", str(stale),
+                         "--out", str(tmp_path / command), *flags]) == 2, command
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {stale}: graph row 2 holds 'q002' (query), "
+                                  "not node 2 of the corpus, 'cand000' (candidate)"), err
+            written = {p.name for p in (tmp_path / command).iterdir()}
+            assert written == {"bm25.bin", "manifest.json"}, command  # the index stage only
+
+
 class TestNodeIds:
     @staticmethod
     def with_lexicon_lines(config_path, tmp_path, edit):
@@ -960,14 +980,36 @@ class TestEndpoint:
                      "--epochs", "1"]) == 0
         assert ((tmp_path / "p" / "embeddings.emb1").read_bytes()
                 == (tmp_path / "e" / "embeddings.emb1").read_bytes())
+        # the staged commands fetch through the same options as the pipeline
+        ckpt = tmp_path / "p" / "checkpoints" / "checkpoint.gatc"
+        for command, flags in (("graph", []), ("train", ["--epochs", "1"]),
+                               ("rank", ["--checkpoint", str(ckpt)])):
+            assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / command),
+                         *flags]) == 0, command
+            for name in ("embeddings.emb1", "graph.gcg1"):
+                assert ((tmp_path / command / name).read_bytes()
+                        == (tmp_path / "p" / name).read_bytes()), (command, name)
         # not the JSONL; embed's vectors do not depend on the labels
-        read = {"e": ("corpus", "lexicon"), "p": ("corpus", "labels", "lexicon")}
+        labeled = ("corpus", "labels", "lexicon")
+        read = {"e": ("corpus", "lexicon"), "p": labeled, "graph": labeled, "train": labeled,
+                "rank": labeled}
         for out, keys in read.items():
             manifest = read_manifest(tmp_path / out)
             assert manifest["config"]["endpoint"] == "http://embeddings.invalid/embed"
             assert manifest["config"]["truncation_tokens"] == 3
             assert manifest["config"]["threads"] == 2
-            assert set(manifest["inputs"]) == {synth_cfg[k] for k in keys}
+            expected = {synth_cfg[k] for k in keys} | ({str(ckpt)} if out == "rank" else set())
+            assert set(manifest["inputs"]) == expected, out
+
+    def test_dim_other_than_the_served_one_is_data_error(self, dataset, monkeypatch, capsys):
+        tmp_path, config_path = dataset
+        cfg_path, served = self.endpoint_config(tmp_path, config_path)
+        self.serve(monkeypatch, served)
+        out = tmp_path / "e"
+        assert main(["embed", "--config", str(cfg_path), "--dim", "5", "--out", str(out)]) == 2
+        assert "has dim 8, expected 5" in capsys.readouterr().err
+        assert not (out / "embeddings.emb1").exists()
+        assert main(["embed", "--config", str(cfg_path), "--dim", "8", "--out", str(out)]) == 0
 
     def test_zero_threads_is_data_error(self, dataset, monkeypatch, capsys):
         tmp_path, config_path = dataset

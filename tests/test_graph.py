@@ -19,6 +19,7 @@ from caselink.graph import (
     build_case_charge_edges,
     build_charge_charge_edges,
     build_global_case_graph,
+    check_node_order,
     load_graph,
     save_graph,
 )
@@ -344,6 +345,27 @@ class TestBuildGlobalCaseGraph:
                 graph.features[graph.node_rows[node_id]], table[node_id]
             )
 
+    # the nodes of _inputs(), in order and with their roles
+    QUERY = ("q1", "x", Role.QUERY)
+    CASES = [("d1", "x"), ("d2", "x")]
+    CHARGES = [("c1", "a"), ("c2", "b")]
+
+    @pytest.mark.parametrize("cases, charges, row, have, need", [
+        ([QUERY, ("d1", "x", Role.QUERY), ("d2", "x")], CHARGES,
+         1, "'d1' (candidate)", "'d1' (query)"),
+        ([QUERY, *CASES[::-1]], CHARGES, 1, "'d1' (candidate)", "'d2' (candidate)"),
+        ([QUERY, *CASES], [*CHARGES, ("c3", "c")], 5, "nothing", "'c3' (charge)"),
+        ([QUERY, *CASES], [], 3, "'c1' (charge)", "nothing"),
+    ], ids=["role", "order", "extra charge", "no charges"])
+    def test_check_node_order_names_the_first_row_that_differs(self, cases, charges, row, have,
+                                                                need):
+        store, table = self._inputs()
+        graph = build_global_case_graph(store, table, build_index(store), k=1, delta=0.9)
+        check_node_order(graph, make_store([self.QUERY, *self.CASES], self.CHARGES), "g.gcg1")
+        with pytest.raises(GraphConstructionError) as exc_info:
+            check_node_order(graph, make_store(cases, charges), "g.gcg1")
+        assert str(exc_info.value).startswith(
+            f"g.gcg1: graph row {row} holds {have}, not node {row} of the corpus, {need}: ")
 
 class TestGraphSerialization:
     def test_roundtrip(self, tmp_path):
