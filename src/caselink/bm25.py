@@ -33,7 +33,7 @@ from .errors import EmptyCorpusError, IngestError
 _MAGIC = b"BM25"
 _FORMAT_VERSION = 2
 
-# Source rows scored together by _block_top_k. Each block holds a dense
+# Source rows scored together by block_top_k. Each block holds a dense
 # terms x _BLOCK_ROWS float64 block of the sources' term counts (1.2 MB at 569
 # terms, 4 MB at 1,979) and a _BLOCK_ROWS x n_docs float64 block of scores
 # (4.3 MB at 2,100 documents). The weight matrix stays sparse.
@@ -146,7 +146,7 @@ def bm25_score(index: Bm25Index, query_tokens: list[str] | tuple[str, ...], doc_
     return float(score_all(index, query_tokens)[doc_index])
 
 
-# score_all and _block_top_k score with one sparse-times-dense product: the
+# score_all and block_top_k score with one sparse-times-dense product: the
 # weight rows W[d] times a dense column of query term counts. Its scores are
 # bit-identical to those of the sparse product of the queries' count rows with
 # W.T. That product sums qtf * w over the terms t of q and d, in ascending t,
@@ -195,7 +195,7 @@ def _select_top_k(
     return [(cols[c[s:e]], scores[r[s:e], c[s:e]]) for s, e in zip(starts, ends)]
 
 
-def _block_top_k(
+def block_top_k(
     index: Bm25Index,
     src: np.ndarray,
     cols: np.ndarray,
@@ -221,7 +221,7 @@ def _block_top_k(
 
 def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> list[ScoredPair]:
     """Top-k most BM25-similar cases to ``doc_id`` (self excluded), as
-    :func:`_block_top_k` selects them for one row."""
+    :func:`block_top_k` selects them for one row."""
     if k < 1:
         raise ValueError("k must be >= 1")
     check_case_order(index, store)

@@ -7,18 +7,19 @@ options for the corpus and its vectors (file or endpoint) and run one chain of
 stages, ingest -> embed -> index -> graph, and then their own, so each writes
 the files of every stage it runs, byte for byte what ``pipeline`` writes. With
 ``--graph``, ``train`` and ``rank`` read the graph from that file in place of
-embed and graph, once it is checked to hold the corpus's nodes in order. One
+embed and graph, once it is checked to hold the corpus's nodes in order and to
+record this run's corpus and lexicon digests, k1, b, k_edges and delta. One
 JSON config file can drive all subcommands; command-line flags override config
 values, which override built-in defaults. Every stage is timed by
 :meth:`StageManifest.stage`, which writes a ``manifest.json`` into the output
 directory (before the outputs are finalized) recording the resolved config,
-sha256 digests of all inputs, output paths, the tool version, and per-stage
-wall-clock timings.
+sha256 digests of all inputs (each digested once), output paths, the tool
+version, and per-stage wall-clock timings.
 
 Every subcommand that needs the BM25 index builds it in its ``index`` stage,
 the one source of an index, and writes it to ``bm25.bin`` with the digest of
-the corpus it was built from. Exit codes: 0 success, 1 usage error, 2 data
-error, 3 numerical error.
+the corpus it was built from, the one ``graph.gcg1`` records. Exit codes: 0
+success, 1 usage error, 2 data error, 3 numerical error.
 """
 
 from __future__ import annotations
@@ -65,8 +66,10 @@ from .errors import CaseLinkError, LabelError, NumericalError, ParseError, locat
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import (
     GlobalCaseGraph,
+    Provenance,
     build_global_case_graph,
     check_node_order,
+    check_provenance,
     load_graph,
     save_graph,
 )
@@ -151,6 +154,10 @@ class StageManifest:
         for path in paths:
             if path is not None:
                 self.data["inputs"][str(path)] = _digest_path(Path(path))
+
+    def digest(self, path) -> str:
+        """The digest :meth:`add_input` recorded for ``path``."""
+        return self.data["inputs"][str(path)]
 
     def add_output(self, path) -> None:
         s = str(path)
@@ -335,11 +342,10 @@ def ingest_stage(store: CorpusStore, manifest: StageManifest) -> dict:
 
 def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> Bm25Index:
     """Build the BM25 index of ``opts.corpus`` with ``opts.k1``/``opts.b`` and
-    write it to ``bm25.bin`` with the corpus digest."""
+    write it to ``bm25.bin`` with the corpus digest the ingest recorded."""
     with manifest.stage("index") as out:
         index = build_index(store, k1=opts.k1, b=opts.b)
-        digest = _digest_path(opts.corpus)
-        out["bm25.bin"] = lambda path: save_index(index, path, digest)
+        out["bm25.bin"] = lambda path: save_index(index, path, manifest.digest(opts.corpus))
     return index
 
 
@@ -367,14 +373,15 @@ def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
 
 def graph_stage(
     store: CorpusStore, table: EmbeddingTable, index: Bm25Index,
-    training: TrainingConfig, manifest: StageManifest,
+    built_from: Provenance, manifest: StageManifest,
 ) -> GlobalCaseGraph:
-    """Assemble the global case graph and write ``graph.gcg1``."""
+    """Assemble the global case graph with ``built_from``'s ``k_edges`` and
+    ``delta`` and write ``graph.gcg1``, which records ``built_from``."""
     with manifest.stage("graph") as out:
         gcg = build_global_case_graph(
-            store, table, index, k=training.k_edges, delta=training.delta
+            store, table, index, k=built_from.k_edges, delta=built_from.delta
         )
-        out["graph.gcg1"] = lambda path: save_graph(gcg, path)
+        out["graph.gcg1"] = lambda path: save_graph(gcg, path, built_from)
     return gcg
 
 
@@ -432,16 +439,19 @@ def _case_chain(
     """``pipeline``'s stages up to the graph, the ones every subcommand from
     ``graph`` to ``pipeline`` runs first: ingest, embed, index and graph; with
     ``--graph``, ingest, index and a ``graph`` stage that reads that file and
-    checks that it holds the corpus's nodes."""
+    checks that it holds the corpus's nodes and was built as this run builds it."""
     store = _load_store(opts, manifest, need_labels)
+    built_from = Provenance(manifest.digest(opts.corpus), manifest.digest(opts.lexicon),
+                            opts.k1, opts.b, training.k_edges, training.delta)
     if opts.graph is None:
         table = embed_stage(store, opts, manifest)
         index = index_stage(store, opts, manifest)
-        return store, index, graph_stage(store, table, index, training, manifest)
+        return store, index, graph_stage(store, table, index, built_from, manifest)
     index = index_stage(store, opts, manifest)
     with manifest.stage("graph"):
         gcg = load_graph(opts.graph)
         check_node_order(gcg, store, opts.graph)
+        check_provenance(gcg, built_from, opts.graph)
         manifest.add_input(opts.graph)
     return store, index, gcg
 

@@ -43,6 +43,8 @@ class ProviderConfig:
             raise ValueError("an endpoint URL is required")
         if self.truncation_tokens < 1:
             raise ValueError("truncation_tokens must be >= 1")
+        if self.max_retries < 0:  # fetch tries once plus max_retries times
+            raise ValueError("max_retries must be >= 0")
         if self.max_in_flight < 1:
             raise ValueError("max_in_flight (threads) must be >= 1")
 
@@ -226,21 +228,15 @@ class RemoteEmbeddingProvider:
         if not text:
             raise ValueError("text must be non-empty")
         payload = {"id": node_id, "text": truncate_text(text, self.config.truncation_tokens)}
-        last_exc: Exception | None = None
         for attempt in range(self.config.max_retries + 1):
             try:
                 body = self._transport(self.config.endpoint, payload)
                 break
             except Exception as exc:  # transport decides what is transient
-                last_exc = exc
                 if attempt == self.config.max_retries:
-                    raise ProviderError(
-                        f"embedding fetch for {node_id!r} failed after "
-                        f"{attempt + 1} attempts: {exc}"
-                    ) from exc
+                    raise ProviderError(f"embedding fetch for {node_id!r} failed after "
+                                        f"{attempt + 1} attempts: {exc}") from exc
                 time.sleep(self.config.retry_base_delay * (2**attempt))
-        else:  # pragma: no cover
-            raise ProviderError(str(last_exc))
 
         with self._lock:
             vec, self._dim = _validate_vector(node_id, body["vector"], self._dim)

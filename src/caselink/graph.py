@@ -8,7 +8,7 @@ Self-loops are not stored; the encoder adds them transiently.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import zip_longest
 from pathlib import Path
 from types import MappingProxyType
@@ -17,12 +17,25 @@ import numpy as np
 import scipy.sparse as sp
 
 from .binfile import pack, pack_record, read_container, record
-from .bm25 import Bm25Index, _block_top_k, check_case_order
+from .bm25 import Bm25Index, block_top_k, check_case_order
 from .corpus import CorpusStore, Role, normalize_charge_name
 from .embeddings import STORED_DTYPE, EmbeddingTable, check_coverage, unit_rows
 from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
 
 _MAGIC = b"GCG1"
+
+
+@dataclass(frozen=True)
+class Provenance:
+    """What a graph's edges were built from: the sha256 digests of the corpus and
+    lexicon files, and the run's BM25 ``k1`` and ``b``, ``k_edges`` and ``delta``."""
+
+    corpus_digest: str
+    lexicon_digest: str
+    k1: float
+    b: float
+    k_edges: int
+    delta: float
 
 
 @dataclass
@@ -33,6 +46,7 @@ class GlobalCaseGraph:
     features: np.ndarray  # (n+m) x d_emb, float64
     node_ids: tuple[str, ...]
     roles: tuple[Role, ...]  # per case node
+    provenance: Provenance | None = None  # as a loaded graph.gcg1 records it, if it does
 
     @property
     def n_nodes(self) -> int:
@@ -56,7 +70,7 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     check_case_order(index, store)
     n = store.n_cases
     src = np.arange(n)
-    tops = _block_top_k(index, src, src, k, lambda at: src != src[at, None])
+    tops = block_top_k(index, src, src, k, lambda at: src != src[at, None])
     sources = np.repeat(src, [len(top) for top, _ in tops])
     targets = np.concatenate([np.zeros(0, np.int64), *(top for top, _ in tops)])
     rows = np.concatenate((sources, targets))
@@ -206,11 +220,24 @@ class _Header:
     dim: int
     ids: list[str]  # per node, cases first
     roles: list[str]  # per case node, a Role value
+    # the Provenance fields, each null in a graph saved without one
+    corpus_digest: str | None
+    lexicon_digest: str | None
+    k1: float | None
+    b: float | None
+    k_edges: int | None
+    delta: float | None
 
 
-def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
+def save_graph(graph: GlobalCaseGraph, path: str | Path,
+               provenance: Provenance | None = None) -> None:
+    """Serialize the graph; ``provenance`` records what its edges were built
+    from. Without it those header fields are null, and :func:`check_provenance`
+    refuses the file."""
+    built_from = asdict(provenance) if provenance else dict.fromkeys(
+        f.name for f in fields(Provenance))
     header = _Header(graph.n_cases, graph.n_charges, graph.dim, list(graph.node_ids),
-                     [r.value for r in graph.roles])
+                     [r.value for r in graph.roles], **built_from)
     upper = sp.triu(graph.adjacency, k=1).tocoo()
     order = np.lexsort((upper.col, upper.row))
     edges = np.column_stack([upper.row[order], upper.col[order]]).astype("<u4")
@@ -251,14 +278,9 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
         (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_nodes, n_nodes)
     ).tocsr()
     adjacency.sort_indices()
-    return GlobalCaseGraph(
-        n_cases=h.n,
-        n_charges=h.m,
-        adjacency=adjacency,
-        features=features,
-        node_ids=tuple(h.ids),
-        roles=roles,
-    )
+    built_from = {f.name: getattr(h, f.name) for f in fields(Provenance)}
+    provenance = None if None in built_from.values() else Provenance(**built_from)
+    return GlobalCaseGraph(h.n, h.m, adjacency, features, tuple(h.ids), roles, provenance)
 
 
 def check_node_order(gcg: GlobalCaseGraph, store: CorpusStore, path) -> None:
@@ -277,3 +299,18 @@ def check_node_order(gcg: GlobalCaseGraph, store: CorpusStore, path) -> None:
         raise GraphConstructionError(
             f"graph row {row} holds {have}, not node {row} of the corpus, {need}: the graph "
             "was built from another corpus or in another order", path=path)
+
+
+def check_provenance(gcg: GlobalCaseGraph, want: Provenance, path) -> None:
+    """Raise GraphConstructionError, naming ``path`` and the first field that
+    differs, unless the graph records that its edges were built as ``want``
+    says: from the same corpus and lexicon files, with the same settings."""
+    if gcg.provenance is None:
+        raise GraphConstructionError(
+            "the graph records no provenance (its corpus and lexicon digests, k1, b, k_edges "
+            "and delta are missing): it was saved without them", path=path)
+    for name, need in asdict(want).items():
+        if (have := getattr(gcg.provenance, name)) != need:
+            raise GraphConstructionError(
+                f"the graph was built with {name} {have!r}, this run has {need!r}: build "
+                "the graph again for this corpus and these settings", path=path)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, _block_top_k, check_case_order, top_k
+from .bm25 import Bm25Index, block_top_k, check_case_order, top_k
 from .corpus import CaseDocument, CorpusStore, iter_lines, write_json
 from .embeddings import unit_rows
 from .errors import DimensionError, MissingEmbeddingError, ParseError
@@ -70,7 +70,7 @@ def _lexical_stage(
     cand_rows = np.array([index.doc_index(c.id) for c in candidates], dtype=np.int64)
     eligible = _older(queries, candidates)
     src = np.array([index.doc_index(q.id) for q in queries], dtype=np.int64)
-    tops = _block_top_k(index, src, cand_rows, size, lambda at: eligible[at])
+    tops = block_top_k(index, src, cand_rows, size, lambda at: eligible[at])
     return [
         (query, tuple(cand_ids[ok]), rows, scores)
         for query, ok, (rows, scores) in zip(queries, eligible, tops)

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, _block_top_k, check_case_order
+from .bm25 import Bm25Index, block_top_k, check_case_order
 from .corpus import CorpusStore, Role, write_jsonl
 from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
@@ -140,7 +140,7 @@ def hard_negative_pools(
     )
     src = np.array([index.doc_index(qid) for qid in labels], dtype=np.int64)
     pools: dict[str, tuple[str, ...]] = {}
-    for qid, (top, _) in zip(labels, _block_top_k(index, src, cand_rows, pool_size)):
+    for qid, (top, _) in zip(labels, block_top_k(index, src, cand_rows, pool_size)):
         positives = set(labels[qid])
         pools[qid] = tuple(index.doc_ids[i] for i in top if index.doc_ids[i] not in positives)
     return pools

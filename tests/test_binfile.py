@@ -18,7 +18,7 @@ from caselink.corpus import Role
 from caselink.embeddings import EmbeddingTable, write_binary_embeddings
 from caselink.errors import IngestError
 from caselink.gat import GatParams, save_checkpoint
-from caselink.graph import GlobalCaseGraph, save_graph
+from caselink.graph import GlobalCaseGraph, Provenance, save_graph
 from caselink.synthetic import SyntheticSpec
 from caselink.training import TrainingConfig
 
@@ -54,9 +54,11 @@ def gcg1_file(path):
     features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     save_graph(GlobalCaseGraph(n_cases=2, n_charges=1, adjacency=adjacency, features=features,
                                node_ids=("q1", "c1", "x1"),
-                               roles=(Role.QUERY, Role.CANDIDATE)), path)
-    header = {"dim": 2, "ids": ["q1", "c1", "x1"], "m": 1, "n": 2,
-              "roles": ["query", "candidate"]}
+                               roles=(Role.QUERY, Role.CANDIDATE)), path,
+               Provenance("abc", "def", k1=1.2, b=0.75, k_edges=5, delta=0.9))
+    header = {"b": 0.75, "corpus_digest": "abc", "delta": 0.9, "dim": 2,
+              "ids": ["q1", "c1", "x1"], "k1": 1.2, "k_edges": 5, "lexicon_digest": "def",
+              "m": 1, "n": 2, "roles": ["query", "candidate"]}
     return (b"GCG1" + compact_json(header) + struct.pack("<Q", 2)
             + struct.pack("<4I", 0, 1, 0, 2) + struct.pack("<6f", 1, 0, 0, 1, 0.5, 0.5))
 

@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from caselink import bm25
 from caselink.bm25 import (
     Bm25Index,
-    _block_top_k,
+    block_top_k,
     bm25_score,
     build_index,
     load_index,
@@ -309,7 +309,7 @@ class TestTopK:
 
 
 class TestBlockTopK:
-    """``_block_top_k`` scores sources in blocks of ``_BLOCK_ROWS`` rows; the
+    """``block_top_k`` scores sources in blocks of ``_BLOCK_ROWS`` rows; the
     block sizes below do not divide the corpus sizes."""
 
     @staticmethod
@@ -323,7 +323,7 @@ class TestBlockTopK:
     def _others(index, k):
         """Every doc as a source, ranking every other doc."""
         every = np.arange(index.n_docs)
-        return _block_top_k(index, every, every, k, lambda at: every != every[at, None])
+        return block_top_k(index, every, every, k, lambda at: every != every[at, None])
 
     @pytest.mark.parametrize("block", [1, 3, 7, 256])
     def test_scores_match_naive_reference(self, monkeypatch, block):
@@ -374,7 +374,7 @@ class TestBlockTopK:
 
 
 class TestSparseProductReference:
-    """``score_all`` and ``_block_top_k`` score bit for bit as the sparse
+    """``score_all`` and ``block_top_k`` score bit for bit as the sparse
     product of the sources' count rows with W.T."""
 
     @staticmethod
@@ -419,7 +419,7 @@ class TestSparseProductReference:
                 eligible = None if ok is None else (lambda at, ok=ok: ok[at])
                 ok = np.ones((len(src), len(cols)), bool) if ok is None else ok
                 for k in (1, 3, len(cols)):
-                    got = _block_top_k(index, src, cols, k, eligible)
+                    got = block_top_k(index, src, cols, k, eligible)
                     assert len(got) == len(src)
                     for i, (rows, scores) in enumerate(got):
                         row = want[src[i], cols[ok[i]]]

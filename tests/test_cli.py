@@ -188,6 +188,8 @@ class TestStages:
                     cfg["lexicon"],
                     "--graph",
                     str(graph_path),
+                    "--k-edges",
+                    "3",
                     "--out",
                     str(train_out),
                     "--epochs",
@@ -215,6 +217,8 @@ class TestStages:
                     cfg["lexicon"],
                     "--graph",
                     str(graph_path),
+                    "--k-edges",
+                    "3",
                     "--checkpoint",
                     str(ckpt),
                     "--out",
@@ -707,6 +711,105 @@ class TestStagedAndFused:
                                   "not node 2 of the corpus, 'cand000' (candidate)"), err
             written = {p.name for p in (tmp_path / command).iterdir()}
             assert written == {"bm25.bin", "manifest.json"}, command  # the index stage only
+
+
+class TestGraphProvenance:
+    """A ``--graph`` file records the corpus and lexicon digests and the k1, b,
+    k_edges and delta its edges were built with; a run that reads it must have
+    the same, or it is a data error naming the file and the first field that
+    differs."""
+
+    @staticmethod
+    def graph_of(tmp_path, config_path, *flags):
+        out = tmp_path / "g"
+        assert main(["graph", "--config", str(config_path), "--out", str(out), *flags]) == 0
+        return out / "graph.gcg1"
+
+    @staticmethod
+    def refused(capsys, argv, gcg, reason):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {gcg}: {reason}"), err
+
+    def test_a_graph_of_another_seed_is_data_error_naming_the_corpus_digest(self, tmp_path,
+                                                                           capsys):
+        # two seeds of one spec share every node id and role: only the corpus tells them apart
+        one, two = run_synth(tmp_path / "one", seed=1), run_synth(tmp_path / "two", seed=2)
+        gcg = self.graph_of(tmp_path, one)
+        ckpt = tmp_path / "t1" / "checkpoints" / "checkpoint.gatc"
+        assert main(["train", "--config", str(one), "--graph", str(gcg), "--epochs", "2",
+                     "--out", str(tmp_path / "t1")]) == 0
+        self.refused(capsys, ["train", "--config", str(two), "--graph", str(gcg), "--epochs", "2",
+                              "--out", str(tmp_path / "t2")],
+                     gcg, "the graph was built with corpus_digest ")
+        self.refused(capsys, ["rank", "--config", str(two), "--graph", str(gcg),
+                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "r2")],
+                     gcg, "the graph was built with corpus_digest ")
+        assert not (tmp_path / "t2" / "checkpoints").exists()
+
+    @pytest.mark.parametrize("flags, reason", [
+        (["--k-edges", "3", "--delta", "0.5"], "k_edges 5, this run has 3"),
+        (["--delta", "0.5"], "delta 0.9, this run has 0.5"),
+        (["--k1", "2"], "k1 1.2, this run has 2.0"),
+        (["--b", "0.5"], "b 0.75, this run has 0.5"),
+    ], ids=["k_edges first", "delta", "k1", "b"])
+    def test_other_settings_are_data_error_naming_the_first_field(self, dataset, capsys,
+                                                                   flags, reason):
+        tmp_path, config_path = dataset
+        gcg = self.graph_of(tmp_path, config_path)
+        self.refused(capsys, ["train", "--config", str(config_path), "--graph", str(gcg),
+                              "--epochs", "1", "--out", str(tmp_path / "t"), *flags],
+                     gcg, "the graph was built with " + reason)
+        # built with those settings, the graph serves a run that has them
+        gcg = self.graph_of(tmp_path, config_path, *flags)
+        assert main(["train", "--config", str(config_path), "--graph", str(gcg),
+                     "--epochs", "1", "--out", str(tmp_path / "t"), *flags]) == 0
+
+    def test_another_lexicon_file_is_data_error_naming_its_digest(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        gcg = self.graph_of(tmp_path, config_path)
+        # the same charges, as a blank line is skipped, but other bytes
+        lexicon = tmp_path / "lexicon.txt"
+        lexicon.write_bytes(Path(json.loads(config_path.read_text())["lexicon"]).read_bytes()
+                            + b"\n")
+        self.refused(capsys, ["train", "--config", str(config_path), "--lexicon", str(lexicon),
+                              "--graph", str(gcg), "--epochs", "1", "--out", str(tmp_path / "t")],
+                     gcg, "the graph was built with lexicon_digest ")
+
+    def test_a_graph_saved_without_provenance_is_data_error_saying_so(self, dataset, capsys):
+        from caselink.graph import load_graph, save_graph
+
+        tmp_path, config_path = dataset
+        gcg = self.graph_of(tmp_path, config_path)
+        save_graph(load_graph(gcg), gcg)
+        self.refused(capsys, ["train", "--config", str(config_path), "--graph", str(gcg),
+                              "--epochs", "1", "--out", str(tmp_path / "t")],
+                     gcg, "the graph records no provenance (its corpus and lexicon digests, "
+                     "k1, b, k_edges and delta are missing)")
+
+    def test_one_run_digests_each_input_once_and_records_one_corpus_digest(self, dataset,
+                                                                         monkeypatch):
+        from caselink import cli
+        from caselink.bm25 import load_index
+        from caselink.graph import load_graph
+
+        tmp_path, config_path = dataset
+        digest, digested = cli._digest_path, []
+
+        def counted(path):
+            digested.append(str(path))
+            return digest(path)
+
+        monkeypatch.setattr(cli, "_digest_path", counted)
+        out = tmp_path / "p"
+        assert main(["pipeline", "--config", str(config_path), "--epochs", "1",
+                     "--out", str(out)]) == 0
+        assert sorted(digested) == sorted(read_manifest(out)["inputs"])  # each input once
+        corpus = json.loads(config_path.read_text())["corpus"]
+        _, index_digest = load_index(out / "bm25.bin")
+        graph_digest = load_graph(out / "graph.gcg1").provenance.corpus_digest
+        assert index_digest == graph_digest == read_manifest(out)["inputs"][corpus]
 
 
 class TestNodeIds:
@@ -1209,6 +1312,8 @@ class TestDamagedInputs:
         "roles short": ({"header": lambda h: h | {"roles": h["roles"][:-1]}}, "roles for n ="),
         "role unknown": ({"header": lambda h: h | {"roles": ["judge", *h["roles"][1:]]}},
                          "'judge' is not a valid Role"),
+        "no k_edges": ({"header": lambda h: {k: v for k, v in h.items() if k != "k_edges"}},
+                       "'k_edges' is not an integer \\(missing\\)"),
         "self-loop": ({"edges": lambda e: [[e[0][0], e[0][0]], *e[1:]]}, "i < j <"),
         "repeated pair": ({"edges": lambda e: [e[0], *e]}, "not strictly increasing"),
         "column out of range": ({"edges": lambda e: [*e, [0, 10**6]]}, "i < j <"),

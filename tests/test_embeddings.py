@@ -295,6 +295,11 @@ class TestProviderConfig:
         with pytest.raises(ValueError):
             ProviderConfig(endpoint="http://unit.test/embed", truncation_tokens=0)
 
+    def test_max_retries_validated(self):
+        # fetch's loop runs max_retries + 1 times, so each pass breaks or raises
+        with pytest.raises(ValueError, match="max_retries"):
+            ProviderConfig(endpoint="http://unit.test/embed", max_retries=-1)
+
     def test_max_in_flight_validated(self):
         with pytest.raises(ValueError, match="max_in_flight"):
             ProviderConfig(endpoint="http://unit.test/embed", max_in_flight=0)

@@ -1,6 +1,16 @@
-"""The package root: every exported name exists."""
+"""The package root exports only ``__version__``; every other name is imported
+from its module, as the README's library example does."""
+
+from pathlib import Path
 
 import caselink
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_the_root_exports_only_the_version():
+    assert caselink.__all__ == ["__version__"]
+    assert caselink.__version__
 
 
 def test_every_name_in_all_resolves():
@@ -13,3 +23,11 @@ def test_star_import_works():
     namespace: dict = {}
     exec("from caselink import *", namespace)
     assert set(caselink.__all__) <= set(namespace)
+
+
+def test_the_readme_library_example_runs(capsys):
+    """The first Python block after "## Using the library", run as written."""
+    section = README.read_text("utf-8").split("\n## Using the library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, f"{README}: Using the library", "exec"), {})
+    assert capsys.readouterr().out.startswith("EvalReport(")
