@@ -146,23 +146,47 @@ def hard_negative_pools(
     return pools
 
 
-def easy_negative_pools(
+@dataclass(frozen=True)
+class EasyNegatives:
+    """Per query, the candidates that are not its positives, addressed by
+    index in candidate order instead of listed.
+
+    ``skips[qid]`` holds the sorted candidate positions of the query's
+    distinct positives, the k-th lowered by k, so the i-th non-positive
+    candidate sits at position i + (number of skips <= i).
+    """
+
+    candidate_ids: tuple[str, ...]
+    skips: dict[str, np.ndarray]
+
+    def size(self, qid: str) -> int:
+        return len(self.candidate_ids) - len(self.skips[qid])
+
+    def ids(self, qid: str, idx: np.ndarray) -> tuple[str, ...]:
+        """The non-positive candidates at indices ``idx`` in [0, size(qid))."""
+        skips = self.skips[qid]
+        positions = idx + np.searchsorted(skips, idx, side="right")
+        return tuple(self.candidate_ids[p] for p in positions.tolist())
+
+
+def easy_negatives(
     labels: dict[str, tuple[str, ...]],
     candidate_ids: list[str] | tuple[str, ...],
-) -> dict[str, tuple[str, ...]]:
-    """Per query: every candidate that is not one of its positives, in
-    ``candidate_ids`` order."""
-    pools: dict[str, tuple[str, ...]] = {}
+) -> EasyNegatives:
+    """Each query's easy-negative pool, every candidate that is not one of its
+    positives, as an ``EasyNegatives`` built in O(candidates + labels)."""
+    position = {c: i for i, c in enumerate(candidate_ids)}
+    skips: dict[str, np.ndarray] = {}
     for qid, positives in labels.items():
-        pos_set = set(positives)
-        pools[qid] = tuple(c for c in candidate_ids if c not in pos_set)
-    return pools
+        hits = sorted({position[p] for p in positives if p in position})
+        skips[qid] = np.array(hits, dtype=np.int64) - np.arange(len(hits))
+    return EasyNegatives(candidate_ids=tuple(candidate_ids), skips=skips)
 
 
 def sample_batch(
     labels: dict[str, tuple[str, ...]],
     hard_pools: dict[str, tuple[str, ...]],
-    easy_pools: dict[str, tuple[str, ...]],
+    easy_pools: EasyNegatives,
     config: TrainingConfig,
     rng: np.random.Generator,
     query_subset: list[str] | tuple[str, ...],
@@ -170,9 +194,10 @@ def sample_batch(
 ) -> TrainingBatch:
     """Sample one positive plus easy and hard negatives for each query.
 
-    Easy negatives come from the query's ``easy_negative_pools`` entry, hard
-    negatives from its BM25 pool; if exclusion empties the hard pool, sampling
-    falls back to easy negatives with a logged warning.
+    Easy negatives are indices drawn into the query's ``EasyNegatives`` pool
+    and mapped to candidate ids, hard negatives come from its BM25 pool; if
+    exclusion empties the hard pool, sampling falls back to easy negatives
+    with a logged warning.
     """
     entries: list[BatchEntry] = []
     for qid in query_subset:
@@ -181,11 +206,10 @@ def sample_batch(
             raise LabelError(f"query {qid!r} has no labeled positive")
         positive = positives[int(rng.integers(len(positives)))]
 
-        easy_pool = easy_pools[qid]
-        if len(easy_pool) < config.n_easy_neg:
+        n_easy = easy_pools.size(qid)
+        if n_easy < config.n_easy_neg:
             raise LabelError(f"not enough easy negatives for query {qid!r}")
-        easy_idx = rng.choice(len(easy_pool), size=config.n_easy_neg, replace=False)
-        easy = tuple(easy_pool[int(i)] for i in easy_idx)
+        easy = easy_pools.ids(qid, rng.choice(n_easy, size=config.n_easy_neg, replace=False))
 
         hard_pool = hard_pools.get(qid, ())
         if config.n_hard_neg == 0:
@@ -196,10 +220,9 @@ def sample_batch(
                 "falling back to easy sampling",
                 qid,
             )
-            extra_idx = rng.choice(
-                len(easy_pool), size=min(config.n_hard_neg, len(easy_pool)), replace=False
+            hard = easy_pools.ids(
+                qid, rng.choice(n_easy, size=min(config.n_hard_neg, n_easy), replace=False)
             )
-            hard = tuple(easy_pool[int(i)] for i in extra_idx)
         else:
             take = min(config.n_hard_neg, len(hard_pool))
             hard_idx = rng.choice(len(hard_pool), size=take, replace=False)
@@ -255,9 +278,10 @@ def infonce_loss(
     # entry i; each entry's positive is then one column lookup
     col_of: dict[str, int] = {}
     pos_cols = [col_of.setdefault(e.positive_id, len(col_of)) for e in entries]
+    hits = [(i, col_of[k]) for i, e in enumerate(entries)
+            for k in e.known_positive_ids if k in col_of]
     known = np.zeros((n, len(col_of)), dtype=bool)
-    for i, e in enumerate(entries):
-        known[i, [col_of[k] for k in e.known_positive_ids if k in col_of]] = True
+    known[tuple(np.array(hits, dtype=np.int64).reshape(-1, 2).T)] = True
     in_batch = ~known[:, pos_cols]
     np.fill_diagonal(in_batch, False)
     rows = np.hstack([own_rows, np.broadcast_to(positives, (n, n))])
@@ -437,7 +461,7 @@ def train(
     """
     queries = check_labels(labels)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
-    easy_pools = easy_negative_pools(labels, [c.id for c in store.candidates()])
+    easy_pools = easy_negatives(labels, [c.id for c in store.candidates()])
     structure = prepare_structure(graph.adjacency)
 
     rng = np.random.default_rng(config.seed)

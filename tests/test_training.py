@@ -21,7 +21,7 @@ from caselink.training import (
     TrainingConfig,
     adam_step,
     degreg_loss,
-    easy_negative_pools,
+    easy_negatives,
     hard_negative_pools,
     infonce_loss,
     sample_batch,
@@ -164,16 +164,65 @@ class TestHardNegativePools:
             assert pools["q1"] == expected
 
 
+def easy_negative_pools(labels, candidate_ids):
+    """Reference pools: per query, every candidate that is not one of its
+    positives, in candidate order, listed in full."""
+    pools = {}
+    for qid, positives in labels.items():
+        pos_set = set(positives)
+        pools[qid] = tuple(c for c in candidate_ids if c not in pos_set)
+    return pools
+
+
+def listed(easy):
+    """Every query's pool of an ``EasyNegatives``, mapped index by index."""
+    return {qid: easy.ids(qid, np.arange(easy.size(qid))) for qid in easy.skips}
+
+
+class TestEasyNegatives:
+    def test_indices_map_to_the_listed_pools(self):
+        candidates = ["c1", "c2", "c3", "c4", "c5", "c6"]
+        for labels in [
+            {"q1": ("c1",), "q2": ("c2", "c3")},
+            {"q1": ("c9", "c2")},  # a positive that is no candidate keeps the pool's size
+            {"q1": ("c4", "c4", "c1")},  # a positive listed twice is skipped once
+            {"q1": ("c6", "c1", "c3", "c2", "c5")},  # every candidate is a positive but one
+            {"q1": tuple(candidates)},  # an empty pool
+            {"q1": ()},
+        ]:
+            assert listed(easy_negatives(labels, candidates)) == easy_negative_pools(
+                labels, candidates)
+
+    def test_random_labels_map_to_the_listed_pools(self):
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            candidates = [f"c{i}" for i in rng.permutation(int(rng.integers(1, 40)))]
+            universe = candidates + ["x1", "x2"]
+            labels = {f"q{j}": tuple(universe[int(i)] for i in
+                                     rng.integers(len(universe), size=int(rng.integers(0, 8))))
+                      for j in range(5)}
+            easy = easy_negatives(labels, candidates)
+            reference = easy_negative_pools(labels, candidates)
+            assert {qid: easy.size(qid) for qid in labels} == {
+                qid: len(pool) for qid, pool in reference.items()}
+            assert listed(easy) == reference
+            for qid, pool in reference.items():  # indices in any order, one at a time
+                idx = rng.permutation(len(pool))
+                assert easy.ids(qid, idx) == tuple(pool[i] for i in idx)
+                assert all(easy.ids(qid, np.array([i])) == (pool[i],) for i in idx)
+
+
 class TestSampleBatch:
     def _fixture(self):
         labels = {"q1": ("c1",), "q2": ("c2", "c3")}
         pools = {"q1": ("c2", "c4"), "q2": ("c1", "c4")}
         candidates = ["c1", "c2", "c3", "c4", "c5", "c6"]
-        return labels, pools, easy_negative_pools(labels, candidates)
+        return labels, pools, easy_negatives(labels, candidates)
 
     def test_easy_pools_drop_positives_and_keep_candidate_order(self):
         labels, _, easy = self._fixture()
-        assert easy == {"q1": ("c2", "c3", "c4", "c5", "c6"), "q2": ("c1", "c4", "c5", "c6")}
+        assert listed(easy) == {"q1": ("c2", "c3", "c4", "c5", "c6"),
+                                "q2": ("c1", "c4", "c5", "c6")}
 
     def test_seeded_draws_are_pinned(self):
         # literals from the sampler that rebuilt each easy pool per query and
@@ -228,7 +277,7 @@ class TestSampleBatch:
         cfg = TrainingConfig(n_easy_neg=1, n_hard_neg=2)
         with caplog.at_level("WARNING", logger="caselink.training"):
             batch = sample_batch(
-                labels, pools, easy_negative_pools(labels, ["c1", "c2", "c3", "c4"]), cfg,
+                labels, pools, easy_negatives(labels, ["c1", "c2", "c3", "c4"]), cfg,
                 np.random.default_rng(0), ["q1"]
             )
         assert "falling back" in caplog.text
@@ -240,14 +289,14 @@ class TestSampleBatch:
     def test_no_positive_is_an_error(self):
         cfg = TrainingConfig()
         with pytest.raises(LabelError):
-            sample_batch({"q1": ()}, {}, easy_negative_pools({"q1": ()}, ["c1", "c2"]), cfg,
+            sample_batch({"q1": ()}, {}, easy_negatives({"q1": ()}, ["c1", "c2"]), cfg,
                          np.random.default_rng(0), ["q1"])
 
     def test_insufficient_easy_negatives_is_an_error(self):
         cfg = TrainingConfig(n_easy_neg=2)
         with pytest.raises(LabelError):
             sample_batch(
-                {"q1": ("c1",)}, {}, easy_negative_pools({"q1": ("c1",)}, ["c1", "c2"]), cfg,
+                {"q1": ("c1",)}, {}, easy_negatives({"q1": ("c1",)}, ["c1", "c2"]), cfg,
                 np.random.default_rng(0), ["q1"]
             )
 
@@ -411,6 +460,12 @@ class TestInfonceLoss:
                                                                  row_of))
         _, unmasked = infonce_loss(h, batch({"p2"}), tau=0.2, row_of=row_of)
         assert not np.array_equal(dh, unmasked)  # the known positive p3 was masked out
+        # a known positive that is neither a batch positive nor a row is ignored
+        _, absent = infonce_loss(h, batch({"p2", "p3", "absent"}), tau=0.2, row_of=row_of)
+        assert "absent" not in row_of
+        assert np.array_equal(absent, dh)
+        assert np.array_equal(absent, scatter_reference_infonce_grad(
+            h, batch({"p2", "p3", "absent"}), 0.2, row_of))
 
     def test_validation_errors(self):
         h = np.ones((2, 2))
@@ -662,7 +717,7 @@ class TestTrainLoop:
     def test_edge_structure_and_pools_are_built_once_per_run(self, monkeypatch):
         import caselink.training as training_module
 
-        calls = {"prepare_structure": [], "easy_negative_pools": [], "adam_step": [],
+        calls = {"prepare_structure": [], "easy_negatives": [], "adam_step": [],
                  "backward_gradients": []}
 
         def recording(module, name, record=lambda args, result: None):
@@ -676,14 +731,14 @@ class TestTrainLoop:
             monkeypatch.setattr(module, name, wrapper)
 
         recording(training_module, "prepare_structure", lambda args, result: result)
-        recording(training_module, "easy_negative_pools")
+        recording(training_module, "easy_negatives")
         recording(training_module, "adam_step")
         recording(training_module, "backward_gradients", lambda args, result: args[1].structure)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=5, seed=0)
         train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         assert {name: len(made) for name, made in calls.items()} == {
-            "prepare_structure": 1, "easy_negative_pools": 1, "adam_step": 6,
+            "prepare_structure": 1, "easy_negatives": 1, "adam_step": 6,
             "backward_gradients": 6}
         # every step's forward and backward ran on the one structure, which
         # built its backward-only index once, as a cached property
