@@ -56,7 +56,6 @@ from .embeddings import (
     EmbeddingTable,
     ProviderConfig,
     RemoteEmbeddingProvider,
-    check_coverage,
     load_embedding_file,
     normalize_table,
     round_to_stored,
@@ -124,16 +123,30 @@ def _digest_path(path: Path) -> str:
     return h.hexdigest()
 
 
-def _tmp(path: Path) -> Path:
-    return path.with_name(path.name + ".tmp")
+@contextlib.contextmanager
+def _replaced(paths: list[Path]) -> Iterator[list[Path]]:
+    """Yield the ``.tmp`` siblings of ``paths`` (directories made) for the block
+    to write; rename them into place after it, or remove them if it raises."""
+    for path in paths:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    tmps = [path.with_name(path.name + ".tmp") for path in paths]
+    try:
+        yield tmps
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)
 
 
 class StageManifest:
     """Run record: resolved config, input digests, outputs, timings.
 
-    Each stage rewrites it with its outputs and timing before renaming those
-    outputs into place, so a finalized artifact never exists without one.
-    With ``out_dir`` None the stages run and nothing is written.
+    Each stage rewrites it, through a ``.tmp`` sibling, with its outputs and
+    timing before renaming those outputs into place, so a finalized artifact
+    never exists without a whole manifest. With ``out_dir`` None the stages
+    run and nothing is written.
     """
 
     def __init__(self, out_dir: Path | None, command: str, config_path, config: dict):
@@ -165,8 +178,8 @@ class StageManifest:
             self.data["outputs"].append(s)
 
     def write(self) -> None:
-        self.out.mkdir(parents=True, exist_ok=True)
-        write_json(self.out / "manifest.json", self.data)
+        with _replaced([self.out / "manifest.json"]) as [tmp]:
+            write_json(tmp, self.data)
 
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[dict[str, Callable[[Path], object]]]:
@@ -176,24 +189,22 @@ class StageManifest:
         through its writer to a ``.tmp`` sibling and recorded, the block's time
         is added to ``timings_ms[name]`` (so two blocks of one name time both),
         the manifest is written once it records some output, and the outputs
-        are renamed into place. A block that raises records nothing."""
+        are renamed into place. A block that raises records nothing, and a
+        failed write removes the ``.tmp`` files of the stage's outputs."""
         t0 = time.perf_counter()
         names: dict[str, Callable[[Path], object]] = {}
         yield names
         if self.out is None:
             return
         outputs = {self.out / name: write for name, write in names.items()}
-        if outputs:
-            self.out.mkdir(parents=True, exist_ok=True)
-        for path, write in outputs.items():
-            write(_tmp(path))
-            self.add_output(path)
-        timings = self.data["timings_ms"]
-        timings[name] = round(timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3, 3)
-        if self.data["outputs"]:
-            self.write()
-        for path in outputs:
-            os.replace(_tmp(path), path)
+        with _replaced(list(outputs)) as tmps:
+            for (path, write), tmp in zip(outputs.items(), tmps):
+                write(tmp)
+                self.add_output(path)
+            timings = self.data["timings_ms"]
+            timings[name] = round(timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3, 3)
+            if self.data["outputs"]:
+                self.write()
 
 
 # ---------------------------------------------------------------------------
@@ -350,11 +361,11 @@ def index_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
 
 
 def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -> EmbeddingTable:
-    """Read or fetch the node vectors, check that every node has one and write
-    them in node order to ``embeddings.emb1``; returns them. They are fetched
-    from ``endpoint`` when one is configured, else read from ``--embeddings``,
-    then L2-normalized and rounded to the precision ``embeddings.emb1`` and
-    ``graph.gcg1`` store."""
+    """Read or fetch the node vectors and write them in node order to
+    ``embeddings.emb1`` (a node without one fails before the file is opened);
+    returns them. They are fetched from ``endpoint`` when one is configured,
+    else read from ``--embeddings``, then L2-normalized and rounded to the
+    precision ``embeddings.emb1`` and ``graph.gcg1`` store."""
     with manifest.stage("embed") as out:
         if opts.endpoint:
             provider = RemoteEmbeddingProvider(ProviderConfig(
@@ -366,7 +377,6 @@ def embed_stage(store: CorpusStore, opts: RunOptions, manifest: StageManifest) -
             table = load_embedding_file(_require(opts, "embeddings"), expected_dim=opts.dim)
             manifest.add_input(opts.embeddings)
         table = round_to_stored(normalize_table(table))
-        check_coverage(table, store)
         out["embeddings.emb1"] = lambda path: write_binary_embeddings(table, path, store.node_ids)
     return table
 

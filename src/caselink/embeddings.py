@@ -15,12 +15,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .binfile import pack, pack_text, read_container
-from .corpus import CorpusStore, iter_records, string_field
+from .corpus import iter_records, string_field
 from .errors import (DimensionError, IngestError, MissingEmbeddingError, NumericalError,
                      ProviderError, located)
 
@@ -65,12 +65,21 @@ class EmbeddingTable:
     def __len__(self) -> int:
         return len(self.vectors)
 
-    def matrix(self, ids: Sequence[str]) -> np.ndarray:
-        """Stack vectors for ``ids`` into an (len(ids), dim) float64 matrix."""
-        missing = [i for i in ids if i not in self.vectors]
-        if missing:
-            raise MissingEmbeddingError(f"missing embeddings for ids: {missing[:10]}")
-        return np.stack([self.vectors[i] for i in ids]).astype(np.float64)
+
+def stack_vectors(vectors: Mapping[str, np.ndarray] | EmbeddingTable,
+                  ids: Sequence[str]) -> np.ndarray:
+    """``vectors[i]`` for each id of ``ids``, in order, as a (len(ids), dim)
+    float64 matrix ((0, 0) for no ids). The one missing-vector check: every id
+    -> vector lookup stacks here, and MissingEmbeddingError names the first 20
+    missing ids and counts the rest."""
+    missing = [i for i in ids if i not in vectors]
+    if missing:
+        shown = ", ".join(repr(m) for m in missing[:20])
+        more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
+        raise MissingEmbeddingError(f"no embedding for: {shown}{more}")
+    if len(ids) == 0:
+        return np.zeros((0, 0))
+    return np.array([vectors[i] for i in ids], dtype=np.float64)
 
 
 def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -131,15 +140,14 @@ def write_binary_embeddings(
     table: EmbeddingTable, path: str | Path, ids: Sequence[str] | None = None
 ) -> None:
     """Write vectors in EMB1 layout; ``ids`` fixes the record order (and may
-    select a subset), defaulting to the table's insertion order."""
+    select a subset), defaulting to the table's insertion order. The rows are
+    stacked before the file is opened, so a missing id writes nothing."""
     ordered = list(ids) if ids is not None else list(table.vectors)
+    rows = stack_vectors(table, ordered).astype(STORED_DTYPE)
     with open(path, "wb") as fh:
         fh.write(_MAGIC + pack("I", table.dim) + pack("Q", len(ordered)))
-        for node_id in ordered:
-            if node_id not in table.vectors:
-                raise MissingEmbeddingError(f"no embedding for {node_id!r}")
-            fh.write(pack_text(node_id))
-            fh.write(table.vectors[node_id].astype(STORED_DTYPE).tobytes())
+        for node_id, row in zip(ordered, rows):
+            fh.write(pack_text(node_id) + row.tobytes())
 
 
 def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
@@ -158,7 +166,7 @@ def normalize_table(table: EmbeddingTable) -> EmbeddingTable:
     """Scale every vector to unit L2 norm. A zero vector has no direction, so it
     is a data error (IngestError) that names its id."""
     ids = list(table.vectors)
-    rows = np.array([table.vectors[i] for i in ids], dtype=np.float64).reshape(-1, table.dim)
+    rows = stack_vectors(table, ids)
     try:
         unit, _ = unit_rows(rows)
     except NumericalError:
@@ -172,15 +180,6 @@ def round_to_stored(table: EmbeddingTable) -> EmbeddingTable:
     an ``EMB1`` or ``GCG1`` file written from ``table`` reads back as."""
     return EmbeddingTable(table.dim, {node_id: v.astype(STORED_DTYPE).astype(np.float64)
                                       for node_id, v in table.vectors.items()})
-
-
-def check_coverage(table: EmbeddingTable, store: CorpusStore) -> None:
-    """Every node id of ``store`` must resolve to a vector before graph assembly."""
-    missing = [node_id for node_id in store.node_ids if node_id not in table]
-    if missing:
-        shown = ", ".join(repr(m) for m in missing[:20])
-        more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
-        raise MissingEmbeddingError(f"no embedding for: {shown}{more}")
 
 
 def truncate_text(text: str, max_tokens: int) -> str:

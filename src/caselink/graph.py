@@ -19,8 +19,8 @@ import scipy.sparse as sp
 from .binfile import pack, pack_record, read_container, record
 from .bm25 import Bm25Index, block_top_k, check_case_order
 from .corpus import CorpusStore, Role, normalize_charge_name
-from .embeddings import STORED_DTYPE, EmbeddingTable, check_coverage, unit_rows
-from .errors import DimensionError, GraphConstructionError, MissingEmbeddingError
+from .embeddings import STORED_DTYPE, EmbeddingTable, stack_vectors, unit_rows
+from .errors import DimensionError, GraphConstructionError
 
 _MAGIC = b"GCG1"
 
@@ -92,13 +92,7 @@ def build_charge_charge_edges(
     """Edges between charges whose embedding cosine similarity exceeds delta."""
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
-    missing = [c for c in charge_ids if c not in table]
-    if missing:
-        raise MissingEmbeddingError(f"missing charge embeddings: {missing}")
-    m = len(charge_ids)
-    if m == 0:
-        return sp.csr_matrix((0, 0), dtype=np.int8)
-    unit, _ = unit_rows(table.matrix(charge_ids))
+    unit, _ = unit_rows(stack_vectors(table, charge_ids))
     cos = unit @ unit.T
     adj = (cos > delta).astype(np.int8)
     np.fill_diagonal(adj, 0)
@@ -194,15 +188,15 @@ def build_global_case_graph(
     k: int,
     delta: float,
 ) -> GlobalCaseGraph:
-    """Construct all three edge blocks from one corpus and assemble the graph."""
-    check_coverage(table, store)
+    """Construct all three edge blocks from one corpus and assemble the graph;
+    the features are stacked first, so a missing vector fails before any edge."""
     n, ids = store.n_cases, store.node_ids
+    features = stack_vectors(table, ids)
     a_case = build_case_case_edges(index, store, k) if n > 1 else sp.csr_matrix(
         (n, n), dtype=np.int8
     )
     a_charge = build_charge_charge_edges(ids[n:], table, delta)
     a_bridge = build_case_charge_edges(store)
-    features = table.matrix(ids)
     return assemble_gcg(a_case, a_bridge, a_charge, features[:n], features[n:], ids[:n], ids[n:],
                         tuple(c.role for c in store.cases))
 

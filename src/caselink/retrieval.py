@@ -12,8 +12,8 @@ import numpy as np
 
 from .bm25 import Bm25Index, block_top_k, check_case_order, top_k
 from .corpus import CaseDocument, CorpusStore, iter_lines, write_json
-from .embeddings import unit_rows
-from .errors import DimensionError, MissingEmbeddingError, ParseError
+from .embeddings import stack_vectors, unit_rows
+from .errors import DimensionError, ParseError
 
 logger = logging.getLogger(__name__)
 
@@ -82,13 +82,8 @@ def _dense_stage(
 ) -> RankResult:
     """Re-rank one query's lexical top rows by cosine on the representations."""
     query, eligible_ids, pre_rows, pre_scores = lexical
-    if query.id not in representations:
-        raise MissingEmbeddingError(f"no representation for query {query.id!r}")
     pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
-    for cid in pre_ids:
-        if cid not in representations:
-            raise MissingEmbeddingError(f"no representation for candidate {cid!r}")
-    unit, _ = unit_rows(np.array([representations[i] for i in (query.id, *pre_ids)]))
+    unit, _ = unit_rows(stack_vectors(representations, (query.id, *pre_ids)))
     dense = unit[1:] @ unit[0]
     final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
     return RankResult(

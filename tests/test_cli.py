@@ -1,5 +1,6 @@
 """Command-line interface: stages, manifests, config precedence, exit codes."""
 
+import errno
 import json
 import os
 import struct
@@ -542,6 +543,26 @@ class TestErrorPaths:
         assert code == 2
         assert repr(record["id"]) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["embed", "pipeline"])
+    def test_a_candidate_without_a_vector_is_data_error_naming_it(self, dataset, capsys,
+                                                                 command):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        lines = Path(cfg["embeddings"]).read_text().splitlines()
+        corpus = [json.loads(line) for line in Path(cfg["corpus"]).read_text().splitlines()]
+        missing = next(c["id"] for c in corpus if c.get("role") == "candidate")
+        kept = [line for line in lines if json.loads(line)["id"] != missing]
+        assert len(kept) == len(lines) - 1
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text("\n".join(kept) + "\n")
+        out = tmp_path / "out"
+        epochs = ["--epochs", "1"] if command == "pipeline" else []
+        assert main([command, "--config", str(config_path), "--embeddings", str(partial),
+                     "--out", str(out), *epochs]) == 2
+        assert f"data error: no embedding for: {missing!r}\n" in capsys.readouterr().err
+        assert not (out / "embeddings.emb1").exists()
+        assert not list(out.rglob("*.tmp"))
+
     def test_eval_with_unlabeled_run_query(self, tmp_path, capsys):
         run = tmp_path / "run.tsv"
         run.write_text("qX\tc1\t1\t0.500000\n")
@@ -892,6 +913,43 @@ class TestManifests:
         left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert left  # at least the stages before the graph finished
         assert left == listed
+
+    @pytest.mark.parametrize("failing", ["manifest write", "graph writer"])
+    def test_a_failed_commit_leaves_the_previous_manifest_and_no_tmp_file(
+            self, dataset, monkeypatch, capsys, failing):
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+
+        def fail_partway(write, path):
+            """Run ``write``, which writes ``path``, then cut the file short and
+            fail as a full disk does."""
+            write()
+            Path(path).write_bytes(Path(path).read_bytes()[:40])
+            raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+        if failing == "manifest write":
+            write_json, manifest_writes = cli.write_json, []
+
+            def third_manifest_write_fails(path, obj):
+                if Path(path).name.startswith("manifest.json"):
+                    manifest_writes.append(path)
+                    if len(manifest_writes) == 3:  # after embed and index: the graph's commit
+                        fail_partway(lambda: write_json(path, obj), path)
+                write_json(path, obj)
+
+            monkeypatch.setattr(cli, "write_json", third_manifest_write_fails)
+        else:
+            save_graph = cli.save_graph
+            monkeypatch.setattr(cli, "save_graph", lambda gcg, path, built_from: fail_partway(
+                lambda: save_graph(gcg, path, built_from), path))
+        out = tmp_path / "out"
+        assert main(["pipeline", "--config", str(config_path), "--out", str(out),
+                     "--epochs", "1"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        listed = read_manifest(out)["outputs"]
+        assert sorted(Path(p).name for p in listed) == ["bm25.bin", "embeddings.emb1"]
+        assert {str(p) for p in out.rglob("*") if p.name != "manifest.json"} == set(listed)
 
     def test_ingest_and_embed_timings_cover_reading_their_inputs(self, dataset, monkeypatch):
         from caselink import cli

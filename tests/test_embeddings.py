@@ -12,11 +12,11 @@ from caselink.embeddings import (
     EmbeddingTable,
     ProviderConfig,
     RemoteEmbeddingProvider,
-    check_coverage,
     load_embedding_file,
     normalize_table,
     read_binary_embeddings,
     round_to_stored,
+    stack_vectors,
     truncate_text,
     unit_rows,
     write_binary_embeddings,
@@ -212,8 +212,9 @@ class TestBinaryFormat:
 
     def test_missing_requested_id(self, tmp_path):
         table = EmbeddingTable(dim=2, vectors={"a": np.array([1.0, 0.0])})
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'zz'$"):
             write_binary_embeddings(table, tmp_path / "emb.bin", ids=["a", "zz"])
+        assert not (tmp_path / "emb.bin").exists()  # rows are stacked before the file opens
 
     def test_rounded_table_equals_what_its_file_reads_back(self, tmp_path):
         rng = np.random.default_rng(5)
@@ -258,7 +259,7 @@ class TestTableHelpers:
         table = EmbeddingTable(
             dim=2, vectors={"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
         )
-        mat = table.matrix(["b", "a"])
+        mat = stack_vectors(table, ["b", "a"])
         np.testing.assert_array_equal(mat, [[0.0, 1.0], [1.0, 0.0]])
 
     def test_coverage_passes_when_complete(self):
@@ -266,13 +267,53 @@ class TestTableHelpers:
         table = EmbeddingTable(
             dim=2, vectors={"d1": np.array([1.0, 0.0]), "c1": np.array([0.0, 1.0])}
         )
-        check_coverage(table, store)
+        assert stack_vectors(table, store.node_ids).shape == (2, 2)
 
     def test_coverage_reports_missing_ids(self):
         store = make_store([("d1", "x"), ("d2", "y")], charges=[("c1", "fraud")])
         table = EmbeddingTable(dim=2, vectors={"d1": np.array([1.0, 0.0])})
         with pytest.raises(MissingEmbeddingError, match="d2"):
-            check_coverage(table, store)
+            stack_vectors(table, store.node_ids)
+
+
+class TestStackVectors:
+    @staticmethod
+    def vectors(n):
+        return {f"n{i}": np.array([float(i), -float(i), 1.0]) for i in range(n)}
+
+    @pytest.mark.parametrize("wrap", [dict, lambda v: EmbeddingTable(dim=3, vectors=v)],
+                             ids=["dict", "EmbeddingTable"])
+    def test_rows_follow_ids_as_float64(self, wrap):
+        vectors = self.vectors(4)
+        ids = ["n3", "n0", "n2", "n0"]
+        mat = stack_vectors(wrap(vectors), ids)
+        assert mat.dtype == np.float64 and mat.shape == (4, 3)
+        for row, node_id in zip(mat, ids):
+            assert np.array_equal(row, vectors[node_id])
+
+    @pytest.mark.parametrize("wrap", [dict, lambda v: EmbeddingTable(dim=3, vectors=v)],
+                             ids=["dict", "EmbeddingTable"])
+    def test_names_the_first_twenty_missing_ids_and_counts_the_rest(self, wrap):
+        held = self.vectors(3)
+        ids = ["n0", *(f"gone{i}" for i in range(25)), "n1"]
+        shown = ", ".join(repr(f"gone{i}") for i in range(20))
+        with pytest.raises(MissingEmbeddingError) as info:
+            stack_vectors(wrap(held), ids)
+        assert str(info.value) == f"no embedding for: {shown} (+5 more)"
+
+    def test_at_most_twenty_missing_ids_are_all_named(self):
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'a', 'b'$"):
+            stack_vectors(self.vectors(1), ["a", "n0", "b"])
+
+    def test_no_ids_give_an_empty_matrix(self):
+        assert stack_vectors(self.vectors(2), []).shape == (0, 0)
+
+    def test_values_equal_the_rows_stacked_one_by_one(self):
+        rng = np.random.default_rng(3)
+        vectors = {f"n{i}": rng.standard_normal(7) for i in range(30)}
+        ids = list(vectors)[::-1]
+        want = np.stack([vectors[i] for i in ids])
+        assert stack_vectors(vectors, ids).tobytes() == want.tobytes()
 
 
 class TestTruncation:

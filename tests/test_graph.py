@@ -117,7 +117,7 @@ class TestChargeChargeEdges:
         assert adj.shape == (0, 0)
 
     def test_missing_embedding(self):
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'c1'$"):
             build_charge_charge_edges(["c1"], table_of([("x", [1.0])]), delta=0.9)
 
     def test_zero_norm_embedding_rejected(self):
@@ -334,8 +334,26 @@ class TestBuildGlobalCaseGraph:
         incomplete = EmbeddingTable(
             dim=3, vectors={k: v for k, v in table.vectors.items() if k != "d2"}
         )
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'd2'$"):
             build_global_case_graph(store, incomplete, build_index(store), k=1, delta=0.9)
+
+    def test_missing_embedding_fails_before_any_edge_is_built(self, monkeypatch):
+        from caselink import graph
+
+        store, table = self._inputs()
+        incomplete = EmbeddingTable(
+            dim=3, vectors={k: v for k, v in table.vectors.items() if k != "c2"}
+        )
+        index = build_index(store)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("an edge block was built")
+
+        for name in ("build_case_case_edges", "build_charge_charge_edges",
+                     "build_case_charge_edges"):
+            monkeypatch.setattr(graph, name, refuse)
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'c2'$"):
+            build_global_case_graph(store, incomplete, index, k=1, delta=0.9)
 
     def test_feature_rows_follow_node_order(self):
         store, table = self._inputs()

@@ -196,12 +196,13 @@ class TestTwoStageRank:
     def test_missing_representations(self):
         store, index, reps = ranking_fixture()
         no_query = {k: v for k, v in reps.items() if k != "q1"}
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'q1'$"):
             two_stage_rank(store, index, no_query, "q1")
         dropped = dict(reps)
         result = two_stage_rank(store, index, reps, "q1")
         del dropped[result.prefilter_ids[0]]
-        with pytest.raises(MissingEmbeddingError):
+        with pytest.raises(MissingEmbeddingError,
+                           match=f"^no embedding for: {result.prefilter_ids[0]!r}$"):
             two_stage_rank(store, index, dropped, "q1")
 
     def test_query_never_retrieved(self):
