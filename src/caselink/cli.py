@@ -31,7 +31,6 @@ import functools
 import hashlib
 import json
 import logging
-import os
 import struct
 import sys
 import time
@@ -49,6 +48,7 @@ from .corpus import (
     load_charge_lexicon,
     load_labels,
     read_text,
+    replaced,
     write_json,
     write_jsonl,
 )
@@ -86,7 +86,7 @@ from .retrieval import (
     write_run_json,
     write_run_tsv,
 )
-from .synthetic import SyntheticSpec, generate, write_dataset
+from .synthetic import SyntheticSpec, dataset_writers, generate
 from .training import CHECKPOINT_FILES, TrainingConfig, TrainResult, check_labels, train
 
 # Read by nothing here: every run builds its BM25 index. The name stays
@@ -121,23 +121,6 @@ def _digest_path(path: Path) -> str:
                 h.update(struct.pack("<Q", len(part)))
                 h.update(part)
     return h.hexdigest()
-
-
-@contextlib.contextmanager
-def _replaced(paths: list[Path]) -> Iterator[list[Path]]:
-    """Yield the ``.tmp`` siblings of ``paths`` (directories made) for the block
-    to write; rename them into place after it, or remove them if it raises."""
-    for path in paths:
-        path.parent.mkdir(parents=True, exist_ok=True)
-    tmps = [path.with_name(path.name + ".tmp") for path in paths]
-    try:
-        yield tmps
-    except BaseException:
-        for tmp in tmps:
-            tmp.unlink(missing_ok=True)
-        raise
-    for tmp, path in zip(tmps, paths):
-        os.replace(tmp, path)
 
 
 class StageManifest:
@@ -178,8 +161,8 @@ class StageManifest:
             self.data["outputs"].append(s)
 
     def write(self) -> None:
-        with _replaced([self.out / "manifest.json"]) as [tmp]:
-            write_json(tmp, self.data)
+        with replaced({self.out / "manifest.json": lambda path: write_json(path, self.data)}):
+            pass
 
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[dict[str, Callable[[Path], object]]]:
@@ -189,17 +172,17 @@ class StageManifest:
         through its writer to a ``.tmp`` sibling and recorded, the block's time
         is added to ``timings_ms[name]`` (so two blocks of one name time both),
         the manifest is written once it records some output, and the outputs
-        are renamed into place. A block that raises records nothing, and a
-        failed write removes the ``.tmp`` files of the stage's outputs."""
+        are renamed into place, all through one :func:`corpus.replaced`. A block
+        that raises records nothing, and a failed write removes the ``.tmp``
+        files of the stage's outputs."""
         t0 = time.perf_counter()
         names: dict[str, Callable[[Path], object]] = {}
         yield names
         if self.out is None:
             return
-        outputs = {self.out / name: write for name, write in names.items()}
-        with _replaced(list(outputs)) as tmps:
-            for (path, write), tmp in zip(outputs.items(), tmps):
-                write(tmp)
+        outputs = {self.out / file: write for file, write in names.items()}
+        with replaced(outputs):
+            for path in outputs:
                 self.add_output(path)
             timings = self.data["timings_ms"]
             timings[name] = round(timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3, 3)
@@ -386,12 +369,12 @@ def graph_stage(
     built_from: Provenance, manifest: StageManifest,
 ) -> GlobalCaseGraph:
     """Assemble the global case graph with ``built_from``'s ``k_edges`` and
-    ``delta`` and write ``graph.gcg1``, which records ``built_from``."""
+    ``delta``, recording ``built_from`` as its provenance, and write ``graph.gcg1``."""
     with manifest.stage("graph") as out:
-        gcg = build_global_case_graph(
+        gcg = dataclasses.replace(build_global_case_graph(
             store, table, index, k=built_from.k_edges, delta=built_from.delta
-        )
-        out["graph.gcg1"] = lambda path: save_graph(gcg, path, built_from)
+        ), provenance=built_from)
+        out["graph.gcg1"] = lambda path: save_graph(gcg, path)
     return gcg
 
 
@@ -539,17 +522,10 @@ def cmd_synth(opts: RunOptions, manifest: StageManifest, spec: SyntheticSpec) ->
     cfg_path = opts.out_dir / "config.json"
     with manifest.stage("synth") as out:
         ds = generate(spec)
-        paths = write_dataset(ds, opts.out_dir)
-        for p in paths.values():
-            manifest.add_output(p)
-        pipeline_cfg = {
-            "corpus": str(paths["corpus"].resolve()),
-            "labels": str(paths["labels"].resolve()),
-            "lexicon": str(paths["lexicon"].resolve()),
-            "embeddings": str(paths["embeddings"].resolve()),
-            "out_dir": str((opts.out_dir / "pipeline").resolve()),
-            "training": {"seed": spec.seed},
-        }
+        out.update(dataset_writers(ds))
+        pipeline_cfg = {Path(name).stem: str((opts.out_dir / name).resolve()) for name in out}
+        pipeline_cfg |= {"out_dir": str((opts.out_dir / "pipeline").resolve()),
+                         "training": {"seed": spec.seed}}
         out[cfg_path.name] = lambda path: write_json(path, pipeline_cfg)
     _print_json({"cases": ds.store.n_cases, "queries": ds.n_queries,
                  "charges": ds.store.n_charges, "config": str(cfg_path)})

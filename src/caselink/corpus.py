@@ -10,17 +10,21 @@ Input formats:
 Text inputs are read through :func:`read_text`, :func:`iter_lines` and
 :func:`decode_object`, so every fault in one is an error naming the file and the line;
 JSON files are written through :func:`write_json`, JSONL files through :func:`write_jsonl`.
+Every file the package writes reaches its name through :func:`replaced`, the one
+commit: a ``.tmp`` sibling, renamed into place with the files committed beside it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import enum
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import (
     EmptyLexiconError,
@@ -191,6 +195,26 @@ def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     Every JSONL file the package writes is written here."""
     with Path(path).open("w", encoding="utf-8") as fh:
         fh.writelines(json.dumps(rec, sort_keys=True) + "\n" for rec in records)
+
+
+@contextlib.contextmanager
+def replaced(writers: Mapping[Path, Callable[[Path], object]]) -> Iterator[None]:
+    """Commit the files ``writers`` maps, ``path -> writer``: each writer writes
+    its file's ``.tmp`` sibling (directories made), then the block runs, then
+    every file is renamed into place. If a writer or the block raises, the
+    ``.tmp`` files are removed and no file is replaced."""
+    tmps = {path: path.with_name(path.name + ".tmp") for path in writers}
+    try:
+        for path, write in writers.items():
+            path.parent.mkdir(parents=True, exist_ok=True)
+            write(tmps[path])
+        yield
+    except BaseException:
+        for tmp in tmps.values():
+            tmp.unlink(missing_ok=True)
+        raise
+    for path, tmp in tmps.items():
+        os.replace(tmp, path)
 
 
 def _newlines(text: str) -> str:

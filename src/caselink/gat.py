@@ -24,7 +24,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .binfile import pack, read_container
-from .corpus import write_json
 from .errors import DimensionError, NumericalError, TraceError
 
 _MAGIC = b"GATC"
@@ -403,17 +402,13 @@ def backward_gradients(
 # Checkpoint format
 # ---------------------------------------------------------------------------
 
-def save_checkpoint(
-    params: GatParams, path: str | Path, sidecar: dict | None = None
-) -> None:
-    """Write the versioned binary checkpoint plus an optional JSON sidecar."""
+def save_checkpoint(params: GatParams, path: str | Path) -> None:
+    """Write the versioned binary checkpoint."""
     dims = params.dims
     with open(path, "wb") as fh:
         fh.write(_MAGIC + pack("II", _FORMAT_VERSION, len(dims)) + pack(f"{len(dims)}I", *dims))
         fh.write(pack("dd", params.leaky_slope, params.dropout_rate))
         fh.write(params.flat.astype("<f8").tobytes())
-    if sidecar is not None:
-        write_json(Path(str(path) + ".json"), sidecar)
 
 
 def load_checkpoint(path: str | Path) -> GatParams:

@@ -46,7 +46,7 @@ class GlobalCaseGraph:
     features: np.ndarray  # (n+m) x d_emb, float64
     node_ids: tuple[str, ...]
     roles: tuple[Role, ...]  # per case node
-    provenance: Provenance | None = None  # as a loaded graph.gcg1 records it, if it does
+    provenance: Provenance | None = None  # what the edges were built from, if known
 
     @property
     def n_nodes(self) -> int:
@@ -192,9 +192,7 @@ def build_global_case_graph(
     the features are stacked first, so a missing vector fails before any edge."""
     n, ids = store.n_cases, store.node_ids
     features = stack_vectors(table, ids)
-    a_case = build_case_case_edges(index, store, k) if n > 1 else sp.csr_matrix(
-        (n, n), dtype=np.int8
-    )
+    a_case = build_case_case_edges(index, store, k)
     a_charge = build_charge_charge_edges(ids[n:], table, delta)
     a_bridge = build_case_charge_edges(store)
     return assemble_gcg(a_case, a_bridge, a_charge, features[:n], features[n:], ids[:n], ids[n:],
@@ -223,12 +221,11 @@ class _Header:
     delta: float | None
 
 
-def save_graph(graph: GlobalCaseGraph, path: str | Path,
-               provenance: Provenance | None = None) -> None:
-    """Serialize the graph; ``provenance`` records what its edges were built
-    from. Without it those header fields are null, and :func:`check_provenance`
+def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
+    """Serialize the graph with its provenance, what its edges were built from.
+    A graph without one has those header fields null, and :func:`check_provenance`
     refuses the file."""
-    built_from = asdict(provenance) if provenance else dict.fromkeys(
+    built_from = asdict(graph.provenance) if graph.provenance else dict.fromkeys(
         f.name for f in fields(Provenance))
     header = _Header(graph.n_cases, graph.n_charges, graph.dim, list(graph.node_ids),
                      [r.value for r in graph.roles], **built_from)

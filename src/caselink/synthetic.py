@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .corpus import (
     ChargeEntry,
     CorpusStore,
     Role,
+    replaced,
     write_json,
     write_jsonl,
 )
@@ -187,21 +188,25 @@ def generate(spec: SyntheticSpec) -> SyntheticDataset:
     return SyntheticDataset(store, EmbeddingTable(dim=spec.dim, vectors=vectors), spec)
 
 
-def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:
-    """Materialize the dataset as corpus/labels/lexicon/embedding files."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "corpus": out / "corpus.jsonl",
-        "labels": out / "labels.json",
-        "lexicon": out / "lexicon.jsonl",
-        "embeddings": out / "embeddings.jsonl",
+def dataset_writers(ds: SyntheticDataset) -> dict[str, Callable[[Path], None]]:
+    """The writer of each dataset file, by file name; the name's stem is the
+    file's key in :func:`write_dataset`'s result and the pipeline config."""
+    return {
+        "corpus.jsonl": lambda path: write_jsonl(path, (
+            {"id": c.id, "text": c.text, "role": c.role.value} for c in ds.store.cases)),
+        "labels.json": lambda path: write_json(path, {q: list(r) for q, r in ds.labels.items()}),
+        "lexicon.jsonl": lambda path: write_jsonl(
+            path, ({"id": ch.id, "name": ch.name} for ch in ds.store.charges)),
+        "embeddings.jsonl": lambda path: write_jsonl(path, (
+            {"id": i, "vector": ds.table.vectors[i].tolist()} for i in ds.store.node_ids)),
     }
 
-    write_jsonl(paths["corpus"], ({"id": case.id, "text": case.text, "role": case.role.value}
-                                  for case in ds.store.cases))
-    write_json(paths["labels"], {q: list(cids) for q, cids in ds.labels.items()})
-    write_jsonl(paths["lexicon"], ({"id": ch.id, "name": ch.name} for ch in ds.store.charges))
-    write_jsonl(paths["embeddings"], ({"id": node_id, "vector": ds.table.vectors[node_id].tolist()}
-                                      for node_id in ds.store.node_ids))
-    return paths
+
+def write_dataset(ds: SyntheticDataset, out_dir: str | Path) -> dict[str, Path]:
+    """Materialize the dataset as corpus/labels/lexicon/embedding files,
+    committed together; returns each file's path by its key."""
+    out = Path(out_dir)
+    writers = dataset_writers(ds)
+    with replaced({out / name: write for name, write in writers.items()}):
+        pass
+    return {Path(name).stem: out / name for name in writers}

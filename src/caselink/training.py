@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import time
 from dataclasses import dataclass, asdict, replace
 from pathlib import Path
@@ -25,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .bm25 import Bm25Index, block_top_k, check_case_order
-from .corpus import CorpusStore, Role, write_jsonl
+from .corpus import CorpusStore, Role, replaced, write_json, write_jsonl
 from .embeddings import unit_rows
 from .errors import DimensionError, LabelError, NumericalError
 from .gat import (
@@ -47,7 +46,7 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # What train() writes to its checkpoint_dir: the best and the last epoch's
-# checkpoints, each with the JSON sidecar save_checkpoint adds, and the epoch log.
+# checkpoints, each with a JSON sidecar of the config and dims, and the epoch log.
 BEST_CHECKPOINT = "checkpoint.gatc"
 LAST_CHECKPOINT = "checkpoint_last.gatc"
 TRAINING_LOG = "training_log.jsonl"
@@ -427,13 +426,15 @@ def check_labels(labels: dict[str, tuple[str, ...]]) -> list[str]:
     return queries
 
 
-def _atomic_checkpoint(params: GatParams, path: Path, sidecar: dict | None) -> None:
-    """Write ``path`` (and its sidecar, unless None) through ``.tmp`` siblings."""
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    save_checkpoint(params, tmp, sidecar=sidecar)
-    os.replace(tmp, path)
-    if sidecar is not None:
-        os.replace(Path(str(tmp) + ".json"), Path(str(path) + ".json"))
+def _checkpoints(ckpt_dir: Path, names, params: GatParams, sidecar: dict | None) -> dict:
+    """For :func:`corpus.replaced`: per name of ``names``, the writers of the
+    checkpoint ``ckpt_dir / name`` of ``params`` and, unless None, its ``sidecar``."""
+    writers = {}
+    for name in names:
+        writers[ckpt_dir / name] = lambda path: save_checkpoint(params, path)
+        if sidecar is not None:
+            writers[ckpt_dir / f"{name}.json"] = lambda path: write_json(path, sidecar)
+    return writers
 
 
 def train(
@@ -452,12 +453,12 @@ def train(
     the hard-negative pools, ranked by ``bm25_index`` (the index the graph was
     built from), are built once, before the first step. A non-finite loss or
     parameter is a NumericalError. With ``checkpoint_dir``,
-    ``checkpoint_last.gatc`` is rewritten atomically after each epoch (its
-    sidecar, which never changes, is written with the first). However the
-    epochs end, a NumericalError included, the checkpoint directory is then
-    completed: ``checkpoint_last.gatc`` holds the initial params if no epoch
-    finished, ``checkpoint.gatc`` with its sidecar the best finished epoch
-    (else the initial params), and ``training_log.jsonl`` every finished epoch.
+    ``checkpoint_last.gatc`` is committed after each epoch (its sidecar, which
+    never changes, with the first). However the epochs end, a NumericalError
+    included, one commit then completes the directory: ``checkpoint.gatc`` with
+    its sidecar holds the best finished epoch (else the initial params),
+    ``training_log.jsonl`` every finished epoch, and ``checkpoint_last.gatc``
+    the initial params if no epoch finished.
     """
     queries = check_labels(labels)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
@@ -469,8 +470,6 @@ def train(
     params = init_params(config.seed, dims, dropout=config.dropout)
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    if ckpt_dir is not None:
-        ckpt_dir.mkdir(parents=True, exist_ok=True)
     sidecar = {"config": asdict(config), "dims": dims}
 
     logs: list[EpochLog] = []
@@ -525,12 +524,15 @@ def train(
                     best_params = params
                     best_epoch = epoch
                 if ckpt_dir is not None:
-                    _atomic_checkpoint(params, ckpt_dir / LAST_CHECKPOINT,
-                                       sidecar if epoch == 0 else None)
+                    with replaced(_checkpoints(ckpt_dir, [LAST_CHECKPOINT], params,
+                                               sidecar if epoch == 0 else None)):
+                        pass
     finally:
         if ckpt_dir is not None:
-            if not logs:  # no epoch finished: best_params are the initial params
-                _atomic_checkpoint(best_params, ckpt_dir / LAST_CHECKPOINT, sidecar)
-            _atomic_checkpoint(best_params, ckpt_dir / BEST_CHECKPOINT, sidecar)
-            write_jsonl(ckpt_dir / TRAINING_LOG, map(asdict, logs))
+            # no epoch finished: the initial params are the best and the last
+            names = [BEST_CHECKPOINT] if logs else [LAST_CHECKPOINT, BEST_CHECKPOINT]
+            writers = _checkpoints(ckpt_dir, names, best_params, sidecar)
+            writers[ckpt_dir / TRAINING_LOG] = lambda path: write_jsonl(path, map(asdict, logs))
+            with replaced(writers):
+                pass
     return TrainResult(params=best_params, log=logs, best_epoch=best_epoch)

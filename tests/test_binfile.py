@@ -53,9 +53,9 @@ def gcg1_file(path):
     adjacency = sp.csr_matrix(np.array([[0, 1, 1], [1, 0, 0], [1, 0, 0]], dtype=np.int8))
     features = np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]])
     save_graph(GlobalCaseGraph(n_cases=2, n_charges=1, adjacency=adjacency, features=features,
-                               node_ids=("q1", "c1", "x1"),
-                               roles=(Role.QUERY, Role.CANDIDATE)), path,
-               Provenance("abc", "def", k1=1.2, b=0.75, k_edges=5, delta=0.9))
+                               node_ids=("q1", "c1", "x1"), roles=(Role.QUERY, Role.CANDIDATE),
+                               provenance=Provenance("abc", "def", k1=1.2, b=0.75, k_edges=5,
+                                                     delta=0.9)), path)
     header = {"b": 0.75, "corpus_digest": "abc", "delta": 0.9, "dim": 2,
               "ids": ["q1", "c1", "x1"], "k1": 1.2, "k_edges": 5, "lexicon_digest": "def",
               "m": 1, "n": 2, "roles": ["query", "candidate"]}

@@ -1,5 +1,6 @@
 """Command-line interface: stages, manifests, config precedence, exit codes."""
 
+import dataclasses
 import errno
 import json
 import os
@@ -46,6 +47,14 @@ def read_manifest(out_dir):
     return json.loads((out_dir / "manifest.json").read_text())
 
 
+def fail_partway(write, path):
+    """Run ``write``, which writes ``path``, then cut the file short and fail
+    as a full disk does."""
+    write()
+    Path(path).write_bytes(Path(path).read_bytes()[:40])
+    raise OSError(errno.ENOSPC, "No space left on device", str(path))
+
+
 def slowed(step):
     """``step``, taking 50 ms longer."""
     def wrapped(*args, **kwargs):
@@ -83,6 +92,22 @@ class TestSynth:
         assert len(corpus_lines) == 2 * (6 + 2)
         labels = json.loads((tmp_path / "data" / "labels.json").read_text())
         assert len(labels) == 4
+
+    def test_a_failed_dataset_write_leaves_no_dataset_file_and_no_manifest(
+            self, tmp_path, monkeypatch, capsys):
+        from caselink import synthetic
+
+        write_jsonl = synthetic.write_jsonl
+
+        def third_file_fails(path, records):
+            if Path(path).name.startswith("lexicon.jsonl"):
+                fail_partway(lambda: write_jsonl(path, records), path)
+            write_jsonl(path, records)
+
+        monkeypatch.setattr(synthetic, "write_jsonl", third_file_fails)
+        assert main(["synth", "--out", str(tmp_path / "s"), "--n-clusters", "2"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert list((tmp_path / "s").iterdir()) == []
 
     def test_invalid_value_is_data_error(self, tmp_path, capsys):
         assert main(["synth", "--out", str(tmp_path / "s"), "--n-clusters", "0"]) == 2
@@ -803,7 +828,7 @@ class TestGraphProvenance:
 
         tmp_path, config_path = dataset
         gcg = self.graph_of(tmp_path, config_path)
-        save_graph(load_graph(gcg), gcg)
+        save_graph(dataclasses.replace(load_graph(gcg), provenance=None), gcg)
         self.refused(capsys, ["train", "--config", str(config_path), "--graph", str(gcg),
                               "--epochs", "1", "--out", str(tmp_path / "t")],
                      gcg, "the graph records no provenance (its corpus and lexicon digests, "
@@ -920,14 +945,6 @@ class TestManifests:
         from caselink import cli
 
         tmp_path, config_path = dataset
-
-        def fail_partway(write, path):
-            """Run ``write``, which writes ``path``, then cut the file short and
-            fail as a full disk does."""
-            write()
-            Path(path).write_bytes(Path(path).read_bytes()[:40])
-            raise OSError(errno.ENOSPC, "No space left on device", str(path))
-
         if failing == "manifest write":
             write_json, manifest_writes = cli.write_json, []
 
@@ -941,8 +958,8 @@ class TestManifests:
             monkeypatch.setattr(cli, "write_json", third_manifest_write_fails)
         else:
             save_graph = cli.save_graph
-            monkeypatch.setattr(cli, "save_graph", lambda gcg, path, built_from: fail_partway(
-                lambda: save_graph(gcg, path, built_from), path))
+            monkeypatch.setattr(cli, "save_graph", lambda gcg, path: fail_partway(
+                lambda: save_graph(gcg, path), path))
         out = tmp_path / "out"
         assert main(["pipeline", "--config", str(config_path), "--out", str(out),
                      "--epochs", "1"]) == 2
@@ -950,6 +967,29 @@ class TestManifests:
         listed = read_manifest(out)["outputs"]
         assert sorted(Path(p).name for p in listed) == ["bm25.bin", "embeddings.emb1"]
         assert {str(p) for p in out.rglob("*") if p.name != "manifest.json"} == set(listed)
+
+    def test_a_torn_training_log_leaves_the_previous_checkpoint_and_log(
+            self, dataset, monkeypatch, capsys):
+        from caselink import training
+
+        tmp_path, config_path = dataset
+        out = tmp_path / "out"
+        argv = ["train", "--config", str(config_path), "--out", str(out)]
+        assert main([*argv, "--epochs", "2"]) == 0
+        ckpt_dir = out / "checkpoints"
+        kept = ("checkpoint.gatc", "checkpoint.gatc.json", "training_log.jsonl")
+        before = {name: (ckpt_dir / name).read_bytes() for name in kept}
+
+        write_jsonl = training.write_jsonl
+        monkeypatch.setattr(training, "write_jsonl", lambda path, records: fail_partway(
+            lambda: write_jsonl(path, records), path))
+        assert main([*argv, "--epochs", "1", "--seed", "2"]) == 2
+        assert "No space left on device" in capsys.readouterr().err
+        assert {name: (ckpt_dir / name).read_bytes() for name in kept} == before
+        assert list(out.rglob("*.tmp")) == []
+        listed = set(read_manifest(out)["outputs"])
+        assert listed == {str(p) for p in out.rglob("*") if p.name != "manifest.json"
+                          and p.is_file()}
 
     def test_ingest_and_embed_timings_cover_reading_their_inputs(self, dataset, monkeypatch):
         from caselink import cli

@@ -21,6 +21,7 @@ from caselink.corpus import (
     load_labels,
     normalize_charge_name,
     read_text,
+    replaced,
     tokenize,
 )
 from caselink.errors import (
@@ -433,6 +434,39 @@ class TestReadText:
         p.write_bytes(data)
         with pytest.raises(ParseError, match=f"^line {line}: {p} is not valid UTF-8"):
             read_text(p)
+
+
+class TestReplaced:
+    @staticmethod
+    def writer(text):
+        return lambda path: path.write_text(text)
+
+    def test_every_file_is_renamed_into_place_after_the_block(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "sub" / "b.txt"
+        a.write_text("old")
+        with replaced({a: self.writer("new a"), b: self.writer("new b")}):
+            assert a.read_text() == "old" and not b.exists()
+            assert sorted(p.name for p in tmp_path.rglob("*.tmp")) == ["a.txt.tmp", "b.txt.tmp"]
+        assert (a.read_text(), b.read_text()) == ("new a", "new b")
+        assert list(tmp_path.rglob("*.tmp")) == []
+
+    @pytest.mark.parametrize("failing", ["writer", "block"])
+    def test_a_raise_leaves_no_tmp_file_and_replaces_no_file(self, tmp_path, failing):
+        a, b, c = (tmp_path / name for name in ("a.txt", "b.txt", "c.txt"))
+        a.write_text("old a")
+        b.write_text("old b")
+
+        def fails(path):
+            path.write_text("torn")
+            raise OSError("No space left on device")
+
+        writers = {a: self.writer("new a"), b: fails if failing == "writer" else self.writer("new b"),
+                   c: self.writer("new c")}
+        with pytest.raises(OSError if failing == "writer" else KeyError):
+            with replaced(writers):
+                raise KeyError("block")
+        assert (a.read_text(), b.read_text()) == ("old a", "old b")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.txt", "b.txt"]
 
 
 class TestLinesAndObjects:

@@ -1,6 +1,5 @@
 """Graph-attention encoder: forward semantics, backward gradients, checkpoints."""
 
-import json
 import struct
 
 import numpy as np
@@ -391,7 +390,7 @@ class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
         params = init_params(21, [6, 5, 4], dropout=0.25, slope=0.2)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path, sidecar={"dims": params.dims})
+        save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.dims == params.dims
         assert loaded.dropout_rate == params.dropout_rate
@@ -415,13 +414,12 @@ class TestCheckpoint:
         with pytest.raises(TraceError, match="non-finite"):
             load_checkpoint(path)
 
-    def test_magic_and_sidecar(self, tmp_path):
+    def test_magic(self, tmp_path):
         params = init_params(0, [3, 3])
         path = tmp_path / "model.ckpt"
-        save_checkpoint(params, path, sidecar={"note": "x"})
+        save_checkpoint(params, path)
         assert path.read_bytes()[:4] == b"GATC"
-        sidecar = json.loads((tmp_path / "model.ckpt.json").read_text())
-        assert sidecar == {"note": "x"}
+        assert sorted(tmp_path.iterdir()) == [path]  # no sidecar
 
     def test_wrong_magic_rejected(self, tmp_path):
         path = tmp_path / "bogus.ckpt"

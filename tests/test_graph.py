@@ -1,5 +1,7 @@
 """Global case graph: edge builders, block assembly, and serialization."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from caselink.errors import (
     NumericalError,
 )
 from caselink.graph import (
+    Provenance,
     assemble_gcg,
     build_case_case_edges,
     build_case_charge_edges,
@@ -317,6 +320,16 @@ class TestBuildGlobalCaseGraph:
         )
         return store, table
 
+    def test_a_one_case_corpus_has_an_empty_case_block(self):
+        store = make_store([("q1", "armed robbery of a bank vault", Role.QUERY)],
+                           charges=[("c1", "armed robbery")])
+        table = table_of([("q1", [1.0, 0.0]), ("c1", [0.0, 1.0])])
+        graph = build_global_case_graph(store, table, build_index(store), k=3, delta=0.9)
+        assert graph.node_ids == ("q1", "c1")
+        assert graph.adjacency.dtype == np.int8 and graph.adjacency.has_sorted_indices
+        # the one bridge is the only edge: no case-case edge, no self-loop
+        np.testing.assert_array_equal(graph.adjacency.toarray(), [[0, 1], [1, 0]])
+
     def test_end_to_end_structure(self):
         store, table = self._inputs()
         graph = build_global_case_graph(store, table, build_index(store), k=1, delta=0.9)
@@ -401,6 +414,14 @@ class TestGraphSerialization:
         np.testing.assert_array_equal(
             loaded.features, graph.features.astype(np.float32).astype(np.float64)
         )
+
+    def test_a_loaded_graph_saved_again_keeps_its_provenance(self, tmp_path):
+        built_from = Provenance("abc", "def", k1=1.2, b=0.75, k_edges=5, delta=0.9)
+        first, second = tmp_path / "g1.bin", tmp_path / "g2.bin"
+        save_graph(dataclasses.replace(random_gcg(seed=11), provenance=built_from), first)
+        save_graph(load_graph(first), second)
+        assert load_graph(second).provenance == built_from
+        assert second.read_bytes() == first.read_bytes()
 
     def test_magic_bytes(self, tmp_path):
         path = tmp_path / "graph.bin"

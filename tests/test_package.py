@@ -1,5 +1,6 @@
 """The package root exports only ``__version__``; every other name is imported
-from its module, as the README's library example does."""
+from its module, as the README's library example does. Every file the package
+writes is renamed into place by ``corpus.replaced`` alone."""
 
 from pathlib import Path
 
@@ -31,3 +32,9 @@ def test_the_readme_library_example_runs(capsys):
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, f"{README}: Using the library", "exec"), {})
     assert capsys.readouterr().out.startswith("EvalReport(")
+
+
+def test_files_are_renamed_into_place_in_corpus_replaced_only():
+    package = Path(caselink.__file__).parent
+    calls = {p.name: p.read_text("utf-8").count("os.replace(") for p in package.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"corpus.py": 1}

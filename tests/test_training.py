@@ -2,12 +2,13 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
 
 from caselink.bm25 import build_index, score_all
+from caselink.corpus import replaced
 from caselink.errors import DimensionError, LabelError, NumericalError
 from caselink.gat import GatParams, load_checkpoint
 from caselink.graph import build_global_case_graph
@@ -787,24 +788,29 @@ class TestTrainLoop:
         assert (tmp_path / "training_log.jsonl").read_text() == ""
 
     def test_last_checkpoint_sidecar_is_written_once(self, tmp_path, monkeypatch):
-        import caselink.gat as gat_module
+        import caselink.training as training_module
 
-        sidecars = []
+        commits = []
 
-        def recording_save(params, path, sidecar=None):
-            sidecars.append((path.name, sidecar is not None))
-            gat_module.save_checkpoint(params, path, sidecar)
+        def recording_replaced(writers):
+            commits.append(sorted(p.name for p in writers if p.suffix == ".json"))
+            return replaced(writers)
 
-        monkeypatch.setattr("caselink.training.save_checkpoint", recording_save)
+        monkeypatch.setattr(training_module, "replaced", recording_replaced)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
         train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
-        assert sidecars == [("checkpoint_last.gatc.tmp", True),
-                            ("checkpoint_last.gatc.tmp", False),
-                            ("checkpoint_last.gatc.tmp", False),
-                            ("checkpoint.gatc.tmp", True)]
+        assert commits == [["checkpoint_last.gatc.json"], [], [], ["checkpoint.gatc.json"]]
         assert json.loads((tmp_path / "checkpoint_last.gatc.json").read_text()) == json.loads(
             (tmp_path / "checkpoint.gatc.json").read_text())
+
+    def test_sidecar_holds_the_config_and_dims(self, tmp_path):
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=1, batch_size=8, hidden_dim=5, hard_neg_pool_size=5, seed=0)
+        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        sidecar = json.loads((tmp_path / "checkpoint.gatc.json").read_text())
+        assert sidecar == {"config": asdict(cfg), "dims": [graph.dim, 5, 5]}
+        assert load_checkpoint(tmp_path / "checkpoint.gatc").dims == sidecar["dims"]
 
     def test_epochs_zero_returns_initialization(self):
         ds, graph = small_dataset()
