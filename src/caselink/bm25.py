@@ -34,10 +34,14 @@ _MAGIC = b"BM25"
 _FORMAT_VERSION = 2
 
 # Source rows scored together by block_top_k. Each block holds a dense
-# terms x _BLOCK_ROWS float64 block of the sources' term counts (1.2 MB at 569
-# terms, 4 MB at 1,979) and a _BLOCK_ROWS x n_docs float64 block of scores
-# (4.3 MB at 2,100 documents). The weight matrix stays sparse.
-_BLOCK_ROWS = 256
+# terms x _BLOCK_ROWS float64 block of the sources' term counts (0.33 MB at 569
+# terms) and two float64 score blocks, the n_docs x _BLOCK_ROWS product and its
+# transposed copy (1.2 MB each at 2,100 documents), small enough to stay in a
+# 2 MB L2 cache; the weight matrix stays sparse. Not 64 rows: the transposed
+# copy then reads the product at a 512-byte stride, which falls on few cache
+# sets: at 4,100 documents the copies took 62 ms against 18 ms at 72 rows,
+# summed over the blocks, on a Xeon with 2 MB of L2 per core.
+_BLOCK_ROWS = 72
 
 
 @dataclass(frozen=True)
@@ -178,21 +182,37 @@ def _select_top_k(
     """Per row of ``scores`` (its columns aligned with the doc indices ``cols``):
     what :func:`top_k` returns for the columns where ``ok`` holds.
 
-    ``np.partition`` finds each row's k-th best score; every column at or
-    above it is kept, so ties at the cut reach the sort, and one lexsort
-    orders the block by (row, -score, id)."""
+    Overwrites ``scores``: the cells where ``ok`` fails become -inf (``ok is
+    True`` masks nothing). ``np.partition`` finds each row's k-th best score;
+    every eligible column at or above it is kept, so ties at the cut reach the
+    sort, and one lexsort orders the block by (row, -score, id)."""
     n_rows, m = scores.shape
     k = min(k, m)
     if k < 1:
         return [(cols[:0], scores[i, :0]) for i in range(n_rows)]
-    scores = np.where(ok, scores, -np.inf)
+    if ok is not True:
+        np.copyto(scores, -np.inf, where=~ok)
     kth = np.partition(scores, m - k, axis=1)[:, m - k]
-    r, c = np.nonzero(ok & (scores >= kth[:, None]))
-    order = np.lexsort((index._id_rank[cols[c]], -scores[r, c], r))
-    r, c = r[order], c[order]
+    keep = scores >= kth[:, None]
+    if ok is not True and np.isneginf(kth).any():  # a row with fewer than k eligible
+        keep &= ok
+    at = np.flatnonzero(keep)  # one pass; np.nonzero on 2-D is ~10x slower
+    r, c = np.divmod(at, m)
+    top, ids = scores.ravel()[at], cols[c]
+    order = np.lexsort((index._id_rank[ids], -top, r))
+    r, top, ids = r[order], top[order], ids[order]
     starts = np.searchsorted(r, np.arange(n_rows))
     ends = np.minimum(np.searchsorted(r, np.arange(n_rows), side="right"), starts + k)
-    return [(cols[c[s:e]], scores[r[s:e], c[s:e]]) for s, e in zip(starts, ends)]
+    return [(ids[s:e], top[s:e]) for s, e in zip(starts, ends)]
+
+
+def _count_block(index: Bm25Index, rows: np.ndarray) -> np.ndarray:
+    """The dense terms x rows block of the ``rows``' term counts, C-ordered as
+    the sparse-times-dense product reads it."""
+    sub = index.tf[rows]
+    block = np.zeros((len(index.terms), len(rows)))
+    block[sub.indices, np.repeat(np.arange(len(rows)), np.diff(sub.indptr))] = sub.data
+    return block
 
 
 def block_top_k(
@@ -214,7 +234,7 @@ def block_top_k(
     for s in range(0, len(src), _BLOCK_ROWS):
         at = slice(s, s + _BLOCK_ROWS)
         ok = True if eligible is None else eligible(at)
-        scores = np.ascontiguousarray((w @ index.tf[src[at]].T.toarray()).T)
+        scores = np.ascontiguousarray((w @ _count_block(index, src[at])).T)
         out += _select_top_k(index, cols, scores, ok, k)
     return out
 

@@ -87,7 +87,14 @@ from .retrieval import (
     write_run_tsv,
 )
 from .synthetic import SyntheticSpec, dataset_writers, generate
-from .training import CHECKPOINT_FILES, TrainingConfig, TrainResult, check_labels, train
+from .training import (
+    CHECKPOINT_FILES,
+    TrainingConfig,
+    TrainResult,
+    check_checkpoint_provenance,
+    check_labels,
+    train,
+)
 
 # Read by nothing here: every run builds its BM25 index. The name stays
 # because the benchmark (perfbench/run.py) still clears this variable before
@@ -489,6 +496,7 @@ def cmd_rank(opts: RunOptions, manifest: StageManifest, training: TrainingConfig
     store, index, gcg = _case_chain(opts, manifest, training)
     with manifest.stage("rank"):  # rank_stage adds its own time to this entry
         params = load_checkpoint(ckpt_path)
+        check_checkpoint_provenance(ckpt_path, gcg.provenance)
         manifest.add_input(ckpt_path)
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})

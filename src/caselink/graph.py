@@ -37,6 +37,12 @@ class Provenance:
     k_edges: int
     delta: float
 
+    def first_difference(self, want: Provenance) -> tuple[str, object, object] | None:
+        """The first field whose value differs from ``want``'s, as (name, this
+        value, ``want``'s value); None when every field agrees."""
+        pairs = zip(asdict(self).items(), asdict(want).values())
+        return next(((name, have, need) for (name, have), need in pairs if have != need), None)
+
 
 @dataclass
 class GlobalCaseGraph:
@@ -300,8 +306,8 @@ def check_provenance(gcg: GlobalCaseGraph, want: Provenance, path) -> None:
         raise GraphConstructionError(
             "the graph records no provenance (its corpus and lexicon digests, k1, b, k_edges "
             "and delta are missing): it was saved without them", path=path)
-    for name, need in asdict(want).items():
-        if (have := getattr(gcg.provenance, name)) != need:
-            raise GraphConstructionError(
-                f"the graph was built with {name} {have!r}, this run has {need!r}: build "
-                "the graph again for this corpus and these settings", path=path)
+    if (differs := gcg.provenance.first_difference(want)) is not None:
+        name, have, need = differs
+        raise GraphConstructionError(
+            f"the graph was built with {name} {have!r}, this run has {need!r}: build "
+            "the graph again for this corpus and these settings", path=path)

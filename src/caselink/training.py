@@ -23,10 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .binfile import record
 from .bm25 import Bm25Index, block_top_k, check_case_order
-from .corpus import CorpusStore, Role, replaced, write_json, write_jsonl
+from .corpus import CorpusStore, Role, decode_object, read_text, replaced, write_json, write_jsonl
 from .embeddings import unit_rows
-from .errors import DimensionError, LabelError, NumericalError
+from .errors import DimensionError, LabelError, NumericalError, TraceError
 from .gat import (
     ForwardTrace,
     GatParams,
@@ -37,7 +38,7 @@ from .gat import (
     prepare_structure,
     save_checkpoint,
 )
-from .graph import GlobalCaseGraph
+from .graph import GlobalCaseGraph, Provenance
 
 logger = logging.getLogger(__name__)
 
@@ -46,7 +47,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # What train() writes to its checkpoint_dir: the best and the last epoch's
-# checkpoints, each with a JSON sidecar of the config and dims, and the epoch log.
+# checkpoints, each with a JSON sidecar of the config, the dims and the graph's
+# provenance, and the epoch log.
 BEST_CHECKPOINT = "checkpoint.gatc"
 LAST_CHECKPOINT = "checkpoint_last.gatc"
 TRAINING_LOG = "training_log.jsonl"
@@ -437,6 +439,25 @@ def _checkpoints(ckpt_dir: Path, names, params: GatParams, sidecar: dict | None)
     return writers
 
 
+def check_checkpoint_provenance(checkpoint: str | Path, want: Provenance) -> None:
+    """Raise TraceError, naming the sidecar of ``checkpoint`` and the first field
+    that differs, unless the provenance it records, that of the graph the
+    checkpoint was trained on, is ``want``. A checkpoint without a sidecar, or
+    whose sidecar records no provenance, passes: nothing says what it came from."""
+    sidecar = Path(f"{checkpoint}.json")
+    if not sidecar.exists():
+        return
+    recorded = decode_object(read_text(sidecar), sidecar).get("provenance")
+    if recorded is None:
+        return
+    trained_on = Provenance(**record(Provenance, recorded, TraceError, f"{sidecar}: provenance"))
+    if (differs := trained_on.first_difference(want)) is not None:
+        name, have, need = differs
+        raise TraceError(
+            f"the checkpoint was trained on a graph built with {name} {have!r}, this run has "
+            f"{need!r}: train again for this corpus and these settings", path=sidecar)
+
+
 def train(
     store: CorpusStore,
     graph: GlobalCaseGraph,
@@ -470,7 +491,8 @@ def train(
     params = init_params(config.seed, dims, dropout=config.dropout)
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
-    sidecar = {"config": asdict(config), "dims": dims}
+    sidecar = {"config": asdict(config), "dims": dims,
+               "provenance": asdict(graph.provenance) if graph.provenance else None}
 
     logs: list[EpochLog] = []
     best_params = params

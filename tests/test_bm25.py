@@ -325,7 +325,7 @@ class TestBlockTopK:
         every = np.arange(index.n_docs)
         return block_top_k(index, every, every, k, lambda at: every != every[at, None])
 
-    @pytest.mark.parametrize("block", [1, 3, 7, 256])
+    @pytest.mark.parametrize("block", [1, 3, 7, bm25._BLOCK_ROWS])
     def test_scores_match_naive_reference(self, monkeypatch, block):
         monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(59)
@@ -372,6 +372,31 @@ class TestBlockTopK:
                     straddling += k < len(ranked) and ranked[k - 1] == ranked[k]
         assert straddling > 0  # ties crossed the cut, so the tie-break was exercised
 
+    @pytest.mark.parametrize("block", [1, 3, bm25._BLOCK_ROWS])
+    def test_leaves_the_mask_unchanged_and_returns_what_is_eligible(self, monkeypatch, block):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        store = self._store(np.random.default_rng(79), 12, vocab_size=4, max_len=6)
+        index = build_index(store)
+        every = np.arange(index.n_docs)
+        k = 4
+        mask = np.random.default_rng(83).random((index.n_docs, index.n_docs)) < 0.6
+        mask[0] = False  # no eligible column
+        mask[1] = False
+        mask[1, [2, 5, 9]] = True  # fewer than k eligible columns
+        before = mask.copy()
+        got = block_top_k(index, every, every, k, lambda at: mask[at])
+        np.testing.assert_array_equal(mask, before)
+        rows, scores = got[0]
+        assert rows.shape == scores.shape == (0,)
+        assert rows.dtype == every.dtype and scores.dtype == np.float64
+        for s, (rows, scores) in enumerate(got):
+            cols = every[mask[s]]
+            row = score_all(index, store.cases[s].tokens)[cols]
+            want_rows, want_scores = top_k(index, cols, row, k)
+            np.testing.assert_array_equal(rows, want_rows)
+            np.testing.assert_array_equal(scores, want_scores)
+        assert sorted(got[1][0].tolist()) == [2, 5, 9]
+
 
 class TestSparseProductReference:
     """``score_all`` and ``block_top_k`` score bit for bit as the sparse
@@ -400,7 +425,7 @@ class TestSparseProductReference:
                 assert np.array_equal(score_all(index, query),
                                       sparse_product_score_all(index, query))
 
-    @pytest.mark.parametrize("block", [1, 3, 256])
+    @pytest.mark.parametrize("block", [1, 3, bm25._BLOCK_ROWS])
     def test_block_top_k(self, monkeypatch, block):
         monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
         rng = np.random.default_rng(73)

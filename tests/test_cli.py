@@ -858,6 +858,59 @@ class TestGraphProvenance:
         assert index_digest == graph_digest == read_manifest(out)["inputs"][corpus]
 
 
+class TestCheckpointProvenance:
+    """A checkpoint's sidecar records the provenance of the graph it was trained
+    on; ``rank`` refuses a checkpoint whose provenance differs from its graph's,
+    and ranks as before with one whose sidecar is missing or records none."""
+
+    def test_a_checkpoint_of_another_seed_is_data_error_naming_the_sidecar(self, tmp_path,
+                                                                          capsys):
+        one, two = run_synth(tmp_path / "one", seed=1), run_synth(tmp_path / "two", seed=2)
+        assert main(["train", "--config", str(one), "--epochs", "2",
+                     "--out", str(tmp_path / "t1")]) == 0
+        ckpt = tmp_path / "t1" / "checkpoints" / "checkpoint.gatc"
+        sidecar = Path(f"{ckpt}.json")
+        rank = ["rank", "--config", str(two), "--checkpoint", str(ckpt)]
+        capsys.readouterr()
+        assert main([*rank, "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {sidecar}: the checkpoint was trained on a graph "
+                              "built with corpus_digest "), err
+        assert not (tmp_path / "r" / "run.tsv").exists()
+        # the seed it was trained on ranks with it
+        assert main(["rank", "--config", str(one), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r1")]) == 0
+        # a sidecar that records no provenance, and no sidecar at all, say nothing
+        recorded = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(recorded | {"provenance": None}))
+        assert main([*rank, "--out", str(tmp_path / "r2")]) == 0
+        sidecar.unlink()
+        assert main([*rank, "--out", str(tmp_path / "r3")]) == 0
+
+    def test_other_settings_are_data_error_naming_the_first_field(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        assert main(["train", "--config", str(config_path), "--epochs", "1",
+                     "--out", str(tmp_path / "t")]) == 0
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--k-edges", "3", "--out", str(tmp_path / "r")]) == 2
+        assert "built with k_edges 5, this run has 3" in capsys.readouterr().err
+
+    def test_a_malformed_provenance_is_data_error_naming_the_sidecar(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        assert main(["train", "--config", str(config_path), "--epochs", "1",
+                     "--out", str(tmp_path / "t")]) == 0
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        sidecar = Path(f"{ckpt}.json")
+        recorded = json.loads(sidecar.read_text())
+        sidecar.write_text(json.dumps(recorded | {"provenance": {"k_edges": 5}}))
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert f"{sidecar}: provenance " in capsys.readouterr().err
+
+
 class TestNodeIds:
     @staticmethod
     def with_lexicon_lines(config_path, tmp_path, edit):

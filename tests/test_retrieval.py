@@ -262,7 +262,7 @@ class TestRankAll:
 
 
 class TestLexicalYearFilter:
-    @pytest.mark.parametrize("block", [1, 256])
+    @pytest.mark.parametrize("block", [1, bm25._BLOCK_ROWS])
     def test_eligible_ids_equal_year_filter(self, monkeypatch, block):
         # queries in one rank_all call, scored in one block or one per block
         monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)

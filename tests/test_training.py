@@ -9,9 +9,9 @@ import pytest
 
 from caselink.bm25 import build_index, score_all
 from caselink.corpus import replaced
-from caselink.errors import DimensionError, LabelError, NumericalError
+from caselink.errors import DimensionError, LabelError, NumericalError, TraceError
 from caselink.gat import GatParams, load_checkpoint
-from caselink.graph import build_global_case_graph
+from caselink.graph import Provenance, build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
 from caselink.embeddings import unit_rows
 from caselink.training import (
@@ -21,6 +21,7 @@ from caselink.training import (
     TrainingBatch,
     TrainingConfig,
     adam_step,
+    check_checkpoint_provenance,
     degreg_loss,
     easy_negatives,
     hard_negative_pools,
@@ -809,8 +810,22 @@ class TestTrainLoop:
         cfg = TrainingConfig(epochs=1, batch_size=8, hidden_dim=5, hard_neg_pool_size=5, seed=0)
         train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         sidecar = json.loads((tmp_path / "checkpoint.gatc.json").read_text())
-        assert sidecar == {"config": asdict(cfg), "dims": [graph.dim, 5, 5]}
+        assert sidecar == {"config": asdict(cfg), "dims": [graph.dim, 5, 5], "provenance": None}
         assert load_checkpoint(tmp_path / "checkpoint.gatc").dims == sidecar["dims"]
+
+    def test_sidecar_holds_the_graph_provenance(self, tmp_path):
+        ds, graph = small_dataset()
+        built_from = Provenance("c" * 64, "l" * 64, 1.2, 0.75, 5, 0.9)
+        graph = replace(graph, provenance=built_from)
+        cfg = TrainingConfig(epochs=1, batch_size=8, hard_neg_pool_size=5, seed=0)
+        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        sidecar = json.loads((tmp_path / "checkpoint.gatc.json").read_text())
+        assert sidecar["provenance"] == asdict(built_from)
+        check_checkpoint_provenance(tmp_path / "checkpoint.gatc", built_from)
+        with pytest.raises(TraceError, match="trained on a graph built with delta 0.9, "
+                                             "this run has 0.5"):
+            check_checkpoint_provenance(tmp_path / "checkpoint.gatc",
+                                        replace(built_from, delta=0.5))
 
     def test_epochs_zero_returns_initialization(self):
         ds, graph = small_dataset()
