@@ -177,25 +177,24 @@ def top_k(
 
 
 def _select_top_k(
-    index: Bm25Index, cols: np.ndarray, scores: np.ndarray, ok: np.ndarray | bool, k: int
+    index: Bm25Index, cols: np.ndarray, scores: np.ndarray, k: int
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per row of ``scores`` (its columns aligned with the doc indices ``cols``):
-    what :func:`top_k` returns for the columns where ``ok`` holds.
+    what :func:`top_k` returns for the columns whose score is not -inf. Every
+    BM25 score is finite, so the caller marks a cell ineligible by setting it
+    to -inf.
 
-    Overwrites ``scores``: the cells where ``ok`` fails become -inf (``ok is
-    True`` masks nothing). ``np.partition`` finds each row's k-th best score;
-    every eligible column at or above it is kept, so ties at the cut reach the
-    sort, and one lexsort orders the block by (row, -score, id)."""
+    ``np.partition`` finds each row's k-th best score; every eligible column
+    at or above it is kept, so ties at the cut reach the sort, and one lexsort
+    orders the block by (row, -score, id)."""
     n_rows, m = scores.shape
     k = min(k, m)
     if k < 1:
         return [(cols[:0], scores[i, :0]) for i in range(n_rows)]
-    if ok is not True:
-        np.copyto(scores, -np.inf, where=~ok)
     kth = np.partition(scores, m - k, axis=1)[:, m - k]
     keep = scores >= kth[:, None]
-    if ok is not True and np.isneginf(kth).any():  # a row with fewer than k eligible
-        keep &= ok
+    if np.isneginf(kth).any():  # a row with fewer than k eligible columns
+        keep &= scores > -np.inf
     at = np.flatnonzero(keep)  # one pass; np.nonzero on 2-D is ~10x slower
     r, c = np.divmod(at, m)
     top, ids = scores.ravel()[at], cols[c]
@@ -221,21 +220,34 @@ def block_top_k(
     cols: np.ndarray,
     k: int,
     eligible: Callable[[slice], np.ndarray] | None = None,
+    exclude_self: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per source doc in ``src``, with its own tokens as the query: what
     :func:`top_k` returns for the doc indices ``cols``. For the sources at
     positions ``at`` of ``src``, ``eligible(at)`` (bool, sources x cols)
-    narrows the columns.
+    narrows the columns; ``exclude_self`` drops each source's own doc from
+    its columns.
 
     Sources are scored ``_BLOCK_ROWS`` at a time against the weight rows of
-    ``cols``, so memory stays O(_BLOCK_ROWS x (n_docs + n_terms))."""
+    ``cols``, so memory stays O(_BLOCK_ROWS x (n_docs + n_terms)). An
+    ineligible cell's score is set to -inf in the block, which
+    :func:`_select_top_k` then skips."""
     w = index._w[cols]
+    if exclude_self:  # the column of each source's own doc, -1 where it is not one
+        where = np.full(index.n_docs, -1)
+        where[cols] = np.arange(len(cols))
+        own = where[src]
     out: list[tuple[np.ndarray, np.ndarray]] = []
     for s in range(0, len(src), _BLOCK_ROWS):
         at = slice(s, s + _BLOCK_ROWS)
-        ok = True if eligible is None else eligible(at)
         scores = np.ascontiguousarray((w @ _count_block(index, src[at])).T)
-        out += _select_top_k(index, cols, scores, ok, k)
+        if eligible is not None:
+            np.copyto(scores, -np.inf, where=~eligible(at))
+        if exclude_self:
+            mine = own[at]
+            rows = np.flatnonzero(mine >= 0)
+            scores[rows, mine[rows]] = -np.inf
+        out += _select_top_k(index, cols, scores, k)
     return out
 
 
@@ -248,7 +260,8 @@ def topk_similar(index: Bm25Index, store: CorpusStore, doc_id: str, k: int) -> l
     src = index.doc_index(doc_id)
     cols = np.arange(index.n_docs)
     scores = score_all(index, store.cases[src].tokens)
-    [(rows, top)] = _select_top_k(index, cols, scores[None, :], cols[None, :] != src, k)
+    scores[src] = -np.inf
+    [(rows, top)] = _select_top_k(index, cols, scores[None, :], k)
     return [ScoredPair(doc_id, index.doc_ids[i], s) for i, s in zip(rows.tolist(), top.tolist())]
 
 

@@ -171,17 +171,27 @@ class StageManifest:
         with replaced({self.out / "manifest.json": lambda path: write_json(path, self.data)}):
             pass
 
+    def add_time(self, name: str, since: float) -> float:
+        """Add the time since the ``time.perf_counter()`` reading ``since`` to
+        ``timings_ms[name]``; returns the reading that ends it."""
+        now = time.perf_counter()
+        timings = self.data["timings_ms"]
+        timings[name] = round(timings.get(name, 0.0) + (now - since) * 1e3, 3)
+        return now
+
     @contextlib.contextmanager
     def stage(self, name: str) -> Iterator[dict[str, Callable[[Path], object]]]:
         """Time the block as stage ``name``; the block fills the yielded dict
         with its outputs, ``file name -> writer``, each name taken in the output
         directory. When the block ends without an error, each output is written
-        through its writer to a ``.tmp`` sibling and recorded, the block's time
-        is added to ``timings_ms[name]`` (so two blocks of one name time both),
-        the manifest is written once it records some output, and the outputs
-        are renamed into place, all through one :func:`corpus.replaced`. A block
-        that raises records nothing, and a failed write removes the ``.tmp``
-        files of the stage's outputs."""
+        through its writer to a ``.tmp`` sibling and recorded, the time of the
+        block and the writes is added to ``timings_ms[name]`` (so two blocks of
+        one name time both), the manifest is written once it records some
+        output, and the outputs are renamed into place, all through one
+        :func:`corpus.replaced`. The time of that manifest write and of the
+        renames is added to the entry once they are done, so the next write
+        records it. A block that raises records nothing, and a failed write
+        removes the ``.tmp`` files of the stage's outputs."""
         t0 = time.perf_counter()
         names: dict[str, Callable[[Path], object]] = {}
         yield names
@@ -191,10 +201,10 @@ class StageManifest:
         with replaced(outputs):
             for path in outputs:
                 self.add_output(path)
-            timings = self.data["timings_ms"]
-            timings[name] = round(timings.get(name, 0.0) + (time.perf_counter() - t0) * 1e3, 3)
+            t1 = self.add_time(name, t0)
             if self.data["outputs"]:
                 self.write()
+        self.add_time(name, t1)
 
 
 # ---------------------------------------------------------------------------
@@ -614,8 +624,11 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _run(args) -> None:
-    """Resolve the subcommand's options and sections, then run it."""
+def _run(args, started: float) -> None:
+    """Resolve the subcommand's options and sections, then run it. The time
+    since ``started``, the ``time.perf_counter()`` reading taken as the call
+    began, is the manifest's ``resolve`` entry: parsing the arguments and
+    resolving the config."""
     command = COMMANDS[args.command]
     cfg = decode_object(read_text(args.config), args.config) if args.config is not None else {}
     section_values = {s: cfg.pop(s, {}) for s in _SECTIONS}
@@ -626,10 +639,13 @@ def _run(args) -> None:
     config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
     config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}
     out_dir = None if command.out_optional and args.out_dir is None else opts.out_dir
-    command.func(opts, StageManifest(out_dir, args.command, args.config, config), *sections)
+    manifest = StageManifest(out_dir, args.command, args.config, config)
+    manifest.add_time("resolve", started)
+    command.func(opts, manifest, *sections)
 
 
 def main(argv: list[str] | None = None) -> int:
+    started = time.perf_counter()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -645,7 +661,7 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        _run(args)
+        _run(args, started)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -34,6 +34,8 @@ from .errors import (
 )
 
 _TOKEN_RE = re.compile(r"[^\W_]+")  # runs of Unicode letters and digits
+# Every ASCII character that is not a letter or a digit, mapped to a space.
+_ASCII_SEPARATORS = str.maketrans({c: " " for c in map(chr, range(128)) if not c.isalnum()})
 
 _MONTHS = (
     "january february march april may june july august september october november december"
@@ -125,7 +127,14 @@ class CorpusStore:
 
 
 def tokenize(text: str) -> list[str]:
-    """Casefold and split on runs of characters that are not Unicode letters or digits."""
+    """Casefold and split on runs of characters that are not Unicode letters or digits.
+
+    ASCII text takes a path without the regex, with equal tokens: there
+    ``casefold()`` is ``lower()``, and ``[^\\W_]`` matches exactly the characters
+    for which ``str.isalnum()`` holds, so turning every other character into a
+    space and splitting on whitespace leaves the regex's runs."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEPARATORS).split()
     return _TOKEN_RE.findall(text.casefold())
 
 

@@ -92,11 +92,15 @@ def unit_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / norms[:, None], norms
 
 
-def _validate_vector(node_id: str, value, dim: int | None, line_number: int | None = None,
-                     path=None) -> tuple[np.ndarray, int]:
-    """``value`` as a 1-D float64 vector, and its dim, which must be ``dim`` when
-    one is given. A value that is not a list of finite numbers is a data error
-    naming ``node_id`` and, when given, the file and line it was read from."""
+def _vector(node_id: str, value, dim: int | None, line_number: int | None = None,
+            path=None) -> np.ndarray:
+    """``value`` as a 1-D float64 vector of ``dim`` components (any number when
+    ``dim`` is None): the shape half of the one check every vector read or
+    fetched passes, made per vector; :func:`_check_finite` is the other half. A
+    value that is not a list of numbers, or has another dim, is a DimensionError
+    naming ``node_id`` and, when given, the file and line it was read from. A
+    vector with another dim and a non-finite component fails the finite half
+    first, as it would if the halves ran in one call."""
     try:
         vec = np.asarray(value, dtype=np.float64)
     except (TypeError, ValueError):
@@ -104,17 +108,40 @@ def _validate_vector(node_id: str, value, dim: int | None, line_number: int | No
     if vec is None or vec.ndim != 1:
         raise DimensionError(f"vector for id {node_id!r} is not a list of numbers",
                              line_number, path)
-    if not np.all(np.isfinite(vec)):
-        raise ValueError(located(f"non-finite component in vector for id {node_id!r}",
-                                 line_number, path))
     if dim is not None and len(vec) != dim:
+        _check_finite({node_id: vec}, [line_number], path)
         raise DimensionError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}",
                              line_number, path)
-    return vec, len(vec)
+    return vec
+
+
+# Components _check_finite stacks at a time (2 MB of float64), so its pass
+# never copies a whole table of wide vectors.
+_FINITE_BLOCK = 1 << 18
+
+
+def _check_finite(vectors: Mapping[str, np.ndarray], lines: Sequence[int | None] | None = None,
+                  path=None) -> None:
+    """The finite half of the vector check: one pass over every vector of
+    ``vectors``, which share one dim, stacked a block of rows at a time. The
+    first, in order, with a non-finite component is a ValueError naming its id
+    and, when given, the file and its line in ``lines``."""
+    rows = list(vectors.values())
+    step = max(1, _FINITE_BLOCK // max(1, len(rows[0]))) if rows else 1
+    for start in range(0, len(rows), step):
+        finite = np.isfinite(np.array(rows[start:start + step])).all(axis=1)
+        if not finite.all():
+            at = start + int(np.argmin(finite))
+            raise ValueError(located(f"non-finite component in vector for id "
+                                     f"{list(vectors)[at]!r}",
+                                     None if lines is None else lines[at], path))
 
 
 def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> EmbeddingTable:
-    """Load embeddings from JSONL ({"id", "vector"}) or the EMB1 binary format."""
+    """Load embeddings from JSONL ({"id", "vector"}) or the EMB1 binary format.
+    Each vector is shaped on its line and all are checked for finiteness at
+    once; a fault found at a later line is raised only after the vectors before
+    it pass that check, so the error names the first fault in file order."""
     path = Path(path)
     with open(path, "rb") as fh:
         head = fh.read(4)
@@ -125,12 +152,18 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
         return table
 
     vectors: dict[str, np.ndarray] = {}
+    lines: list[int] = []
     dim = expected_dim
-    for i, rec in iter_records(path, ("id", "vector")):
-        node_id = string_field(rec, "id", i, path)
-        if node_id in vectors:
-            raise IngestError(f"duplicate embedding id {node_id!r}", i, path)
-        vectors[node_id], dim = _validate_vector(node_id, rec["vector"], dim, i, path)
+    try:
+        for i, rec in iter_records(path, ("id", "vector")):
+            node_id = string_field(rec, "id", i, path)
+            if node_id in vectors:
+                raise IngestError(f"duplicate embedding id {node_id!r}", i, path)
+            vectors[node_id] = vec = _vector(node_id, rec["vector"], dim, i, path)
+            dim = len(vec)
+            lines.append(i)
+    finally:  # an earlier non-finite vector wins over a later line's fault
+        _check_finite(vectors, lines, path)
     if not vectors:
         raise IngestError("embedding file is empty", path=path)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
@@ -141,24 +174,29 @@ def write_binary_embeddings(
 ) -> None:
     """Write vectors in EMB1 layout; ``ids`` fixes the record order (and may
     select a subset), defaulting to the table's insertion order. The rows are
-    stacked before the file is opened, so a missing id writes nothing."""
+    stacked before the file is opened, so a missing id writes nothing, and
+    the file is written as one buffer."""
     ordered = list(ids) if ids is not None else list(table.vectors)
     rows = stack_vectors(table, ordered).astype(STORED_DTYPE)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + pack("I", table.dim) + pack("Q", len(ordered)))
-        for node_id, row in zip(ordered, rows):
-            fh.write(pack_text(node_id) + row.tobytes())
+    records = (pack_text(node_id) + row.tobytes() for node_id, row in zip(ordered, rows))
+    Path(path).write_bytes(b"".join([_MAGIC, pack("I", table.dim), pack("Q", len(ordered)),
+                                     *records]))
 
 
 def read_binary_embeddings(path: str | Path) -> EmbeddingTable:
+    """Read an EMB1 file; its vectors are checked as :func:`load_embedding_file`
+    checks a JSONL file's, and the first fault in file order is raised."""
     with read_container(path, _MAGIC, "EMB1 embedding cache", IngestError) as r:
         dim, count = r.unpack("IQ")
         vectors: dict[str, np.ndarray] = {}
-        for _ in range(count):
-            node_id = r.text()
-            if node_id in vectors:
-                raise IngestError(f"duplicate embedding id {node_id!r}", path=path)
-            vectors[node_id], _ = _validate_vector(node_id, r.array(STORED_DTYPE, dim), dim)
+        try:
+            for _ in range(count):
+                node_id = r.text()
+                if node_id in vectors:
+                    raise IngestError(f"duplicate embedding id {node_id!r}", path=path)
+                vectors[node_id] = _vector(node_id, r.array(STORED_DTYPE, dim), dim)
+        finally:
+            _check_finite(vectors)
     return EmbeddingTable(dim=int(dim), vectors=vectors)
 
 
@@ -238,7 +276,9 @@ class RemoteEmbeddingProvider:
                 time.sleep(self.config.retry_base_delay * (2**attempt))
 
         with self._lock:
-            vec, self._dim = _validate_vector(node_id, body["vector"], self._dim)
+            vec = _vector(node_id, body["vector"], self._dim)
+            _check_finite({node_id: vec})
+            self._dim = len(vec)
         return vec
 
     def fetch_many(self, items: Iterable[tuple[str, str]]) -> EmbeddingTable:

@@ -76,7 +76,7 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     check_case_order(index, store)
     n = store.n_cases
     src = np.arange(n)
-    tops = block_top_k(index, src, src, k, lambda at: src != src[at, None])
+    tops = block_top_k(index, src, src, k, exclude_self=True)
     sources = np.repeat(src, [len(top) for top, _ in tops])
     targets = np.concatenate([np.zeros(0, np.int64), *(top for top, _ in tops)])
     rows = np.concatenate((sources, targets))

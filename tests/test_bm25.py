@@ -398,6 +398,29 @@ class TestBlockTopK:
         assert sorted(got[1][0].tolist()) == [2, 5, 9]
 
 
+    @pytest.mark.parametrize("block", [1, 3, bm25._BLOCK_ROWS])
+    def test_exclude_self_equals_a_mask_of_each_sources_own_column(self, monkeypatch, block):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(89)
+        for _ in range(6):
+            store = self._store(rng, int(rng.integers(3, 16)), vocab_size=3, max_len=4)
+            index = build_index(store)
+            n = index.n_docs
+            src = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+            cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+            masked = rng.random((len(src), len(cols))) < 0.7
+            for ok in (None, masked):
+                eligible = None if ok is None else (lambda at, ok=ok: ok[at])
+                own = cols != src[:, None]  # some sources are not among the columns
+                mask = own if ok is None else own & ok
+                for k in (1, 3, len(cols), len(cols) + 2):
+                    got = block_top_k(index, src, cols, k, eligible, exclude_self=True)
+                    want = block_top_k(index, src, cols, k, lambda at, m=mask: m[at])
+                    for (rows, scores), (want_rows, want_scores) in zip(got, want, strict=True):
+                        np.testing.assert_array_equal(rows, want_rows)
+                        np.testing.assert_array_equal(scores, want_scores)
+
+
 class TestSparseProductReference:
     """``score_all`` and ``block_top_k`` score bit for bit as the sparse
     product of the sources' count rows with W.T."""

@@ -1091,6 +1091,29 @@ class TestManifests:
                 assert timings["index"] >= 50, argv[0]
                 assert sum(timings.values()) >= 0.9 * wall_ms, (argv[0], timings, wall_ms)
 
+    def test_resolve_entry_times_reading_the_config(self, dataset, monkeypatch):
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+        monkeypatch.setattr(cli, "read_text", slowed(cli.read_text))
+        out = tmp_path / "ingest"
+        assert main(["ingest", "--config", str(config_path), "--out", str(out)]) == 0
+        timings = read_manifest(out)["timings_ms"]
+        assert timings["resolve"] >= 50
+        assert timings["ingest"] < 50
+
+    def test_a_stages_manifest_write_adds_to_its_entry(self, dataset, monkeypatch):
+        from caselink import cli
+
+        tmp_path, config_path = dataset
+        monkeypatch.setattr(cli, "write_json", slowed(cli.write_json))  # the manifest's writer
+        out = tmp_path / "graph"
+        assert main(["graph", "--config", str(config_path), "--out", str(out)]) == 0
+        timings = read_manifest(out)["timings_ms"]
+        # embed and index each write the manifest once; a later write records that time
+        assert timings["embed"] >= 50 and timings["index"] >= 50, timings
+        assert timings["ingest"] < 50, timings
+
     @pytest.mark.parametrize("given_out", [True, False], ids=["--out", "no --out"])
     def test_eval_times_reading_its_inputs(self, dataset, monkeypatch, capsys, given_out):
         from caselink import cli

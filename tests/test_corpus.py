@@ -6,10 +6,12 @@ import random
 import numpy as np
 import pytest
 
+from caselink import corpus
 from caselink.corpus import (
     _DATE_PATTERNS,
     _MONTH_YEAR_RE,
     _MONTHS,
+    _TOKEN_RE,
     ChargeEntry,
     Role,
     attach_charges,
@@ -30,6 +32,8 @@ from caselink.errors import (
     LabelResolutionError,
     ParseError,
 )
+
+from caselink.synthetic import SyntheticSpec, generate
 
 from conftest import make_store
 
@@ -60,6 +64,48 @@ class TestTokenize:
             text = "".join(chars)
             once = tokenize(text)
             assert tokenize(" ".join(once)) == once
+
+
+class TestAsciiTokenizePath:
+    """ASCII text is tokenized without the regex; its tokens must equal the
+    regex's over the casefolded text."""
+
+    @staticmethod
+    def regex_tokens(text):
+        return _TOKEN_RE.findall(text.casefold())
+
+    def test_every_ascii_code_point_alone_and_between_letters(self):
+        for code in range(128):
+            c = chr(code)
+            for text in (c, f"a{c}b", f"Z{c}{c}9", f"{c}x{c}"):
+                assert tokenize(text) == self.regex_tokens(text), repr(text)
+
+    def test_random_ascii_strings(self):
+        rng = np.random.default_rng(131)
+        for _ in range(500):
+            codes = rng.integers(0, 128, size=int(rng.integers(0, 80)))
+            text = "".join(map(chr, codes))
+            assert tokenize(text) == self.regex_tokens(text), repr(text)
+
+    def test_every_text_of_a_synthetic_corpus(self):
+        texts = [c.text for c in generate(SyntheticSpec(seed=3)).store.cases]
+        assert texts and all(text.isascii() for text in texts)
+        for text in texts:
+            assert tokenize(text) == self.regex_tokens(text)
+
+    def test_only_text_with_a_non_ascii_character_takes_the_regex(self, monkeypatch):
+        texts = []
+
+        class Spy:
+            def findall(self, text):
+                texts.append(text)
+                return _TOKEN_RE.findall(text)
+
+        monkeypatch.setattr(corpus, "_TOKEN_RE", Spy())
+        assert tokenize("Assault, R. v. Smith (2010)") == ["assault", "r", "v", "smith", "2010"]
+        assert texts == []
+        assert tokenize("Assault, Straße (2010)") == ["assault", "strasse", "2010"]
+        assert texts == ["assault, strasse (2010)"]
 
 
 class TestExtractLatestYear:

@@ -8,6 +8,7 @@ import threading
 import numpy as np
 import pytest
 
+from caselink import embeddings
 from caselink.embeddings import (
     EmbeddingTable,
     ProviderConfig,
@@ -170,6 +171,110 @@ class TestLoadEmbeddingFile:
         loaded = load_embedding_file(p)
         assert loaded.dim == 3
         np.testing.assert_array_equal(loaded["a"], [1.0, 2.0, 3.0])
+
+
+class TestFaultOrder:
+    """Vectors are shaped line by line and checked for finiteness at once, yet
+    the error names the first fault in file order, as one check per vector did."""
+
+    LATER_FAULTS = {
+        "a duplicate id": '{"id": "a", "vector": [3.0, 4.0]}',
+        "a dim mismatch": '{"id": "c", "vector": [3.0, 4.0, 5.0]}',
+        "a vector that is not a list": '{"id": "c", "vector": "x"}',
+        "a line that is not JSON": '{"id": "c", "vector": [3.0,',
+        "an id that is not a string": '{"id": null, "vector": [3.0, 4.0]}',
+    }
+
+    @pytest.mark.parametrize("later", LATER_FAULTS.values(), ids=LATER_FAULTS)
+    def test_earlier_non_finite_vector_wins_in_jsonl(self, tmp_path, later):
+        p = tmp_path / "emb.jsonl"
+        p.write_text('{"id": "a", "vector": [1.0, 2.0]}\n'
+                     '{"id": "b", "vector": [Infinity, 2.0]}\n\n' + later + "\n")
+        with pytest.raises(ValueError) as info:
+            load_embedding_file(p)
+        assert type(info.value) is ValueError
+        assert str(info.value) == f"line 2: {p}: non-finite component in vector for id 'b'"
+
+    def test_later_non_finite_vector_does_not_hide_an_earlier_fault(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        write_jsonl_vectors(p, [("a", [1.0, 2.0]), ("b", [1.0]), ("c", [float("nan"), 2.0])])
+        with pytest.raises(DimensionError, match=f"^line 2: {p}: vector for id 'b' has dim 1"):
+            load_embedding_file(p)
+
+    def test_non_finite_vector_of_another_dim_is_named_non_finite(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        write_jsonl_vectors(p, [("a", [1.0, 2.0]), ("b", [1.0, float("nan"), 2.0])])
+        with pytest.raises(ValueError,
+                           match=f"^line 2: {p}: non-finite component in vector for id 'b'$"):
+            load_embedding_file(p)
+
+    def test_first_of_two_non_finite_vectors_is_named(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        write_jsonl_vectors(p, [("a", [1.0, 2.0]), ("b", [float("-inf"), 2.0]),
+                                ("c", [float("nan"), 2.0])])
+        with pytest.raises(ValueError, match=f"^line 2: {p}: .* for id 'b'$"):
+            load_embedding_file(p)
+
+    @pytest.mark.parametrize("block", [1, 4, 5])
+    def test_finite_pass_names_the_first_non_finite_vector_across_blocks(self, tmp_path,
+                                                                         monkeypatch, block):
+        monkeypatch.setattr(embeddings, "_FINITE_BLOCK", block)  # 1 or 2 rows of dim 2
+        p = tmp_path / "emb.jsonl"
+        vectors = [[1.0, 2.0]] * 3 + [[1.0, float("nan")], [float("inf"), 0.0]]
+        write_jsonl_vectors(p, [(f"n{i}", v) for i, v in enumerate(vectors)])
+        with pytest.raises(ValueError, match=f"^line 4: {p}: .* for id 'n3'$"):
+            load_embedding_file(p)
+
+    @staticmethod
+    def _emb1(tmp_path, ids):
+        """An EMB1 file of ``ids``, whose record for "b" holds a NaN."""
+        vectors = {"a": np.array([1.0, 2.0]), "b": np.array([np.nan, 2.0]),
+                   "c": np.array([3.0, 4.0])}
+        p = tmp_path / "emb.bin"
+        write_binary_embeddings(EmbeddingTable(dim=2, vectors=vectors), p, ids=ids)
+        return p
+
+    def test_earlier_non_finite_vector_wins_over_a_duplicate_id_in_emb1(self, tmp_path):
+        p = self._emb1(tmp_path, ["a", "b", "c", "a"])
+        with pytest.raises(IngestError, match=f"^{p}: non-finite component in vector for id 'b'$"):
+            read_binary_embeddings(p)
+        p = self._emb1(tmp_path, ["a", "c", "a", "b"])
+        with pytest.raises(IngestError, match=f"^{p}: duplicate embedding id 'a'$"):
+            read_binary_embeddings(p)
+
+    @pytest.mark.parametrize("cut", ["truncated", "an id that is not UTF-8", "trailing bytes"])
+    def test_earlier_non_finite_vector_wins_over_a_later_damaged_record_in_emb1(self, tmp_path,
+                                                                               cut):
+        p = self._emb1(tmp_path, ["a", "b", "c"])
+        data = p.read_bytes()
+        last = data.rindex(b"\x01\x00c")  # the u16 length and the id of the last record
+        data = {"truncated": data[:-3], "trailing bytes": data + b"\x00",
+                "an id that is not UTF-8": data[:last + 2] + b"\xff" + data[last + 3:]}[cut]
+        p.write_bytes(data)
+        with pytest.raises(IngestError, match=f"^{p}: non-finite component in vector for id 'b'$"):
+            load_embedding_file(p)
+
+    def test_remote_non_finite_vector_of_another_dim_is_named_non_finite(self):
+        vectors = iter([[1.0, 2.0], [1.0, float("nan"), 3.0]])
+        provider = RemoteEmbeddingProvider(remote_config(),
+                                           transport=lambda e, p: {"vector": next(vectors)})
+        provider.fetch("a", "text")
+        with pytest.raises(ValueError, match="^non-finite component in vector for id 'b'$"):
+            provider.fetch("b", "text")
+        assert provider.dim == 2
+
+    def test_vectors_equal_the_float64_array_of_each_line_bit_for_bit(self, tmp_path):
+        p = tmp_path / "emb.jsonl"
+        lines = [[1, -2, 3], [0.1, -0.0, 2.5e-320], [1.7976931348623157e308, -1e-7, 7.0],
+                 [123456789012345678901234567890, 0.30000000000000004, -5]]
+        write_jsonl_vectors(p, [(f"n{i}", v) for i, v in enumerate(lines)])
+        table = load_embedding_file(p)
+        assert list(table.vectors) == [f"n{i}" for i in range(len(lines))]
+        for i, vec in enumerate(lines):
+            want = np.asarray(json.loads(json.dumps(vec)), dtype=np.float64)
+            got = table[f"n{i}"]
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
 
 
 class TestBinaryFormat:

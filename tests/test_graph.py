@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from caselink.bm25 import build_index
-from caselink.corpus import Role
+from caselink import bm25
+from caselink.bm25 import block_top_k, build_index
+from caselink.corpus import CorpusStore, Role
 from caselink.embeddings import EmbeddingTable
 from caselink.errors import (
     DimensionError,
@@ -74,6 +75,32 @@ class TestCaseCaseEdges:
             assert set(np.unique(dense)) <= {0, 1}
             assert np.all(np.diag(dense) == 0)
             assert np.all(dense.sum(axis=1) >= min(k, n - 1))
+
+    @staticmethod
+    def _mask_edges(index, n, k):
+        """The case-case adjacency built with an eligibility mask that excludes
+        each source's own column."""
+        src = np.arange(n)
+        dense = np.zeros((n, n), dtype=np.int8)
+        for s, (top, _) in enumerate(block_top_k(index, src, src, k,
+                                                 lambda at: src != src[at, None])):
+            dense[s, top] = dense[top, s] = 1
+        return dense
+
+    @pytest.mark.parametrize("block", [1, 2, bm25._BLOCK_ROWS])
+    def test_k_at_least_the_corpus_size_equals_the_mask_version(self, monkeypatch, block):
+        # every row has fewer than k other cases, so each row's k-th score is -inf
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        rng = np.random.default_rng(137)
+        for n in range(1, 7):
+            cases = list(random_store(rng, n_docs=n, vocab_size=3, max_len=4).cases)
+            cases[-1] = dataclasses.replace(cases[0], id="zz")  # a duplicate text: tied scores
+            store = CorpusStore(cases=tuple(cases))
+            index = build_index(store)
+            for k in (max(n - 1, 1), n, n + 3):
+                adj = build_case_case_edges(index, store, k=k)
+                np.testing.assert_array_equal(adj.toarray(), self._mask_edges(index, n, k))
+                np.testing.assert_array_equal(adj.toarray(), np.ones((n, n)) - np.eye(n))
 
     def test_k_below_one_rejected(self):
         store = make_store([("a", "x")])
