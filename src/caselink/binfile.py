@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import IngestError
+from .errors import CaseLinkError, IngestError
 
 
 def pack(fmt: str, *values) -> bytes:
@@ -68,8 +68,8 @@ class Reader:
         try:
             return str(self._take(n), "utf-8")
         except UnicodeDecodeError as exc:
-            raise IngestError(f"{self.path}: the {what} at byte {at} is not valid UTF-8 "
-                              f"({exc.reason} at byte {at + exc.start})") from None
+            raise IngestError(f"the {what} at byte {at} is not valid UTF-8 "
+                              f"({exc.reason} at byte {at + exc.start})", path=self.path) from None
 
     def json(self):
         """A u32-length-prefixed UTF-8 JSON block. Like every field, one that does
@@ -79,8 +79,8 @@ class Reader:
         try:
             return json.loads(self._utf8(n, "JSON block"))
         except json.JSONDecodeError as exc:
-            raise IngestError(f"{self.path}: the JSON block at byte {at} is not valid JSON "
-                              f"({exc.msg} at char {exc.pos})") from None
+            raise IngestError(f"the JSON block at byte {at} is not valid JSON "
+                              f"({exc.msg} at char {exc.pos})", path=self.path) from None
 
     def text(self) -> str:
         """A u16-length-prefixed UTF-8 string."""
@@ -89,13 +89,14 @@ class Reader:
 
 
 @contextlib.contextmanager
-def read_container(path: str | Path, magic: bytes, what: str, error: type[Exception],
+def read_container(path: str | Path, magic: bytes, what: str, error: type[CaseLinkError],
                    version: int | None = None) -> Iterator[Reader]:
     """Yield a :class:`Reader` past the magic and the optional u32 version.
 
     A wrong magic or version raises ``error``, and so does a ValueError raised
-    in the block, as ``error("<path>: <message>")``; a read past the end of the
-    file, or bytes left over when the block exits, raises IngestError.
+    in the block, as ``error(message, path=path)`` (its text reads
+    ``<path>: <message>``); a read past the end of the file, or bytes left over
+    when the block exits, raises IngestError.
     """
     r = Reader(path, Path(path).read_bytes())
     if r.unpack("4s") != (magic,):
@@ -103,11 +104,11 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[Except
     if version is not None:
         (found,) = r.unpack("I")
         if found != version:
-            raise error(f"{path}: unsupported {what} version {found}")
+            raise error(f"unsupported {what} version {found}", path=path)
     try:
         yield r
     except ValueError as exc:
-        raise error(f"{path}: {exc}") from None
+        raise error(str(exc), path=path) from None
     if r.pos < len(r.data):
         raise IngestError(f"{path} has {len(r.data) - r.pos} trailing bytes")
 

@@ -185,8 +185,8 @@ def _select_top_k(
     to -inf.
 
     ``np.partition`` finds each row's k-th best score; every eligible column
-    at or above it is kept, so ties at the cut reach the sort, and one lexsort
-    orders the block by (row, -score, id)."""
+    at or above it is kept, so ties at the cut reach the sort, and
+    :func:`top_k_rows` orders the block by (row, -score, id)."""
     n_rows, m = scores.shape
     k = min(k, m)
     if k < 1:
@@ -197,11 +197,20 @@ def _select_top_k(
         keep &= scores > -np.inf
     at = np.flatnonzero(keep)  # one pass; np.nonzero on 2-D is ~10x slower
     r, c = np.divmod(at, m)
-    top, ids = scores.ravel()[at], cols[c]
-    order = np.lexsort((index._id_rank[ids], -top, r))
-    r, top, ids = r[order], top[order], ids[order]
-    starts = np.searchsorted(r, np.arange(n_rows))
-    ends = np.minimum(np.searchsorted(r, np.arange(n_rows), side="right"), starts + k)
+    return top_k_rows(index, r, cols[c], scores.ravel()[at], n_rows, k)
+
+
+def top_k_rows(
+    index: Bm25Index, row_of: np.ndarray, rows: np.ndarray, scores: np.ndarray,
+    n_rows: int, k: int,
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per ranking ``r`` in ``range(n_rows)``: what :func:`top_k` returns for
+    the cells where ``row_of == r`` (``rows`` the doc indices, ``scores``
+    aligned with them). One lexsort orders every cell by (ranking, -score, id)."""
+    order = np.lexsort((index._id_rank[rows], -scores, row_of))
+    row_of, top, ids = row_of[order], scores[order], rows[order]
+    starts = np.searchsorted(row_of, np.arange(n_rows))
+    ends = np.minimum(np.searchsorted(row_of, np.arange(n_rows), side="right"), starts + k)
     return [(ids[s:e], top[s:e]) for s, e in zip(starts, ends)]
 
 

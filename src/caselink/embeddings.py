@@ -71,8 +71,8 @@ def stack_vectors(vectors: Mapping[str, np.ndarray] | EmbeddingTable,
     """``vectors[i]`` for each id of ``ids``, in order, as a (len(ids), dim)
     float64 matrix ((0, 0) for no ids). The one missing-vector check: every id
     -> vector lookup stacks here, and MissingEmbeddingError names the first 20
-    missing ids and counts the rest."""
-    missing = [i for i in ids if i not in vectors]
+    missing ids, each once, and counts the rest."""
+    missing = list(dict.fromkeys(i for i in ids if i not in vectors))
     if missing:
         shown = ", ".join(repr(m) for m in missing[:20])
         more = f" (+{len(missing) - 20} more)" if len(missing) > 20 else ""
@@ -275,6 +275,9 @@ class RemoteEmbeddingProvider:
                                         f"{attempt + 1} attempts: {exc}") from exc
                 time.sleep(self.config.retry_base_delay * (2**attempt))
 
+        if not isinstance(body, dict) or "vector" not in body:
+            raise ProviderError(f"embedding response for {node_id!r} from "
+                                f"{self.config.endpoint} has no \"vector\" field")
         with self._lock:
             vec = _vector(node_id, body["vector"], self._dim)
             _check_finite({node_id: vec})

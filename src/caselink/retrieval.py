@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bm25 import Bm25Index, block_top_k, check_case_order, top_k
+from .bm25 import Bm25Index, block_top_k, check_case_order, top_k_rows
 from .corpus import CaseDocument, CorpusStore, iter_lines, write_json
 from .embeddings import stack_vectors, unit_rows
 from .errors import DimensionError, ParseError
@@ -57,42 +57,98 @@ class RetrievalRun:
         return {r.query_id: r.final_ids for r in self.results}
 
 
-def _lexical_stage(
+@dataclass(frozen=True, eq=False)
+class Prefilter:
+    """The lexical stage for a list of queries: per query, the BM25 top
+    candidates after the year filter. It does not depend on the encoder, so
+    one prefilter serves every re-ranking of the same queries."""
+
+    query_ids: tuple[str, ...]
+    rows: np.ndarray  # (queries x size) int64 doc indices, rank order; -1 past a row's fill
+    scores: np.ndarray  # (queries x size) BM25 scores aligned with rows; -inf past the fill
+    fill: np.ndarray  # (queries,) int64: the candidates in each row
+    eligible_ids: tuple[tuple[str, ...], ...]  # per query; equal rows share one tuple
+
+    def tops(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Per query: its filled rows and their scores."""
+        return [(r[:n], s[:n]) for r, s, n in zip(self.rows, self.scores, self.fill.tolist())]
+
+
+def prefilter(
     store: CorpusStore, index: Bm25Index, query_ids: list[str] | tuple[str, ...], size: int
-) -> list[tuple]:
-    """Per query: look it up, apply the year filter and take the BM25
-    top-``size`` eligible candidates. Returns (query, eligible ids, top rows,
-    their scores) per query; the candidate arrays are built once per call."""
+) -> Prefilter:
+    """The year filter and the BM25 top-``size`` eligible candidates of every
+    query of ``query_ids``, scored in one :func:`bm25.block_top_k` call."""
     check_case_order(index, store)
-    queries = [store.cases[index.doc_index(qid)] for qid in query_ids]
+    src = [index.doc_index(qid) for qid in query_ids]
+    queries = [store.cases[i] for i in src]
     candidates = store.candidates()
-    cand_ids = np.array([c.id for c in candidates], dtype=object)
     cand_rows = np.array([index.doc_index(c.id) for c in candidates], dtype=np.int64)
     eligible = _older(queries, candidates)
-    src = np.array([index.doc_index(q.id) for q in queries], dtype=np.int64)
-    tops = block_top_k(index, src, cand_rows, size, lambda at: eligible[at])
-    return [
-        (query, tuple(cand_ids[ok]), rows, scores)
-        for query, ok, (rows, scores) in zip(queries, eligible, tops)
-    ]
+    tops = block_top_k(index, np.array(src, dtype=np.int64), cand_rows, size,
+                       lambda at: eligible[at])
+    fill = np.array([len(r) for r, _ in tops], dtype=np.int64)
+    filled = np.arange(size) < fill[:, None]
+    rows = np.full(filled.shape, -1, dtype=np.int64)
+    scores = np.full(filled.shape, -np.inf)
+    if tops:
+        rows[filled] = np.concatenate([r for r, _ in tops])
+        scores[filled] = np.concatenate([s for _, s in tops])
+    # one tuple per distinct eligibility row: queries of one year share theirs
+    cand_ids = np.array([c.id for c in candidates], dtype=object)
+    shared: dict[bytes, tuple[str, ...]] = {}
+    for ok in eligible:
+        if (key := ok.tobytes()) not in shared:
+            shared[key] = tuple(cand_ids[ok])
+    return Prefilter(
+        query_ids=tuple(query_ids), rows=rows, scores=scores, fill=fill,
+        eligible_ids=tuple(shared[ok.tobytes()] for ok in eligible),
+    )
 
 
-def _dense_stage(
-    index: Bm25Index, representations: dict[str, np.ndarray], lexical: tuple, final_size: int
-) -> RankResult:
-    """Re-rank one query's lexical top rows by cosine on the representations."""
-    query, eligible_ids, pre_rows, pre_scores = lexical
-    pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
-    unit, _ = unit_rows(stack_vectors(representations, (query.id, *pre_ids)))
-    dense = unit[1:] @ unit[0]
-    final_rows, final_scores = top_k(index, pre_rows, dense, final_size)
-    return RankResult(
-        query_id=query.id,
-        eligible_ids=eligible_ids,
-        prefilter_ids=pre_ids,
-        final_ids=tuple(index.doc_ids[i] for i in final_rows),
-        prefilter_scores=tuple(pre_scores.tolist()),
-        final_scores=tuple(final_scores.tolist()),
+def rerank(
+    index: Bm25Index, pre: Prefilter, representations: dict[str, np.ndarray], final_size: int
+) -> RetrievalRun:
+    """Re-rank each query's prefilter rows by cosine on the representations
+    and keep the top ``final_size``, ordered as :func:`bm25.top_k` orders.
+
+    The queries and the filled cells are stacked and normalised at once.
+    Queries are grouped by fill count and each group's cosines are one
+    batched matrix-vector product at that count: a product over rows padded
+    to ``size`` would not give the bits of a product over the filled rows."""
+    n_queries = len(pre.query_ids)
+    cells = pre.rows[pre.rows >= 0]  # query by query, rank order
+    unit, _ = unit_rows(stack_vectors(
+        representations, [*pre.query_ids, *map(index.doc_ids.__getitem__, cells.tolist())]))
+    u_query, u_cell = unit[:n_queries], unit[n_queries:]
+    first = np.cumsum(pre.fill) - pre.fill  # each query's first cell
+    dense = np.empty(len(cells))
+    for n in np.unique(pre.fill[pre.fill > 0]):
+        group = np.flatnonzero(pre.fill == n)
+        at = first[group, None] + np.arange(n)
+        dense[at] = np.matmul(u_cell[at], u_query[group, :, None])[..., 0]
+    query_of = np.repeat(np.arange(n_queries), pre.fill)
+    final = top_k_rows(index, query_of, cells, dense, n_queries, final_size)
+    return RetrievalRun(results=_results(index, pre, final))
+
+
+def _results(
+    index: Bm25Index, pre: Prefilter, final: list[tuple[np.ndarray, np.ndarray]]
+) -> tuple[RankResult, ...]:
+    """A RankResult per query of ``pre``, with ``final`` its (rows, scores)."""
+    doc_id = index.doc_ids.__getitem__
+    return tuple(
+        RankResult(
+            query_id=qid,
+            eligible_ids=eligible,
+            prefilter_ids=tuple(map(doc_id, rows[:n])),
+            final_ids=tuple(map(doc_id, final_rows.tolist())),
+            prefilter_scores=tuple(scores[:n]),
+            final_scores=tuple(final_scores.tolist()),
+        )
+        for qid, eligible, rows, scores, n, (final_rows, final_scores) in zip(
+            pre.query_ids, pre.eligible_ids, pre.rows.tolist(), pre.scores.tolist(),
+            pre.fill.tolist(), final)
     )
 
 
@@ -119,18 +175,10 @@ def bm25_baseline_rank(
     query_id: str,
     final_size: int = FINAL_SIZE,
 ) -> RankResult:
-    """Lexical-only baseline: the lexical stage of :func:`two_stage_rank`, cut
-    to ``final_size``."""
-    _, eligible_ids, rows, scores = _lexical_stage(store, index, [query_id], final_size)[0]
-    ids = tuple(index.doc_ids[i] for i in rows)
-    return RankResult(
-        query_id=query_id,
-        eligible_ids=eligible_ids,
-        prefilter_ids=ids,
-        final_ids=ids,
-        prefilter_scores=tuple(scores.tolist()),
-        final_scores=tuple(scores.tolist()),
-    )
+    """Lexical-only baseline: the prefilter of :func:`two_stage_rank`, cut to
+    ``final_size``."""
+    pre = prefilter(store, index, [query_id], final_size)
+    return _results(index, pre, pre.tops())[0]
 
 
 def check_sizes(prefilter_size: int, final_size: int) -> None:
@@ -148,15 +196,13 @@ def rank_all(
     prefilter_size: int = PREFILTER_SIZE,
     final_size: int = FINAL_SIZE,
 ) -> RetrievalRun:
-    """:func:`two_stage_rank` for every query in ``query_ids`` (default: all),
-    with the lexical stage scored for all of them at once."""
+    """:func:`two_stage_rank` for every query in ``query_ids`` (default: all):
+    one :func:`prefilter`, then one :func:`rerank`."""
     check_sizes(prefilter_size, final_size)
     if query_ids is None:
         query_ids = [q.id for q in store.queries()]
-    lexical = _lexical_stage(store, index, query_ids, prefilter_size)
-    return RetrievalRun(
-        results=tuple(_dense_stage(index, representations, lex, final_size) for lex in lexical)
-    )
+    pre = prefilter(store, index, query_ids, prefilter_size)
+    return rerank(index, pre, representations, final_size)
 
 
 @dataclass(frozen=True)
@@ -227,7 +273,7 @@ def representations_from_rows(
 ) -> dict[str, np.ndarray]:
     if len(node_ids) != h.shape[0]:
         raise DimensionError("node id list does not match representation rows")
-    return {nid: h[i] for i, nid in enumerate(node_ids)}
+    return dict(zip(node_ids, h))
 
 
 def write_run_tsv(run: RetrievalRun, path: str | Path) -> None:

@@ -15,8 +15,8 @@ from caselink.binfile import Reader, field_kinds, pack_record, read_container, r
 from caselink.bm25 import build_index, save_index
 from caselink.cli import RunOptions
 from caselink.corpus import Role
-from caselink.embeddings import EmbeddingTable, write_binary_embeddings
-from caselink.errors import IngestError
+from caselink.embeddings import EmbeddingTable, read_binary_embeddings, write_binary_embeddings
+from caselink.errors import GraphConstructionError, IngestError, TraceError
 from caselink.gat import GatParams, save_checkpoint
 from caselink.graph import GlobalCaseGraph, Provenance, save_graph
 from caselink.synthetic import SyntheticSpec
@@ -147,16 +147,39 @@ class TestPackRecord:
                                               (b"\xff", "not valid UTF-8")], ids=["x", "0xff"])
     def test_block_that_does_not_decode_is_ingest_error_naming_the_file(self, byte, reason):
         data = pack_record(Fields(count=2, rate=0.5, names=[]))
-        with pytest.raises(IngestError, match=f"^f.bin: the JSON block at byte 4 is {reason}"):
+        with pytest.raises(IngestError,
+                           match=f"^f.bin: the JSON block at byte 4 is {reason}") as info:
             Reader("f.bin", data[:4] + byte + data[5:]).json()
+        assert info.value.path == "f.bin"
 
 
 def test_a_value_error_in_the_block_is_the_container_error_naming_the_file(tmp_path):
     path = tmp_path / "f.bin"
     path.write_bytes(b"MAGC")
-    with pytest.raises(KeyError, match=f"{path}: the file disagrees with itself"):
-        with read_container(path, b"MAGC", "test file", KeyError):
+    with pytest.raises(GraphConstructionError) as info:
+        with read_container(path, b"MAGC", "test file", GraphConstructionError):
             raise ValueError("the file disagrees with itself")
+    assert str(info.value) == f"{path}: the file disagrees with itself"
+    assert info.value.path == path and info.value.line_number is None
+
+
+def test_unsupported_version_is_the_container_error_naming_the_file(tmp_path):
+    path = tmp_path / "f.bin"
+    path.write_bytes(b"MAGC" + struct.pack("<I", 9))
+    with pytest.raises(TraceError) as info:
+        with read_container(path, b"MAGC", "test file", TraceError, version=1):
+            pass
+    assert str(info.value) == f"{path}: unsupported test file version 9"
+    assert info.value.path == path
+
+
+def test_non_finite_emb1_vector_is_ingest_error_naming_the_file_in_path(tmp_path):
+    path = tmp_path / "emb.bin"
+    write_binary_embeddings(EmbeddingTable(dim=2, vectors={"a": np.array([1.0, np.nan])}), path)
+    with pytest.raises(IngestError) as info:
+        read_binary_embeddings(path)
+    assert str(info.value) == f"{path}: non-finite component in vector for id 'a'"
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("cls", [RunOptions, TrainingConfig, SyntheticSpec, bm25._Meta,

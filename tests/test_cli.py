@@ -1288,6 +1288,21 @@ class TestEndpoint:
         assert not (out / "embeddings.emb1").exists()
         assert main(["embed", "--config", str(cfg_path), "--dim", "8", "--out", str(out)]) == 0
 
+    def test_response_without_a_vector_is_data_error_naming_the_endpoint(
+            self, dataset, monkeypatch, capsys):
+        import caselink.embeddings
+
+        tmp_path, config_path = dataset
+        cfg_path, _ = self.endpoint_config(tmp_path, config_path)
+        monkeypatch.setattr(caselink.embeddings, "_http_post_json",
+                            lambda endpoint, payload: {"embedding": [1.0]})
+        out = tmp_path / "e"
+        assert main(["embed", "--config", str(cfg_path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert 'from http://embeddings.invalid/embed has no "vector" field' in err
+        assert "embedding response for '" in err
+        assert not (out / "embeddings.emb1").exists()
+
     def test_zero_threads_is_data_error(self, dataset, monkeypatch, capsys):
         tmp_path, config_path = dataset
         cfg_path, served = self.endpoint_config(tmp_path, config_path, threads=0)

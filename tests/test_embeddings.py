@@ -406,6 +406,13 @@ class TestStackVectors:
             stack_vectors(wrap(held), ids)
         assert str(info.value) == f"no embedding for: {shown} (+5 more)"
 
+    def test_a_missing_id_asked_for_twice_is_named_once(self):
+        ids = ["gone0", "n0", "gone1", "gone0", *(f"gone{i}" for i in range(25))]
+        shown = ", ".join(repr(f"gone{i}") for i in range(20))
+        with pytest.raises(MissingEmbeddingError) as info:
+            stack_vectors(self.vectors(1), ids)
+        assert str(info.value) == f"no embedding for: {shown} (+5 more)"
+
     def test_at_most_twenty_missing_ids_are_all_named(self):
         with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'a', 'b'$"):
             stack_vectors(self.vectors(1), ["a", "n0", "b"])
@@ -528,6 +535,23 @@ class TestRemoteProvider:
         provider = RemoteEmbeddingProvider(remote_config(), transport=transport)
         with pytest.raises(ValueError):
             provider.fetch("a", "text")
+
+    @pytest.mark.parametrize("body", [{"embedding": [1.0]}, [1.0, 2.0], "1.0", None],
+                             ids=["no vector key", "list", "string", "null"])
+    def test_response_without_a_vector_names_the_id_and_the_endpoint(self, body):
+        calls = []
+
+        def transport(endpoint, payload):
+            calls.append(payload)
+            return body
+
+        provider = RemoteEmbeddingProvider(remote_config(), transport=transport)
+        with pytest.raises(ProviderError) as info:
+            provider.fetch("node7", "text")
+        assert str(info.value) == ("embedding response for 'node7' from "
+                                   'http://unit.test/embed has no "vector" field')
+        assert len(calls) == 1  # a malformed response is not retried
+        assert provider.dim is None
 
     def test_empty_text_rejected(self):
         provider = RemoteEmbeddingProvider(

@@ -1,19 +1,22 @@
 """Two-stage ranking, year filtering, micro-averaged evaluation, run files."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from caselink import bm25
-from caselink.bm25 import build_index, score_all, top_k
+from caselink.bm25 import block_top_k, build_index, score_all, top_k
 from caselink.corpus import Role
+from caselink.embeddings import stack_vectors, unit_rows
 from caselink.errors import DimensionError, MissingEmbeddingError, NumericalError, ParseError
 from caselink.retrieval import (
     EvalReport,
     bm25_baseline_rank,
     evaluate_runs,
     f_measure,
+    prefilter,
     rank_all,
     read_run_tsv,
     representations_from_rows,
@@ -295,6 +298,128 @@ class TestLexicalYearFilter:
             ("c_2001", "c_2015", "c_2010", "c_undated"),
             ("c_2001", "c_undated"),
         ]
+
+
+def reference_rank(store, index, reps, query_id, prefilter_size, final_size):
+    """One query's ranking as it was computed query by query: the year
+    filter, the BM25 top rows of that query alone, then a product of its own
+    stacked unit rows and :func:`top_k`."""
+    query = store.cases[index.doc_index(query_id)]
+    kept = year_filter(query, store.candidates())
+    cols = np.array([index.doc_index(c.id) for c in kept], dtype=np.int64)
+    [(pre_rows, pre_scores)] = block_top_k(index, np.array([index.doc_index(query_id)]), cols,
+                                           prefilter_size)
+    pre_ids = tuple(index.doc_ids[i] for i in pre_rows)
+    unit, _ = unit_rows(stack_vectors(reps, (query_id, *pre_ids)))
+    final_rows, final_scores = top_k(index, pre_rows, unit[1:] @ unit[0], final_size)
+    return (tuple(c.id for c in kept), pre_ids, tuple(index.doc_ids[i] for i in final_rows),
+            tuple(pre_scores.tolist()), tuple(final_scores.tolist()))
+
+
+def rerank_fixture(dim, seed=17):
+    """30 dated candidates in shuffled corpus order and 11 queries with 0,
+    1, 2, 6, 8, 22 and 30 eligible candidates. c04, c09 and c13 share q07's
+    vector and lead its lexical order in reverse id order, so its dense ties
+    break by id against the lexical order."""
+    rng = np.random.default_rng(seed)
+    vocab = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta"]
+    cands = []
+    for i in range(30):
+        words = " ".join(rng.choice(vocab, size=3))
+        words = {4: "omega", 9: "omega psi", 13: "omega psi psi"}.get(i, words)
+        year = 1989 if i == 0 else 1991 + i % 20
+        cands.append((f"c{i:02d}", f"{words} decided March 1, {year}", Role.CANDIDATE))
+    queries = [(f"q{i:02d}", " ".join(rng.choice(vocab, size=4))
+                + ("" if year is None else f" decided March 1, {year}"), Role.QUERY)
+               for i, year in enumerate([1985, 1990, 1992, 1994, 1995, 2003, 2003, 2030,
+                                         2030, 2030, None])]
+    queries[7] = ("q07", "omega psi gamma decided March 1, 2030", Role.QUERY)
+    cases = cands + queries
+    store = make_store([cases[i] for i in rng.permutation(len(cases))])
+    reps = {c.id: rng.standard_normal(dim) for c in store.cases}
+    for cid in ("c04", "c09", "c13"):
+        reps[cid] = reps["q07"].copy()
+    return store, build_index(store), reps
+
+
+class TestRerankParity:
+    """rank_all's one re-rank gives the bits of the query-by-query stage."""
+
+    @pytest.mark.parametrize("block", [1, bm25._BLOCK_ROWS])
+    @pytest.mark.parametrize("dim", [3, 8, 32])
+    @pytest.mark.parametrize("prefilter_size, final_size", [(10, 5), (4, 4), (7, 3)])
+    def test_equals_the_query_by_query_reference(self, monkeypatch, block, dim,
+                                                 prefilter_size, final_size):
+        monkeypatch.setattr(bm25, "_BLOCK_ROWS", block)
+        store, index, reps = rerank_fixture(dim)
+        run = rank_all(store, index, reps, prefilter_size=prefilter_size,
+                       final_size=final_size)
+        kinds = set()
+        for r in run.results:
+            want = reference_rank(store, index, reps, r.query_id, prefilter_size, final_size)
+            got = (r.eligible_ids, r.prefilter_ids, r.final_ids, r.prefilter_scores,
+                   r.final_scores)
+            assert got == want, r.query_id
+            for got_scores, want_scores in zip(got[3:], want[3:]):
+                assert np.array(got_scores).tobytes() == np.array(want_scores).tobytes()
+            eligible = len(r.eligible_ids)
+            kinds.add("none" if eligible == 0 else "fewer" if eligible < prefilter_size
+                      else "more" if eligible > prefilter_size else "as many")
+        assert kinds >= {"none", "fewer", "more"}
+        [q07] = [r for r in run.results if r.query_id == "q07"]
+        assert q07.prefilter_ids[:3] == ("c13", "c09", "c04")
+        assert q07.final_ids[:3] == ("c04", "c09", "c13")
+
+    def test_one_query_ranks_as_it_does_among_all(self):
+        store, index, reps = rerank_fixture(8)
+        every = {r.query_id: r for r in rank_all(store, index, reps).results}
+        for qid in every:
+            assert two_stage_rank(store, index, reps, qid) == every[qid]
+
+    def test_prefilter_rows_are_padded_and_eligible_ids_shared(self):
+        store, index, _ = rerank_fixture(8)
+        query_ids = [q.id for q in store.queries()]
+        pre = prefilter(store, index, query_ids, 10)
+        assert pre.query_ids == tuple(query_ids)
+        assert pre.rows.shape == pre.scores.shape == (len(query_ids), 10)
+        assert pre.rows.dtype == np.int64
+        for rows, scores, n, (top, top_scores) in zip(pre.rows, pre.scores, pre.fill,
+                                                      pre.tops()):
+            assert (rows[n:] == -1).all() and np.isneginf(scores[n:]).all()
+            assert (rows[:n] >= 0).all() and np.isfinite(scores[:n]).all()
+            assert top.tolist() == rows[:n].tolist()
+            assert top_scores.tolist() == scores[:n].tolist()
+        by_ids: dict = {}
+        for eligible in pre.eligible_ids:
+            assert by_ids.setdefault(eligible, eligible) is eligible  # one tuple per row
+        assert len(by_ids) < len(query_ids)
+
+    def test_no_queries(self):
+        store, index, reps = rerank_fixture(8)
+        pre = prefilter(store, index, [], 10)
+        assert pre.rows.shape == (0, 10) and pre.eligible_ids == ()
+        assert rank_all(store, index, reps, []).results == ()
+
+    def test_query_without_eligible_candidates_still_needs_its_vector(self):
+        store, index, reps = rerank_fixture(8)
+        assert two_stage_rank(store, index, reps, "q00").eligible_ids == ()
+        missing = {k: v for k, v in reps.items() if k != "q00"}
+        with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'q00'$"):
+            rank_all(store, index, missing)
+        with pytest.raises(NumericalError, match="zero-norm"):
+            rank_all(store, index, {**reps, "q00": np.zeros(8)})
+
+    def test_missing_candidate_of_several_queries_is_named_once(self):
+        store, index, reps = rerank_fixture(8)
+        run = rank_all(store, index, reps)
+        counts = Counter(cid for r in run.results for cid in r.prefilter_ids)
+        gone, n = min(counts.items(), key=lambda item: (-item[1], item[0]))
+        assert n >= 2
+        held = {k: v for k, v in reps.items() if k != gone}
+        with pytest.raises(MissingEmbeddingError, match=f"^no embedding for: {gone!r}$"):
+            rank_all(store, index, held)
+        with pytest.raises(NumericalError, match="zero-norm"):
+            rank_all(store, index, {**reps, gone: np.zeros(8)})
 
 
 class TestEvaluateRuns:
