@@ -51,7 +51,7 @@ class Reader:
     def _take(self, n: int) -> memoryview:
         left = len(self.data) - self.pos
         if not 0 <= n <= left:
-            raise IngestError(f"{self.path} is truncated: wanted {n} bytes, got {left}")
+            raise IngestError(f"truncated: wanted {n} bytes, got {left}", path=self.path)
         self.pos += n
         return self.data[self.pos - n : self.pos]
 
@@ -96,11 +96,11 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[CaseLi
     A wrong magic or version raises ``error``, and so does a ValueError raised
     in the block, as ``error(message, path=path)`` (its text reads
     ``<path>: <message>``); a read past the end of the file, or bytes left over
-    when the block exits, raises IngestError.
+    when the block exits, raises IngestError, with the path in the same way.
     """
     r = Reader(path, Path(path).read_bytes())
     if r.unpack("4s") != (magic,):
-        raise error(f"{path} is not a valid {what}")
+        raise error(f"not a valid {what}", path=path)
     if version is not None:
         (found,) = r.unpack("I")
         if found != version:
@@ -110,7 +110,7 @@ def read_container(path: str | Path, magic: bytes, what: str, error: type[CaseLi
     except ValueError as exc:
         raise error(str(exc), path=path) from None
     if r.pos < len(r.data):
-        raise IngestError(f"{path} has {len(r.data) - r.pos} trailing bytes")
+        raise IngestError(f"{len(r.data) - r.pos} trailing bytes", path=path)
 
 
 # The annotations record() can check, each with its name in errors and its test.

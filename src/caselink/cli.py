@@ -217,8 +217,8 @@ class RunOptions:
     read it, one flag (``out_dir`` is ``--out``). A ``Path`` field holds a path:
     relative in a config file, it is taken relative to that file's directory;
     as a flag, relative to the working directory. Ranking sizes outside
-    ``1 <= final_size <= prefilter_size`` and BM25 parameters that
-    ``build_index`` would reject are a ValueError."""
+    ``1 <= final_size <= prefilter_size`` and graph settings (the ones
+    ``graph.Provenance`` records) that a builder would reject are a ValueError."""
 
     corpus: Path | None = None
     labels: Path | None = None
@@ -230,6 +230,8 @@ class RunOptions:
     out_dir: Path = Path("out")
     k1: float = Bm25Index.k1
     b: float = Bm25Index.b
+    k_edges: int = 5
+    delta: float = 0.9
     prefilter_size: int = PREFILTER_SIZE
     final_size: int = FINAL_SIZE
     dim: int | None = None
@@ -240,6 +242,10 @@ class RunOptions:
     def __post_init__(self):
         check_sizes(self.prefilter_size, self.final_size)
         check_parameters(self.k1, self.b)
+        if self.k_edges < 1:
+            raise ValueError("k_edges must be >= 1")
+        if not 0.0 < self.delta < 1.0:  # written so that NaN fails
+            raise ValueError("delta must be in (0, 1)")
 
 
 _SECTIONS = {"training": TrainingConfig, "synth": SyntheticSpec}
@@ -277,13 +283,14 @@ def _flag(name: str) -> str:
 
 
 def _resolve(args, cls, values, where: str, names=None, config: str | None = None):
-    """The dataclass ``cls``, its fields ``names`` (all when None) set by flag >
-    object ``values`` of the file ``config`` > default. ``values`` passes
-    :func:`binfile.record`, so each value takes its field's type as a flag does
-    (``"lr": 1`` and ``--lr 1`` both give 1.0); a config path is relative to the
-    config's directory. An unknown key or an invalid value is a ParseError,
-    which names the file when the flags and defaults alone would pass."""
-    names = names or field_kinds(cls)
+    """The dataclass ``cls``, its fields ``names`` (all when None, none when
+    empty) set by flag > object ``values`` of the file ``config`` > default.
+    All of ``values`` passes :func:`binfile.record`, so each value takes its
+    field's type as a flag does (``"lr": 1`` and ``--lr 1`` both give 1.0); a
+    config path is relative to the config's directory. An unknown key or an
+    invalid value is a ParseError, which names the file when the flags and
+    defaults alone would pass."""
+    names = field_kinds(cls) if names is None else names
     checked = record(cls, values, ParseError, located(where, path=config), _ALIASES)
     flags = {n: getattr(args, n) for n in names if getattr(args, n, None) is not None}
     merged = {n: Path(config).parent / v if isinstance(v, Path) else v
@@ -443,8 +450,7 @@ def eval_stage(
 
 
 def _case_chain(
-    opts: RunOptions, manifest: StageManifest, training: TrainingConfig,
-    need_labels: bool = False,
+    opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
 ) -> tuple[CorpusStore, Bm25Index, GlobalCaseGraph]:
     """``pipeline``'s stages up to the graph, the ones every subcommand from
     ``graph`` to ``pipeline`` runs first: ingest, embed, index and graph; with
@@ -452,7 +458,7 @@ def _case_chain(
     checks that it holds the corpus's nodes and was built as this run builds it."""
     store = _load_store(opts, manifest, need_labels)
     built_from = Provenance(manifest.digest(opts.corpus), manifest.digest(opts.lexicon),
-                            opts.k1, opts.b, training.k_edges, training.delta)
+                            opts.k1, opts.b, opts.k_edges, opts.delta)
     if opts.graph is None:
         table = embed_stage(store, opts, manifest)
         index = index_stage(store, opts, manifest)
@@ -486,14 +492,14 @@ def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
     _print_json({"vectors": store.n_cases + store.n_charges, "dim": table.dim})
 
 
-def cmd_graph(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    _store, _index, gcg = _case_chain(opts, manifest, training)
+def cmd_graph(opts: RunOptions, manifest: StageManifest) -> None:
+    _store, _index, gcg = _case_chain(opts, manifest)
     _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
                  "edges": int(gcg.adjacency.nnz // 2)})
 
 
 def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store, index, gcg = _case_chain(opts, manifest, training, need_labels=True)
+    store, index, gcg = _case_chain(opts, manifest, need_labels=True)
     result = train_stage(store, gcg, index, training, manifest)
     best = result.log[result.best_epoch] if result.log else None
     _print_json({"best_epoch": result.best_epoch,
@@ -501,9 +507,9 @@ def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfi
                  "epochs_run": len(result.log)})
 
 
-def cmd_rank(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
+def cmd_rank(opts: RunOptions, manifest: StageManifest) -> None:
     ckpt_path = _require(opts, "checkpoint")
-    store, index, gcg = _case_chain(opts, manifest, training)
+    store, index, gcg = _case_chain(opts, manifest)
     with manifest.stage("rank"):  # rank_stage adds its own time to this entry
         params = load_checkpoint(ckpt_path)
         check_checkpoint_provenance(ckpt_path, gcg.provenance)
@@ -529,7 +535,7 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store, index, gcg = _case_chain(opts, manifest, training, need_labels=True)
+    store, index, gcg = _case_chain(opts, manifest, need_labels=True)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)
     report = eval_stage(run.retrieved(), store.labels, manifest)
@@ -570,25 +576,26 @@ class Command:
 # The corpus and its vectors, read or fetched, by every stage from graph to pipeline.
 _CASE_INPUTS = ("corpus", "labels", "lexicon", "embeddings", "dim", "endpoint",
                 "truncation_tokens", "threads")
+_GRAPH_SETTINGS = ("k1", "b", "k_edges", "delta")  # what graph.Provenance records
 COMMANDS = {
     "ingest": Command(cmd_ingest, "validate and normalize a corpus",
                       ("corpus", "labels", "out_dir")),
-    "index": Command(cmd_index, "build the BM25 index",
-                     ("corpus", "labels", "k1", "b", "out_dir")),
+    "index": Command(cmd_index, "build the BM25 index", ("corpus", "k1", "b", "out_dir")),
     "embed": Command(cmd_embed, "load or fetch embeddings into a binary table",
                      ("corpus", "lexicon", "embeddings", "dim", "endpoint", "truncation_tokens",
                       "threads", "out_dir")),
     "graph": Command(cmd_graph, "assemble the global case graph",
-                     (*_CASE_INPUTS, "k1", "b", "out_dir"), ("training",)),
+                     (*_CASE_INPUTS, *_GRAPH_SETTINGS, "out_dir")),
     "train": Command(cmd_train, "train the graph encoder",
-                     (*_CASE_INPUTS, "graph", "k1", "b", "out_dir"), ("training",)),
+                     (*_CASE_INPUTS, "graph", *_GRAPH_SETTINGS, "out_dir"), ("training",)),
     "rank": Command(cmd_rank, "rank candidates per query",
-                    (*_CASE_INPUTS, "graph", "checkpoint", "k1", "b", "prefilter_size",
-                     "final_size", "out_dir"), ("training",)),
+                    (*_CASE_INPUTS, "graph", "checkpoint", *_GRAPH_SETTINGS, "prefilter_size",
+                     "final_size", "out_dir")),
     "eval": Command(cmd_eval, "score a run file against labels",
                     ("run", "labels", "out_dir"), out_optional=True),
     "pipeline": Command(cmd_pipeline, "run ingest through eval end-to-end",
-                        (*_CASE_INPUTS, "k1", "b", "prefilter_size", "final_size", "out_dir"),
+                        (*_CASE_INPUTS, *_GRAPH_SETTINGS, "prefilter_size", "final_size",
+                         "out_dir"),
                         ("training",)),
     "synth": Command(cmd_synth, "generate a planted-cluster synthetic dataset",
                      ("out_dir",), ("synth",)),
@@ -625,23 +632,24 @@ def build_parser() -> _Parser:
 
 
 def _run(args, started: float) -> None:
-    """Resolve the subcommand's options and sections, then run it. The time
-    since ``started``, the ``time.perf_counter()`` reading taken as the call
-    began, is the manifest's ``resolve`` entry: parsing the arguments and
-    resolving the config."""
+    """Resolve the subcommand's options and every config section (one it does
+    not read is type-checked only), then run it. The time since ``started``,
+    the ``time.perf_counter()`` reading taken as the call began, is the
+    manifest's ``resolve`` entry: parsing the arguments and resolving the config."""
     command = COMMANDS[args.command]
     cfg = decode_object(read_text(args.config), args.config) if args.config is not None else {}
     section_values = {s: cfg.pop(s, {}) for s in _SECTIONS}
     opts = _resolve(args, RunOptions, cfg, "config", command.options, args.config)
-    sections = [_resolve(args, _SECTIONS[s], section_values[s], f"{s} config",
-                         config=args.config) for s in command.sections]
+    sections = {s: _resolve(args, cls, section_values[s], f"{s} config",
+                            None if s in command.sections else (), args.config)
+                for s, cls in _SECTIONS.items()}
     values = {name: getattr(opts, name) for name in command.options}
     config = {name: str(v) if isinstance(v, Path) else v for name, v in values.items()}
-    config |= {s: dataclasses.asdict(v) for s, v in zip(command.sections, sections)}
+    config |= {s: dataclasses.asdict(sections[s]) for s in command.sections}
     out_dir = None if command.out_optional and args.out_dir is None else opts.out_dir
     manifest = StageManifest(out_dir, args.command, args.config, config)
     manifest.add_time("resolve", started)
-    command.func(opts, manifest, *sections)
+    command.func(opts, manifest, *(sections[s] for s in command.sections))
 
 
 def main(argv: list[str] | None = None) -> int:

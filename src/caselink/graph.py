@@ -83,9 +83,7 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     cols = np.concatenate((targets, sources))
     data = np.ones(len(rows), dtype=np.int8)
     adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    adj.data[:] = 1  # OR-union of duplicate entries
-    adj.setdiag(0)
-    adj.eliminate_zeros()
+    adj.data[:] = 1  # OR-union of duplicate entries; no self-pair, so no diagonal
     adj.sort_indices()
     return adj
 

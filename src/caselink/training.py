@@ -68,8 +68,6 @@ class TrainingConfig:
     n_hard_neg: int = 5
     lam: float = 1e-3  # degree-regularization coefficient
     tau: float = 0.1
-    k_edges: int = 5
-    delta: float = 0.9
     hard_neg_pool_size: int = 10
     epochs: int = 30
     seed: int = 0
@@ -88,12 +86,8 @@ class TrainingConfig:
             raise ValueError("dropout must be in [0, 1)")
         if self.hidden_dim is not None and self.hidden_dim < 1:
             raise ValueError("hidden_dim must be >= 1")
-        if self.k_edges < 1:
-            raise ValueError("k_edges must be >= 1")
         if min(self.n_easy_neg, self.n_hard_neg, self.hard_neg_pool_size) < 0:
             raise ValueError("sampling sizes must be >= 0")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,21 @@ def test_non_finite_emb1_vector_is_ingest_error_naming_the_file_in_path(tmp_path
     assert info.value.path == path
 
 
+@pytest.mark.parametrize("damage, message", [
+    (lambda data: b"EMB2" + data[4:], "not a valid EMB1 embedding cache"),
+    (lambda data: data[:-3], "truncated: wanted 8 bytes, got 5"),
+    (lambda data: data + b"\x00\x00", "2 trailing bytes"),
+], ids=["wrong magic", "truncated", "trailing bytes"])
+def test_a_damaged_emb1_file_is_ingest_error_whose_path_is_the_file(tmp_path, damage,
+                                                                     message):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(damage(emb1_file(path)))
+    with pytest.raises(IngestError) as info:
+        read_binary_embeddings(path)
+    assert str(info.value) == f"{path}: {message}"
+    assert info.value.path == path
+
+
 @pytest.mark.parametrize("cls", [RunOptions, TrainingConfig, SyntheticSpec, bm25._Meta,
                                  graph._Header], ids=lambda cls: cls.__name__)
 def test_every_record_field_has_a_kind_record_checks(cls):

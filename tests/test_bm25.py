@@ -569,7 +569,7 @@ class TestMalformedCache:
         ({"meta": {k: v for k, v in META.items() if k != "digest"}}, "meta 'digest' is not a string"),
         ({"meta": {k: v for k, v in META.items() if k != "k1"}}, "meta 'k1' is not a number"),
         ({"version": 1}, "unsupported BM25 index version 1"),
-        ({"magic": b"junk"}, "is not a valid BM25 index"),
+        ({"magic": b"junk"}, "not a valid BM25 index"),
     ], ids=["terms unsorted", "terms repeated", "indptr start", "indptr decreasing",
             "indptr short", "column out of range", "columns unsorted", "duplicate entry",
             "zero count", "meta a list", "terms a string", "terms not strings",

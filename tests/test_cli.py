@@ -78,6 +78,34 @@ class TestTopLevel:
             main(["--version"])
         assert exc_info.value.code == 0
 
+    @pytest.mark.parametrize("argv", [["rank", "--lr", "0.5"], ["graph", "--epochs", "3"]],
+                             ids=["rank --lr", "graph --epochs"])
+    def test_training_flags_are_usage_errors_where_no_training_runs(self, capsys, argv):
+        assert main(argv) == 1
+        assert f"unrecognized arguments: {' '.join(argv[1:])}" in capsys.readouterr().err
+
+    def test_a_required_input_given_nowhere_is_usage_error_naming_it(self, tmp_path, capsys):
+        assert main(["graph", "--out", str(tmp_path / "x")]) == 1
+        assert capsys.readouterr().err == \
+            "error: --corpus is required (flag or config key 'corpus')\n"
+
+
+class TestRunOptions:
+    def test_graph_settings_defaults(self):
+        from caselink.cli import RunOptions
+
+        opts = RunOptions()
+        assert (opts.k1, opts.b, opts.k_edges, opts.delta) == (1.2, 0.75, 5, 0.9)
+
+    @pytest.mark.parametrize("field, value", [("k_edges", 0), ("delta", 1.5), ("delta", 0.0),
+                                              ("delta", float("nan"))])
+    def test_graph_settings_out_of_range_rejected(self, field, value):
+        from caselink.cli import RunOptions
+
+        with pytest.raises(ValueError, match=field):
+            RunOptions(**{field: value})
+        RunOptions(**{field: {"k_edges": 1, "delta": 0.5}[field]})
+
 
 class TestSynth:
     def test_writes_dataset_and_config(self, tmp_path):
@@ -307,6 +335,13 @@ class TestStages:
             assert command in manifest["timings_ms"]
             assert manifest["timings_ms"][command] >= 0.0
 
+        # the checkpoint and graph record k_edges 3, so a run that would build with 4 fails
+        capsys.readouterr()
+        assert main(["rank", "--corpus", cfg["corpus"], "--lexicon", cfg["lexicon"],
+                     "--graph", str(graph_path), "--k-edges", "4", "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "s8")]) == 2
+        assert "built with k_edges 3, this run has 4" in capsys.readouterr().err
+
 
 class TestPipeline:
     def test_config_driven_run(self, dataset, capsys):
@@ -334,7 +369,8 @@ class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, dataset):
         tmp_path, config_path = dataset
         cfg = json.loads(config_path.read_text())
-        cfg["training"] = {"epochs": 2, "lambda": 0.005, "K_edges": 3, "hidden_dim": None}
+        cfg["K_edges"] = 3
+        cfg["training"] = {"epochs": 2, "lambda": 0.005, "hidden_dim": None}
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
 
@@ -353,10 +389,10 @@ class TestConfigPrecedence:
             )
             == 0
         )
+        assert read_manifest(out1)["config"]["k_edges"] == 3  # via "K_edges" alias
         resolved = read_manifest(out1)["config"]["training"]
         assert resolved["epochs"] == 2  # from config file
         assert resolved["lam"] == 0.005  # via "lambda" alias
-        assert resolved["k_edges"] == 3  # via "K_edges" alias
         assert resolved["dropout"] == 0.2  # untouched default
         assert resolved["hidden_dim"] is None  # null accepted for an optional field
 
@@ -420,6 +456,8 @@ class TestConfigPrecedence:
         argv = ["pipeline", "--out", str(tmp_path / "x"), "--epochs", "1"]
         if form == "flag":
             argv += [f"--{key.replace('_', '-')}", str(value)]
+        elif key == "k_edges":  # a top-level key
+            cfg[key] = value
         else:
             cfg["training"] = {key: value}
         cfg_path = tmp_path / "cfg.json"
@@ -506,6 +544,33 @@ class TestConfigPrecedence:
         sidecar = Path("checkpoints") / "checkpoint.gatc.json"
         assert (tmp_path / "c" / sidecar).read_bytes() == (tmp_path / "f" / sidecar).read_bytes()
 
+    @pytest.mark.parametrize("command", ["ingest", "graph", "rank", "pipeline"])
+    def test_every_section_is_checked_on_every_subcommand(self, dataset, capsys, command):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        cfg["training"] = {"k_edges": 3}  # k_edges is a top-level key
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([command, "--config", str(cfg_path), "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {cfg_path}: training config has an unknown key 'k_edges'\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("form", ["flag", "config"])
+    def test_nan_delta_is_data_error_before_any_stage(self, dataset, capsys, form):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        argv = ["graph", "--out", str(tmp_path / "x")]
+        if form == "flag":
+            argv += ["--delta", "nan"]
+        else:
+            cfg["delta"] = float("nan")  # written as the JSON literal NaN
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        assert "delta must be in (0, 1)" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_malformed_config_json(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
@@ -588,6 +653,35 @@ class TestErrorPaths:
         assert not (out / "embeddings.emb1").exists()
         assert not list(out.rglob("*.tmp"))
 
+    def test_a_labeled_query_missing_from_the_corpus_is_data_error_naming_it(self, dataset,
+                                                                              capsys):
+        tmp_path, config_path = dataset
+        labels = json.loads(Path(json.loads(config_path.read_text())["labels"]).read_text())
+        ghost = tmp_path / "ghost.json"
+        ghost.write_text(json.dumps(labels | {"ghost": next(iter(labels.values()))}))
+        assert main(["pipeline", "--config", str(config_path), "--labels", str(ghost),
+                     "--out", str(tmp_path / "p"), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: {ghost}: label query id 'ghost' not in corpus\n"
+
+    def test_an_empty_embeddings_file_is_data_error_naming_it(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        empty = tmp_path / "empty.jsonl"
+        empty.write_text("")
+        assert main(["embed", "--config", str(config_path), "--embeddings", str(empty),
+                     "--out", str(tmp_path / "e")]) == 2
+        assert capsys.readouterr().err == f"data error: {empty}: embedding file is empty\n"
+
+    def test_an_emb1_file_of_another_dim_is_data_error_naming_it(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["embed", *cfg, "--out", str(tmp_path / "e")]) == 0
+        emb = tmp_path / "e" / "embeddings.emb1"
+        capsys.readouterr()
+        assert main(["graph", *cfg, "--embeddings", str(emb), "--dim", "16",
+                     "--out", str(tmp_path / "g")]) == 2
+        assert capsys.readouterr().err == f"data error: {emb}: file dim 8 != expected 16\n"
+
     def test_eval_with_unlabeled_run_query(self, tmp_path, capsys):
         run = tmp_path / "run.tsv"
         run.write_text("qX\tc1\t1\t0.500000\n")
@@ -630,10 +724,9 @@ class TestStagedAndFused:
             ["ingest", "--out", str(s / "ingest")],
             ["index", "--out", str(s / "index")],
             ["embed", "--out", str(s / "embed")],
-            ["graph", "--embeddings", str(emb), "--out", str(s / "graph"), *flags],
+            ["graph", "--embeddings", str(emb), "--out", str(s / "graph")],
             ["train", "--graph", str(gcg), "--out", str(s / "train"), *flags],
-            ["rank", "--graph", str(gcg), "--checkpoint", str(ckpt),
-             "--out", str(s / "rank"), *flags],
+            ["rank", "--graph", str(gcg), "--checkpoint", str(ckpt), "--out", str(s / "rank")],
             ["eval", "--run", str(s / "rank" / "run.tsv"), "--out", str(s / "eval")],
         ):
             assert main([argv[0], *cfg, *argv[1:]]) == 0
@@ -658,11 +751,11 @@ class TestStagedAndFused:
         flags = ["--epochs", "4", "--lr", "0.01", "--dropout", "0.1", "--tau", "0.05"]
         fused = tmp_path / "fused"
         assert main(["pipeline", *cfg, "--out", str(fused), *flags]) == 0
-        assert main(["graph", *cfg, "--out", str(tmp_path / "graph"), *flags]) == 0
+        assert main(["graph", *cfg, "--out", str(tmp_path / "graph")]) == 0
         assert main(["train", *cfg, "--out", str(tmp_path / "train"), *flags]) == 0
         ckpt = tmp_path / "train" / "checkpoints" / "checkpoint.gatc"
-        assert main(["rank", *cfg, "--checkpoint", str(ckpt), "--out", str(tmp_path / "rank"),
-                     *flags]) == 0
+        assert main(["rank", *cfg, "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "rank")]) == 0
         for name in ("checkpoint.gatc", "checkpoint_last.gatc"):
             assert ((tmp_path / "train" / "checkpoints" / name).read_bytes()
                     == (fused / "checkpoints" / name).read_bytes()), name
@@ -947,8 +1040,10 @@ class TestNodeIds:
 
 class TestManifests:
     @pytest.mark.parametrize("command,outcome,flags", [
+        *(pytest.param(command, outcome, [], id=f"{command}-{outcome}")
+          for command in ("graph", "rank") for outcome in ("graph fails", "succeeds")),
         *(pytest.param(command, outcome, ["--epochs", epochs], id=f"{command}-{outcome}-{epochs}")
-          for command in ("graph", "train", "rank", "pipeline")
+          for command in ("train", "pipeline")
           for outcome, epochs in [("graph fails", "2"), ("succeeds", "2"), ("succeeds", "0")]),
         # one step per epoch diverges at epoch 1, two steps per epoch at epoch 0
         *(pytest.param(command, "training diverges", ["--epochs", "3", "--lr", "1e300", *batch],
@@ -1145,9 +1240,9 @@ class TestManifests:
         assert main(["graph", *cfg, "--k1", "3", "--out", str(tmp_path / "k1")]) == 0
         default = read_manifest(tmp_path / "default")["config"]
         changed = read_manifest(tmp_path / "k1")["config"]
-        assert set(default) == {*COMMANDS["graph"].options, "training"}
+        assert set(default) == set(COMMANDS["graph"].options)
         assert (default["k1"], changed["k1"]) == (1.2, 3.0)
-        assert default["training"] == changed["training"]
+        assert (default["k_edges"], default["delta"]) == (5, 0.9)
         assert default["b"] == changed["b"] == 0.75
         # an int in the config is the float the flag gives
         cfg_k1 = tmp_path / "k1.json"
@@ -1345,6 +1440,21 @@ class TestReadme:
         assert documented == actual
 
 
+    def test_top_level_config_keys_are_the_runoptions_fields(self):
+        """README's list of top-level config keys names every ``RunOptions``
+        field, in order, and the sections ``_run`` reads."""
+        import re
+
+        from caselink.cli import _SECTIONS, RunOptions
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        keys, sections = re.search(r"The top-level keys are the fields of `RunOptions`:"
+                                   r"(.*?), besides(.*?) sections", readme, re.S).groups()
+        keys = re.sub(r"\(the `--out` flag\)", "", keys)
+        assert re.findall(r"`(\w+)`", keys) == [f.name for f in dataclasses.fields(RunOptions)]
+        assert re.findall(r"`(\w+)`", sections) == list(_SECTIONS)
+
+
 class TestDamagedInputs:
     @staticmethod
     def binary_files(tmp_path):
@@ -1435,8 +1545,9 @@ class TestDamagedInputs:
 
         path, load = self.binary_files(tmp_path)[fmt]
         path.write_bytes(path.read_bytes() + b"garbage")
-        with pytest.raises(IngestError, match="has 7 trailing bytes"):
+        with pytest.raises(IngestError, match="7 trailing bytes") as info:
             load(path)
+        assert str(info.value) == f"{path}: 7 trailing bytes" and info.value.path == path
 
     @pytest.mark.parametrize("damaged,cut", [("graph", 6), ("checkpoint", 9),
                                              ("graph", "huge edge count")])

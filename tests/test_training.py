@@ -99,8 +99,6 @@ class TestTrainingConfig:
         assert cfg.n_hard_neg == 5
         assert cfg.lam == 1e-3
         assert cfg.tau == 0.1
-        assert cfg.k_edges == 5
-        assert cfg.delta == 0.9
         assert cfg.hard_neg_pool_size == 10
         assert cfg.epochs == 30
         assert cfg.seed == 0
@@ -113,8 +111,6 @@ class TestTrainingConfig:
         with pytest.raises(ValueError):
             TrainingConfig(lr=0.0)
         with pytest.raises(ValueError):
-            TrainingConfig(delta=1.5)
-        with pytest.raises(ValueError):
             TrainingConfig(batch_size=0)
 
     @pytest.mark.parametrize("field", ["lr", "tau", "weight_decay", "lam"])
@@ -123,8 +119,7 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=field):
             TrainingConfig(**{field: value})
 
-    @pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("hidden_dim", -3),
-                                              ("k_edges", 0)])
+    @pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("hidden_dim", -3)])
     def test_encoder_sizes_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             TrainingConfig(**{field: value})
