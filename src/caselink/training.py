@@ -55,6 +55,16 @@ TRAINING_LOG = "training_log.jsonl"
 CHECKPOINT_FILES = (BEST_CHECKPOINT, f"{BEST_CHECKPOINT}.json",
                     LAST_CHECKPOINT, f"{LAST_CHECKPOINT}.json", TRAINING_LOG)
 
+# Cells x dims of the batch entries infonce_loss scores together: 256 KB of
+# float64 gathered cell rows per block, and as much again for the block's
+# scatter indices and its cell terms, where the whole batch at once took
+# B x L x d of each (2.2 GB at 256 entries of 4,096 dims). In a sweep of 2^14
+# to 2^17 on perfbench's lexical workload, 2^15 to 2^17 trained equally fast
+# and 2^14 about 3% slower.
+_CELL_BLOCK = 1 << 15
+
+_LISTED_QUERIES = 5  # query ids named by train()'s empty hard-pool warning
+
 
 @dataclass(frozen=True)
 class TrainingConfig:
@@ -191,8 +201,8 @@ def sample_batch(
 
     Easy negatives are indices drawn into the query's ``EasyNegatives`` pool
     and mapped to candidate ids, hard negatives come from its BM25 pool; if
-    exclusion empties the hard pool, sampling falls back to easy negatives
-    with a logged warning.
+    exclusion empties the hard pool, the hard negatives are drawn from the
+    easy pool instead (``train()`` reports such queries once, with its pools).
     """
     entries: list[BatchEntry] = []
     for qid in query_subset:
@@ -210,11 +220,6 @@ def sample_batch(
         if config.n_hard_neg == 0:
             hard = ()
         elif not hard_pool:
-            logger.warning(
-                "query %s: hard-negative pool empty after excluding positives; "
-                "falling back to easy sampling",
-                qid,
-            )
             hard = easy_pools.ids(
                 qid, rng.choice(n_easy, size=min(config.n_hard_neg, n_easy), replace=False)
             )
@@ -254,6 +259,16 @@ def infonce_loss(
     column 0 is each entry's positive, then its own negatives, then the
     positives of every entry in batch order, valid where they are in-batch
     negatives (another entry's positive that is not a known positive).
+
+    Entries are scored ``_CELL_BLOCK // (L x d)`` at a time (at least one), so
+    only one block's gathered cell rows are held: transient memory is
+    O(max(_CELL_BLOCK, L x d)) floats, not O(B x L x d). The gradient of the
+    unit rows is summed in two passes over the blocks, each a 1-D
+    ``np.add.at`` into the flat (used rows x d) sum: the query-row terms of
+    every block, then the cell terms of every block. ``np.add.at`` adds one
+    index after another from zero, so every row sums its query terms, then its
+    cell terms, in batch order, whatever the block size; cosines, softmax and
+    loss are per entry. The result is the same bit for bit for every block size.
     """
     if not tau > 0:
         raise ValueError("tau must be > 0")
@@ -285,31 +300,35 @@ def infonce_loss(
     # normalise each used row once; every cosine is one product of unit rows
     used, local = np.unique(np.concatenate([queries, rows.ravel()]), return_inverse=True)
     unit, norms = unit_rows(h[used])
-    u_q = unit[local[:n]]
-    u_r = unit[local[n:]].reshape(*rows.shape, -1)
-    cos = np.einsum("bd,bld->bl", u_q, u_r)
-
-    logits = np.where(mask, cos / tau, -np.inf)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    exp = np.exp(shifted)
-    denom = exp.sum(axis=1)
-    loss = float(np.mean(np.log(denom) - shifted[:, 0]))  # -log softmax[0]
-
-    dcos = exp / denom[:, None]
-    dcos[:, 0] -= 1.0
-    dcos /= tau * n
-    # each used row sums its query contributions, then its cell ones, in
-    # order: np.bincount adds its input one entry after another, as a
-    # sequential scatter-add does, where a reduceat would sum pairwise
-    contributions = np.vstack([np.einsum("bl,bld->bd", dcos, u_r),
-                               (dcos[:, :, None] * u_q[:, None, :]).reshape(-1, h.shape[1])])
     d = h.shape[1]
-    cells = (local[:, None] * d + np.arange(d)).ravel()
-    d_unit = np.bincount(cells, weights=contributions.ravel(),
-                         minlength=len(used) * d).reshape(len(used), d)
+    q_local, r_local = local[:n], local[n:].reshape(rows.shape)
+    u_q = unit[q_local]
+    step = max(1, _CELL_BLOCK // (rows.shape[1] * d))
+    blocks = [slice(s, s + step) for s in range(0, n, step)]
+    dims = np.arange(d)
+
+    losses = np.empty(n)
+    dcos = np.empty(rows.shape)
+    d_unit = np.zeros(len(used) * d)
+    for b in blocks:
+        u_r = unit[r_local[b]]
+        logits = np.where(mask[b], np.einsum("bd,bld->bl", u_q[b], u_r) / tau, -np.inf)
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        exp = np.exp(shifted)
+        denom = exp.sum(axis=1)
+        losses[b] = np.log(denom) - shifted[:, 0]  # -log softmax[0]
+        g = dcos[b]
+        g[:] = exp / denom[:, None]
+        g[:, 0] -= 1.0
+        g /= tau * n
+        np.add.at(d_unit, (q_local[b, None] * d + dims).ravel(),
+                  np.einsum("bl,bld->bd", g, u_r).ravel())
+    for b in blocks:
+        np.add.at(d_unit, (r_local[b, :, None] * d + dims).ravel(),
+                  (dcos[b, :, None] * u_q[b, None, :]).ravel())
     dh = np.zeros_like(h)
-    dh[used] = _unit_rows_backward(unit, norms, d_unit)
-    return loss, dh
+    dh[used] = _unit_rows_backward(unit, norms, d_unit.reshape(len(used), d))
+    return float(np.mean(losses)), dh
 
 
 def degreg_loss(
@@ -466,7 +485,8 @@ def train(
     and runs a full-graph forward per batch with the loss restricted to the
     batch entries; the best-epoch params are returned. The edge structure and
     the hard-negative pools, ranked by ``bm25_index`` (the index the graph was
-    built from), are built once, before the first step. A non-finite loss or
+    built from), are built once, before the first step; one warning names the
+    queries whose hard pool is empty. A non-finite loss or
     parameter is a NumericalError. With ``checkpoint_dir``,
     ``checkpoint_last.gatc`` is committed after each epoch (its sidecar, which
     never changes, with the first). However the epochs end, a NumericalError
@@ -477,6 +497,13 @@ def train(
     """
     queries = check_labels(labels)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
+    if config.n_hard_neg and (empty := [qid for qid in queries if not hard_pools[qid]]):
+        logger.warning(
+            "%d of %d queries have an empty hard-negative pool after excluding positives "
+            "(%s); their hard negatives are drawn from the easy pool",
+            len(empty), len(queries), ", ".join(empty[:_LISTED_QUERIES])
+            + (", ..." if len(empty) > _LISTED_QUERIES else ""),
+        )
     easy_pools = easy_negatives(labels, [c.id for c in store.candidates()])
     structure = prepare_structure(graph.adjacency)
 

@@ -268,7 +268,7 @@ class TestSampleBatch:
             easy = batch.entries[0].easy_negative_ids
             assert len(set(easy)) == len(easy)
 
-    def test_empty_hard_pool_falls_back_with_warning(self, caplog):
+    def test_empty_hard_pool_falls_back_to_easy_sampling(self, caplog):
         labels = {"q1": ("c1",)}
         pools = {"q1": ()}
         cfg = TrainingConfig(n_easy_neg=1, n_hard_neg=2)
@@ -277,7 +277,7 @@ class TestSampleBatch:
                 labels, pools, easy_negatives(labels, ["c1", "c2", "c3", "c4"]), cfg,
                 np.random.default_rng(0), ["q1"]
             )
-        assert "falling back" in caplog.text
+        assert not caplog.records  # train() reports empty pools, once per run
         entry = batch.entries[0]
         assert len(entry.hard_negative_ids) == 2
         assert "c1" not in entry.hard_negative_ids
@@ -493,6 +493,83 @@ class TestInfonceLoss:
         assert not np.any(dh[3])
 
 
+class TestInfonceBlocks:
+    """``infonce_loss`` scores the batch ``_CELL_BLOCK`` cells x dims at a time;
+    the block size changes neither the loss nor the gradient, and bounds the
+    memory the loss takes."""
+
+    @staticmethod
+    def _batch():
+        # q0 is the query of two entries, p1 the positive of two, q4 a query
+        # and another entry's positive; the own lengths run from 1 to 6
+        # (hard pools cut short) and some known positives are in-batch
+        ids = ["q0", "q1", "q2", "q4", "q6", "p0", "p1", "p3", "p6", "p7",
+               *(f"n{i}" for i in range(6))]
+        spec = [("q0", "p0", 1, 5), ("q1", "p1", 1, 2), ("q2", "p1", 1, 0),
+                ("q0", "p3", 0, 0), ("q4", "p6", 1, 4), ("q6", "q4", 1, 1),
+                ("q2", "p7", 0, 3), ("q1", "p3", 1, 5)]
+        entries = tuple(
+            BatchEntry(q, p, tuple(f"n{i}" for i in range(easy)),
+                       tuple(f"n{5 - i}" for i in range(hard)),
+                       frozenset({p, "p7"} if q == "q1" else {p}))
+            for q, p, easy, hard in spec
+        )
+        return {nid: i for i, nid in enumerate(ids)}, TrainingBatch(entries)
+
+    # (k, c): a block of k x L x d + c cells x dims; the batch has B = 8 entries
+    @pytest.mark.parametrize("k, c", [(0, 1), (1, -1), (1, 0), (1, 1), (2, 0), (3, 0), (8, 0)],
+                             ids=["1", "L*d-1", "L*d", "L*d+1", "2*L*d", "3*L*d", "B*L*d"])
+    def test_every_block_size_gives_the_scatter_reference_bit_for_bit(self, k, c,
+                                                                       monkeypatch):
+        import caselink.training as training_module
+
+        row_of, batch = self._batch()
+        rng = np.random.default_rng(23)
+        h = rng.standard_normal((len(row_of), 5))
+        B, d = len(batch.entries), h.shape[1]
+        L = max(1 + len(e.negative_ids) for e in batch.entries) + B
+        assert B == 8
+        monkeypatch.setattr(training_module, "_CELL_BLOCK", k * L * d + c)
+        loss, dh = infonce_loss(h, batch, tau=0.2, row_of=row_of)
+        monkeypatch.undo()
+        ref_loss, _ = infonce_loss(h, batch, tau=0.2, row_of=row_of)
+        assert loss == ref_loss
+        assert np.array_equal(dh, scatter_reference_infonce_grad(h, batch, 0.2, row_of))
+
+    def test_peak_memory_is_bounded_by_the_block_not_the_batch(self):
+        import tracemalloc
+
+        import caselink.training as training_module
+
+        # 64 entries of 1 easy and 5 hard negatives over 512 rows of 256 dims:
+        # the batch's cells x dims, 64 x 71 x 256 floats, are 9.3 MB a copy
+        rng = np.random.default_rng(24)
+        n_rows, d, B = 512, 256, 64
+        h = rng.standard_normal((n_rows, d))
+        row_of = {f"r{i}": i for i in range(n_rows)}
+        picks = rng.permutation(n_rows)
+        entries = tuple(
+            BatchEntry(f"r{picks[i]}", f"r{picks[B + i]}", (f"r{rng.integers(n_rows)}",),
+                       tuple(f"r{j}" for j in rng.choice(n_rows, size=5, replace=False)),
+                       frozenset({f"r{picks[B + i]}"}))
+            for i in range(B)
+        )
+        L = 7 + B
+        infonce_loss(h, TrainingBatch(entries), tau=0.1, row_of=row_of)  # warm caches
+        tracemalloc.start()
+        try:
+            infonce_loss(h, TrainingBatch(entries), tau=0.1, row_of=row_of)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # h-sized: the used rows, their unit rows, the unit-row gradient, two
+        # temporaries of its backward and dh; block-sized: the gathered cell
+        # rows, then the cell terms and their scatter indices
+        block = max(training_module._CELL_BLOCK, L * d) * 8
+        assert peak < 6 * h.nbytes + 4 * block
+        assert 4 * block < B * L * d * 8 / 2
+
+
 class TestDegregLoss:
     def test_identical_rows_hit_upper_bound(self):
         n, o = 5, 3
@@ -672,6 +749,24 @@ class TestTrainLoop:
         assert len(losses) == 8
         assert min(losses) < losses[0]
         assert result.best_epoch == int(np.argmin(losses))
+
+    def test_empty_hard_pools_are_reported_once_per_run(self, caplog):
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=0, seed=0)
+        with caplog.at_level("WARNING", logger="caselink.training"):
+            train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        (record,) = caplog.records
+        queries = sorted(ds.labels)
+        assert f"{len(queries)} of {len(queries)} queries have an empty hard-negative pool" \
+            in record.getMessage()
+        assert ", ".join(queries) in record.getMessage()
+        caplog.clear()
+        with caplog.at_level("WARNING", logger="caselink.training"):
+            train(ds.store, graph, ds.labels, replace(cfg, hard_neg_pool_size=5),
+                  build_index(ds.store))
+            train(ds.store, graph, ds.labels, replace(cfg, n_hard_neg=0),
+                  build_index(ds.store))
+        assert not caplog.records
 
     def test_deterministic_given_seed(self):
         ds, graph = small_dataset()
