@@ -61,7 +61,7 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, LabelError, NumericalError, ParseError, located
+from .errors import CaseLinkError, LabelError, NumericalError, ParseError, TraceError, located
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import (
     GlobalCaseGraph,
@@ -513,6 +513,9 @@ def cmd_rank(opts: RunOptions, manifest: StageManifest) -> None:
     with manifest.stage("rank"):  # rank_stage adds its own time to this entry
         params = load_checkpoint(ckpt_path)
         check_checkpoint_provenance(ckpt_path, gcg.provenance)
+        if params.dims[0] != gcg.dim:
+            raise TraceError(f"the checkpoint takes {params.dims[0]}-dim features, the graph's "
+                             f"are {gcg.dim}-dim", path=ckpt_path)
         manifest.add_input(ckpt_path)
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})

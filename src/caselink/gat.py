@@ -17,7 +17,6 @@ validated against central finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -48,9 +47,9 @@ class LayerParams:
         return self.W.shape[1]
 
 
-def _param_count(dims: list[int] | tuple[int, ...]) -> int:
+def _param_count(dims: list[int] | tuple[int, ...], error: type[Exception] = DimensionError) -> int:
     if len(dims) < 2 or min(dims) < 1:
-        raise DimensionError(f"dims must chain at least one layer of sizes >= 1, not {dims}")
+        raise error(f"dims must chain at least one layer of sizes >= 1, not {dims}")
     return sum((d_in + 2) * d_out for d_in, d_out in zip(dims, dims[1:]))
 
 
@@ -124,37 +123,21 @@ class SelfLoopStructure:
     Message passing is a product with the weighted adjacency A_w, whose entry
     (row[e], col[e]) is w[e]: ``weighted_sum`` gives A_w @ x,
     ``weighted_sum_transposed`` gives A_wᵀ @ x, and ``edge_dots`` the
-    per-edge products that make their gradient in w. scipy's CSR product adds
-    each output row's terms in ascending edge order, starting from zero: bit
-    for bit a sequential scatter-add, where a reduceat would sum long
-    segments pairwise. ``row`` and ``col`` stay int64 for numpy's gathers;
-    scipy's own index arrays are built once, because its constructor would
-    convert int64 ones on every call. The structure depends on the graph
-    alone, so one instance serves every forward and backward pass over it.
+    per-edge products that make their gradient in w. Both products use one
+    pair of scipy index arrays, ``indptr`` and ``indices``: read as CSR they
+    hold A_w, read as CSC A_wᵀ. Either product walks the edges in ascending
+    order, adding edge e's term to output row row[e], or col[e], starting
+    from zero: bit for bit a sequential scatter-add, where a reduceat would
+    sum long segments pairwise. ``row`` and ``col`` are int64 for numpy's
+    gathers. The structure depends on the graph alone, so one instance serves
+    every forward and backward pass over it.
     """
 
-    indptr: np.ndarray
+    indptr: np.ndarray  # scipy's index arrays of A + I
+    indices: np.ndarray
     row: np.ndarray  # aggregating node per edge
     col: np.ndarray  # neighbor per edge
     n_nodes: int
-
-    @cached_property
-    def csr_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """scipy's (indices, indptr) of A + I."""
-        a = sp.csr_matrix((np.ones(len(self.col)), self.col, self.indptr),
-                          shape=(self.n_nodes, self.n_nodes))
-        return a.indices, a.indptr
-
-    @cached_property
-    def transpose_index(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The edge order that groups edges by ``col`` in ascending edge
-        order, with scipy's (indices, indptr) of (A + I)ᵀ in that order. Built
-        on first use: only the backward pass needs it."""
-        order = np.argsort(self.col, kind="stable")
-        indptr = np.concatenate(([0], np.cumsum(np.bincount(self.col, minlength=self.n_nodes))))
-        a = sp.csr_matrix((np.ones(len(order)), self.row[order], indptr),
-                          shape=(self.n_nodes, self.n_nodes))
-        return order, a.indices, a.indptr
 
     def edge_dots(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Per-edge dot products ``x[row[e]] . y[col[e]]``: the gradient of
@@ -170,14 +153,13 @@ class SelfLoopStructure:
 
     def weighted_sum(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A_w @ x: row i sums ``weights[e] * x[col[e]]`` over its edges."""
-        indices, indptr = self.csr_index
-        return sp.csr_matrix((weights, indices, indptr), shape=(self.n_nodes, self.n_nodes)) @ x
+        return sp.csr_matrix((weights, self.indices, self.indptr),
+                             shape=(self.n_nodes, self.n_nodes)) @ x
 
     def weighted_sum_transposed(self, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
         """A_wᵀ @ x: row c sums ``weights[e] * x[row[e]]`` over the edges with
         ``col[e] == c``."""
-        order, indices, indptr = self.transpose_index
-        return sp.csr_matrix((weights[order], indices, indptr),
+        return sp.csc_matrix((weights, self.indices, self.indptr),
                              shape=(self.n_nodes, self.n_nodes)) @ x
 
 
@@ -190,10 +172,10 @@ def prepare_structure(adjacency: sp.spmatrix) -> SelfLoopStructure:
     )
     with_loops.sum_duplicates()
     with_loops.sort_indices()
-    indptr = with_loops.indptr.astype(np.int64)
-    col = with_loops.indices.astype(np.int64)
+    indptr, indices = with_loops.indptr, with_loops.indices
     row = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    return SelfLoopStructure(indptr=indptr, row=row, col=col, n_nodes=n)
+    return SelfLoopStructure(indptr=indptr, indices=indices, row=row,
+                             col=indices.astype(np.int64), n_nodes=n)
 
 
 def init_params(
@@ -281,13 +263,9 @@ def _draw_masks(
     # A fully dropped neighborhood or feature row would zero a node's output
     # row, which the cosine-based losses cannot accept; such rows keep all
     # their weights.
-    dead_rows = np.flatnonzero(~in_mask.any(axis=1))
-    if len(dead_rows):
-        in_mask[dead_rows] = 1.0
-    kept = np.add.reduceat(att_mask, structure.indptr[:-1])
-    dead = np.flatnonzero(kept == 0.0)
-    for i in dead:
-        att_mask[structure.indptr[i] : structure.indptr[i + 1]] = 1.0
+    in_mask[~in_mask.any(axis=1)] = 1.0
+    dead = np.add.reduceat(att_mask, structure.indptr[:-1]) == 0.0
+    att_mask[dead[structure.row]] = 1.0
     return in_mask, att_mask
 
 
@@ -412,11 +390,15 @@ def save_checkpoint(params: GatParams, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> GatParams:
+    """Read a checkpoint. Dims that chain no layer, a slope or dropout rate out of
+    range, or a non-finite parameter raise TraceError naming the file."""
     with read_container(path, _MAGIC, "checkpoint file", TraceError, _FORMAT_VERSION) as r:
         (n_dims,) = r.unpack("I")
         dims = r.array("<u4", n_dims).tolist()
         slope, dropout = r.unpack("dd")
-        flat = r.array("<f8", _param_count(dims)).astype(np.float64)
-    if not np.all(np.isfinite(flat)):
-        raise TraceError(f"{path} holds a non-finite parameter")
-    return GatParams(dims=dims, flat=flat, leaky_slope=slope, dropout_rate=dropout)
+        # read_container reraises a ValueError as a TraceError naming the file
+        flat = r.array("<f8", _param_count(dims, ValueError)).astype(np.float64)
+        if not np.all(np.isfinite(flat)):
+            raise ValueError("a parameter is non-finite")
+        params = GatParams(dims=dims, flat=flat, leaky_slope=slope, dropout_rate=dropout)
+    return params

@@ -244,9 +244,10 @@ def save_graph(graph: GlobalCaseGraph, path: str | Path) -> None:
 
 def load_graph(path: str | Path) -> GlobalCaseGraph:
     """Read a ``graph.gcg1``. A header that does not fit :class:`_Header`, ids or
-    roles that do not fit its counts, a repeated id, or edge pairs other than
-    strictly increasing ``(i, j)`` with ``i < j < n + m`` raise
-    GraphConstructionError naming the file; a short file raises IngestError."""
+    roles that do not fit its counts, a repeated id, edge pairs other than
+    strictly increasing ``(i, j)`` with ``i < j < n + m``, or a non-finite
+    feature raise GraphConstructionError naming the file; a short file raises
+    IngestError."""
     with read_container(path, _MAGIC, "serialized case graph", GraphConstructionError) as r:
         h = _Header(**record(_Header, r.json(), GraphConstructionError, f"{path}: header"))
         if min(h.n, h.m, h.dim) < 0:
@@ -267,6 +268,8 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
             raise ValueError(f"an edge pair is not (i, j) with i < j < {n_nodes}")
         if not np.all(np.diff(i * n_nodes + j) > 0):
             raise ValueError("edge pairs are not strictly increasing")
+        if not np.all(np.isfinite(features)):
+            raise ValueError("a node feature is non-finite")
     rows = np.concatenate([edges[:, 0], edges[:, 1]])
     cols = np.concatenate([edges[:, 1], edges[:, 0]])
     adjacency = sp.coo_matrix(

@@ -1589,6 +1589,20 @@ class TestDamagedInputs:
         assert "non-finite" in capsys.readouterr().err
         assert not (tmp_path / "r" / "run.tsv").exists()
 
+    def test_rank_with_a_checkpoint_of_another_input_dim_is_data_error_naming_it(
+            self, dataset, capsys):
+        from caselink.gat import init_params, save_checkpoint
+
+        tmp_path, config_path = dataset
+        ckpt = tmp_path / "other.gatc"
+        save_checkpoint(init_params(0, [5, 8]), ckpt)  # the dataset's vectors have dim 8
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: the checkpoint takes 5-dim features, the graph's are 8-dim\n")
+        assert not (tmp_path / "r" / "run.tsv").exists()
+
     @staticmethod
     def with_gcg1(data, header=None, edges=None):
         """``data``, a ``graph.gcg1``, with its JSON header passed through
@@ -1641,6 +1655,28 @@ class TestDamagedInputs:
                      "--out", str(tmp_path / "r")]) == 2
         assert str(gcg) in capsys.readouterr().err
         assert not (tmp_path / "r" / "run.tsv").exists()
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")],
+                             ids=["nan", "+inf", "-inf"])
+    def test_rank_on_a_non_finite_graph_feature_is_data_error_naming_it(self, dataset, capsys,
+                                                                        value):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        gcg = tmp_path / "g" / "graph.gcg1"
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        assert main(["graph", *cfg, "--out", str(gcg.parent)]) == 0
+        assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t"),
+                     "--epochs", "1"]) == 0
+        data = gcg.read_bytes()
+        gcg.write_bytes(data[:-4] + struct.pack("<f", value))  # the last node's last feature
+        capsys.readouterr()
+        assert main(["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                     "--out", str(tmp_path / "r")]) == 2
+        assert capsys.readouterr().err == f"data error: {gcg}: a node feature is non-finite\n"
+        assert not (tmp_path / "r" / "run.tsv").exists()
+        assert main(["train", *cfg, "--graph", str(gcg), "--out", str(tmp_path / "t2"),
+                     "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == f"data error: {gcg}: a node feature is non-finite\n"
 
     @pytest.mark.parametrize("byte", [b"x", b"\xff"], ids=["x", "0xff"])
     def test_rank_on_a_graph_header_that_does_not_decode_is_data_error_naming_it(

@@ -9,6 +9,7 @@ import scipy.sparse as sp
 from caselink.errors import DimensionError, NumericalError, TraceError
 from caselink.gat import (
     _EDGE_BLOCK,
+    _draw_masks,
     GatParams,
     backward_gradients,
     init_params,
@@ -210,14 +211,6 @@ class TestForward:
                 expected[row[e]] += lt.alpha_used[e] * lt.z[col[e]]
             assert np.array_equal(lt.pre_act, expected)
 
-    def test_forward_leaves_the_backward_only_matrix_unbuilt(self):
-        structure = prepare_structure(hub_adj(12, seed=2))
-        params = init_params(0, [3, 3])
-        _, trace = model_forward(params, np.ones((12, 3)), structure)
-        assert "transpose_index" not in vars(structure)
-        backward_gradients(params, trace, np.ones((12, 3)))
-        assert "transpose_index" in vars(structure)
-
     def test_attention_rows_sum_to_one(self):
         graph = random_gcg(seed=23)
         params = init_params(0, [graph.dim, graph.dim, graph.dim])
@@ -284,6 +277,31 @@ class TestForward:
                 params, graph.features, graph.adjacency, train_mode=True, rng=rng
             )
             assert np.all(np.linalg.norm(out, axis=1) > 0.0)
+
+    def test_repaired_masks_equal_a_per_node_loop_bit_for_bit(self):
+        def loop_reference(rng, rate, h_shape, structure):
+            """The same draws, repaired one dead neighbourhood at a time."""
+            in_mask = (rng.random(h_shape) >= rate).astype(np.float64)
+            att_mask = (rng.random(len(structure.row)) >= rate).astype(np.float64)
+            dead_rows = np.flatnonzero(~in_mask.any(axis=1))
+            if len(dead_rows):
+                in_mask[dead_rows] = 1.0
+            kept = np.add.reduceat(att_mask, structure.indptr[:-1])
+            dead = np.flatnonzero(kept == 0.0)
+            for i in dead:
+                att_mask[structure.indptr[i] : structure.indptr[i + 1]] = 1.0
+            return in_mask, att_mask
+
+        structure = prepare_structure(hub_adj(30, seed=4))
+        in_mask, att_mask = _draw_masks(np.random.default_rng(5), 0.9, (30, 4), structure)
+        ref_in, ref_att = loop_reference(np.random.default_rng(5), 0.9, (30, 4), structure)
+        assert np.array_equal(in_mask, ref_in) and np.array_equal(att_mask, ref_att)
+        # the same draws before any repair: both kinds of repair took place
+        rng = np.random.default_rng(5)
+        drawn_in = rng.random((30, 4)) >= 0.9
+        drawn_att = (rng.random(len(structure.row)) >= 0.9).astype(np.float64)
+        assert (~drawn_in.any(axis=1)).any()
+        assert (np.add.reduceat(drawn_att, structure.indptr[:-1]) == 0.0).any()
 
     def test_dropout_requires_rng(self):
         graph = random_gcg(seed=5)
@@ -413,6 +431,22 @@ class TestCheckpoint:
         save_checkpoint(params, path)
         with pytest.raises(TraceError, match="non-finite"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("dims, slope, dropout, value", [
+        ([5], 0.2, 0.0, 1.0),
+        ([5, 0], 0.2, 0.0, 1.0),
+        ([3, 2], 1.5, 0.0, 1.0),
+        ([3, 2], 0.2, np.nan, 1.0),
+        ([3, 2], 0.2, 0.0, np.nan),
+    ], ids=["one dim", "a zero dim", "slope 1.5", "nan dropout", "nan parameter"])
+    def test_a_damaged_checkpoint_is_a_trace_error_naming_the_file(self, tmp_path, dims,
+                                                                    slope, dropout, value):
+        path = tmp_path / "model.ckpt"
+        header = struct.pack(f"<II{len(dims)}Idd", 1, len(dims), *dims, slope, dropout)
+        path.write_bytes(b"GATC" + header + np.full(10, value).astype("<f8").tobytes())
+        with pytest.raises(TraceError) as info:
+            load_checkpoint(path)
+        assert info.value.path == path and str(info.value).startswith(f"{path}: ")
 
     def test_magic(self, tmp_path):
         params = init_params(0, [3, 3])

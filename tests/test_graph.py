@@ -461,6 +461,16 @@ class TestGraphSerialization:
         with pytest.raises(GraphConstructionError):
             load_graph(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_feature_is_rejected_naming_the_file(self, tmp_path, value):
+        graph = random_gcg(seed=11)
+        graph.features[3, 1] = value
+        path = tmp_path / "graph.bin"
+        save_graph(graph, path)
+        with pytest.raises(GraphConstructionError, match="non-finite") as info:
+            load_graph(path)
+        assert info.value.path == path and str(info.value).startswith(f"{path}: ")
+
     def test_save_is_deterministic(self, tmp_path):
         p1, p2 = tmp_path / "g1.bin", tmp_path / "g2.bin"
         save_graph(random_gcg(seed=13), p1)

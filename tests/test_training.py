@@ -832,11 +832,9 @@ class TestTrainLoop:
         assert {name: len(made) for name, made in calls.items()} == {
             "prepare_structure": 1, "easy_negatives": 1, "adam_step": 6,
             "backward_gradients": 6}
-        # every step's forward and backward ran on the one structure, which
-        # built its backward-only index once, as a cached property
+        # every step's forward and backward ran on the one structure
         (structure,) = calls["prepare_structure"]
         assert all(s is structure for s in calls["backward_gradients"])
-        assert "transpose_index" in vars(structure)
 
     def test_non_finite_parameters_stop_before_the_last_checkpoint(self, tmp_path,
                                                                     monkeypatch):
