@@ -11,5 +11,5 @@ __version__ = "0.1.0"
 __all__ = ["__version__"]
 
 # Read only by perfbench/tests/test_tracer.py::test_install_wraps_every_binding_and_restores_them;
-# ROADMAP item 7 retargets that test to caselink.retrieval and deletes this binding.
+# ROADMAP item 9 retargets that test to caselink.retrieval and deletes this binding.
 from .retrieval import evaluate_runs  # noqa: E402,F401

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass, field
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -228,14 +227,13 @@ def block_top_k(
     src: np.ndarray,
     cols: np.ndarray,
     k: int,
-    eligible: Callable[[slice], np.ndarray] | None = None,
+    eligible: np.ndarray | None = None,
     exclude_self: bool = False,
 ) -> list[tuple[np.ndarray, np.ndarray]]:
     """Per source doc in ``src``, with its own tokens as the query: what
-    :func:`top_k` returns for the doc indices ``cols``. For the sources at
-    positions ``at`` of ``src``, ``eligible(at)`` (bool, sources x cols)
-    narrows the columns; ``exclude_self`` drops each source's own doc from
-    its columns.
+    :func:`top_k` returns for the doc indices ``cols``. The mask ``eligible``
+    (bool, sources x cols) narrows each source's columns; ``exclude_self``
+    drops each source's own doc from its columns.
 
     Sources are scored ``_BLOCK_ROWS`` at a time against the weight rows of
     ``cols``, so memory stays O(_BLOCK_ROWS x (n_docs + n_terms)). An
@@ -251,7 +249,7 @@ def block_top_k(
         at = slice(s, s + _BLOCK_ROWS)
         scores = np.ascontiguousarray((w @ _count_block(index, src[at])).T)
         if eligible is not None:
-            np.copyto(scores, -np.inf, where=~eligible(at))
+            np.copyto(scores, -np.inf, where=~eligible[at])
         if exclude_self:
             mine = own[at]
             rows = np.flatnonzero(mine >= 0)

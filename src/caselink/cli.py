@@ -43,6 +43,7 @@ from .bm25 import Bm25Index, build_index, check_parameters, save_index
 from .corpus import (
     CorpusStore,
     attach_charges,
+    check_labelled,
     decode_object,
     ingest_corpus,
     load_charge_lexicon,
@@ -61,7 +62,7 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, LabelError, NumericalError, ParseError, TraceError, located
+from .errors import CaseLinkError, NumericalError, ParseError, TraceError, located
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import (
     GlobalCaseGraph,
@@ -529,16 +530,14 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest) -> None:
     with manifest.stage("eval"):  # eval_stage adds its own time to this entry
         retrieved = read_run_tsv(run_path)
         labels = load_labels(labels_path)
-        missing = sorted(set(retrieved) - set(labels))
-        if missing:
-            raise LabelError(f"run queries missing from the labels in {labels_path}: "
-                             f"{missing[:5]}", path=run_path)
+        check_labelled(retrieved, labels, labels_path, run_path)
         manifest.add_input(run_path, labels_path)
     _print_json(eval_stage(retrieved, labels, manifest).to_dict())
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
     store, index, gcg = _case_chain(opts, manifest, need_labels=True)
+    check_labelled((q.id for q in store.queries()), store.labels, opts.labels, opts.corpus)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)
     report = eval_stage(run.retrieved(), store.labels, manifest)

@@ -4,6 +4,8 @@ Input formats:
   corpus  -- JSONL, one object per line: {"id": str, "text": str, "role": "query"|"candidate"?}
              (or a directory of text files; file name -> id, body -> text);
              a numeric id is read as its string
+  ids     -- every corpus and lexicon id: non-empty, no tab, CR or LF, at most
+             65,535 UTF-8 bytes (:func:`node_id_field`)
   labels  -- JSON object: query id -> list of relevant candidate ids
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
 
@@ -29,6 +31,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .errors import (
     EmptyLexiconError,
     IngestError,
+    LabelError,
     LabelResolutionError,
     ParseError,
 )
@@ -276,6 +279,30 @@ def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = Tr
     return json_string(rec[key], repr(key), line_number, path, numbers)
 
 
+# A node id's UTF-8 bytes carry a u16 length in an EMB1 record.
+_MAX_ID_BYTES = 65_535
+
+
+def node_id_field(rec: dict, line_number: int, path) -> str:
+    """``rec["id"]`` as :func:`string_field` reads it, held to the one rule for
+    a node id: non-empty, no tab, CR or LF (the field and line separators of
+    a run file), and at most 65,535 UTF-8 bytes. Anything else is a
+    ParseError naming the file and the line."""
+    cid = string_field(rec, "id", line_number, path)
+    if not cid:
+        raise ParseError("empty id", line_number, path)
+    try:
+        size = len(cid.encode("utf-8"))
+    except UnicodeEncodeError:  # a lone surrogate, which JSON can escape
+        raise ParseError(f"id {cid!r} is not valid Unicode", line_number, path) from None
+    if size > _MAX_ID_BYTES:
+        raise ParseError(f"id of {size:,} UTF-8 bytes is longer than {_MAX_ID_BYTES:,}",
+                         line_number, path)
+    if "\t" in cid or "\r" in cid or "\n" in cid:
+        raise ParseError(f"id {cid!r} contains a tab, CR or LF", line_number, path)
+    return cid
+
+
 def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Load a labels file: JSON object mapping query id -> relevant candidate ids.
     A file that is not UTF-8 JSON is a ParseError, one not such an object an IngestError.
@@ -288,6 +315,19 @@ def load_labels(path: str | Path) -> dict[str, tuple[str, ...]]:
             raise IngestError(f"labels for {qid!r} must be a list of ids", path=path)
         labels[qid] = tuple(json_string(r, f"each label id for {qid!r}", None, path) for r in rel)
     return labels
+
+
+def check_labelled(query_ids: Iterable[str], labels: Mapping[str, tuple[str, ...]],
+                   labels_path, path=None) -> None:
+    """Raise LabelError unless every query of ``query_ids`` is a key of the
+    ``labels`` read from ``labels_path``; the error names ``path``, where the
+    queries were read, and up to five missing queries. ``pipeline`` and
+    ``eval`` score by this one rule: an unlabelled query's retrieved ids
+    could only count as misses."""
+    missing = sorted(set(query_ids) - set(labels))
+    if missing:
+        raise LabelError(f"queries missing from the labels in {labels_path}: {missing[:5]}",
+                         path=path)
 
 
 def iter_records(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
@@ -317,9 +357,7 @@ def ingest_corpus(
 
     cases: list[CaseDocument] = []
     for line_no, rec in iter_records(corpus_path, ("id", "text")):
-        cid = string_field(rec, "id", line_no, corpus_path)
-        if not cid:
-            raise ParseError("empty id", line_no, corpus_path)
+        cid = node_id_field(rec, line_no, corpus_path)
         text = string_field(rec, "text", line_no, corpus_path, numbers=False)
 
         explicit = rec.get("role")
@@ -363,7 +401,7 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
         cid, name = f"charge_{len(entries)}", line.strip()
         if name.startswith("{"):
             rec = decode_object(name, path, i, ("name",))
-            cid = string_field(rec, "id", i, path) if "id" in rec else cid
+            cid = node_id_field(rec, i, path) if "id" in rec else cid
             name = string_field(rec, "name", i, path)
         name = " ".join(name.split())
         key = normalize_charge_name(name)

@@ -10,6 +10,7 @@ Remote protocol: POST {"id": str, "text": str} -> {"vector": [float, ...]}.
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -229,11 +230,16 @@ def truncate_text(text: str, max_tokens: int) -> str:
 
 
 def _http_post_json(endpoint: str, payload: dict, timeout: float = 30.0) -> dict:
-    import requests
+    """POST ``payload`` as JSON and return the decoded JSON answer. An error
+    status raises ``urllib.error.HTTPError``, which ``fetch`` retries. urllib
+    is imported here, since it loads ``ssl`` and ``http.client``, which a run
+    from an embeddings file never needs."""
+    import urllib.request
 
-    resp = requests.post(endpoint, json=payload, timeout=timeout)
-    resp.raise_for_status()
-    return resp.json()
+    request = urllib.request.Request(endpoint, data=json.dumps(payload).encode("utf-8"),
+                                     headers={"Content-Type": "application/json"})
+    with urllib.request.urlopen(request, timeout=timeout) as resp:
+        return json.load(resp)
 
 
 class RemoteEmbeddingProvider:

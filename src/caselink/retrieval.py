@@ -64,14 +64,8 @@ class Prefilter:
     one prefilter serves every re-ranking of the same queries."""
 
     query_ids: tuple[str, ...]
-    rows: np.ndarray  # (queries x size) int64 doc indices, rank order; -1 past a row's fill
-    scores: np.ndarray  # (queries x size) BM25 scores aligned with rows; -inf past the fill
-    fill: np.ndarray  # (queries,) int64: the candidates in each row
+    top: tuple[tuple[np.ndarray, np.ndarray], ...]  # per query: (doc rows, BM25 scores), rank order
     eligible_ids: tuple[tuple[str, ...], ...]  # per query; equal rows share one tuple
-
-    def tops(self) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Per query: its filled rows and their scores."""
-        return [(r[:n], s[:n]) for r, s, n in zip(self.rows, self.scores, self.fill.tolist())]
 
 
 def prefilter(
@@ -85,15 +79,7 @@ def prefilter(
     candidates = store.candidates()
     cand_rows = np.array([index.doc_index(c.id) for c in candidates], dtype=np.int64)
     eligible = _older(queries, candidates)
-    tops = block_top_k(index, np.array(src, dtype=np.int64), cand_rows, size,
-                       lambda at: eligible[at])
-    fill = np.array([len(r) for r, _ in tops], dtype=np.int64)
-    filled = np.arange(size) < fill[:, None]
-    rows = np.full(filled.shape, -1, dtype=np.int64)
-    scores = np.full(filled.shape, -np.inf)
-    if tops:
-        rows[filled] = np.concatenate([r for r, _ in tops])
-        scores[filled] = np.concatenate([s for _, s in tops])
+    top = block_top_k(index, np.array(src, dtype=np.int64), cand_rows, size, eligible)
     # one tuple per distinct eligibility row: queries of one year share theirs
     cand_ids = np.array([c.id for c in candidates], dtype=object)
     shared: dict[bytes, tuple[str, ...]] = {}
@@ -101,7 +87,7 @@ def prefilter(
         if (key := ok.tobytes()) not in shared:
             shared[key] = tuple(cand_ids[ok])
     return Prefilter(
-        query_ids=tuple(query_ids), rows=rows, scores=scores, fill=fill,
+        query_ids=tuple(query_ids), top=tuple(top),
         eligible_ids=tuple(shared[ok.tobytes()] for ok in eligible),
     )
 
@@ -112,22 +98,23 @@ def rerank(
     """Re-rank each query's prefilter rows by cosine on the representations
     and keep the top ``final_size``, ordered as :func:`bm25.top_k` orders.
 
-    The queries and the filled cells are stacked and normalised at once.
+    The queries and their prefilter cells are stacked and normalised at once.
     Queries are grouped by fill count and each group's cosines are one
     batched matrix-vector product at that count: a product over rows padded
-    to ``size`` would not give the bits of a product over the filled rows."""
+    to a common count would not give the bits of a product over the cells."""
     n_queries = len(pre.query_ids)
-    cells = pre.rows[pre.rows >= 0]  # query by query, rank order
+    fill = np.array([len(rows) for rows, _ in pre.top], dtype=np.int64)
+    cells = np.concatenate([np.empty(0, np.int64), *(rows for rows, _ in pre.top)])
     unit, _ = unit_rows(stack_vectors(
         representations, [*pre.query_ids, *map(index.doc_ids.__getitem__, cells.tolist())]))
     u_query, u_cell = unit[:n_queries], unit[n_queries:]
-    first = np.cumsum(pre.fill) - pre.fill  # each query's first cell
+    first = np.cumsum(fill) - fill  # each query's first cell
     dense = np.empty(len(cells))
-    for n in np.unique(pre.fill[pre.fill > 0]):
-        group = np.flatnonzero(pre.fill == n)
+    for n in np.unique(fill[fill > 0]):
+        group = np.flatnonzero(fill == n)
         at = first[group, None] + np.arange(n)
         dense[at] = np.matmul(u_cell[at], u_query[group, :, None])[..., 0]
-    query_of = np.repeat(np.arange(n_queries), pre.fill)
+    query_of = np.repeat(np.arange(n_queries), fill)
     final = top_k_rows(index, query_of, cells, dense, n_queries, final_size)
     return RetrievalRun(results=_results(index, pre, final))
 
@@ -141,14 +128,13 @@ def _results(
         RankResult(
             query_id=qid,
             eligible_ids=eligible,
-            prefilter_ids=tuple(map(doc_id, rows[:n])),
+            prefilter_ids=tuple(map(doc_id, rows.tolist())),
             final_ids=tuple(map(doc_id, final_rows.tolist())),
-            prefilter_scores=tuple(scores[:n]),
+            prefilter_scores=tuple(scores.tolist()),
             final_scores=tuple(final_scores.tolist()),
         )
-        for qid, eligible, rows, scores, n, (final_rows, final_scores) in zip(
-            pre.query_ids, pre.eligible_ids, pre.rows.tolist(), pre.scores.tolist(),
-            pre.fill.tolist(), final)
+        for qid, eligible, (rows, scores), (final_rows, final_scores) in zip(
+            pre.query_ids, pre.eligible_ids, pre.top, final)
     )
 
 
@@ -178,7 +164,7 @@ def bm25_baseline_rank(
     """Lexical-only baseline: the prefilter of :func:`two_stage_rank`, cut to
     ``final_size``."""
     pre = prefilter(store, index, [query_id], final_size)
-    return _results(index, pre, pre.tops())[0]
+    return _results(index, pre, pre.top)[0]
 
 
 def check_sizes(prefilter_size: int, final_size: int) -> None:

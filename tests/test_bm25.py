@@ -323,7 +323,7 @@ class TestBlockTopK:
     def _others(index, k):
         """Every doc as a source, ranking every other doc."""
         every = np.arange(index.n_docs)
-        return block_top_k(index, every, every, k, lambda at: every != every[at, None])
+        return block_top_k(index, every, every, k, every != every[:, None])
 
     @pytest.mark.parametrize("block", [1, 3, 7, bm25._BLOCK_ROWS])
     def test_scores_match_naive_reference(self, monkeypatch, block):
@@ -384,7 +384,7 @@ class TestBlockTopK:
         mask[1] = False
         mask[1, [2, 5, 9]] = True  # fewer than k eligible columns
         before = mask.copy()
-        got = block_top_k(index, every, every, k, lambda at: mask[at])
+        got = block_top_k(index, every, every, k, mask)
         np.testing.assert_array_equal(mask, before)
         rows, scores = got[0]
         assert rows.shape == scores.shape == (0,)
@@ -409,13 +409,12 @@ class TestBlockTopK:
             src = rng.permutation(n)[: int(rng.integers(1, n + 1))]
             cols = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
             masked = rng.random((len(src), len(cols))) < 0.7
-            for ok in (None, masked):
-                eligible = None if ok is None else (lambda at, ok=ok: ok[at])
+            for eligible in (None, masked):
                 own = cols != src[:, None]  # some sources are not among the columns
-                mask = own if ok is None else own & ok
+                mask = own if eligible is None else own & eligible
                 for k in (1, 3, len(cols), len(cols) + 2):
                     got = block_top_k(index, src, cols, k, eligible, exclude_self=True)
-                    want = block_top_k(index, src, cols, k, lambda at, m=mask: m[at])
+                    want = block_top_k(index, src, cols, k, mask)
                     for (rows, scores), (want_rows, want_scores) in zip(got, want, strict=True):
                         np.testing.assert_array_equal(rows, want_rows)
                         np.testing.assert_array_equal(scores, want_scores)
@@ -463,9 +462,8 @@ class TestSparseProductReference:
             # without an eligible mask, as for the prefilter and the hard pools
             subset = np.sort(rng.choice(n, size=max(1, 2 * n // 3), replace=False))
             masked = rng.random((len(src), len(subset))) < 0.7
-            for cols, ok in [(every, every != src[:, None]), (subset, masked), (subset, None)]:
-                eligible = None if ok is None else (lambda at, ok=ok: ok[at])
-                ok = np.ones((len(src), len(cols)), bool) if ok is None else ok
+            for cols, eligible in [(every, every != src[:, None]), (subset, masked), (subset, None)]:
+                ok = np.ones((len(src), len(cols)), bool) if eligible is None else eligible
                 for k in (1, 3, len(cols)):
                     got = block_top_k(index, src, cols, k, eligible)
                     assert len(got) == len(src)

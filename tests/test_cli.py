@@ -633,6 +633,28 @@ class TestErrorPaths:
         assert code == 2
         assert repr(record["id"]) in capsys.readouterr().err
 
+    def test_an_unlabelled_query_is_data_error_in_pipeline_as_in_eval(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        lines = Path(cfg["corpus"]).read_text().splitlines()
+        record = json.loads(lines[-1])
+        assert record["role"] == "candidate" and record["id"] not in json.loads(
+            Path(cfg["labels"]).read_text())
+        lines[-1] = json.dumps(record | {"role": "query"})
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(config_path), "--corpus", str(corpus),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        want = f"queries missing from the labels in {cfg['labels']}: [{record['id']!r}]"
+        assert f"data error: {corpus}: {want}" in capsys.readouterr().err
+        assert not (out / "checkpoints").exists()  # no epoch was run
+        run = tmp_path / "run.tsv"
+        run.write_text(f"{record['id']}\t{json.loads(lines[0])['id']}\t1\t0.5\n")
+        assert main(["eval", "--run", str(run), "--labels", cfg["labels"]]) == 2
+        assert f"data error: {run}: {want}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["embed", "pipeline"])
     def test_a_candidate_without_a_vector_is_data_error_naming_it(self, dataset, capsys,
                                                                  command):
@@ -1036,6 +1058,41 @@ class TestNodeIds:
                      "--out", str(out)]) == 2
         assert f"duplicate node id {shared!r}" in capsys.readouterr().err
         assert not (out / "graph.gcg1").exists()
+
+    @staticmethod
+    def with_first_case_renamed(config_path, tmp_path, new_id):
+        """A config whose corpus, embeddings and labels call the first case ``new_id``."""
+        cfg = json.loads(config_path.read_text())
+        old = json.loads(Path(cfg["corpus"]).read_text().splitlines()[0])["id"]
+        rename = lambda node_id: new_id if node_id == old else node_id  # noqa: E731
+        for key in ("corpus", "embeddings"):
+            records = [json.loads(line) for line in Path(cfg[key]).read_text().splitlines()]
+            cfg[key] = str(tmp_path / f"{key}.jsonl")
+            Path(cfg[key]).write_text("".join(json.dumps(rec | {"id": rename(rec["id"])}) + "\n"
+                                              for rec in records))
+        labels = json.loads(Path(cfg["labels"]).read_text())
+        cfg["labels"] = str(tmp_path / "labels.json")
+        Path(cfg["labels"]).write_text(json.dumps(
+            {rename(q): [rename(c) for c in rel] for q, rel in labels.items()}))
+        cfg_path = tmp_path / "renamed.json"
+        cfg_path.write_text(json.dumps(cfg))
+        return cfg_path
+
+    @pytest.mark.parametrize("new_id, reason", [
+        ("c\t1", "id 'c\\t1' contains a tab, CR or LF"),
+        ("x" * 70_000, "id of 70,000 UTF-8 bytes is longer than 65,535"),
+    ], ids=["tab", "70,000 characters"])
+    def test_a_case_id_outside_the_rule_is_data_error_naming_its_line(self, dataset, capsys,
+                                                                    new_id, reason):
+        tmp_path, config_path = dataset
+        cfg_path = self.with_first_case_renamed(config_path, tmp_path, new_id)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
+                     "--epochs", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: line 1: {tmp_path / 'corpus.jsonl'}: {reason}"), err
+        assert not (out / "run.tsv").exists()
 
 
 class TestManifests:
@@ -1792,6 +1849,7 @@ class TestTextInputErrors:
         ("labels.json", "[]\n", None, "file is not a JSON object"),
         ("lexicon.txt", 'theft\n\n{"id": "c9"}\n', 3, "missing required field 'name'"),
         ("lexicon.txt", "theft\nTHEFT\n", 2, "duplicate charge name 'THEFT'"),
+        ("lexicon.txt", 'theft\n{"id": "", "name": "fraud"}\n', 2, "empty id"),
         ("run.tsv", "q1\tc1\tx\t0.5\n", 1, "rank 'x' is not an integer"),
         ("run.tsv", "q1\tc1\t1\t0.5\nq1\tc1\t2\t0.5\nq1\tc1\t3\t0.5\n", 2,
          "query 'q1' repeats candidate 'c1'"),
@@ -1826,7 +1884,7 @@ class TestTextInputErrors:
          "each label id for 'q1' must be a string or a number, not an object"),
     ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
             "labels value not a list", "labels not an object", "lexicon line without name",
-            "lexicon name twice", "run rank not an integer", "run candidate three times",
+            "lexicon name twice", "lexicon empty id", "run rank not an integer", "run candidate three times",
             "config not an object", "config truncated", "embedding id twice",
             "corpus null id and text", "corpus boolean id", "corpus array text",
             "corpus number text", "lexicon null id", "embedding array id",

@@ -215,6 +215,20 @@ class TestExtractLatestYearAgainstFiveScans:
             assert extract_latest_year(text) == year, repr(text)
 
 
+# Ids that break the node id rule, each with the start of its error's reason.
+BAD_IDS = [
+    pytest.param("", "empty id", id="empty"),
+    pytest.param("a\tb", "id 'a\\\\tb' contains a tab, CR or LF", id="tab"),
+    pytest.param("a\rb", "id 'a\\\\rb' contains a tab", id="CR"),
+    pytest.param("a\nb", "id 'a\\\\nb' contains a tab", id="LF"),
+    pytest.param("x" * 70_000, "id of 70,000 UTF-8 bytes is longer than 65,535",
+                 id="70,000 bytes"),
+    pytest.param("é" * 32_768, "id of 65,536 UTF-8 bytes is longer than 65,535",
+                 id="65,536 bytes"),
+    pytest.param("a\ud800", "id 'a\\\\ud800' is not valid Unicode", id="lone surrogate"),
+]
+
+
 class TestIngestCorpus:
     def _write_jsonl(self, path, records):
         with open(path, "w", encoding="utf-8") as fh:
@@ -316,6 +330,29 @@ class TestIngestCorpus:
         with pytest.raises(ParseError, match=f"^line 2: {tmp_path / 'b.txt'} is not valid"):
             ingest_corpus(tmp_path)
 
+    @pytest.mark.parametrize("bad, reason", BAD_IDS)
+    def test_an_id_outside_the_node_id_rule_is_a_parse_error_naming_the_line(
+            self, tmp_path, bad, reason):
+        p = tmp_path / "corpus.jsonl"
+        self._write_jsonl(p, [{"id": "a", "text": "x"}, {"id": bad, "text": "y"}])
+        with pytest.raises(ParseError, match=f"^line 2: {p}: {reason}") as info:
+            ingest_corpus(p)
+        assert info.value.line_number == 2 and info.value.path == p
+
+    def test_an_id_of_65535_bytes_is_kept(self, tmp_path):
+        p = tmp_path / "corpus.jsonl"
+        longest = "é" * 32_767 + "a"  # 65,535 UTF-8 bytes
+        self._write_jsonl(p, [{"id": longest, "text": "x"}])
+        assert ingest_corpus(p).cases[0].id == longest
+
+    def test_a_file_name_with_a_tab_is_a_parse_error(self, tmp_path):
+        d = tmp_path / "corpus"
+        d.mkdir()
+        (d / "a.txt").write_text("first case")
+        (d / "b\tc.txt").write_text("second case")
+        with pytest.raises(ParseError, match=f"^line 2: {d}: id 'b\\\\tc.txt' contains a tab"):
+            ingest_corpus(d)
+
     def test_ingestion_is_deterministic(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         self._write_jsonl(
@@ -377,6 +414,15 @@ class TestChargeLexicon:
         p.write_text('{"id": "c1", "name": "tax evasion"}\n{"id": "c2", "name": "fraud"}\n')
         entries = load_charge_lexicon(p)
         assert [e.id for e in entries] == ["c1", "c2"]
+
+    @pytest.mark.parametrize("bad, reason", BAD_IDS)
+    def test_an_id_outside_the_node_id_rule_is_a_parse_error_naming_the_line(
+            self, tmp_path, bad, reason):
+        p = tmp_path / "lex.jsonl"
+        lines = [{"id": "c1", "name": "fraud"}, {"id": bad, "name": "theft"}]
+        p.write_text("".join(json.dumps(rec) + "\n" for rec in lines), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^line 2: {p}: {reason}"):
+            load_charge_lexicon(p)
 
     def test_duplicate_name_rejected(self, tmp_path):
         p = tmp_path / "lex.txt"

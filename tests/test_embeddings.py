@@ -3,6 +3,7 @@
 import http.server
 import json
 import math
+import sys
 import threading
 
 import numpy as np
@@ -590,7 +591,47 @@ class _EchoHandler(http.server.BaseHTTPRequestHandler):
         pass
 
 
+class _ScriptedHandler(http.server.BaseHTTPRequestHandler):
+    """Answers each POST with the next status of the server's ``statuses`` and
+    records the request's path, Content-Type and JSON body in ``seen``."""
+
+    def do_POST(self):
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        self.server.seen.append((self.path, self.headers["Content-Type"], json.loads(body)))
+        status = self.server.statuses.pop(0)
+        answer = json.dumps({"vector": [1.0, 2.0]} if status == 200 else {"error": "down"})
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(answer)))
+        self.end_headers()
+        self.wfile.write(answer.encode())
+
+    def log_message(self, *args):
+        pass
+
+
 class TestRemoteProviderOverHttp:
+    def test_the_default_transport_needs_only_the_standard_library(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "requests", None)  # as if it were not installed
+        server = http.server.HTTPServer(("127.0.0.1", 0), _ScriptedHandler)
+        server.seen, server.statuses = [], [200, 500, 500, 500]
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            port = server.server_address[1]
+            config = ProviderConfig(endpoint=f"http://127.0.0.1:{port}/embed", max_retries=2,
+                                    retry_base_delay=0.0)
+            provider = RemoteEmbeddingProvider(config)
+            np.testing.assert_array_equal(provider.fetch("case1", "one two"), [1.0, 2.0])
+            assert server.seen == [("/embed", "application/json",
+                                    {"id": "case1", "text": "one two"})]
+            with pytest.raises(ProviderError, match="failed after 3 attempts: HTTP Error 500"):
+                provider.fetch("case2", "three")
+            assert len(server.seen) == 4 and server.statuses == []
+        finally:
+            server.shutdown()
+            server.server_close()
+
     def test_fetch_through_real_http_server(self):
         server = http.server.HTTPServer(("127.0.0.1", 0), _EchoHandler)
         thread = threading.Thread(target=server.serve_forever, daemon=True)

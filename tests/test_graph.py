@@ -82,8 +82,7 @@ class TestCaseCaseEdges:
         each source's own column."""
         src = np.arange(n)
         dense = np.zeros((n, n), dtype=np.int8)
-        for s, (top, _) in enumerate(block_top_k(index, src, src, k,
-                                                 lambda at: src != src[at, None])):
+        for s, (top, _) in enumerate(block_top_k(index, src, src, k, src != src[:, None])):
             dense[s, top] = dense[top, s] = 1
         return dense
 

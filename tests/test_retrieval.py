@@ -376,19 +376,20 @@ class TestRerankParity:
         for qid in every:
             assert two_stage_rank(store, index, reps, qid) == every[qid]
 
-    def test_prefilter_rows_are_padded_and_eligible_ids_shared(self):
+    def test_prefilter_holds_each_querys_top_list_and_shares_eligible_ids(self):
         store, index, _ = rerank_fixture(8)
         query_ids = [q.id for q in store.queries()]
         pre = prefilter(store, index, query_ids, 10)
         assert pre.query_ids == tuple(query_ids)
-        assert pre.rows.shape == pre.scores.shape == (len(query_ids), 10)
-        assert pre.rows.dtype == np.int64
-        for rows, scores, n, (top, top_scores) in zip(pre.rows, pre.scores, pre.fill,
-                                                      pre.tops()):
-            assert (rows[n:] == -1).all() and np.isneginf(scores[n:]).all()
-            assert (rows[:n] >= 0).all() and np.isfinite(scores[:n]).all()
-            assert top.tolist() == rows[:n].tolist()
-            assert top_scores.tolist() == scores[:n].tolist()
+        assert len(pre.top) == len(pre.eligible_ids) == len(query_ids)
+        fills = set()
+        for (rows, scores), eligible in zip(pre.top, pre.eligible_ids):
+            assert rows.dtype == np.int64 and scores.dtype == np.float64
+            assert rows.shape == scores.shape == (min(10, len(eligible)),)
+            assert {index.doc_ids[i] for i in rows.tolist()} <= set(eligible)
+            assert np.isfinite(scores).all() and (np.diff(scores) <= 0).all()
+            fills.add(len(rows))
+        assert {0, 10} < fills  # empty, full and part-filled lists
         by_ids: dict = {}
         for eligible in pre.eligible_ids:
             assert by_ids.setdefault(eligible, eligible) is eligible  # one tuple per row
@@ -397,7 +398,7 @@ class TestRerankParity:
     def test_no_queries(self):
         store, index, reps = rerank_fixture(8)
         pre = prefilter(store, index, [], 10)
-        assert pre.rows.shape == (0, 10) and pre.eligible_ids == ()
+        assert pre.top == () and pre.eligible_ids == ()
         assert rank_all(store, index, reps, []).results == ()
 
     def test_query_without_eligible_candidates_still_needs_its_vector(self):
