@@ -4,8 +4,11 @@ Retrieval for each query runs in two stages: a year filter drops candidates
 decided in or after the query's year (a precedent must predate the citing
 case), BM25 keeps the lexical top-10, and the trained encoder's cosine
 similarity picks the final top-5. This demo compares that pipeline against a
-BM25-only baseline on a held-out synthetic corpus, using micro-averaged
-precision / recall / F1 (counts summed across queries before dividing).
+BM25-only baseline on a synthetic corpus, using micro-averaged precision /
+recall / F1 (counts summed across queries before dividing). It scores the
+queries it trained on, as `caselink pipeline` does (README, Quick start), so
+the F1 is not a held-out score; a held-out split with the epoch picked on
+dev F1 is ROADMAP item 3.
 
 Run with:  python3 demos/04_rank_and_evaluate.py
 """

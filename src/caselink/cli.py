@@ -8,9 +8,12 @@ stages, ingest -> embed -> index -> graph, and then their own, so each writes
 the files of every stage it runs, byte for byte what ``pipeline`` writes. With
 ``--graph``, ``train`` and ``rank`` read the graph from that file in place of
 embed and graph, once it is checked to hold the corpus's nodes in order and to
-record this run's corpus and lexicon digests, k1, b, k_edges and delta. One
-JSON config file can drive all subcommands; command-line flags override config
-values, which override built-in defaults. Every stage is timed by
+record this run's corpus and lexicon digests, k1, b, k_edges and delta. Every
+input check runs before the first stage that writes, so a run whose check
+fails leaves nothing in the output directory; only ``rank``'s input-dim check
+without ``--graph`` waits until the embed stage has read (and written) the
+vectors. One JSON config file can drive all subcommands; command-line flags
+override config values, which override built-in defaults. Every stage is timed by
 :meth:`StageManifest.stage`, which writes a ``manifest.json`` into the output
 directory (before the outputs are finalized) recording the resolved config,
 sha256 digests of all inputs (each digested once), output paths, the tool
@@ -322,17 +325,28 @@ def _require(opts: RunOptions, name: str) -> Path:
 def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
                 lexicon: bool = True) -> CorpusStore:
     """The corpus, with roles from the labels when given and, with ``lexicon``,
-    the charges of the lexicon attached. Reading them is timed as ``ingest``."""
+    the charges of the lexicon attached. Reading them is timed as ``ingest``.
+    With ``need_labels``, labels without a query, or a query without a
+    positive, fail here, before any stage writes (:func:`training.check_labels`)."""
     corpus = _require(opts, "corpus")
     if need_labels:
         _require(opts, "labels")
     with manifest.stage("ingest"):
         store = ingest_corpus(corpus, opts.labels)
+        if need_labels:
+            check_labels(store.labels)
         manifest.add_input(corpus, opts.labels)
         if lexicon:
             store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
             manifest.add_input(opts.lexicon)
     return store
+
+
+def _provenance(opts: RunOptions, manifest: StageManifest) -> Provenance:
+    """What the graph of this run is built from: the digests of the corpus and
+    the lexicon the ingest recorded, and the graph settings."""
+    return Provenance(manifest.digest(opts.corpus), manifest.digest(opts.lexicon),
+                      opts.k1, opts.b, opts.k_edges, opts.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -408,10 +422,9 @@ def train_stage(
     training: TrainingConfig, manifest: StageManifest,
 ) -> TrainResult:
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``.
-    Once the labels pass, ``train()`` leaves every file the manifest lists,
-    even when the run diverges."""
+    ``train()`` leaves every file the manifest lists, even when the run
+    diverges; the labels it checks passed the ingest (:func:`_load_store`)."""
     with manifest.stage("train"):
-        check_labels(store.labels)
         ckpt_dir = manifest.out / "checkpoints"
         for name in CHECKPOINT_FILES:
             manifest.add_output(ckpt_dir / name)
@@ -451,26 +464,29 @@ def eval_stage(
 
 
 def _case_chain(
-    opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
-) -> tuple[CorpusStore, Bm25Index, GlobalCaseGraph]:
-    """``pipeline``'s stages up to the graph, the ones every subcommand from
-    ``graph`` to ``pipeline`` runs first: ingest, embed, index and graph; with
-    ``--graph``, ingest, index and a ``graph`` stage that reads that file and
-    checks that it holds the corpus's nodes and was built as this run builds it."""
-    store = _load_store(opts, manifest, need_labels)
-    built_from = Provenance(manifest.digest(opts.corpus), manifest.digest(opts.lexicon),
-                            opts.k1, opts.b, opts.k_edges, opts.delta)
+    store: CorpusStore, opts: RunOptions, manifest: StageManifest,
+    check_dim: Callable[[int], None] = lambda dim: None,
+) -> tuple[Bm25Index, GlobalCaseGraph]:
+    """``pipeline``'s stages from the ingested ``store`` up to the graph, the
+    ones every subcommand from ``graph`` to ``pipeline`` runs after ingest:
+    embed, index and graph; with ``--graph``, a ``graph`` stage that reads that
+    file and checks that it holds the corpus's nodes and was built as this run
+    builds it, then index. ``check_dim`` is called with the dim of the graph
+    read, before the index stage writes, or of the node vectors, once the
+    embed stage has read and written them."""
+    built_from = _provenance(opts, manifest)
     if opts.graph is None:
         table = embed_stage(store, opts, manifest)
+        check_dim(table.dim)
         index = index_stage(store, opts, manifest)
-        return store, index, graph_stage(store, table, index, built_from, manifest)
-    index = index_stage(store, opts, manifest)
+        return index, graph_stage(store, table, index, built_from, manifest)
     with manifest.stage("graph"):
         gcg = load_graph(opts.graph)
         check_node_order(gcg, store, opts.graph)
         check_provenance(gcg, built_from, opts.graph)
         manifest.add_input(opts.graph)
-    return store, index, gcg
+    check_dim(gcg.dim)
+    return index_stage(store, opts, manifest), gcg
 
 
 def _print_json(obj) -> None:
@@ -494,13 +510,14 @@ def cmd_embed(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_graph(opts: RunOptions, manifest: StageManifest) -> None:
-    _store, _index, gcg = _case_chain(opts, manifest)
+    _index, gcg = _case_chain(_load_store(opts, manifest), opts, manifest)
     _print_json({"n_cases": gcg.n_cases, "n_charges": gcg.n_charges,
                  "edges": int(gcg.adjacency.nnz // 2)})
 
 
 def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store, index, gcg = _case_chain(opts, manifest, need_labels=True)
+    store = _load_store(opts, manifest, need_labels=True)
+    index, gcg = _case_chain(store, opts, manifest)
     result = train_stage(store, gcg, index, training, manifest)
     best = result.log[result.best_epoch] if result.log else None
     _print_json({"best_epoch": result.best_epoch,
@@ -510,14 +527,19 @@ def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfi
 
 def cmd_rank(opts: RunOptions, manifest: StageManifest) -> None:
     ckpt_path = _require(opts, "checkpoint")
-    store, index, gcg = _case_chain(opts, manifest)
-    with manifest.stage("rank"):  # rank_stage adds its own time to this entry
+    store = _load_store(opts, manifest)
+    # checked before the first stage writes; rank_stage adds its own time to this entry
+    with manifest.stage("rank"):
         params = load_checkpoint(ckpt_path)
-        check_checkpoint_provenance(ckpt_path, gcg.provenance)
-        if params.dims[0] != gcg.dim:
-            raise TraceError(f"the checkpoint takes {params.dims[0]}-dim features, the graph's "
-                             f"are {gcg.dim}-dim", path=ckpt_path)
+        check_checkpoint_provenance(ckpt_path, _provenance(opts, manifest))
         manifest.add_input(ckpt_path)
+
+    def check_dim(dim: int) -> None:
+        if params.dims[0] != dim:
+            raise TraceError(f"the checkpoint takes {params.dims[0]}-dim features, the graph's "
+                             f"are {dim}-dim", path=ckpt_path)
+
+    index, gcg = _case_chain(store, opts, manifest, check_dim)
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})
 
@@ -536,8 +558,9 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store, index, gcg = _case_chain(opts, manifest, need_labels=True)
+    store = _load_store(opts, manifest, need_labels=True)
     check_labelled((q.id for q in store.queries()), store.labels, opts.labels, opts.corpus)
+    index, gcg = _case_chain(store, opts, manifest)
     result = train_stage(store, gcg, index, training, manifest)
     run = rank_stage(store, index, gcg, result.params, opts, manifest)
     report = eval_stage(run.retrieved(), store.labels, manifest)

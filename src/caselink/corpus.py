@@ -274,7 +274,7 @@ def json_string(value, what: str, line_number: int | None, path, numbers: bool =
                      f"not {_JSON_KINDS[type(value)]}", line_number, path)
 
 
-def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = True) -> str:
+def string_field(rec: dict, key: str, line_number: int | None, path, numbers: bool = True) -> str:
     """``rec[key]`` as :func:`json_string` reads it, named by its key."""
     return json_string(rec[key], repr(key), line_number, path, numbers)
 
@@ -283,7 +283,7 @@ def string_field(rec: dict, key: str, line_number: int, path, numbers: bool = Tr
 _MAX_ID_BYTES = 65_535
 
 
-def node_id_field(rec: dict, line_number: int, path) -> str:
+def node_id_field(rec: dict, line_number: int | None, path) -> str:
     """``rec["id"]`` as :func:`string_field` reads it, held to the one rule for
     a node id: non-empty, no tab, CR or LF (the field and line separators of
     a run file), and at most 65,535 UTF-8 bytes. Anything else is a
@@ -330,17 +330,20 @@ def check_labelled(query_ids: Iterable[str], labels: Mapping[str, tuple[str, ...
                          path=path)
 
 
-def iter_records(path: Path, required: tuple[str, ...]) -> Iterator[tuple[int, dict]]:
-    """Yield (line_number, record) per non-blank line of a JSONL file, or per file
-    of a text directory (``{"id": file name, "text": its body}``). A line that is
-    not a JSON object holding every ``required`` key is a ParseError."""
+def iter_records(
+    path: Path, required: tuple[str, ...],
+) -> Iterator[tuple[int | None, Path, dict]]:
+    """Yield (line_number, file, record) per non-blank line of a JSONL file, or
+    (None, file, ``{"id": file name, "text": its body}``) per file of a text
+    directory, so an error about a record names the file it came from. A line
+    that is not a JSON object holding every ``required`` key is a ParseError."""
     if path.is_dir():
-        for i, p in enumerate(sorted(path.iterdir()), start=1):
+        for p in sorted(path.iterdir()):
             if p.is_file():
-                yield i, {"id": p.name, "text": read_text(p)}
+                yield None, p, {"id": p.name, "text": read_text(p)}
         return
     for i, line in iter_lines(path):
-        yield i, decode_object(line, path, i, required)
+        yield i, path, decode_object(line, path, i, required)
 
 
 def ingest_corpus(
@@ -356,16 +359,16 @@ def ingest_corpus(
     labels = load_labels(labels_path) if labels_path is not None else {}
 
     cases: list[CaseDocument] = []
-    for line_no, rec in iter_records(corpus_path, ("id", "text")):
-        cid = node_id_field(rec, line_no, corpus_path)
-        text = string_field(rec, "text", line_no, corpus_path, numbers=False)
+    for line_no, where, rec in iter_records(corpus_path, ("id", "text")):
+        cid = node_id_field(rec, line_no, where)
+        text = string_field(rec, "text", line_no, where, numbers=False)
 
         explicit = rec.get("role")
         if explicit is not None:
             try:
                 role = Role(str(explicit).lower())
             except ValueError:
-                raise ParseError(f"unknown role {explicit!r}", line_no, corpus_path) from None
+                raise ParseError(f"unknown role {explicit!r}", line_no, where) from None
         elif cid in labels:
             role = Role.QUERY
         else:

@@ -156,7 +156,7 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
     lines: list[int] = []
     dim = expected_dim
     try:
-        for i, rec in iter_records(path, ("id", "vector")):
+        for i, _, rec in iter_records(path, ("id", "vector")):
             node_id = string_field(rec, "id", i, path)
             if node_id in vectors:
                 raise IngestError(f"duplicate embedding id {node_id!r}", i, path)

@@ -216,17 +216,15 @@ def sample_batch(
             raise LabelError(f"not enough easy negatives for query {qid!r}")
         easy = easy_pools.ids(qid, rng.choice(n_easy, size=config.n_easy_neg, replace=False))
 
-        hard_pool = hard_pools.get(qid, ())
-        if config.n_hard_neg == 0:
-            hard = ()
-        elif not hard_pool:
+        # with n_hard_neg 0 the draw is empty and takes nothing from rng
+        if hard_pool := hard_pools.get(qid, ()):
+            take = rng.choice(len(hard_pool), size=min(config.n_hard_neg, len(hard_pool)),
+                              replace=False)
+            hard = tuple(hard_pool[i] for i in take.tolist())
+        else:
             hard = easy_pools.ids(
                 qid, rng.choice(n_easy, size=min(config.n_hard_neg, n_easy), replace=False)
             )
-        else:
-            take = min(config.n_hard_neg, len(hard_pool))
-            hard_idx = rng.choice(len(hard_pool), size=take, replace=False)
-            hard = tuple(hard_pool[int(i)] for i in hard_idx)
 
         entries.append(
             BatchEntry(
@@ -516,9 +514,7 @@ def train(
                "provenance": asdict(graph.provenance) if graph.provenance else None}
 
     logs: list[EpochLog] = []
-    best_params = params
-    best_loss = np.inf
-    best_epoch = 0
+    best_params, best_epoch = params, 0
     adam = AdamState.zeros_like(params)
 
     try:
@@ -528,9 +524,7 @@ def train(
                 t0 = time.perf_counter()
                 order = list(queries)
                 rng.shuffle(order)
-                losses: list[float] = []
-                nces: list[float] = []
-                regs: list[float] = []
+                steps: list[tuple[float, float, float]] = []  # (total, infonce, degreg)
                 for start in range(0, len(order), config.batch_size):
                     subset = order[start : start + config.batch_size]
                     batch = sample_batch(
@@ -548,24 +542,14 @@ def train(
                         raise NumericalError(
                             f"non-finite parameter at epoch {epoch}; last good checkpoint retained"
                         )
-                    losses.append(total)
-                    nces.append(nce)
-                    regs.append(reg)
+                    steps.append((total, nce, reg))
 
-                mean_loss = float(np.mean(losses))
-                logs.append(
-                    EpochLog(
-                        epoch=epoch,
-                        mean_loss=mean_loss,
-                        infonce=float(np.mean(nces)),
-                        degreg=float(np.mean(regs)),
-                        wall_ms=(time.perf_counter() - t0) * 1e3,
-                    )
-                )
-                if mean_loss < best_loss:
-                    best_loss = mean_loss
+                means = (float(np.mean(column)) for column in zip(*steps))
+                logs.append(EpochLog(epoch, *means, wall_ms=(time.perf_counter() - t0) * 1e3))
+                # the first epoch of the lowest mean loss
+                best_epoch = min(range(len(logs)), key=lambda e: logs[e].mean_loss)
+                if best_epoch == epoch:
                     best_params = params
-                    best_epoch = epoch
                 if ckpt_dir is not None:
                     with replaced(_checkpoints(ckpt_dir, [LAST_CHECKPOINT], params,
                                                sidecar if epoch == 0 else None)):

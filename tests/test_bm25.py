@@ -191,6 +191,11 @@ class TestTopkSimilar:
         index = build_index(store)
         assert len(topk_similar(index, store, "d1", 5)) == 2
 
+    def test_k_below_one_rejected(self):
+        store = make_store([("d1", "a b"), ("d2", "a c")])
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            topk_similar(build_index(store), store, "d1", 0)
+
     def test_shared_terms_beat_disjoint(self):
         store = make_store([("d1", "cat sat mat"), ("d2", "cat sat"), ("d3", "dog")])
         index = build_index(store)

@@ -55,6 +55,12 @@ def fail_partway(write, path):
     raise OSError(errno.ENOSPC, "No space left on device", str(path))
 
 
+def written(out_dir):
+    """The files a run left in ``out_dir``, sorted; none when it does not exist."""
+    return sorted(p.relative_to(out_dir).as_posix() for p in Path(out_dir).rglob("*")
+                  if p.is_file())
+
+
 def slowed(step):
     """``step``, taking 50 ms longer."""
     def wrapped(*args, **kwargs):
@@ -649,7 +655,7 @@ class TestErrorPaths:
                      "--out", str(out), "--epochs", "1"]) == 2
         want = f"queries missing from the labels in {cfg['labels']}: [{record['id']!r}]"
         assert f"data error: {corpus}: {want}" in capsys.readouterr().err
-        assert not (out / "checkpoints").exists()  # no epoch was run
+        assert written(out) == []  # checked right after ingest
         run = tmp_path / "run.tsv"
         run.write_text(f"{record['id']}\t{json.loads(lines[0])['id']}\t1\t0.5\n")
         assert main(["eval", "--run", str(run), "--labels", cfg["labels"]]) == 2
@@ -732,6 +738,68 @@ class TestErrorPaths:
         assert report["precision"] == pytest.approx(0.3, abs=1e-12)
         assert report["recall"] == pytest.approx(0.375, abs=1e-12)
         assert report["f1"] == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+class TestAFailedCheckWritesNothing:
+    """An input check that fails does so before the first stage writes to ``--out``."""
+
+    def test_a_query_without_a_positive(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        labels = json.loads(Path(json.loads(config_path.read_text())["labels"]).read_text())
+        empty = tmp_path / "labels.json"
+        empty.write_text(json.dumps(labels | {min(labels): []}))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(config_path), "--labels", str(empty),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == \
+            f"data error: query {min(labels)!r} has no labeled positive\n"
+        assert written(out) == []
+
+    def test_a_graph_built_with_other_settings(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["graph", *cfg, "--out", str(tmp_path / "g")]) == 0
+        gcg = tmp_path / "g" / "graph.gcg1"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", *cfg, "--graph", str(gcg), "--k-edges", "3", "--out", str(out),
+                     "--epochs", "1"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {gcg}: the graph was built with k_edges 5, this run has 3: ")
+        assert written(out) == []
+
+    @pytest.mark.parametrize("given_graph", [False, True], ids=["built graph", "--graph"])
+    def test_a_truncated_checkpoint(self, dataset, capsys, given_graph):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["train", *cfg, "--out", str(tmp_path / "t"), "--epochs", "1"]) == 0
+        ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
+        ckpt.write_bytes(ckpt.read_bytes()[:40])
+        given = ["--graph", str(tmp_path / "t" / "graph.gcg1")] if given_graph else []
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rank", *cfg, *given, "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {ckpt}: truncated: wanted ") and \
+            err.endswith(" bytes, got 0\n"), err
+        assert written(out) == []
+
+    def test_a_checkpoint_of_another_input_dim_with_a_given_graph(self, dataset, capsys):
+        from caselink.gat import init_params, save_checkpoint
+
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["graph", *cfg, "--out", str(tmp_path / "g")]) == 0
+        ckpt = tmp_path / "other.gatc"
+        save_checkpoint(init_params(0, [5, 8]), ckpt)  # the dataset's vectors have dim 8
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rank", *cfg, "--graph", str(tmp_path / "g" / "graph.gcg1"),
+                     "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: the checkpoint takes 5-dim features, the graph's are 8-dim\n")
+        assert written(out) == []
 
 
 class TestStagedAndFused:
@@ -870,8 +938,7 @@ class TestStagedAndFused:
             err = capsys.readouterr().err
             assert err.startswith(f"data error: {stale}: graph row 2 holds 'q002' (query), "
                                   "not node 2 of the corpus, 'cand000' (candidate)"), err
-            written = {p.name for p in (tmp_path / command).iterdir()}
-            assert written == {"bm25.bin", "manifest.json"}, command  # the index stage only
+            assert written(tmp_path / command) == [], command  # checked before any stage writes
 
 
 class TestGraphProvenance:
@@ -904,10 +971,15 @@ class TestGraphProvenance:
         self.refused(capsys, ["train", "--config", str(two), "--graph", str(gcg), "--epochs", "2",
                               "--out", str(tmp_path / "t2")],
                      gcg, "the graph was built with corpus_digest ")
-        self.refused(capsys, ["rank", "--config", str(two), "--graph", str(gcg),
-                              "--checkpoint", str(ckpt), "--out", str(tmp_path / "r2")],
-                     gcg, "the graph was built with corpus_digest ")
-        assert not (tmp_path / "t2" / "checkpoints").exists()
+        rank = ["rank", "--config", str(two), "--graph", str(gcg), "--out", str(tmp_path / "r2")]
+        # the checkpoint, trained on that graph, is checked first
+        self.refused(capsys, [*rank, "--checkpoint", str(ckpt)], Path(f"{ckpt}.json"),
+                     "the checkpoint was trained on a graph built with corpus_digest ")
+        bare = tmp_path / "bare.gatc"  # no sidecar: nothing says what it was trained on
+        bare.write_bytes(ckpt.read_bytes())
+        self.refused(capsys, [*rank, "--checkpoint", str(bare)], gcg,
+                     "the graph was built with corpus_digest ")
+        assert written(tmp_path / "t2") == written(tmp_path / "r2") == []
 
     @pytest.mark.parametrize("flags, reason", [
         (["--k-edges", "3", "--delta", "0.5"], "k_edges 5, this run has 3"),
@@ -1139,6 +1211,9 @@ class TestManifests:
         if outcome == "training diverges":
             epoch = 0 if "--batch-size" in flags else 1
             assert f"non-finite loss at epoch {epoch}" in capsys.readouterr().err
+        if outcome == "a query has no positive":
+            assert written(out) == []  # the labels are checked before any stage writes
+            return
         listed = set(read_manifest(out)["outputs"])
         left = {str(p) for p in out.rglob("*") if p.is_file() and p.name != "manifest.json"}
         assert left  # at least the stages before the graph finished
@@ -1677,6 +1752,8 @@ class TestDamagedInputs:
 
     GRAPH_DAMAGE = {
         "n a string": ({"header": lambda h: h | {"n": str(h["n"])}}, "'n' is not an integer"),
+        **{f"{name} negative": ({"header": lambda h, name=name: h | {name: -1}},
+                                "header n, m and dim must be >= 0") for name in ("n", "m", "dim")},
         "ids short": ({"header": lambda h: h | {"ids": h["ids"][:-1]}}, r"node ids for n \+ m"),
         "ids repeated": ({"header": lambda h: h | {"ids": [h["ids"][1], *h["ids"][1:]]}},
                          "a node id is repeated"),

@@ -349,9 +349,12 @@ class TestIngestCorpus:
         d = tmp_path / "corpus"
         d.mkdir()
         (d / "a.txt").write_text("first case")
-        (d / "b\tc.txt").write_text("second case")
-        with pytest.raises(ParseError, match=f"^line 2: {d}: id 'b\\\\tc.txt' contains a tab"):
+        named = d / "b\tc.txt"
+        named.write_text("second case")
+        with pytest.raises(ParseError) as info:
             ingest_corpus(d)
+        assert str(info.value) == f"{named}: id 'b\\tc.txt' contains a tab, CR or LF"
+        assert info.value.path == named and info.value.line_number is None
 
     def test_ingestion_is_deterministic(self, tmp_path):
         p = tmp_path / "corpus.jsonl"

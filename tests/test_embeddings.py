@@ -517,6 +517,16 @@ class TestRemoteProvider:
             provider.fetch("a", "text")
         assert state["calls"] == 4
 
+    def test_fetching_nothing_without_a_dim_is_an_error(self):
+        def transport(endpoint, payload):
+            raise AssertionError("nothing to fetch")
+
+        with pytest.raises(ProviderError, match="no embeddings fetched"):
+            RemoteEmbeddingProvider(remote_config(), transport=transport).fetch_many([])
+        table = RemoteEmbeddingProvider(remote_config(), expected_dim=4,
+                                        transport=transport).fetch_many([])
+        assert (table.dim, table.vectors) == (4, {})
+
     def test_dim_mismatch_across_responses(self):
         state = {"calls": 0}
 

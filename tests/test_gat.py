@@ -320,6 +320,14 @@ class TestForward:
         with pytest.raises(DimensionError):
             model_forward(params, np.zeros((2, 4)), no_edge_adj(2))
 
+    @pytest.mark.parametrize("adjacency, message", [
+        (sp.csr_matrix((2, 3), dtype=np.int8), "adjacency must be square"),
+        (no_edge_adj(3), "adjacency size does not match feature rows"),
+    ], ids=["not square", "other size"])
+    def test_an_adjacency_that_does_not_fit_the_features_rejected(self, adjacency, message):
+        with pytest.raises(DimensionError, match=message):
+            model_forward(init_params(0, [3, 3]), np.ones((2, 3)), adjacency)
+
 
 class TestBackward:
     def test_matches_finite_differences(self):
@@ -402,6 +410,18 @@ class TestBackward:
         other = init_params(0, [graph.dim, 3, 3])
         with pytest.raises(TraceError):
             backward_gradients(other, trace, np.zeros((graph.n_nodes, 3)))
+
+    def test_params_of_other_dims_or_a_misshapen_gradient_rejected(self):
+        graph = random_gcg(seed=17)
+        params = init_params(0, [graph.dim, graph.dim])
+        _, trace = model_forward(params, graph.features, graph.adjacency)
+        wide = graph.dim + 1
+        with pytest.raises(TraceError, match="trace shapes do not match parameters"):
+            backward_gradients(init_params(0, [graph.dim, wide]), trace,
+                               np.zeros((graph.n_nodes, wide)))
+        with pytest.raises(TraceError, match=rf"upstream gradient shape \({graph.n_nodes}, "
+                                              rf"{wide}\) != output shape"):
+            backward_gradients(params, trace, np.zeros((graph.n_nodes, wide)))
 
 
 class TestCheckpoint:

@@ -263,61 +263,39 @@ class TestAssembleGcg:
         assert graph.n_nodes == 2
         np.testing.assert_array_equal(graph.adjacency.toarray(), a_case.toarray())
 
-    def test_asymmetric_case_block_rejected(self):
-        bad = sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.int8))
-        with pytest.raises(GraphConstructionError):
-            assemble_gcg(
-                bad,
-                sp.csr_matrix((0, 2), dtype=np.int8),
-                sp.csr_matrix((0, 0), dtype=np.int8),
-                np.eye(2),
-                np.zeros((0, 2)),
-                ["d1", "d2"],
-                [],
-                [Role.CANDIDATE] * 2,
-            )
+    @staticmethod
+    def _two_cases(**changes):
+        """assemble_gcg's arguments for two unlinked candidate cases and no
+        charges, with ``changes``."""
+        return dict(a_case=sp.csr_matrix((2, 2), dtype=np.int8),
+                    a_bridge=sp.csr_matrix((0, 2), dtype=np.int8),
+                    a_charge=sp.csr_matrix((0, 0), dtype=np.int8),
+                    case_features=np.eye(2), charge_features=np.zeros((0, 2)),
+                    case_ids=["d1", "d2"], charge_ids=[], roles=[Role.CANDIDATE] * 2) | changes
 
-    def test_nonzero_diagonal_rejected(self):
-        bad = sp.csr_matrix(np.array([[1, 0], [0, 0]], dtype=np.int8))
-        with pytest.raises(GraphConstructionError):
-            assemble_gcg(
-                bad,
-                sp.csr_matrix((0, 2), dtype=np.int8),
-                sp.csr_matrix((0, 0), dtype=np.int8),
-                np.eye(2),
-                np.zeros((0, 2)),
-                ["d1", "d2"],
-                [],
-                [Role.CANDIDATE] * 2,
-            )
+    ONE_CHARGE = {"a_bridge": sp.csr_matrix((1, 2), dtype=np.int8),
+                  "a_charge": sp.csr_matrix((1, 1), dtype=np.int8), "charge_ids": ["c1"]}
 
-    def test_non_binary_entries_rejected(self):
-        bad = sp.csr_matrix(np.array([[0, 2], [2, 0]], dtype=np.int8))
-        with pytest.raises(GraphConstructionError):
-            assemble_gcg(
-                bad,
-                sp.csr_matrix((0, 2), dtype=np.int8),
-                sp.csr_matrix((0, 0), dtype=np.int8),
-                np.eye(2),
-                np.zeros((0, 2)),
-                ["d1", "d2"],
-                [],
-                [Role.CANDIDATE] * 2,
-            )
-
-    def test_feature_row_mismatch_rejected(self):
-        a_case = sp.csr_matrix((2, 2), dtype=np.int8)
-        with pytest.raises(DimensionError):
-            assemble_gcg(
-                a_case,
-                sp.csr_matrix((0, 2), dtype=np.int8),
-                sp.csr_matrix((0, 0), dtype=np.int8),
-                np.eye(3),
-                np.zeros((0, 3)),
-                ["d1", "d2"],
-                [],
-                [Role.CANDIDATE] * 2,
-            )
+    @pytest.mark.parametrize("changes, error, message", [
+        ({"a_case": sp.csr_matrix(np.array([[0, 1], [0, 0]], dtype=np.int8))},
+         GraphConstructionError, "case-case block must be symmetric"),
+        ({"a_case": sp.csr_matrix(np.array([[1, 0], [0, 0]], dtype=np.int8))},
+         GraphConstructionError, "case-case block must have a zero diagonal"),
+        ({"a_case": sp.csr_matrix(np.array([[0, 2], [2, 0]], dtype=np.int8))},
+         GraphConstructionError, "case-case block must be binary"),
+        ({"a_case": sp.csr_matrix((3, 3), dtype=np.int8)},
+         DimensionError, r"case-case block has shape \(3, 3\), expected \(2, 2\)"),
+        ({"case_features": np.eye(3), "charge_features": np.zeros((0, 3))},
+         DimensionError, "feature row counts do not match node counts"),
+        ({**ONE_CHARGE, "charge_features": np.zeros((1, 3))},
+         DimensionError, "case and charge feature dims differ"),
+        ({"roles": [Role.CANDIDATE]}, DimensionError, "one role per case node required"),
+    ], ids=["asymmetric", "nonzero diagonal", "non-binary", "block shape", "feature rows",
+            "feature dims", "role count"])
+    def test_malformed_input_rejected(self, changes, error, message):
+        assemble_gcg(**self._two_cases())
+        with pytest.raises(error, match=message):
+            assemble_gcg(**self._two_cases(**changes))
 
     def test_role_rows(self):
         graph = random_gcg(n_cases=6, n_queries=2)

@@ -38,6 +38,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SyntheticSpec(contamination=1.5)
 
+    @pytest.mark.parametrize("field", ["cluster_vocab", "topic_vocab", "filler_vocab",
+                                       "filler_len"])
+    def test_vocabulary_sizes_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match="vocabulary sizes must be >= 1"):
+            SyntheticSpec(**{field: 0})
+        SyntheticSpec(**{field: 1})
+
 
 class TestGenerate:
     def test_counts(self):

@@ -119,6 +119,12 @@ class TestTrainingConfig:
         with pytest.raises(ValueError, match=field):
             TrainingConfig(**{field: value})
 
+    @pytest.mark.parametrize("field", ["n_easy_neg", "n_hard_neg", "hard_neg_pool_size"])
+    def test_negative_sampling_sizes_rejected(self, field):
+        with pytest.raises(ValueError, match="sampling sizes must be >= 0"):
+            TrainingConfig(**{field: -1})
+        TrainingConfig(**{field: 0})
+
     @pytest.mark.parametrize("field, value", [("hidden_dim", 0), ("hidden_dim", -3)])
     def test_encoder_sizes_below_one_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -239,6 +245,31 @@ class TestSampleBatch:
             ("q2", "c3", ("c6", "c1"), ("c1",)),
             ("q1", "c1", ("c4", "c5"), ("c2",)),
         ]
+
+    @pytest.mark.parametrize("empty_pools", [False, True], ids=["hard pool", "empty hard pool"])
+    def test_no_hard_negatives_draw_only_the_positive_and_the_easy_negatives(self, empty_pools):
+        labels, pools, easy = self._fixture()
+        if empty_pools:
+            pools = {qid: () for qid in pools}
+        cfg = TrainingConfig(n_easy_neg=2, n_hard_neg=0)
+        rng, reference = np.random.default_rng(3), np.random.default_rng(3)
+        drawn = []
+        for epoch in range(2):
+            for e in sample_batch(labels, pools, easy, cfg, rng, ["q1", "q2", "q1"],
+                                  epoch=epoch).entries:
+                drawn.append((e.query_id, e.positive_id, e.easy_negative_ids, e.hard_negative_ids))
+                reference.integers(len(labels[e.query_id]))
+                reference.choice(easy.size(e.query_id), size=2, replace=False)
+        assert drawn == [
+            ("q1", "c1", ("c2", "c5"), ()),
+            ("q2", "c2", ("c1", "c6"), ()),
+            ("q1", "c1", ("c2", "c4"), ()),
+            ("q1", "c1", ("c3", "c4"), ()),
+            ("q2", "c2", ("c1", "c6"), ()),
+            ("q1", "c1", ("c2", "c4"), ()),
+        ]
+        # the empty hard-negative draw took nothing from the generator
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_deterministic_for_seeded_rng(self):
         labels, pools, candidates = self._fixture()
@@ -749,6 +780,56 @@ class TestTrainLoop:
         assert len(losses) == 8
         assert min(losses) < losses[0]
         assert result.best_epoch == int(np.argmin(losses))
+
+    def test_epoch_log_holds_the_means_of_its_steps_bit_for_bit(self, monkeypatch):
+        import caselink.training as training_module
+
+        steps = []  # (epoch, total, infonce, degreg) per step
+
+        def recording(params, graph, batch, config, **kwargs):
+            result = total_loss_and_grads(params, graph, batch, config, **kwargs)
+            steps.append((batch.epoch, *result[:3]))
+            return result
+
+        monkeypatch.setattr(training_module, "total_loss_and_grads", recording)
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=3, batch_size=1, hard_neg_pool_size=5, seed=0)
+        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        assert [e for e, *_ in steps] == [0] * 4 + [1] * 4 + [2] * 4  # 4 queries, 4 steps
+        for log in result.log:
+            rows = [values for e, *values in steps if e == log.epoch]
+            means = [float(np.mean(column)).hex() for column in zip(*rows)]
+            assert [log.mean_loss.hex(), log.infonce.hex(), log.degreg.hex()] == means
+
+    @pytest.mark.parametrize("scripted, best", [
+        ([3.0, 1.0, 2.0, 1.0], 1), ([1.0, 1.0, 1.0], 0), ([2.0, 1.5, 1.5, 0.5], 3),
+    ])
+    def test_best_epoch_is_the_first_of_the_lowest_mean_loss(self, monkeypatch, scripted, best):
+        import caselink.training as training_module
+
+        stepped = []  # the params after every Adam step, one step per epoch
+
+        def scripted_loss(params, graph, batch, config, **kwargs):
+            _, nce, reg, grads, trace = total_loss_and_grads(params, graph, batch, config,
+                                                             **kwargs)
+            return scripted[batch.epoch], nce, reg, grads, trace
+
+        def recording_adam_step(*args, **kwargs):
+            params, state = adam_step(*args, **kwargs)
+            stepped.append(params)
+            return params, state
+
+        monkeypatch.setattr(training_module, "total_loss_and_grads", scripted_loss)
+        monkeypatch.setattr(training_module, "adam_step", recording_adam_step)
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=len(scripted), batch_size=8, hard_neg_pool_size=5, seed=0)
+        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        assert [log.mean_loss for log in result.log] == scripted
+        assert result.best_epoch == best
+        assert len(stepped) == len(scripted)
+        np.testing.assert_array_equal(result.params.flat, stepped[best].flat)
+        assert all(not np.array_equal(result.params.flat, params.flat)
+                   for epoch, params in enumerate(stepped) if epoch != best)
 
     def test_empty_hard_pools_are_reported_once_per_run(self, caplog):
         ds, graph = small_dataset()
