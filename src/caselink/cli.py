@@ -10,10 +10,9 @@ the files of every stage it runs, byte for byte what ``pipeline`` writes. With
 embed and graph, once it is checked to hold the corpus's nodes in order and to
 record this run's corpus and lexicon digests, k1, b, k_edges and delta. Every
 input check runs before the first stage that writes, so a run whose check
-fails leaves nothing in the output directory; only ``rank``'s input-dim check
-without ``--graph`` waits until the embed stage has read (and written) the
-vectors. One JSON config file can drive all subcommands; command-line flags
-override config values, which override built-in defaults. Every stage is timed by
+fails leaves nothing in the output directory. One JSON config file can drive
+all subcommands; command-line flags override config values, which override
+built-in defaults. Every stage is timed by
 :meth:`StageManifest.stage`, which writes a ``manifest.json`` into the output
 directory (before the outputs are finalized) recording the resolved config,
 sha256 digests of all inputs (each digested once), output paths, the tool
@@ -65,7 +64,7 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, NumericalError, ParseError, TraceError, located
+from .errors import CaseLinkError, DimensionError, NumericalError, ParseError, TraceError, located
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import (
     GlobalCaseGraph,
@@ -271,7 +270,7 @@ _FIELD_HELP = {
     "b": "BM25 length normalization",
     "prefilter_size": "BM25 candidates kept for the dense re-rank",
     "final_size": "candidates returned per query",
-    "dim": "expected embedding dim",
+    "dim": "expected embedding dim (rank takes it from --checkpoint)",
     "endpoint": "remote embedding HTTP endpoint",
     "truncation_tokens": "tokens of each text sent to the endpoint",
     "threads": "cap on worker threads (remote embedding fetches)",
@@ -322,19 +321,20 @@ def _require(opts: RunOptions, name: str) -> Path:
     return value
 
 
-def _load_store(opts: RunOptions, manifest: StageManifest, need_labels: bool = False,
-                lexicon: bool = True) -> CorpusStore:
+def _load_store(opts: RunOptions, manifest: StageManifest,
+                training: TrainingConfig | None = None, lexicon: bool = True) -> CorpusStore:
     """The corpus, with roles from the labels when given and, with ``lexicon``,
     the charges of the lexicon attached. Reading them is timed as ``ingest``.
-    With ``need_labels``, labels without a query, or a query without a
-    positive, fail here, before any stage writes (:func:`training.check_labels`)."""
+    With ``training``, labels without a query, or a query without a positive
+    or with fewer easy negatives than ``training`` draws, fail here, before
+    any stage writes (:func:`training.check_labels`)."""
     corpus = _require(opts, "corpus")
-    if need_labels:
+    if training is not None:
         _require(opts, "labels")
     with manifest.stage("ingest"):
         store = ingest_corpus(corpus, opts.labels)
-        if need_labels:
-            check_labels(store.labels)
+        if training is not None:
+            check_labels(store.labels, [c.id for c in store.candidates()], training.n_easy_neg)
         manifest.add_input(corpus, opts.labels)
         if lexicon:
             store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
@@ -465,27 +465,26 @@ def eval_stage(
 
 def _case_chain(
     store: CorpusStore, opts: RunOptions, manifest: StageManifest,
-    check_dim: Callable[[int], None] = lambda dim: None,
 ) -> tuple[Bm25Index, GlobalCaseGraph]:
     """``pipeline``'s stages from the ingested ``store`` up to the graph, the
     ones every subcommand from ``graph`` to ``pipeline`` runs after ingest:
     embed, index and graph; with ``--graph``, a ``graph`` stage that reads that
-    file and checks that it holds the corpus's nodes and was built as this run
-    builds it, then index. ``check_dim`` is called with the dim of the graph
-    read, before the index stage writes, or of the node vectors, once the
-    embed stage has read and written them."""
+    file and checks that it holds the corpus's nodes, was built as this run
+    builds it and, with ``opts.dim``, has features of that dim, then index.
+    The embed stage checks each vector it reads or fetches against ``opts.dim``."""
     built_from = _provenance(opts, manifest)
     if opts.graph is None:
         table = embed_stage(store, opts, manifest)
-        check_dim(table.dim)
         index = index_stage(store, opts, manifest)
         return index, graph_stage(store, table, index, built_from, manifest)
     with manifest.stage("graph"):
         gcg = load_graph(opts.graph)
         check_node_order(gcg, store, opts.graph)
         check_provenance(gcg, built_from, opts.graph)
+        if opts.dim not in (None, gcg.dim):
+            raise DimensionError(f"the graph's features are {gcg.dim}-dim, this run expects "
+                                 f"{opts.dim}-dim", path=opts.graph)
         manifest.add_input(opts.graph)
-    check_dim(gcg.dim)
     return index_stage(store, opts, manifest), gcg
 
 
@@ -516,7 +515,7 @@ def cmd_graph(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_train(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest, need_labels=True)
+    store = _load_store(opts, manifest, training)
     index, gcg = _case_chain(store, opts, manifest)
     result = train_stage(store, gcg, index, training, manifest)
     best = result.log[result.best_epoch] if result.log else None
@@ -532,14 +531,12 @@ def cmd_rank(opts: RunOptions, manifest: StageManifest) -> None:
     with manifest.stage("rank"):
         params = load_checkpoint(ckpt_path)
         check_checkpoint_provenance(ckpt_path, _provenance(opts, manifest))
+        if opts.dim not in (None, params.dims[0]):
+            raise TraceError(f"the checkpoint takes {params.dims[0]}-dim features, --dim is "
+                             f"{opts.dim}", path=ckpt_path)
         manifest.add_input(ckpt_path)
-
-    def check_dim(dim: int) -> None:
-        if params.dims[0] != dim:
-            raise TraceError(f"the checkpoint takes {params.dims[0]}-dim features, the graph's "
-                             f"are {dim}-dim", path=ckpt_path)
-
-    index, gcg = _case_chain(store, opts, manifest, check_dim)
+    # the vectors or the graph read are checked against the checkpoint's input dim
+    index, gcg = _case_chain(store, dataclasses.replace(opts, dim=params.dims[0]), manifest)
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})
 
@@ -558,7 +555,7 @@ def cmd_eval(opts: RunOptions, manifest: StageManifest) -> None:
 
 
 def cmd_pipeline(opts: RunOptions, manifest: StageManifest, training: TrainingConfig) -> None:
-    store = _load_store(opts, manifest, need_labels=True)
+    store = _load_store(opts, manifest, training)
     check_labelled((q.id for q in store.queries()), store.labels, opts.labels, opts.corpus)
     index, gcg = _case_chain(store, opts, manifest)
     result = train_stage(store, gcg, index, training, manifest)

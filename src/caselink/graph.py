@@ -69,6 +69,17 @@ class GlobalCaseGraph:
         self.candidate_rows.flags.writeable = False
 
 
+def _edge_block(rows, cols, shape: tuple[int, int], symmetric: bool = False) -> sp.csr_matrix:
+    """The binary int8 CSR of ``shape`` with an edge at each pair ``(rows[i],
+    cols[i])``, and at its mirror when ``symmetric``; in canonical format: a
+    repeated pair is one edge, the indices of each row are sorted."""
+    if symmetric:
+        rows, cols = np.concatenate((rows, cols)), np.concatenate((cols, rows))
+    block = sp.csr_matrix((np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=shape)
+    block.data[:] = 1  # the conversion summed repeated pairs
+    return block
+
+
 def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.csr_matrix:
     """OR-symmetrized top-k BM25 neighborhood adjacency over case nodes."""
     if k < 1:
@@ -79,13 +90,7 @@ def build_case_case_edges(index: Bm25Index, store: CorpusStore, k: int) -> sp.cs
     tops = block_top_k(index, src, src, k, exclude_self=True)
     sources = np.repeat(src, [len(top) for top, _ in tops])
     targets = np.concatenate([np.zeros(0, np.int64), *(top for top, _ in tops)])
-    rows = np.concatenate((sources, targets))
-    cols = np.concatenate((targets, sources))
-    data = np.ones(len(rows), dtype=np.int8)
-    adj = sp.coo_matrix((data, (rows, cols)), shape=(n, n)).tocsr()
-    adj.data[:] = 1  # OR-union of duplicate entries; no self-pair, so no diagonal
-    adj.sort_indices()
-    return adj
+    return _edge_block(sources, targets, (n, n), symmetric=True)  # no self-pair: no diagonal
 
 
 def build_charge_charge_edges(
@@ -97,12 +102,9 @@ def build_charge_charge_edges(
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must be in (0, 1)")
     unit, _ = unit_rows(stack_vectors(table, charge_ids))
-    cos = unit @ unit.T
-    adj = (cos > delta).astype(np.int8)
-    np.fill_diagonal(adj, 0)
-    out = sp.csr_matrix(adj)
-    out.sort_indices()
-    return out
+    rows, cols = np.nonzero(unit @ unit.T > delta)
+    upper = rows < cols
+    return _edge_block(rows[upper], cols[upper], (len(unit), len(unit)), symmetric=True)
 
 
 def build_case_charge_edges(store: CorpusStore) -> sp.csr_matrix:
@@ -120,10 +122,7 @@ def build_case_charge_edges(store: CorpusStore) -> sp.csr_matrix:
             if key and name in text:
                 rows.append(i)
                 cols.append(j)
-    data = np.ones(len(rows), dtype=np.int8)
-    out = sp.coo_matrix((data, (rows, cols)), shape=(m, n)).tocsr()
-    out.sort_indices()
-    return out
+    return _edge_block(rows, cols, (m, n))
 
 
 def _check_block(name: str, block: sp.spmatrix, shape: tuple[int, int], symmetric: bool) -> sp.csr_matrix:
@@ -165,21 +164,13 @@ def assemble_gcg(
     if len(roles) != n:
         raise DimensionError("one role per case node required")
 
-    if m == 0:
-        adjacency = sp.csr_matrix(a_case, dtype=np.int8)
-    else:
-        adjacency = sp.bmat(
-            [[a_case, a_bridge.T], [a_bridge, a_charge]], format="csr", dtype=np.int8
-        )
+    adjacency = sp.bmat([[a_case, a_bridge.T], [a_bridge, a_charge]], format="csr", dtype=np.int8)
     adjacency.sort_indices()
-    features = (
-        np.vstack([case_features, charge_features]) if m > 0 else case_features.copy()
-    )
     return GlobalCaseGraph(
         n_cases=n,
         n_charges=m,
         adjacency=adjacency,
-        features=features,
+        features=np.vstack([case_features, charge_features.reshape(m, case_features.shape[1])]),
         node_ids=tuple(case_ids) + tuple(charge_ids),
         roles=tuple(roles),
     )
@@ -270,12 +261,7 @@ def load_graph(path: str | Path) -> GlobalCaseGraph:
             raise ValueError("edge pairs are not strictly increasing")
         if not np.all(np.isfinite(features)):
             raise ValueError("a node feature is non-finite")
-    rows = np.concatenate([edges[:, 0], edges[:, 1]])
-    cols = np.concatenate([edges[:, 1], edges[:, 0]])
-    adjacency = sp.coo_matrix(
-        (np.ones(len(rows), dtype=np.int8), (rows, cols)), shape=(n_nodes, n_nodes)
-    ).tocsr()
-    adjacency.sort_indices()
+    adjacency = _edge_block(i, j, (n_nodes, n_nodes), symmetric=True)
     built_from = {f.name: getattr(h, f.name) for f in fields(Provenance)}
     provenance = None if None in built_from.values() else Provenance(**built_from)
     return GlobalCaseGraph(h.n, h.m, adjacency, features, tuple(h.ids), roles, provenance)

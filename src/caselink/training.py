@@ -427,15 +427,26 @@ class TrainResult:
     best_epoch: int
 
 
-def check_labels(labels: dict[str, tuple[str, ...]]) -> list[str]:
-    """The labeled queries, sorted. No query, or a query without a positive, is
-    a LabelError."""
+def check_labels(
+    labels: dict[str, tuple[str, ...]],
+    candidate_ids: list[str] | tuple[str, ...],
+    n_easy_neg: int,
+) -> list[str]:
+    """The labeled queries, sorted. No query, or a query without a positive or
+    with fewer than ``n_easy_neg`` easy negatives (the candidates of
+    ``candidate_ids`` that are not its positives), is a LabelError naming the
+    first such query; the check is O(candidates + labels)."""
     queries = sorted(labels)
     if not queries:
         raise LabelError("no labeled queries to train on")
+    candidates = set(candidate_ids)
     for qid in queries:
         if not labels[qid]:
             raise LabelError(f"query {qid!r} has no labeled positive")
+        n_easy = len(candidate_ids) - len(candidates.intersection(labels[qid]))
+        if n_easy < n_easy_neg:
+            raise LabelError(f"not enough easy negatives for query {qid!r}: {n_easy} candidates "
+                             f"are not its positives, n_easy_neg is {n_easy_neg}")
     return queries
 
 
@@ -493,7 +504,8 @@ def train(
     ``training_log.jsonl`` every finished epoch, and ``checkpoint_last.gatc``
     the initial params if no epoch finished.
     """
-    queries = check_labels(labels)
+    candidate_ids = [c.id for c in store.candidates()]
+    queries = check_labels(labels, candidate_ids, config.n_easy_neg)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
     if config.n_hard_neg and (empty := [qid for qid in queries if not hard_pools[qid]]):
         logger.warning(
@@ -502,7 +514,7 @@ def train(
             len(empty), len(queries), ", ".join(empty[:_LISTED_QUERIES])
             + (", ..." if len(empty) > _LISTED_QUERIES else ""),
         )
-    easy_pools = easy_negatives(labels, [c.id for c in store.candidates()])
+    easy_pools = easy_negatives(labels, candidate_ids)
     structure = prepare_structure(graph.adjacency)
 
     rng = np.random.default_rng(config.seed)

@@ -795,10 +795,66 @@ class TestAFailedCheckWritesNothing:
         save_checkpoint(init_params(0, [5, 8]), ckpt)  # the dataset's vectors have dim 8
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(["rank", *cfg, "--graph", str(tmp_path / "g" / "graph.gcg1"),
-                     "--checkpoint", str(ckpt), "--out", str(out)]) == 2
+        gcg = tmp_path / "g" / "graph.gcg1"
+        assert main(["rank", *cfg, "--graph", str(gcg), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"data error: {ckpt}: the checkpoint takes 5-dim features, the graph's are 8-dim\n")
+            f"data error: {gcg}: the graph's features are 8-dim, this run expects 5-dim\n")
+        assert written(out) == []
+
+    def test_a_checkpoint_of_another_input_dim_without_a_graph(self, dataset, capsys):
+        from caselink.gat import init_params, save_checkpoint
+
+        tmp_path, config_path = dataset
+        vectors = json.loads(config_path.read_text())["embeddings"]
+        ckpt = tmp_path / "other.gatc"
+        save_checkpoint(init_params(0, [5, 8]), ckpt)  # the dataset's vectors have dim 8
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5\n")
+        assert written(out) == []
+
+    def test_a_dim_other_than_the_checkpoints(self, dataset, capsys):
+        from caselink.gat import init_params, save_checkpoint
+
+        tmp_path, config_path = dataset
+        ckpt = tmp_path / "other.gatc"
+        save_checkpoint(init_params(0, [5, 8]), ckpt)
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--dim", "8", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: the checkpoint takes 5-dim features, --dim is 8\n")
+        assert written(out) == []
+
+    def test_a_graph_of_another_dim(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        cfg = ["--config", str(config_path)]
+        assert main(["graph", *cfg, "--out", str(tmp_path / "g")]) == 0
+        gcg = tmp_path / "g" / "graph.gcg1"
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["train", *cfg, "--graph", str(gcg), "--dim", "7", "--out", str(out),
+                     "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {gcg}: the graph's features are 8-dim, this run expects 7-dim\n")
+        assert written(out) == []
+
+    def test_too_few_easy_negatives(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        labels = json.loads(Path(json.loads(config_path.read_text())["labels"]).read_text())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        # 12 candidates, 3 of them each query's positives: 9 easy negatives a query
+        assert main(["pipeline", "--config", str(config_path), "--n-easy-neg", "10",
+                     "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: not enough easy negatives for query {min(labels)!r}: 9 candidates "
+            "are not its positives, n_easy_neg is 10\n")
         assert written(out) == []
 
 
@@ -1726,13 +1782,14 @@ class TestDamagedInputs:
         from caselink.gat import init_params, save_checkpoint
 
         tmp_path, config_path = dataset
+        vectors = json.loads(config_path.read_text())["embeddings"]
         ckpt = tmp_path / "other.gatc"
         save_checkpoint(init_params(0, [5, 8]), ckpt)  # the dataset's vectors have dim 8
         capsys.readouterr()
         assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
-            f"data error: {ckpt}: the checkpoint takes 5-dim features, the graph's are 8-dim\n")
+            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5\n")
         assert not (tmp_path / "r" / "run.tsv").exists()
 
     @staticmethod

@@ -38,12 +38,20 @@ def table_of(pairs) -> EmbeddingTable:
     return EmbeddingTable(dim=dim, vectors=vectors)
 
 
+def assert_canonical_binary(block):
+    """``block`` is an int8 CSR in canonical format, every stored value 1."""
+    assert block.format == "csr" and block.dtype == np.int8
+    assert block.has_canonical_format
+    assert np.all(block.data == 1)
+
+
 class TestCaseCaseEdges:
     def test_three_docs_k2_is_a_triangle(self):
         store = make_store([("a", "x y"), ("b", "y z"), ("c", "z w")])
         adj = build_case_case_edges(build_index(store), store, k=2)
         expected = np.ones((3, 3)) - np.eye(3)
         np.testing.assert_array_equal(adj.toarray(), expected)
+        assert_canonical_binary(adj)  # each pair came from both its cases: counted once
 
     def test_single_doc_has_no_edges(self):
         store = make_store([("a", "x y")])
@@ -70,6 +78,7 @@ class TestCaseCaseEdges:
             k = int(rng.integers(1, 5))
             store = random_store(rng, n_docs=n, vocab_size=6)
             adj = build_case_case_edges(build_index(store), store, k=k)
+            assert_canonical_binary(adj)
             dense = adj.toarray()
             np.testing.assert_array_equal(dense, dense.T)
             assert set(np.unique(dense)) <= {0, 1}
@@ -112,6 +121,7 @@ class TestChargeChargeEdges:
         table = table_of([("c1", [1.0, 0.0]), ("c2", [1.0, 0.0])])
         adj = build_charge_charge_edges(["c1", "c2"], table, delta=0.9)
         np.testing.assert_array_equal(adj.toarray(), [[0, 1], [1, 0]])
+        assert_canonical_binary(adj)
 
     def test_orthogonal_embeddings_not_connected(self):
         table = table_of([("c1", [1.0, 0.0]), ("c2", [0.0, 1.0])])
@@ -144,6 +154,7 @@ class TestChargeChargeEdges:
     def test_empty_charge_list(self):
         adj = build_charge_charge_edges([], table_of([("x", [1.0])]), delta=0.9)
         assert adj.shape == (0, 0)
+        assert_canonical_binary(adj)
 
     def test_missing_embedding(self):
         with pytest.raises(MissingEmbeddingError, match="^no embedding for: 'c1'$"):
@@ -176,7 +187,9 @@ class TestCaseChargeEdges:
             [("d1", "a contract dispute"), ("d2", "")],
             charges=[("c1", "tax evasion"), ("c2", "§§")],  # c2 has no tokens to match
         )
-        assert build_case_charge_edges(store).nnz == 0
+        adj = build_case_charge_edges(store)
+        assert adj.nnz == 0
+        assert_canonical_binary(adj)
 
     def test_fixture_matrix(self):
         store = make_store(
@@ -191,6 +204,7 @@ class TestCaseChargeEdges:
         adj = build_case_charge_edges(store)
         expected = np.array([[1, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]])
         np.testing.assert_array_equal(adj.toarray(), expected)
+        assert_canonical_binary(adj)
 
     def test_charge_named_only_in_cjk_links(self):
         store = make_store(
@@ -247,21 +261,25 @@ class TestAssembleGcg:
         )
         expected = np.block([[a_case, a_bridge.T], [a_bridge, a_charge]])
         np.testing.assert_array_equal(graph.adjacency.toarray(), expected)
+        assert_canonical_binary(graph.adjacency)
 
     def test_no_charges(self):
         a_case = sp.csr_matrix(np.array([[0, 1], [1, 0]], dtype=np.int8))
-        graph = assemble_gcg(
-            a_case,
-            sp.csr_matrix((0, 2), dtype=np.int8),
-            sp.csr_matrix((0, 0), dtype=np.int8),
-            np.eye(2),
-            np.zeros((0, 2)),
-            ["d1", "d2"],
-            [],
-            [Role.CANDIDATE, Role.CANDIDATE],
-        )
-        assert graph.n_nodes == 2
-        np.testing.assert_array_equal(graph.adjacency.toarray(), a_case.toarray())
+        for charge_features in (np.zeros((0, 2)), np.zeros(0)):
+            graph = assemble_gcg(
+                a_case,
+                sp.csr_matrix((0, 2), dtype=np.int8),
+                sp.csr_matrix((0, 0), dtype=np.int8),
+                np.eye(2),
+                charge_features,
+                ["d1", "d2"],
+                [],
+                [Role.CANDIDATE, Role.CANDIDATE],
+            )
+            assert graph.n_nodes == 2
+            np.testing.assert_array_equal(graph.adjacency.toarray(), a_case.toarray())
+            assert_canonical_binary(graph.adjacency)
+            np.testing.assert_array_equal(graph.features, np.eye(2))
 
     @staticmethod
     def _two_cases(**changes):
@@ -330,7 +348,7 @@ class TestBuildGlobalCaseGraph:
         table = table_of([("q1", [1.0, 0.0]), ("c1", [0.0, 1.0])])
         graph = build_global_case_graph(store, table, build_index(store), k=3, delta=0.9)
         assert graph.node_ids == ("q1", "c1")
-        assert graph.adjacency.dtype == np.int8 and graph.adjacency.has_sorted_indices
+        assert_canonical_binary(graph.adjacency)
         # the one bridge is the only edge: no case-case edge, no self-loop
         np.testing.assert_array_equal(graph.adjacency.toarray(), [[0, 1], [1, 0]])
 
@@ -412,9 +430,11 @@ class TestGraphSerialization:
         assert loaded.n_charges == graph.n_charges
         assert loaded.node_ids == graph.node_ids
         assert loaded.roles == graph.roles
-        np.testing.assert_array_equal(
-            loaded.adjacency.toarray(), graph.adjacency.toarray()
-        )
+        assert_canonical_binary(graph.adjacency)
+        assert_canonical_binary(loaded.adjacency)
+        assert loaded.adjacency.shape == graph.adjacency.shape
+        np.testing.assert_array_equal(loaded.adjacency.indptr, graph.adjacency.indptr)
+        np.testing.assert_array_equal(loaded.adjacency.indices, graph.adjacency.indices)
         np.testing.assert_array_equal(
             loaded.features, graph.features.astype(np.float32).astype(np.float64)
         )

@@ -22,6 +22,7 @@ from caselink.training import (
     TrainingConfig,
     adam_step,
     check_checkpoint_provenance,
+    check_labels,
     degreg_loss,
     easy_negatives,
     hard_negative_pools,
@@ -213,6 +214,39 @@ class TestEasyNegatives:
                 idx = rng.permutation(len(pool))
                 assert easy.ids(qid, idx) == tuple(pool[i] for i in idx)
                 assert all(easy.ids(qid, np.array([i])) == (pool[i],) for i in idx)
+
+
+class TestCheckLabels:
+    # q1's positives hold "a" twice and "zz", no candidate: 2 of them are candidates
+    LABELS = {"q2": ("a",), "q1": ("a", "b", "a", "zz")}
+    CANDIDATES = ["a", "b", "c", "d"]
+
+    def test_queries_come_back_sorted(self):
+        assert check_labels(self.LABELS, self.CANDIDATES, 2) == ["q1", "q2"]
+
+    @pytest.mark.parametrize("labels, n_easy_neg, message", [
+        ({}, 0, "no labeled queries to train on"),
+        ({"q2": (), "q1": ("a",)}, 0, "query 'q2' has no labeled positive"),
+        (LABELS, 3, "not enough easy negatives for query 'q1': 2 candidates are not its "
+                    "positives, n_easy_neg is 3"),
+        ({"q2": ("a", "b"), "q1": ("a",)}, 3, "not enough easy negatives for query 'q2': 2 "
+                                              "candidates are not its positives, n_easy_neg is 3"),
+    ], ids=["no query", "no positive", "first sorted", "later query"])
+    def test_the_first_query_at_fault_is_named(self, labels, n_easy_neg, message):
+        with pytest.raises(LabelError, match=f"^{message}$"):
+            check_labels(labels, self.CANDIDATES, n_easy_neg)
+
+    def test_the_count_equals_the_pool_sample_batch_draws_from(self):
+        rng = np.random.default_rng(5)
+        candidates = [f"c{i}" for i in range(8)]
+        labels = {f"q{i}": tuple(rng.choice([*candidates, "q0", "x"], size=int(rng.integers(1, 6))))
+                  for i in range(20)}
+        pools = easy_negatives(labels, candidates)
+        for qid in labels:
+            size = pools.size(qid)
+            check_labels({qid: labels[qid]}, candidates, size)
+            with pytest.raises(LabelError, match="not enough easy negatives"):
+                check_labels({qid: labels[qid]}, candidates, size + 1)
 
 
 class TestSampleBatch:
@@ -943,6 +977,15 @@ class TestTrainLoop:
         np.testing.assert_array_equal(best.flat, stepped[0].flat)
         log = (tmp_path / "training_log.jsonl").read_text().splitlines()
         assert [json.loads(line)["epoch"] for line in log] == [0]
+
+    def test_too_few_easy_negatives_fail_before_any_checkpoint(self, tmp_path):
+        ds, graph = small_dataset()
+        cfg = TrainingConfig(epochs=1, n_easy_neg=10, hard_neg_pool_size=5, seed=0)
+        # 12 candidates, 3 of them each query's positives: 9 easy negatives a query
+        with pytest.raises(LabelError, match=f"^not enough easy negatives for query "
+                                             f"'{min(ds.labels)}': 9 candidates"):
+            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_a_run_that_diverges_in_its_first_epoch_keeps_the_initial_params(self, tmp_path):
         from caselink.gat import init_params
