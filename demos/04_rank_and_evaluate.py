@@ -38,10 +38,8 @@ def main() -> None:
     config = TrainingConfig(epochs=150, lr=0.01, dropout=0.1, tau=0.05, seed=2)
     result = train(store, graph, labels, config, bm25_index=index)
 
-    # Node representations come from a deterministic eval-mode forward pass.
-    h, _ = model_forward(
-        result.params, graph.features, graph.adjacency, train_mode=False
-    )
+    # Node representations come from a deterministic forward pass, without dropout.
+    h, _ = model_forward(result.params, graph.features, graph.adjacency)
     representations = representations_from_rows(graph.node_ids, h)
 
     trained_run = rank_all(store, index, representations)

@@ -64,7 +64,8 @@ from .embeddings import (
     round_to_stored,
     write_binary_embeddings,
 )
-from .errors import CaseLinkError, DimensionError, NumericalError, ParseError, TraceError, located
+from .errors import (CaseLinkError, DimensionError, DimMismatchError, NumericalError, ParseError,
+                     TraceError, located)
 from .gat import GatParams, load_checkpoint, model_forward
 from .graph import (
     GlobalCaseGraph,
@@ -439,7 +440,7 @@ def rank_stage(
 ) -> RetrievalRun:
     """Encode the graph, rank candidates per query, write ``run.tsv`` and ``run.json``."""
     with manifest.stage("rank") as out:
-        h, _trace = model_forward(params, gcg.features, gcg.adjacency, train_mode=False)
+        h, _trace = model_forward(params, gcg.features, gcg.adjacency)
         reps = representations_from_rows(gcg.node_ids, h)
         run = rank_all(store, index, reps, prefilter_size=opts.prefilter_size,
                        final_size=opts.final_size)
@@ -536,7 +537,11 @@ def cmd_rank(opts: RunOptions, manifest: StageManifest) -> None:
                              f"{opts.dim}", path=ckpt_path)
         manifest.add_input(ckpt_path)
     # the vectors or the graph read are checked against the checkpoint's input dim
-    index, gcg = _case_chain(store, dataclasses.replace(opts, dim=params.dims[0]), manifest)
+    try:
+        index, gcg = _case_chain(store, dataclasses.replace(opts, dim=params.dims[0]), manifest)
+    except DimMismatchError as exc:
+        raise DimMismatchError(f"{exc.message} (the input dim of the checkpoint {ckpt_path})",
+                               exc.line_number, exc.path) from None
     run = rank_stage(store, index, gcg, params, opts, manifest)
     _print_json({"queries": len(run.results)})
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .binfile import pack, pack_text, read_container
 from .corpus import iter_records, string_field
-from .errors import (DimensionError, IngestError, MissingEmbeddingError, NumericalError,
-                     ProviderError, located)
+from .errors import (DimensionError, DimMismatchError, IngestError, MissingEmbeddingError,
+                     NumericalError, ProviderError, located)
 
 _MAGIC = b"EMB1"
 
@@ -98,9 +98,9 @@ def _vector(node_id: str, value, dim: int | None, line_number: int | None = None
     """``value`` as a 1-D float64 vector of ``dim`` components (any number when
     ``dim`` is None): the shape half of the one check every vector read or
     fetched passes, made per vector; :func:`_check_finite` is the other half. A
-    value that is not a list of numbers, or has another dim, is a DimensionError
-    naming ``node_id`` and, when given, the file and line it was read from. A
-    vector with another dim and a non-finite component fails the finite half
+    value that is not a list of numbers, or has another dim (a DimMismatchError),
+    is a DimensionError naming ``node_id`` and, when given, the file and line it
+    was read from. A vector with another dim and a non-finite component fails the finite half
     first, as it would if the halves ran in one call."""
     try:
         vec = np.asarray(value, dtype=np.float64)
@@ -111,8 +111,8 @@ def _vector(node_id: str, value, dim: int | None, line_number: int | None = None
                              line_number, path)
     if dim is not None and len(vec) != dim:
         _check_finite({node_id: vec}, [line_number], path)
-        raise DimensionError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}",
-                             line_number, path)
+        raise DimMismatchError(f"vector for id {node_id!r} has dim {len(vec)}, expected {dim}",
+                               line_number, path)
     return vec
 
 
@@ -149,7 +149,7 @@ def load_embedding_file(path: str | Path, expected_dim: int | None = None) -> Em
     if head == _MAGIC:
         table = read_binary_embeddings(path)
         if expected_dim is not None and table.dim != expected_dim:
-            raise DimensionError(f"file dim {table.dim} != expected {expected_dim}", path=path)
+            raise DimMismatchError(f"file dim {table.dim} != expected {expected_dim}", path=path)
         return table
 
     vectors: dict[str, np.ndarray] = {}
@@ -248,7 +248,7 @@ class RemoteEmbeddingProvider:
     Each text is truncated to ``truncation_tokens`` before it is sent. Every
     response passes the same finite and dim checks as a file vector; the
     ``expected_dim``, or else the first response, fixes the provider
-    dimension, so a mismatch raises DimensionError. Vectors come back as the
+    dimension, so a mismatch raises DimMismatchError. Vectors come back as the
     endpoint sent them.
     """
 

@@ -14,7 +14,7 @@ class CaseLinkError(Exception):
 
     def __init__(self, message: str, line_number: int | None = None, path=None):
         super().__init__(located(message, line_number, path))
-        self.line_number, self.path = line_number, path
+        self.message, self.line_number, self.path = message, line_number, path
 
 
 class IngestError(CaseLinkError):
@@ -39,6 +39,10 @@ class EmptyCorpusError(CaseLinkError):
 
 class DimensionError(CaseLinkError):
     """Vector/matrix dimensions are inconsistent."""
+
+
+class DimMismatchError(DimensionError):
+    """A vector read or fetched has another dim than the one the run expects."""
 
 
 class MissingEmbeddingError(CaseLinkError):

@@ -9,9 +9,10 @@ transient self-loop:
     h'_i   = sum_j alpha_ij z_j
 
 ELU is applied between layers, identity after the last, so final cosine
-similarities span [-1, 1]. Dropout (training only) hits layer inputs and
-attention weights. All arithmetic is float64 so analytic gradients can be
-validated against central finite differences.
+similarities span [-1, 1]; the LeakyReLU slope is GAT's 0.2. Dropout, at the
+rate a training step passes to the forward, hits layer inputs and attention
+weights. All arithmetic is float64 so analytic gradients can be validated
+against central finite differences.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from .binfile import pack, read_container
 from .errors import DimensionError, NumericalError, TraceError
 
 _MAGIC = b"GATC"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2  # version 1 also stored a LeakyReLU slope and a dropout rate
+LEAKY_SLOPE = 0.2
 _EDGE_BLOCK = 1024  # edges per block of SelfLoopStructure.edge_dots
 
 
@@ -77,14 +79,8 @@ class GatParams:
 
     dims: list[int]
     flat: np.ndarray
-    leaky_slope: float = 0.2
-    dropout_rate: float = 0.0
 
     def __post_init__(self):
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValueError("leaky_slope must be in (0, 1)")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ValueError("dropout_rate must be in [0, 1)")
         self.dims = list(self.dims)
         self.flat = np.ascontiguousarray(self.flat, dtype=np.float64)
         layer_views(self.flat, self.dims)  # the length must fit the dims
@@ -105,7 +101,7 @@ class LayerTrace:
     alpha_used: np.ndarray  # after attention dropout
     pre_act: np.ndarray  # aggregated output before activation
     apply_elu: bool
-    in_mask: np.ndarray | None  # dropout keep masks, None in eval mode
+    in_mask: np.ndarray | None  # dropout keep masks, None at rate 0
     att_mask: np.ndarray | None
 
 
@@ -114,6 +110,7 @@ class ForwardTrace:
     layers: list[LayerTrace]
     structure: SelfLoopStructure
     output: np.ndarray
+    keep: float  # 1 - the dropout rate; the masks scale kept values by 1 / keep
 
 
 @dataclass(frozen=True)
@@ -178,12 +175,7 @@ def prepare_structure(adjacency: sp.spmatrix) -> SelfLoopStructure:
                              col=indices.astype(np.int64), n_nodes=n)
 
 
-def init_params(
-    seed: int,
-    dims: list[int] | tuple[int, ...],
-    dropout: float = 0.0,
-    slope: float = 0.2,
-) -> GatParams:
+def init_params(seed: int, dims: list[int] | tuple[int, ...]) -> GatParams:
     """Glorot-uniform initialization, deterministic per seed.
 
     W entries are drawn from +-sqrt(6 / (d_in + d_out)); the attention vector
@@ -197,7 +189,7 @@ def init_params(
         layer.W[:] = rng.uniform(-limit_w, limit_w, size=layer.W.shape)
         a = rng.uniform(-limit_a, limit_a, size=2 * layer.d_out)
         layer.a_src[:], layer.a_dst[:] = a[: layer.d_out], a[layer.d_out :]
-    return GatParams(dims=dims, flat=flat, dropout_rate=dropout, leaky_slope=slope)
+    return GatParams(dims=dims, flat=flat)
 
 
 def _elu(x: np.ndarray) -> np.ndarray:
@@ -213,21 +205,19 @@ def _layer_forward(
     layer: LayerParams,
     h_in: np.ndarray,
     structure: SelfLoopStructure,
-    slope: float,
     apply_elu: bool,
-    dropout_rate: float,
+    keep: float,
     in_mask: np.ndarray | None,
     att_mask: np.ndarray | None,
 ) -> tuple[np.ndarray, LayerTrace]:
     row, col, indptr = structure.row, structure.col, structure.indptr
-    keep = 1.0 - dropout_rate
 
     h_used = h_in if in_mask is None else h_in * in_mask / keep
     z = h_used @ layer.W
     u = z @ layer.a_src
     v = z @ layer.a_dst
     raw = u[row] + v[col]
-    e = np.where(raw > 0, raw, slope * raw)
+    e = np.where(raw > 0, raw, LEAKY_SLOPE * raw)
 
     # every row has at least its self-loop, so reduceat segments are non-empty
     row_max = np.maximum.reduceat(e, indptr[:-1])
@@ -273,14 +263,19 @@ def model_forward(
     params: GatParams,
     features: np.ndarray,
     adjacency: sp.spmatrix | SelfLoopStructure,
-    train_mode: bool = False,
+    dropout: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> tuple[np.ndarray, ForwardTrace]:
     """Apply all layers; rows 0..n-1 of the result are the case representations.
 
     ``adjacency`` is the graph's adjacency, or its ``prepare_structure`` when
-    several passes share one graph; both give the same result.
+    several passes share one graph; both give the same result. A ``dropout``
+    rate in (0, 1) draws each layer's masks from ``rng``; 0 draws nothing.
     """
+    if not 0.0 <= dropout < 1.0:
+        raise ValueError(f"dropout must be in [0, 1), not {dropout}")
+    if dropout > 0.0 and rng is None:
+        raise ValueError("dropout requires an rng")
     h = np.asarray(features, dtype=np.float64)
     if not np.all(np.isfinite(h)):
         raise NumericalError("non-finite value in input features")
@@ -291,29 +286,17 @@ def model_forward(
     if structure.n_nodes != h.shape[0]:
         raise DimensionError("adjacency size does not match feature rows")
 
-    use_dropout = train_mode and params.dropout_rate > 0.0
-    if use_dropout and rng is None:
-        raise ValueError("training with dropout requires an rng")
-
+    keep = 1.0 - dropout
     layers = params.layers
     traces: list[LayerTrace] = []
     for li, layer in enumerate(layers):
-        apply_elu = li < len(layers) - 1
         in_mask = att_mask = None
-        if use_dropout:
-            in_mask, att_mask = _draw_masks(rng, params.dropout_rate, h.shape, structure)
-        h, trace = _layer_forward(
-            layer,
-            h,
-            structure,
-            params.leaky_slope,
-            apply_elu,
-            params.dropout_rate,
-            in_mask,
-            att_mask,
-        )
+        if dropout > 0.0:
+            in_mask, att_mask = _draw_masks(rng, dropout, h.shape, structure)
+        h, trace = _layer_forward(layer, h, structure, li < len(layers) - 1, keep,
+                                  in_mask, att_mask)
         traces.append(trace)
-    return h, ForwardTrace(layers=traces, structure=structure, output=h)
+    return h, ForwardTrace(layers=traces, structure=structure, output=h, keep=keep)
 
 
 def _check_trace(layers: list[LayerParams], trace: ForwardTrace) -> None:
@@ -343,7 +326,7 @@ def backward_gradients(
         )
     structure = trace.structure
     row, col, indptr = structure.row, structure.col, structure.indptr
-    keep = 1.0 - params.dropout_rate
+    keep = trace.keep
 
     grads = np.zeros_like(params.flat)
     gh = d_out
@@ -361,7 +344,7 @@ def backward_gradients(
         # softmax backward per row segment
         s_row = np.add.reduceat(lt.alpha * d_alpha, indptr[:-1])
         de = lt.alpha * (d_alpha - s_row[row])
-        draw = de * np.where(lt.raw > 0, 1.0, params.leaky_slope)
+        draw = de * np.where(lt.raw > 0, 1.0, LEAKY_SLOPE)
 
         du = np.add.reduceat(draw, indptr[:-1])
         dv = np.bincount(col, weights=draw, minlength=structure.n_nodes)
@@ -381,24 +364,22 @@ def backward_gradients(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(params: GatParams, path: str | Path) -> None:
-    """Write the versioned binary checkpoint."""
+    """Write the versioned binary checkpoint: the dims and the flat parameters."""
     dims = params.dims
     with open(path, "wb") as fh:
         fh.write(_MAGIC + pack("II", _FORMAT_VERSION, len(dims)) + pack(f"{len(dims)}I", *dims))
-        fh.write(pack("dd", params.leaky_slope, params.dropout_rate))
         fh.write(params.flat.astype("<f8").tobytes())
 
 
 def load_checkpoint(path: str | Path) -> GatParams:
-    """Read a checkpoint. Dims that chain no layer, a slope or dropout rate out of
-    range, or a non-finite parameter raise TraceError naming the file."""
+    """Read a checkpoint. Another format version (a version-1 file must be
+    trained again), dims that chain no layer, or a non-finite parameter raise
+    TraceError naming the file."""
     with read_container(path, _MAGIC, "checkpoint file", TraceError, _FORMAT_VERSION) as r:
         (n_dims,) = r.unpack("I")
         dims = r.array("<u4", n_dims).tolist()
-        slope, dropout = r.unpack("dd")
         # read_container reraises a ValueError as a TraceError naming the file
         flat = r.array("<f8", _param_count(dims, ValueError)).astype(np.float64)
         if not np.all(np.isfinite(flat)):
             raise ValueError("a parameter is non-finite")
-        params = GatParams(dims=dims, flat=flat, leaky_slope=slope, dropout_rate=dropout)
-    return params
+    return GatParams(dims=dims, flat=flat)

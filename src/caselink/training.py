@@ -367,13 +367,14 @@ def total_loss_and_grads(
 ) -> tuple[float, float, float, np.ndarray, ForwardTrace]:
     """Combined objective: InfoNCE + lam * DegReg, backpropagated once.
 
-    ``structure`` is ``prepare_structure(graph.adjacency)`` when the caller
-    keeps one across steps. Returns (total, infonce, degreg, parameter
-    gradients, forward trace).
+    With ``train_mode`` the forward drops out at ``config.dropout``, drawing
+    its masks from ``rng``; without it nothing is dropped. ``structure`` is
+    ``prepare_structure(graph.adjacency)`` when the caller keeps one across
+    steps. Returns (total, infonce, degreg, parameter gradients, forward trace).
     """
     h, trace = model_forward(
         params, graph.features, graph.adjacency if structure is None else structure,
-        train_mode=train_mode, rng=rng,
+        dropout=config.dropout if train_mode else 0.0, rng=rng,
     )
     nce, dh = infonce_loss(h, batch, config.tau, graph.node_rows)
     if config.lam > 0.0:
@@ -431,23 +432,21 @@ def check_labels(
     labels: dict[str, tuple[str, ...]],
     candidate_ids: list[str] | tuple[str, ...],
     n_easy_neg: int,
-) -> list[str]:
-    """The labeled queries, sorted. No query, or a query without a positive or
-    with fewer than ``n_easy_neg`` easy negatives (the candidates of
-    ``candidate_ids`` that are not its positives), is a LabelError naming the
-    first such query; the check is O(candidates + labels)."""
-    queries = sorted(labels)
-    if not queries:
+) -> EasyNegatives:
+    """The easy-negative pools of the labeled queries (:func:`easy_negatives`).
+    No query, or a query without a positive or with fewer than ``n_easy_neg``
+    easy negatives, is a LabelError naming the first such query in sorted
+    order; the check is O(candidates + labels)."""
+    if not labels:
         raise LabelError("no labeled queries to train on")
-    candidates = set(candidate_ids)
-    for qid in queries:
+    pools = easy_negatives(labels, candidate_ids)
+    for qid in sorted(labels):
         if not labels[qid]:
             raise LabelError(f"query {qid!r} has no labeled positive")
-        n_easy = len(candidate_ids) - len(candidates.intersection(labels[qid]))
-        if n_easy < n_easy_neg:
+        if (n_easy := pools.size(qid)) < n_easy_neg:
             raise LabelError(f"not enough easy negatives for query {qid!r}: {n_easy} candidates "
                              f"are not its positives, n_easy_neg is {n_easy_neg}")
-    return queries
+    return pools
 
 
 def _checkpoints(ckpt_dir: Path, names, params: GatParams, sidecar: dict | None) -> dict:
@@ -504,8 +503,8 @@ def train(
     ``training_log.jsonl`` every finished epoch, and ``checkpoint_last.gatc``
     the initial params if no epoch finished.
     """
-    candidate_ids = [c.id for c in store.candidates()]
-    queries = check_labels(labels, candidate_ids, config.n_easy_neg)
+    easy_pools = check_labels(labels, [c.id for c in store.candidates()], config.n_easy_neg)
+    queries = sorted(labels)
     hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
     if config.n_hard_neg and (empty := [qid for qid in queries if not hard_pools[qid]]):
         logger.warning(
@@ -514,12 +513,11 @@ def train(
             len(empty), len(queries), ", ".join(empty[:_LISTED_QUERIES])
             + (", ..." if len(empty) > _LISTED_QUERIES else ""),
         )
-    easy_pools = easy_negatives(labels, candidate_ids)
     structure = prepare_structure(graph.adjacency)
 
     rng = np.random.default_rng(config.seed)
     dims = [graph.dim] + [config.hidden_dim or graph.dim] * config.layers
-    params = init_params(config.seed, dims, dropout=config.dropout)
+    params = init_params(config.seed, dims)
 
     ckpt_dir = Path(checkpoint_dir) if checkpoint_dir is not None else None
     sidecar = {"config": asdict(config), "dims": dims,

@@ -65,10 +65,10 @@ def gcg1_file(path):
 
 def gatc_file(path):
     # dims [1, 2]: W = [[1, 2]], a_src = [3, 4], a_dst = [5, 6]
-    params = GatParams(dims=[1, 2], flat=np.arange(1.0, 7.0), leaky_slope=0.2, dropout_rate=0.1)
+    params = GatParams(dims=[1, 2], flat=np.arange(1.0, 7.0))
     save_checkpoint(params, path)
-    return (b"GATC" + struct.pack("<II", 1, 2) + struct.pack("<2I", 1, 2)
-            + struct.pack("<dd", 0.2, 0.1) + struct.pack("<6d", 1, 2, 3, 4, 5, 6))
+    return (b"GATC" + struct.pack("<II", 2, 2) + struct.pack("<2I", 1, 2)
+            + struct.pack("<6d", 1, 2, 3, 4, 5, 6))
 
 
 @pytest.mark.parametrize("write", [bm25_file, emb1_file, gcg1_file, gatc_file],

@@ -775,7 +775,7 @@ class TestAFailedCheckWritesNothing:
         cfg = ["--config", str(config_path)]
         assert main(["train", *cfg, "--out", str(tmp_path / "t"), "--epochs", "1"]) == 0
         ckpt = tmp_path / "t" / "checkpoints" / "checkpoint.gatc"
-        ckpt.write_bytes(ckpt.read_bytes()[:40])
+        ckpt.write_bytes(ckpt.read_bytes()[:24])  # the header of dims [8, 8, 8], no payload
         given = ["--graph", str(tmp_path / "t" / "graph.gcg1")] if given_graph else []
         out = tmp_path / "out"
         capsys.readouterr()
@@ -814,7 +814,23 @@ class TestAFailedCheckWritesNothing:
         assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
                      "--out", str(out)]) == 2
         assert capsys.readouterr().err == (
-            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5\n")
+            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5 "
+            f"(the input dim of the checkpoint {ckpt})\n")
+        assert written(out) == []
+
+    def test_a_version_1_checkpoint(self, dataset, capsys):
+        from caselink.gat import init_params
+
+        tmp_path, config_path = dataset
+        ckpt = tmp_path / "v1.gatc"  # version 1 stored a slope and a dropout rate after the dims
+        ckpt.write_bytes(b"GATC" + struct.pack("<II2Idd", 1, 2, 8, 8, 0.2, 0.1)
+                         + init_params(0, [8, 8]).flat.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {ckpt}: unsupported checkpoint file version 1\n")
         assert written(out) == []
 
     def test_a_dim_other_than_the_checkpoints(self, dataset, capsys):
@@ -1571,6 +1587,24 @@ class TestEndpoint:
         assert not (out / "embeddings.emb1").exists()
         assert main(["embed", "--config", str(cfg_path), "--dim", "8", "--out", str(out)]) == 0
 
+    def test_rank_with_a_checkpoint_of_another_input_dim_names_it(
+            self, dataset, monkeypatch, capsys):
+        from caselink.gat import init_params, save_checkpoint
+
+        tmp_path, config_path = dataset
+        cfg_path, served = self.endpoint_config(tmp_path, config_path, threads=1)
+        self.serve(monkeypatch, served)
+        ckpt = tmp_path / "other.gatc"
+        save_checkpoint(init_params(0, [5, 8]), ckpt)  # the served vectors have dim 8
+        out = tmp_path / "r"
+        capsys.readouterr()
+        assert main(["rank", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: vector for id '") and err.endswith(
+            f"' has dim 8, expected 5 (the input dim of the checkpoint {ckpt})\n"), err
+        assert written(out) == []
+
     def test_response_without_a_vector_is_data_error_naming_the_endpoint(
             self, dataset, monkeypatch, capsys):
         import caselink.embeddings
@@ -1789,7 +1823,8 @@ class TestDamagedInputs:
         assert main(["rank", "--config", str(config_path), "--checkpoint", str(ckpt),
                      "--out", str(tmp_path / "r")]) == 2
         assert capsys.readouterr().err == (
-            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5\n")
+            f"data error: line 1: {vectors}: vector for id 'q000' has dim 8, expected 5 "
+            f"(the input dim of the checkpoint {ckpt})\n")
         assert not (tmp_path / "r" / "run.tsv").exists()
 
     @staticmethod

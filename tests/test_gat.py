@@ -10,6 +10,7 @@ from caselink.errors import DimensionError, NumericalError, TraceError
 from caselink.gat import (
     _EDGE_BLOCK,
     _draw_masks,
+    LEAKY_SLOPE,
     GatParams,
     backward_gradients,
     init_params,
@@ -34,7 +35,7 @@ def naive_gat_forward(params: GatParams, features: np.ndarray, dense_adj: np.nda
         for i in range(n):
             nbrs = [j for j in range(n) if with_loops[i, j] != 0]
             raw = np.array([z[i] @ layer.a_src + z[j] @ layer.a_dst for j in nbrs])
-            e = np.where(raw > 0, raw, params.leaky_slope * raw)
+            e = np.where(raw > 0, raw, LEAKY_SLOPE * raw)
             w = np.exp(e - e.max())
             alpha = w / w.sum()
             for a, j in zip(alpha, nbrs):
@@ -59,12 +60,13 @@ def hub_adj(n: int, seed: int) -> sp.csr_matrix:
     return sp.csr_matrix((upper | upper.T).astype(np.int8))
 
 
-def scatter_reference_backward(params: GatParams, trace, d_out: np.ndarray):
-    """The backward pass with both sums over ``col`` written as unbuffered
-    ``np.add.at`` scatters, which add in ascending edge order."""
+def scatter_reference_backward(params: GatParams, trace, d_out: np.ndarray, dropout: float):
+    """The backward pass of a forward at rate ``dropout``, with both sums over
+    ``col`` written as unbuffered ``np.add.at`` scatters, which add in
+    ascending edge order."""
     structure = trace.structure
     row, col, indptr = structure.row, structure.col, structure.indptr
-    keep = 1.0 - params.dropout_rate
+    keep = 1.0 - dropout
     grads = np.zeros_like(params.flat)
     gh = d_out
     for layer, lt, g in zip(reversed(params.layers), reversed(trace.layers),
@@ -76,7 +78,7 @@ def scatter_reference_backward(params: GatParams, trace, d_out: np.ndarray):
         np.add.at(dz, col, lt.alpha_used[:, None] * d_pre[row])
         d_alpha = d_alpha_used if lt.att_mask is None else d_alpha_used * lt.att_mask / keep
         s_row = np.add.reduceat(lt.alpha * d_alpha, indptr[:-1])
-        draw = lt.alpha * (d_alpha - s_row[row]) * np.where(lt.raw > 0, 1.0, params.leaky_slope)
+        draw = lt.alpha * (d_alpha - s_row[row]) * np.where(lt.raw > 0, 1.0, LEAKY_SLOPE)
         du = np.add.reduceat(draw, indptr[:-1])
         dv = np.zeros(structure.n_nodes)
         np.add.at(dv, col, draw)
@@ -183,13 +185,13 @@ class TestForward:
     @pytest.mark.parametrize("dropout", [0.0, 0.3])
     def test_prepared_structure_gives_the_adjacency_forward_bit_for_bit(self, dropout):
         adj = hub_adj(14, seed=1)
-        params = init_params(3, [5, 4, 4], dropout=dropout)
+        params = init_params(3, [5, 4, 4])
         h = np.random.default_rng(4).standard_normal((14, 5))
         structure = prepare_structure(adj)
         for _ in range(2):  # the same structure serves again
-            a, trace_a = model_forward(params, h, adj, train_mode=True,
+            a, trace_a = model_forward(params, h, adj, dropout=dropout,
                                        rng=np.random.default_rng(5))
-            b, trace_b = model_forward(params, h, structure, train_mode=True,
+            b, trace_b = model_forward(params, h, structure, dropout=dropout,
                                        rng=np.random.default_rng(5))
             assert trace_b.structure is structure
             assert np.array_equal(a, b)
@@ -200,9 +202,9 @@ class TestForward:
     def test_pre_act_equals_a_per_edge_loop_bit_for_bit(self, dropout):
         # node 0's row of A + I holds 40 edges, enough for a pairwise sum to
         # round differently from the sequential one
-        params = init_params(1, [6, 5, 4], dropout=dropout)
+        params = init_params(1, [6, 5, 4])
         h = np.random.default_rng(7).standard_normal((40, 6))
-        _, trace = model_forward(params, h, hub_adj(40, seed=3), train_mode=True,
+        _, trace = model_forward(params, h, hub_adj(40, seed=3), dropout=dropout,
                                  rng=np.random.default_rng(8))
         row, col = trace.structure.row, trace.structure.col
         for lt in trace.layers:
@@ -239,30 +241,30 @@ class TestForward:
 
     def test_zero_dropout_train_equals_eval(self):
         graph = random_gcg(seed=4)
-        params = init_params(0, [graph.dim, graph.dim], dropout=0.0)
+        params = init_params(0, [graph.dim, graph.dim])
         eval_out, _ = model_forward(params, graph.features, graph.adjacency)
         train_out, _ = model_forward(
             params,
             graph.features,
             graph.adjacency,
-            train_mode=True,
+            dropout=0.0,
             rng=np.random.default_rng(0),
         )
         np.testing.assert_array_equal(train_out, eval_out)
 
     def test_dropout_draws_depend_on_rng(self):
         graph = random_gcg(seed=5)
-        params = init_params(0, [graph.dim, graph.dim], dropout=0.4)
+        params = init_params(0, [graph.dim, graph.dim])
         a, _ = model_forward(
-            params, graph.features, graph.adjacency, train_mode=True,
+            params, graph.features, graph.adjacency, dropout=0.4,
             rng=np.random.default_rng(1),
         )
         b, _ = model_forward(
-            params, graph.features, graph.adjacency, train_mode=True,
+            params, graph.features, graph.adjacency, dropout=0.4,
             rng=np.random.default_rng(1),
         )
         c, _ = model_forward(
-            params, graph.features, graph.adjacency, train_mode=True,
+            params, graph.features, graph.adjacency, dropout=0.4,
             rng=np.random.default_rng(2),
         )
         np.testing.assert_array_equal(a, b)
@@ -270,11 +272,11 @@ class TestForward:
 
     def test_dropout_never_zeroes_an_output_row(self):
         graph = random_gcg(seed=6)
-        params = init_params(0, [graph.dim, graph.dim], dropout=0.9)
+        params = init_params(0, [graph.dim, graph.dim])
         rng = np.random.default_rng(7)
         for _ in range(25):
             out, _ = model_forward(
-                params, graph.features, graph.adjacency, train_mode=True, rng=rng
+                params, graph.features, graph.adjacency, dropout=0.9, rng=rng
             )
             assert np.all(np.linalg.norm(out, axis=1) > 0.0)
 
@@ -305,9 +307,25 @@ class TestForward:
 
     def test_dropout_requires_rng(self):
         graph = random_gcg(seed=5)
-        params = init_params(0, [graph.dim, graph.dim], dropout=0.2)
-        with pytest.raises(ValueError):
-            model_forward(params, graph.features, graph.adjacency, train_mode=True)
+        params = init_params(0, [graph.dim, graph.dim])
+        with pytest.raises(ValueError, match="^dropout requires an rng$"):
+            model_forward(params, graph.features, graph.adjacency, dropout=0.2)
+
+    @pytest.mark.parametrize("dropout", [-0.1, 1.0, np.nan])
+    def test_a_dropout_outside_0_to_1_rejected(self, dropout):
+        graph = random_gcg(seed=5)
+        params = init_params(0, [graph.dim, graph.dim])
+        with pytest.raises(ValueError, match=r"^dropout must be in \[0, 1\)"):
+            model_forward(params, graph.features, graph.adjacency, dropout=dropout,
+                          rng=np.random.default_rng(0))
+
+    def test_zero_dropout_draws_nothing_from_the_rng(self):
+        graph = random_gcg(seed=5)
+        rng = np.random.default_rng(3)
+        before = rng.bit_generator.state
+        model_forward(init_params(0, [graph.dim, graph.dim, graph.dim]), graph.features,
+                      graph.adjacency, dropout=0.0, rng=rng)
+        assert rng.bit_generator.state == before
 
     def test_non_finite_features_rejected(self):
         params = init_params(0, [2, 2])
@@ -374,14 +392,14 @@ class TestBackward:
     def test_sums_over_col_equal_the_add_at_scatter_bit_for_bit(self, dropout):
         n = 16
         adj = hub_adj(n, seed=7)
-        params = init_params(8, [6, 5, 5], dropout=dropout)
+        params = init_params(8, [6, 5, 5])
         rng = np.random.default_rng(9)
         h = rng.standard_normal((n, 6))
-        _, trace = model_forward(params, h, adj, train_mode=True, rng=rng)
+        _, trace = model_forward(params, h, adj, dropout=dropout, rng=rng)
         assert np.bincount(trace.structure.col).max() >= 9
         d_out = rng.standard_normal((n, 5))
         grads, d_h = backward_gradients(params, trace, d_out)
-        ref_grads, ref_d_h = scatter_reference_backward(params, trace, d_out)
+        ref_grads, ref_d_h = scatter_reference_backward(params, trace, d_out, dropout)
         assert np.array_equal(grads, ref_grads)
         assert np.array_equal(d_h, ref_d_h)
 
@@ -426,21 +444,18 @@ class TestBackward:
 
 class TestCheckpoint:
     def test_roundtrip_bitwise(self, tmp_path):
-        params = init_params(21, [6, 5, 4], dropout=0.25, slope=0.2)
+        params = init_params(21, [6, 5, 4])
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
         loaded = load_checkpoint(path)
         assert loaded.dims == params.dims
-        assert loaded.dropout_rate == params.dropout_rate
-        assert loaded.leaky_slope == params.leaky_slope
         np.testing.assert_array_equal(loaded.flat, params.flat)
 
     def test_bytes_are_the_header_plus_the_flat_vector(self, tmp_path):
-        params = init_params(21, [6, 5, 4], dropout=0.25)
+        params = init_params(21, [6, 5, 4])
         path = tmp_path / "model.ckpt"
         save_checkpoint(params, path)
-        header = (b"GATC" + struct.pack("<II", 1, 3) + struct.pack("<3I", 6, 5, 4)
-                  + struct.pack("<dd", 0.2, 0.25))
+        header = b"GATC" + struct.pack("<II", 2, 3) + struct.pack("<3I", 6, 5, 4)
         assert path.read_bytes() == header + params.flat.astype("<f8").tobytes()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
@@ -452,21 +467,28 @@ class TestCheckpoint:
         with pytest.raises(TraceError, match="non-finite"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("dims, slope, dropout, value", [
-        ([5], 0.2, 0.0, 1.0),
-        ([5, 0], 0.2, 0.0, 1.0),
-        ([3, 2], 1.5, 0.0, 1.0),
-        ([3, 2], 0.2, np.nan, 1.0),
-        ([3, 2], 0.2, 0.0, np.nan),
-    ], ids=["one dim", "a zero dim", "slope 1.5", "nan dropout", "nan parameter"])
-    def test_a_damaged_checkpoint_is_a_trace_error_naming_the_file(self, tmp_path, dims,
-                                                                    slope, dropout, value):
+    @pytest.mark.parametrize("dims, value", [
+        ([5], 1.0),
+        ([5, 0], 1.0),
+        ([3, 2], np.nan),
+    ], ids=["one dim", "a zero dim", "nan parameter"])
+    def test_a_damaged_checkpoint_is_a_trace_error_naming_the_file(self, tmp_path, dims, value):
         path = tmp_path / "model.ckpt"
-        header = struct.pack(f"<II{len(dims)}Idd", 1, len(dims), *dims, slope, dropout)
+        header = struct.pack(f"<II{len(dims)}I", 2, len(dims), *dims)
         path.write_bytes(b"GATC" + header + np.full(10, value).astype("<f8").tobytes())
         with pytest.raises(TraceError) as info:
             load_checkpoint(path)
         assert info.value.path == path and str(info.value).startswith(f"{path}: ")
+
+    def test_a_version_1_checkpoint_is_a_trace_error_naming_the_file(self, tmp_path):
+        # version 1 stored a LeakyReLU slope and a dropout rate after the dims
+        path = tmp_path / "model.ckpt"
+        header = struct.pack("<II2Idd", 1, 2, 3, 2, 0.2, 0.1)
+        path.write_bytes(b"GATC" + header + init_params(0, [3, 2]).flat.astype("<f8").tobytes())
+        with pytest.raises(TraceError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == f"{path}: unsupported checkpoint file version 1"
+        assert info.value.path == path
 
     def test_magic(self, tmp_path):
         params = init_params(0, [3, 3])

@@ -56,3 +56,30 @@ def test_every_caselink_name_perfbench_reads_exists():
     missing = sorted(f"{file}: {module}.{name}" for file, module, name in names
                      if not resolves(module, name))
     assert not missing
+
+
+def test_the_quality_ladder_runs_on_a_pipeline_output(tmp_path, monkeypatch):
+    """The benchmark's only call of ``init_params`` and ``model_forward``."""
+    import importlib.util
+    import json
+    import math
+
+    from caselink.cli import main
+    from caselink.corpus import ingest_corpus
+
+    spec = importlib.util.spec_from_file_location("perfbench_checks",
+                                                  ROOT / "perfbench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, checks)  # its dataclasses look it up
+    spec.loader.exec_module(checks)
+    assert main(["synth", "--out", str(tmp_path / "data"), "--n-clusters", "2",
+                 "--candidates-per-cluster", "6", "--queries-per-cluster", "2",
+                 "--relevant-per-query", "3", "--dim", "8", "--seed", "2"]) == 0
+    config = tmp_path / "data" / "config.json"
+    out = tmp_path / "out"
+    assert main(["pipeline", "--config", str(config), "--out", str(out), "--epochs", "1"]) == 0
+    cfg = json.loads(config.read_text("utf-8"))
+    ladder = checks.quality_ladder(ingest_corpus(cfg["corpus"], cfg["labels"]), out,
+                                   prefilter_size=10, final_size=5, seed=2)
+    assert sorted(ladder) == ["f1_bm25", "f1_raw_emb", "f1_untrained", "recall_ceiling"]
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for v in ladder.values()), ladder

@@ -221,8 +221,10 @@ class TestCheckLabels:
     LABELS = {"q2": ("a",), "q1": ("a", "b", "a", "zz")}
     CANDIDATES = ["a", "b", "c", "d"]
 
-    def test_queries_come_back_sorted(self):
-        assert check_labels(self.LABELS, self.CANDIDATES, 2) == ["q1", "q2"]
+    def test_the_pools_cover_every_labelled_query(self):
+        pools = check_labels(self.LABELS, self.CANDIDATES, 2)
+        assert sorted(pools.skips) == ["q1", "q2"]
+        assert (pools.size("q1"), pools.size("q2")) == (2, 3)
 
     @pytest.mark.parametrize("labels, n_easy_neg, message", [
         ({}, 0, "no labeled queries to train on"),
@@ -235,18 +237,6 @@ class TestCheckLabels:
     def test_the_first_query_at_fault_is_named(self, labels, n_easy_neg, message):
         with pytest.raises(LabelError, match=f"^{message}$"):
             check_labels(labels, self.CANDIDATES, n_easy_neg)
-
-    def test_the_count_equals_the_pool_sample_batch_draws_from(self):
-        rng = np.random.default_rng(5)
-        candidates = [f"c{i}" for i in range(8)]
-        labels = {f"q{i}": tuple(rng.choice([*candidates, "q0", "x"], size=int(rng.integers(1, 6))))
-                  for i in range(20)}
-        pools = easy_negatives(labels, candidates)
-        for qid in labels:
-            size = pools.size(qid)
-            check_labels({qid: labels[qid]}, candidates, size)
-            with pytest.raises(LabelError, match="not enough easy negatives"):
-                check_labels({qid: labels[qid]}, candidates, size + 1)
 
 
 class TestSampleBatch:
@@ -742,11 +732,29 @@ class TestTotalLoss:
         assert reg == 0.0
         assert total == nce
 
+    def test_train_mode_drops_out_at_the_config_rate(self):
+        from caselink.gat import init_params, model_forward
+
+        graph = random_gcg()
+        params = init_params(7, [graph.dim, graph.dim, graph.dim])
+        batch = toy_batch()
+        totals = {}
+        for rate in (0.0, 0.5):
+            cfg = TrainingConfig(lam=1e-3, tau=0.1, dropout=rate)
+            totals[rate], *_ = total_loss_and_grads(params, graph, batch, cfg, train_mode=True,
+                                                    rng=np.random.default_rng(3))
+        assert totals[0.0] != totals[0.5]
+        h, _ = model_forward(params, graph.features, graph.adjacency, dropout=0.5,
+                             rng=np.random.default_rng(3))
+        nce, _ = infonce_loss(h, batch, 0.1, graph.node_rows)
+        reg, _ = degreg_loss(h, graph.n_cases, graph.candidate_rows)
+        assert totals[0.5] == nce + 1e-3 * reg
+
 
 class TestAdamStep:
     def _scalar_setup(self, w0=0.0, grad=1.0):
         # dims [1, 1]: the flat vector is W[0, 0], a_src[0], a_dst[0]
-        params = GatParams(dims=[1, 1], flat=np.array([w0, 0.0, 0.0]), dropout_rate=0.0)
+        params = GatParams(dims=[1, 1], flat=np.array([w0, 0.0, 0.0]))
         grads = np.array([grad, 0.0, 0.0])
         return params, grads, AdamState.zeros_like(params)
 
@@ -994,7 +1002,7 @@ class TestTrainLoop:
         cfg = TrainingConfig(epochs=3, batch_size=2, lr=1e300, hard_neg_pool_size=5, seed=0)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="at epoch 0"):
             train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
-        init = init_params(cfg.seed, [graph.dim] * (cfg.layers + 1), dropout=cfg.dropout)
+        init = init_params(cfg.seed, [graph.dim] * (cfg.layers + 1))
         for name in ("checkpoint.gatc", "checkpoint_last.gatc"):
             np.testing.assert_array_equal(load_checkpoint(tmp_path / name).flat, init.flat)
         assert sorted(CHECKPOINT_FILES) == sorted(p.name for p in tmp_path.iterdir())
@@ -1046,7 +1054,7 @@ class TestTrainLoop:
         cfg = TrainingConfig(epochs=0, seed=5)
         result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
         dims = [graph.dim] + [graph.dim] * cfg.layers
-        init = init_params(cfg.seed, dims, dropout=cfg.dropout)
+        init = init_params(cfg.seed, dims)
         np.testing.assert_array_equal(result.params.flat, init.flat)
 
     def test_no_labels_rejected(self):
