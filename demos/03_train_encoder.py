@@ -56,7 +56,7 @@ def main() -> None:
         seed=0,
     )
     with tempfile.TemporaryDirectory(prefix="caselink-demo03-") as ckpt_dir:
-        result = train(store, graph, labels, config, checkpoint_dir=ckpt_dir, bm25_index=index)
+        result = train(store, graph, config, checkpoint_dir=ckpt_dir, bm25_index=index)
         written = sorted(p.name for p in Path(ckpt_dir).iterdir())
 
     print("epoch  total-loss  contrastive  degree-reg")

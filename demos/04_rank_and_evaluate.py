@@ -36,7 +36,7 @@ def main() -> None:
 
     print("training the encoder (150 epochs, ~2 s)...")
     config = TrainingConfig(epochs=150, lr=0.01, dropout=0.1, tau=0.05, seed=2)
-    result = train(store, graph, labels, config, bm25_index=index)
+    result = train(store, graph, config, bm25_index=index)
 
     # Node representations come from a deterministic forward pass, without dropout.
     h, _ = model_forward(result.params, graph.features, graph.adjacency)

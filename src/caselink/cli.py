@@ -335,7 +335,7 @@ def _load_store(opts: RunOptions, manifest: StageManifest,
     with manifest.stage("ingest"):
         store = ingest_corpus(corpus, opts.labels)
         if training is not None:
-            check_labels(store.labels, [c.id for c in store.candidates()], training.n_easy_neg)
+            check_labels(store, training.n_easy_neg)
         manifest.add_input(corpus, opts.labels)
         if lexicon:
             store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
@@ -430,7 +430,7 @@ def train_stage(
         for name in CHECKPOINT_FILES:
             manifest.add_output(ckpt_dir / name)
         manifest.write()  # train() finalizes each checkpoint as it goes
-        result = train(store, gcg, store.labels, training, index, checkpoint_dir=ckpt_dir)
+        result = train(store, gcg, training, index, checkpoint_dir=ckpt_dir)
     return result
 
 

@@ -96,7 +96,8 @@ class ChargeEntry:
 @dataclass(frozen=True)
 class CorpusStore:
     """Immutable corpus. ``node_ids``, the cases and then the charges, is the
-    canonical node order; an id in it twice is an IngestError naming it."""
+    canonical node order; an id in it twice is an IngestError naming it. A
+    ``labels`` key that is no query, or positive no candidate, is a LabelResolutionError."""
 
     cases: tuple[CaseDocument, ...]
     charges: tuple[ChargeEntry, ...] = ()
@@ -110,6 +111,17 @@ class CorpusStore:
             raise IngestError(f"duplicate node id {repeated[0]!r}: no two cases or charges "
                               "may share an id")
         object.__setattr__(self, "node_ids", ids)
+        roles = {c.id: c.role for c in self.cases}
+        for qid, positives in self.labels.items():
+            if roles.get(qid) is not Role.QUERY:
+                raise LabelResolutionError(f"label query id {qid!r} " + (
+                    "not in corpus" if qid not in roles
+                    else f"is a case with role {roles[qid].value!r}, not a query"))
+            for rid in positives:
+                if roles.get(rid) is not Role.CANDIDATE:
+                    raise LabelResolutionError(f"label for query {qid!r} references " + (
+                        f"unknown id {rid!r}" if rid not in roles
+                        else f"{rid!r}, a case with role {roles[rid].value!r}, not a candidate"))
 
     @property
     def n_cases(self) -> int:
@@ -241,13 +253,24 @@ def iter_lines(path: str | Path) -> Iterator[tuple[int, str]]:
             yield i, line
 
 
+def _unique_keys(pairs: list[tuple[str, object]], path) -> dict:
+    """The JSON object of ``pairs``; a key in it twice is a ParseError naming ``path``."""
+    if len(value := dict(pairs)) < len(pairs):
+        repeated = next(key for key, n in Counter(key for key, _ in pairs).items() if n > 1)
+        raise ParseError(f"repeated key {repeated!r}", path=path)
+    return value
+
+
 def decode_object(text: str, path, line_number: int | None = None,
                   required: tuple[str, ...] = (), error: type[Exception] = ParseError) -> dict:
     """``text``, a whole file or its line ``line_number``, as a JSON object holding
     every ``required`` key. Text that is not JSON, or lacks a key, is a ParseError
-    and JSON that is not an object raises ``error``, each naming the file and line."""
+    and JSON that is not an object raises ``error``, each naming the file and line.
+    A key twice in an object of a whole file is a ParseError (a JSONL line skips the
+    check, which would double its decode time)."""
     try:
-        value = json.loads(text)
+        value = json.loads(text, object_pairs_hook=None if line_number is not None
+                           else lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg} at column {exc.colno}",
                          line_number or exc.lineno, path) from None
@@ -369,24 +392,15 @@ def ingest_corpus(
                 role = Role(str(explicit).lower())
             except ValueError:
                 raise ParseError(f"unknown role {explicit!r}", line_no, where) from None
-        elif cid in labels:
-            role = Role.QUERY
         else:
-            role = Role.CANDIDATE
+            role = Role.QUERY if cid in labels else Role.CANDIDATE
 
         cases.append(CaseDocument.from_text(cid, text, role))
 
-    known = {c.id for c in cases}
-    for qid, rel in labels.items():
-        if qid not in known:
-            raise LabelResolutionError(f"label query id {qid!r} not in corpus", path=labels_path)
-        for rid in rel:
-            if rid not in known:
-                raise LabelResolutionError(
-                    f"label for query {qid!r} references unknown id {rid!r}", path=labels_path
-                )
-
-    return CorpusStore(cases=tuple(cases), labels=labels)
+    try:
+        return CorpusStore(cases=tuple(cases), labels=labels)
+    except LabelResolutionError as exc:
+        raise LabelResolutionError(exc.message, path=labels_path) from None
 
 
 def normalize_charge_name(name: str) -> str:

@@ -5,6 +5,7 @@ dense re-ranking), a lexical-only baseline, and micro-averaged evaluation.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -283,19 +284,24 @@ def write_report_json(report: EvalReport, path: str | Path) -> None:
 
 def read_run_tsv(path: str | Path) -> dict[str, tuple[str, ...]]:
     """Parse a TSV run file back into query -> retrieved ids (rank order). A line
-    that is not 4 tab-separated fields with an integer rank, or that repeats a
-    query's candidate or rank, is a ParseError naming the file and the line."""
+    that is not 4 tab-separated fields with an integer rank and a finite score, or
+    that repeats a query's candidate or rank, is a ParseError naming the file and line."""
     per_query: dict[str, dict[int, str]] = {}
     pairs: set[tuple[str, str]] = set()
     for line_no, line in iter_lines(path):
         parts = line.split("\t")
         if len(parts) != 4:
             raise ParseError("expected 4 tab-separated fields", line_no, path)
-        qid, cid, rank, _score = parts
+        qid, cid, rank, score = parts
         try:
             rank = int(rank)
         except ValueError:
             raise ParseError(f"rank {rank!r} is not an integer", line_no, path) from None
+        try:
+            if not math.isfinite(float(score)):
+                raise ValueError(score)
+        except ValueError:
+            raise ParseError(f"score {score!r} is not a finite number", line_no, path) from None
         ranked = per_query.setdefault(qid, {})
         if rank in ranked:
             raise ParseError(f"query {qid!r} repeats rank {rank}", line_no, path)

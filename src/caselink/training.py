@@ -132,14 +132,12 @@ class AdamState:
         return AdamState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def hard_negative_pools(
-    store: CorpusStore,
-    index: Bm25Index,
-    labels: dict[str, tuple[str, ...]],
-    pool_size: int,
-) -> dict[str, tuple[str, ...]]:
-    """Per query: candidates in the BM25 top ``pool_size``, positives excluded."""
+def hard_negative_pools(store: CorpusStore, index: Bm25Index,
+                        pool_size: int) -> dict[str, tuple[str, ...]]:
+    """Per query of ``store.labels``: candidates in the BM25 top ``pool_size``,
+    positives excluded."""
     check_case_order(index, store)
+    labels = store.labels
     cand_rows = np.array(
         [i for i, c in enumerate(store.cases) if c.role is Role.CANDIDATE], dtype=np.int64
     )
@@ -428,18 +426,15 @@ class TrainResult:
     best_epoch: int
 
 
-def check_labels(
-    labels: dict[str, tuple[str, ...]],
-    candidate_ids: list[str] | tuple[str, ...],
-    n_easy_neg: int,
-) -> EasyNegatives:
-    """The easy-negative pools of the labeled queries (:func:`easy_negatives`).
+def check_labels(store: CorpusStore, n_easy_neg: int) -> EasyNegatives:
+    """The easy-negative pools of the queries of ``store.labels`` (:func:`easy_negatives`).
     No query, or a query without a positive or with fewer than ``n_easy_neg``
     easy negatives, is a LabelError naming the first such query in sorted
     order; the check is O(candidates + labels)."""
+    labels = store.labels
     if not labels:
         raise LabelError("no labeled queries to train on")
-    pools = easy_negatives(labels, candidate_ids)
+    pools = easy_negatives(labels, [c.id for c in store.candidates()])
     for qid in sorted(labels):
         if not labels[qid]:
             raise LabelError(f"query {qid!r} has no labeled positive")
@@ -479,17 +474,11 @@ def check_checkpoint_provenance(checkpoint: str | Path, want: Provenance) -> Non
             f"{need!r}: train again for this corpus and these settings", path=sidecar)
 
 
-def train(
-    store: CorpusStore,
-    graph: GlobalCaseGraph,
-    labels: dict[str, tuple[str, ...]],
-    config: TrainingConfig,
-    bm25_index: Bm25Index,
-    checkpoint_dir: str | Path | None = None,
-) -> TrainResult:
+def train(store: CorpusStore, graph: GlobalCaseGraph, config: TrainingConfig,
+          bm25_index: Bm25Index, checkpoint_dir: str | Path | None = None) -> TrainResult:
     """Optimize encoder parameters on one training graph.
 
-    Each epoch shuffles the labeled queries, partitions them into batches,
+    Each epoch shuffles the queries of ``store.labels``, partitions them into batches,
     and runs a full-graph forward per batch with the loss restricted to the
     batch entries; the best-epoch params are returned. The edge structure and
     the hard-negative pools, ranked by ``bm25_index`` (the index the graph was
@@ -503,9 +492,9 @@ def train(
     ``training_log.jsonl`` every finished epoch, and ``checkpoint_last.gatc``
     the initial params if no epoch finished.
     """
-    easy_pools = check_labels(labels, [c.id for c in store.candidates()], config.n_easy_neg)
-    queries = sorted(labels)
-    hard_pools = hard_negative_pools(store, bm25_index, labels, config.hard_neg_pool_size)
+    easy_pools = check_labels(store, config.n_easy_neg)
+    queries = sorted(store.labels)
+    hard_pools = hard_negative_pools(store, bm25_index, config.hard_neg_pool_size)
     if config.n_hard_neg and (empty := [qid for qid in queries if not hard_pools[qid]]):
         logger.warning(
             "%d of %d queries have an empty hard-negative pool after excluding positives "
@@ -538,7 +527,7 @@ def train(
                 for start in range(0, len(order), config.batch_size):
                     subset = order[start : start + config.batch_size]
                     batch = sample_batch(
-                        labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
+                        store.labels, hard_pools, easy_pools, config, rng, subset, epoch=epoch
                     )
                     total, nce, reg, grads, _ = total_loss_and_grads(
                         params, graph, batch, config, rng=rng, train_mode=True, structure=structure

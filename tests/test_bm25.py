@@ -275,7 +275,7 @@ class TestCaseOrder:
     @pytest.mark.parametrize("call", [
         lambda index, store: rank_all(store, index, {}),
         lambda index, store: bm25_baseline_rank(store, index, store.queries()[0].id),
-        lambda index, store: hard_negative_pools(store, index, store.labels, 5),
+        lambda index, store: hard_negative_pools(store, index, 5),
         lambda index, store: build_case_case_edges(index, store, 3),
         lambda index, store: topk_similar(index, store, store.cases[0].id, 3),
     ], ids=["rank_all", "bm25_baseline_rank", "hard_negative_pools", "build_case_case_edges",

@@ -643,10 +643,10 @@ class TestErrorPaths:
         tmp_path, config_path = dataset
         cfg = json.loads(config_path.read_text())
         lines = Path(cfg["corpus"]).read_text().splitlines()
-        record = json.loads(lines[-1])
-        assert record["role"] == "candidate" and record["id"] not in json.loads(
-            Path(cfg["labels"]).read_text())
-        lines[-1] = json.dumps(record | {"role": "query"})
+        # every candidate of the dataset is a positive, which a query may not be: the
+        # unlabelled query is a new case
+        record = json.loads(lines[-1]) | {"id": "unlabelled", "role": "query"}
+        lines.append(json.dumps(record))
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text("\n".join(lines) + "\n")
         out = tmp_path / "out"
@@ -660,6 +660,41 @@ class TestErrorPaths:
         run.write_text(f"{record['id']}\t{json.loads(lines[0])['id']}\t1\t0.5\n")
         assert main(["eval", "--run", str(run), "--labels", cfg["labels"]]) == 2
         assert f"data error: {run}: {want}" in capsys.readouterr().err
+
+    def test_a_repeated_labels_key_is_data_error_in_pipeline_as_in_eval(self, dataset, capsys):
+        tmp_path, config_path = dataset
+        labels = json.loads(Path(json.loads(config_path.read_text())["labels"]).read_text())
+        qid = min(labels)
+        repeated = tmp_path / "labels.json"
+        # decoded by json.loads alone, the second list would replace the first
+        repeated.write_text(json.dumps(labels)[:-1]
+                            + f", {json.dumps(qid)}: {json.dumps(labels[max(labels)])}}}")
+        out = tmp_path / "out"
+        want = f"data error: {repeated}: repeated key {qid!r}\n"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(config_path), "--labels", str(repeated),
+                     "--out", str(out), "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == want
+        assert written(out) == []
+        run = tmp_path / "run.tsv"
+        run.write_text(f"{qid}\t{labels[qid][0]}\t1\t0.5\n")
+        assert main(["eval", "--run", str(run), "--labels", str(repeated)]) == 2
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("repeat, key", [
+        (', "k1": 1.2, "k1": 1.5', "k1"), (', "synth": {"seed": 1, "seed": 2}', "seed"),
+    ], ids=["top-level key", "section key"])
+    def test_a_repeated_config_key_is_data_error(self, dataset, capsys, repeat, key):
+        tmp_path, config_path = dataset
+        text = config_path.read_text().rstrip()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(text[:-1] + repeat + "}\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["pipeline", "--config", str(cfg_path), "--out", str(out),
+                     "--epochs", "1"]) == 2
+        assert capsys.readouterr().err == f"data error: {cfg_path}: repeated key {key!r}\n"
+        assert written(out) == []
 
     @pytest.mark.parametrize("command", ["embed", "pipeline"])
     def test_a_candidate_without_a_vector_is_data_error_naming_it(self, dataset, capsys,
@@ -754,6 +789,34 @@ class TestAFailedCheckWritesNothing:
                      "--out", str(out), "--epochs", "1"]) == 2
         assert capsys.readouterr().err == \
             f"data error: query {min(labels)!r} has no labeled positive\n"
+        assert written(out) == []
+
+    @pytest.mark.parametrize("command", ["pipeline", "train", "graph"])
+    @pytest.mark.parametrize("fault", ["key a candidate", "positive a query"])
+    def test_labels_that_break_the_rule_on_roles(self, dataset, capsys, command, fault):
+        tmp_path, config_path = dataset
+        cfg = json.loads(config_path.read_text())
+        labels = json.loads(Path(cfg["labels"]).read_text())
+        qid, other = min(labels), max(labels)
+        if fault == "key a candidate":  # the corpus line of a labelled query
+            records = [json.loads(line) for line in Path(cfg["corpus"]).read_text().splitlines()]
+            corpus = tmp_path / "corpus.jsonl"
+            corpus.write_text("".join(json.dumps(r | {"role": "candidate"} if r["id"] == qid
+                                                 else r) + "\n" for r in records))
+            given, at_fault = ["--corpus", str(corpus)], cfg["labels"]
+            want = f"label query id {qid!r} is a case with role 'candidate', not a query"
+        else:
+            at_fault = tmp_path / "labels.json"
+            at_fault.write_text(json.dumps(labels | {qid: [*labels[qid], other]}))
+            given = ["--labels", str(at_fault)]
+            want = (f"label for query {qid!r} references {other!r}, a case with role 'query', "
+                    "not a candidate")
+        out = tmp_path / "out"
+        epochs = [] if command == "graph" else ["--epochs", "1"]
+        capsys.readouterr()
+        assert main([command, "--config", str(config_path), *given, "--out", str(out),
+                     *epochs]) == 2
+        assert capsys.readouterr().err == f"data error: {at_fault}: {want}\n"
         assert written(out) == []
 
     def test_a_graph_built_with_other_settings(self, dataset, capsys):
@@ -2020,6 +2083,12 @@ class TestTextInputErrors:
         ("lexicon.txt", "theft\nTHEFT\n", 2, "duplicate charge name 'THEFT'"),
         ("lexicon.txt", 'theft\n{"id": "", "name": "fraud"}\n', 2, "empty id"),
         ("run.tsv", "q1\tc1\tx\t0.5\n", 1, "rank 'x' is not an integer"),
+        ("run.tsv", "q1\tc1\t1\tabc\n", 1, "score 'abc' is not a finite number"),
+        ("labels.json", '{"q1": ["c1"], "q1": []}\n', None, "repeated key 'q1'"),
+        ("labels.json", '{"q1": ["c1"], "c1": []}\n', None,
+         "label for query 'q1' references 'c1', a case with role 'query', not a candidate"),
+        ("config.json", '{"corpus": "corpus.jsonl", "labels": "labels.json", '
+                        '"training": {"lr": 0.1, "lr": 0.2}}\n', None, "repeated key 'lr'"),
         ("run.tsv", "q1\tc1\t1\t0.5\nq1\tc1\t2\t0.5\nq1\tc1\t3\t0.5\n", 2,
          "query 'q1' repeats candidate 'c1'"),
         ("config.json", "[1]\n", None, "file is not a JSON object"),
@@ -2053,7 +2122,9 @@ class TestTextInputErrors:
          "each label id for 'q1' must be a string or a number, not an object"),
     ], ids=["corpus not an object", "corpus empty id", "corpus unknown role",
             "labels value not a list", "labels not an object", "lexicon line without name",
-            "lexicon name twice", "lexicon empty id", "run rank not an integer", "run candidate three times",
+            "lexicon name twice", "lexicon empty id", "run rank not an integer",
+            "run score not a number", "labels key twice", "labels positive a query",
+            "config section key twice", "run candidate three times",
             "config not an object", "config truncated", "embedding id twice",
             "corpus null id and text", "corpus boolean id", "corpus array text",
             "corpus number text", "lexicon null id", "embedding array id",

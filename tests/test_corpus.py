@@ -1,5 +1,6 @@
 """Corpus ingestion, tokenization, year extraction, and the charge lexicon."""
 
+import dataclasses
 import json
 import random
 
@@ -266,6 +267,23 @@ class TestIngestCorpus:
                            match=f"^{lp}: label for query 'q1' references unknown id 'd99'$"):
             ingest_corpus(p, lp)
 
+    @pytest.mark.parametrize("labels, message", [
+        ({"d1": ["d2"]}, "label query id 'd1' is a case with role 'candidate', not a query"),
+        ({"q1": ["d1", "q2"]},
+         "label for query 'q1' references 'q2', a case with role 'query', not a candidate"),
+    ], ids=["key a candidate", "positive a query"])
+    def test_labels_that_break_the_rule_on_roles_name_the_labels_file(self, tmp_path, labels,
+                                                                        message):
+        p = tmp_path / "corpus.jsonl"
+        self._write_jsonl(p, [{"id": "q1", "text": "t"}, {"id": "q2", "text": "t", "role": "query"},
+                              {"id": "d1", "text": "t", "role": "candidate"},
+                              {"id": "d2", "text": "t"}])
+        lp = tmp_path / "labels.json"
+        lp.write_text(json.dumps(labels))
+        with pytest.raises(LabelResolutionError, match=f"^{lp}: {message}$") as info:
+            ingest_corpus(p, lp)
+        assert info.value.path == lp
+
     def test_malformed_line_reports_line_number(self, tmp_path):
         p = tmp_path / "corpus.jsonl"
         p.write_text('{"id": "a", "text": "x"}\n{broken\n')
@@ -397,6 +415,12 @@ class TestLabels:
         with pytest.raises(IngestError, match=f"^{lp}: labels for 'q1' must be a list of ids$"):
             load_labels(lp)
 
+    def test_a_repeated_key_is_parse_error_naming_the_file_and_the_key(self, tmp_path):
+        lp = tmp_path / "labels.json"
+        lp.write_text('{"q1": ["d1", "d2"], "q2": [], "q1": ["d3"]}')
+        with pytest.raises(ParseError, match=f"^{lp}: repeated key 'q1'$"):
+            load_labels(lp)
+
     def test_truncated_file_is_parse_error_naming_it(self, tmp_path):
         lp = tmp_path / "labels.json"
         lp.write_text('{\n  "q1": ["d1",\n')
@@ -506,6 +530,22 @@ class TestCorpusStore:
             make_store([(c, "text") for c in cases],
                        charges=[(c, f"name {i}") for i, c in enumerate(charges)])
 
+    @pytest.mark.parametrize("labels, message", [
+        ({"q1": ("d1",), "ghost": ("d1",)}, "label query id 'ghost' not in corpus"),
+        ({"d1": ("d2",)}, "label query id 'd1' is a case with role 'candidate', not a query"),
+        ({"q1": ("d1", "d9")}, "label for query 'q1' references unknown id 'd9'"),
+        ({"q1": ("d1", "q2")},
+         "label for query 'q1' references 'q2', a case with role 'query', not a candidate"),
+        ({"q1": ("fraud",)}, "label for query 'q1' references unknown id 'fraud'"),
+    ], ids=["key unknown", "key a candidate", "positive unknown", "positive a query",
+            "positive a charge"])
+    def test_labels_are_checked_against_the_roles(self, labels, message):
+        store = make_store([("q1", "a", Role.QUERY), ("q2", "b", Role.QUERY), ("d1", "c"),
+                            ("d2", "d")], charges=[("fraud", "fraud")], labels={"q1": ("d1",)})
+        assert dataclasses.replace(store, labels={"q1": (), "q2": ("d1", "d2")}).labels
+        with pytest.raises(LabelResolutionError, match=f"^{message}$"):
+            dataclasses.replace(store, labels=labels)
+
     def test_a_plain_lexicon_id_can_clash_with_a_jsonl_one(self, tmp_path):
         p = tmp_path / "lex.txt"
         p.write_text('{"id": "charge_1", "name": "fraud"}\ntheft\n')
@@ -582,6 +622,16 @@ class TestLinesAndObjects:
             decode_object("[1]", tmp_path, error=error)
         with pytest.raises(error, match=f"^line 7: {tmp_path}: line is not a JSON object$"):
             decode_object("7", tmp_path, 7, error=error)
+
+    def test_a_key_twice_in_a_file_is_rejected_at_any_depth(self, tmp_path):
+        for text, key in [('{"a": 1, "b": 2, "a": 3}', "a"),
+                          ('{"a": [{"x": 1}, {"y": {"z": 1, "z": 1}}]}', "z")]:
+            with pytest.raises(ParseError, match=f"^{tmp_path}: repeated key {key!r}$"):
+                decode_object(text, tmp_path)
+        assert decode_object('{"a": {"a": 1}, "b": {"a": 2}}', tmp_path) == {
+            "a": {"a": 1}, "b": {"a": 2}}
+        # a JSONL line is decoded as json.loads does, the last value winning
+        assert decode_object('{"a": 1, "a": 3}', tmp_path, 2) == {"a": 3}
 
     def test_a_line_without_a_required_key(self, tmp_path):
         assert decode_object('{"id": "a"}', tmp_path, 4, ("id",)) == {"id": "a"}

@@ -528,7 +528,12 @@ class TestRunFiles:
          "query 'q1' repeats candidate 'c1'"),
         (["q1\tc1\t1\t0.5", "", "q2\tc1\t1\t0.5", "q1\tc2\t1\t0.4"], 4,
          "query 'q1' repeats rank 1"),
-    ], ids=["rank not an integer", "candidate repeated", "rank repeated"])
+        (["q1\tc1\t1\t0.5", "q1\tc2\t2\tabc"], 2, "score 'abc' is not a finite number"),
+        (["q1\tc1\t1\tnan"], 1, "score 'nan' is not a finite number"),
+        (["q1\tc1\t1\t-inf"], 1, "score '-inf' is not a finite number"),
+        (["q1\tc1\t1\t"], 1, "score '' is not a finite number"),
+    ], ids=["rank not an integer", "candidate repeated", "rank repeated", "score not a number",
+            "score nan", "score infinite", "score empty"])
     def test_damaged_run_line_is_parse_error_naming_the_file_and_line(self, tmp_path, lines,
                                                                        line, reason):
         path = tmp_path / "run.tsv"

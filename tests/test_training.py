@@ -9,7 +9,7 @@ import pytest
 
 from caselink.bm25 import build_index, score_all
 from caselink.corpus import replaced
-from caselink.errors import DimensionError, LabelError, NumericalError, TraceError
+from caselink.errors import DimensionError, LabelError, NumericalError, ParseError, TraceError
 from caselink.gat import GatParams, load_checkpoint
 from caselink.graph import Provenance, build_global_case_graph
 from caselink.synthetic import SyntheticSpec, generate
@@ -144,11 +144,11 @@ class TestHardNegativePools:
                 ("c2", "alpha beta", Role.CANDIDATE),
                 ("c3", "alpha", Role.CANDIDATE),
                 ("c4", "unrelated text", Role.CANDIDATE),
-            ]
+            ],
+            labels={"q1": ("c1",)},
         )
         index = build_index(store)
-        labels = {"q1": ("c1",)}
-        pools = hard_negative_pools(store, index, labels, pool_size=3)
+        pools = hard_negative_pools(store, index, pool_size=3)
         scores = score_all(index, store.cases[0].tokens)
         assert pools["q1"] == ("c2", "c3")
         assert scores[2] > scores[3]  # c2 outranks c3
@@ -162,9 +162,10 @@ class TestHardNegativePools:
             (("cd", "q1", "cc", "ca", "cb"), {"q1": ("ca",)}, ("cb",)),
         ]:
             store = make_store(
-                [(c, "alpha", Role.QUERY if c == "q1" else Role.CANDIDATE) for c in order]
+                [(c, "alpha", Role.QUERY if c == "q1" else Role.CANDIDATE) for c in order],
+                labels=labels,
             )
-            pools = hard_negative_pools(store, build_index(store), labels, pool_size=2)
+            pools = hard_negative_pools(store, build_index(store), pool_size=2)
             assert pools["q1"] == expected
 
 
@@ -217,12 +218,18 @@ class TestEasyNegatives:
 
 
 class TestCheckLabels:
-    # q1's positives hold "a" twice and "zz", no candidate: 2 of them are candidates
-    LABELS = {"q2": ("a",), "q1": ("a", "b", "a", "zz")}
-    CANDIDATES = ["a", "b", "c", "d"]
+    # q1's positives hold "a" twice: 2 distinct candidates
+    LABELS = {"q2": ("a",), "q1": ("a", "b", "a")}
+
+    @staticmethod
+    def store(labels):
+        from caselink.corpus import Role
+
+        return make_store([("q1", "x", Role.QUERY), ("q2", "x", Role.QUERY),
+                           *((c, "x") for c in "abcd")], labels=labels)
 
     def test_the_pools_cover_every_labelled_query(self):
-        pools = check_labels(self.LABELS, self.CANDIDATES, 2)
+        pools = check_labels(self.store(self.LABELS), 2)
         assert sorted(pools.skips) == ["q1", "q2"]
         assert (pools.size("q1"), pools.size("q2")) == (2, 3)
 
@@ -236,7 +243,7 @@ class TestCheckLabels:
     ], ids=["no query", "no positive", "first sorted", "later query"])
     def test_the_first_query_at_fault_is_named(self, labels, n_easy_neg, message):
         with pytest.raises(LabelError, match=f"^{message}$"):
-            check_labels(labels, self.CANDIDATES, n_easy_neg)
+            check_labels(self.store(labels), n_easy_neg)
 
 
 class TestSampleBatch:
@@ -817,7 +824,7 @@ class TestTrainLoop:
             hard_neg_pool_size=5,
             seed=0,
         )
-        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        result = train(ds.store, graph, cfg, build_index(ds.store))
         losses = [e.mean_loss for e in result.log]
         assert len(losses) == 8
         assert min(losses) < losses[0]
@@ -836,7 +843,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training_module, "total_loss_and_grads", recording)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=1, hard_neg_pool_size=5, seed=0)
-        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        result = train(ds.store, graph, cfg, build_index(ds.store))
         assert [e for e, *_ in steps] == [0] * 4 + [1] * 4 + [2] * 4  # 4 queries, 4 steps
         for log in result.log:
             rows = [values for e, *values in steps if e == log.epoch]
@@ -865,7 +872,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training_module, "adam_step", recording_adam_step)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=len(scripted), batch_size=8, hard_neg_pool_size=5, seed=0)
-        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        result = train(ds.store, graph, cfg, build_index(ds.store))
         assert [log.mean_loss for log in result.log] == scripted
         assert result.best_epoch == best
         assert len(stepped) == len(scripted)
@@ -877,7 +884,7 @@ class TestTrainLoop:
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=0, seed=0)
         with caplog.at_level("WARNING", logger="caselink.training"):
-            train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+            train(ds.store, graph, cfg, build_index(ds.store))
         (record,) = caplog.records
         queries = sorted(ds.labels)
         assert f"{len(queries)} of {len(queries)} queries have an empty hard-negative pool" \
@@ -885,9 +892,9 @@ class TestTrainLoop:
         assert ", ".join(queries) in record.getMessage()
         caplog.clear()
         with caplog.at_level("WARNING", logger="caselink.training"):
-            train(ds.store, graph, ds.labels, replace(cfg, hard_neg_pool_size=5),
+            train(ds.store, graph, replace(cfg, hard_neg_pool_size=5),
                   build_index(ds.store))
-            train(ds.store, graph, ds.labels, replace(cfg, n_hard_neg=0),
+            train(ds.store, graph, replace(cfg, n_hard_neg=0),
                   build_index(ds.store))
         assert not caplog.records
 
@@ -896,8 +903,8 @@ class TestTrainLoop:
         cfg = TrainingConfig(
             epochs=3, batch_size=4, dropout=0.2, lr=0.01, hard_neg_pool_size=5, seed=1
         )
-        r1 = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
-        r2 = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        r1 = train(ds.store, graph, cfg, build_index(ds.store))
+        r2 = train(ds.store, graph, cfg, build_index(ds.store))
         np.testing.assert_array_equal(r1.params.flat, r2.params.flat)
         assert [e.mean_loss for e in r1.log] == [e.mean_loss for e in r2.log]
 
@@ -914,7 +921,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training_module, "adam_step", recording_adam_step)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
-        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store),
+        result = train(ds.store, graph, cfg, build_index(ds.store),
                        checkpoint_dir=tmp_path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "checkpoint.gatc", "checkpoint.gatc.json", "checkpoint_last.gatc",
@@ -951,7 +958,7 @@ class TestTrainLoop:
         recording(training_module, "backward_gradients", lambda args, result: args[1].structure)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=2, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        train(ds.store, graph, cfg, build_index(ds.store))
         assert {name: len(made) for name, made in calls.items()} == {
             "prepare_structure": 1, "easy_negatives": 1, "adam_step": 6,
             "backward_gradients": 6}
@@ -976,7 +983,7 @@ class TestTrainLoop:
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
         with pytest.raises(NumericalError, match="non-finite parameter at epoch 1"):
-            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+            train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         last = load_checkpoint(tmp_path / "checkpoint_last.gatc")
         np.testing.assert_array_equal(last.flat, stepped[0].flat)
         # the one finished epoch is the best, and the log holds it alone
@@ -992,7 +999,7 @@ class TestTrainLoop:
         # 12 candidates, 3 of them each query's positives: 9 easy negatives a query
         with pytest.raises(LabelError, match=f"^not enough easy negatives for query "
                                              f"'{min(ds.labels)}': 9 candidates"):
-            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+            train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_a_run_that_diverges_in_its_first_epoch_keeps_the_initial_params(self, tmp_path):
@@ -1001,7 +1008,7 @@ class TestTrainLoop:
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=2, lr=1e300, hard_neg_pool_size=5, seed=0)
         with np.errstate(all="ignore"), pytest.raises(NumericalError, match="at epoch 0"):
-            train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+            train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         init = init_params(cfg.seed, [graph.dim] * (cfg.layers + 1))
         for name in ("checkpoint.gatc", "checkpoint_last.gatc"):
             np.testing.assert_array_equal(load_checkpoint(tmp_path / name).flat, init.flat)
@@ -1020,7 +1027,7 @@ class TestTrainLoop:
         monkeypatch.setattr(training_module, "replaced", recording_replaced)
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=3, batch_size=8, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         assert commits == [["checkpoint_last.gatc.json"], [], [], ["checkpoint.gatc.json"]]
         assert json.loads((tmp_path / "checkpoint_last.gatc.json").read_text()) == json.loads(
             (tmp_path / "checkpoint.gatc.json").read_text())
@@ -1028,7 +1035,7 @@ class TestTrainLoop:
     def test_sidecar_holds_the_config_and_dims(self, tmp_path):
         ds, graph = small_dataset()
         cfg = TrainingConfig(epochs=1, batch_size=8, hidden_dim=5, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         sidecar = json.loads((tmp_path / "checkpoint.gatc.json").read_text())
         assert sidecar == {"config": asdict(cfg), "dims": [graph.dim, 5, 5], "provenance": None}
         assert load_checkpoint(tmp_path / "checkpoint.gatc").dims == sidecar["dims"]
@@ -1038,7 +1045,7 @@ class TestTrainLoop:
         built_from = Provenance("c" * 64, "l" * 64, 1.2, 0.75, 5, 0.9)
         graph = replace(graph, provenance=built_from)
         cfg = TrainingConfig(epochs=1, batch_size=8, hard_neg_pool_size=5, seed=0)
-        train(ds.store, graph, ds.labels, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
+        train(ds.store, graph, cfg, build_index(ds.store), checkpoint_dir=tmp_path)
         sidecar = json.loads((tmp_path / "checkpoint.gatc.json").read_text())
         assert sidecar["provenance"] == asdict(built_from)
         check_checkpoint_provenance(tmp_path / "checkpoint.gatc", built_from)
@@ -1047,12 +1054,19 @@ class TestTrainLoop:
             check_checkpoint_provenance(tmp_path / "checkpoint.gatc",
                                         replace(built_from, delta=0.5))
 
+    def test_a_key_twice_in_the_sidecar_is_parse_error(self, tmp_path):
+        sidecar = tmp_path / "checkpoint.gatc.json"
+        sidecar.write_text('{"provenance": null, "provenance": null}')
+        with pytest.raises(ParseError, match=f"^{sidecar}: repeated key 'provenance'$"):
+            check_checkpoint_provenance(tmp_path / "checkpoint.gatc",
+                                        Provenance("c" * 64, "l" * 64, 1.2, 0.75, 5, 0.9))
+
     def test_epochs_zero_returns_initialization(self):
         ds, graph = small_dataset()
         from caselink.gat import init_params
 
         cfg = TrainingConfig(epochs=0, seed=5)
-        result = train(ds.store, graph, ds.labels, cfg, build_index(ds.store))
+        result = train(ds.store, graph, cfg, build_index(ds.store))
         dims = [graph.dim] + [graph.dim] * cfg.layers
         init = init_params(cfg.seed, dims)
         np.testing.assert_array_equal(result.params.flat, init.flat)
@@ -1060,11 +1074,13 @@ class TestTrainLoop:
     def test_no_labels_rejected(self):
         ds, graph = small_dataset()
         with pytest.raises(LabelError):
-            train(ds.store, graph, {}, TrainingConfig(epochs=1), build_index(ds.store))
+            train(replace(ds.store, labels={}), graph, TrainingConfig(epochs=1),
+                  build_index(ds.store))
 
     def test_query_without_positives_rejected(self):
         ds, graph = small_dataset()
         labels = dict(ds.labels)
         labels[next(iter(labels))] = ()
         with pytest.raises(LabelError):
-            train(ds.store, graph, labels, TrainingConfig(epochs=1), build_index(ds.store))
+            train(replace(ds.store, labels=labels), graph, TrainingConfig(epochs=1),
+                  build_index(ds.store))
