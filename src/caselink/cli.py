@@ -44,11 +44,9 @@ from .binfile import field_kinds, record
 from .bm25 import Bm25Index, build_index, check_parameters, save_index
 from .corpus import (
     CorpusStore,
-    attach_charges,
     check_labelled,
     decode_object,
     ingest_corpus,
-    load_charge_lexicon,
     load_labels,
     read_text,
     replaced,
@@ -324,22 +322,20 @@ def _require(opts: RunOptions, name: str) -> Path:
 
 def _load_store(opts: RunOptions, manifest: StageManifest,
                 training: TrainingConfig | None = None, lexicon: bool = True) -> CorpusStore:
-    """The corpus, with roles from the labels when given and, with ``lexicon``,
-    the charges of the lexicon attached. Reading them is timed as ``ingest``.
-    With ``training``, labels without a query, or a query without a positive
-    or with fewer easy negatives than ``training`` draws, fail here, before
-    any stage writes (:func:`training.check_labels`)."""
+    """The run's one store, read by one :func:`corpus.ingest_corpus` timed as ``ingest``:
+    the corpus, with roles from the labels when given and, with ``lexicon``, the charges
+    of the lexicon. With ``training``, labels without a query, or a query without a
+    positive or with fewer easy negatives than ``training`` draws, fail here, before
+    any stage writes (:func:`training.check_labels` counts them; ``train()`` builds the pools)."""
     corpus = _require(opts, "corpus")
     if training is not None:
         _require(opts, "labels")
+    lexicon_path = _require(opts, "lexicon") if lexicon else None
     with manifest.stage("ingest"):
-        store = ingest_corpus(corpus, opts.labels)
+        store = ingest_corpus(corpus, opts.labels, lexicon_path)
         if training is not None:
             check_labels(store, training.n_easy_neg)
-        manifest.add_input(corpus, opts.labels)
-        if lexicon:
-            store = attach_charges(store, load_charge_lexicon(_require(opts, "lexicon")))
-            manifest.add_input(opts.lexicon)
+        manifest.add_input(corpus, opts.labels, lexicon_path)
     return store
 
 
@@ -424,7 +420,8 @@ def train_stage(
 ) -> TrainResult:
     """Train the encoder; checkpoints and the epoch log go to ``out/checkpoints``.
     ``train()`` leaves every file the manifest lists, even when the run
-    diverges; the labels it checks passed the ingest (:func:`_load_store`)."""
+    diverges; the labels it checks passed the ingest (:func:`_load_store`), and
+    it builds the easy-negative pools once."""
     with manifest.stage("train"):
         ckpt_dir = manifest.out / "checkpoints"
         for name in CHECKPOINT_FILES:

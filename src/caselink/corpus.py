@@ -6,12 +6,13 @@ Input formats:
              a numeric id is read as its string
   ids     -- every corpus and lexicon id: non-empty, no tab, CR or LF, at most
              65,535 UTF-8 bytes (:func:`node_id_field`)
-  labels  -- JSON object: query id -> list of relevant candidate ids
+  labels  -- JSON object: query id -> list of relevant candidate ids, each listed once
   charges -- plain text (one charge name per line) or JSONL {"id": ..., "name": ...}
 
-Text inputs are read through :func:`read_text`, :func:`iter_lines` and
-:func:`decode_object`, so every fault in one is an error naming the file and the line;
-JSON files are written through :func:`write_json`, JSONL files through :func:`write_jsonl`.
+:func:`ingest_corpus` reads a run's corpus, labels and lexicon into its one store.
+Text inputs are read through :func:`read_text`, :func:`iter_lines` and :func:`decode_object`,
+so every fault in one is an error naming the file and the line; JSON files are written
+through :func:`write_json`, JSONL files through :func:`write_jsonl`.
 Every file the package writes reaches its name through :func:`replaced`, the one
 commit: a ``.tmp`` sibling, renamed into place with the files committed beside it.
 """
@@ -26,7 +27,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     EmptyLexiconError,
@@ -95,9 +96,9 @@ class ChargeEntry:
 
 @dataclass(frozen=True)
 class CorpusStore:
-    """Immutable corpus. ``node_ids``, the cases and then the charges, is the
-    canonical node order; an id in it twice is an IngestError naming it. A
-    ``labels`` key that is no query, or positive no candidate, is a LabelResolutionError."""
+    """Immutable corpus. ``node_ids``, the cases and then the charges, is the canonical
+    node order; an id in it twice is an IngestError naming it. A ``labels`` key that is no
+    query, or a positive that is no candidate or is twice in one list, is a LabelResolutionError."""
 
     cases: tuple[CaseDocument, ...]
     charges: tuple[ChargeEntry, ...] = ()
@@ -122,6 +123,9 @@ class CorpusStore:
                     raise LabelResolutionError(f"label for query {qid!r} references " + (
                         f"unknown id {rid!r}" if rid not in roles
                         else f"{rid!r}, a case with role {roles[rid].value!r}, not a candidate"))
+            if len(set(positives)) < len(positives):
+                rid = next(r for i, r in enumerate(positives) if r in positives[:i])
+                raise LabelResolutionError(f"label for query {qid!r} lists {rid!r} twice")
 
     @property
     def n_cases(self) -> int:
@@ -372,8 +376,9 @@ def iter_records(
 def ingest_corpus(
     corpus_path: str | Path,
     labels_path: str | Path | None = None,
+    lexicon_path: str | Path | None = None,
 ) -> CorpusStore:
-    """Read a corpus file (JSONL or directory) into an immutable CorpusStore.
+    """Read a corpus file (JSONL or directory), labels and lexicon into one CorpusStore.
 
     Roles: an explicit "role" field wins; otherwise ids on the query side of
     the labels file become queries and everything else is a candidate.
@@ -397,8 +402,9 @@ def ingest_corpus(
 
         cases.append(CaseDocument.from_text(cid, text, role))
 
+    charges = load_charge_lexicon(lexicon_path) if lexicon_path is not None else ()
     try:
-        return CorpusStore(cases=tuple(cases), labels=labels)
+        return CorpusStore(cases=tuple(cases), charges=charges, labels=labels)
     except LabelResolutionError as exc:
         raise LabelResolutionError(exc.message, path=labels_path) from None
 
@@ -431,8 +437,3 @@ def load_charge_lexicon(path: str | Path) -> tuple[ChargeEntry, ...]:
     if not entries:
         raise EmptyLexiconError("charge lexicon is empty", path=path)
     return tuple(entries)
-
-
-def attach_charges(store: CorpusStore, charges: Sequence[ChargeEntry]) -> CorpusStore:
-    """Return a new store with the charge lexicon attached in canonical order."""
-    return CorpusStore(cases=store.cases, charges=tuple(charges), labels=store.labels)

@@ -426,22 +426,21 @@ class TrainResult:
     best_epoch: int
 
 
-def check_labels(store: CorpusStore, n_easy_neg: int) -> EasyNegatives:
-    """The easy-negative pools of the queries of ``store.labels`` (:func:`easy_negatives`).
-    No query, or a query without a positive or with fewer than ``n_easy_neg``
-    easy negatives, is a LabelError naming the first such query in sorted
-    order; the check is O(candidates + labels)."""
+def check_labels(store: CorpusStore, n_easy_neg: int) -> None:
+    """Raise LabelError, naming the first query at fault in sorted order, unless
+    ``store.labels`` has a query, each query a positive and at least ``n_easy_neg``
+    easy negatives. A query's easy negatives are counted, not built: the store
+    holds its positives as distinct candidates, so they number candidates - positives."""
     labels = store.labels
     if not labels:
         raise LabelError("no labeled queries to train on")
-    pools = easy_negatives(labels, [c.id for c in store.candidates()])
+    n_candidates = len(store.candidates())
     for qid in sorted(labels):
         if not labels[qid]:
             raise LabelError(f"query {qid!r} has no labeled positive")
-        if (n_easy := pools.size(qid)) < n_easy_neg:
+        if (n_easy := n_candidates - len(labels[qid])) < n_easy_neg:
             raise LabelError(f"not enough easy negatives for query {qid!r}: {n_easy} candidates "
                              f"are not its positives, n_easy_neg is {n_easy_neg}")
-    return pools
 
 
 def _checkpoints(ckpt_dir: Path, names, params: GatParams, sidecar: dict | None) -> dict:
@@ -480,11 +479,11 @@ def train(store: CorpusStore, graph: GlobalCaseGraph, config: TrainingConfig,
 
     Each epoch shuffles the queries of ``store.labels``, partitions them into batches,
     and runs a full-graph forward per batch with the loss restricted to the
-    batch entries; the best-epoch params are returned. The edge structure and
-    the hard-negative pools, ranked by ``bm25_index`` (the index the graph was
-    built from), are built once, before the first step; one warning names the
-    queries whose hard pool is empty. A non-finite loss or
-    parameter is a NumericalError. With ``checkpoint_dir``,
+    batch entries; the best-epoch params are returned. After :func:`check_labels`, the edge
+    structure, the easy-negative pools and the hard-negative pools, ranked by ``bm25_index``
+    (the index the graph was built from), are built once, before the first step; one warning
+    names the queries whose hard pool is empty. A non-finite loss or parameter is a
+    NumericalError. With ``checkpoint_dir``,
     ``checkpoint_last.gatc`` is committed after each epoch (its sidecar, which
     never changes, with the first). However the epochs end, a NumericalError
     included, one commit then completes the directory: ``checkpoint.gatc`` with
@@ -492,7 +491,8 @@ def train(store: CorpusStore, graph: GlobalCaseGraph, config: TrainingConfig,
     ``training_log.jsonl`` every finished epoch, and ``checkpoint_last.gatc``
     the initial params if no epoch finished.
     """
-    easy_pools = check_labels(store, config.n_easy_neg)
+    check_labels(store, config.n_easy_neg)
+    easy_pools = easy_negatives(store.labels, [c.id for c in store.candidates()])
     queries = sorted(store.labels)
     hard_pools = hard_negative_pools(store, bm25_index, config.hard_neg_pool_size)
     if config.n_hard_neg and (empty := [qid for qid in queries if not hard_pools[qid]]):

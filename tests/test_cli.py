@@ -370,6 +370,28 @@ class TestPipeline:
         for stage in ("index", "embed", "graph", "train", "rank", "eval"):
             assert stage in manifest["timings_ms"]
 
+    def test_a_run_builds_one_store_and_one_set_of_easy_pools(self, dataset, monkeypatch):
+        import caselink.training as training_module
+        from caselink.corpus import CorpusStore
+
+        tmp_path, config_path = dataset
+        calls = {"__post_init__": 0, "easy_negatives": 0}
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(CorpusStore, "__post_init__")
+        counted(training_module, "easy_negatives")
+        assert main(["pipeline", "--config", str(config_path), "--out", str(tmp_path / "out"),
+                     "--epochs", "2", "--seed", "2"]) == 0
+        assert calls == {"__post_init__": 1, "easy_negatives": 1}
+
 
 class TestConfigPrecedence:
     def test_flag_beats_config_beats_default(self, dataset):
@@ -681,6 +703,26 @@ class TestErrorPaths:
         assert main(["eval", "--run", str(run), "--labels", str(repeated)]) == 2
         assert capsys.readouterr().err == want
 
+    def test_eval_reads_a_positive_listed_twice_as_once(self, dataset, capsys):
+        """``eval`` builds no store, so the store's rule on repeats does not apply:
+        it scores the labels as sets, and the repeat changes nothing."""
+        tmp_path, config_path = dataset
+        labels_path = Path(json.loads(config_path.read_text())["labels"])
+        labels = json.loads(labels_path.read_text())
+        qid = min(labels)
+        repeated = tmp_path / "labels.json"
+        repeated.write_text(json.dumps(labels | {qid: [labels[qid][0], *labels[qid]]}))
+        run = tmp_path / "run.tsv"
+        run.write_text(f"{qid}\t{labels[qid][0]}\t1\t0.5\n{qid}\t{max(labels)}\t2\t0.25\n")
+        reports = []
+        for i, given in enumerate((labels_path, repeated)):
+            out = tmp_path / f"eval{i}"
+            assert main(["eval", "--run", str(run), "--labels", str(given),
+                         "--out", str(out)]) == 0
+            reports.append((out / "report.json").read_bytes())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["relevant"] == len(labels[qid])
+
     @pytest.mark.parametrize("repeat, key", [
         (', "k1": 1.2, "k1": 1.5', "k1"), (', "synth": {"seed": 1, "seed": 2}', "seed"),
     ], ids=["top-level key", "section key"])
@@ -792,7 +834,7 @@ class TestAFailedCheckWritesNothing:
         assert written(out) == []
 
     @pytest.mark.parametrize("command", ["pipeline", "train", "graph"])
-    @pytest.mark.parametrize("fault", ["key a candidate", "positive a query"])
+    @pytest.mark.parametrize("fault", ["key a candidate", "positive a query", "positive twice"])
     def test_labels_that_break_the_rule_on_roles(self, dataset, capsys, command, fault):
         tmp_path, config_path = dataset
         cfg = json.loads(config_path.read_text())
@@ -805,12 +847,17 @@ class TestAFailedCheckWritesNothing:
                                                  else r) + "\n" for r in records))
             given, at_fault = ["--corpus", str(corpus)], cfg["labels"]
             want = f"label query id {qid!r} is a case with role 'candidate', not a query"
-        else:
+        elif fault == "positive a query":
             at_fault = tmp_path / "labels.json"
             at_fault.write_text(json.dumps(labels | {qid: [*labels[qid], other]}))
             given = ["--labels", str(at_fault)]
             want = (f"label for query {qid!r} references {other!r}, a case with role 'query', "
                     "not a candidate")
+        else:
+            at_fault = tmp_path / "labels.json"
+            at_fault.write_text(json.dumps(labels | {qid: [*labels[qid], labels[qid][0]]}))
+            given = ["--labels", str(at_fault)]
+            want = f"label for query {qid!r} lists {labels[qid][0]!r} twice"
         out = tmp_path / "out"
         epochs = [] if command == "graph" else ["--epochs", "1"]
         capsys.readouterr()

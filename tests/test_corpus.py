@@ -15,7 +15,6 @@ from caselink.corpus import (
     _TOKEN_RE,
     ChargeEntry,
     Role,
-    attach_charges,
     decode_object,
     extract_latest_year,
     ingest_corpus,
@@ -271,7 +270,8 @@ class TestIngestCorpus:
         ({"d1": ["d2"]}, "label query id 'd1' is a case with role 'candidate', not a query"),
         ({"q1": ["d1", "q2"]},
          "label for query 'q1' references 'q2', a case with role 'query', not a candidate"),
-    ], ids=["key a candidate", "positive a query"])
+        ({"q1": ["d1", "d2", "d1"]}, "label for query 'q1' lists 'd1' twice"),
+    ], ids=["key a candidate", "positive a query", "positive twice"])
     def test_labels_that_break_the_rule_on_roles_name_the_labels_file(self, tmp_path, labels,
                                                                         message):
         p = tmp_path / "corpus.jsonl"
@@ -491,12 +491,15 @@ class TestChargeLexicon:
         assert normalize_charge_name("  Judicial   Review ") == "judicial review"
         assert normalize_charge_name("Straße, STRASSE") == "strasse strasse"
 
-    def test_attach_charges(self):
-        store = make_store([("a", "text")])
-        entries = [ChargeEntry(id="c1", name="fraud"), ChargeEntry(id="c2", name="theft")]
-        store2 = attach_charges(store, entries)
-        assert store2.n_charges == 2
-        assert store2.cases == store.cases
+    def test_ingest_corpus_attaches_the_lexicon(self, tmp_path):
+        corpus, lexicon = tmp_path / "corpus.jsonl", tmp_path / "lex.jsonl"
+        corpus.write_text('{"id": "a", "text": "text"}\n')
+        lexicon.write_text('{"id": "c1", "name": "fraud"}\n{"id": "c2", "name": "theft"}\n')
+        store = ingest_corpus(corpus, None, lexicon)
+        assert store.charges == (ChargeEntry(id="c1", name="fraud"),
+                                 ChargeEntry(id="c2", name="theft"))
+        assert store.cases == ingest_corpus(corpus).cases
+        assert store.node_ids == ("a", "c1", "c2")
 
 
 class TestCorpusStore:
@@ -518,7 +521,7 @@ class TestCorpusStore:
     def test_node_ids_are_the_cases_then_the_charges(self):
         store = make_store([("b", "x"), ("a", "y")], charges=[("z", "fraud"), ("c", "theft")])
         assert store.node_ids == ("b", "a", "z", "c")
-        assert attach_charges(store, ()).node_ids == ("b", "a")
+        assert dataclasses.replace(store, charges=()).node_ids == ("b", "a")
 
     @pytest.mark.parametrize("cases, charges, shared", [
         (["a", "b", "a"], [], "a"),
@@ -537,8 +540,9 @@ class TestCorpusStore:
         ({"q1": ("d1", "q2")},
          "label for query 'q1' references 'q2', a case with role 'query', not a candidate"),
         ({"q1": ("fraud",)}, "label for query 'q1' references unknown id 'fraud'"),
+        ({"q1": ("d1",), "q2": ("d2", "d1", "d2")}, "label for query 'q2' lists 'd2' twice"),
     ], ids=["key unknown", "key a candidate", "positive unknown", "positive a query",
-            "positive a charge"])
+            "positive a charge", "positive twice"])
     def test_labels_are_checked_against_the_roles(self, labels, message):
         store = make_store([("q1", "a", Role.QUERY), ("q2", "b", Role.QUERY), ("d1", "c"),
                             ("d2", "d")], charges=[("fraud", "fraud")], labels={"q1": ("d1",)})
@@ -551,8 +555,10 @@ class TestCorpusStore:
         p.write_text('{"id": "charge_1", "name": "fraud"}\ntheft\n')
         charges = load_charge_lexicon(p)
         assert [c.id for c in charges] == ["charge_1", "charge_1"]
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text('{"id": "a", "text": "text"}\n')
         with pytest.raises(IngestError, match="duplicate node id 'charge_1'"):
-            attach_charges(make_store([("a", "text")]), charges)
+            ingest_corpus(corpus, None, p)
 
 
 class TestReadText:

@@ -1,6 +1,7 @@
 """The package root exports only ``__version__``; every other name is imported
 from its module, as the README's library example does. Every file the package
-writes is renamed into place by ``corpus.replaced`` alone."""
+writes is renamed into place by ``corpus.replaced`` alone, and a run's store is
+built by ``corpus.ingest_corpus`` alone."""
 
 from pathlib import Path
 
@@ -38,3 +39,11 @@ def test_files_are_renamed_into_place_in_corpus_replaced_only():
     package = Path(caselink.__file__).parent
     calls = {p.name: p.read_text("utf-8").count("os.replace(") for p in package.glob("*.py")}
     assert {name: n for name, n in calls.items() if n} == {"corpus.py": 1}
+
+
+def test_a_store_is_built_in_ingest_corpus_and_the_synthetic_generator_only():
+    package = Path(caselink.__file__).parent
+    calls = {p.name: p.read_text("utf-8").count("CorpusStore(") for p in package.glob("*.py")}
+    assert {name: n for name, n in calls.items() if n} == {"corpus.py": 1, "synthetic.py": 1}
+    ingest = (package / "corpus.py").read_text("utf-8").split("\ndef ingest_corpus(", 1)[1]
+    assert "CorpusStore(" in ingest.split("\ndef ", 1)[0]

@@ -149,6 +149,10 @@ class TestWriteDataset:
         lexicon = load_charge_lexicon(paths["lexicon"])
         assert [e.name for e in lexicon] == [c.name for c in ds.store.charges]
 
+        whole = ingest_corpus(paths["corpus"], paths["labels"], paths["lexicon"])
+        assert whole == ds.store
+        assert whole.node_ids == ds.store.node_ids
+
         table = load_embedding_file(paths["embeddings"])
         assert len(table) == ds.store.n_cases + ds.store.n_charges
         for case in ds.store.cases:

@@ -218,8 +218,8 @@ class TestEasyNegatives:
 
 
 class TestCheckLabels:
-    # q1's positives hold "a" twice: 2 distinct candidates
-    LABELS = {"q2": ("a",), "q1": ("a", "b", "a")}
+    # 4 candidates, a-d: 2 easy negatives for q1, 3 for q2
+    LABELS = {"q2": ("a",), "q1": ("a", "b")}
 
     @staticmethod
     def store(labels):
@@ -228,10 +228,14 @@ class TestCheckLabels:
         return make_store([("q1", "x", Role.QUERY), ("q2", "x", Role.QUERY),
                            *((c, "x") for c in "abcd")], labels=labels)
 
-    def test_the_pools_cover_every_labelled_query(self):
-        pools = check_labels(self.store(self.LABELS), 2)
-        assert sorted(pools.skips) == ["q1", "q2"]
-        assert (pools.size("q1"), pools.size("q2")) == (2, 3)
+    def test_easy_negatives_are_counted_as_candidates_less_positives(self):
+        for qid, n_easy in [("q1", 2), ("q2", 3)]:
+            store = self.store({qid: self.LABELS[qid]})
+            assert check_labels(store, n_easy) is None
+            with pytest.raises(LabelError, match=f"^not enough easy negatives for query {qid!r}: "
+                                                 f"{n_easy} candidates are not its positives, "
+                                                 f"n_easy_neg is {n_easy + 1}$"):
+                check_labels(store, n_easy + 1)
 
     @pytest.mark.parametrize("labels, n_easy_neg, message", [
         ({}, 0, "no labeled queries to train on"),
